@@ -17,8 +17,9 @@
 
 use std::collections::BTreeSet;
 
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, Graph, NodeId, Orientation, PortNumbering};
-use locap_models::sim::{run_sync, run_sync_with_inputs, NodeCtx, SyncAlgorithm};
+use locap_models::sim::{run_sync_budgeted, NodeCtx, SyncAlgorithm};
 use locap_models::RunError;
 
 /// One Cole–Vishkin step: the new colour of a node with colour `own` whose
@@ -116,7 +117,9 @@ impl SyncAlgorithm for ColorReduce {
 pub fn color_reduce(g: &Graph, ids: &[u64], rounds: usize) -> Result<Vec<u64>, RunError> {
     let ports = PortNumbering::sorted(g);
     let orient = cycle_orientation(g);
-    let res = run_sync(g, &ports, Some(ids), Some(&orient), &ColorReduce { rounds }, rounds + 2)?;
+    let budget = RunBudget::unlimited().with_max_rounds(rounds + 2);
+    let algo = ColorReduce { rounds };
+    let res = run_sync_budgeted(g, &ports, Some(ids), Some(&orient), None, &algo, &budget)?;
     debug_assert!(res.all_halted);
     Ok(res.states.into_iter().map(|s| s.color).collect())
 }
@@ -271,14 +274,15 @@ pub fn cycle_mis(g: &Graph, ids: &[u64]) -> Result<CycleMis, RunError> {
     let colors = color_reduce(g, ids, reduction_rounds)?;
     assert_proper(g, &colors);
 
-    let res = run_sync_with_inputs(g, &ports, None, None, Some(&colors), &SixToThree, 10)?;
+    let budget = RunBudget::unlimited().with_max_rounds(10);
+    let res = run_sync_budgeted(g, &ports, None, None, Some(&colors), &SixToThree, &budget)?;
     debug_assert!(res.all_halted);
     let colors3: Vec<u64> = res.states.iter().map(|s| s.color).collect();
     assert!(colors3.iter().all(|&c| c < 3));
     assert_proper(g, &colors3);
     let r2 = res.rounds;
 
-    let res = run_sync_with_inputs(g, &ports, None, None, Some(&colors3), &MisFromColors, 10)?;
+    let res = run_sync_budgeted(g, &ports, None, None, Some(&colors3), &MisFromColors, &budget)?;
     debug_assert!(res.all_halted);
     let mis: BTreeSet<NodeId> = res
         .states

@@ -9,8 +9,9 @@
 
 use std::collections::BTreeSet;
 
+use locap_graph::budget::RunBudget;
 use locap_graph::{Edge, Graph, PortNumbering};
-use locap_models::sim::{run_sync_with_inputs, NodeCtx, SyncAlgorithm};
+use locap_models::sim::{run_sync_budgeted, NodeCtx, SyncAlgorithm};
 use locap_models::RunError;
 
 /// Messages of the proposal algorithm.
@@ -122,9 +123,8 @@ pub fn maximal_matching_2colored(
         assert_ne!(colors[e.u], colors[e.v], "2-colouring must be proper on {e:?}");
     }
     let inputs: Vec<u64> = colors.iter().map(|&b| b as u64).collect();
-    let max_rounds = 2 * g.max_degree() + 4;
-    let res =
-        run_sync_with_inputs(g, ports, None, None, Some(&inputs), &ProposalMatching, max_rounds)?;
+    let budget = RunBudget::unlimited().with_max_rounds(2 * g.max_degree() + 4);
+    let res = run_sync_budgeted(g, ports, None, None, Some(&inputs), &ProposalMatching, &budget)?;
     let mut matching = BTreeSet::new();
     for (v, s) in res.states.iter().enumerate() {
         if s.black {

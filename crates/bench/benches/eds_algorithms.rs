@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use locap_algos::double_cover::eds_double_cover;
-use locap_core::eds_lower::{eds_instance, lower_bound_report};
+use locap_core::eds_lower::{eds_instance, lower_bound_report_budgeted};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, PortNumbering};
 use locap_problems::edge_dominating_set;
 
@@ -39,7 +40,11 @@ fn bench_eds(c: &mut Criterion) {
     for n in [9usize, 15] {
         let inst = eds_instance(2, n).unwrap();
         group.bench_with_input(BenchmarkId::new("certify_dp2", n), &n, |b, _| {
-            b.iter(|| black_box(lower_bound_report(&inst).unwrap().ratio))
+            b.iter(|| {
+                black_box(
+                    lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap().ratio,
+                )
+            })
         });
     }
     group.finish();

@@ -3,12 +3,13 @@
 //! message-passing simulator round loop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::ordered_nbhd;
 use locap_graph::product::label_matching_product;
 use locap_graph::{gen, PortNumbering};
 use locap_groups::{cayley, Group, IterGroup};
 use locap_lifts::{random_lift, trivial_lift};
-use locap_models::sim::{run_sync, GossipIds};
+use locap_models::sim::{run_sync_budgeted, GossipIds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,9 +82,11 @@ fn bench_substrate(c: &mut Criterion) {
     let ids: Vec<u64> = (0..256u64).collect();
     for r in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("gossip_c256", r), &r, |b, &r| {
+            let budget = RunBudget::unlimited().with_max_rounds(r + 2);
+            let algo = GossipIds { rounds: r };
             b.iter(|| {
                 black_box(
-                    run_sync(&cyc, &ports, Some(&ids), None, &GossipIds { rounds: r }, r + 2)
+                    run_sync_budgeted(&cyc, &ports, Some(&ids), None, None, &algo, &budget)
                         .unwrap()
                         .rounds,
                 )

@@ -9,7 +9,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use locap_core::eds_lower::eds_instance;
-use locap_core::homogeneous::construct;
+use locap_core::homogeneous::construct_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::{ordered_type_census, ordered_type_census_naive};
 use locap_graph::{gen, random, PoGraph};
 use locap_lifts::{random_lift, view_census, view_census_naive};
@@ -30,7 +31,8 @@ fn bench_view_census(c: &mut Criterion) {
         });
     }
 
-    let h = construct(2, 1, 16).expect("constructible parameters");
+    let h =
+        construct_budgeted(2, 1, 16, &RunBudget::unlimited()).expect("constructible parameters");
     for r in [2usize, 3] {
         group.bench_with_input(BenchmarkId::new("engine/homogeneous_n4096", r), &r, |b, &r| {
             b.iter(|| black_box(view_census(&h.digraph, r).len()))

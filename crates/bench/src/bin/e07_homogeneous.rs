@@ -9,7 +9,8 @@
 #![forbid(unsafe_code)]
 
 use locap_bench::{cells, hprintln, timed, Table};
-use locap_core::homogeneous::{construct, construct_for_epsilon};
+use locap_core::homogeneous::{construct_budgeted, construct_for_epsilon};
+use locap_graph::budget::RunBudget;
 use locap_num::Ratio;
 
 fn main() {
@@ -45,7 +46,7 @@ fn body() {
         ] {
             let mut taus = Vec::new();
             for &m in &ms {
-                let (result, dt) = timed(|| construct(k, r, m));
+                let (result, dt) = timed(|| construct_budgeted(k, r, m, &RunBudget::unlimited()));
                 match result {
                     Ok(h) => {
                         t.row(&cells([

@@ -9,8 +9,9 @@
 
 use locap_bench::{cells, hprintln, Table};
 use locap_core::eds_lower;
-use locap_core::hom_lift::homogeneous_lift;
-use locap_core::homogeneous::construct;
+use locap_core::hom_lift::homogeneous_lift_budgeted;
+use locap_core::homogeneous::construct_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::gen;
 use locap_lifts::view;
 
@@ -36,14 +37,14 @@ fn body() {
 
     for (name, g, k) in bases {
         for m in [6u64, 12] {
-            let h = match construct(k, 1, m) {
+            let h = match construct_budgeted(k, 1, m, &RunBudget::unlimited()) {
                 Ok(h) => h,
                 Err(e) => {
                     hprintln!("H construction failed for k={k}, m={m}: {e}");
                     continue;
                 }
             };
-            match homogeneous_lift(&g, &h) {
+            match homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()) {
                 Ok(c) => {
                     let views_ok = (0..c.node_count())
                         .step_by(7)

@@ -8,8 +8,9 @@
 #![forbid(unsafe_code)]
 
 use locap_bench::{cells, hprintln, Table};
-use locap_core::homogeneous::construct;
-use locap_core::transfer::transfer_vertex;
+use locap_core::homogeneous::construct_budgeted;
+use locap_core::transfer::transfer_vertex_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::OrderedNbhd;
 use locap_graph::gen;
 use locap_models::OiVertexAlgorithm;
@@ -65,15 +66,16 @@ fn body() {
         [("directed C12", gen::directed_cycle(12)), ("directed C30", gen::directed_cycle(30))]
     {
         for m in [6u64, 12, 20] {
-            let h = construct(1, 1, m).unwrap();
+            let h = construct_budgeted(1, 1, m, &RunBudget::unlimited()).unwrap();
 
-            let (rep, _) = transfer_vertex(
+            let (rep, _) = transfer_vertex_budgeted(
                 &g,
                 &h,
                 NonMinCover,
                 Goal::Minimize,
                 vertex_cover::feasible,
                 vertex_cover::opt_value,
+                &RunBudget::unlimited(),
             )
             .unwrap();
             t.row(&cells([
@@ -88,13 +90,14 @@ fn body() {
                 &rep.ratio.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
             ]));
 
-            let (rep, _) = transfer_vertex(
+            let (rep, _) = transfer_vertex_budgeted(
                 &g,
                 &h,
                 LocalMinIs,
                 Goal::Maximize,
                 independent_set::feasible,
                 independent_set::opt_value,
+                &RunBudget::unlimited(),
             )
             .unwrap();
             t.row(&cells([
@@ -114,7 +117,7 @@ fn body() {
 
     hprintln!("\nReading the table:");
     hprintln!("  • agreement ≥ α(H) everywhere — Fact 4.2;");
-    hprintln!("  • B is lift-invariant (checked exactly inside transfer_vertex);");
+    hprintln!("  • B is lift-invariant (checked exactly inside transfer_vertex_budgeted);");
     hprintln!("  • VC: B selects everything on symmetric cycles (feasible, ratio 2);");
     hprintln!("  • IS: B selects nothing (feasible but ratio undefined/∞) —");
     hprintln!("    the §1.4 claim that no constant-factor PO independent-set");

@@ -8,7 +8,8 @@
 #![forbid(unsafe_code)]
 
 use locap_bench::{cells, hprintln, Table};
-use locap_core::ramsey::{ramsey_cycle_transfer, verify_monochromatic};
+use locap_core::ramsey::{ramsey_cycle_transfer_budgeted, verify_monochromatic};
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::IdNbhd;
 use locap_models::{run, IdVertexAlgorithm};
 
@@ -51,13 +52,17 @@ impl IdVertexAlgorithm for SumMod3 {
 
 fn report<A: IdVertexAlgorithm + Clone>(name: &str, algo: A, t: &mut locap_bench::Table) {
     let universe: Vec<u64> = (1..=60).collect();
-    match ramsey_cycle_transfer(algo.clone(), &universe, 1, 9) {
+    match ramsey_cycle_transfer_budgeted(algo.clone(), &universe, 1, 9, &RunBudget::unlimited())
+        .expect("an unlimited budget never truncates")
+    {
         Some((oi, j, bit)) => {
             let verified = verify_monochromatic(&algo, &j, 1, bit);
             // run A with ids from J on a cycle and compare with B = OiFromId
             let g = locap_graph::gen::cycle(j.len());
             let ids: Vec<u64> = j.clone();
-            let a_out = run::id_vertex(&g, &ids, &algo).expect("well-formed instance");
+            let a_out = run::id_vertex_budgeted(&g, &ids, &algo, &RunBudget::unlimited())
+                .expect("well-formed instance")
+                .value;
             // B consumes the ordered graph whose order is the id order
             let rank: Vec<usize> = {
                 let mut perm: Vec<usize> = (0..j.len()).collect();
@@ -68,7 +73,9 @@ fn report<A: IdVertexAlgorithm + Clone>(name: &str, algo: A, t: &mut locap_bench
                 }
                 rank
             };
-            let b_out = run::oi_vertex(&g, &rank, &oi).expect("well-formed instance");
+            let b_out = run::oi_vertex_budgeted(&g, &rank, &oi, &RunBudget::unlimited())
+                .expect("well-formed instance")
+                .value;
             let agree = run::agreement(&a_out, &b_out);
             t.row(&cells([&name, &format!("{j:?}"), &bit, &verified, &format!("{agree:.3}")]));
         }

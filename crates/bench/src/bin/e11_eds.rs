@@ -16,7 +16,10 @@
 
 use locap_algos::double_cover::eds_double_cover;
 use locap_bench::{cells, hprintln, Table};
-use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report, perfect_eds_size};
+use locap_core::eds_lower::{
+    eds_bound, eds_instance, lower_bound_report_budgeted, perfect_eds_size,
+};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, PortNumbering};
 use locap_problems::{approx_ratio, edge_dominating_set, Goal};
 use rand::rngs::StdRng;
@@ -45,7 +48,7 @@ fn body() {
         for n in ns {
             match eds_instance(dp, n) {
                 Some(inst) => {
-                    let rep = lower_bound_report(&inst).unwrap();
+                    let rep = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
                     let bound = eds_bound(dp);
                     t.row(&cells([
                         &dp,

@@ -14,7 +14,8 @@ use locap_algos::double_cover::eds_double_cover;
 use locap_algos::edge_cover_local::edge_cover_first_port;
 use locap_algos::edge_packing::vc_edge_packing;
 use locap_bench::{cells, hprintln, Table};
-use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report};
+use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report_budgeted};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, Graph, PortNumbering};
 use locap_lifts::view_census;
 use locap_num::Ratio;
@@ -142,7 +143,7 @@ fn body() {
     // EDS: certified 4 − 2/Δ′
     {
         let inst = eds_instance(2, n).unwrap();
-        let rep = lower_bound_report(&inst).unwrap();
+        let rep = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         t.row(&cells([
             &"min edge dominating set",
             &"{full class}",

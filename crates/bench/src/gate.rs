@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use locap_graph::budget::RunBudget;
 use locap_obs as obs;
 use obs::json::Json;
 
@@ -295,7 +296,8 @@ const STABLE_PREFIXES: &[&str] =
 /// both the PO-view and the ordered-neighbourhood paths.
 pub fn counter_workload() -> BTreeMap<String, u64> {
     let inst = locap_core::eds_lower::eds_instance(2, 9).expect("Δ'=2, n=9 is a valid instance");
-    locap_core::eds_lower::lower_bound_report(&inst).expect("lower bound certifies");
+    locap_core::eds_lower::lower_bound_report_budgeted(&inst, &RunBudget::unlimited())
+        .expect("lower bound certifies");
 
     struct RootIsSmallest;
     impl locap_models::OiVertexAlgorithm for RootIsSmallest {
@@ -309,7 +311,7 @@ pub fn counter_workload() -> BTreeMap<String, u64> {
     let g = locap_graph::gen::cycle(32);
     let rank: Vec<usize> = (0..32).collect();
     let mut eng = locap_models::engine::OiEngine::new(&g, &rank);
-    let _ = eng.run_vertex(&RootIsSmallest);
+    let _ = eng.run_vertex_budgeted(&RootIsSmallest, &RunBudget::unlimited());
     let _ = locap_graph::canon::ordered_type_census(&g, &rank, 1);
 
     obs::snapshot()

@@ -143,23 +143,15 @@ pub struct LowerBoundReport {
 /// census), enumerates all symmetric solutions (unions of label classes),
 /// computes the exact optimum, and returns the ratio.
 ///
+/// The census respects the budget's cache cap, and the symmetric
+/// enumeration and exact solve check the deadline. The report certifies
+/// an exact minimum, so a tripped budget is [`CoreError::Truncated`]
+/// naming the stage, not a partial report.
+///
 /// # Errors
 ///
 /// Fails if the instance is not PO-symmetric or no symmetric solution is
-/// feasible.
-pub fn lower_bound_report(inst: &EdsInstance) -> Result<LowerBoundReport, CoreError> {
-    lower_bound_report_budgeted(inst, &RunBudget::unlimited())
-}
-
-/// Budget-aware [`lower_bound_report`]: the census respects the budget's
-/// cache cap, and the symmetric enumeration and exact solve check the
-/// deadline. The report certifies an exact minimum, so a tripped budget
-/// is [`CoreError::Truncated`] naming the stage, not a partial report.
-///
-/// # Errors
-///
-/// Same conditions as [`lower_bound_report`], plus
-/// [`CoreError::Truncated`] when the budget trips.
+/// feasible, and with [`CoreError::Truncated`] when the budget trips.
 pub fn lower_bound_report_budgeted(
     inst: &EdsInstance,
     budget: &RunBudget,
@@ -275,7 +267,7 @@ mod tests {
     fn delta_prime_2_base_is_triangle() {
         let inst = eds_instance(2, 3).unwrap();
         assert_eq!(inst.lift_degree, 1);
-        let report = lower_bound_report(&inst).unwrap();
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.opt, 1);
         assert_eq!(report.min_symmetric, 3);
         assert_eq!(report.ratio, eds_bound(2));
@@ -287,7 +279,7 @@ mod tests {
             let inst = eds_instance(2, n).unwrap();
             assert_eq!(inst.n(), n);
             assert!(inst.digraph.underlying_simple().is_connected());
-            let report = lower_bound_report(&inst).unwrap();
+            let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
             assert_eq!(report.ratio, eds_bound(2), "n = {n}");
             assert_eq!(report.opt, perfect_eds_size(n, 2).unwrap());
         }
@@ -298,7 +290,7 @@ mod tests {
     #[test]
     fn delta_prime_4_gadget_and_lift() {
         let inst = eds_instance(4, 7).unwrap();
-        let report = lower_bound_report(&inst).unwrap();
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.ratio, eds_bound(4), "ratio must be 7/2");
         assert_eq!(report.min_symmetric, 7);
         assert_eq!(report.opt, 2);
@@ -306,7 +298,7 @@ mod tests {
         let inst = eds_instance(4, 14).unwrap();
         assert_eq!(inst.lift_degree, 2);
         assert!(inst.digraph.underlying_simple().is_connected());
-        let report = lower_bound_report(&inst).unwrap();
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.ratio, eds_bound(4));
         assert_eq!(report.opt, 4);
     }
@@ -314,7 +306,7 @@ mod tests {
     #[test]
     fn delta_prime_6_gadget() {
         let inst = eds_instance(6, 11).unwrap();
-        let report = lower_bound_report(&inst).unwrap();
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.ratio, eds_bound(6), "ratio must be 11/3");
         assert_eq!(report.opt, 3);
         assert_eq!(report.min_symmetric, 11);
@@ -323,7 +315,7 @@ mod tests {
     #[test]
     fn symmetric_minimum_is_one_class() {
         let inst = eds_instance(2, 12).unwrap();
-        let report = lower_bound_report(&inst).unwrap();
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.min_symmetric, 12);
     }
 

@@ -70,22 +70,15 @@ pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Vec<i64> {
 
 /// Builds the homogeneous lift `G_ε = H × G`.
 ///
-/// # Errors
-///
-/// Fails if the alphabets disagree or the verified properties do not hold.
-pub fn homogeneous_lift(g: &LDigraph, h: &HomogeneousGraph) -> Result<HomogeneousLift, CoreError> {
-    homogeneous_lift_budgeted(g, h, &RunBudget::unlimited())
-}
-
-/// Budget-aware [`homogeneous_lift`]: the verification sweep (girth
-/// spot-checks and the per-sample τ*-order audit) checks the deadline
-/// between samples. An unverified lift is useless to the transfer, so a
-/// tripped budget is [`CoreError::Truncated`], not a partial lift.
+/// The verification sweep (girth spot-checks and the per-sample τ*-order
+/// audit) checks the deadline between samples. An unverified lift is
+/// useless to the transfer, so a tripped budget is
+/// [`CoreError::Truncated`], not a partial lift.
 ///
 /// # Errors
 ///
-/// Same conditions as [`homogeneous_lift`], plus
-/// [`CoreError::Truncated`] when the budget trips.
+/// Fails if the alphabets disagree or the verified properties do not
+/// hold, and with [`CoreError::Truncated`] when the budget trips.
 pub fn homogeneous_lift_budgeted(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -230,7 +223,7 @@ fn follow(d: &LDigraph, v: usize, l: Letter) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::homogeneous::construct;
+    use crate::homogeneous::construct_budgeted;
     use locap_graph::gen;
     use locap_lifts::view_census;
 
@@ -238,8 +231,8 @@ mod tests {
     fn lift_of_directed_triangle() {
         // G = directed triangle (|L| = 1), H = Thm 3.2 graph with k = 1.
         let g = gen::directed_cycle(3);
-        let h = construct(1, 1, 6).unwrap();
-        let c = homogeneous_lift(&g, &h).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        let c = homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
         assert_eq!(c.node_count(), 216 * 3);
         assert!(c.good_fraction() >= h.fraction());
         // every lift vertex has the same view as its ϕ-image
@@ -251,15 +244,18 @@ mod tests {
     #[test]
     fn lift_alphabet_mismatch_rejected() {
         let g = locap_graph::product::toroidal(2, 4); // |L| = 2
-        let h = construct(1, 1, 6).unwrap(); // |L| = 1
-        assert!(matches!(homogeneous_lift(&g, &h), Err(CoreError::BadParameters { .. })));
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap(); // |L| = 1
+        assert!(matches!(
+            homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()),
+            Err(CoreError::BadParameters { .. })
+        ));
     }
 
     #[test]
     fn lift_of_toroidal_grid_k2() {
         let g = locap_graph::product::toroidal(2, 3); // 9 nodes, |L| = 2, girth 3
-        let h = construct(2, 1, 6).unwrap();
-        let c = homogeneous_lift(&g, &h).unwrap();
+        let h = construct_budgeted(2, 1, 6, &RunBudget::unlimited()).unwrap();
+        let c = homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
         // the lift has girth > 3 even though G has girth 3
         let und = c.lift.underlying_simple();
         assert!(!und.cycle_near_root(0, 3));

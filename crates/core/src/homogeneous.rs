@@ -213,34 +213,31 @@ fn census_count(
                 })
             })
             .collect();
-        handles.into_iter().map(crate::transfer::join_worker).sum()
+        handles.into_iter().map(join_worker).sum()
     })
+}
+
+/// Joins a scoped worker, forwarding its result and re-raising a panic
+/// (a worker panic is a bug, never a malformed-input condition).
+fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    match h.join() {
+        Ok(v) => v,
+        Err(p) => std::panic::resume_unwind(p),
+    }
 }
 
 /// Searches the `{0,1}`-coordinate `k`-subsets for a generator set whose
 /// Cayley graph over `H_level(m)` has girth > `2r + 1`.
 ///
+/// The subset sweep checks the deadline before each candidate, so a
+/// runaway search returns [`CoreError::Truncated`] instead of spinning
+/// until the attempt cap.
+///
 /// # Errors
 ///
 /// Fails when the group is too large to materialise or no subset passes
-/// the girth check.
-pub fn find_generators(
-    level: usize,
-    m: u64,
-    k: usize,
-    r: usize,
-) -> Result<(IterGroup, Vec<Vec<i64>>, LDigraph), CoreError> {
-    find_generators_budgeted(level, m, k, r, &RunBudget::unlimited())
-}
-
-/// Budget-aware [`find_generators`]: the subset sweep checks the deadline
-/// before each candidate, so a runaway search returns
-/// [`CoreError::Truncated`] instead of spinning until the attempt cap.
-///
-/// # Errors
-///
-/// Same conditions as [`find_generators`], plus [`CoreError::Truncated`]
-/// when the budget trips.
+/// the girth check, and with [`CoreError::Truncated`] when the budget
+/// trips.
 pub fn find_generators_budgeted(
     level: usize,
     m: u64,
@@ -329,21 +326,13 @@ pub fn find_generators_budgeted(
 }
 
 /// Builds the Theorem 3.2 graph for `k` labels, radius `r`, modulus `m`
-/// (level is chosen as small as possible; currently 2, then 3).
+/// (level is chosen as small as possible; currently 2, then 3). The
+/// budget applies as in [`construct_at_level_budgeted`].
 ///
 /// # Errors
 ///
-/// Fails if no generator set is found or the group would be too large.
-pub fn construct(k: usize, r: usize, m: u64) -> Result<HomogeneousGraph, CoreError> {
-    construct_budgeted(k, r, m, &RunBudget::unlimited())
-}
-
-/// Budget-aware [`construct`]: see [`construct_at_level_budgeted`].
-///
-/// # Errors
-///
-/// Same conditions as [`construct`], plus [`CoreError::Truncated`] when
-/// the budget trips.
+/// Fails if no generator set is found or the group would be too large,
+/// and with [`CoreError::Truncated`] when the budget trips.
 pub fn construct_budgeted(
     k: usize,
     r: usize,
@@ -364,28 +353,15 @@ pub fn construct_budgeted(
 
 /// Builds the Theorem 3.2 graph at an explicit nesting level.
 ///
-/// # Errors
-///
-/// Fails if no generator set is found or the group would be too large.
-pub fn construct_at_level(
-    level: usize,
-    k: usize,
-    r: usize,
-    m: u64,
-) -> Result<HomogeneousGraph, CoreError> {
-    construct_at_level_budgeted(level, k, r, m, &RunBudget::unlimited())
-}
-
-/// Budget-aware [`construct_at_level`]: the generator search checks the
-/// deadline per candidate subset, and the closing census checks it once
-/// before starting. A [`HomogeneousGraph`] is only valid fully verified,
-/// so a tripped budget is [`CoreError::Truncated`], never a partial
-/// graph.
+/// The generator search checks the deadline per candidate subset, and
+/// the closing census checks it once before starting. A
+/// [`HomogeneousGraph`] is only valid fully verified, so a tripped budget
+/// is [`CoreError::Truncated`], never a partial graph.
 ///
 /// # Errors
 ///
-/// Same conditions as [`construct_at_level`], plus
-/// [`CoreError::Truncated`] when the budget trips.
+/// Fails if no generator set is found or the group would be too large,
+/// and with [`CoreError::Truncated`] when the budget trips.
 pub fn construct_at_level_budgeted(
     level: usize,
     k: usize,
@@ -458,7 +434,7 @@ pub fn construct_for_epsilon(
             Ratio::new(i * i * i, mm * mm * mm).unwrap_or(Ratio::ZERO)
         };
         if inner >= target {
-            return construct_at_level(2, k, r, m);
+            return construct_at_level_budgeted(2, k, r, m, &RunBudget::unlimited());
         }
         m += 2;
         if m > 400 {
@@ -485,7 +461,7 @@ mod tests {
 
     #[test]
     fn construct_k1_r1() {
-        let h = construct(1, 1, 6).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
         assert_eq!(h.node_count(), 216);
         assert!(h.digraph.is_label_complete());
         assert!(h.fraction() >= h.inner_bound());
@@ -496,7 +472,7 @@ mod tests {
 
     #[test]
     fn construct_k2_r1() {
-        let h = construct(2, 1, 8).unwrap();
+        let h = construct_budgeted(2, 1, 8, &RunBudget::unlimited()).unwrap();
         assert_eq!(h.node_count(), 512);
         assert_eq!(h.gens.len(), 2);
         // 4-regular
@@ -508,7 +484,7 @@ mod tests {
 
     #[test]
     fn construct_k2_r2_needs_girth_6() {
-        let h = construct(2, 2, 12).unwrap();
+        let h = construct_budgeted(2, 2, 12, &RunBudget::unlimited()).unwrap();
         let und = h.digraph.underlying_simple();
         assert!(!und.cycle_near_root(0, 5), "girth > 5");
         assert!(h.fraction() >= h.inner_bound());
@@ -518,8 +494,8 @@ mod tests {
     #[test]
     fn tau_star_independent_of_m() {
         // The census winner for two different moduli is the same τ*.
-        let h1 = construct(1, 1, 6).unwrap();
-        let h2 = construct(1, 1, 10).unwrap();
+        let h1 = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        let h2 = construct_budgeted(1, 1, 10, &RunBudget::unlimited()).unwrap();
         assert_eq!(h1.tau_star, h2.tau_star, "τ* does not depend on ε (i.e. on m)");
         assert!(h2.fraction() > h1.fraction(), "larger m is more homogeneous");
     }
@@ -539,8 +515,10 @@ mod tests {
 
     #[test]
     fn fraction_grows_with_m() {
-        let f: Vec<Ratio> =
-            [6u64, 8, 12].iter().map(|&m| construct(1, 1, m).unwrap().fraction()).collect();
+        let f: Vec<Ratio> = [6u64, 8, 12]
+            .iter()
+            .map(|&m| construct_budgeted(1, 1, m, &RunBudget::unlimited()).unwrap().fraction())
+            .collect();
         assert!(f[0] < f[1] && f[1] < f[2]);
     }
 
@@ -555,12 +533,18 @@ mod tests {
     #[test]
     fn bad_parameters_rejected() {
         assert!(construct_for_epsilon(1, 1, Ratio::ZERO).is_err());
-        assert!(construct(40, 1, 6).is_err(), "k exceeds candidate count at level 2..3");
+        assert!(
+            construct_budgeted(40, 1, 6, &RunBudget::unlimited()).is_err(),
+            "k exceeds candidate count at level 2..3"
+        );
     }
 
     #[test]
     fn too_large_detected() {
         // level 3 (d = 7) with m = 44 would be 44^7 ≈ 3·10^11 nodes
-        assert!(matches!(find_generators(3, 44, 1, 1), Err(CoreError::TooLarge { .. })));
+        assert!(matches!(
+            find_generators_budgeted(3, 44, 1, 1, &RunBudget::unlimited()),
+            Err(CoreError::TooLarge { .. })
+        ));
     }
 }

@@ -33,12 +33,13 @@
 //!
 //! ```
 //! use locap_core::eds_lower;
+//! use locap_graph::budget::RunBudget;
 //! use locap_num::Ratio;
 //!
 //! // Δ′ = 2: on the directed 9-cycle every PO algorithm is forced to take
 //! // all 9 edges or none, while OPT = 3 — ratio 3 = 4 − 2/2 (Thm 1.6).
 //! let inst = eds_lower::eds_instance(2, 9).unwrap();
-//! let report = eds_lower::lower_bound_report(&inst).unwrap();
+//! let report = eds_lower::lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
 //! assert_eq!(report.ratio, Ratio::from_int(3));
 //! assert_eq!(report.ratio, eds_lower::eds_bound(2));
 //! ```

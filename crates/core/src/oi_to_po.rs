@@ -64,7 +64,7 @@ impl<A> PoFromOi<A> {
     /// # Errors
     ///
     /// Same conditions as [`PoFromOi::new`] — impossible for a graph
-    /// built by [`crate::homogeneous::construct`], reachable for a
+    /// built by [`crate::homogeneous::construct_budgeted`], reachable for a
     /// hand-assembled [`HomogeneousGraph`] with mismatched fields.
     pub fn from_homogeneous(oi: A, h: &HomogeneousGraph) -> Result<PoFromOi<A>, CoreError> {
         PoFromOi::new(oi, h.level, h.gens.clone())
@@ -171,7 +171,8 @@ impl<A: OiEdgeAlgorithm> PoEdgeAlgorithm for PoFromOiEdge<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::homogeneous::construct;
+    use crate::homogeneous::construct_budgeted;
+    use locap_graph::budget::RunBudget;
     use locap_graph::canon::OrderedNbhd;
     use locap_graph::gen;
     use locap_lifts::view;
@@ -192,7 +193,7 @@ mod tests {
         // On a directed cycle all views coincide, so B outputs the same bit
         // everywhere — and under <* (cone order) the root of τ* is never
         // the minimum (s⁻¹ < λ), so B never selects.
-        let h = construct(1, 1, 6).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
         let b = PoFromOi::from_homogeneous(LocalMin, &h).unwrap();
         let g = gen::directed_cycle(9);
         for v in 0..9 {
@@ -202,7 +203,7 @@ mod tests {
 
     #[test]
     fn ordered_restriction_of_cycle_view_is_path() {
-        let h = construct(1, 1, 6).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
         let b = PoFromOi::from_homogeneous(LocalMin, &h).unwrap();
         let g = gen::directed_cycle(9);
         let (words, nbhd) = b.ordered_restriction(&view(&g, 0, 2));
@@ -216,7 +217,7 @@ mod tests {
     #[test]
     fn b_total_on_low_girth_views() {
         // Girth 3 < 2r+1: walks collide in the graph but B still runs.
-        let h = construct(1, 2, 8).unwrap();
+        let h = construct_budgeted(1, 2, 8, &RunBudget::unlimited()).unwrap();
         let b = PoFromOi::from_homogeneous(LocalMin, &h).unwrap();
         let g = gen::directed_cycle(3);
         for v in 0..3 {
@@ -241,7 +242,7 @@ mod tests {
                 bits
             }
         }
-        let h = construct(1, 1, 6).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
         let b = PoFromOiEdge::from_homogeneous(SmallestNbr, &h).unwrap();
         let g = gen::directed_cycle(7);
         let out = b.evaluate(&view(&g, 0, 1));

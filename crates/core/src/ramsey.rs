@@ -9,7 +9,7 @@
 //! algorithm, and the OI → PO machinery applies.
 //!
 //! The paper's Ramsey numbers are astronomically large, but the
-//! construction itself is finite and exact: [`monochromatic_subset`]
+//! construction itself is finite and exact: [`monochromatic_subset_budgeted`]
 //! searches a concrete identifier universe for a `J` on which a concrete
 //! colouring is monochromatic, and [`OiFromId`] is the induced OI
 //! algorithm `B` (evaluate `A` with identifiers drawn from `J` in order).
@@ -32,25 +32,10 @@ use crate::CoreError;
 ///
 /// The search is exact (DFS with incremental consistency checks); its cost
 /// grows quickly with `t` and `m`, matching the combinatorial reality the
-/// paper leans on.
-pub fn monochromatic_subset<C, F>(
-    color: &mut F,
-    universe: &[u64],
-    t: usize,
-    m: usize,
-) -> Option<(Vec<u64>, C)>
-where
-    C: Eq + Clone,
-    F: FnMut(&[u64]) -> C,
-{
-    // an unlimited budget never truncates, so the Err arm is unreachable
-    monochromatic_subset_budgeted(color, universe, t, m, &RunBudget::unlimited()).unwrap_or(None)
-}
-
-/// Budget-aware [`monochromatic_subset`]: the DFS checks the deadline at
-/// every node expansion. A truncated search proves nothing about the
-/// universe (the subset may exist further along), so it reports
-/// [`CoreError::Truncated`] instead of `Ok(None)`.
+/// paper leans on. The DFS checks the deadline at every node expansion. A
+/// truncated search proves nothing about the universe (the subset may
+/// exist further along), so it reports [`CoreError::Truncated`] instead
+/// of `Ok(None)`.
 ///
 /// # Errors
 ///
@@ -254,21 +239,8 @@ pub type CycleTransfer<A> = (OiFromId<A>, Vec<u64>, bool);
 
 /// End-to-end §4.2 for cycles: find a monochromatic `J ⊆ universe` for the
 /// colouring of `algo` at radius `r`, and return the induced OI algorithm
-/// together with `J` and the forced output bit.
-pub fn ramsey_cycle_transfer<A>(
-    algo: A,
-    universe: &[u64],
-    r: usize,
-    m: usize,
-) -> Option<CycleTransfer<A>>
-where
-    A: IdVertexAlgorithm + Clone,
-{
-    ramsey_cycle_transfer_budgeted(algo, universe, r, m, &RunBudget::unlimited()).unwrap_or(None)
-}
-
-/// Budget-aware [`ramsey_cycle_transfer`]: the underlying Ramsey search
-/// checks the deadline at every DFS node.
+/// together with `J` and the forced output bit. The underlying Ramsey
+/// search checks the deadline at every DFS node.
 ///
 /// # Errors
 ///
@@ -363,7 +335,10 @@ mod tests {
     #[test]
     fn invariant_algorithm_everything_monochromatic() {
         let universe: Vec<u64> = (1..=30).collect();
-        let (oi, j, bit) = ramsey_cycle_transfer(LocalMax, &universe, 1, 10).unwrap();
+        let (oi, j, bit) =
+            ramsey_cycle_transfer_budgeted(LocalMax, &universe, 1, 10, &RunBudget::unlimited())
+                .unwrap()
+                .unwrap();
         assert_eq!(j.len(), 10);
         // centre of an increasing path is never the maximum
         assert!(!bit);
@@ -376,7 +351,10 @@ mod tests {
         // EvenId's colour is the parity of the middle element; Ramsey finds
         // a J whose middles all share parity (e.g. all-even J works).
         let universe: Vec<u64> = (1..=40).collect();
-        let (_, j, bit) = ramsey_cycle_transfer(EvenId, &universe, 1, 8).unwrap();
+        let (_, j, bit) =
+            ramsey_cycle_transfer_budgeted(EvenId, &universe, 1, 8, &RunBudget::unlimited())
+                .unwrap()
+                .unwrap();
         assert!(verify_monochromatic(&EvenId, &j, 1, bit));
         // inside J the algorithm *is* order-invariant even though it is not
         // globally: every t-window gives the same output
@@ -387,7 +365,10 @@ mod tests {
         // colour = sum mod 2; J of all-even numbers is monochromatic
         let mut color = |s: &[u64]| s.iter().sum::<u64>() % 2;
         let universe: Vec<u64> = (1..=20).collect();
-        let (j, c) = monochromatic_subset(&mut color, &universe, 2, 6).unwrap();
+        let (j, c) =
+            monochromatic_subset_budgeted(&mut color, &universe, 2, 6, &RunBudget::unlimited())
+                .unwrap()
+                .unwrap();
         assert_eq!(j.len(), 6);
         // verify by hand
         for i in 0..6 {
@@ -400,14 +381,25 @@ mod tests {
     #[test]
     fn no_subset_when_universe_too_small() {
         let mut color = |s: &[u64]| s.iter().sum::<u64>() % 2;
-        assert!(monochromatic_subset(&mut color, &[1, 2, 3], 2, 5).is_none());
+        assert!(monochromatic_subset_budgeted(
+            &mut color,
+            &[1, 2, 3],
+            2,
+            5,
+            &RunBudget::unlimited()
+        )
+        .unwrap()
+        .is_none());
     }
 
     #[test]
     fn constant_coloring_takes_prefix() {
         let mut color = |_: &[u64]| 0u8;
         let universe: Vec<u64> = (1..=10).collect();
-        let (j, _) = monochromatic_subset(&mut color, &universe, 3, 7).unwrap();
+        let (j, _) =
+            monochromatic_subset_budgeted(&mut color, &universe, 3, 7, &RunBudget::unlimited())
+                .unwrap()
+                .unwrap();
         assert_eq!(j, (1..=7).collect::<Vec<u64>>());
     }
 

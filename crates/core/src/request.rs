@@ -25,7 +25,7 @@ use locap_lifts::ViewCache;
 use locap_models::{run, IdVertexAlgorithm, OiVertexAlgorithm};
 use locap_num::Ratio;
 use locap_obs::json::Json;
-use locap_problems::{approx_ratio, independent_set, vertex_cover, Goal};
+use locap_problems::{approx_ratio, independent_set, vertex_cover, Goal, MAX_EXACT_NODES};
 use locap_store::{StoreHandle, StoreKey};
 
 use crate::transfer::require_complete;
@@ -259,7 +259,8 @@ pub enum PipelineRequest {
     EdsLower {
         /// The degree `Δ′ = 2k`.
         delta_prime: usize,
-        /// Instance size.
+        /// Instance size (at most [`MAX_EXACT_NODES`]: OPT is solved
+        /// exactly).
         n: usize,
     },
     /// Theorem 3.2 homogeneous graph construction.
@@ -282,7 +283,7 @@ pub enum PipelineRequest {
     OiToPo {
         /// The OI algorithm `A` being simulated.
         algo: OiAlgo,
-        /// Cycle length (≥ 3).
+        /// Cycle length (3 ..= [`MAX_EXACT_NODES`]).
         cycle: usize,
         /// Modulus for the homogeneous graph fixing `<*`.
         m: u64,
@@ -302,7 +303,7 @@ pub enum PipelineRequest {
     Transfer {
         /// The OI algorithm `A`.
         algo: OiAlgo,
-        /// Base cycle length (≥ 3).
+        /// Base cycle length (3 ..= [`MAX_EXACT_NODES`]).
         cycle: usize,
         /// Modulus for the homogeneous graph `H`.
         m: u64,
@@ -356,6 +357,24 @@ fn int_min(
         });
     }
     Ok(n)
+}
+
+/// [`int_min`] (at least 3) for the node count of a graph whose optimum
+/// the exact solvers compute: at most [`MAX_EXACT_NODES`].
+fn exact_size(
+    pipeline: &'static str,
+    params: &Json,
+    param: &'static str,
+) -> Result<usize, RequestError> {
+    let n = int_min(pipeline, params, param, None, 3)?;
+    if n > MAX_EXACT_NODES as u64 {
+        return Err(RequestError::BadParam {
+            pipeline,
+            param,
+            reason: format!("{n} exceeds the exact solvers' limit of {MAX_EXACT_NODES} nodes"),
+        });
+    }
+    Ok(n as usize)
 }
 
 fn str_param<'a>(
@@ -418,7 +437,7 @@ impl PipelineRequest {
         match p {
             "eds-lower" => Ok(PipelineRequest::EdsLower {
                 delta_prime: int_min(p, params, "delta_prime", Some(2), 2)? as usize,
-                n: int_min(p, params, "n", None, 3)? as usize,
+                n: exact_size(p, params, "n")?,
             }),
             "homogeneous" => Ok(PipelineRequest::Homogeneous {
                 k: int_min(p, params, "k", Some(1), 1)? as usize,
@@ -431,7 +450,7 @@ impl PipelineRequest {
             }),
             "oi-to-po" => Ok(PipelineRequest::OiToPo {
                 algo: oi_algo_param(p, params)?,
-                cycle: int_min(p, params, "cycle", None, 3)? as usize,
+                cycle: exact_size(p, params, "cycle")?,
                 m: int_min(p, params, "m", Some(6), 2)?,
             }),
             "ramsey" => Ok(PipelineRequest::Ramsey {
@@ -442,7 +461,7 @@ impl PipelineRequest {
             }),
             "transfer" => Ok(PipelineRequest::Transfer {
                 algo: oi_algo_param(p, params)?,
-                cycle: int_min(p, params, "cycle", None, 3)? as usize,
+                cycle: exact_size(p, params, "cycle")?,
                 m: int_min(p, params, "m", Some(6), 2)?,
             }),
             "census" => {
@@ -831,6 +850,18 @@ mod tests {
         let big = format!("{{\"n\": {}}}", MAX_PARAM + 1);
         let e = parse_req("eds-lower", &big).expect_err("cap enforced");
         assert_eq!(e.kind(), "bad_param");
+        // sizes the exact solvers cannot take are rejected before running
+        let over = MAX_EXACT_NODES + 1;
+        for (pipeline, params) in [
+            ("eds-lower", format!("{{\"delta_prime\": 2, \"n\": {over}}}")),
+            ("oi-to-po", format!("{{\"algo\": \"vc-non-min\", \"cycle\": {over}}}")),
+            ("transfer", format!("{{\"algo\": \"is-local-min\", \"cycle\": {over}}}")),
+        ] {
+            let e = parse_req(pipeline, &params).expect_err("exact-solver limit enforced");
+            assert_eq!(e.kind(), "bad_param", "{pipeline}");
+            let at_limit = params.replace(&over.to_string(), &MAX_EXACT_NODES.to_string());
+            assert!(parse_req(pipeline, &at_limit).is_ok(), "{pipeline} accepts the limit");
+        }
     }
 
     #[test]

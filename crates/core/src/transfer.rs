@@ -21,19 +21,10 @@ use locap_num::Ratio;
 use locap_obs as obs;
 use locap_problems::{approx_ratio, Goal};
 
-use crate::hom_lift::{homogeneous_lift, HomogeneousLift};
+use crate::hom_lift::{homogeneous_lift_budgeted, HomogeneousLift};
 use crate::homogeneous::HomogeneousGraph;
 use crate::oi_to_po::PoFromOi;
 use crate::CoreError;
-
-/// Joins a scoped worker, forwarding its `Result` and re-raising a panic
-/// (a worker panic is a bug, never a malformed-input condition).
-pub(crate) fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(p) => std::panic::resume_unwind(p),
-    }
-}
 
 /// Measured outcome of one transfer run (vertex-subset problems).
 #[derive(Debug, Clone)]
@@ -59,93 +50,17 @@ pub struct TransferReport {
 /// Runs the full OI → PO transfer for a vertex-subset minimisation or
 /// maximisation problem given by its `feasible` and `opt` oracles.
 ///
+/// The budget is threaded into every stage in order: the lift's
+/// verification, then the three engine runs (A on the lift, B on the
+/// lift, B on the base graph).
+///
 /// # Errors
 ///
 /// Propagates lift-construction failures; reports a verification failure
-/// if lift-invariance of `B` is violated (impossible unless a bug).
-pub fn transfer_vertex<A>(
-    g: &LDigraph,
-    h: &HomogeneousGraph,
-    oi: A,
-    goal: Goal,
-    feasible: impl Fn(&Graph, &BTreeSet<usize>) -> bool,
-    opt: impl Fn(&Graph) -> usize,
-) -> Result<(TransferReport, HomogeneousLift), CoreError>
-where
-    A: OiVertexAlgorithm + Clone + Send + Sync,
-{
-    let mut span = obs::span("transfer/vertex");
-    let lift = homogeneous_lift(g, h)?;
-    span.arg("lift_nodes", lift.node_count() as i64);
-    let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
-
-    // A on the ordered lift (OI model) and B on the lift (PO model) are
-    // independent; run them on two scoped threads. Each worker adopts the
-    // parent span path, so the fan-out shows as parallel tracks under
-    // transfer/vertex in traces while span/counter totals stay identical
-    // to the sequential order.
-    let lift_und = lift.lift.underlying_simple();
-    let parent_path = obs::current_span_path();
-    let (a_res, b_res) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| {
-            let _adopt = obs::adopt_span_path(&parent_path);
-            run::oi_vertex(&lift_und, &lift.rank, &oi)
-        });
-        let b_handle = scope.spawn(|| {
-            let _adopt = obs::adopt_span_path(&parent_path);
-            run::po_vertex(&lift.lift, &b)
-        });
-        (join_worker(a), join_worker(b_handle))
-    });
-    let (a_out, b_out) = (a_res?, b_res?);
-    let agreement = {
-        let same = a_out.iter().zip(&b_out).filter(|(x, y)| x == y).count();
-        Ratio::new(same as i128, a_out.len() as i128)
-            .map_err(|_| CoreError::BadParameters { reason: "empty lift".into() })?
-    };
-
-    // B on the base graph + exact lift-invariance check
-    let b_g = run::po_vertex(g, &b)?;
-    for v in 0..lift.lift.node_count() {
-        if b_out[v] != b_g[lift.phi.image(v)] {
-            return Err(CoreError::VerificationFailed {
-                property: format!("lift invariance of B at lift node {v}"),
-            });
-        }
-    }
-
-    let b_set = run::to_vertex_set(&b_g);
-    let g_und = g.underlying_simple();
-    let is_feasible = feasible(&g_und, &b_set);
-    let opt_val = opt(&g_und);
-    let ratio = approx_ratio(b_set.len(), opt_val, goal);
-
-    Ok((
-        TransferReport {
-            lift_nodes: lift.node_count(),
-            agreement,
-            a_on_lift: a_out.iter().filter(|&&x| x).count(),
-            b_on_lift: b_out.iter().filter(|&&x| x).count(),
-            b_on_g: b_set,
-            feasible: is_feasible,
-            ratio,
-            opt: opt_val,
-        },
-        lift,
-    ))
-}
-
-/// Budget-aware [`transfer_vertex`]: the budget is threaded into each of
-/// the three engine runs (A on the lift, B on the lift, B on the base
-/// graph), which are executed sequentially so the deadline is respected
-/// across stages.
-///
-/// # Errors
-///
-/// Same conditions as [`transfer_vertex`], plus
+/// if lift-invariance of `B` is violated (impossible unless a bug), and
 /// [`CoreError::Truncated`] naming the interrupted stage when the budget
-/// trips — the report is only meaningful when every run completed, so a
-/// truncated transfer is an error rather than a partial report.
+/// trips — the report is only meaningful when every stage completed, so
+/// a truncated transfer is an error rather than a partial report.
 pub fn transfer_vertex_budgeted<A>(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -159,7 +74,7 @@ where
     A: OiVertexAlgorithm + Clone + Send + Sync,
 {
     let mut span = obs::span("transfer/vertex");
-    let lift = homogeneous_lift(g, h)?;
+    let lift = homogeneous_lift_budgeted(g, h, budget)?;
     span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
     let lift_und = lift.lift.underlying_simple();
@@ -237,73 +152,13 @@ pub struct EdgeTransferReport {
     pub opt: usize,
 }
 
-/// Runs the OI → PO transfer for an edge-subset problem.
+/// Runs the OI → PO transfer for an edge-subset problem, threading the
+/// budget through the stages as [`transfer_vertex_budgeted`] does.
 ///
 /// # Errors
 ///
-/// Propagates lift-construction failures.
-pub fn transfer_edge<A>(
-    g: &LDigraph,
-    h: &HomogeneousGraph,
-    oi: A,
-    goal: Goal,
-    feasible: impl Fn(&Graph, &BTreeSet<locap_graph::Edge>) -> bool,
-    opt: impl Fn(&Graph) -> usize,
-) -> Result<(EdgeTransferReport, HomogeneousLift), CoreError>
-where
-    A: locap_models::OiEdgeAlgorithm + Clone + Send + Sync,
-{
-    use crate::oi_to_po::PoFromOiEdge;
-
-    let mut span = obs::span("transfer/edge");
-    let lift = homogeneous_lift(g, h)?;
-    span.arg("lift_nodes", lift.node_count() as i64);
-    let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
-
-    // A and B on the lift are independent, as in [`transfer_vertex`]
-    let lift_und = lift.lift.underlying_simple();
-    let parent_path = obs::current_span_path();
-    let (a_res, b_res) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| {
-            let _adopt = obs::adopt_span_path(&parent_path);
-            run::oi_edge(&lift_und, &lift.rank, &oi)
-        });
-        let b_handle = scope.spawn(|| {
-            let _adopt = obs::adopt_span_path(&parent_path);
-            run::po_edge(&lift.lift, &b)
-        });
-        (join_worker(a), join_worker(b_handle))
-    });
-    let (a_set, b_lift_set) = (a_res?, b_res?);
-    let b_g_set = run::po_edge(g, &b)?;
-
-    let g_und = g.underlying_simple();
-    let is_feasible = feasible(&g_und, &b_g_set);
-    let opt_val = opt(&g_und);
-    let ratio = approx_ratio(b_g_set.len(), opt_val, goal);
-
-    Ok((
-        EdgeTransferReport {
-            lift_nodes: lift.node_count(),
-            a_on_lift: a_set.len(),
-            b_on_lift: b_lift_set.len(),
-            b_on_g: b_g_set,
-            feasible: is_feasible,
-            ratio,
-            opt: opt_val,
-        },
-        lift,
-    ))
-}
-
-/// Budget-aware [`transfer_edge`]: runs the three engine passes
-/// sequentially under `budget`; a truncated pass aborts the transfer
-/// with [`CoreError::Truncated`] naming the stage.
-///
-/// # Errors
-///
-/// Same conditions as [`transfer_edge`], plus [`CoreError::Truncated`]
-/// when the budget trips.
+/// Propagates lift-construction failures, and [`CoreError::Truncated`]
+/// naming the interrupted stage when the budget trips.
 pub fn transfer_edge_budgeted<A>(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -319,7 +174,7 @@ where
     use crate::oi_to_po::PoFromOiEdge;
 
     let mut span = obs::span("transfer/edge");
-    let lift = homogeneous_lift(g, h)?;
+    let lift = homogeneous_lift_budgeted(g, h, budget)?;
     span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
     let lift_und = lift.lift.underlying_simple();
@@ -351,7 +206,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::homogeneous::construct;
+    use crate::homogeneous::construct_budgeted;
     use locap_graph::canon::OrderedNbhd;
     use locap_graph::gen;
     use locap_problems::vertex_cover;
@@ -374,14 +229,15 @@ mod tests {
     #[test]
     fn transfer_vertex_cover_on_directed_cycle() {
         let g = gen::directed_cycle(12);
-        let h = construct(1, 1, 10).unwrap();
-        let (report, _) = transfer_vertex(
+        let h = construct_budgeted(1, 1, 10, &RunBudget::unlimited()).unwrap();
+        let (report, _) = transfer_vertex_budgeted(
             &g,
             &h,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
         // Fact 4.2: agreement at least the homogeneous fraction
@@ -414,14 +270,15 @@ mod tests {
         }
 
         let g = gen::directed_cycle(9);
-        let h = construct(1, 1, 8).unwrap();
-        let (rep, _) = transfer_edge(
+        let h = construct_budgeted(1, 1, 8, &RunBudget::unlimited()).unwrap();
+        let (rep, _) = transfer_edge_budgeted(
             &g,
             &h,
             AllEdges,
             Goal::Minimize,
             edge_dominating_set::feasible,
             edge_dominating_set::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
         assert!(rep.feasible);
@@ -433,24 +290,26 @@ mod tests {
     #[test]
     fn agreement_improves_with_m() {
         let g = gen::directed_cycle(6);
-        let h1 = construct(1, 1, 6).unwrap();
-        let h2 = construct(1, 1, 12).unwrap();
-        let (r1, _) = transfer_vertex(
+        let h1 = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        let h2 = construct_budgeted(1, 1, 12, &RunBudget::unlimited()).unwrap();
+        let (r1, _) = transfer_vertex_budgeted(
             &g,
             &h1,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
-        let (r2, _) = transfer_vertex(
+        let (r2, _) = transfer_vertex_budgeted(
             &g,
             &h2,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
         assert!(r2.agreement >= r1.agreement);

@@ -560,6 +560,23 @@ where
     F: Fn(&mut NbhdScratch, NodeId, &mut Vec<u64>) + Sync,
 {
     const PARALLEL_MIN_NODES: usize = 1 << 10;
+    let workers = if n < PARALLEL_MIN_NODES {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    };
+    let (mut interner, counts) = per_vertex_keys_on(name, n, workers, f);
+    interner.publish_obs();
+    (interner, counts)
+}
+
+/// [`per_vertex_keys`] on exactly `workers` threads, with the interner's
+/// lookup counts left pending. Whatever the worker count they are those
+/// of a sequential pass: `misses` = distinct keys, `hits` = `n − misses`.
+fn per_vertex_keys_on<F>(name: &str, n: usize, workers: usize, f: F) -> (KeyInterner, Vec<usize>)
+where
+    F: Fn(&mut NbhdScratch, NodeId, &mut Vec<u64>) + Sync,
+{
     /// Counter of vertices canonicalised across all census runs.
     const CENSUS_VERTICES: &str = "census/vertices";
     /// Gauge of worker threads used by the latest census fan-out.
@@ -567,8 +584,7 @@ where
     let _span = obs::span_with(&format!("census/{name}"), &[("nodes", n as i64)]);
     obs::counter(CENSUS_VERTICES).add(n as u64);
     let worker_gauge = obs::gauge(CENSUS_WORKERS);
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if workers <= 1 || n < PARALLEL_MIN_NODES {
+    if workers <= 1 {
         worker_gauge.set(1);
         let mut scratch = NbhdScratch::new();
         let mut key = Vec::new();
@@ -582,7 +598,6 @@ where
             }
             counts[id] += 1;
         }
-        interner.publish_obs();
         return (interner, counts);
     }
     worker_gauge.set(workers as i64);
@@ -628,7 +643,7 @@ where
     // into the global table and fold the counts
     let mut global = KeyInterner::new();
     let mut counts: Vec<usize> = Vec::new();
-    for (mut local, local_counts) in parts {
+    for (local, local_counts) in parts {
         for (lid, &c) in local_counts.iter().enumerate() {
             let gid = global.intern(local.get(lid as u32)) as usize;
             if gid == counts.len() {
@@ -636,12 +651,11 @@ where
             }
             counts[gid] += c;
         }
-        // fold worker-local hit/miss counts into the global totals, so the
-        // published numbers equal a sequential pass (lookups − distinct)
-        // regardless of worker count
-        global.absorb_pending(&mut local);
     }
-    global.publish_obs();
+    // the workers' lookups and the merge's re-interning are bookkeeping of
+    // the fan-out: count what one sequential pass over n vertices counts
+    let distinct = global.len() as u64;
+    global.set_pending_stats(n as u64 - distinct, distinct);
     (global, counts)
 }
 
@@ -903,5 +917,27 @@ mod tests {
         let g = gen::cycle(1 << 10);
         let rank = identity_rank(1 << 10);
         assert_eq!(ordered_type_census(&g, &rank, 1), ordered_type_census_naive(&g, &rank, 1));
+    }
+
+    #[test]
+    fn census_intern_counts_do_not_depend_on_worker_count() {
+        // identity order on a cycle: the interior type plus two seam types
+        let n = 600;
+        let g = gen::cycle(n);
+        let rank = identity_rank(n);
+        let csr = CsrGraph::from_graph(&g);
+        let census = |workers| {
+            per_vertex_keys_on("worker_count_test", n, workers, |scratch, v, key| {
+                ordered_key_into(&csr, &rank, v, 1, scratch, key)
+            })
+        };
+        let (sequential, sequential_counts) = census(1);
+        assert_eq!(sequential.len(), 3);
+        for workers in [1, 2, 4] {
+            let (interner, counts) = census(workers);
+            assert_eq!(interner.pending_stats(), (n as u64 - 3, 3), "{workers} worker(s)");
+            assert_eq!(counts, sequential_counts, "{workers} worker(s)");
+            assert!((0..3).all(|id| interner.get(id) == sequential.get(id)), "first-seen ids");
+        }
     }
 }

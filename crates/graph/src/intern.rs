@@ -161,17 +161,14 @@ impl KeyInterner {
         (self.pending_hits, self.pending_misses)
     }
 
-    /// Folds `other`'s pending hit/miss counts into this interner's
-    /// (clearing them on `other`). When worker-local interners merge into
-    /// a global one by re-interning their distinct keys, absorbing the
-    /// worker stats makes the global totals exactly what a sequential
-    /// pass would have counted — `hits = lookups − distinct` — so the
-    /// published counters stay machine-independent.
-    pub fn absorb_pending(&mut self, other: &mut KeyInterner) {
-        self.pending_hits += other.pending_hits;
-        self.pending_misses += other.pending_misses;
-        other.pending_hits = 0;
-        other.pending_misses = 0;
+    /// Replaces the pending hit/miss counts. A census that merges
+    /// worker-local interners by re-interning their keys sets them to what
+    /// a sequential pass counts — `misses = distinct`, `hits = lookups −
+    /// distinct` — so the published counters do not depend on the worker
+    /// count.
+    pub(crate) fn set_pending_stats(&mut self, hits: u64, misses: u64) {
+        self.pending_hits = hits;
+        self.pending_misses = misses;
     }
 
     /// Flushes accumulated hit/miss counts into the `intern/hits` and

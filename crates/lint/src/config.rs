@@ -29,10 +29,6 @@ pub struct Config {
     /// Files exempt from the counter-discipline rule (L3): the obs
     /// registry itself, whose internals necessarily handle raw names.
     pub counter_exempt: Vec<&'static str>,
-    /// Entry-point files where the budget-pairing rule (L5) also runs
-    /// in reverse: any `pub fn x` with an `x_naive` variant must have an
-    /// `x_budgeted` variant.
-    pub entry_point_files: Vec<&'static str>,
     /// Allowlisted poison-recovery helpers (L6/L7): `(crate path
     /// prefix, fn name)`. Inside a helper's body, post-lock
     /// `unwrap`/`expect`/`unwrap_or_else` is legal (that is the one
@@ -104,7 +100,6 @@ impl Config {
                 },
             ],
             counter_exempt: vec!["crates/obs/src/"],
-            entry_point_files: vec!["crates/models/src/run.rs"],
             lock_helpers: vec![
                 ("crates/serve/", "lock_or_recover"),
                 ("crates/obs/", "lock_unpoisoned"),
@@ -130,11 +125,6 @@ impl Config {
     /// Whether `path` is exempt from counter discipline.
     pub fn counter_exempt(&self, path: &str) -> bool {
         self.counter_exempt.iter().any(|p| matches(path, p))
-    }
-
-    /// Whether `path` is an entry-point file for budget pairing.
-    pub fn is_entry_point_file(&self, path: &str) -> bool {
-        self.entry_point_files.iter().any(|p| matches(path, p))
     }
 
     /// Allowed occurrence budget for `symbol` in `path`, with reason.

@@ -33,12 +33,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ),
     ("L4", "forbid-unsafe", "every crate root (lib and bins) carries #![forbid(unsafe_code)]"),
     (
-        "L5",
-        "budget-pairing",
-        "every pub *_budgeted entry point has a plain delegate; entry-point files pair every \
-         fn-with-naive-variant with a budgeted variant",
-    ),
-    (
         "L6",
         "lock-order",
         "every Mutex/RwLock declaration carries `// lint: lock-rank=N`; overlapping guard \

@@ -8,7 +8,7 @@
 //! argument is that guarantees must hold *mechanically* — Göös,
 //! Hirvonen and Suomela eliminate the informal slack between ID and PO
 //! by construction, not by inspection — and this crate applies the same
-//! spirit to the codebase: eight repo-specific lints, run in CI, with a
+//! spirit to the codebase: seven repo-specific lints, run in CI, with a
 //! ratcheting baseline so existing debt is visible, justified and only
 //! allowed to shrink.
 //!
@@ -20,7 +20,6 @@
 //! | L2 | clock-discipline  | `Instant::now`/`SystemTime::now` only at allowlisted sites |
 //! | L3 | counter-discipline | metric names are consts, each constructed at exactly one site |
 //! | L4 | forbid-unsafe     | every crate root carries `#![forbid(unsafe_code)]` |
-//! | L5 | budget-pairing    | every `pub *_budgeted` entry point has a plain delegate (and entry points with naive variants have budgeted ones) |
 //! | L6 | lock-order        | every `Mutex`/`RwLock` carries `// lint: lock-rank=N`; overlapping acquisitions strictly increase; no blocking under a held guard |
 //! | L7 | poison-discipline | post-lock `unwrap`/`expect`/`unwrap_or_else` only inside the one poison-recovery helper per crate |
 //! | L8 | hot-path-allocation | `// lint: hot` fns allocate only in their setup prefix |

@@ -1,6 +1,6 @@
-//! The eight contract rules.
+//! The seven contract rules.
 //!
-//! L1–L5 are linear scans over the significant tokens of a file
+//! L1–L4 are linear scans over the significant tokens of a file
 //! (trivia stripped, literals opaque), with the test / `# Panics`
 //! regions from [`crate::source`] masking exempt code. The v2 rules
 //! lean on the brace tree ([`crate::tree`]): L6 (lock-order) resolves
@@ -55,7 +55,6 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic
             check_clock_discipline(info, cfg, &mut diags);
             collect_metric_sites(info, cfg, &mut metric_sites, &mut diags);
             check_forbid_unsafe(info, &mut diags);
-            check_budget_pairing(info, cfg, &mut diags);
             check_hot_allocation(info, &mut diags);
         }
         check_poison_discipline(info, cfg, &mut diags);
@@ -429,90 +428,6 @@ fn is_crate_root(path: &str) -> bool {
     path.ends_with("/src/lib.rs")
         || path.ends_with("/src/main.rs")
         || (path.contains("/src/bin/") && path.ends_with(".rs"))
-}
-
-/// L5: budget pairing at file granularity.
-fn check_budget_pairing(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    let fns = pub_fns(f);
-    let names: BTreeSet<&str> = fns.iter().map(|(name, _)| *name).collect();
-    for (name, off) in &fns {
-        if let Some(base) = name.strip_suffix("_budgeted") {
-            if !names.contains(base) {
-                push(
-                    diags,
-                    "L5",
-                    f,
-                    *off,
-                    format!(
-                        "pub fn {name} has no plain delegate `{base}` in this file — every \
-                         budgeted entry point needs an unlimited twin"
-                    ),
-                );
-            }
-        } else if cfg.is_entry_point_file(&f.path) {
-            if let Some(base) = name.strip_suffix("_naive") {
-                if names.contains(base) && !names.contains(format!("{base}_budgeted").as_str()) {
-                    push(
-                        diags,
-                        "L5",
-                        f,
-                        *off,
-                        format!(
-                            "entry point `{base}` (with naive variant `{name}`) has no \
-                             `{base}_budgeted` variant — production entry points must be \
-                             boundable"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `pub fn` names (with offsets), test regions excluded.
-fn pub_fns(f: &FileInfo) -> Vec<(&str, usize)> {
-    let mut out = Vec::new();
-    let n = f.sig.len();
-    for i in 0..n.saturating_sub(1) {
-        if f.sig_kind(i) != TokenKind::Ident || f.sig_text(i) != "pub" {
-            continue;
-        }
-        // skip a visibility qualifier: pub(crate), pub(in …), pub(super)
-        let mut j = i + 1;
-        if j < n && f.sig_kind(j) == TokenKind::Punct(b'(') {
-            let mut depth = 0usize;
-            while j < n {
-                match f.sig_kind(j) {
-                    TokenKind::Punct(b'(') => depth += 1,
-                    TokenKind::Punct(b')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // skip fn qualifiers
-        while j < n
-            && f.sig_kind(j) == TokenKind::Ident
-            && matches!(f.sig_text(j), "const" | "async" | "unsafe" | "extern")
-        {
-            j += 1;
-        }
-        if j + 1 < n
-            && f.sig_kind(j) == TokenKind::Ident
-            && f.sig_text(j) == "fn"
-            && f.sig_kind(j + 1) == TokenKind::Ident
-            && !f.in_test(f.sig_start(i))
-        {
-            out.push((f.sig_text(j + 1), f.sig_start(j + 1)));
-        }
-    }
-    out
 }
 
 /// Builds the const-hoisting fix for an inline metric name: declare

@@ -226,24 +226,6 @@ fn l4_fires_on_crate_roots_without_forbid() {
 }
 
 #[test]
-fn l5_fires_on_unpaired_budgeted_fns() {
-    let bad = "pub fn census_budgeted(b: B) -> R { imp(Some(b)) }\n";
-    let diags = lint_one("crates/lifts/src/fixture.rs", bad);
-    assert_only("L5", &diags);
-
-    let clean = "pub fn census() -> R { imp(None) }\n\
-                 pub fn census_budgeted(b: B) -> R { imp(Some(b)) }\n";
-    assert!(lint_one("crates/lifts/src/fixture.rs", clean).is_empty());
-
-    // reverse direction, entry-point files only: a naive variant demands
-    // a budgeted one
-    let entry = "pub fn run() -> R { imp() }\npub fn run_naive() -> R { reference() }\n";
-    let diags = lint_one("crates/models/src/run.rs", entry);
-    assert_only("L5", &diags);
-    assert!(lint_one("crates/lifts/src/fixture.rs", entry).is_empty(), "not an entry-point file");
-}
-
-#[test]
 fn l6_fires_on_missing_rank_and_todo_placeholder() {
     // an unannotated lock declaration fires, and proposes the TODO
     // scaffolding as a mechanical fix

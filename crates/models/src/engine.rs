@@ -9,41 +9,41 @@
 //! multiply vertex counts while *collapsing* the number of distinct
 //! neighbourhoods.
 //!
-//! This module exploits the collapse:
+//! This module exploits the collapse with one memo-and-broadcast loop
+//! shared by all six runs: each vertex is mapped to its class, the
+//! algorithm is **evaluated once per class**, and the class's output is
+//! handed to every member through a per-vertex sink (a bit for vertex
+//! algorithms, an edge assembly for edge algorithms). The models differ
+//! only in how a vertex finds its class:
 //!
-//! * [`ViewEngine`] wraps [`locap_lifts::ViewCache`] — incremental class
-//!   refinement computes the view classes of **all** vertices at once
-//!   (radius `r` extends radius `r − 1`), identical subtrees are interned,
-//!   the per-state sweep fans across `std::thread::scope` workers, and an
-//!   algorithm is **evaluated once per class** and broadcast to the class
-//!   members.
-//! * [`OiEngine`] / [`IdEngine`] do the same for ordered/identifier
-//!   neighbourhoods: each vertex's canonical form is extracted as a packed
-//!   `u64` key ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no
-//!   per-call allocation) over a flat [`CsrGraph`], interned into a
-//!   per-engine [`KeyInterner`], and memoized in a dense
-//!   `Vec<Option<_>>` indexed by intern id — type equality is id
-//!   equality, so the hot loop never hashes an owned struct.
+//! * [`ViewEngine`] (PO) wraps [`locap_lifts::ViewCache`] — incremental
+//!   class refinement computes the view classes of **all** vertices at
+//!   once (radius `r` extends radius `r − 1`), identical subtrees are
+//!   interned, and the per-state sweep fans across `std::thread::scope`
+//!   workers.
+//! * [`NbhdEngine`] (OI as [`OiEngine`], ID as [`IdEngine`]) extracts each
+//!   vertex's canonical form as a packed `u64` key
+//!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call
+//!   allocation) over a flat [`CsrGraph`] and interns it into a
+//!   per-engine [`KeyInterner`] — type equality is id equality, so the
+//!   hot loop never hashes an owned struct. The two models differ only in
+//!   their [`NbhdKey`].
 //!
 //! Everything is bit-identical to the naive paths in [`crate::run`]
-//! (asserted by the `engine_differential` test suite); [`EngineStats`]
-//! exposes hit/miss/dedup counters so experiment binaries can print cache
-//! effectiveness. Every run also publishes into the global
-//! [`locap_obs`] registry (`engine/{po,oi,id}/…` counters, one
+//! (asserted by the `engine_differential` test suite). Every run
+//! publishes its cache effectiveness into the global [`locap_obs`]
+//! registry (`engine/{po,oi,id}/…` counters, one
 //! `engine/<model>/run_vertex|run_edge` span per call), so binaries and
-//! the bench gate can export unified metrics without threading state.
+//! the bench gate export unified metrics without threading state.
 
 use std::collections::BTreeSet;
 
 use locap_obs as obs;
 
-use locap_graph::budget::{Budgeted, RunBudget};
-use locap_graph::canon::{
-    id_key_into, id_nbhd_fast, ordered_key_into, ordered_nbhd_fast, IdNbhd, NbhdScratch,
-    OrderedNbhd,
-};
+use locap_graph::budget::{Budgeted, RunBudget, TruncationReason};
+use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
 use locap_graph::{CsrGraph, Edge, Graph, KeyInterner, LDigraph, NodeId};
-use locap_lifts::{ViewCache, ViewCacheStats, ViewTree};
+use locap_lifts::{Letter, ViewCache, ViewTree};
 
 use crate::error::RunError;
 use crate::{
@@ -51,46 +51,9 @@ use crate::{
     PoVertexAlgorithm,
 };
 
-/// Cache-effectiveness counters of an engine-backed run.
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Vertices processed.
-    pub vertices: usize,
-    /// Distinct neighbourhood/view classes among them.
-    pub classes: usize,
-    /// Algorithm evaluations actually performed (= misses; once per class).
-    pub evals: u64,
-    /// Evaluations answered by broadcast from an earlier class member.
-    pub hits: u64,
-}
-
-impl EngineStats {
-    /// `vertices / classes` — average number of vertices sharing one
-    /// evaluation (≥ 1; higher is better).
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.classes == 0 {
-            1.0
-        } else {
-            self.vertices as f64 / self.classes as f64
-        }
-    }
-
-    /// One-line human-readable summary for experiment binaries.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} vertices -> {} classes (dedup {:.1}x), {} evals, {} broadcast hits",
-            self.vertices,
-            self.classes,
-            self.dedup_ratio(),
-            self.evals,
-            self.hits
-        )
-    }
-}
-
-/// Registry handles shared by the three engines: one counter family per
-/// model under `engine/<model>/…`, hoisted at engine construction so run
-/// loops pay only atomic adds.
+/// Registry handles and trace names of one model's engine: one counter
+/// family per model under `engine/<model>/…`, hoisted at engine
+/// construction so run loops pay only atomic adds.
 #[derive(Debug, Clone)]
 struct EngineObs {
     runs: obs::Counter,
@@ -98,6 +61,10 @@ struct EngineObs {
     evals: obs::Counter,
     hits: obs::Counter,
     classes: obs::Gauge,
+    run_vertex: String,
+    run_edge: String,
+    miss: String,
+    dedup: String,
 }
 
 impl EngineObs {
@@ -108,42 +75,126 @@ impl EngineObs {
             evals: obs::counter(&format!("engine/{model}/evals")),
             hits: obs::counter(&format!("engine/{model}/hits")),
             classes: obs::gauge(&format!("engine/{model}/classes")),
+            run_vertex: format!("engine/{model}/run_vertex"),
+            run_edge: format!("engine/{model}/run_edge"),
+            miss: format!("engine/{model}/miss"),
+            dedup: format!("engine/{model}/dedup"),
         }
     }
 
-    /// Publishes the deltas of one run (classes is a level, not a total).
-    fn publish(&self, vertices: usize, classes: usize, evals: u64, hits: u64) {
+    /// Publishes the deltas of one run (classes is a level, not a total:
+    /// the distinct classes this run evaluated) and one trace instant
+    /// summarising it — individual misses are traced inline by
+    /// [`memo_broadcast`]; hits are too frequent to trace per vertex and
+    /// appear here in aggregate.
+    fn publish(&self, vertices: usize, evals: u64, hits: u64) {
         self.runs.inc();
         self.vertices.add(vertices as u64);
         self.evals.add(evals);
         self.hits.add(hits);
-        self.classes.set(classes as i64);
+        self.classes.set(evals as i64);
+        if obs::trace::enabled() {
+            obs::trace::instant(
+                &self.dedup,
+                &[
+                    ("vertices", vertices as i64),
+                    ("classes", evals as i64),
+                    ("evals", evals as i64),
+                    ("hits", hits as i64),
+                ],
+            );
+        }
     }
 }
 
-/// Emits one trace instant summarising a run's cache effectiveness
-/// (individual misses are emitted inline by [`trace_miss`]; hits are too
-/// frequent to trace per-vertex and appear here in aggregate).
-fn trace_dedup(name: &str, vertices: usize, classes: usize, evals: u64, hits: u64) {
-    if obs::trace::enabled() {
-        obs::trace::instant(
-            name,
-            &[
-                ("vertices", vertices as i64),
-                ("classes", classes as i64),
-                ("evals", evals as i64),
-                ("hits", hits as i64),
-            ],
-        );
-    }
+/// How a model maps vertices to classes for [`memo_broadcast`]: vertices
+/// of one class have equal radius-`r` neighbourhoods, so one evaluation
+/// answers them all.
+trait Classes {
+    /// The neighbourhood an algorithm evaluates.
+    type Nbhd;
+    /// The radius-`r` class of `v`.
+    fn class_of(&mut self, v: NodeId, r: usize) -> usize;
+    /// The radius-`r` neighbourhood of `class`, the class
+    /// [`Classes::class_of`] just returned.
+    fn nbhd(&mut self, class: usize, r: usize) -> Self::Nbhd;
 }
 
-/// Emits a per-class cache-miss instant (the first vertex of each class
-/// reaching the algorithm); no-op when tracing is off.
-#[inline]
-fn trace_miss(name: &str, node: usize, class: i64) {
-    if obs::trace::enabled() {
-        obs::trace::instant(name, &[("node", node as i64), ("class", class)]);
+/// The one memo-and-broadcast loop behind all six engine runs. It walks
+/// the `n` vertices in order, evaluates `eval` once per class, hands
+/// every vertex its class's output through `sink`, and publishes the
+/// run's counters. Interrupts (deadline, cancellation) are checked per
+/// vertex and the cache cap per new class; on truncation the run stops
+/// with the prefix answered so far. (For PO the class refinement has
+/// already checked the cap on every class, roots included, so the
+/// per-class check never trips there.)
+///
+/// # Errors
+///
+/// The first error `sink` reports; nothing is published then.
+// lint: hot
+fn memo_broadcast<C: Classes, O: Clone>(
+    classes: &mut C,
+    n: usize,
+    r: usize,
+    budget: &RunBudget,
+    engine: &EngineObs,
+    eval: impl Fn(&C::Nbhd) -> O,
+    mut sink: impl FnMut(NodeId, &O) -> Result<(), RunError>,
+) -> Result<Option<TruncationReason>, RunError> {
+    let mut memo: Vec<Option<O>> = Vec::new();
+    let (mut vertices, mut evals, mut hits) = (0usize, 0u64, 0u64);
+    let mut truncation = None;
+    // lint: hot-setup-end
+    for v in 0..n {
+        if let Some(t) = budget.check_interrupt() {
+            truncation = Some(t.publish());
+            break;
+        }
+        let c = classes.class_of(v, r);
+        if c >= memo.len() {
+            memo.resize(c + 1, None);
+        }
+        let slot = &mut memo[c];
+        let out = match slot {
+            Some(out) => {
+                hits += 1;
+                out
+            }
+            None => {
+                if let Some(t) = budget.check_cache(evals as usize + 1) {
+                    truncation = Some(t.publish());
+                    break;
+                }
+                evals += 1;
+                if obs::trace::enabled() {
+                    obs::trace::instant(&engine.miss, &[("node", v as i64), ("class", c as i64)]);
+                }
+                slot.insert(eval(&classes.nbhd(c, r)))
+            }
+        };
+        vertices += 1;
+        sink(v, out)?;
+    }
+    engine.publish(vertices, evals, hits);
+    Ok(truncation)
+}
+
+/// PO classes: the view classes of one class-refinement pass.
+struct ViewClasses<'a, 'g> {
+    roots: Vec<u32>,
+    cache: &'a mut ViewCache<'g>,
+}
+
+impl Classes for ViewClasses<'_, '_> {
+    type Nbhd = ViewTree;
+
+    fn class_of(&mut self, v: NodeId, _r: usize) -> usize {
+        self.roots[v] as usize
+    }
+
+    fn nbhd(&mut self, class: usize, r: usize) -> ViewTree {
+        self.cache.class_view(r, class as u32)
     }
 }
 
@@ -151,28 +202,13 @@ fn trace_miss(name: &str, node: usize, class: i64) {
 /// evaluate-once-per-class algorithm runs. See the module docs.
 pub struct ViewEngine<'g> {
     cache: ViewCache<'g>,
-    run_stats: EngineStats,
     obs: EngineObs,
 }
 
 impl<'g> ViewEngine<'g> {
     /// Creates an engine for `d`; all state is built lazily.
     pub fn new(d: &'g LDigraph) -> ViewEngine<'g> {
-        ViewEngine {
-            cache: ViewCache::new(d),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("po"),
-        }
-    }
-
-    /// The underlying refinement cache (classes, interning counters).
-    pub fn cache_stats(&self) -> &ViewCacheStats {
-        self.cache.stats()
-    }
-
-    /// Counters of the algorithm runs executed so far.
-    pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
+        ViewEngine { cache: ViewCache::new(d), obs: EngineObs::new("po") }
     }
 
     /// The radius-`r` view of `v` — bit-identical to
@@ -189,116 +225,55 @@ impl<'g> ViewEngine<'g> {
 
     /// Runs a PO vertex algorithm: one evaluation per view class,
     /// broadcast to all vertices of the class. Bit-identical to
-    /// [`crate::run::po_vertex_naive`].
+    /// [`crate::run::po_vertex_naive`] under an unlimited budget.
+    ///
+    /// The cache cap bounds the view-cache entries and the deadline is
+    /// checked per vertex. On truncation the value is the per-vertex
+    /// prefix computed so far (empty when the cache cap stops the class
+    /// refinement itself).
     ///
     /// # Errors
     ///
     /// Currently infallible (PO vertex runs have no input
     /// preconditions); `Result` for uniformity with the other engines.
-    pub fn run_vertex<A: PoVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`ViewEngine::run_vertex`]: the cache cap bounds the
-    /// view-cache entries and the deadline is checked per vertex. On
-    /// truncation the value is the per-vertex prefix computed so far
-    /// (empty when the cache cap stops the class refinement itself).
-    // lint: hot
     pub fn run_vertex_budgeted<A: PoVertexAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        let _span = obs::span("engine/po/run_vertex");
-        let r = algo.radius();
-        let (classes, k) = match self.cache.try_root_classes(r, budget.cache_cap()) {
-            Ok(x) => x,
-            Err(t) => return Ok(Budgeted::truncated(Vec::new(), t.publish())),
-        };
-        let mut outputs: Vec<Option<bool>> = vec![None; k];
-        let mut out = Vec::with_capacity(classes.len());
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for (v, &c) in classes.iter().enumerate() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            let bit = match outputs[c as usize] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    evals += 1;
-                    trace_miss("engine/po/miss", v, c as i64);
-                    let b = algo.evaluate(&self.cache.class_view(r, c));
-                    outputs[c as usize] = Some(b);
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        // distinct *root* classes actually seen (k also counts non-root
-        // walk states, which never reach the algorithm)
-        self.run_stats.classes = outputs.iter().filter(|o| o.is_some()).count();
-        self.obs.publish(out.len(), self.run_stats.classes, evals, hits);
-        trace_dedup("engine/po/dedup", out.len(), self.run_stats.classes, evals, hits);
+        let _span = obs::span(&self.obs.run_vertex);
+        let mut out = Vec::with_capacity(self.cache.digraph().node_count());
+        let truncation = self.run(
+            algo.radius(),
+            budget,
+            |t| algo.evaluate(t),
+            |_, &bit| {
+                out.push(bit);
+                Ok(())
+            },
+        )?;
         Ok(Budgeted { value: out, truncation })
     }
 
     /// Runs a PO edge algorithm: one evaluation per view class, then the
     /// same per-vertex letter-to-edge assembly as
-    /// [`crate::run::po_edge_naive`].
+    /// [`crate::run::po_edge_naive`]. On truncation the value holds the
+    /// edges selected by the vertices processed so far.
     ///
     /// # Errors
     ///
     /// [`RunError::AbsentLetter`] when the algorithm selects a letter
     /// the node does not have.
-    pub fn run_edge<A: PoEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`ViewEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
     pub fn run_edge_budgeted<A: PoEdgeAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        let _span = obs::span("engine/po/run_edge");
+        let _span = obs::span(&self.obs.run_edge);
         let d = self.cache.digraph();
-        let r = algo.radius();
-        let (classes, k) = match self.cache.try_root_classes(r, budget.cache_cap()) {
-            Ok(x) => x,
-            Err(t) => return Ok(Budgeted::truncated(BTreeSet::new(), t.publish())),
-        };
-        let mut outputs: Vec<Option<Vec<(locap_lifts::Letter, bool)>>> = vec![None; k];
         let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for (v, &c) in classes.iter().enumerate() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            if outputs[c as usize].is_none() {
-                evals += 1;
-                trace_miss("engine/po/miss", v, c as i64);
-                outputs[c as usize] = Some(algo.evaluate(&self.cache.class_view(r, c)));
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = outputs[c as usize].as_ref() else {
-                continue; // just filled above
-            };
-            for &(letter, selected) in bits {
+        let sink = |v: NodeId, letters: &Vec<(Letter, bool)>| {
+            for &(letter, selected) in letters {
                 if !selected {
                     continue;
                 }
@@ -314,14 +289,342 @@ impl<'g> ViewEngine<'g> {
                 };
                 out.insert(Edge::new(v, u));
             }
-        }
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = outputs.iter().filter(|o| o.is_some()).count();
-        self.obs.publish(processed, self.run_stats.classes, evals, hits);
-        trace_dedup("engine/po/dedup", processed, self.run_stats.classes, evals, hits);
+            Ok(())
+        };
+        let truncation = self.run(algo.radius(), budget, |t| algo.evaluate(t), sink)?;
         Ok(Budgeted { value: out, truncation })
+    }
+
+    /// Refines the radius-`r` view classes under the budget's cache cap
+    /// (a tripped cap ends the run before any vertex, unpublished), then
+    /// runs [`memo_broadcast`] over them.
+    fn run<O: Clone>(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        eval: impl Fn(&ViewTree) -> O,
+        sink: impl FnMut(NodeId, &O) -> Result<(), RunError>,
+    ) -> Result<Option<TruncationReason>, RunError> {
+        let roots = match self.cache.try_root_classes(r, budget.cache_cap()) {
+            Ok((roots, _)) => roots,
+            Err(t) => return Ok(Some(t.publish())),
+        };
+        let n = roots.len();
+        let mut classes = ViewClasses { roots, cache: &mut self.cache };
+        memo_broadcast(&mut classes, n, r, budget, &self.obs, eval, sink)
+    }
+}
+
+/// What an OI or ID neighbourhood carries besides the graph, and how it
+/// is keyed: the only differences between the two models' engines.
+pub trait NbhdKey {
+    /// The per-node input: a rank (OI) or an identifier (ID).
+    type Input: Copy;
+    /// The decoded neighbourhood an algorithm evaluates.
+    type Nbhd;
+    /// The model's name in obs metrics (`engine/<MODEL>/…`).
+    const MODEL: &'static str;
+    /// The input's name in [`RunError::InputLengthMismatch`].
+    const INPUT: &'static str;
+    /// The neighbour order of edge outputs: bit `i` of a node's output
+    /// selects its neighbour with the `i`-th smallest key.
+    fn sort_key(input: Self::Input) -> u64;
+    /// Writes the packed key of `v`'s radius-`r` neighbourhood to `key`.
+    fn key_into(
+        csr: &CsrGraph,
+        input: &[Self::Input],
+        v: NodeId,
+        r: usize,
+        scratch: &mut NbhdScratch,
+        key: &mut Vec<u64>,
+    );
+    /// Decodes a key written by [`NbhdKey::key_into`].
+    fn decode(key: &[u64]) -> Self::Nbhd;
+}
+
+/// OI keys: neighbourhoods up to order-isomorphism under a rank.
+#[derive(Debug)]
+pub enum OrderedKey {}
+
+impl NbhdKey for OrderedKey {
+    type Input = usize;
+    type Nbhd = OrderedNbhd;
+    const MODEL: &'static str = "oi";
+    const INPUT: &'static str = "rank";
+
+    fn sort_key(rank: usize) -> u64 {
+        rank as u64
+    }
+
+    fn key_into(
+        csr: &CsrGraph,
+        rank: &[usize],
+        v: NodeId,
+        r: usize,
+        scratch: &mut NbhdScratch,
+        key: &mut Vec<u64>,
+    ) {
+        ordered_key_into(csr, rank, v, r, scratch, key);
+    }
+
+    fn decode(key: &[u64]) -> OrderedNbhd {
+        OrderedNbhd::from_key(key)
+    }
+}
+
+/// ID keys: neighbourhoods carrying unique identifiers.
+#[derive(Debug)]
+pub enum IdKey {}
+
+impl NbhdKey for IdKey {
+    type Input = u64;
+    type Nbhd = IdNbhd;
+    const MODEL: &'static str = "id";
+    const INPUT: &'static str = "ids";
+
+    fn sort_key(id: u64) -> u64 {
+        id
+    }
+
+    fn key_into(
+        csr: &CsrGraph,
+        ids: &[u64],
+        v: NodeId,
+        r: usize,
+        scratch: &mut NbhdScratch,
+        key: &mut Vec<u64>,
+    ) {
+        id_key_into(csr, ids, v, r, scratch, key);
+    }
+
+    fn decode(key: &[u64]) -> IdNbhd {
+        IdNbhd::from_key(key)
+    }
+}
+
+/// OI/ID classes: interned packed keys. The interner persists across
+/// runs (same type, same id), and the key buffer holds the key of the
+/// vertex just classified.
+struct KeyClasses<'g, K: NbhdKey> {
+    input: &'g [K::Input],
+    /// Flat adjacency mirror of the graph for the extraction hot loop.
+    csr: CsrGraph,
+    scratch: NbhdScratch,
+    key: Vec<u64>,
+    interner: KeyInterner,
+}
+
+impl<K: NbhdKey> Classes for KeyClasses<'_, K> {
+    type Nbhd = K::Nbhd;
+
+    fn class_of(&mut self, v: NodeId, r: usize) -> usize {
+        K::key_into(&self.csr, self.input, v, r, &mut self.scratch, &mut self.key);
+        self.interner.intern(&self.key) as usize
+    }
+
+    fn nbhd(&mut self, _class: usize, _r: usize) -> K::Nbhd {
+        K::decode(&self.key)
+    }
+}
+
+/// The OI-model engine (ranks).
+pub type OiEngine<'g> = NbhdEngine<'g, OrderedKey>;
+
+/// The ID-model engine (identifiers). Identifiers being globally unique,
+/// the dedup ratio is usually 1 on connected graphs with `r ≥ 1` — the
+/// win here is the extraction fast path, and radius-0 / disconnected
+/// corner cases still dedup.
+pub type IdEngine<'g> = NbhdEngine<'g, IdKey>;
+
+/// The OI/ID engine: `O(|ball|)` packed-key extraction over a flat
+/// [`CsrGraph`], with keys interned so each distinct neighbourhood type
+/// is evaluated once and memo lookups are dense-id indexing.
+pub struct NbhdEngine<'g, K: NbhdKey> {
+    g: &'g Graph,
+    /// Key-sorted adjacency (`sorted_offsets[v]..[v + 1]` spans `v`'s
+    /// neighbours in [`NbhdKey::sort_key`] order); empty until the input
+    /// covers the graph — the run paths `validate()` before touching it.
+    sorted_offsets: Vec<u32>,
+    sorted_nbrs: Vec<u32>,
+    keys: KeyClasses<'g, K>,
+    obs: EngineObs,
+}
+
+impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
+    /// Creates an engine for `(g, input)`.
+    pub fn new(g: &'g Graph, input: &'g [K::Input]) -> NbhdEngine<'g, K> {
+        let (sorted_offsets, sorted_nbrs) = if input.len() == g.node_count() {
+            key_sorted_adj(g, |u| K::sort_key(input[u]))
+        } else {
+            // invalid input: keep the engine constructible, let the run
+            // paths report InputLengthMismatch
+            (Vec::new(), Vec::new())
+        };
+        NbhdEngine {
+            g,
+            sorted_offsets,
+            sorted_nbrs,
+            keys: KeyClasses {
+                input,
+                csr: g.to_csr(),
+                scratch: NbhdScratch::new(),
+                key: Vec::new(),
+                interner: KeyInterner::new(),
+            },
+            obs: EngineObs::new(K::MODEL),
+        }
+    }
+
+    /// The neighbourhood of `v` — bit-identical to
+    /// [`locap_graph::canon::ordered_nbhd`] (OI) or
+    /// [`locap_graph::canon::id_nbhd`] (ID).
+    pub fn nbhd(&mut self, v: NodeId, r: usize) -> K::Nbhd {
+        let keys = &mut self.keys;
+        K::key_into(&keys.csr, keys.input, v, r, &mut keys.scratch, &mut keys.key);
+        K::decode(&keys.key)
+    }
+
+    /// The input length precondition, shared by both run paths.
+    fn validate(&self) -> Result<(), RunError> {
+        if self.keys.input.len() != self.g.node_count() {
+            return Err(RunError::InputLengthMismatch {
+                what: K::INPUT,
+                expected: self.g.node_count(),
+                actual: self.keys.input.len(),
+            }
+            .publish());
+        }
+        Ok(())
+    }
+
+    /// The shared body of the OI/ID vertex runs.
+    fn vertex_run(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        eval: impl Fn(&K::Nbhd) -> bool,
+    ) -> Result<Budgeted<Vec<bool>>, RunError> {
+        self.validate()?;
+        let _span = obs::span(&self.obs.run_vertex);
+        let n = self.g.node_count();
+        let mut out = Vec::with_capacity(n);
+        let sink = |_, &bit: &bool| {
+            out.push(bit);
+            Ok(())
+        };
+        let truncation = memo_broadcast(&mut self.keys, n, r, budget, &self.obs, eval, sink)?;
+        self.keys.interner.publish_obs();
+        Ok(Budgeted { value: out, truncation })
+    }
+
+    /// The shared body of the OI/ID edge runs: bit `i` of a node's output
+    /// selects its neighbour with the `i`-th smallest key.
+    fn edge_run(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        eval: impl Fn(&K::Nbhd) -> Vec<bool>,
+    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
+        self.validate()?;
+        let _span = obs::span(&self.obs.run_edge);
+        let g = self.g;
+        let (offsets, nbrs) = (&self.sorted_offsets, &self.sorted_nbrs);
+        let mut out = BTreeSet::new();
+        let sink = |v: NodeId, bits: &Vec<bool>| {
+            if bits.len() != g.degree(v) {
+                return Err(RunError::OutputLengthMismatch {
+                    node: v,
+                    expected: g.degree(v),
+                    actual: bits.len(),
+                }
+                .publish());
+            }
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            for (&u, _) in nbrs[lo..hi].iter().zip(bits).filter(|(_, &bit)| bit) {
+                out.insert(Edge::new(v, u as NodeId));
+            }
+            Ok(())
+        };
+        let n = g.node_count();
+        let truncation = memo_broadcast(&mut self.keys, n, r, budget, &self.obs, eval, sink)?;
+        self.keys.interner.publish_obs();
+        Ok(Budgeted { value: out, truncation })
+    }
+}
+
+impl OiEngine<'_> {
+    /// Runs an OI vertex algorithm, evaluating once per distinct type.
+    /// Bit-identical to [`crate::run::oi_vertex_naive`] under an
+    /// unlimited budget.
+    ///
+    /// The cache cap bounds the distinct types of this run and the
+    /// deadline is checked per vertex; on truncation the value is the
+    /// per-vertex prefix computed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputLengthMismatch`] when `rank` does not cover
+    /// every node.
+    pub fn run_vertex_budgeted<A: OiVertexAlgorithm>(
+        &mut self,
+        algo: &A,
+        budget: &RunBudget,
+    ) -> Result<Budgeted<Vec<bool>>, RunError> {
+        self.vertex_run(algo.radius(), budget, |t| algo.evaluate(t))
+    }
+
+    /// Runs an OI edge algorithm, evaluating once per distinct type; the
+    /// per-vertex assembly (degree check included) matches
+    /// [`crate::run::oi_edge_naive`]. On truncation the value holds the
+    /// edges selected by the vertices processed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputLengthMismatch`] for a short `rank`,
+    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
+    /// does not match a node's degree.
+    pub fn run_edge_budgeted<A: OiEdgeAlgorithm>(
+        &mut self,
+        algo: &A,
+        budget: &RunBudget,
+    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
+        self.edge_run(algo.radius(), budget, |t| algo.evaluate(t))
+    }
+}
+
+impl IdEngine<'_> {
+    /// Runs an ID vertex algorithm, evaluating once per distinct
+    /// neighbourhood. Bit-identical to [`crate::run::id_vertex_naive`]
+    /// under an unlimited budget; on truncation the value is the
+    /// per-vertex prefix computed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputLengthMismatch`] when `ids` does not cover
+    /// every node.
+    pub fn run_vertex_budgeted<A: IdVertexAlgorithm>(
+        &mut self,
+        algo: &A,
+        budget: &RunBudget,
+    ) -> Result<Budgeted<Vec<bool>>, RunError> {
+        self.vertex_run(algo.radius(), budget, |t| algo.evaluate(t))
+    }
+
+    /// Runs an ID edge algorithm; assembly matches
+    /// [`crate::run::id_edge_naive`]. On truncation the value holds the
+    /// edges selected by the vertices processed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputLengthMismatch`] for short `ids`,
+    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
+    /// does not match a node's degree.
+    pub fn run_edge_budgeted<A: IdEdgeAlgorithm>(
+        &mut self,
+        algo: &A,
+        budget: &RunBudget,
+    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
+        self.edge_run(algo.radius(), budget, |t| algo.evaluate(t))
     }
 }
 
@@ -345,465 +648,28 @@ fn key_sorted_adj(g: &Graph, key: impl Fn(NodeId) -> u64) -> (Vec<u32>, Vec<u32>
     (offsets, nbrs)
 }
 
-/// The OI-model engine: `O(|ball|)` packed-key extraction over a flat
-/// [`CsrGraph`], with keys interned so each distinct ordered type is
-/// evaluated once and memo lookups are dense-id indexing.
-pub struct OiEngine<'g> {
-    g: &'g Graph,
-    rank: &'g [usize],
-    /// Flat adjacency mirror of `g` for the extraction hot loop.
-    csr: CsrGraph,
-    /// Rank-sorted adjacency (`sorted_offsets[v]..[v + 1]` spans `v`'s
-    /// neighbours in rank order); empty until `rank` covers the graph —
-    /// the run paths `validate()` before touching it.
-    sorted_offsets: Vec<u32>,
-    sorted_nbrs: Vec<u32>,
-    /// Canonical-form registry shared across runs: same type, same id.
-    interner: KeyInterner,
-    key_buf: Vec<u64>,
-    scratch: NbhdScratch,
-    run_stats: EngineStats,
-    obs: EngineObs,
-}
-
-impl<'g> OiEngine<'g> {
-    /// Creates an engine for `(g, rank)`.
-    pub fn new(g: &'g Graph, rank: &'g [usize]) -> OiEngine<'g> {
-        let (sorted_offsets, sorted_nbrs) = if rank.len() == g.node_count() {
-            key_sorted_adj(g, |u| rank[u] as u64)
-        } else {
-            // invalid input: keep the engine constructible, let the run
-            // paths report InputLengthMismatch
-            (Vec::new(), Vec::new())
-        };
-        OiEngine {
-            g,
-            rank,
-            csr: g.to_csr(),
-            sorted_offsets,
-            sorted_nbrs,
-            interner: KeyInterner::new(),
-            key_buf: Vec::new(),
-            scratch: NbhdScratch::new(),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("oi"),
-        }
-    }
-
-    /// Counters of the runs executed so far.
-    pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
-    }
-
-    /// The ordered neighbourhood of `v` — bit-identical to
-    /// [`locap_graph::canon::ordered_nbhd`].
-    pub fn nbhd(&mut self, v: NodeId, r: usize) -> OrderedNbhd {
-        ordered_nbhd_fast(self.g, self.rank, v, r, &mut self.scratch)
-    }
-
-    /// The `rank` length precondition, shared by both run paths.
-    fn validate(&self) -> Result<(), RunError> {
-        if self.rank.len() != self.g.node_count() {
-            return Err(RunError::InputLengthMismatch {
-                what: "rank",
-                expected: self.g.node_count(),
-                actual: self.rank.len(),
-            }
-            .publish());
-        }
-        Ok(())
-    }
-
-    /// Runs an OI vertex algorithm, evaluating once per distinct type.
-    /// Bit-identical to [`crate::run::oi_vertex_naive`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] when `rank` does not cover
-    /// every node.
-    pub fn run_vertex<A: OiVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`OiEngine::run_vertex`]: the cache cap bounds the
-    /// type-interning memo and the deadline is checked per vertex; on
-    /// truncation the value is the per-vertex prefix computed so far.
-    // lint: hot
-    pub fn run_vertex_budgeted<A: OiVertexAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/oi/run_vertex");
-        let r = algo.radius();
-        // memo over intern ids; `seen` counts the distinct types of THIS
-        // run (the quantity the budget's cache cap bounds), since the
-        // interner itself persists across runs
-        let mut memo: Vec<Option<bool>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(self.g.node_count());
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for v in 0..self.g.node_count() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            ordered_key_into(&self.csr, self.rank, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            let bit = match memo[id] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    if let Some(tr) = budget.check_cache(seen + 1) {
-                        truncation = Some(tr.publish());
-                        break;
-                    }
-                    evals += 1;
-                    trace_miss("engine/oi/miss", v, seen as i64);
-                    let b = algo.evaluate(&OrderedNbhd::from_key(&key));
-                    memo[id] = Some(b);
-                    seen += 1;
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(out.len(), seen, evals, hits);
-        trace_dedup("engine/oi/dedup", out.len(), seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
-    }
-
-    /// Runs an OI edge algorithm, evaluating once per distinct type; the
-    /// per-vertex assembly (degree check included) matches
-    /// [`crate::run::oi_edge_naive`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] for a short `rank`,
-    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
-    /// does not match a node's degree.
-    pub fn run_edge<A: OiEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`OiEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
-    pub fn run_edge_budgeted<A: OiEdgeAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/oi/run_edge");
-        let r = algo.radius();
-        let mut memo: Vec<Option<Vec<bool>>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for v in self.g.nodes() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            ordered_key_into(&self.csr, self.rank, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            if memo[id].is_none() {
-                if let Some(tr) = budget.check_cache(seen + 1) {
-                    truncation = Some(tr.publish());
-                    break;
-                }
-                evals += 1;
-                trace_miss("engine/oi/miss", v, seen as i64);
-                memo[id] = Some(algo.evaluate(&OrderedNbhd::from_key(&key)));
-                seen += 1;
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = memo[id].as_ref() else {
-                continue; // unreachable: just filled above
-            };
-            if bits.len() != self.g.degree(v) {
-                self.key_buf = key;
-                return Err(RunError::OutputLengthMismatch {
-                    node: v,
-                    expected: self.g.degree(v),
-                    actual: bits.len(),
-                }
-                .publish());
-            }
-            let (lo, hi) = (self.sorted_offsets[v] as usize, self.sorted_offsets[v + 1] as usize);
-            for (i, &u) in self.sorted_nbrs[lo..hi].iter().enumerate() {
-                if bits[i] {
-                    out.insert(Edge::new(v, u as NodeId));
-                }
-            }
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(processed, seen, evals, hits);
-        trace_dedup("engine/oi/dedup", processed, seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
-    }
-}
-
-/// The ID-model engine: `O(|ball|)` extraction through a reusable scratch
-/// plus type interning. Identifiers being globally unique, the dedup
-/// ratio is usually 1 on connected graphs with `r ≥ 1` — the win here is
-/// the extraction fast path, and radius-0 / disconnected corner cases
-/// still dedup.
-pub struct IdEngine<'g> {
-    g: &'g Graph,
-    ids: &'g [u64],
-    /// Flat adjacency mirror of `g` for the extraction hot loop.
-    csr: CsrGraph,
-    /// Identifier-sorted adjacency; empty until `ids` covers the graph.
-    sorted_offsets: Vec<u32>,
-    sorted_nbrs: Vec<u32>,
-    /// Canonical-form registry shared across runs: same type, same id.
-    interner: KeyInterner,
-    key_buf: Vec<u64>,
-    scratch: NbhdScratch,
-    run_stats: EngineStats,
-    obs: EngineObs,
-}
-
-impl<'g> IdEngine<'g> {
-    /// Creates an engine for `(g, ids)`.
-    pub fn new(g: &'g Graph, ids: &'g [u64]) -> IdEngine<'g> {
-        let (sorted_offsets, sorted_nbrs) = if ids.len() == g.node_count() {
-            key_sorted_adj(g, |u| ids[u])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        IdEngine {
-            g,
-            ids,
-            csr: g.to_csr(),
-            sorted_offsets,
-            sorted_nbrs,
-            interner: KeyInterner::new(),
-            key_buf: Vec::new(),
-            scratch: NbhdScratch::new(),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("id"),
-        }
-    }
-
-    /// Counters of the runs executed so far.
-    pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
-    }
-
-    /// The ID neighbourhood of `v` — bit-identical to
-    /// [`locap_graph::canon::id_nbhd`].
-    pub fn nbhd(&mut self, v: NodeId, r: usize) -> IdNbhd {
-        id_nbhd_fast(self.g, self.ids, v, r, &mut self.scratch)
-    }
-
-    /// The `ids` length precondition, shared by both run paths.
-    fn validate(&self) -> Result<(), RunError> {
-        if self.ids.len() != self.g.node_count() {
-            return Err(RunError::InputLengthMismatch {
-                what: "ids",
-                expected: self.g.node_count(),
-                actual: self.ids.len(),
-            }
-            .publish());
-        }
-        Ok(())
-    }
-
-    /// Runs an ID vertex algorithm, evaluating once per distinct
-    /// neighbourhood. Bit-identical to [`crate::run::id_vertex_naive`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] when `ids` does not cover
-    /// every node.
-    pub fn run_vertex<A: IdVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`IdEngine::run_vertex`]; on truncation the value
-    /// is the per-vertex prefix computed so far.
-    // lint: hot
-    pub fn run_vertex_budgeted<A: IdVertexAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/id/run_vertex");
-        let r = algo.radius();
-        let mut memo: Vec<Option<bool>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(self.g.node_count());
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for v in 0..self.g.node_count() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            id_key_into(&self.csr, self.ids, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            let bit = match memo[id] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    if let Some(tr) = budget.check_cache(seen + 1) {
-                        truncation = Some(tr.publish());
-                        break;
-                    }
-                    evals += 1;
-                    trace_miss("engine/id/miss", v, seen as i64);
-                    let b = algo.evaluate(&IdNbhd::from_key(&key));
-                    memo[id] = Some(b);
-                    seen += 1;
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(out.len(), seen, evals, hits);
-        trace_dedup("engine/id/dedup", out.len(), seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
-    }
-
-    /// Runs an ID edge algorithm; assembly matches
-    /// [`crate::run::id_edge_naive`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] for short `ids`,
-    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
-    /// does not match a node's degree.
-    pub fn run_edge<A: IdEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`IdEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
-    pub fn run_edge_budgeted<A: IdEdgeAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/id/run_edge");
-        let r = algo.radius();
-        let mut memo: Vec<Option<Vec<bool>>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for v in self.g.nodes() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            id_key_into(&self.csr, self.ids, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            if memo[id].is_none() {
-                if let Some(tr) = budget.check_cache(seen + 1) {
-                    truncation = Some(tr.publish());
-                    break;
-                }
-                evals += 1;
-                trace_miss("engine/id/miss", v, seen as i64);
-                memo[id] = Some(algo.evaluate(&IdNbhd::from_key(&key)));
-                seen += 1;
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = memo[id].as_ref() else {
-                continue; // unreachable: just filled above
-            };
-            if bits.len() != self.g.degree(v) {
-                self.key_buf = key;
-                return Err(RunError::OutputLengthMismatch {
-                    node: v,
-                    expected: self.g.degree(v),
-                    actual: bits.len(),
-                }
-                .publish());
-            }
-            let (lo, hi) = (self.sorted_offsets[v] as usize, self.sorted_offsets[v + 1] as usize);
-            for (i, &u) in self.sorted_nbrs[lo..hi].iter().enumerate() {
-                if bits[i] {
-                    out.insert(Edge::new(v, u as NodeId));
-                }
-            }
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(processed, seen, evals, hits);
-        trace_dedup("engine/id/dedup", processed, seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use locap_graph::gen;
-    use locap_lifts::Letter;
 
-    struct LocalMin;
+    fn unlimited() -> RunBudget {
+        RunBudget::unlimited()
+    }
+
+    /// OI: the centre is a local minimum; counts its evaluations.
+    #[derive(Default)]
+    struct LocalMin {
+        evals: Cell<usize>,
+    }
     impl OiVertexAlgorithm for LocalMin {
         fn radius(&self) -> usize {
             1
         }
         fn evaluate(&self, t: &OrderedNbhd) -> bool {
+            self.evals.set(self.evals.get() + 1);
             t.root == 0
         }
     }
@@ -820,31 +686,31 @@ mod tests {
 
     #[test]
     fn po_engine_broadcasts_on_symmetric_graph() {
-        struct JoinAll;
+        #[derive(Default)]
+        struct JoinAll {
+            evals: Cell<usize>,
+        }
         impl PoVertexAlgorithm for JoinAll {
             fn radius(&self) -> usize {
                 2
             }
             fn evaluate(&self, _: &ViewTree) -> bool {
+                self.evals.set(self.evals.get() + 1);
                 true
             }
         }
         let d = gen::directed_cycle(50);
-        let mut engine = ViewEngine::new(&d);
-        let bits = engine.run_vertex(&JoinAll).unwrap();
+        let algo = JoinAll::default();
+        let bits = ViewEngine::new(&d).run_vertex_budgeted(&algo, &unlimited()).unwrap().value;
+        assert_eq!(bits.len(), 50);
         assert!(bits.iter().all(|&b| b));
-        let stats = engine.run_stats();
-        assert_eq!(stats.vertices, 50);
-        assert_eq!(stats.classes, 1, "directed cycle has one view class");
-        assert_eq!(stats.evals, 1, "single evaluation broadcast to all 50");
-        assert_eq!(stats.hits, 49);
+        assert_eq!(algo.evals.get(), 1, "one view class: a single evaluation broadcast to all 50");
     }
 
     #[test]
     fn po_edge_engine_matches_naive() {
         let d = gen::directed_cycle(5);
-        let mut engine = ViewEngine::new(&d);
-        let set = engine.run_edge(&OutZero).unwrap();
+        let set = ViewEngine::new(&d).run_edge_budgeted(&OutZero, &unlimited()).unwrap().value;
         assert_eq!(set, crate::run::po_edge_naive(&d, &OutZero).unwrap());
         assert_eq!(set.len(), 5);
     }
@@ -853,41 +719,53 @@ mod tests {
     fn oi_engine_dedups_interior_types() {
         let g = gen::cycle(100);
         let rank: Vec<usize> = (0..100).collect();
-        let mut engine = OiEngine::new(&g, &rank);
-        let bits = engine.run_vertex(&LocalMin).unwrap();
-        assert_eq!(bits, crate::run::oi_vertex_naive(&g, &rank, &LocalMin).unwrap());
-        let stats = engine.run_stats();
-        assert_eq!(stats.classes, 3, "interior + two seam types");
-        assert_eq!(stats.evals, 3);
-        assert_eq!(stats.hits, 97);
+        let algo = LocalMin::default();
+        let bits = OiEngine::new(&g, &rank).run_vertex_budgeted(&algo, &unlimited()).unwrap();
+        assert!(bits.is_complete());
+        assert_eq!(algo.evals.get(), 3, "interior + two seam types");
+        assert_eq!(
+            bits.value,
+            crate::run::oi_vertex_naive(&g, &rank, &LocalMin::default()).unwrap()
+        );
     }
 
     #[test]
     fn id_engine_matches_naive() {
-        struct LocalMaxId;
+        #[derive(Default)]
+        struct LocalMaxId {
+            evals: Cell<usize>,
+        }
         impl IdVertexAlgorithm for LocalMaxId {
             fn radius(&self) -> usize {
                 1
             }
             fn evaluate(&self, t: &IdNbhd) -> bool {
+                self.evals.set(self.evals.get() + 1);
                 t.root as usize == t.ids.len() - 1
             }
         }
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20, 50, 30, 40];
-        let mut engine = IdEngine::new(&g, &ids);
+        let algo = LocalMaxId::default();
+        let bits = IdEngine::new(&g, &ids).run_vertex_budgeted(&algo, &unlimited()).unwrap();
         assert_eq!(
-            engine.run_vertex(&LocalMaxId).unwrap(),
-            crate::run::id_vertex_naive(&g, &ids, &LocalMaxId).unwrap()
+            bits.value,
+            crate::run::id_vertex_naive(&g, &ids, &LocalMaxId::default()).unwrap()
         );
         // every ball carries distinct ids: no dedup expected
-        assert_eq!(engine.run_stats().classes, 6);
+        assert_eq!(algo.evals.get(), 6);
     }
 
     #[test]
-    fn engine_stats_summary_format() {
-        let stats = EngineStats { vertices: 50, classes: 1, evals: 1, hits: 49 };
-        assert!(stats.summary().contains("dedup 50.0x"));
-        assert!((stats.dedup_ratio() - 50.0).abs() < 1e-9);
+    fn memo_is_per_run_on_a_reused_engine() {
+        let g = gen::cycle(100);
+        let rank: Vec<usize> = (0..100).collect();
+        let mut engine = OiEngine::new(&g, &rank);
+        let (first, second) = (LocalMin::default(), LocalMin::default());
+        let a = engine.run_vertex_budgeted(&first, &unlimited()).unwrap().value;
+        let b = engine.run_vertex_budgeted(&second, &unlimited()).unwrap().value;
+        assert_eq!(a, b);
+        // the memo is per run: each run evaluates each type once
+        assert_eq!((first.evals.get(), second.evals.get()), (3, 3));
     }
 }

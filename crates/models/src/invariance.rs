@@ -8,6 +8,7 @@
 
 use rand::Rng;
 
+use locap_graph::budget::RunBudget;
 use locap_graph::Graph;
 
 use crate::error::RunError;
@@ -62,12 +63,13 @@ pub fn test_order_invariance<A: IdVertexAlgorithm, R: Rng>(
     trials: usize,
     rng: &mut R,
 ) -> Result<InvarianceReport, RunError> {
-    let baseline = run::id_vertex(g, ids, algo)?;
+    let unlimited = RunBudget::unlimited();
+    let baseline = run::id_vertex_budgeted(g, ids, algo, &unlimited)?.value;
     let mut violations = 0;
     let mut min_agreement = 1.0f64;
     for _ in 0..trials {
         let relabelled = respace_ids(ids, rng);
-        let out = run::id_vertex(g, &relabelled, algo)?;
+        let out = run::id_vertex_budgeted(g, &relabelled, algo, &unlimited)?.value;
         let agree = run::agreement(&baseline, &out);
         if agree < 1.0 {
             violations += 1;

@@ -7,12 +7,13 @@
 //! `Ω = {0,1}^Δ` encoding where the solution is the set of selected
 //! edges).
 //!
-//! Every entry point returns a typed [`RunError`] instead of panicking on
-//! malformed input (short `ids`/`rank`, wrong-length edge outputs, absent
-//! letters). The `*_budgeted` variants additionally accept a
-//! [`RunBudget`] and return a [`Budgeted`] value whose `truncation` field
-//! records why a run stopped early; the plain variants are the unlimited
-//! special case.
+//! Each operation has one engine-backed entry point, `*_budgeted`, which
+//! takes a [`RunBudget`] ([`RunBudget::unlimited`] never truncates) and
+//! returns a [`Budgeted`] value whose `truncation` field records why a
+//! run stopped early. Its `*_naive` twin is the per-vertex reference
+//! implementation the differential tests compare against. Both return a
+//! typed [`RunError`] instead of panicking on malformed input (short
+//! `ids`/`rank`, wrong-length edge outputs, absent letters).
 
 use std::collections::BTreeSet;
 
@@ -58,23 +59,13 @@ fn validate_rank(g: &Graph, rank: &[usize]) -> Result<(), RunError> {
 /// Runs an ID vertex algorithm on `(g, ids)`; returns one bit per node.
 ///
 /// Engine-backed ([`crate::engine::IdEngine`]): neighbourhood extraction
-/// is `O(|ball|)` and each distinct neighbourhood is evaluated once. The
-/// reference path survives as [`id_vertex_naive`].
+/// is `O(|ball|)` and each distinct neighbourhood is evaluated once. On
+/// truncation the value is the per-vertex prefix computed before the
+/// budget tripped. The reference path survives as [`id_vertex_naive`].
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] when `ids` does not cover every node.
-pub fn id_vertex<A: IdVertexAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/id_vertex", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_vertex(algo)
-}
-
-/// Budget-aware [`id_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped.
 pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -86,7 +77,7 @@ pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
 }
 
 /// The reference (per-vertex, no sharing) implementation of
-/// [`id_vertex`]; kept as the differential-testing oracle.
+/// [`id_vertex_budgeted`]; kept as the differential-testing oracle.
 ///
 /// # Errors
 ///
@@ -103,24 +94,14 @@ pub fn id_vertex_naive<A: IdVertexAlgorithm>(
 /// Runs an OI vertex algorithm on `(g, rank)`; returns one bit per node.
 ///
 /// Engine-backed ([`crate::engine::OiEngine`]): each distinct ordered
-/// type is evaluated once and broadcast. The reference path survives as
-/// [`oi_vertex_naive`].
+/// type is evaluated once and broadcast. On truncation the value is the
+/// per-vertex prefix computed before the budget tripped. The reference
+/// path survives as [`oi_vertex_naive`].
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] when `rank` does not cover every
 /// node.
-pub fn oi_vertex<A: OiVertexAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/oi_vertex", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_vertex(algo)
-}
-
-/// Budget-aware [`oi_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped.
 pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
     g: &Graph,
     rank: &[usize],
@@ -132,7 +113,7 @@ pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
 }
 
 /// The reference (per-vertex, no sharing) implementation of
-/// [`oi_vertex`]; kept as the differential-testing oracle.
+/// [`oi_vertex_budgeted`]; kept as the differential-testing oracle.
 ///
 /// # Errors
 ///
@@ -153,21 +134,15 @@ pub fn oi_vertex_naive<A: OiVertexAlgorithm>(
 ///
 /// Engine-backed ([`crate::engine::ViewEngine`]): view classes are
 /// computed for all vertices at once by incremental class refinement and
-/// the algorithm is evaluated once per class. The reference path survives
-/// as [`po_vertex_naive`].
+/// the algorithm is evaluated once per class. On truncation the value is
+/// the per-vertex prefix computed before the budget tripped (empty when
+/// the view-cache cap stopped the class refinement itself). The
+/// reference path survives as [`po_vertex_naive`].
 ///
 /// # Errors
 ///
 /// Currently infallible (PO vertex runs carry no auxiliary input);
 /// `Result` for uniformity with the ID/OI entry points.
-pub fn po_vertex<A: PoVertexAlgorithm>(d: &LDigraph, algo: &A) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/po_vertex", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_vertex(algo)
-}
-
-/// Budget-aware [`po_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped (empty when the view-cache
-/// cap stopped the class refinement itself).
 pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -178,11 +153,12 @@ pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
 }
 
 /// The reference (per-vertex, no sharing) implementation of
-/// [`po_vertex`]; kept as the differential-testing oracle.
+/// [`po_vertex_budgeted`]; kept as the differential-testing oracle.
 ///
 /// # Errors
 ///
-/// Currently infallible; `Result` for uniformity with [`po_vertex`].
+/// Currently infallible; `Result` for uniformity with
+/// [`po_vertex_budgeted`].
 pub fn po_vertex_naive<A: PoVertexAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -208,7 +184,9 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
 /// Runs an ID edge algorithm; assembles the union edge set.
 ///
 /// The algorithm's output for node `v` must have length `deg(v)` and is
-/// indexed by `v`'s neighbours in increasing identifier order.
+/// indexed by `v`'s neighbours in increasing identifier order. On
+/// truncation the value holds the edges selected by the vertices
+/// processed before the budget tripped.
 ///
 /// Engine-backed; [`id_edge_naive`] is the reference path.
 ///
@@ -217,17 +195,6 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
 /// [`RunError::InputLengthMismatch`] for a short `ids`,
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
-pub fn id_edge<A: IdEdgeAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/id_edge", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_edge(algo)
-}
-
-/// Budget-aware [`id_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -238,12 +205,12 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     IdEngine::new(g, ids).run_edge_budgeted(algo, budget)
 }
 
-/// The reference implementation of [`id_edge`]; kept as the
+/// The reference implementation of [`id_edge_budgeted`]; kept as the
 /// differential-testing oracle.
 ///
 /// # Errors
 ///
-/// Same conditions as [`id_edge`].
+/// Same conditions as [`id_edge_budgeted`].
 pub fn id_edge_naive<A: IdEdgeAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -273,7 +240,9 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
 }
 
 /// Runs an OI edge algorithm; assembles the union edge set. Output bits are
-/// indexed by neighbours in increasing rank order.
+/// indexed by neighbours in increasing rank order. On truncation the
+/// value holds the edges selected by the vertices processed before the
+/// budget tripped.
 ///
 /// Engine-backed; [`oi_edge_naive`] is the reference path.
 ///
@@ -282,17 +251,6 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
 /// [`RunError::InputLengthMismatch`] for a short `rank`,
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
-pub fn oi_edge<A: OiEdgeAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/oi_edge", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_edge(algo)
-}
-
-/// Budget-aware [`oi_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     g: &Graph,
     rank: &[usize],
@@ -303,12 +261,12 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     OiEngine::new(g, rank).run_edge_budgeted(algo, budget)
 }
 
-/// The reference implementation of [`oi_edge`]; kept as the
+/// The reference implementation of [`oi_edge_budgeted`]; kept as the
 /// differential-testing oracle.
 ///
 /// # Errors
 ///
-/// Same conditions as [`oi_edge`].
+/// Same conditions as [`oi_edge_budgeted`].
 pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
     g: &Graph,
     rank: &[usize],
@@ -340,6 +298,8 @@ pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
 /// Runs a PO edge algorithm on an L-digraph; assembles the union edge set
 /// over the underlying simple graph. A positive letter `ℓ` selects the
 /// outgoing edge labelled `ℓ`; an inverse letter selects the incoming one.
+/// On truncation the value holds the edges selected by the vertices
+/// processed before the budget tripped.
 ///
 /// Engine-backed; [`po_edge_naive`] is the reference path.
 ///
@@ -347,13 +307,6 @@ pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
 ///
 /// [`RunError::AbsentLetter`] when the algorithm selects a letter the node
 /// does not have.
-pub fn po_edge<A: PoEdgeAlgorithm>(d: &LDigraph, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/po_edge", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_edge(algo)
-}
-
-/// Budget-aware [`po_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -363,12 +316,12 @@ pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
     ViewEngine::new(d).run_edge_budgeted(algo, budget)
 }
 
-/// The reference implementation of [`po_edge`]; kept as the
+/// The reference implementation of [`po_edge_budgeted`]; kept as the
 /// differential-testing oracle.
 ///
 /// # Errors
 ///
-/// Same conditions as [`po_edge`].
+/// Same conditions as [`po_edge_budgeted`].
 pub fn po_edge_naive<A: PoEdgeAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -417,6 +370,10 @@ mod tests {
     use locap_graph::canon::{IdNbhd, OrderedNbhd};
     use locap_graph::gen;
     use locap_lifts::ViewTree;
+
+    fn unlimited() -> RunBudget {
+        RunBudget::unlimited()
+    }
 
     #[test]
     fn to_vertex_set_edge_cases() {
@@ -492,7 +449,7 @@ mod tests {
     fn oi_local_min_is_independent_set() {
         let g = gen::cycle(9);
         let rank: Vec<usize> = (0..9).collect();
-        let bits = oi_vertex(&g, &rank, &LocalMin).unwrap();
+        let bits = oi_vertex_budgeted(&g, &rank, &LocalMin, &unlimited()).unwrap().value;
         let set = to_vertex_set(&bits);
         // local minima under identity order on a cycle: node 0 only? No:
         // v is a local min iff v < v-1 and v < v+1; for identity order on
@@ -512,7 +469,7 @@ mod tests {
     fn id_local_max_matches_oi_behaviour() {
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20, 50, 30, 40];
-        let bits = id_vertex(&g, &ids, &LocalMaxId).unwrap();
+        let bits = id_vertex_budgeted(&g, &ids, &LocalMaxId, &unlimited()).unwrap().value;
         let set = to_vertex_set(&bits);
         // local maxima of (10,60,20,50,30,40) on the cycle: 60 at node 1,
         // 50 at node 3, 40 at node 5.
@@ -524,7 +481,7 @@ mod tests {
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20]; // three short
         let want = RunError::InputLengthMismatch { what: "ids", expected: 6, actual: 3 };
-        assert_eq!(id_vertex(&g, &ids, &LocalMaxId).unwrap_err(), want);
+        assert_eq!(id_vertex_budgeted(&g, &ids, &LocalMaxId, &unlimited()).unwrap_err(), want);
         assert_eq!(id_vertex_naive(&g, &ids, &LocalMaxId).unwrap_err(), want);
     }
 
@@ -533,21 +490,21 @@ mod tests {
         let g = gen::cycle(9);
         let rank: Vec<usize> = (0..4).collect();
         let want = RunError::InputLengthMismatch { what: "rank", expected: 9, actual: 4 };
-        assert_eq!(oi_vertex(&g, &rank, &LocalMin).unwrap_err(), want);
+        assert_eq!(oi_vertex_budgeted(&g, &rank, &LocalMin, &unlimited()).unwrap_err(), want);
         assert_eq!(oi_vertex_naive(&g, &rank, &LocalMin).unwrap_err(), want);
     }
 
     #[test]
     fn po_out_zero_selects_every_edge_once() {
         let d = gen::directed_cycle(5);
-        let set = po_edge(&d, &OutZero).unwrap();
+        let set = po_edge_budgeted(&d, &OutZero, &unlimited()).unwrap().value;
         assert_eq!(set.len(), 5, "every node selects its outgoing edge");
     }
 
     #[test]
     fn po_edge_radius_zero_selects_nothing() {
         let d = gen::directed_cycle(5);
-        let set = po_edge(&d, &AllEdges).unwrap();
+        let set = po_edge_budgeted(&d, &AllEdges, &unlimited()).unwrap().value;
         assert!(set.is_empty());
     }
 
@@ -564,7 +521,10 @@ mod tests {
             }
         }
         let d = gen::directed_cycle(4);
-        assert!(matches!(po_edge(&d, &SelectMissing).unwrap_err(), RunError::AbsentLetter { .. }));
+        assert!(matches!(
+            po_edge_budgeted(&d, &SelectMissing, &unlimited()).unwrap_err(),
+            RunError::AbsentLetter { .. }
+        ));
         assert!(matches!(
             po_edge_naive(&d, &SelectMissing).unwrap_err(),
             RunError::AbsentLetter { .. }
@@ -586,7 +546,7 @@ mod tests {
         let g = gen::cycle(5); // every node has degree 2
         let rank: Vec<usize> = (0..5).collect();
         let want = RunError::OutputLengthMismatch { node: 0, expected: 2, actual: 1 };
-        assert_eq!(oi_edge(&g, &rank, &OneBit).unwrap_err(), want);
+        assert_eq!(oi_edge_budgeted(&g, &rank, &OneBit, &unlimited()).unwrap_err(), want);
         assert_eq!(oi_edge_naive(&g, &rank, &OneBit).unwrap_err(), want);
     }
 
@@ -625,7 +585,7 @@ mod tests {
         }
         let g = gen::path(3);
         let rank: Vec<usize> = (0..3).collect();
-        let set = oi_edge(&g, &rank, &SmallestEdge).unwrap();
+        let set = oi_edge_budgeted(&g, &rank, &SmallestEdge, &unlimited()).unwrap().value;
         // node 0 selects {0,1}; node 1 selects {0,1}; node 2 selects {1,2}
         assert_eq!(set.len(), 2);
         assert!(set.contains(&Edge::new(0, 1)));
@@ -642,7 +602,7 @@ mod tests {
         assert!(!b.is_complete());
         assert!(b.value.len() < 12, "prefix only");
         // the unlimited run still succeeds
-        let full = id_vertex(&g, &ids, &LocalMaxId).unwrap();
+        let full = id_vertex_budgeted(&g, &ids, &LocalMaxId, &unlimited()).unwrap().value;
         assert_eq!(full.len(), 12);
         assert_eq!(b.value[..], full[..b.value.len()], "prefix agrees with full run");
     }

@@ -109,53 +109,24 @@ pub struct SimResult<S> {
     pub truncation: Option<TruncationReason>,
 }
 
-/// Runs a [`SyncAlgorithm`] on `(g, ports)` for at most `max_rounds`
-/// rounds.
+/// Runs a [`SyncAlgorithm`] on `(g, ports)` under a [`RunBudget`].
 ///
-/// `ids` supplies identifiers (ID model) and `orientation` the edge
-/// directions (PO model); pass `None` for anonymous/undirected runs.
-///
-/// # Errors
-///
-/// Returns a [`RunError`] when the algorithm needs model data the run
-/// does not supply, when `ids` is shorter than the node count, or when
-/// `ports`/`orientation` are inconsistent with `g`.
-pub fn run_sync<A: SyncAlgorithm>(
-    g: &Graph,
-    ports: &PortNumbering,
-    ids: Option<&[u64]>,
-    orientation: Option<&Orientation>,
-    algo: &A,
-    max_rounds: usize,
-) -> Result<SimResult<A::State>, RunError> {
-    run_sync_with_inputs(g, ports, ids, orientation, None, algo, max_rounds)
-}
-
-/// Like [`run_sync`] but supplying a per-node local input word.
-pub fn run_sync_with_inputs<A: SyncAlgorithm>(
-    g: &Graph,
-    ports: &PortNumbering,
-    ids: Option<&[u64]>,
-    orientation: Option<&Orientation>,
-    inputs: Option<&[u64]>,
-    algo: &A,
-    max_rounds: usize,
-) -> Result<SimResult<A::State>, RunError> {
-    let budget = RunBudget::unlimited().with_max_rounds(max_rounds);
-    run_sync_budgeted(g, ports, ids, orientation, inputs, algo, &budget)
-}
-
-/// Runs a [`SyncAlgorithm`] under an explicit [`RunBudget`].
+/// `ids` supplies identifiers (ID model), `orientation` the edge
+/// directions (PO model) and `inputs` a per-node local input word; pass
+/// `None` for anonymous/undirected/input-free runs.
 ///
 /// The budget's round cap and deadline are checked before every round;
 /// on exhaustion the result carries the states after the last completed
 /// round and a [`TruncationReason`]. A budget without a round cap or
 /// deadline does not terminate a never-halting algorithm — supply at
-/// least one bound for untrusted algorithms.
+/// least one bound for untrusted algorithms (`RunBudget::unlimited()
+/// .with_max_rounds(n)` runs at most `n` rounds).
 ///
 /// # Errors
 ///
-/// See [`run_sync`].
+/// Returns a [`RunError`] when the algorithm needs model data the run
+/// does not supply, when `ids` or `inputs` do not cover every node, or
+/// when `ports`/`orientation` are inconsistent with `g`.
 pub fn run_sync_budgeted<A: SyncAlgorithm>(
     g: &Graph,
     ports: &PortNumbering,
@@ -357,14 +328,27 @@ mod tests {
     use locap_graph::canon::id_nbhd;
     use locap_graph::gen;
 
+    /// A budget capping the run at `n` rounds.
+    fn rounds(n: usize) -> RunBudget {
+        RunBudget::unlimited().with_max_rounds(n)
+    }
+
     #[test]
     fn gossip_collects_exactly_the_ball() {
         let g = gen::cycle(10);
         let ports = PortNumbering::sorted(&g);
         let ids: Vec<u64> = (0..10).map(|v| (v as u64) * 7 + 3).collect();
         for r in 0..4 {
-            let res = run_sync(&g, &ports, Some(&ids), None, &GossipIds { rounds: r }, 100)
-                .expect("well-formed run");
+            let res = run_sync_budgeted(
+                &g,
+                &ports,
+                Some(&ids),
+                None,
+                None,
+                &GossipIds { rounds: r },
+                &rounds(100),
+            )
+            .expect("well-formed run");
             assert!(res.all_halted);
             assert_eq!(res.truncation, None);
             assert_eq!(res.rounds, r + 1, "r rounds of flooding + 1 to drain");
@@ -382,7 +366,8 @@ mod tests {
     fn gossip_on_anonymous_run_is_a_typed_error() {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
-        let res = run_sync(&g, &ports, None, None, &GossipIds { rounds: 2 }, 10);
+        let res =
+            run_sync_budgeted(&g, &ports, None, None, None, &GossipIds { rounds: 2 }, &rounds(10));
         assert_eq!(res.unwrap_err(), RunError::MissingIds);
     }
 
@@ -391,7 +376,15 @@ mod tests {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
         let ids = vec![1u64, 2, 3]; // 3 < 6
-        let res = run_sync(&g, &ports, Some(&ids), None, &GossipIds { rounds: 1 }, 10);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            Some(&ids),
+            None,
+            None,
+            &GossipIds { rounds: 1 },
+            &rounds(10),
+        );
         assert_eq!(
             res.unwrap_err(),
             RunError::InputLengthMismatch { what: "ids", expected: 6, actual: 3 }
@@ -419,7 +412,8 @@ mod tests {
         // orientation built from a path on the same nodes: the closing
         // edge {0, 4} of the cycle is not oriented
         let orient = Orientation::from_smaller(&gen::path(5));
-        let res = run_sync(&g, &ports, None, Some(&orient), &NeedsOrientation, 5);
+        let res =
+            run_sync_budgeted(&g, &ports, None, Some(&orient), None, &NeedsOrientation, &rounds(5));
         assert!(matches!(res.unwrap_err(), RunError::UnorientedEdge { .. }));
     }
 
@@ -428,7 +422,15 @@ mod tests {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&gen::cycle(4)); // wrong node count
         let ids: Vec<u64> = (0..6).collect();
-        let res = run_sync(&g, &ports, Some(&ids), None, &GossipIds { rounds: 1 }, 10);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            Some(&ids),
+            None,
+            None,
+            &GossipIds { rounds: 1 },
+            &rounds(10),
+        );
         assert_eq!(
             res.unwrap_err(),
             RunError::InputLengthMismatch { what: "ports", expected: 6, actual: 4 }
@@ -455,7 +457,8 @@ mod tests {
         let g = gen::path(3);
         let ports = PortNumbering::sorted(&g);
         let orient = Orientation::from_smaller(&g);
-        let res = run_sync(&g, &ports, None, Some(&orient), &OutDeg, 10).expect("well-formed run");
+        let res = run_sync_budgeted(&g, &ports, None, Some(&orient), None, &OutDeg, &rounds(10))
+            .expect("well-formed run");
         assert_eq!(res.states, vec![1, 1, 0]); // 0->1, 1->2
         assert!(res.all_halted);
         assert_eq!(res.rounds, 0, "everyone halts immediately");
@@ -479,7 +482,8 @@ mod tests {
         }
         let g = gen::cycle(4);
         let ports = PortNumbering::sorted(&g);
-        let res = run_sync(&g, &ports, None, None, &Forever, 17).expect("well-formed run");
+        let res = run_sync_budgeted(&g, &ports, None, None, None, &Forever, &rounds(17))
+            .expect("well-formed run");
         assert_eq!(res.rounds, 17);
         assert!(!res.all_halted);
         assert_eq!(res.truncation, Some(TruncationReason::RoundLimit { limit: 17 }));
@@ -570,8 +574,9 @@ mod tests {
         let ports = PortNumbering::sorted(&g);
         let ids = vec![10u64, 20, 30];
         let inputs = vec![1u64, 3, 3];
-        let res = run_sync_with_inputs(&g, &ports, Some(&ids), None, Some(&inputs), &HaltAt, 10)
-            .expect("well-formed run");
+        let res =
+            run_sync_budgeted(&g, &ports, Some(&ids), None, Some(&inputs), &HaltAt, &rounds(10))
+                .expect("well-formed run");
         assert!(res.all_halted);
         assert_eq!(res.rounds, 3);
         // node 0 halted after round 0: node 1 hears 10 once (round 1),
@@ -629,7 +634,8 @@ mod tests {
         let g = gen::path(3); // 0-1-2
         let ports = PortNumbering::sorted(&g);
         let ids = vec![100, 200, 300];
-        let res = run_sync(&g, &ports, Some(&ids), None, &PortEcho, 10).expect("well-formed run");
+        let res = run_sync_budgeted(&g, &ports, Some(&ids), None, None, &PortEcho, &rounds(10))
+            .expect("well-formed run");
         // node 0 port 0 -> node 1; node 1 port 0 -> node 0; node 2 port 0 -> node 1
         // deliveries: node 1 gets 100 on its port to 0 (port 0) and 300 on
         // its port to 2 (port 1); node 0 gets 200 on port 0.
@@ -638,7 +644,7 @@ mod tests {
         assert!(res.states[2].got.is_empty());
 
         // the same ID-model algorithm on an anonymous run: typed error
-        let res = run_sync(&g, &ports, None, None, &PortEcho, 10);
+        let res = run_sync_budgeted(&g, &ports, None, None, None, &PortEcho, &rounds(10));
         assert_eq!(res.unwrap_err(), RunError::MissingIds);
     }
 }

@@ -8,7 +8,7 @@
 
 use locap_graph::{Edge, Graph, NodeId};
 
-use crate::{matching, touched, EdgeSet, Goal};
+use crate::{matching, touched, EdgeSet, Goal, MAX_EXACT_NODES};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Minimize;
@@ -41,9 +41,12 @@ pub fn greedy(g: &Graph) -> EdgeSet {
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than 128 nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
 pub fn solve_exact(g: &Graph) -> EdgeSet {
-    assert!(g.node_count() <= 128, "exact solver supports at most 128 nodes");
+    assert!(
+        g.node_count() <= MAX_EXACT_NODES,
+        "exact solver supports at most {MAX_EXACT_NODES} nodes"
+    );
     let edges = g.edge_vec();
     let delta = g.max_degree().max(1);
     let dominate_cap = (2 * delta - 1) as u32; // one edge dominates ≤ 2Δ−1 edges

@@ -12,8 +12,8 @@
 //!    verifier consumes only the ball of `v` and the solution bits stored
 //!    on it, never identifiers or orders),
 //! 3. **an exact solver** (branch and bound over `u128` vertex masks,
-//!    instances up to 128 nodes) providing ground-truth OPT for measured
-//!    approximation ratios, and
+//!    instances up to [`MAX_EXACT_NODES`] nodes) providing ground-truth
+//!    OPT for measured approximation ratios, and
 //! 4. **a greedy centralised baseline**.
 //!
 //! | problem | goal | kind | exact solver |
@@ -53,6 +53,11 @@ pub use ratio::{approx_ratio, Goal};
 use std::collections::BTreeSet;
 
 use locap_graph::{Edge, NodeId};
+
+/// The largest instance (node count) the exact solvers accept: they
+/// search over `u128` vertex masks. Callers taking sizes from outside
+/// (the `locap` CLI, `locapd`) reject larger sizes before solving.
+pub const MAX_EXACT_NODES: usize = 128;
 
 /// A vertex-subset solution.
 pub type VertexSet = BTreeSet<NodeId>;

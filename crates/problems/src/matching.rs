@@ -4,7 +4,7 @@
 
 use locap_graph::{Edge, Graph, NodeId};
 
-use crate::{EdgeSet, Goal};
+use crate::{EdgeSet, Goal, MAX_EXACT_NODES};
 
 /// Optimisation direction (maximum matching).
 pub const GOAL: Goal = Goal::Maximize;
@@ -55,9 +55,12 @@ pub fn greedy_maximal(g: &Graph) -> EdgeSet {
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than 128 nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
 pub fn solve_exact(g: &Graph) -> EdgeSet {
-    assert!(g.node_count() <= 128, "exact solver supports at most 128 nodes");
+    assert!(
+        g.node_count() <= MAX_EXACT_NODES,
+        "exact solver supports at most {MAX_EXACT_NODES} nodes"
+    );
     let edges = g.edge_vec();
     let mut best: Vec<Edge> = greedy_maximal(g).into_iter().collect();
     let mut current: Vec<Edge> = Vec::new();

@@ -7,7 +7,7 @@
 
 use locap_graph::{Graph, NodeId};
 
-use crate::{Goal, VertexSet};
+use crate::{Goal, VertexSet, MAX_EXACT_NODES};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Minimize;
@@ -61,9 +61,12 @@ pub fn greedy(g: &Graph) -> VertexSet {
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than 128 nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
 pub fn solve_exact(g: &Graph) -> VertexSet {
-    assert!(g.node_count() <= 128, "exact solver supports at most 128 nodes");
+    assert!(
+        g.node_count() <= MAX_EXACT_NODES,
+        "exact solver supports at most {MAX_EXACT_NODES} nodes"
+    );
     let edges = g.edge_vec();
     let mut best: Vec<NodeId> = greedy(g).into_iter().collect();
     let mut current: Vec<NodeId> = Vec::new();

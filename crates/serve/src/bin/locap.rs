@@ -29,7 +29,7 @@ use locap_core::request::{PipelineRequest, PIPELINES};
 use locap_graph::budget::{MonotonicClock, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
-use locap_serve::protocol::{core_error_kind, BudgetSpec};
+use locap_serve::protocol::{core_error_kind, BudgetSpec, ProtocolError};
 use locap_serve::provenance;
 
 fn main() {
@@ -109,7 +109,16 @@ fn parse_flags(args: &[String]) -> Result<(Json, BudgetSpec, Option<PathBuf>), S
 
 fn run_pipeline(name: &str, args: &[String]) -> Result<i32, String> {
     let (params, budget, out) = parse_flags(args)?;
-    let request = PipelineRequest::parse(name, &params).map_err(|e| e.to_string())?;
+    // a well-formed command line whose parameters the pipeline rejects is
+    // a typed failure (as `locapd` answers it), not a usage error
+    let request = match PipelineRequest::parse(name, &params) {
+        Ok(request) => request,
+        Err(e) => {
+            let e = ProtocolError::Request(e);
+            eprintln!("locap: {name} rejected [{}]: {e}", e.kind());
+            return Ok(1);
+        }
+    };
     let clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
     let mut exit = 0;
     locap_bench::run("locap", "LOCAP", name, || {

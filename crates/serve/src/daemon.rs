@@ -8,8 +8,8 @@
 //! reader thread; well-formed pipeline requests are `try_send`-ed onto a
 //! bounded job queue (a full queue answers `protocol/overloaded`
 //! immediately — backpressure is explicit, never silent). Workers pull
-//! jobs, realise the request's [`BudgetSpec`] against the shared
-//! monotonic clock, run the pipeline, and write the response to the
+//! jobs, realise the request's [`BudgetSpec`] against a clock started
+//! when the job starts, run the pipeline, and write the response to the
 //! originating connection.
 //!
 //! Failures never kill the daemon: every defective frame, rejected
@@ -620,9 +620,12 @@ fn process_job(job: Job, shared: &WorkerShared) {
         dur_ns(shared.clock.elapsed().saturating_sub(job.enqueued_at)),
     );
     let before = shared.config.artifact_dir.as_ref().map(|_| obs::snapshot());
+    // the deadline runs from job start; the shared clock only times the
+    // queue-wait and serialize phases
+    let job_clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
     let budget = job
         .budget
-        .realize(&shared.clock, shared.config.default_deadline, shared.config.max_deadline)
+        .realize(&job_clock, shared.config.default_deadline, shared.config.max_deadline)
         .with_cancel(job.cancel.clone())
         .with_cancel(shared.drain.clone());
     let (outcome, elapsed) = {

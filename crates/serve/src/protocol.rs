@@ -303,8 +303,9 @@ pub struct BudgetSpec {
 impl BudgetSpec {
     /// Materialises the spec as a [`RunBudget`]. `default_deadline`
     /// applies when the request named none; `max_deadline` clamps
-    /// whatever was requested. The deadline clock starts now — callers
-    /// realise the budget when execution starts, not at parse time.
+    /// whatever was requested. The deadline is measured from `clock`'s
+    /// epoch, so callers pass a clock started when execution starts —
+    /// not at parse time, and not a long-lived process clock.
     pub fn realize(
         &self,
         clock: &Arc<dyn MonotonicClock>,

@@ -137,6 +137,20 @@ fn pipeline_failures_exit_1_with_a_typed_kind_on_stderr() {
     );
 }
 
+#[test]
+fn oversized_solver_inputs_exit_1_with_bad_param() {
+    for args in [
+        &["eds-lower", "--delta_prime", "2", "--n", "132"][..],
+        &["oi-to-po", "--algo", "vc-non-min", "--cycle", "130"][..],
+        &["transfer", "--algo", "is-local-min", "--cycle", "130"][..],
+    ] {
+        let out = locap(args, false);
+        assert_eq!(out.status.code(), Some(1), "typed rejection exits 1 for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("request/bad_param"), "{args:?}: {stderr}");
+    }
+}
+
 /// `--out` writes the artifact and its provenance sidecar.
 #[test]
 fn out_flag_writes_artifact_and_sidecar() {

@@ -15,6 +15,8 @@
 mod common;
 
 use common::{err_kind, expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
+use std::time::Duration;
+
 use locap_obs::json::Json;
 use locap_serve::daemon::DaemonConfig;
 
@@ -82,6 +84,15 @@ fn malformed_requests_get_typed_errors_and_daemon_survives() {
             "request/bad_param",
         ),
         (r#"{"id":1,"pipeline":"eds-lower","params":{"n":99999999}}"#, "request/bad_param"),
+        (r#"{"id":1,"pipeline":"eds-lower","params":{"n":132}}"#, "request/bad_param"),
+        (
+            r#"{"id":1,"pipeline":"oi-to-po","params":{"algo":"vc-non-min","cycle":130}}"#,
+            "request/bad_param",
+        ),
+        (
+            r#"{"id":1,"pipeline":"transfer","params":{"algo":"is-local-min","cycle":130}}"#,
+            "request/bad_param",
+        ),
     ];
     let daemon = TestDaemon::start(DaemonConfig::default());
     let mut client = Client::connect(daemon.addr());
@@ -92,6 +103,37 @@ fn malformed_requests_get_typed_errors_and_daemon_survives() {
     // The same connection still serves a valid request.
     let resp = client.roundtrip(VALID_REQUESTS[6].1);
     expect_ok(&resp);
+    daemon.stop();
+}
+
+/// Sizes beyond the exact solvers' limit are typed parse errors, never a
+/// solver panic: a one-worker daemon answers each with
+/// `request/bad_param` and its worker still serves the next job.
+#[test]
+fn oversized_solver_inputs_are_typed_and_the_worker_survives() {
+    let daemon = TestDaemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let mut client = Client::connect(daemon.addr());
+    for frame in [
+        r#"{"id":"big","pipeline":"eds-lower","params":{"delta_prime":2,"n":132}}"#,
+        r#"{"id":"big","pipeline":"oi-to-po","params":{"algo":"vc-non-min","cycle":130}}"#,
+        r#"{"id":"big","pipeline":"transfer","params":{"algo":"is-local-min","cycle":130}}"#,
+    ] {
+        expect_err(&client.roundtrip(frame), "request/bad_param");
+        expect_ok(&client.roundtrip(VALID_REQUESTS[0].1));
+    }
+    daemon.stop();
+}
+
+/// A job's deadline runs from the job's start, not the daemon's: a
+/// daemon up longer than its default deadline still answers `ok`.
+#[test]
+fn default_deadline_runs_from_job_start() {
+    let deadline = Duration::from_millis(300);
+    let config = DaemonConfig { default_deadline: Some(deadline), ..DaemonConfig::default() };
+    let daemon = TestDaemon::start(config);
+    std::thread::sleep(2 * deadline);
+    let mut client = Client::connect(daemon.addr());
+    expect_ok(&client.roundtrip(VALID_REQUESTS[0].1));
     daemon.stop();
 }
 

@@ -7,7 +7,8 @@
 //! ```
 
 use locap_algos::double_cover::eds_double_cover;
-use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report};
+use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report_budgeted};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, PortNumbering};
 use locap_problems::{approx_ratio, edge_dominating_set, Goal};
 
@@ -19,7 +20,8 @@ fn main() {
                 println!("Δ'={dp}, n={n}: n is not a multiple of 4k−1 — skipped");
                 continue;
             };
-            let rep = lower_bound_report(&inst).expect("certification");
+            let rep =
+                lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).expect("certification");
             println!(
                 "Δ'={dp}, n={n} ({}-lift of the gadget): forced {} vs OPT {} => ratio {} (bound {})",
                 inst.lift_degree,

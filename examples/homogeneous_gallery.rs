@@ -8,14 +8,15 @@
 //! grid of parameters, prints their statistics, and exports the smallest
 //! one as DOT for inspection.
 
-use locap_core::homogeneous::{construct, construct_for_epsilon};
+use locap_core::homogeneous::{construct_budgeted, construct_for_epsilon};
+use locap_graph::budget::RunBudget;
 use locap_graph::digraph_to_dot;
 use locap_num::Ratio;
 
 fn main() {
     println!("k  r  m   level  nodes    girth>  fraction      inner bound");
     for (k, r, m) in [(1usize, 1usize, 6u64), (1, 1, 12), (2, 1, 8), (1, 2, 8), (2, 2, 12)] {
-        match construct(k, r, m) {
+        match construct_budgeted(k, r, m, &RunBudget::unlimited()) {
             Ok(h) => println!(
                 "{k}  {r}  {m:3} {:5} {:8}   {:4}   {:.4} ({})   {:.4} ({})",
                 h.level,
@@ -39,7 +40,7 @@ fn main() {
         h.fraction().to_f64()
     );
 
-    let small = construct(1, 1, 6).expect("small instance");
+    let small = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).expect("small instance");
     let dot = digraph_to_dot(&small.digraph, "homogeneous_h2_m6");
     println!(
         "\nDOT export of the smallest instance: {} lines (pipe to graphviz)",

@@ -11,8 +11,9 @@
 //! the lift — which forces A's approximation guarantee down onto the
 //! anonymous algorithm B.
 
-use locap_core::homogeneous::construct;
-use locap_core::transfer::transfer_vertex;
+use locap_core::homogeneous::construct_budgeted;
+use locap_core::transfer::transfer_vertex_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::OrderedNbhd;
 use locap_graph::gen;
 use locap_models::OiVertexAlgorithm;
@@ -34,14 +35,15 @@ fn main() {
     println!("base graph: directed cycle, 12 nodes");
 
     for m in [6u64, 12, 24] {
-        let h = construct(1, 1, m).expect("Thm 3.2 construction");
-        let (rep, lift) = transfer_vertex(
+        let h = construct_budgeted(1, 1, m, &RunBudget::unlimited()).expect("Thm 3.2 construction");
+        let (rep, lift) = transfer_vertex_budgeted(
             &g,
             &h,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .expect("transfer pipeline");
         println!(

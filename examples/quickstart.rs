@@ -9,14 +9,16 @@
 //! runs the matching upper-bound algorithm.
 
 use locap_algos::double_cover::eds_double_cover;
-use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report};
+use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report_budgeted};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, PortNumbering};
 use locap_problems::edge_dominating_set;
 
 fn main() {
     // ---- lower bound (Thm 1.6 machinery) -------------------------------
     let inst = eds_instance(2, 9).expect("directed 9-cycle instance");
-    let report = lower_bound_report(&inst).expect("instance certifies");
+    let report =
+        lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).expect("instance certifies");
 
     println!("G0: directed cycle on {} nodes (Δ' = {})", report.n, inst.delta_prime);
     println!("  exact minimum EDS:              {}", report.opt);

@@ -44,6 +44,10 @@ step "failure injection (release)" \
 # concurrent load test (lost/duplicated responses would be a
 # release-profile race, invisible to the debug pass above)
 step "serve conformance (release)" cargo test -q --release -p locap-serve
+# the benchmark client is its own cargo workspace and calls the core
+# entry points directly: compile and test it so an API change that
+# breaks the benchmark fails here, not in a later benchmark run
+step "loadbench tests" cargo test -q --manifest-path loadbench/Cargo.toml
 # workspace static analysis in ratchet mode: fails on any violation not
 # grandfathered (with a reason) by lint_baseline.json
 step "locap-lint" cargo run --release -q -p locap-lint -- check

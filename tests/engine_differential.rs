@@ -15,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use locap_core::eds_lower::eds_instance;
-use locap_core::homogeneous::construct;
+use locap_core::homogeneous::construct_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::{
     ordered_ltype_census, ordered_ltype_census_naive, ordered_type_census,
     ordered_type_census_naive, IdNbhd, OrderedNbhd,
@@ -122,9 +123,17 @@ fn assert_po_identical(d: &LDigraph, r_max: usize) {
             "labelled type census at radius {r}"
         );
         let a = ViewParity(r);
-        assert_eq!(run::po_vertex(d, &a), run::po_vertex_naive(d, &a), "po_vertex at {r}");
+        assert_eq!(
+            run::po_vertex_budgeted(d, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::po_vertex_naive(d, &a),
+            "po_vertex at {r}"
+        );
         let e = OddSubtrees(r);
-        assert_eq!(run::po_edge(d, &e), run::po_edge_naive(d, &e), "po_edge at {r}");
+        assert_eq!(
+            run::po_edge_budgeted(d, &e, &RunBudget::unlimited()).map(|b| b.value),
+            run::po_edge_naive(d, &e),
+            "po_edge at {r}"
+        );
     }
 }
 
@@ -137,13 +146,25 @@ fn assert_oi_id_identical(g: &Graph, rank: &[usize], ids: &[u64], r_max: usize) 
             "ordered type census at radius {r}"
         );
         let a = LocalMin(r);
-        assert_eq!(run::oi_vertex(g, rank, &a), run::oi_vertex_naive(g, rank, &a));
+        assert_eq!(
+            run::oi_vertex_budgeted(g, rank, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::oi_vertex_naive(g, rank, &a)
+        );
         let e = FirstEdge(r);
-        assert_eq!(run::oi_edge(g, rank, &e), run::oi_edge_naive(g, rank, &e));
+        assert_eq!(
+            run::oi_edge_budgeted(g, rank, &e, &RunBudget::unlimited()).map(|b| b.value),
+            run::oi_edge_naive(g, rank, &e)
+        );
         let a = LocalMaxId(r);
-        assert_eq!(run::id_vertex(g, ids, &a), run::id_vertex_naive(g, ids, &a));
+        assert_eq!(
+            run::id_vertex_budgeted(g, ids, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::id_vertex_naive(g, ids, &a)
+        );
         let e = ParityEdges(r);
-        assert_eq!(run::id_edge(g, ids, &e), run::id_edge_naive(g, ids, &e));
+        assert_eq!(
+            run::id_edge_budgeted(g, ids, &e, &RunBudget::unlimited()).map(|b| b.value),
+            run::id_edge_naive(g, ids, &e)
+        );
     }
 }
 
@@ -209,7 +230,8 @@ fn family_random_lifts() {
 #[test]
 fn family_homogeneous() {
     for (k, r, m) in [(1usize, 1usize, 6u64), (2, 1, 6)] {
-        let h = construct(k, r, m).expect("constructible parameters");
+        let h =
+            construct_budgeted(k, r, m, &RunBudget::unlimited()).expect("constructible parameters");
         assert_po_identical(&h.digraph, 2);
         let und = h.digraph.underlying_simple();
         let ids: Vec<u64> = h.rank.iter().map(|&p| p as u64).collect();
@@ -294,9 +316,15 @@ proptest! {
         let rank = random::random_rank(g.node_count(), &mut rng);
         let ids = random::random_ids(g.node_count(), 1 << 16, &mut rng);
         let a = LocalMin(1);
-        prop_assert_eq!(run::oi_vertex(&g, &rank, &a), run::oi_vertex_naive(&g, &rank, &a));
+        prop_assert_eq!(
+            run::oi_vertex_budgeted(&g, &rank, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::oi_vertex_naive(&g, &rank, &a)
+        );
         let a = LocalMaxId(1);
-        prop_assert_eq!(run::id_vertex(&g, &ids, &a), run::id_vertex_naive(&g, &ids, &a));
+        prop_assert_eq!(
+            run::id_vertex_budgeted(&g, &ids, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::id_vertex_naive(&g, &ids, &a)
+        );
     }
 
     /// Arbitrary random lifts: cached views and censuses match.
@@ -310,8 +338,14 @@ proptest! {
             }
         }
         let a = ViewParity(2);
-        prop_assert_eq!(run::po_vertex(&d, &a), run::po_vertex_naive(&d, &a));
+        prop_assert_eq!(
+            run::po_vertex_budgeted(&d, &a, &RunBudget::unlimited()).map(|b| b.value),
+            run::po_vertex_naive(&d, &a)
+        );
         let e = OddSubtrees(2);
-        prop_assert_eq!(run::po_edge(&d, &e), run::po_edge_naive(&d, &e));
+        prop_assert_eq!(
+            run::po_edge_budgeted(&d, &e, &RunBudget::unlimited()).map(|b| b.value),
+            run::po_edge_naive(&d, &e)
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! Layout:
 //! * `engine_faults` — each malformed-input class through each of the six
 //!   `run::*` entry points;
-//! * `simulator_faults` — the same classes through `run_sync`;
+//! * `simulator_faults` — the same classes through `run_sync_budgeted`;
 //! * `budget_truncation` — round caps, manual-clock deadlines, and cache
 //!   caps across engines, simulator, and every pipeline;
 //! * `obs_visibility` — the `errors/run/*` and `budget/truncated/*`
@@ -17,8 +17,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use locap_core::eds_lower::{eds_instance, lower_bound_report, EdsInstance};
-use locap_core::homogeneous::construct;
+use locap_core::eds_lower::{eds_instance, lower_bound_report_budgeted, EdsInstance};
+use locap_core::homogeneous::construct_budgeted;
 use locap_core::CoreError;
 use locap_graph::budget::{ManualClock, RunBudget, TruncationReason};
 use locap_graph::canon::{IdNbhd, OrderedNbhd};
@@ -114,14 +114,18 @@ mod engine_faults {
     fn short_ids_rejected_by_both_id_engines() {
         let g = gen::cycle(8);
         let ids: Vec<u64> = (0..5).collect();
-        for res in [run::id_vertex(&g, &ids, &IdMax), run::id_vertex_naive(&g, &ids, &IdMax)] {
+        for res in [
+            run::id_vertex_budgeted(&g, &ids, &IdMax, &RunBudget::unlimited()).map(|b| b.value),
+            run::id_vertex_naive(&g, &ids, &IdMax),
+        ] {
             assert!(matches!(
                 res,
                 Err(RunError::InputLengthMismatch { what: "ids", expected: 8, actual: 5 })
             ));
         }
         assert!(matches!(
-            run::id_edge(&g, &ids, &IdEdgeTooWide),
+            run::id_edge_budgeted(&g, &ids, &IdEdgeTooWide, &RunBudget::unlimited())
+                .map(|b| b.value),
             Err(RunError::InputLengthMismatch { what: "ids", .. })
         ));
     }
@@ -130,14 +134,18 @@ mod engine_faults {
     fn short_rank_rejected_by_both_oi_engines() {
         let g = gen::cycle(8);
         let rank: Vec<usize> = (0..3).collect();
-        for res in [run::oi_vertex(&g, &rank, &OiMin), run::oi_vertex_naive(&g, &rank, &OiMin)] {
+        for res in [
+            run::oi_vertex_budgeted(&g, &rank, &OiMin, &RunBudget::unlimited()).map(|b| b.value),
+            run::oi_vertex_naive(&g, &rank, &OiMin),
+        ] {
             assert!(matches!(
                 res,
                 Err(RunError::InputLengthMismatch { what: "rank", expected: 8, actual: 3 })
             ));
         }
         assert!(matches!(
-            run::oi_edge(&g, &rank, &OiEdgeOneBit),
+            run::oi_edge_budgeted(&g, &rank, &OiEdgeOneBit, &RunBudget::unlimited())
+                .map(|b| b.value),
             Err(RunError::InputLengthMismatch { what: "rank", .. })
         ));
     }
@@ -148,11 +156,13 @@ mod engine_faults {
         let ids: Vec<u64> = (0..6).collect();
         let rank: Vec<usize> = (0..6).collect();
         assert!(matches!(
-            run::id_edge(&g, &ids, &IdEdgeTooWide),
+            run::id_edge_budgeted(&g, &ids, &IdEdgeTooWide, &RunBudget::unlimited())
+                .map(|b| b.value),
             Err(RunError::OutputLengthMismatch { expected: 2, .. })
         ));
         assert!(matches!(
-            run::oi_edge(&g, &rank, &OiEdgeOneBit),
+            run::oi_edge_budgeted(&g, &rank, &OiEdgeOneBit, &RunBudget::unlimited())
+                .map(|b| b.value),
             Err(RunError::OutputLengthMismatch { expected: 2, actual: 1, .. })
         ));
     }
@@ -160,7 +170,10 @@ mod engine_faults {
     #[test]
     fn po_edge_absent_letter_is_typed() {
         let d = gen::directed_cycle(6);
-        for res in [run::po_edge(&d, &PoAbsentLetter), run::po_edge_naive(&d, &PoAbsentLetter)] {
+        for res in [
+            run::po_edge_budgeted(&d, &PoAbsentLetter, &RunBudget::unlimited()).map(|b| b.value),
+            run::po_edge_naive(&d, &PoAbsentLetter),
+        ] {
             assert!(matches!(res, Err(RunError::AbsentLetter { .. })));
         }
     }
@@ -171,9 +184,27 @@ mod engine_faults {
         let ids: Vec<u64> = (10..18).collect();
         let rank: Vec<usize> = (0..8).collect();
         let d = gen::directed_cycle(8);
-        assert_eq!(run::id_vertex(&g, &ids, &IdMax).unwrap().len(), 8);
-        assert_eq!(run::oi_vertex(&g, &rank, &OiMin).unwrap().len(), 8);
-        assert_eq!(run::po_vertex(&d, &PoParity).unwrap().len(), 8);
+        assert_eq!(
+            run::id_vertex_budgeted(&g, &ids, &IdMax, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
+        assert_eq!(
+            run::oi_vertex_budgeted(&g, &rank, &OiMin, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
+        assert_eq!(
+            run::po_vertex_budgeted(&d, &PoParity, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
     }
 }
 
@@ -181,13 +212,21 @@ mod simulator_faults {
     use super::*;
     use locap_algos::cole_vishkin::{cycle_mis, cycle_orientation, ColorReduce};
     use locap_graph::PortNumbering;
-    use locap_models::sim::{run_sync, run_sync_budgeted, GossipIds};
+    use locap_models::sim::{run_sync_budgeted, GossipIds};
 
     #[test]
     fn anonymous_run_of_id_algorithm_is_missing_ids() {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
-        let res = run_sync(&g, &ports, None, None, &GossipIds { rounds: 1 }, 4);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            None,
+            None,
+            None,
+            &GossipIds { rounds: 1 },
+            &RunBudget::unlimited().with_max_rounds(4),
+        );
         assert!(matches!(res, Err(RunError::MissingIds)));
     }
 
@@ -196,7 +235,15 @@ mod simulator_faults {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
         let ids: Vec<u64> = (0..4).collect();
-        let res = run_sync(&g, &ports, Some(&ids), None, &GossipIds { rounds: 1 }, 4);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            Some(&ids),
+            None,
+            None,
+            &GossipIds { rounds: 1 },
+            &RunBudget::unlimited().with_max_rounds(4),
+        );
         assert!(matches!(res, Err(RunError::InputLengthMismatch { what: "ids", .. })));
     }
 
@@ -205,7 +252,15 @@ mod simulator_faults {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&gen::cycle(9));
         let ids: Vec<u64> = (0..6).collect();
-        let res = run_sync(&g, &ports, Some(&ids), None, &GossipIds { rounds: 1 }, 4);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            Some(&ids),
+            None,
+            None,
+            &GossipIds { rounds: 1 },
+            &RunBudget::unlimited().with_max_rounds(4),
+        );
         assert!(matches!(res, Err(RunError::InputLengthMismatch { what: "ports", .. })));
     }
 
@@ -214,7 +269,15 @@ mod simulator_faults {
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
         let ids: Vec<u64> = (0..6).collect();
-        let res = run_sync(&g, &ports, Some(&ids), None, &ColorReduce { rounds: 1 }, 4);
+        let res = run_sync_budgeted(
+            &g,
+            &ports,
+            Some(&ids),
+            None,
+            None,
+            &ColorReduce { rounds: 1 },
+            &RunBudget::unlimited().with_max_rounds(4),
+        );
         assert!(matches!(res, Err(RunError::MissingOrientation)));
     }
 
@@ -313,7 +376,9 @@ mod budget_truncation {
         let ids: Vec<u64> = (0..12).collect();
         let budget = RunBudget::unlimited().with_cache_cap(2);
         let partial = run::id_vertex_budgeted(&g, &ids, &IdMax, &budget).unwrap();
-        let full = run::id_vertex(&g, &ids, &IdMax).unwrap();
+        let full = run::id_vertex_budgeted(&g, &ids, &IdMax, &RunBudget::unlimited())
+            .unwrap()
+            .value;
         assert!(
             partial.value.iter().zip(&full).all(|(a, b)| a == b),
             "a truncated run must be a prefix of the full answer, never a wrong answer"
@@ -322,19 +387,6 @@ mod budget_truncation {
 
     #[test]
     fn transfer_pipelines_truncate_with_stage() {
-        let g = gen::directed_cycle(6);
-        let h = construct(1, 1, 6).unwrap();
-        let res = transfer_vertex_budgeted(
-            &g,
-            &h,
-            OiMin,
-            Goal::Minimize,
-            vertex_cover::feasible,
-            vertex_cover::opt_value,
-            &expired_deadline(),
-        );
-        assert!(matches!(res, Err(CoreError::Truncated { stage: "A on lift", .. })));
-
         #[derive(Clone)]
         struct AllEdges;
         impl OiEdgeAlgorithm for AllEdges {
@@ -345,16 +397,41 @@ mod budget_truncation {
                 vec![true; t.edges.iter().filter(|&&(a, b)| a == t.root || b == t.root).count()]
             }
         }
-        let res = transfer_edge_budgeted(
-            &g,
-            &h,
-            AllEdges,
-            Goal::Minimize,
-            edge_dominating_set::feasible,
-            edge_dominating_set::opt_value,
-            &expired_deadline(),
-        );
-        assert!(matches!(res, Err(CoreError::Truncated { stage: "A on lift", .. })));
+        let g = gen::directed_cycle(6);
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        // the deadline reaches the lift's verification, the first stage;
+        // the cache cap, which the lift does not check, stops A's run
+        for (budget, stage) in [
+            (expired_deadline(), "lift girth check"),
+            (RunBudget::unlimited().with_cache_cap(1), "A on lift"),
+        ] {
+            let res = transfer_vertex_budgeted(
+                &g,
+                &h,
+                OiMin,
+                Goal::Minimize,
+                vertex_cover::feasible,
+                vertex_cover::opt_value,
+                &budget,
+            );
+            assert!(
+                matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
+                "vertex transfer: expected {stage}"
+            );
+            let res = transfer_edge_budgeted(
+                &g,
+                &h,
+                AllEdges,
+                Goal::Minimize,
+                edge_dominating_set::feasible,
+                edge_dominating_set::opt_value,
+                &budget,
+            );
+            assert!(
+                matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
+                "edge transfer: expected {stage}"
+            );
+        }
     }
 
     #[test]
@@ -378,7 +455,7 @@ mod budget_truncation {
     #[test]
     fn homogeneous_lift_truncates_on_deadline() {
         let g = gen::directed_cycle(3);
-        let h = construct(1, 1, 6).unwrap();
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
         let res = homogeneous_lift_budgeted(&g, &h, &expired_deadline());
         assert!(matches!(res, Err(CoreError::Truncated { .. })));
     }
@@ -510,8 +587,10 @@ mod obs_visibility {
         let g = gen::cycle(8);
         let short: Vec<u64> = (0..3).collect();
         let before = locap_obs::counter("errors/run/input_length").get();
-        let _ = run::id_vertex(&g, &short, &IdMax);
-        let _ = run::id_vertex(&g, &short, &IdMax);
+        let _ =
+            run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited()).map(|b| b.value);
+        let _ =
+            run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited()).map(|b| b.value);
         assert_eq!(
             locap_obs::counter("errors/run/input_length").get(),
             before + 2,
@@ -577,7 +656,7 @@ fn tampered_solutions_rejected_by_anonymous_verifiers() {
 
 #[test]
 fn doctored_homogeneous_graphs_fail_verification() {
-    let h = construct(1, 1, 6).unwrap();
+    let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
     h.verify().unwrap();
 
     // inflate the claimed census
@@ -607,7 +686,7 @@ fn doctored_homogeneous_graphs_fail_verification() {
 #[test]
 fn eds_instance_with_broken_labelling_rejected() {
     let inst = eds_instance(2, 9).unwrap();
-    lower_bound_report(&inst).unwrap();
+    lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
 
     // delete one labelled edge: label-completeness fails
     let mut bad = EdsInstance {
@@ -617,7 +696,10 @@ fn eds_instance_with_broken_labelling_rejected() {
     };
     let e = bad.digraph.edges().next().unwrap();
     assert!(bad.digraph.remove_edge(e.from, e.to, e.label));
-    assert!(matches!(lower_bound_report(&bad), Err(CoreError::VerificationFailed { .. })));
+    assert!(matches!(
+        lower_bound_report_budgeted(&bad, &RunBudget::unlimited()),
+        Err(CoreError::VerificationFailed { .. })
+    ));
 }
 
 #[test]

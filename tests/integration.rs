@@ -3,8 +3,9 @@
 
 use locap_algos::double_cover::{double_cover_matching, eds_double_cover};
 use locap_algos::edge_packing::vc_edge_packing;
-use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report};
-use locap_core::homogeneous::construct;
+use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report_budgeted};
+use locap_core::homogeneous::construct_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, PoGraph, PortNumbering};
 use locap_lifts::{connect_copies, random_lift, view, view_census};
 use locap_models::{run, PoVertexAlgorithm};
@@ -29,8 +30,12 @@ fn po_outputs_invariant_under_lifts() {
     let base = PoGraph::canonical(&gen::petersen()).digraph().clone();
     for l in [2usize, 3] {
         let (lift, phi) = random_lift(&base, l, &mut rng);
-        let base_out = run::po_vertex(&base, &ViewParity).unwrap();
-        let lift_out = run::po_vertex(&lift, &ViewParity).unwrap();
+        let base_out = run::po_vertex_budgeted(&base, &ViewParity, &RunBudget::unlimited())
+            .unwrap()
+            .value;
+        let lift_out = run::po_vertex_budgeted(&lift, &ViewParity, &RunBudget::unlimited())
+            .unwrap()
+            .value;
         for v in 0..lift.node_count() {
             assert_eq!(lift_out[v], base_out[phi.image(v)], "fibre-invariance at {v}");
         }
@@ -61,7 +66,7 @@ fn eds_algorithm_consistent_on_connected_lifts() {
 #[test]
 fn eds_bounds_meet_on_g0() {
     let inst = eds_instance(2, 12).unwrap();
-    let report = lower_bound_report(&inst).unwrap();
+    let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
     assert_eq!(report.ratio, eds_bound(2));
 
     let und = inst.digraph.underlying().unwrap();
@@ -74,7 +79,7 @@ fn eds_bounds_meet_on_g0() {
 /// matching-based algorithms: run VC/EDS on H itself.
 #[test]
 fn algorithms_run_on_homogeneous_graphs() {
-    let h = construct(1, 1, 6).unwrap();
+    let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
     let und = h.digraph.underlying().unwrap();
     let vc = vc_edge_packing(&und).unwrap();
     assert!(vertex_cover::feasible(&und, &vc));

@@ -1,10 +1,11 @@
 //! End-to-end tests of the main theorem pipeline: ID → OI (Ramsey) →
 //! PO (homogeneous lifts + simulation) → lower bounds.
 
-use locap_core::homogeneous::construct;
+use locap_core::homogeneous::construct_budgeted;
 use locap_core::oi_to_po::PoFromOi;
-use locap_core::ramsey::{ramsey_cycle_transfer, verify_monochromatic, OiFromId};
-use locap_core::transfer::transfer_vertex;
+use locap_core::ramsey::{ramsey_cycle_transfer_budgeted, verify_monochromatic, OiFromId};
+use locap_core::transfer::transfer_vertex_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::{IdNbhd, OrderedNbhd};
 use locap_graph::gen;
 use locap_models::{run, IdVertexAlgorithm, OiVertexAlgorithm};
@@ -38,14 +39,15 @@ impl OiVertexAlgorithm for LocalMinIs {
 fn fact_4_2_agreement_bounds() {
     let g = gen::directed_cycle(15);
     for m in [6u64, 10, 16] {
-        let h = construct(1, 1, m).unwrap();
-        let (rep, _) = transfer_vertex(
+        let h = construct_budgeted(1, 1, m, &RunBudget::unlimited()).unwrap();
+        let (rep, _) = transfer_vertex_budgeted(
             &g,
             &h,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
         assert!(
@@ -63,11 +65,11 @@ fn fact_4_2_agreement_bounds() {
 /// proves PO cannot approximate maximum IS (paper §1.4).
 #[test]
 fn is_simulation_forced_empty_on_cycles() {
-    let h = construct(1, 1, 8).unwrap();
+    let h = construct_budgeted(1, 1, 8, &RunBudget::unlimited()).unwrap();
     let b = PoFromOi::from_homogeneous(LocalMinIs, &h).unwrap();
     for n in [5usize, 9, 14] {
         let g = gen::directed_cycle(n);
-        let out = run::po_vertex(&g, &b).unwrap();
+        let out = run::po_vertex_budgeted(&g, &b, &RunBudget::unlimited()).unwrap().value;
         assert!(out.iter().all(|&x| !x), "n={n}: B must be constant-empty");
     }
 }
@@ -89,15 +91,17 @@ fn id_to_oi_to_po_composition() {
     }
 
     let universe: Vec<u64> = (1..=60).collect();
-    let (oi, j, bit) = ramsey_cycle_transfer(SumParity, &universe, 1, 8)
-        .expect("monochromatic J exists in a 60-element universe");
+    let (oi, j, bit) =
+        ramsey_cycle_transfer_budgeted(SumParity, &universe, 1, 8, &RunBudget::unlimited())
+            .unwrap()
+            .expect("monochromatic J exists in a 60-element universe");
     assert!(verify_monochromatic(&SumParity, &j, 1, bit));
 
     // compose with OI→PO
-    let h = construct(1, 1, 6).unwrap();
+    let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
     let b = PoFromOi::from_homogeneous(oi, &h).unwrap();
     let g = gen::directed_cycle(10);
-    let out = run::po_vertex(&g, &b).unwrap();
+    let out = run::po_vertex_budgeted(&g, &b, &RunBudget::unlimited()).unwrap().value;
     // constant on the symmetric cycle, and equal to the forced bit
     assert!(out.iter().all(|&x| x == out[0]));
     assert_eq!(out[0], bit, "B's constant equals the Ramsey-forced colour");
@@ -132,19 +136,23 @@ fn oi_from_id_faithful() {
 #[test]
 fn approximation_preserved_through_simulation() {
     let g = gen::directed_cycle(12);
-    let h = construct(1, 1, 16).unwrap();
-    let (rep, lift) = transfer_vertex(
+    let h = construct_budgeted(1, 1, 16, &RunBudget::unlimited()).unwrap();
+    let (rep, lift) = transfer_vertex_budgeted(
         &g,
         &h,
         NonMinCover,
         Goal::Minimize,
         vertex_cover::feasible,
         vertex_cover::opt_value,
+        &RunBudget::unlimited(),
     )
     .unwrap();
     // A's cover on the lift
     let lift_und = lift.lift.underlying_simple();
-    let a_out = run::oi_vertex(&lift_und, &lift.rank, &NonMinCover).unwrap();
+    let a_out =
+        run::oi_vertex_budgeted(&lift_und, &lift.rank, &NonMinCover, &RunBudget::unlimited())
+            .unwrap()
+            .value;
     let a_size = a_out.iter().filter(|&&x| x).count();
     let a_feasible = vertex_cover::feasible(&lift_und, &run::to_vertex_set(&a_out));
     assert!(a_feasible, "A is a vertex cover on the lift");

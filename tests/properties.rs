@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use locap_algos::double_cover::eds_double_cover;
 use locap_algos::edge_packing::{is_maximal_packing, maximal_edge_packing};
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, Graph, PoGraph, PortNumbering};
 use locap_lifts::{bipartite_double_cover, random_lift, view};
 use locap_problems::{edge_dominating_set, matching, vertex_cover};
@@ -143,7 +144,7 @@ fn degenerate_instances() {
 
 /// A faulty-input model for the fallible execution core: whatever
 /// combination of missing/truncated ids, inputs, and orientation a
-/// caller supplies, `run_sync` must return `Ok` or a typed `RunError` —
+/// caller supplies, `run_sync_budgeted` must return `Ok` or a typed `RunError` —
 /// never panic — and the id/oi engines must do the same for short
 /// slices.
 #[derive(Debug, Clone)]
@@ -169,11 +170,11 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `run_sync` on random bounded-degree graphs under every fault plan:
+    /// `run_sync_budgeted` on random bounded-degree graphs under every fault plan:
     /// no panic, and short slices always surface as typed errors.
     #[test]
     fn prop_run_sync_never_panics(g in arb_graph(), plan in arb_fault_plan()) {
-        use locap_models::sim::{run_sync_with_inputs, GossipIds};
+        use locap_models::sim::{run_sync_budgeted, GossipIds};
         use locap_models::RunError;
 
         let mut rng = StdRng::seed_from_u64(plan.seed);
@@ -194,14 +195,14 @@ proptest! {
             1 => Some(vec![1; n]),
             _ => Some(vec![1; n.saturating_sub(1)]),
         };
-        let res = run_sync_with_inputs(
+        let res = run_sync_budgeted(
             &g,
             &ports,
             ids.as_deref(),
             orientation.as_ref(),
             inputs.as_deref(),
             &GossipIds { rounds: 2 },
-            4,
+            &RunBudget::unlimited().with_max_rounds(4),
         );
         match (&res, plan.ids) {
             (Err(RunError::MissingIds), 1) => {}
@@ -237,8 +238,8 @@ proptest! {
         let rank = random::random_rank(n, &mut rng);
         let keep = n.saturating_sub(cut);
 
-        let id_res = run::id_vertex(&g, &ids[..keep], &Max);
-        let oi_res = run::oi_vertex(&g, &rank[..keep], &Min);
+        let id_res = run::id_vertex_budgeted(&g, &ids[..keep], &Max, &RunBudget::unlimited()).map(|b| b.value);
+        let oi_res = run::oi_vertex_budgeted(&g, &rank[..keep], &Min, &RunBudget::unlimited()).map(|b| b.value);
         if cut == 0 {
             prop_assert_eq!(id_res.unwrap().len(), n);
             prop_assert_eq!(oi_res.unwrap().len(), n);
