@@ -25,7 +25,6 @@
 //!   orientation (odd-degree graphs) and the dominating-set upper bounds
 //!   built on it (see DESIGN.md, substitution #4).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bipartite;

@@ -33,8 +33,6 @@
 //! `BENCH_GATE_BASELINE` mirror the flags; `CRITERION_SHIM_SAMPLES=n`
 //! propagates to the shim for reduced-sample smoke runs.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::process::Command;
 

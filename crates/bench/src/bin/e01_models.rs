@@ -5,8 +5,6 @@
 //! the ID neighbourhood (identifier values), the OI neighbourhood
 //! (canonical order type), and the PO view (walk tree).
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprint, hprintln, Table};
 use locap_graph::canon::{id_nbhd, ordered_nbhd};
 use locap_graph::{gen, PoGraph};

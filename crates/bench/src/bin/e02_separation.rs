@@ -11,8 +11,6 @@
 //!   PO algorithm outputs a constant — all-ones is not independent,
 //!   all-zeros is not maximal. MIS is unsolvable outright.
 
-#![forbid(unsafe_code)]
-
 use locap_algos::cole_vishkin::{cycle_mis_n, rounds_to_six_colors};
 use locap_bench::{cells, hprintln, Table};
 use locap_graph::canon::ordered_type_census;

@@ -4,8 +4,6 @@
 //! the covering map, prints the fibres, and stress-checks random l-lifts:
 //! degree preservation, fibre uniformity and view invariance.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_graph::{gen, PoGraph};
 use locap_lifts::{connect_copies, random_lift, trivial_lift, view};

@@ -6,8 +6,6 @@
 //! then verifies that ϕ : V(T) → V(G) is a covering map property on the
 //! truncated tree: every walk's endpoint degree pattern matches.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprint, hprintln, Table};
 use locap_graph::{Graph, PoGraph};
 use locap_lifts::{t_star_size, view, ViewCache};

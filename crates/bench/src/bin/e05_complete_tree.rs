@@ -5,8 +5,6 @@
 //! structure (root degree 2|L|, inner degree 2|L|−1 children), and shows
 //! Fig. 5's instance |L| = 2, r = 2 explicitly.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprint, hprintln, timed, Table};
 use locap_core::eds_lower::eds_instance;
 use locap_lifts::{

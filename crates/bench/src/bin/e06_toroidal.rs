@@ -7,8 +7,6 @@
 //!     states it is (4/9, 1)- and (1/9, 2)-homogeneous. We reproduce the
 //!     exact fractions by a full ordered-type census.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_graph::canon::ordered_ltype_census;
 use locap_graph::product::toroidal;

@@ -6,8 +6,6 @@
 //! ((m−2r)/m)^d, and that τ* is independent of m (the "independent of ε"
 //! clause of the theorem).
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, timed, Table};
 use locap_core::homogeneous::{construct_budgeted, construct_for_epsilon};
 use locap_graph::budget::RunBudget;

@@ -5,8 +5,6 @@
 //! verified properties: covering map, girth, good-vertex fraction, and
 //! view invariance under the lift.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_core::eds_lower;
 use locap_core::hom_lift::homogeneous_lift_budgeted;

@@ -5,8 +5,6 @@
 //! Fact 4.2's agreement fraction on homogeneous lifts, plus B's
 //! feasibility and approximation ratio on the base graph.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_core::homogeneous::construct_budgeted;
 use locap_core::transfer::transfer_vertex_budgeted;

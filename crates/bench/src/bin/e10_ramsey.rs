@@ -5,8 +5,6 @@
 //! monochromatic set J, derives the OI algorithm B, and verifies that the
 //! ID algorithm agrees with B on every identifier window drawn from J.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_core::ramsey::{ramsey_cycle_transfer_budgeted, verify_monochromatic};
 use locap_graph::budget::RunBudget;

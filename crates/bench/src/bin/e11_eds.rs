@@ -12,8 +12,6 @@
 //! against exact OPT over a graph suite: the ratio never exceeds
 //! 4 − 2/Δ′.
 
-#![forbid(unsafe_code)]
-
 use locap_algos::double_cover::eds_double_cover;
 use locap_bench::{cells, hprintln, Table};
 use locap_core::eds_lower::{

@@ -7,8 +7,6 @@
 //! PO algorithm constant per letter, and the best constant solution is
 //! enumerated exactly.
 
-#![forbid(unsafe_code)]
-
 use locap_algos::dominating::ds_all_nodes;
 use locap_algos::double_cover::eds_double_cover;
 use locap_algos::edge_cover_local::edge_cover_first_port;

@@ -6,8 +6,6 @@
 //! fraction boundary. We tabulate exact ball sizes of U₂/U₃ against the
 //! free-group tree and the box cap (2r+1)^d of Eq. (2).
 
-#![forbid(unsafe_code)]
-
 use locap_bench::{cells, hprintln, Table};
 use locap_groups::growth::{ball_sizes, box_cap, free_ball_size, growth_exponents};
 use locap_groups::IterGroup;

@@ -7,8 +7,6 @@
 //! odd-degree nodes cannot all agree), and the orientation-majority weak
 //! colouring yields a non-trivial dominating set.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeSet;
 
 use locap_algos::weak_coloring::{is_weak_coloring, weak_two_coloring};

@@ -16,8 +16,6 @@
 //! `--expect-ok` turns a dirty run (any error or unanswered request)
 //! into exit code 1, for use as a smoke gate.
 
-#![forbid(unsafe_code)]
-
 use std::time::Duration;
 
 use locap_bench::soak::{run_soak, SoakConfig, SoakReport};

@@ -8,8 +8,6 @@
 //! Exits non-zero if a file is unreadable or not valid Chrome trace JSON,
 //! so it doubles as a trace validity check in CI.
 
-#![forbid(unsafe_code)]
-
 use locap_bench::trace_report::{aggregate, load, render_diff, render_report};
 
 fn main() {

@@ -14,7 +14,6 @@
 //! baseline, reruns the corresponding criterion-shim benches, and fails on
 //! median regressions beyond a configurable tolerance.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;

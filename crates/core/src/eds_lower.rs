@@ -79,6 +79,10 @@ pub fn perfect_eds_size(n: usize, delta_prime: usize) -> Option<usize> {
 /// # Panics
 ///
 /// Panics if `k == 0`.
+#[expect(
+    clippy::expect_used,
+    reason = "every endpoint is < t + u, and no edge in this list is a loop or a repeat"
+)]
 pub fn gadget(k: usize) -> Graph {
     assert!(k >= 1, "k must be positive");
     let t = 2 * k; // matched side

@@ -59,6 +59,10 @@ impl HomogeneousLift {
 
 /// Evaluates a walk (reduced word) in the group `U`, mapping letter `ℓ` to
 /// `gens[ℓ]` and `ℓ⁻¹` to its inverse.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "gens holds one generator per letter of the alphabet the word is spelled in"
+)]
 pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Vec<i64> {
     let mut acc = u.identity();
     for l in w.letters() {
@@ -79,6 +83,10 @@ pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Vec<i64> {
 ///
 /// Fails if the alphabets disagree or the verified properties do not
 /// hold, and with [`CoreError::Truncated`] when the budget trips.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "x < nh * ng indexes rank, and x / ng < nh indexes h.rank and good_h"
+)]
 pub fn homogeneous_lift_budgeted(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -127,6 +135,10 @@ pub fn homogeneous_lift_budgeted(
     Ok(out)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "good/rank are dense over the lift's nodes; endpoints has one entry per walk in words"
+)]
 fn verify_lift(
     c: &HomogeneousLift,
     _g: &LDigraph,

@@ -238,6 +238,10 @@ fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// Fails when the group is too large to materialise or no subset passes
 /// the girth check, and with [`CoreError::Truncated`] when the budget
 /// trips.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "idx is a k-subset cursor that its own advance loop keeps < candidates.len()"
+)]
 pub fn find_generators_budgeted(
     level: usize,
     m: u64,
@@ -362,6 +366,10 @@ pub fn construct_budgeted(
 ///
 /// Fails if no generator set is found or the group would be too large,
 /// and with [`CoreError::Truncated`] when the budget trips.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "tuples and rank are sized n together with the permutation of 0..n that indexes them"
+)]
 pub fn construct_at_level_budgeted(
     level: usize,
     k: usize,

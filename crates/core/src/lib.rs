@@ -44,7 +44,16 @@
 //! assert_eq!(report.ratio, eds_lower::eds_bound(2));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 #![warn(missing_docs)]
 
 pub mod eds_lower;

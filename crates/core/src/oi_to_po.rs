@@ -147,6 +147,7 @@ impl<A: OiEdgeAlgorithm> PoEdgeAlgorithm for PoFromOiEdge<A> {
     /// length is not the root degree — a contract violation of the OI
     /// algorithm itself (the trait is infallible, so this cannot be a
     /// typed error).
+    #[expect(clippy::indexing_slicing, reason = "the filter keeps only one-letter words")]
     fn evaluate(&self, view: &ViewTree) -> Vec<(Letter, bool)> {
         let (words, nbhd) = self.inner.ordered_restriction(view);
         let bits = self.inner.oi.evaluate(&nbhd);

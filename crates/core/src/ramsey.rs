@@ -40,6 +40,10 @@ use crate::CoreError;
 /// # Errors
 ///
 /// [`CoreError::Truncated`] when the budget trips mid-search.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a successful search has filled partial with m >= t elements"
+)]
 pub fn monochromatic_subset_budgeted<C, F>(
     color: &mut F,
     universe: &[u64],
@@ -76,6 +80,7 @@ where
     }
 
     impl<C: Eq + Clone, F: FnMut(&[u64]) -> C> Search<'_, C, F> {
+        #[expect(clippy::indexing_slicing, reason = "i ranges over start..sorted.len()")]
         fn extend(&mut self, start: usize) -> Result<bool, CoreError> {
             if self.partial.len() == self.m {
                 return Ok(true);
@@ -128,6 +133,10 @@ where
 
 /// Calls `f` on every `t`-subset of `set` that contains the last element;
 /// returns whether all calls returned `true`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "set is non-empty here, and idx is a combination cursor kept < rest.len()"
+)]
 fn all_t_subsets_with_last(set: &[u64], t: usize, mut f: impl FnMut(&[u64]) -> bool) -> bool {
     let Some(&last) = set.last() else {
         return true; // an empty set has no t-subsets
@@ -202,6 +211,10 @@ impl<A: IdVertexAlgorithm> OiVertexAlgorithm for OiFromId<A> {
         self.id_algo.radius()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the assert above bounds n by the pool size, a construction-time contract"
+    )]
     fn evaluate(&self, t: &OrderedNbhd) -> bool {
         let n = t.n as usize;
         assert!(
@@ -281,6 +294,7 @@ pub fn verify_monochromatic<A: IdVertexAlgorithm>(
     let sorted: BTreeSet<u64> = j.iter().copied().collect();
     let v: Vec<u64> = sorted.into_iter().collect();
     // exhaustively test all t-subsets
+    #[expect(clippy::indexing_slicing, reason = "i ranges over start..v.len()")]
     fn rec<A: IdVertexAlgorithm>(
         v: &[u64],
         start: usize,

@@ -61,6 +61,10 @@ pub struct TransferReport {
 /// [`CoreError::Truncated`] naming the interrupted stage when the budget
 /// trips — the report is only meaningful when every stage completed, so
 /// a truncated transfer is an error rather than a partial report.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "b_out has one output per lift node and b_g one per base node, which phi maps onto"
+)]
 pub fn transfer_vertex_budgeted<A>(
     g: &LDigraph,
     h: &HomogeneousGraph,

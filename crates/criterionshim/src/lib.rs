@@ -16,7 +16,6 @@
 //! macros. No statistics beyond median/min, no HTML reports, no saved
 //! baselines.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;

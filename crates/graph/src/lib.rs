@@ -31,7 +31,6 @@
 //! assert_eq!(g.max_degree(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ball;

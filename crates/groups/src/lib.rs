@@ -42,7 +42,6 @@
 //! assert_ne!(ab, ba, "W₂ is non-abelian");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cayley;

@@ -61,7 +61,7 @@ pub const TODO_REASON: &str = "TODO: document why this debt is grandfathered";
 /// One grandfathered `(rule, file)` debt bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Rule id (`L1`…`L8`).
+    /// Rule id (`L2`…`L8`).
     pub rule: String,
     /// Repo-relative file.
     pub file: String,

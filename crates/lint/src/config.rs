@@ -22,8 +22,6 @@ pub struct ClockAllow {
 /// Workspace-analyzer configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Files under the panic-discipline rule (L1): the execution core.
-    pub panic_scope: Vec<&'static str>,
     /// Allowlisted direct clock reads (L2).
     pub clock_allow: Vec<ClockAllow>,
     /// Files exempt from the counter-discipline rule (L3): the obs
@@ -42,15 +40,6 @@ impl Config {
     /// The workspace's contract configuration (see DESIGN.md).
     pub fn locap() -> Config {
         Config {
-            panic_scope: vec![
-                "crates/models/src/sim.rs",
-                "crates/models/src/run.rs",
-                "crates/models/src/engine.rs",
-                "crates/core/src/",
-                "crates/graph/src/budget.rs",
-                "crates/serve/src/",
-                "crates/store/src/",
-            ],
             clock_allow: vec![
                 ClockAllow {
                     file: "crates/graph/src/budget.rs",
@@ -117,11 +106,6 @@ impl Config {
             .collect()
     }
 
-    /// Whether `path` is in the panic-discipline scope.
-    pub fn in_panic_scope(&self, path: &str) -> bool {
-        self.panic_scope.iter().any(|p| matches(path, p))
-    }
-
     /// Whether `path` is exempt from counter discipline.
     pub fn counter_exempt(&self, path: &str) -> bool {
         self.counter_exempt.iter().any(|p| matches(path, p))
@@ -156,12 +140,10 @@ mod tests {
     #[test]
     fn scope_matching() {
         let c = Config::locap();
-        assert!(c.in_panic_scope("crates/core/src/ramsey.rs"));
-        assert!(c.in_panic_scope("crates/models/src/sim.rs"));
-        assert!(!c.in_panic_scope("crates/models/src/invariance.rs"));
-        assert!(!c.in_panic_scope("crates/corex/src/a.rs"));
         assert!(c.counter_exempt("crates/obs/src/trace.rs"));
         assert!(!c.counter_exempt("crates/graph/src/canon.rs"));
+        // a directory entry matches whole path segments only
+        assert!(!c.counter_exempt("crates/obs/srcx/a.rs"));
     }
 
     #[test]

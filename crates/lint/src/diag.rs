@@ -14,12 +14,6 @@ pub const LINT_SCHEMA_VERSION: u64 = 2;
 /// runs, in rule order.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
-        "L1",
-        "panic-discipline",
-        "no unwrap/expect/panic!/unreachable!/todo!/unimplemented!/direct slice indexing in the \
-         execution core outside tests and `# Panics`-documented functions",
-    ),
-    (
         "L2",
         "clock-discipline",
         "Instant::now/SystemTime::now only at allowlisted sites, so run budgets and benchmarks \
@@ -31,7 +25,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "obs counter/gauge/histogram names are const declarations (or const format! families), \
          each registered at exactly one construction site",
     ),
-    ("L4", "forbid-unsafe", "every crate root (lib and bins) carries #![forbid(unsafe_code)]"),
     (
         "L6",
         "lock-order",
@@ -90,7 +83,7 @@ pub struct FixEdit {
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`L1`…`L8`).
+    /// Rule id (`L2`…`L8`).
     pub rule: &'static str,
     /// Repo-relative file.
     pub file: String,
@@ -134,7 +127,7 @@ impl Diagnostic {
             .map_or("?", |(_, name, _)| name)
     }
 
-    /// One-line human rendering: `file:line:col [L1 panic-discipline] …`.
+    /// One-line human rendering: `file:line:col [L2 clock-discipline] …`.
     pub fn render(&self) -> String {
         format!(
             "{}:{}:{} [{} {}] {}{}",
@@ -266,7 +259,8 @@ mod tests {
 
     #[test]
     fn json_round_trips_and_validates() {
-        let diags = vec![Diagnostic::new("L1", "crates/core/src/a.rs", 3, 9, "x.unwrap()".into())];
+        let diags =
+            vec![Diagnostic::new("L2", "crates/core/src/a.rs", 3, 9, "Instant::now".into())];
         let summary =
             Summary { files: 1, diagnostics: 1, baselined: 0, new: 1, ..Summary::default() };
         let text = to_json(&summary, &diags);
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn render_includes_rule_name() {
-        let d = Diagnostic::new("L4", "crates/x/src/lib.rs", 1, 1, "missing forbid".into());
-        assert!(d.render().contains("[L4 forbid-unsafe]"));
+        let d = Diagnostic::new("L8", "crates/x/src/lib.rs", 1, 1, "format! in hot fn".into());
+        assert!(d.render().contains("[L8 hot-path-allocation]"));
     }
 }

@@ -11,12 +11,11 @@
 //! any new violation or any unrecorded paydown. `--update-baseline`
 //! rewrites the baseline to the current debt (keeping reasons, flagging
 //! new entries with a TODO a human must replace). `--fix` applies the
-//! mechanical fixes first (missing `#![forbid(unsafe_code)]`, L3 const
-//! hoisting, `lock-rank=TODO` scaffolding — which the TODO check then
-//! rejects until a human picks the rank), then runs the normal check
-//! on the fixed tree; a second `--fix` run is a no-op. When
-//! `GITHUB_STEP_SUMMARY` is set, `check` appends a per-rule markdown
-//! table with the baseline delta to it.
+//! mechanical fixes first (L3 const hoisting, `lock-rank=TODO`
+//! scaffolding — which the TODO check then rejects until a human picks
+//! the rank), then runs the normal check on the fixed tree; a second
+//! `--fix` run is a no-op. When `GITHUB_STEP_SUMMARY` is set, `check`
+//! appends a per-rule markdown table with the baseline delta to it.
 //!
 //! `validate` checks a JSON document with the in-repo parser: lint
 //! diagnostics documents against the lint schema, and baseline
@@ -25,18 +24,12 @@
 //! longer exists, so renamed-away debt can't linger. `rules` prints
 //! the catalogue.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use locap_lint::{diag, Baseline, Config, FixEdit, Section};
-use locap_obs as obs;
 use locap_obs::json::Json;
-
-/// Scanned-file count gauge name.
-const OBS_FILES: &str = "lint/files";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,12 +112,6 @@ fn check(rest: &[&str]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    obs::gauge(OBS_FILES).set(run.summary.files as i64);
-    for (id, _, _) in diag::RULES {
-        let count = run.diagnostics.iter().filter(|d| d.rule == *id).count() as u64;
-        obs::counter(&format!("lint/diagnostics/{id}")).add(count);
-    }
 
     if update {
         let updated = baseline.updated(&run.diagnostics);

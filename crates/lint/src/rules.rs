@@ -1,42 +1,39 @@
-//! The seven contract rules.
+//! The five contract rules that rustc and clippy cannot check.
 //!
-//! L1–L4 are linear scans over the significant tokens of a file
-//! (trivia stripped, literals opaque), with the test / `# Panics`
-//! regions from [`crate::source`] masking exempt code. The v2 rules
-//! lean on the brace tree ([`crate::tree`]): L6 (lock-order) resolves
-//! guard lifetimes against enclosing blocks and runs crate-wide so
-//! ranks declared in one file bind call sites in another; L7 (poison
-//! discipline) exempts exactly the allowlisted helper fn bodies; L8
-//! (hot-path allocation) ties `// lint: hot` annotations to fn scopes.
-//! L3's duplicate-registration half and L6 need more than one file, so
-//! [`analyze_files`] runs per-file rules first and cross-file passes
-//! after.
+//! L2 (clock discipline) and L3 (counter discipline) are linear scans
+//! over the significant tokens of a file (trivia stripped, literals
+//! opaque), with the test regions from [`crate::source`] masking exempt
+//! code. L6–L8 lean on the brace tree ([`crate::tree`]): L6
+//! (lock-order) resolves guard lifetimes against enclosing blocks and
+//! runs crate-wide so ranks declared in one file bind call sites in
+//! another; L7 (poison discipline) exempts exactly the allowlisted
+//! helper fn bodies; L8 (hot-path allocation) ties `// lint: hot`
+//! annotations to fn scopes. L3's duplicate-registration half and L6
+//! need more than one file, so [`analyze_files`] runs per-file rules
+//! first and cross-file passes after.
 //!
 //! Files under `tests/` and `benches/` (the [`Section::Test`] section)
-//! only run the concurrency rules L6/L7 — panic/clock/metric freedom
-//! is the point of test code, but a deadlock in a test harness hangs
-//! CI just as hard as one in the daemon.
+//! only run the concurrency rules L6/L7 — clock and metric freedom is
+//! the point of test code, but a deadlock in a test harness hangs CI
+//! just as hard as one in the daemon.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::baseline::Section;
 use crate::config::Config;
 use crate::diag::{Diagnostic, FixEdit};
-use crate::lexer::{str_value, Doc, TokenKind};
+use crate::lexer::{str_value, TokenKind};
 use crate::source::FileInfo;
 use crate::tree::{Delim, ScopeKind};
 
-/// Keywords that may legally precede `[` without forming an indexing
-/// expression (`return [..]`, `match x { .. }`, array types, …).
-const NON_INDEX_KEYWORDS: &[&str] = &[
+/// Keywords that may precede `(` without calling a fn (`if (…)`,
+/// `match (…)`, `return (…)`, …): L6 never reads them as callees.
+const NON_CALL_KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
     "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "union",
     "unsafe", "use", "where", "while", "yield",
 ];
-
-/// Macro-call names L1 forbids in the execution core.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Runs every rule over `files` (`(repo-relative path, contents)`
 /// pairs) and returns the diagnostics sorted by `(file, line, col,
@@ -51,10 +48,8 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic
     let mut metric_sites: Vec<MetricSite> = Vec::new();
     for info in &infos {
         if Section::of(&info.path) == Section::Src {
-            check_panic_discipline(info, cfg, &mut diags);
             check_clock_discipline(info, cfg, &mut diags);
             collect_metric_sites(info, cfg, &mut metric_sites, &mut diags);
-            check_forbid_unsafe(info, &mut diags);
             check_hot_allocation(info, &mut diags);
         }
         check_poison_discipline(info, cfg, &mut diags);
@@ -68,75 +63,6 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic
 fn push(diags: &mut Vec<Diagnostic>, rule: &'static str, f: &FileInfo, off: usize, msg: String) {
     let (line, col) = f.line_col(off);
     diags.push(Diagnostic::new(rule, &f.path, line, col, msg));
-}
-
-/// L1: no panicking constructs in the execution core.
-fn check_panic_discipline(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    if !cfg.in_panic_scope(&f.path) {
-        return;
-    }
-    let n = f.sig.len();
-    for i in 0..n {
-        let off = f.sig_start(i);
-        if f.in_test(off) || f.in_panics_fn(off) {
-            continue;
-        }
-        match f.sig_kind(i) {
-            TokenKind::Ident => {
-                let name = f.sig_text(i);
-                let prev_dot = i > 0 && f.sig_kind(i - 1) == TokenKind::Punct(b'.');
-                let next_paren = i + 1 < n && f.sig_kind(i + 1) == TokenKind::Punct(b'(');
-                let next_bang = i + 1 < n && f.sig_kind(i + 1) == TokenKind::Punct(b'!');
-                if prev_dot && next_paren && matches!(name, "unwrap" | "expect") {
-                    push(
-                        diags,
-                        "L1",
-                        f,
-                        off,
-                        format!(
-                            ".{name}() in the execution core — return a typed \
-                             RunError/CoreError (or document the contract under `# Panics`)"
-                        ),
-                    );
-                } else if next_bang && PANIC_MACROS.contains(&name) {
-                    push(
-                        diags,
-                        "L1",
-                        f,
-                        off,
-                        format!(
-                            "{name}! in the execution core — return a typed error (or \
-                             document the contract under `# Panics`)"
-                        ),
-                    );
-                }
-            }
-            TokenKind::Punct(b'[') if i > 0 => {
-                let indexee = match f.sig_kind(i - 1) {
-                    TokenKind::Ident if !NON_INDEX_KEYWORDS.contains(&f.sig_text(i - 1)) => {
-                        Some(f.sig_text(i - 1))
-                    }
-                    TokenKind::Punct(b')') | TokenKind::Punct(b']') => Some(""),
-                    _ => None,
-                };
-                if let Some(base) = indexee {
-                    let what = if base.is_empty() {
-                        "direct slice indexing".to_string()
-                    } else {
-                        format!("direct slice indexing `{base}[…]`")
-                    };
-                    push(
-                        diags,
-                        "L1",
-                        f,
-                        off,
-                        format!("{what} in the execution core — prefer .get()/error paths"),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// L2: wall-clock reads only at allowlisted sites.
@@ -366,68 +292,6 @@ fn check_duplicate_registration(sites: &[MetricSite], diags: &mut Vec<Diagnostic
             ));
         }
     }
-}
-
-/// L4: crate roots carry `#![forbid(unsafe_code)]`.
-fn check_forbid_unsafe(f: &FileInfo, diags: &mut Vec<Diagnostic>) {
-    if !is_crate_root(&f.path) {
-        return;
-    }
-    let n = f.sig.len();
-    let has_forbid = (0..n.saturating_sub(7)).any(|i| {
-        f.sig_kind(i) == TokenKind::Punct(b'#')
-            && f.sig_kind(i + 1) == TokenKind::Punct(b'!')
-            && f.sig_kind(i + 2) == TokenKind::Punct(b'[')
-            && f.sig_kind(i + 3) == TokenKind::Ident
-            && f.sig_text(i + 3) == "forbid"
-            && f.sig_kind(i + 4) == TokenKind::Punct(b'(')
-            && f.sig_text(i + 5) == "unsafe_code"
-            && f.sig_kind(i + 6) == TokenKind::Punct(b')')
-            && f.sig_kind(i + 7) == TokenKind::Punct(b']')
-    });
-    if !has_forbid {
-        // insert after the leading inner-doc block, before the first
-        // real item, keeping the `//! docs … blank … attr` convention
-        let insert_at = f
-            .tokens
-            .iter()
-            .find(|t| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace
-                        | TokenKind::LineComment(Doc::Inner)
-                        | TokenKind::BlockComment(Doc::Inner)
-                )
-            })
-            .map_or(f.text.len(), |t| f.line_start_of(t.start));
-        diags.push(
-            Diagnostic::new(
-                "L4",
-                &f.path,
-                1,
-                1,
-                "crate root lacks #![forbid(unsafe_code)] — every locap crate (including bin \
-                 targets, which are their own crate roots) must forbid unsafe"
-                    .into(),
-            )
-            .with_fixes(vec![FixEdit {
-                start: insert_at,
-                end: insert_at,
-                text: "#![forbid(unsafe_code)]\n\n".into(),
-            }]),
-        );
-    }
-}
-
-/// Whether `path` is a crate root the analyzer scans: `src/lib.rs`,
-/// `src/main.rs` or `src/bin/*.rs` of a workspace crate.
-fn is_crate_root(path: &str) -> bool {
-    if !path.starts_with("crates/") {
-        return false;
-    }
-    path.ends_with("/src/lib.rs")
-        || path.ends_with("/src/main.rs")
-        || (path.contains("/src/bin/") && path.ends_with(".rs"))
 }
 
 /// Builds the const-hoisting fix for an inline metric name: declare
@@ -1003,7 +867,7 @@ fn collect_fn_locks<'a>(
         if !prev_dot
             && kind_at(i + 1) == Some(TokenKind::Punct(b'('))
             && (i == 0 || f.sig_kind(i - 1) != TokenKind::ColonColon)
-            && !NON_INDEX_KEYWORDS.contains(&t)
+            && !NON_CALL_KEYWORDS.contains(&t)
         {
             out.calls.push((off, t.to_string()));
         }

@@ -2,17 +2,11 @@
 //! over it, the item scopes, and the derived regions the rules treat
 //! specially.
 //!
-//! Two region classes are computed once per file:
-//!
-//! * **test regions** — items annotated `#[cfg(test)]` / `#[test]` /
-//!   `#[should_panic]` (attribute through the end of the item's brace
-//!   block or `;`), computed on the brace tree ([`crate::tree`]). All
-//!   rules skip them: test code may panic, read clocks and name
-//!   metrics freely.
-//! * **`# Panics` regions** — bodies of functions whose outer doc
-//!   comment carries a `# Panics` section. The panic-discipline rule
-//!   (L1) skips them: a documented panic is a contract, not a bug
-//!   (PR 4 kept four such contracts deliberately).
+//! **Test regions** are computed once per file: items annotated
+//! `#[cfg(test)]` / `#[test]` / `#[should_panic]` (attribute through
+//! the end of the item's brace block or `;`), computed on the brace
+//! tree ([`crate::tree`]). All rules skip them: test code may read
+//! clocks and name metrics freely.
 //!
 //! `// lint: …` marker comments (`lock-rank=N`, `hot`, `hot-setup-end`,
 //! `hot-allow(reason)` — see the README annotation grammar) are indexed
@@ -40,8 +34,6 @@ pub struct FileInfo {
     pub scopes: Vec<Scope>,
     /// Byte ranges of test-only code, sorted and disjoint-ish.
     pub test_regions: Vec<(usize, usize)>,
-    /// Byte ranges of `# Panics`-documented function bodies.
-    pub panics_regions: Vec<(usize, usize)>,
     /// `// lint: …` marker comment text by 1-based line.
     pub markers: BTreeMap<usize, String>,
     line_starts: Vec<usize>,
@@ -49,7 +41,7 @@ pub struct FileInfo {
 
 impl FileInfo {
     /// Lexes `text`, builds the brace tree and derives scopes, marker
-    /// index and exemption regions.
+    /// index and test regions.
     pub fn new(path: String, text: String) -> FileInfo {
         let tokens = lexer::lex(&text);
         let sig: Vec<usize> = tokens
@@ -90,20 +82,7 @@ impl FileInfo {
             }
             slot.push_str(comment);
         }
-        let mut info = FileInfo {
-            path,
-            text,
-            tokens,
-            sig,
-            tree,
-            scopes,
-            test_regions,
-            panics_regions: Vec::new(),
-            markers,
-            line_starts,
-        };
-        info.panics_regions = info.find_panics_regions();
-        info
+        FileInfo { path, text, tokens, sig, tree, scopes, test_regions, markers, line_starts }
     }
 
     /// 1-based `(line, column)` of a byte offset.
@@ -164,12 +143,7 @@ impl FileInfo {
 
     /// Whether `offset` falls in test-only code.
     pub fn in_test(&self, offset: usize) -> bool {
-        in_regions(&self.test_regions, offset)
-    }
-
-    /// Whether `offset` falls in a `# Panics`-documented function body.
-    pub fn in_panics_fn(&self, offset: usize) -> bool {
-        in_regions(&self.panics_regions, offset)
+        self.test_regions.iter().any(|&(s, e)| offset >= s && offset < e)
     }
 
     /// The marker comment (`// lint: …`) text on a 1-based line.
@@ -195,86 +169,6 @@ impl FileInfo {
     pub fn sig_index_at(&self, offset: usize) -> usize {
         self.sig.partition_point(|&t| self.tokens[t].start < offset)
     }
-
-    /// Bodies of functions whose outer doc comment mentions `# Panics`.
-    fn find_panics_regions(&self) -> Vec<(usize, usize)> {
-        let mut regions = Vec::new();
-        for (ti, tok) in self.tokens.iter().enumerate() {
-            let is_panics_doc = matches!(
-                tok.kind,
-                TokenKind::LineComment(Doc::Outer) | TokenKind::BlockComment(Doc::Outer)
-            ) && tok.text(&self.text).contains("# Panics");
-            if !is_panics_doc {
-                continue;
-            }
-            // find the next significant token and walk the item header
-            let si = self.sig.partition_point(|&s| s < ti);
-            if let Some(region) = self.fn_body_after(si) {
-                regions.push(region);
-            }
-        }
-        regions.sort_unstable();
-        regions.dedup();
-        regions
-    }
-
-    /// Scans the item header starting at significant index `si`; if it
-    /// is a `fn`, returns the byte range of its body block.
-    fn fn_body_after(&self, si: usize) -> Option<(usize, usize)> {
-        let n = self.sig.len();
-        let mut saw_fn = false;
-        let mut j = si;
-        while j < n {
-            match self.sig_kind(j) {
-                TokenKind::Punct(b'{') => {
-                    if !saw_fn {
-                        return None; // some other item (struct, impl, …)
-                    }
-                    let start = self.sig_start(j);
-                    let end = self.block_end(j);
-                    return Some((start, end));
-                }
-                TokenKind::Punct(b';') => return None, // trait method decl
-                TokenKind::Ident if self.sig_text(j) == "fn" => saw_fn = true,
-                TokenKind::Ident
-                    if matches!(
-                        self.sig_text(j),
-                        "struct" | "enum" | "impl" | "mod" | "trait" | "union" | "macro_rules"
-                    ) =>
-                {
-                    return None
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        None
-    }
-
-    /// End offset of the brace block opening at significant index `open`.
-    fn block_end(&self, open: usize) -> usize {
-        let n = self.sig.len();
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < n {
-            match self.sig_kind(j) {
-                TokenKind::Punct(b'{') => depth += 1,
-                TokenKind::Punct(b'}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return self.tokens[self.sig[j]].end;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        self.text.len()
-    }
-}
-
-fn in_regions(regions: &[(usize, usize)], offset: usize) -> bool {
-    regions.iter().any(|&(s, e)| offset >= s && offset < e)
 }
 
 #[cfg(test)]
@@ -295,15 +189,6 @@ mod tests {
         let src = "#[cfg(all(test, feature = \"x\"))]\nmod m { }\n#[test]\nfn t() {}\n";
         let f = FileInfo::new("a.rs".into(), src.into());
         assert_eq!(f.test_regions.len(), 2);
-    }
-
-    #[test]
-    fn panics_doc_exempts_only_that_fn() {
-        let src = "/// Does things.\n///\n/// # Panics\n///\n/// Panics if k == 0.\npub fn gadget(k: usize) { assert!(k >= 1); }\npub fn other(v: &[u32]) -> u32 { v[0] }\n";
-        let f = FileInfo::new("a.rs".into(), src.into());
-        assert_eq!(f.panics_regions.len(), 1);
-        assert!(f.in_panics_fn(src.find("assert").expect("assert")));
-        assert!(!f.in_panics_fn(src.find("v[0]").expect("index")));
     }
 
     #[test]

@@ -36,6 +36,17 @@
 //! `engine/<model>/run_vertex|run_edge` span per call), so binaries and
 //! the bench gate export unified metrics without threading state.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::collections::BTreeSet;
 
 use locap_obs as obs;
@@ -132,6 +143,10 @@ trait Classes {
 /// # Errors
 ///
 /// The first error `sink` reports; nothing is published then.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the memo is resized to cover the class id just returned before it is indexed"
+)]
 // lint: hot
 fn memo_broadcast<C: Classes, O: Clone>(
     classes: &mut C,
@@ -189,6 +204,10 @@ struct ViewClasses<'a, 'g> {
 impl Classes for ViewClasses<'_, '_> {
     type Nbhd = ViewTree;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "roots holds one class per vertex and the loop passes v < n"
+    )]
     fn class_of(&mut self, v: NodeId, _r: usize) -> usize {
         self.roots[v] as usize
     }
@@ -452,6 +471,10 @@ pub struct NbhdEngine<'g, K: NbhdKey> {
 
 impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
     /// Creates an engine for `(g, input)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "input is indexed by NodeIds < n only after its length is checked against n"
+    )]
     pub fn new(g: &'g Graph, input: &'g [K::Input]) -> NbhdEngine<'g, K> {
         let (sorted_offsets, sorted_nbrs) = if input.len() == g.node_count() {
             key_sorted_adj(g, |u| K::sort_key(input[u]))
@@ -519,6 +542,10 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
 
     /// The shared body of the OI/ID edge runs: bit `i` of a node's output
     /// selects its neighbour with the `i`-th smallest key.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sorted_offsets/sorted_nbrs are CSR arrays over 0..n, and validate() runs first"
+    )]
     fn edge_run(
         &mut self,
         r: usize,

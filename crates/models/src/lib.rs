@@ -24,7 +24,6 @@
 //!   ID algorithm's output survives order-preserving relabelling — the
 //!   property that the Ramsey step of §4.2 forces.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkable;

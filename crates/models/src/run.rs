@@ -15,6 +15,17 @@
 //! typed [`RunError`] instead of panicking on malformed input (short
 //! `ids`/`rank`, wrong-length edge outputs, absent letters).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::collections::BTreeSet;
 
 use locap_graph::budget::{Budgeted, RunBudget};
@@ -211,6 +222,10 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
 /// # Errors
 ///
 /// Same conditions as [`id_edge_budgeted`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ids is validated to length n before the loop, and bits to one entry per neighbour"
+)]
 pub fn id_edge_naive<A: IdEdgeAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -267,6 +282,10 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
 /// # Errors
 ///
 /// Same conditions as [`oi_edge_budgeted`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rank is validated to length n before the loop, and bits to one entry per neighbour"
+)]
 pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
     g: &Graph,
     rank: &[usize],

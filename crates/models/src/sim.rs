@@ -23,6 +23,17 @@
 //! orientations covering every edge) surface as typed
 //! [`RunError`]s — the simulator never panics on malformed input.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use locap_graph::budget::{RunBudget, TruncationReason};
 use locap_graph::{Graph, GraphError, Orientation, PortNumbering};
 use locap_obs as obs;
@@ -127,6 +138,11 @@ pub struct SimResult<S> {
 /// Returns a [`RunError`] when the algorithm needs model data the run
 /// does not supply, when `ids` or `inputs` do not cover every node, or
 /// when `ports`/`orientation` are inconsistent with `g`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ids/inputs are length-checked against n, states/inboxes are sized per vertex \
+              and port at init, and bad ports return PortOutOfRange before indexing"
+)]
 pub fn run_sync_budgeted<A: SyncAlgorithm>(
     g: &Graph,
     ports: &PortNumbering,

@@ -20,7 +20,6 @@
 //! assert_eq!(b.to_string(), "5/3");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;

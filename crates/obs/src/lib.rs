@@ -35,7 +35,6 @@
 //! unless `OBS_TRACE` is set and costs one relaxed atomic load per probe
 //! when off.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -5,7 +5,9 @@
 //!
 //! Trace collection is process-global (one enabled flag, one sink), so
 //! every test that enables it holds `TRACE_LOCK` and drains before
-//! releasing; span-path state is thread-local, so path-only tests run on
+//! releasing. Tests that open spans hold it too, even with tracing off:
+//! a span opened while another test has tracing on lands in that test's
+//! sink. Span-path state is thread-local, so path-only tests run on
 //! dedicated threads to stay independent of the parallel test runner.
 
 use locap_obs as obs;
@@ -128,6 +130,7 @@ fn out_of_order_span_drops_record_open_time_paths() {
     // Regression: guards dropped out of LIFO order (mem::drop reordering)
     // must still record under the paths they were opened with, and the
     // thread path must unwind fully afterwards.
+    let _guard = TRACE_LOCK.lock().unwrap();
     std::thread::scope(|s| {
         s.spawn(|| {
             let a = obs::span("trace_test_lifo/a");
@@ -157,6 +160,7 @@ fn out_of_order_span_drops_record_open_time_paths() {
 
 #[test]
 fn interleaved_drops_keep_sibling_paths_exact() {
+    let _guard = TRACE_LOCK.lock().unwrap();
     std::thread::scope(|s| {
         s.spawn(|| {
             let a = obs::span("trace_test_weave/a");

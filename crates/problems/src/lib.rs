@@ -37,7 +37,6 @@
 //! assert!(vertex_cover::feasible(&g, &opt));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dominating_set;

@@ -17,7 +17,6 @@
 //! for zero dependencies, which is the right trade for this offline
 //! repository.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -15,7 +15,6 @@
 //! workspace only relies on determinism-given-seed and uniformity, never
 //! on the exact upstream stream.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Low-level generator interface: a source of uniform random `u64`s.

@@ -6,8 +6,6 @@
 //! load test: the gate tracks its latency, the test asserts its
 //! correctness properties.
 
-#![forbid(unsafe_code)]
-
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

@@ -8,8 +8,6 @@
 //! `BENCH_views.json` like any other scenario; the run must also come
 //! back clean, so the bench doubles as an end-to-end sanity check.
 
-#![forbid(unsafe_code)]
-
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};

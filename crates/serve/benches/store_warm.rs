@@ -11,8 +11,6 @@
 //! warm < cold margin honest, and the final stats probe asserts the
 //! warm daemon really served from the store.
 
-#![forbid(unsafe_code)]
-
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

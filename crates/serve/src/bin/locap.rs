@@ -17,7 +17,16 @@
 //! request. `watch` subscribes to a daemon's live telemetry stream and
 //! renders each frame as a human table (or TSV rows with `--tsv`).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -19,7 +19,16 @@
 //! `--telemetry-interval-ms` (0 disables streaming); slow subscribers
 //! buffer up to `--telemetry-queue` frames before frames are shed.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 use std::path::PathBuf;
 use std::time::Duration;

@@ -22,7 +22,16 @@
 //! The wire protocol is hand-rolled on the `locap-obs` JSON machinery —
 //! no new dependencies, per the workspace's offline-shim policy.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 #![warn(missing_docs)]
 
 pub mod daemon;

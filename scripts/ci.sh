@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: format check first (cheapest), then release
-# build, tests, strict clippy. Run before every push; CI runs exactly
-# this. Each step reports its wall-clock time so regressions in the gate
-# itself are visible.
+# build, tests, locap-lint, strict clippy. Run before every push; CI
+# runs exactly this. Each step reports its wall-clock time so
+# regressions in the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,9 +48,17 @@ step "serve conformance (release)" cargo test -q --release -p locap-serve
 # entry points directly: compile and test it so an API change that
 # breaks the benchmark fails here, not in a later benchmark run
 step "loadbench tests" cargo test -q --manifest-path loadbench/Cargo.toml
+# the baseline document first: schema-valid, and no entry may point at
+# a file that no longer exists (exit 2)
+step "locap-lint validate" cargo run --release -q -p locap-lint -- validate lint_baseline.json
 # workspace static analysis in ratchet mode: fails on any violation not
 # grandfathered (with a reason) by lint_baseline.json
 step "locap-lint" cargo run --release -q -p locap-lint -- check
+# clippy also enforces the panic and unsafe contracts: the workspace
+# lints forbid unsafe code, and the execution core's scope roots deny
+# unwrap/expect/panic/indexing, with #[expect(…, reason)] on the fns
+# whose indexing is bounded by construction (an unfulfilled expect
+# fails here too)
 step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI gate passed."
