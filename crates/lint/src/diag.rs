@@ -44,7 +44,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "hot-path-allocation",
         "fns annotated `// lint: hot` may not format!/to_string/vec!/Vec::new/HashMap::new/\
          .clone() outside their setup prefix (before `// lint: hot-setup-end`); per-line \
-         escape hatch `// lint: hot-allow(reason)`",
+         escape hatch `// lint: hot-allow(reason)`; a `// lint: hot` that annotates no fn \
+         is itself a violation",
     ),
 ];
 

@@ -417,12 +417,14 @@ const HOT_ALLOC_TYPES: &[&str] =
 /// L8: hot-path allocation discipline. Fns annotated `// lint: hot`
 /// may only allocate in their setup prefix (everything before the
 /// `// lint: hot-setup-end` line); past it, allocating constructors
-/// need a justified per-line `// lint: hot-allow(reason)`.
+/// need a justified per-line `// lint: hot-allow(reason)`. A `lint: hot`
+/// marker that annotates no fn is itself a violation, so a misplaced
+/// marker cannot silently drop a fn out of the rule.
 fn check_hot_allocation(f: &FileInfo, diags: &mut Vec<Diagnostic>) {
+    let mut claimed = Vec::new();
     for scope in f.scopes.iter().filter(|s| s.kind == ScopeKind::Fn) {
-        if !fn_is_hot(f, scope) {
-            continue;
-        }
+        let Some(marker_line) = hot_marker_line(f, scope) else { continue };
+        claimed.push(marker_line);
         let name = scope.name.clone().unwrap_or_default();
         let (body_line, _) = f.line_col(scope.body_start);
         let (end_line, _) = f.line_col(scope.body_end.saturating_sub(1));
@@ -492,16 +494,33 @@ fn check_hot_allocation(f: &FileInfo, diags: &mut Vec<Diagnostic>) {
             );
         }
     }
+    for (&line, m) in &f.markers {
+        if has_hot_marker(m) && !claimed.contains(&line) && !f.in_test(f.line_offset(line)) {
+            push(
+                diags,
+                "L8",
+                f,
+                f.line_offset(line),
+                "`// lint: hot` annotates no fn — put it on the `fn` line or in the \
+                 doc/attribute block directly above it"
+                    .into(),
+            );
+        }
+    }
 }
 
-/// Whether a fn scope carries the `// lint: hot` annotation, on the
-/// `fn` line or in the contiguous doc/attribute/comment block above.
-fn fn_is_hot(f: &FileInfo, scope: &crate::tree::Scope) -> bool {
+/// The line of the `// lint: hot` marker annotating a fn scope, if any:
+/// the `fn` line, the header lines from its first attribute down to the
+/// `fn` keyword, or the contiguous doc/attribute/comment block above.
+fn hot_marker_line(f: &FileInfo, scope: &crate::tree::Scope) -> Option<usize> {
     let (kw_line, _) = f.line_col(scope.keyword);
-    if f.marker_on(kw_line).is_some_and(has_hot_marker) {
-        return true;
+    let (header_line, _) = f.line_col(scope.header_start);
+    if let Some((&line, _)) =
+        f.markers.range(header_line..=kw_line).find(|(_, m)| has_hot_marker(m))
+    {
+        return Some(line);
     }
-    let (mut line, _) = f.line_col(scope.header_start);
+    let mut line = header_line;
     while line > 1 {
         let above = f.nth_line(line - 1);
         let t = above.trim_start();
@@ -510,10 +529,10 @@ fn fn_is_hot(f: &FileInfo, scope: &crate::tree::Scope) -> bool {
         }
         line -= 1;
         if f.marker_on(line).is_some_and(has_hot_marker) {
-            return true;
+            return Some(line);
         }
     }
-    false
+    None
 }
 
 /// `lint: hot` exactly — not `hot-setup-end`, not `hot-allow(…)`.

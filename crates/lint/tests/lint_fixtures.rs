@@ -406,6 +406,52 @@ fn step(n: usize) -> u8 {
     let diags = lint_one("crates/graph/src/fixture.rs", empty);
     assert_only("L8", &diags);
     assert!(diags[0].message.contains("without a reason"), "{}", diags[0].message);
+
+    // an attribute next to the marker, above or below it, keeps the fn hot
+    let attr = "#[expect(clippy::indexing_slicing, reason = \"r\")]\n";
+    for (above, below) in [("", attr), (attr, "")] {
+        let src = format!(
+            r#"/// Doc.
+{above}// lint: hot
+{below}fn step(xs: &[u8], n: usize) -> u8 {{
+    let x = xs[0];
+    // lint: hot-setup-end
+    let label = format!("n={{n}}");
+    x + label.len() as u8
+}}
+"#
+        );
+        let diags = lint_one("crates/graph/src/fixture.rs", &src);
+        assert_only("L8", &diags);
+        assert_eq!(diags.len(), 1, "{src}\n{diags:#?}");
+        assert!(diags[0].message.contains("format!"), "{}", diags[0].message);
+    }
+
+    // a marker that annotates no fn is reported, not silently dropped
+    let stray = "// lint: hot\n\nfn step(n: usize) -> String {\n    format!(\"n={n}\")\n}\n";
+    let diags = lint_one("crates/graph/src/fixture.rs", stray);
+    assert_only("L8", &diags);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert!(diags[0].message.contains("annotates no fn"), "{}", diags[0].message);
+}
+
+/// The engine loop every run goes through is under L8: an allocation
+/// added past its setup prefix fails the check.
+#[test]
+fn l8_covers_the_engine_memo_broadcast_loop() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = "crates/models/src/engine.rs";
+    let text = std::fs::read_to_string(root.join(path)).expect("engine source exists");
+    let l8 = |src: &str| -> Vec<locap_lint::Diagnostic> {
+        lint_one(path, src).into_iter().filter(|d| d.rule == "L8").collect()
+    };
+    assert!(l8(&text).is_empty(), "{:#?}", l8(&text));
+    let marker = "    // lint: hot-setup-end\n";
+    let at = text.find(marker).expect("memo_broadcast has a setup prefix") + marker.len();
+    let probed = format!("{}    let _probe: Vec<u8> = Vec::new();\n{}", &text[..at], &text[at..]);
+    let diags = l8(&probed);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert!(diags[0].message.contains("`memo_broadcast`"), "{}", diags[0].message);
 }
 
 #[test]
