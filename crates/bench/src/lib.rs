@@ -34,10 +34,13 @@ pub fn human_output() -> bool {
 /// Runs `f` and reports how long it took.
 ///
 /// This is the one sanctioned wall-clock read for ad-hoc timing in the
-/// experiment binaries (the L2 clock-discipline lint allowlists exactly
-/// this site): code under measurement never touches `Instant` itself,
-/// so the execution core stays deterministic and clock reads stay
-/// auditable.
+/// experiment binaries: code under measurement never touches `Instant`
+/// itself, so the execution core stays deterministic and clock reads
+/// stay auditable.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one ad-hoc timer experiment binaries are routed through"
+)]
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     let start = std::time::Instant::now();
     let value = f();

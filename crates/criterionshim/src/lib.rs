@@ -125,6 +125,10 @@ pub struct Bencher {
 impl Bencher {
     /// Times `routine`: calibrates an iteration count targeting ~5 ms per
     /// sample, then records `sample_size` samples.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench harness measures wall time by definition (warm-up and sample loops)"
+    )]
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Warm-up + calibration: find iters such that a sample takes ≥ 5 ms
         // (bounded so very slow routines still run once per sample).

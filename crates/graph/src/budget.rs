@@ -50,6 +50,10 @@ pub struct StdClock {
 
 impl StdClock {
     /// A clock whose epoch is now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "StdClock is the production MonotonicClock every budget deadline reads through"
+    )]
     pub fn new() -> StdClock {
         StdClock { start: Instant::now() }
     }

@@ -6,19 +6,13 @@
 use locap_obs::json::Json;
 
 /// The lint JSON document schema version. Version 2 added the
-/// per-diagnostic `fixable` flag (`check --fix`); version-1 documents
-/// still validate.
-pub const LINT_SCHEMA_VERSION: u64 = 2;
+/// per-diagnostic `fixable` flag (`check --fix`); version 3 dropped the
+/// baseline `status` and counts. Older documents still validate.
+pub const LINT_SCHEMA_VERSION: u64 = 3;
 
 /// The rule catalogue: `(id, name, summary)` for every rule the engine
 /// runs, in rule order.
 pub const RULES: &[(&str, &str, &str)] = &[
-    (
-        "L2",
-        "clock-discipline",
-        "Instant::now/SystemTime::now only at allowlisted sites, so run budgets and benchmarks \
-         stay deterministic everywhere else",
-    ),
     (
         "L3",
         "counter-discipline",
@@ -33,13 +27,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          (scope exit or drop()) before send/recv/blocking-I/O calls",
     ),
     (
-        "L7",
-        "poison-discipline",
-        ".lock().unwrap()/.expect()/.unwrap_or_else() is forbidden outside the one allowlisted \
-         poison-recovery helper per crate — poisoning must become a typed, counted event, \
-         never a silent thread death",
-    ),
-    (
         "L8",
         "hot-path-allocation",
         "fns annotated `// lint: hot` may not format!/to_string/vec!/Vec::new/HashMap::new/\
@@ -48,25 +35,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          is itself a violation",
     ),
 ];
-
-/// Whether a diagnostic is covered by the committed baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiagStatus {
-    /// Grandfathered by `lint_baseline.json`.
-    Baselined,
-    /// Not covered: fails ratchet mode.
-    New,
-}
-
-impl DiagStatus {
-    /// Stable string form for the JSON document.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DiagStatus::Baselined => "baselined",
-            DiagStatus::New => "new",
-        }
-    }
-}
 
 /// One mechanical edit of a source file: replace `[start, end)` with
 /// `text` (`start == end` is a pure insertion). `check --fix` applies
@@ -84,7 +52,7 @@ pub struct FixEdit {
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`L2`…`L8`).
+    /// Rule id (`L3`, `L6` or `L8`).
     pub rule: &'static str,
     /// Repo-relative file.
     pub file: String,
@@ -94,24 +62,14 @@ pub struct Diagnostic {
     pub col: usize,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// Ratchet status (filled in by the baseline comparison).
-    pub status: DiagStatus,
     /// Mechanical fix, when one exists (empty = not auto-fixable).
     pub fixes: Vec<FixEdit>,
 }
 
 impl Diagnostic {
-    /// Creates a finding (status starts as [`DiagStatus::New`]).
+    /// Creates a finding with no fixes.
     pub fn new(rule: &'static str, file: &str, line: usize, col: usize, message: String) -> Self {
-        Diagnostic {
-            rule,
-            file: file.to_string(),
-            line,
-            col,
-            message,
-            status: DiagStatus::New,
-            fixes: Vec::new(),
-        }
+        Diagnostic { rule, file: file.to_string(), line, col, message, fixes: Vec::new() }
     }
 
     /// Attaches mechanical fix edits.
@@ -128,20 +86,16 @@ impl Diagnostic {
             .map_or("?", |(_, name, _)| name)
     }
 
-    /// One-line human rendering: `file:line:col [L2 clock-discipline] …`.
+    /// One-line human rendering: `file:line:col [L6 lock-order] …`.
     pub fn render(&self) -> String {
         format!(
-            "{}:{}:{} [{} {}] {}{}",
+            "{}:{}:{} [{} {}] {}",
             self.file,
             self.line,
             self.col,
             self.rule,
             self.rule_name(),
-            self.message,
-            match self.status {
-                DiagStatus::Baselined => " (baselined)",
-                DiagStatus::New => "",
-            }
+            self.message
         )
     }
 }
@@ -153,13 +107,6 @@ pub struct Summary {
     pub files: u64,
     /// Total diagnostics found.
     pub diagnostics: u64,
-    /// Diagnostics covered by the baseline.
-    pub baselined: u64,
-    /// Diagnostics not covered (ratchet failures).
-    pub new: u64,
-    /// Baseline entries whose debt has shrunk or vanished (must be
-    /// re-recorded with `--update-baseline`).
-    pub stale: u64,
 }
 
 /// Renders a lint run as the machine-readable JSON document.
@@ -182,7 +129,6 @@ pub fn to_json(summary: &Summary, diags: &[Diagnostic]) -> String {
                 ("file".into(), Json::Str(d.file.clone())),
                 ("line".into(), Json::Num(d.line as f64)),
                 ("col".into(), Json::Num(d.col as f64)),
-                ("status".into(), Json::Str(d.status.as_str().into())),
                 ("fixable".into(), Json::Bool(!d.fixes.is_empty())),
                 ("message".into(), Json::Str(d.message.clone())),
             ])
@@ -196,9 +142,6 @@ pub fn to_json(summary: &Summary, diags: &[Diagnostic]) -> String {
             Json::Obj(vec![
                 ("files".into(), Json::Num(summary.files as f64)),
                 ("diagnostics".into(), Json::Num(summary.diagnostics as f64)),
-                ("baselined".into(), Json::Num(summary.baselined as f64)),
-                ("new".into(), Json::Num(summary.new as f64)),
-                ("stale".into(), Json::Num(summary.stale as f64)),
             ]),
         ),
         ("rules".into(), Json::Arr(rules)),
@@ -217,7 +160,7 @@ pub fn validate_lint_schema(doc: &Json) -> Result<(), String> {
         return Err("source must be \"locap-lint\"".into());
     }
     let summary = doc.get("summary").ok_or("missing summary object")?;
-    for key in ["files", "diagnostics", "baselined", "new", "stale"] {
+    for key in ["files", "diagnostics"] {
         summary
             .get(key)
             .and_then(Json::as_u64)
@@ -246,10 +189,6 @@ pub fn validate_lint_schema(doc: &Json) -> Result<(), String> {
                 .and_then(Json::as_u64)
                 .ok_or(format!("diagnostics[{i}]/{key} not a u64"))?;
         }
-        match row.get("status").and_then(Json::as_str) {
-            Some("baselined" | "new") => {}
-            _ => return Err(format!("diagnostics[{i}]/status not baselined|new")),
-        }
     }
     Ok(())
 }
@@ -261,24 +200,24 @@ mod tests {
     #[test]
     fn json_round_trips_and_validates() {
         let diags =
-            vec![Diagnostic::new("L2", "crates/core/src/a.rs", 3, 9, "Instant::now".into())];
-        let summary =
-            Summary { files: 1, diagnostics: 1, baselined: 0, new: 1, ..Summary::default() };
+            vec![Diagnostic::new("L6", "crates/core/src/a.rs", 3, 9, "unranked Mutex".into())];
+        let summary = Summary { files: 1, diagnostics: 1 };
         let text = to_json(&summary, &diags);
         let doc = Json::parse(&text).expect("parses");
         validate_lint_schema(&doc).expect("valid");
-        assert_eq!(doc.get("summary").and_then(|s| s.get("new")).and_then(Json::as_u64), Some(1));
+        let diagnostics = doc.get("summary").and_then(|s| s.get("diagnostics"));
+        assert_eq!(diagnostics.and_then(Json::as_u64), Some(1));
     }
 
     #[test]
     fn validator_rejects_mutations() {
-        let diags = vec![Diagnostic::new("L2", "f.rs", 1, 1, "m".into())];
+        let diags = vec![Diagnostic::new("L6", "f.rs", 1, 1, "m".into())];
         let summary = Summary::default();
         let good = to_json(&summary, &diags);
         for (from, to) in [
-            ("\"schema\":2", "\"schema\":99"),
+            ("\"schema\":3", "\"schema\":99"),
             ("\"source\":\"locap-lint\"", "\"source\":\"other\""),
-            ("\"status\":\"new\"", "\"status\":\"maybe\""),
+            ("\"file\":\"f.rs\"", "\"file\":null"),
             ("\"line\":1", "\"line\":\"one\""),
         ] {
             let bad = good.replace(from, to);

@@ -1,39 +1,33 @@
 //! `locap-lint` — a dependency-free, workspace-aware static analyzer
 //! for the execution-core contracts that rustc and clippy cannot check.
 //!
-//! PRs 2–4 bought this workspace three invariants by hand: a panic-free
-//! execution core with typed `RunError`s, deterministic budgets that
-//! never read the wall clock themselves, and an observability registry
-//! where every metric is published from one place. The paper's whole
-//! argument is that guarantees must hold *mechanically* — Göös,
-//! Hirvonen and Suomela eliminate the informal slack between ID and PO
-//! by construction, not by inspection — and this crate applies the same
-//! spirit to the codebase: five repo-specific lints, run in CI, with a
-//! ratcheting baseline so existing debt is visible, justified and only
-//! allowed to shrink.
+//! The paper's whole argument is that guarantees must hold
+//! *mechanically* — Göös, Hirvonen and Suomela eliminate the informal
+//! slack between ID and PO by construction, not by inspection — and
+//! this crate applies the same spirit to the codebase: three
+//! repo-specific lints, run in CI, that fail on any violation.
 //!
 //! The toolchain holds the rest. `unsafe_code = "forbid"` is a
-//! workspace lint, and the panic-free core is eight clippy restriction
-//! lints denied at each of its scope roots, with `#[expect(…, reason)]`
-//! on the fns whose indexing is bounded by construction (see the README
-//! "Static analysis" section).
+//! workspace lint; the panic-free core is eight clippy restriction
+//! lints denied at each of its scope roots; and clock and poison
+//! discipline are clippy's `disallowed-methods` list in `clippy.toml`.
+//! Every sanctioned site carries `#[expect(…, reason)]` on its fn (see
+//! the README "Static analysis" section).
 //!
 //! The rules (see [`diag::RULES`] for the catalogue):
 //!
 //! | id | name | contract |
 //! |----|------|----------|
-//! | L2 | clock-discipline  | `Instant::now`/`SystemTime::now` only at allowlisted sites |
 //! | L3 | counter-discipline | metric names are consts, each constructed at exactly one site |
 //! | L6 | lock-order        | every `Mutex`/`RwLock` carries `// lint: lock-rank=N`; overlapping acquisitions strictly increase; no blocking under a held guard |
-//! | L7 | poison-discipline | post-lock `unwrap`/`expect`/`unwrap_or_else` only inside the one poison-recovery helper per crate |
 //! | L8 | hot-path-allocation | `// lint: hot` fns allocate only in their setup prefix |
 //!
-//! Since v2 the engine analyzes a brace tree ([`tree`]) built over the
-//! token stream — delimiter-matched token trees with item/fn/impl
-//! scopes and `#[cfg(test)]` regions lifted into the IR — rather than
-//! flat token scans, which is what makes scope-aware rules like L6–L8
-//! expressible. `tests/` and `benches/` trees are scanned too (L6/L7
-//! only) and ratchet in their own baseline section.
+//! The engine analyzes a brace tree ([`tree`]) built over the token
+//! stream — delimiter-matched token trees with item/fn/impl scopes and
+//! `#[cfg(test)]` regions lifted into the IR — rather than flat token
+//! scans, which is what makes scope-aware rules like L6 and L8
+//! expressible. `tests/` and `benches/` trees are scanned too, by L6
+//! only.
 //!
 //! Everything is hand-rolled on `std` (lexer included — see
 //! [`lexer`]), consistent with the workspace's offline-shim policy:
@@ -41,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod lexer;
@@ -49,9 +42,8 @@ pub mod rules;
 pub mod source;
 pub mod tree;
 
-pub use baseline::{Baseline, BaselineEntry, RatchetOutcome, Section};
 pub use config::Config;
-pub use diag::{validate_lint_schema, DiagStatus, Diagnostic, FixEdit, Summary};
+pub use diag::{validate_lint_schema, Diagnostic, FixEdit, Summary};
 pub use rules::analyze_files;
 
 use std::io;
@@ -63,10 +55,8 @@ use std::path::{Path, PathBuf};
 /// repo-relative `/`-separated paths with contents, sorted for
 /// determinism.
 ///
-/// `tests/` and `benches/` files are in scope since v2 — they run only
-/// the concurrency rules (L6/L7; see [`baseline::Section`]) and
-/// ratchet in the baseline's `test_entries` section. `examples/` stays
-/// out of scope.
+/// `tests/` and `benches/` files run only the lock-order rule (L6).
+/// `examples/` stays out of scope.
 pub fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     let crates_dir = root.join("crates");
     let mut rs_files = Vec::new();
@@ -112,36 +102,26 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// A full analyzer run: scan, analyze, ratchet against the baseline.
+/// A full analyzer run over the workspace.
 #[derive(Debug)]
 pub struct Run {
-    /// All diagnostics, ratchet status filled in.
+    /// All diagnostics, sorted by `(file, line, col, rule)`.
     pub diagnostics: Vec<Diagnostic>,
     /// Run counts.
     pub summary: Summary,
-    /// Ratchet failures (empty means the gate passes).
-    pub failures: Vec<String>,
 }
 
 impl Run {
-    /// Whether the gate passes (no new violations, no stale baseline).
+    /// Whether the gate passes: the run found no diagnostics at all.
     pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+        self.diagnostics.is_empty()
     }
 }
 
-/// Scans the workspace at `root` and ratchets against `baseline`.
-pub fn run_check(root: &Path, cfg: &Config, baseline: &Baseline) -> io::Result<Run> {
+/// Scans the workspace at `root` and runs every rule.
+pub fn run_check(root: &Path, cfg: &Config) -> io::Result<Run> {
     let files = collect_workspace_files(root)?;
-    let mut diagnostics = analyze_files(&files, cfg);
-    let outcome = baseline.ratchet(&mut diagnostics);
-    let baselined = diagnostics.iter().filter(|d| d.status == DiagStatus::Baselined).count() as u64;
-    let summary = Summary {
-        files: files.len() as u64,
-        diagnostics: diagnostics.len() as u64,
-        baselined,
-        new: diagnostics.len() as u64 - baselined,
-        stale: outcome.stale,
-    };
-    Ok(Run { diagnostics, summary, failures: outcome.failures })
+    let diagnostics = analyze_files(&files, cfg);
+    let summary = Summary { files: files.len() as u64, diagnostics: diagnostics.len() as u64 };
+    Ok(Run { diagnostics, summary })
 }

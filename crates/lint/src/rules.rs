@@ -1,25 +1,18 @@
-//! The five contract rules that rustc and clippy cannot check.
+//! The three contract rules that rustc and clippy cannot check.
 //!
-//! L2 (clock discipline) and L3 (counter discipline) are linear scans
-//! over the significant tokens of a file (trivia stripped, literals
-//! opaque), with the test regions from [`crate::source`] masking exempt
-//! code. L6–L8 lean on the brace tree ([`crate::tree`]): L6
-//! (lock-order) resolves guard lifetimes against enclosing blocks and
-//! runs crate-wide so ranks declared in one file bind call sites in
-//! another; L7 (poison discipline) exempts exactly the allowlisted
-//! helper fn bodies; L8 (hot-path allocation) ties `// lint: hot`
-//! annotations to fn scopes. L3's duplicate-registration half and L6
-//! need more than one file, so [`analyze_files`] runs per-file rules
-//! first and cross-file passes after.
-//!
-//! Files under `tests/` and `benches/` (the [`Section::Test`] section)
-//! only run the concurrency rules L6/L7 — clock and metric freedom is
-//! the point of test code, but a deadlock in a test harness hangs CI
-//! just as hard as one in the daemon.
+//! L3 (counter discipline) is a linear scan over the significant tokens
+//! of a file (trivia stripped, literals opaque), with the test regions
+//! from [`crate::source`] masking exempt code. L6 and L8 lean on the
+//! brace tree ([`crate::tree`]): L6 (lock-order) resolves guard
+//! lifetimes against enclosing blocks and runs crate-wide so ranks
+//! declared in one file bind call sites in another; L8 (hot-path
+//! allocation) ties `// lint: hot` annotations to fn scopes. L3's
+//! duplicate-registration half and L6 need more than one file, so
+//! [`analyze_files`] runs per-file rules first and cross-file passes
+//! after.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::baseline::Section;
 use crate::config::Config;
 use crate::diag::{Diagnostic, FixEdit};
 use crate::lexer::{str_value, TokenKind};
@@ -38,7 +31,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 /// Runs every rule over `files` (`(repo-relative path, contents)`
 /// pairs) and returns the diagnostics sorted by `(file, line, col,
 /// rule)`. This is the pure core of the analyzer — the CLI wraps it
-/// with filesystem walking and baseline ratcheting.
+/// with filesystem walking.
 pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
     let infos: Vec<FileInfo> = files
         .iter()
@@ -46,13 +39,9 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic
         .collect();
     let mut diags = Vec::new();
     let mut metric_sites: Vec<MetricSite> = Vec::new();
-    for info in &infos {
-        if Section::of(&info.path) == Section::Src {
-            check_clock_discipline(info, cfg, &mut diags);
-            collect_metric_sites(info, cfg, &mut metric_sites, &mut diags);
-            check_hot_allocation(info, &mut diags);
-        }
-        check_poison_discipline(info, cfg, &mut diags);
+    for info in infos.iter().filter(|f| !in_test_tree(&f.path)) {
+        collect_metric_sites(info, cfg, &mut metric_sites, &mut diags);
+        check_hot_allocation(info, &mut diags);
     }
     check_duplicate_registration(&metric_sites, &mut diags);
     check_lock_order(&infos, cfg, &mut diags);
@@ -65,54 +54,12 @@ fn push(diags: &mut Vec<Diagnostic>, rule: &'static str, f: &FileInfo, off: usiz
     diags.push(Diagnostic::new(rule, &f.path, line, col, msg));
 }
 
-/// L2: wall-clock reads only at allowlisted sites.
-fn check_clock_discipline(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    let n = f.sig.len();
-    let mut seen: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for i in 0..n.saturating_sub(2) {
-        if f.sig_kind(i) != TokenKind::Ident
-            || f.sig_kind(i + 1) != TokenKind::ColonColon
-            || f.sig_kind(i + 2) != TokenKind::Ident
-            || f.sig_text(i + 2) != "now"
-        {
-            continue;
-        }
-        let symbol: &'static str = match f.sig_text(i) {
-            "Instant" => "Instant::now",
-            "SystemTime" => "SystemTime::now",
-            _ => continue,
-        };
-        let off = f.sig_start(i);
-        if f.in_test(off) {
-            continue;
-        }
-        let count = seen.entry(symbol).or_insert(0);
-        *count += 1;
-        match cfg.clock_allowance(&f.path, symbol) {
-            Some(allow) if *count <= allow.max => {}
-            Some(allow) => push(
-                diags,
-                "L2",
-                f,
-                off,
-                format!(
-                    "{symbol} beyond this file's allowance of {} (allowlisted because: {}) — \
-                     route timing through the budget clock or locap_bench::timed",
-                    allow.max, allow.reason
-                ),
-            ),
-            None => push(
-                diags,
-                "L2",
-                f,
-                off,
-                format!(
-                    "{symbol} outside the clock allowlist — take a MonotonicClock (budgets) or \
-                     use locap_bench::timed so runs stay deterministic"
-                ),
-            ),
-        }
-    }
+/// Whether a repo-relative path lies in a `tests/` or `benches/` tree.
+/// Such files run only L6: test code may allocate and name metrics
+/// freely, but a deadlock in a test harness hangs CI just as hard as
+/// one in the daemon.
+fn in_test_tree(path: &str) -> bool {
+    path.contains("/tests/") || path.contains("/benches/")
 }
 
 /// One obs metric construction site, keyed for duplicate detection.
@@ -350,66 +297,6 @@ fn hoist_const_fix(
     ]
 }
 
-/// L7: post-lock `unwrap`/`expect`/`unwrap_or_else` outside the
-/// allowlisted poison-recovery helper of the crate. Poisoning must be
-/// handled in exactly one audited place per crate, as a typed, counted
-/// event — scattered inline recovery (or a silent thread abort) is the
-/// debt this rule ratchets out.
-fn check_poison_discipline(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    let helpers = cfg.lock_helper_names(&f.path);
-    let n = f.sig.len();
-    for i in 0..n {
-        if f.sig_kind(i) != TokenKind::Ident || !matches!(f.sig_text(i), "lock" | "read" | "write")
-        {
-            continue;
-        }
-        let prev_dot = i > 0 && f.sig_kind(i - 1) == TokenKind::Punct(b'.');
-        let empty_call = i + 2 < n
-            && f.sig_kind(i + 1) == TokenKind::Punct(b'(')
-            && f.sig_kind(i + 2) == TokenKind::Punct(b')');
-        if !prev_dot || !empty_call || i + 5 >= n {
-            continue;
-        }
-        if f.sig_kind(i + 3) != TokenKind::Punct(b'.') || f.sig_kind(i + 4) != TokenKind::Ident {
-            continue;
-        }
-        let method = f.sig_text(i + 4);
-        if !matches!(method, "unwrap" | "expect" | "unwrap_or_else")
-            || f.sig_kind(i + 5) != TokenKind::Punct(b'(')
-        {
-            continue;
-        }
-        let off = f.sig_start(i + 4);
-        if f.in_test(off) {
-            continue;
-        }
-        let in_helper = f
-            .fn_scope_at(off)
-            .and_then(|s| s.name.as_deref())
-            .is_some_and(|name| helpers.contains(&name));
-        if in_helper {
-            continue;
-        }
-        let hint = if helpers.is_empty() {
-            "add a poison-recovery helper for this crate and allowlist it in Config::locap"
-                .to_string()
-        } else {
-            format!("route it through `{}`", helpers.join("`/`"))
-        };
-        push(
-            diags,
-            "L7",
-            f,
-            off,
-            format!(
-                ".{}().{method}(…) outside the poison-recovery helper — poisoning must become \
-                 a typed, counted event, never a silent thread death; {hint}",
-                f.sig_text(i)
-            ),
-        );
-    }
-}
-
 /// Heap-allocating constructors L8 forbids past the setup prefix.
 const HOT_ALLOC_TYPES: &[&str] =
     &["Vec", "String", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "VecDeque"];
@@ -615,7 +502,9 @@ fn crate_of(path: &str) -> String {
 /// increase in rank, and no blocking call may happen under a held
 /// guard except through the guard binding itself. Ranks are *declared*
 /// rather than inferred so the intended global order survives
-/// refactors (see DESIGN.md).
+/// refactors, and they are per crate: sound because the crate graph is
+/// acyclic and no crate runs caller-supplied code under a ranked lock
+/// (see DESIGN.md).
 fn check_lock_order(infos: &[FileInfo], cfg: &Config, diags: &mut Vec<Diagnostic>) {
     let mut by_crate: BTreeMap<String, Vec<&FileInfo>> = BTreeMap::new();
     for f in infos {

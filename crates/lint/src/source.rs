@@ -5,8 +5,8 @@
 //! **Test regions** are computed once per file: items annotated
 //! `#[cfg(test)]` / `#[test]` / `#[should_panic]` (attribute through
 //! the end of the item's brace block or `;`), computed on the brace
-//! tree ([`crate::tree`]). All rules skip them: test code may read
-//! clocks and name metrics freely.
+//! tree ([`crate::tree`]). All rules skip them: test code may name
+//! metrics and allocate freely.
 //!
 //! `// lint: …` marker comments (`lock-rank=N`, `hot`, `hot-setup-end`,
 //! `hot-allow(reason)` — see the README annotation grammar) are indexed

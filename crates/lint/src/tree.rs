@@ -1,9 +1,9 @@
 //! The brace-tree IR: token trees over the full lexed stream.
 //!
-//! PR 5's rules were flat scans with ad-hoc depth counters; the v2
-//! rules (lock-order, poison discipline, hot-path allocation) all need
-//! real nesting — which block a guard dies in, which fn a call site
-//! belongs to, where a struct body ends. [`build`] turns the lexer's
+//! Flat token scans with ad-hoc depth counters cannot serve the
+//! scope-aware rules (lock-order, hot-path allocation): both need real
+//! nesting — which block a guard dies in, which fn a call site belongs
+//! to, where a struct body ends. [`build`] turns the lexer's
 //! flat stream into a tree of delimiter groups (`()`, `[]`, `{}`) with
 //! every non-delimiter token (trivia included) kept as a leaf, and
 //! [`scopes`] layers item/fn/impl detection on top. `#[cfg(test)]`

@@ -1,13 +1,13 @@
 //! Fixture tests for the rule engine: one known-bad snippet per rule
 //! (asserting it triggers exactly that rule), clean counterparts for the
 //! exemption machinery, and the lock-down assertions on the real
-//! workspace — the committed baseline must pass ratchet mode with no
-//! `src` debt, and every panic-scope root must deny the clippy lints
-//! that replaced the token-level panic rule.
+//! workspace — it must lint clean, `clippy.toml` must keep its clock and
+//! poison `disallowed-methods` list, and every panic-scope root must
+//! deny the clippy restriction lints.
 
 use std::path::Path;
 
-use locap_lint::{analyze_files, validate_lint_schema, Baseline, Config, Section, Summary};
+use locap_lint::{analyze_files, validate_lint_schema, Config, Summary};
 use locap_obs::json::Json;
 
 /// Runs the analyzer over one in-memory file under the locap config.
@@ -25,42 +25,6 @@ fn assert_only(rule: &str, diags: &[locap_lint::Diagnostic]) {
 }
 
 #[test]
-fn l2_fires_on_unallowlisted_clock_reads() {
-    let bad = r#"
-use std::time::Instant;
-pub fn how_long() -> std::time::Duration {
-    let t0 = Instant::now();
-    t0.elapsed()
-}
-"#;
-    let diags = lint_one("crates/algos/src/fixture.rs", bad);
-    assert_only("L2", &diags);
-    // ... and on exceeding a file's allowance (budget.rs allows one)
-    let two = "pub fn f() { let _ = Instant::now(); let _ = Instant::now(); }\n";
-    let diags = lint_one("crates/graph/src/budget.rs", two);
-    assert_only("L2", &diags);
-    assert_eq!(diags.len(), 1, "only the read beyond the allowance fires");
-}
-
-#[test]
-fn l2_exempts_tests_and_allowlisted_sites() {
-    let clean = r#"
-pub fn f() {}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let _ = std::time::Instant::now();
-    }
-}
-"#;
-    assert!(lint_one("crates/algos/src/fixture.rs", clean).is_empty());
-    let allowed = "pub fn today() { let _ = SystemTime::now(); }\n";
-    assert!(lint_one("crates/bench/src/gate.rs", allowed).is_empty());
-}
-
-#[test]
 fn l3_fires_on_inline_and_unresolved_metric_names() {
     let bad = r#"
 pub fn f() {
@@ -71,6 +35,9 @@ pub fn f() {
     let diags = lint_one("crates/graph/src/fixture.rs", bad);
     assert_only("L3", &diags);
     assert_eq!(diags.len(), 2, "{diags:#?}");
+    // test and bench trees name metrics freely
+    assert!(lint_one("crates/graph/tests/fixture.rs", bad).is_empty());
+    assert!(lint_one("crates/graph/benches/fixture.rs", bad).is_empty());
 }
 
 #[test]
@@ -182,6 +149,10 @@ fn l6_fires_on_missing_rank_and_todo_placeholder() {
     assert_only("L6", &diags);
     assert!(diags[0].message.contains("placeholder"), "{}", diags[0].message);
     assert!(diags[0].fixes.is_empty(), "the TODO placeholder has no mechanical fix");
+
+    // L6 is the one rule that also runs on test and bench trees
+    assert_only("L6", &lint_one("crates/serve/tests/fixture.rs", bad));
+    assert_only("L6", &lint_one("crates/serve/benches/fixture.rs", bad));
 
     // a declared rank is clean; a conflicting redeclaration is not
     let clean = "static QUEUE: Mutex<u8> = Mutex::new(0); // lint: lock-rank=10\n";
@@ -319,47 +290,6 @@ fn f() {
 }
 
 #[test]
-fn l7_fires_outside_the_poison_helper_and_exempts_it() {
-    let bad = r#"
-struct S {
-    m: Mutex<u8>, // lint: lock-rank=10
-}
-impl S {
-    fn bad(&self) -> u8 {
-        *self.m.lock().unwrap()
-    }
-}
-"#;
-    let diags = lint_one("crates/obs/src/fixture.rs", bad);
-    assert_only("L7", &diags);
-    assert!(diags[0].message.contains("lock_unpoisoned"), "{}", diags[0].message);
-
-    // the crate's allowlisted helper is the one audited recovery site;
-    // tests keep unwrap freedom
-    let clean = r#"
-struct S {
-    m: Mutex<u8>, // lint: lock-rank=10
-}
-fn lock_unpoisoned(m: &Mutex<u8>) -> MutexGuard<'_, u8> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let _ = M.lock().unwrap();
-    }
-}
-"#;
-    assert!(lint_one("crates/obs/src/fixture.rs", clean).is_empty());
-
-    // a different crate's helper name does not transfer
-    let wrong_helper = "fn lock_or_recover(m: &Mutex<u8>) -> u8 {\n    *m.lock().unwrap()\n}\n";
-    let diags = lint_one("crates/obs/src/fixture.rs", wrong_helper);
-    assert_only("L7", &diags);
-}
-
-#[test]
 fn l8_fires_past_the_setup_prefix_and_honors_hot_allow() {
     let bad = r#"
 // lint: hot
@@ -478,13 +408,7 @@ fn l3_fixes_hoist_the_literal_to_a_const() {
 fn diagnostics_json_round_trips_through_the_obs_parser() {
     let diags =
         lint_one("crates/graph/src/fixture.rs", "pub fn f() { obs::counter(\"a/b\").inc(); }\n");
-    let summary = Summary {
-        files: 1,
-        diagnostics: diags.len() as u64,
-        baselined: 0,
-        new: diags.len() as u64,
-        stale: 0,
-    };
+    let summary = Summary { files: 1, diagnostics: diags.len() as u64 };
     let text = locap_lint::diag::to_json(&summary, &diags);
     let doc = Json::parse(&text).expect("document parses with the in-repo parser");
     validate_lint_schema(&doc).expect("document is schema-valid");
@@ -544,25 +468,22 @@ fn fix_is_idempotent_and_the_todo_scaffolding_is_rejected() {
             ("crates/demo/src/locks.rs", "static QUEUE: Mutex<u8> = Mutex::new(0);\n"),
         ],
     );
-    let baseline = ws.root.join("lint_baseline.json");
-    let b = baseline.to_str().expect("utf8");
 
     // first --fix run: inserts the lock-rank=TODO scaffolding — which
     // the check then rejects until a human ranks it — and leaves the
     // crate root alone (unsafe is forbidden by the workspace lints)
-    let out = ws.lint(&["check", "--fix", "--baseline", b]);
-    assert!(!out.status.success(), "the TODO placeholder must fail the gate");
+    let out = ws.lint(&["check", "--fix"]);
+    assert_eq!(out.status.code(), Some(1), "the TODO placeholder must fail the gate");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("applied 1 fix edit(s) across 1 file(s)"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("L6"), "{stderr}");
+    assert!(stdout.contains("[L6 lock-order] placeholder"), "{stdout}");
     assert_eq!(ws.read("crates/demo/src/lib.rs"), "//! Demo.\n\npub fn f() {}\n");
     let locks = ws.read("crates/demo/src/locks.rs");
     assert!(locks.contains("// lint: lock-rank=TODO"), "{locks}");
 
     // a second --fix run proposes nothing: the fix is idempotent
     let before = (ws.read("crates/demo/src/lib.rs"), ws.read("crates/demo/src/locks.rs"));
-    let out = ws.lint(&["check", "--fix", "--baseline", b]);
+    let out = ws.lint(&["check", "--fix"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("applied 0 fix edit(s) across 0 file(s)"), "{stdout}");
     assert_eq!(before.0, ws.read("crates/demo/src/lib.rs"));
@@ -570,75 +491,73 @@ fn fix_is_idempotent_and_the_todo_scaffolding_is_rejected() {
 
     // a human picks the rank; the fixed tree re-lints clean
     ws.write("crates/demo/src/locks.rs", &before.1.replace("lock-rank=TODO", "lock-rank=10"));
-    let out = ws.lint(&["check", "--baseline", b]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("ratchet gate passed"));
+    let out = ws.lint(&["check"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("gate passed"));
 }
 
 #[test]
-fn validate_exits_2_on_baseline_entries_whose_file_is_gone() {
-    let ws = TempWorkspace::new("validate", &[("crates/demo/src/lib.rs", "pub fn f() {}\n")]);
-    let stale = "{\n  \"schema\": 2,\n  \"entries\": [\n    {\"rule\":\"L1\",\"file\":\"crates/demo/src/gone.rs\",\"count\":1,\"reason\":\"r\"}\n  ],\n  \"test_entries\": []\n}\n";
-    ws.write("stale.json", stale);
-    let out = ws.lint(&["validate", ws.root.join("stale.json").to_str().expect("utf8")]);
-    assert_eq!(out.status.code(), Some(2), "stale entries are a distinct failure class");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("gone.rs") && stderr.contains("no longer exists"), "{stderr}");
-
-    // with the file present the same document validates
-    let ok = stale.replace("gone.rs", "lib.rs");
-    ws.write("ok.json", &ok);
-    let out = ws.lint(&["validate", ws.root.join("ok.json").to_str().expect("utf8")]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-}
-
-#[test]
-fn check_appends_the_baseline_delta_to_the_step_summary() {
+fn check_appends_the_rule_table_to_the_step_summary() {
     let ws = TempWorkspace::new(
         "summary",
         &[("crates/demo/src/lib.rs", "static QUEUE: Mutex<u8> = Mutex::new(0);\n")],
     );
     let summary_path = ws.root.join("step_summary.md");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_locap-lint"))
-        .args(["check", "--baseline", ws.root.join("none.json").to_str().expect("utf8")])
-        .args(["--root", ws.root.to_str().expect("utf8 root")])
+        .args(["check", "--root", ws.root.to_str().expect("utf8 root")])
         .env("GITHUB_STEP_SUMMARY", &summary_path)
         .output()
         .expect("binary runs");
-    assert!(!out.status.success(), "the unranked mutex is a new violation");
+    assert_eq!(out.status.code(), Some(1), "the unranked mutex fails the gate");
     let md = std::fs::read_to_string(&summary_path).expect("summary written");
-    assert!(md.contains("## locap-lint"), "{md}");
-    assert!(md.contains("| L6 | lock-order | 1 |"), "{md}");
-    assert!(md.contains("### Baseline delta"), "{md}");
-    assert!(md.contains("new file — fix it"), "{md}");
-    assert!(md.contains("gate **FAILED**"), "{md}");
+    assert_eq!(
+        md,
+        "## locap-lint\n\n| rule | name | diagnostics |\n|---|---|---|\n\
+         | L3 | counter-discipline | 0 |\n| L6 | lock-order | 1 |\n| L8 | hot-path-allocation | 0 |\n"
+    );
 }
 
-/// The real workspace, under the committed baseline, passes ratchet mode
-/// — this is the same gate CI runs, locked down as a plain test.
-#[test]
-fn workspace_is_clean_under_the_committed_baseline() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline = Baseline::load(&root.join("lint_baseline.json")).expect("baseline loads");
-    let run = locap_lint::run_check(&root, &Config::locap(), &baseline).expect("scan");
-    assert!(run.passed(), "ratchet failures: {:#?}", run.failures);
+/// The clock and poison contracts: every path clippy must refuse
+/// outside a fn that expects `clippy::disallowed_methods`.
+const DISALLOWED_METHODS: [&str; 5] = [
+    "std::time::Instant::now",
+    "std::time::SystemTime::now",
+    "std::sync::Mutex::lock",
+    "std::sync::RwLock::read",
+    "std::sync::RwLock::write",
+];
 
-    // every src contract holds outright: panic debt is recorded as
-    // #[expect(…, reason)] on the fns that carry it, not here
-    let src: Vec<_> = baseline
-        .entries
-        .iter()
-        .filter(|e| Section::of(&e.file) == Section::Src)
+/// The real workspace passes the same gate CI runs, and `clippy.toml`
+/// still lists every disallowed method with a reason — without this,
+/// only the clippy step would notice a dropped entry.
+#[test]
+fn workspace_is_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let run = locap_lint::run_check(&root, &Config::locap()).expect("scan");
+    let rendered: Vec<String> = run.diagnostics.iter().map(|d| d.render()).collect();
+    assert!(run.passed(), "diagnostics: {rendered:#?}");
+
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml exists");
+    let (_, list) = toml.split_once("disallowed-methods = [").expect("disallowed-methods list");
+    let list = &list[..list.find("\n]").expect("closed list")];
+    // one `{ path = "…", reason = "…" }` entry per line
+    let entries: Vec<(&str, &str)> = list
+        .lines()
+        .filter_map(|l| Some((toml_str(l, "path")?, toml_str(l, "reason")?)))
         .collect();
-    assert!(src.is_empty(), "the baseline's `entries` section must stay empty: {src:#?}");
-    for e in &baseline.entries {
+    for path in DISALLOWED_METHODS {
+        let reason = entries.iter().find(|(p, _)| *p == path).map(|(_, r)| r.trim());
         assert!(
-            !e.reason.trim().is_empty() && !e.reason.starts_with("TODO"),
-            "baseline entry {} {} lacks a real reason",
-            e.rule,
-            e.file
+            reason.is_some_and(|r| !r.is_empty()),
+            "clippy.toml must disallow {path} with a reason: {entries:?}"
         );
     }
+}
+
+/// The value of a `key = "…"` pair on one line of TOML.
+fn toml_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let (_, rest) = line.split_once(&format!("{key} = \""))?;
+    rest.split_once('"').map(|(v, _)| v)
 }
 
 /// The clippy restriction lints that hold the panic-free execution core.
@@ -653,11 +572,11 @@ const PANIC_LINTS: [&str; 8] = [
     "clippy::string_slice",
 ];
 
-/// Every root of the panic scope — the `serve`/`store`/`core` crates,
-/// the two `locap-serve` binaries, and the engine, run and simulator
-/// modules plus the budget module — denies the full lint list. `serve`
-/// and `store` carry no `#[expect]`, so nothing else would notice a
-/// dropped attribute there.
+/// Every root of the panic scope — the `serve`/`store`/`core`/`num`
+/// crates, the two `locap-serve` binaries, and the engine, run and
+/// simulator modules plus the budget module — denies the full lint
+/// list. `serve`, `store` and `num` carry no `#[expect]`, so nothing
+/// else would notice a dropped attribute there.
 #[test]
 fn panic_scope_roots_deny_the_clippy_restriction_lints() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -665,6 +584,7 @@ fn panic_scope_roots_deny_the_clippy_restriction_lints() {
         "crates/core/src/lib.rs",
         "crates/serve/src/lib.rs",
         "crates/store/src/lib.rs",
+        "crates/num/src/lib.rs",
         "crates/serve/src/bin/locap.rs",
         "crates/serve/src/bin/locapd.rs",
         "crates/models/src/sim.rs",

@@ -395,7 +395,7 @@ pub struct Registry {
     latencies: Mutex<BTreeMap<String, Arc<FineHistogram>>>, // lint: lock-rank=13
 }
 
-/// The crate's one allowlisted poison-recovery site (lint L7). A
+/// The crate's one poison-recovery site. A
 /// poisoned registry map only means some thread panicked mid-insert;
 /// the map itself is still structurally sound, and observability must
 /// keep working — especially *during* a panic unwind, which is exactly
@@ -404,6 +404,11 @@ pub struct Registry {
 /// counter is bumped here on purpose: the poisoned lock may be the
 /// counter registry's own, and counting through it would re-enter the
 /// lock being recovered.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the crate's one poison-recovery site: a poisoned registry map is still \
+              structurally sound, and recovery clears the poison flag"
+)]
 pub(crate) fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -635,6 +640,10 @@ pub fn span(name: &str) -> Span {
 
 /// Opens a scoped timer carrying structured args (visible in trace
 /// exports; at most [`trace::MAX_ARGS`] are kept). See [`Span`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timing source of the observability layer itself"
+)]
 pub fn span_with(name: &str, args: &[(&'static str, i64)]) -> Span {
     let token = SPAN_STACK.with(|s| s.borrow_mut().push(name));
     let mut packed = [("", 0i64); trace::MAX_ARGS];

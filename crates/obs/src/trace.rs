@@ -108,6 +108,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process-wide trace epoch anchor (monotonic timestamps)"
+)]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -208,9 +212,7 @@ impl Drop for Ring {
         let events = self.drain_ordered();
         DROPPED.fetch_add(self.dropped, Ordering::Relaxed);
         self.dropped = 0;
-        if let Ok(mut s) = sink().lock() {
-            s.events.extend(events);
-        }
+        lock_unpoisoned(sink()).events.extend(events);
     }
 }
 
@@ -538,6 +540,32 @@ mod tests {
         assert_eq!(ts, vec![2, 3, 4, 5], "oldest two overwritten, order preserved");
         // draining resets the ring but not the drop count (flushed globally)
         assert!(ring.buf.is_empty());
+    }
+
+    #[test]
+    fn ring_drop_delivers_into_a_poisoned_sink() {
+        // a thread that panics while holding the sink poisons it
+        let _ = std::thread::spawn(|| {
+            let _guard = lock_unpoisoned(sink());
+            panic!("poison the trace sink");
+        })
+        .join();
+        // the exiting thread's buffered events still reach the sink
+        const MARK: u64 = 0x5151_0000_dead_beef;
+        let mut ring =
+            Ring { tid: 0, buf: Vec::new(), head: 0, cap: 4, dropped: 0, names: HashMap::new() };
+        ring.push(Event {
+            kind: EventKind::Instant,
+            name: 0,
+            tid: 0,
+            ts_ns: MARK,
+            dur_ns: 0,
+            value: 0,
+            args: [(0, 0); MAX_ARGS],
+            n_args: 0,
+        });
+        drop(ring);
+        assert!(lock_unpoisoned(sink()).events.iter().any(|e| e.ts_ns == MARK));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! sink. Span-path state is thread-local, so path-only tests run on
 //! dedicated threads to stay independent of the parallel test runner.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "TRACE_LOCK serialises the tests; a poisoned serialization lock means a prior test \
+              already failed, and unwrap surfaces that loudly instead of letting later tests race \
+              a half-reset trace sink"
+)]
+
 use locap_obs as obs;
 use obs::json::Json;
 use obs::trace::{self, EventKind};

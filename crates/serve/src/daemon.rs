@@ -174,10 +174,15 @@ pub struct Daemon {
     store: Option<StoreHandle>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the crate's one poison-recovery site: poisoning is counted as a typed \
+              `serve/errors/poisoned` disconnect exactly once"
+)]
 pub(crate) fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // a poisoned lock means a peer thread panicked; the guarded state
     // (a socket, a channel receiver) is still structurally sound. This
-    // is the crate's one allowlisted poison-recovery site (lint L7):
+    // is the crate's one poison-recovery site:
     // the event is counted as a typed `serve/errors/poisoned`
     // disconnect exactly once — clearing the poison flag means every
     // later acquisition takes the `Ok` path instead of re-counting —
@@ -684,6 +689,10 @@ fn process_job(job: Job, shared: &WorkerShared) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the poison test takes the raw lock on purpose: a panicking holder must poison it"
+)]
 mod tests {
     use super::*;
 

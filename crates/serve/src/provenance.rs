@@ -82,9 +82,12 @@ fn resolve_head(git: &Path) -> Option<String> {
 }
 
 /// Milliseconds since the Unix epoch. The one sanctioned wall-clock
-/// read in the serving layer (allowlisted by the L2 clock lint):
-/// provenance records *when* an artifact was made; nothing downstream
-/// computes with the value.
+/// read in the serving layer: provenance records *when* an artifact was
+/// made; nothing downstream computes with the value.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps provenance sidecars; nothing downstream computes with the value"
+)]
 fn created_unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -7,6 +7,11 @@
 //! and use `>=`, because the obs registry is process-global and tests
 //! in this binary run concurrently.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the fault tests poll the registry against wall-clock deadlines"
+)]
+
 mod common;
 
 use std::time::{Duration, Instant};

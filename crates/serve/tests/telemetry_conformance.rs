@@ -18,6 +18,12 @@
 //! the process-global metrics registry, and the runner executes tests
 //! on parallel threads.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "serialize() recovers SERIAL's poison so one panicking case does not cascade into \
+              every later case, and the stream tests poll against wall-clock deadlines"
+)]
+
 mod common;
 
 use std::io::{BufRead, BufReader};
