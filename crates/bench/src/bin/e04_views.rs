@@ -57,13 +57,12 @@ fn body() {
     let stats = cache.stats();
     hprintln!(
         "\nview-engine counters: {} states, classes by level {:?}, \
-         tree memo {} hits / {} misses, dedup {:.2}x, {} worker(s)",
+         tree memo {} hits / {} misses, dedup {:.2}x",
         stats.states,
         stats.classes,
         stats.tree_hits,
         stats.tree_misses,
         stats.dedup_ratio(),
-        stats.workers,
     );
 
     hprintln!("\nEvery view embeds into T* (checked): {}", {

@@ -68,13 +68,12 @@ fn body() {
     );
     hprintln!(
         "engine counters: {} states, classes by level {:?}, tree memo {} hits / {} misses, \
-         dedup {:.1}x, {} worker(s)",
+         dedup {:.1}x",
         stats.states,
         stats.classes,
         stats.tree_hits,
         stats.tree_misses,
         stats.dedup_ratio(),
-        stats.workers,
     );
     hprintln!(
         "census time: naive {:.2?} vs engine {:.2?} ({:.1}x)",

@@ -30,7 +30,7 @@
 
 use locap_graph::budget::RunBudget;
 use locap_graph::canon::{ordered_lnbhd_fast, NbhdScratch, OrderedLNbhd};
-use locap_graph::LDigraph;
+use locap_graph::{par, LDigraph};
 use locap_groups::{cayley, Group, IterGroup};
 use locap_num::Ratio;
 use locap_obs as obs;
@@ -172,9 +172,11 @@ pub fn tau_star(level: usize, gens: &[Vec<i64>], r: usize) -> Result<OrderedLNbh
     Ok(OrderedLNbhd { n: ball.len() as u32, root, edges })
 }
 
-/// Vertex count below which the census stays sequential.
+/// Vertex count below which the census stays on the calling thread.
 const PARALLEL_MIN_NODES: usize = 1 << 10;
 
+/// Counts the vertices whose ordered radius-`r` neighbourhood is `tau`,
+/// summing per-chunk counts over [`par::map_chunks`].
 fn census_count(
     d: &LDigraph,
     und: &locap_graph::Graph,
@@ -183,47 +185,14 @@ fn census_count(
     tau: &OrderedLNbhd,
 ) -> usize {
     let _span = obs::span("census_count");
-    let n = d.node_count();
-    let count_range = |lo: usize, hi: usize| {
+    par::map_chunks(d.node_count(), PARALLEL_MIN_NODES, |vertices| {
         let mut scratch = NbhdScratch::new();
-        (lo..hi)
+        vertices
             .filter(|&v| &ordered_lnbhd_fast(d, und, rank, v, r, &mut scratch) == tau)
             .count()
-    };
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if n < PARALLEL_MIN_NODES || workers < 2 {
-        return count_range(0, n);
-    }
-    let chunk = n.div_ceil(workers);
-    let parent_path = obs::current_span_path();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                let count_range = &count_range;
-                let parent_path = &parent_path;
-                s.spawn(move || {
-                    // parent path adoption: parallel tracks in traces
-                    let _adopt = obs::adopt_span_path(parent_path);
-                    let _s = obs::span_with(
-                        "worker",
-                        &[("worker", w as i64), ("lo", lo as i64), ("hi", hi as i64)],
-                    );
-                    count_range(lo, hi)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).sum()
     })
-}
-
-/// Joins a scoped worker, forwarding its result and re-raising a panic
-/// (a worker panic is a bug, never a malformed-input condition).
-fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(p) => std::panic::resume_unwind(p),
-    }
+    .into_iter()
+    .sum()
 }
 
 /// Searches the `{0,1}`-coordinate `k`-subsets for a generator set whose

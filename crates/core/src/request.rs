@@ -377,6 +377,30 @@ fn exact_size(
     Ok(n as usize)
 }
 
+/// The most view-refinement states a census may allocate: the
+/// `3 · MAX_PARAM` states of the longest directed cycle parse admits.
+const MAX_CENSUS_STATES: u64 = 3 * MAX_PARAM;
+
+/// The `k`-dimensional torus over `Z_m`, provided its refinement state
+/// count `m^k · (1 + 2k)` is at most [`MAX_CENSUS_STATES`]: `k` and `m`
+/// are each bounded by [`MAX_PARAM`], but `m^k` is not.
+fn toroidal_family(pipeline: &'static str, k: u64, m: u64) -> Result<CensusFamily, RequestError> {
+    u32::try_from(k)
+        .ok()
+        .and_then(|e| m.checked_pow(e))
+        .and_then(|nodes| nodes.checked_mul(1 + 2 * k))
+        .filter(|&states| states <= MAX_CENSUS_STATES)
+        .map(|_| CensusFamily::Toroidal { k: k as usize, m: m as usize })
+        .ok_or_else(|| RequestError::BadParam {
+            pipeline,
+            param: "k",
+            reason: format!(
+                "toroidal k = {k}, m = {m} needs m^k * (1 + 2k) census states, \
+                 above the limit of {MAX_CENSUS_STATES}"
+            ),
+        })
+}
+
 fn str_param<'a>(
     pipeline: &'static str,
     params: &'a Json,
@@ -469,10 +493,11 @@ impl PipelineRequest {
                     "directed-cycle" => CensusFamily::DirectedCycle {
                         n: int_min(p, params, "n", None, 3)? as usize,
                     },
-                    "toroidal" => CensusFamily::Toroidal {
-                        k: int_min(p, params, "k", Some(1), 1)? as usize,
-                        m: int_min(p, params, "m", None, 3)? as usize,
-                    },
+                    "toroidal" => toroidal_family(
+                        p,
+                        int_min(p, params, "k", Some(1), 1)?,
+                        int_min(p, params, "m", None, 3)?,
+                    )?,
                     other => {
                         return Err(RequestError::BadParam {
                             pipeline: p,
@@ -861,6 +886,21 @@ mod tests {
             assert_eq!(e.kind(), "bad_param", "{pipeline}");
             let at_limit = params.replace(&over.to_string(), &MAX_EXACT_NODES.to_string());
             assert!(parse_req(pipeline, &at_limit).is_ok(), "{pipeline} accepts the limit");
+        }
+    }
+
+    #[test]
+    fn toroidal_census_size_is_bounded_at_parse() {
+        let toroidal = |k: u64, m: u64| {
+            parse_req("census", &format!("{{\"family\": \"toroidal\", \"k\": {k}, \"m\": {m}}}"))
+        };
+        // m^k overflows u64, or m^k · (1 + 2k) exceeds 3 · MAX_PARAM
+        for (k, m) in [(4, 1 << 20), (8, 256), (1 << 20, 3), (20, 3), (2, 100_000), (2, 794)] {
+            let e = toroidal(k, m).expect_err("oversized torus rejected");
+            assert_eq!(e.kind(), "bad_param", "k = {k}, m = {m}");
+        }
+        for (k, m) in [(2, 792), (2, 793), (10, 3), (1, MAX_PARAM)] {
+            assert!(toroidal(k, m).is_ok(), "k = {k}, m = {m} stays admitted");
         }
     }
 

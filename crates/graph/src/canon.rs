@@ -35,7 +35,7 @@
 //! * [`OrderedLNbhd`] — `(n << 32) | root`, then two words per directed
 //!   labelled edge, `(from << 32) | to` followed by `label`, ascending.
 
-use crate::{CsrGraph, Graph, KeyInterner, LDigraph, NodeId};
+use crate::{par, CsrGraph, Graph, KeyInterner, LDigraph, NodeId};
 use locap_obs as obs;
 
 /// Read-only adjacency, abstracting over [`Graph`] (nested `Vec`s, cheap
@@ -549,124 +549,69 @@ pub fn ordered_lnbhd_fast(
     t
 }
 
-/// Fans per-vertex key extraction over `std::thread::scope` workers, each
-/// with its own [`NbhdScratch`] and worker-local [`KeyInterner`]; falls
-/// back to one thread on small inputs. Returns the content-merged global
-/// interner and the per-id occurrence counts (ids are in global first-seen
-/// order, every count positive). `name` tags the run in the observability
-/// registry (a `census/<name>` span plus vertex/worker metrics).
+/// Fans per-vertex key extraction over [`par::map_chunks`], each chunk
+/// with its own [`NbhdScratch`] and chunk-local [`KeyInterner`]. Returns
+/// the content-merged interner and the per-id occurrence counts (ids are
+/// in global first-seen order, every count positive), with the lookup
+/// counts left pending: whatever the chunking they are those of one
+/// sequential pass, `misses` = distinct keys and `hits` = `n − misses`.
+/// `name` tags the run in the observability registry (a `census/<name>`
+/// span plus a vertex counter).
 fn per_vertex_keys<F>(name: &str, n: usize, f: F) -> (KeyInterner, Vec<usize>)
 where
     F: Fn(&mut NbhdScratch, NodeId, &mut Vec<u64>) + Sync,
 {
+    /// Vertex count below which the census stays on the calling thread.
     const PARALLEL_MIN_NODES: usize = 1 << 10;
-    let workers = if n < PARALLEL_MIN_NODES {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
-    let (mut interner, counts) = per_vertex_keys_on(name, n, workers, f);
-    interner.publish_obs();
-    (interner, counts)
-}
-
-/// [`per_vertex_keys`] on exactly `workers` threads, with the interner's
-/// lookup counts left pending. Whatever the worker count they are those
-/// of a sequential pass: `misses` = distinct keys, `hits` = `n − misses`.
-fn per_vertex_keys_on<F>(name: &str, n: usize, workers: usize, f: F) -> (KeyInterner, Vec<usize>)
-where
-    F: Fn(&mut NbhdScratch, NodeId, &mut Vec<u64>) + Sync,
-{
     /// Counter of vertices canonicalised across all census runs.
     const CENSUS_VERTICES: &str = "census/vertices";
-    /// Gauge of worker threads used by the latest census fan-out.
-    const CENSUS_WORKERS: &str = "census/workers";
     let _span = obs::span_with(&format!("census/{name}"), &[("nodes", n as i64)]);
     obs::counter(CENSUS_VERTICES).add(n as u64);
-    let worker_gauge = obs::gauge(CENSUS_WORKERS);
-    if workers <= 1 {
-        worker_gauge.set(1);
+    let mut parts = par::map_chunks(n, PARALLEL_MIN_NODES, |vertices| {
         let mut scratch = NbhdScratch::new();
         let mut key = Vec::new();
-        let mut interner = KeyInterner::new();
-        let mut counts: Vec<usize> = Vec::new();
-        for v in 0..n {
+        let (mut interner, mut counts) = (KeyInterner::new(), Vec::new());
+        for v in vertices {
             f(&mut scratch, v, &mut key);
-            let id = interner.intern(&key) as usize;
-            if id == counts.len() {
-                counts.push(0);
-            }
-            counts[id] += 1;
+            tally(&mut interner, &mut counts, &key, 1);
         }
-        return (interner, counts);
-    }
-    worker_gauge.set(workers as i64);
-    let chunk = n.div_ceil(workers);
-    let parent_path = obs::current_span_path();
-    let parts = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let f = &f;
-                let parent_path = &parent_path;
-                scope.spawn(move || {
-                    // inherit the parent span path: the fan-out renders as
-                    // parallel tracks under census/<name> in traces
-                    let _adopt = obs::adopt_span_path(parent_path);
-                    let _s = obs::span_with(
-                        "worker",
-                        &[("worker", w as i64), ("lo", lo as i64), ("hi", hi as i64)],
-                    );
-                    let mut scratch = NbhdScratch::new();
-                    let mut key = Vec::new();
-                    let mut interner = KeyInterner::new();
-                    let mut counts: Vec<usize> = Vec::new();
-                    for v in lo..hi {
-                        f(&mut scratch, v, &mut key);
-                        let id = interner.intern(&key) as usize;
-                        if id == counts.len() {
-                            counts.push(0);
-                        }
-                        counts[id] += 1;
-                    }
-                    (interner, counts)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    // content-merge the worker interners: re-intern each worker-local key
-    // into the global table and fold the counts
-    let mut global = KeyInterner::new();
-    let mut counts: Vec<usize> = Vec::new();
+        (interner, counts)
+    })
+    .into_iter();
+    // the first chunk's table becomes the global one; each later chunk is
+    // content-merged into it by re-interning its keys in local id order
+    let (mut global, mut counts) = parts.next().unwrap_or_default();
     for (local, local_counts) in parts {
         for (lid, &c) in local_counts.iter().enumerate() {
-            let gid = global.intern(local.get(lid as u32)) as usize;
-            if gid == counts.len() {
-                counts.push(0);
-            }
-            counts[gid] += c;
+            tally(&mut global, &mut counts, local.get(lid as u32), c);
         }
     }
-    // the workers' lookups and the merge's re-interning are bookkeeping of
+    // the chunks' lookups and the merge's re-interning are bookkeeping of
     // the fan-out: count what one sequential pass over n vertices counts
     let distinct = global.len() as u64;
     global.set_pending_stats(n as u64 - distinct, distinct);
     (global, counts)
 }
 
-/// Decodes the interned census into `(type, count)` pairs, most frequent
-/// first (ties broken by the type's derived order) — the same ordering as
+/// Interns `key` and adds `c` to its occurrence count.
+fn tally(interner: &mut KeyInterner, counts: &mut Vec<usize>, key: &[u64], c: usize) {
+    let id = interner.intern(key) as usize;
+    if id == counts.len() {
+        counts.push(0);
+    }
+    counts[id] += c;
+}
+
+/// Publishes the interner's pending lookup counts, then decodes the
+/// interned census into `(type, count)` pairs, most frequent first (ties
+/// broken by the type's derived order) — the same ordering as
 /// [`sorted_census`] on the naive paths.
 fn census_from_keys<T: Ord, F: Fn(&[u64]) -> T>(
-    interner: &KeyInterner,
+    mut interner: KeyInterner,
     counts: &[usize],
     decode: F,
 ) -> Vec<(T, usize)> {
+    interner.publish_obs();
     let mut out: Vec<(T, usize)> = counts
         .iter()
         .enumerate()
@@ -695,8 +640,8 @@ fn sorted_census<T: Ord + std::hash::Hash>(types: Vec<T>) -> Vec<(T, usize)> {
 /// `α = max_count / n`.
 ///
 /// Engine-backed: the graph is flattened to a [`CsrGraph`] once, packed
-/// keys are extracted per vertex through [`ordered_key_into`] on scoped
-/// worker threads, and counting happens on interned ids — one struct
+/// keys are extracted per vertex through [`ordered_key_into`] on
+/// [`par`] workers, and counting happens on interned ids — one struct
 /// decode per distinct type instead of per vertex.
 /// [`ordered_type_census_naive`] is the reference implementation.
 pub fn ordered_type_census(g: &Graph, rank: &[usize], r: usize) -> Vec<(OrderedNbhd, usize)> {
@@ -704,7 +649,7 @@ pub fn ordered_type_census(g: &Graph, rank: &[usize], r: usize) -> Vec<(OrderedN
     let (interner, counts) = per_vertex_keys("ordered", g.node_count(), |scratch, v, key| {
         ordered_key_into(&csr, rank, v, r, scratch, key)
     });
-    census_from_keys(&interner, &counts, OrderedNbhd::from_key)
+    census_from_keys(interner, &counts, OrderedNbhd::from_key)
 }
 
 /// The reference (sequential, allocation-per-call) implementation of
@@ -721,7 +666,7 @@ pub fn ordered_ltype_census(d: &LDigraph, rank: &[usize], r: usize) -> Vec<(Orde
     let (interner, counts) = per_vertex_keys("ordered_l", d.node_count(), |scratch, v, key| {
         ordered_lkey_into(d, &und, rank, v, r, scratch, key)
     });
-    census_from_keys(&interner, &counts, OrderedLNbhd::from_key)
+    census_from_keys(interner, &counts, OrderedLNbhd::from_key)
 }
 
 /// The reference implementation of [`ordered_ltype_census`]; kept as the
@@ -921,14 +866,17 @@ mod tests {
 
     #[test]
     fn census_intern_counts_do_not_depend_on_worker_count() {
-        // identity order on a cycle: the interior type plus two seam types
-        let n = 600;
+        // identity order on a cycle: the interior type plus two seam
+        // types; 2^10 nodes reaches PARALLEL_MIN_NODES, so w ≥ 2 merges
+        let n = 1 << 10;
         let g = gen::cycle(n);
         let rank = identity_rank(n);
         let csr = CsrGraph::from_graph(&g);
         let census = |workers| {
-            per_vertex_keys_on("worker_count_test", n, workers, |scratch, v, key| {
-                ordered_key_into(&csr, &rank, v, 1, scratch, key)
+            par::with_workers(workers, || {
+                per_vertex_keys("worker_count_test", n, |scratch, v, key| {
+                    ordered_key_into(&csr, &rank, v, 1, scratch, key)
+                })
             })
         };
         let (sequential, sequential_counts) = census(1);

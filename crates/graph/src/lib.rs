@@ -17,7 +17,8 @@
 //! * standard families and products ([`gen`], [`product`]) including the
 //!   toroidal grids of Fig. 6b;
 //! * BFS balls, distances, girth and connectivity ([`Graph::ball`],
-//!   [`Graph::girth`], …).
+//!   [`Graph::girth`], …);
+//! * the one chunked fan-out ([`par`]) that every census sweep runs on.
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@ pub mod factor;
 pub mod gen;
 mod intern;
 mod order;
+pub mod par;
 mod ports;
 pub mod product;
 pub mod random;

@@ -38,8 +38,8 @@ pub fn cartesian(g: &Graph, h: &Graph) -> Graph {
 ///
 /// # Panics
 ///
-/// Panics if `m < 3` (steps would create loops or parallel pairs) or
-/// `k == 0`.
+/// Panics if `m < 3` (steps would create loops or parallel pairs), if
+/// `k == 0`, or if the node count `m^k` overflows `usize`.
 ///
 /// # Examples
 ///
@@ -54,7 +54,10 @@ pub fn cartesian(g: &Graph, h: &Graph) -> Graph {
 pub fn toroidal(k: usize, m: usize) -> LDigraph {
     assert!(k >= 1, "dimension must be positive");
     assert!(m >= 3, "cycle length must be at least 3");
-    let n = m.pow(k as u32);
+    let n = u32::try_from(k)
+        .ok()
+        .and_then(|e| m.checked_pow(e))
+        .unwrap_or_else(|| panic!("toroidal grid of {m}^{k} nodes overflows usize"));
     let mut d = LDigraph::new(n, k);
     for v in 0..n {
         for i in 0..k {
@@ -157,6 +160,12 @@ mod tests {
         let t = toroidal(1, 7);
         let c = gen::directed_cycle(7);
         assert_eq!(t, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "256^8 nodes overflows usize")]
+    fn toroidal_node_count_overflow_panics_instead_of_wrapping() {
+        toroidal(8, 256);
     }
 
     #[test]

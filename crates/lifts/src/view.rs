@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use locap_graph::budget::TruncationReason;
-use locap_graph::{KeyInterner, LCsr, LDigraph, NodeId};
+use locap_graph::{par, KeyInterner, LCsr, LDigraph, NodeId};
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_store::{Lookup, StoreHandle, StoreKey};
@@ -185,8 +185,6 @@ pub struct ViewCacheStats {
     pub tree_hits: u64,
     /// Subtrees actually built (once per distinct class).
     pub tree_misses: u64,
-    /// Worker threads used for the last refinement sweep (1 = sequential).
-    pub workers: usize,
 }
 
 impl ViewCacheStats {
@@ -212,7 +210,7 @@ impl ViewCacheStats {
 /// so two root states get the same class at level `r` **iff** their
 /// radius-`r` views are equal. Deepening to `r` reuses levels `< r`
 /// (incremental deepening), and the per-state signature sweep fans out
-/// across `std::thread::scope` workers on large graphs.
+/// across [`par`] workers on large graphs.
 ///
 /// Trees are materialised lazily, once per distinct class, and cloned out;
 /// [`ViewCache::census`] therefore builds one tree per *class* instead of
@@ -249,7 +247,6 @@ pub struct ViewCache<'g> {
     obs_tree_misses: obs::Counter,
     obs_states: obs::Counter,
     obs_classes: obs::Gauge,
-    obs_workers: obs::Gauge,
 }
 
 /// Threshold below which the refinement sweep stays sequential: the per
@@ -264,8 +261,6 @@ const VIEW_CACHE_TREE_MISSES: &str = "view_cache/tree_misses";
 const VIEW_CACHE_STATES: &str = "view_cache/states";
 /// Gauge of distinct view classes at the deepest refined level.
 const VIEW_CACHE_CLASSES: &str = "view_cache/classes";
-/// Gauge of worker threads used by the latest refinement sweep.
-const VIEW_CACHE_WORKERS: &str = "view_cache/workers";
 
 impl<'g> ViewCache<'g> {
     /// Creates an empty cache for `d`; levels are built on demand.
@@ -279,12 +274,11 @@ impl<'g> ViewCache<'g> {
             levels: Vec::new(),
             reps: Vec::new(),
             trees: Vec::new(),
-            stats: ViewCacheStats { states, workers: 1, ..ViewCacheStats::default() },
+            stats: ViewCacheStats { states, ..ViewCacheStats::default() },
             obs_tree_hits: obs::counter(VIEW_CACHE_TREE_HITS),
             obs_tree_misses: obs::counter(VIEW_CACHE_TREE_MISSES),
             obs_states: obs::counter(VIEW_CACHE_STATES),
             obs_classes: obs::gauge(VIEW_CACHE_CLASSES),
-            obs_workers: obs::gauge(VIEW_CACHE_WORKERS),
         }
     }
 
@@ -506,21 +500,23 @@ impl<'g> ViewCache<'g> {
                 self.levels.push(vec![0; n_states]);
                 self.reps.push(if n_states == 0 { Vec::new() } else { vec![0] });
             } else {
-                let (flat, lens) = self.signatures_for_level(depth);
                 // class = interned signature id: dense ids in first-seen
-                // order reproduce the historical HashMap numbering exactly
+                // order reproduce the historical HashMap numbering exactly;
+                // `classes.len()` is the state being interned
                 let mut interner = KeyInterner::new();
                 let mut classes = Vec::with_capacity(n_states);
                 let mut reps = Vec::new();
-                let mut lo = 0usize;
-                for (s, &len) in lens.iter().enumerate() {
-                    let hi = lo + len as usize;
-                    let id = interner.intern(&flat[lo..hi]);
-                    if id as usize == reps.len() {
-                        reps.push(s as u32);
+                for (flat, lens) in self.signatures_for_level(depth) {
+                    let mut lo = 0usize;
+                    for len in lens {
+                        let hi = lo + len as usize;
+                        let id = interner.intern(&flat[lo..hi]);
+                        if id as usize == reps.len() {
+                            reps.push(classes.len() as u32);
+                        }
+                        classes.push(id);
+                        lo = hi;
                     }
-                    classes.push(id);
-                    lo = hi;
                 }
                 interner.publish_obs();
                 self.levels.push(classes);
@@ -537,62 +533,19 @@ impl<'g> ViewCache<'g> {
         }
     }
 
-    /// One refinement sweep: all per-state signatures at `depth`, packed
-    /// into one flat buffer (`lens[s]` words belong to state `s`), fanned
-    /// across `std::thread::scope` workers when the state space is large.
+    /// One refinement sweep: the signatures of all states at `depth`, as
+    /// one `(flat, lens)` pair per [`par::map_chunks`] chunk in state
+    /// order (`lens[i]` words of `flat` belong to the chunk's `i`-th state).
     // lint: hot
-    fn signatures_for_level(&mut self, depth: usize) -> (Vec<u64>, Vec<u32>) {
-        let n_states = self.d.node_count() * self.width;
+    fn signatures_for_level(&self, depth: usize) -> Vec<(Vec<u64>, Vec<u32>)> {
         let prev = &self.levels[depth - 1];
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if workers <= 1 || n_states < PARALLEL_MIN_STATES {
-            self.stats.workers = 1;
-            self.obs_workers.set(1);
-            let mut flat = Vec::new(); // lint: hot-allow(per-sweep output buffer, one per refinement round)
-            let mut lens = Vec::with_capacity(n_states); // lint: hot-allow(per-sweep output buffer, one per refinement round)
-            for s in 0..n_states {
+        par::map_chunks(self.d.node_count() * self.width, PARALLEL_MIN_STATES, |states| {
+            let mut flat = Vec::new(); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
+            let mut lens = Vec::with_capacity(states.len()); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
+            for s in states {
                 let before = flat.len();
                 self.signature_append(s, prev, &mut flat);
                 lens.push((flat.len() - before) as u32);
-            }
-            return (flat, lens);
-        }
-        self.stats.workers = workers;
-        self.obs_workers.set(workers as i64);
-        let chunk = n_states.div_ceil(workers);
-        let this = &*self;
-        let parent_path = obs::current_span_path();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n_states);
-                    let parent_path = &parent_path;
-                    scope.spawn(move || {
-                        // inherit the parent span path so the sweep shows
-                        // as parallel tracks under the same ancestry
-                        let _adopt = obs::adopt_span_path(parent_path);
-                        let _s = obs::span_with(
-                            "worker",
-                            &[("worker", w as i64), ("lo", lo as i64), ("hi", hi as i64)],
-                        );
-                        let mut flat = Vec::new(); // lint: hot-allow(worker-local output buffer, one per worker per round)
-                        let mut lens = Vec::with_capacity(hi - lo); // lint: hot-allow(worker-local output buffer, one per worker per round)
-                        for s in lo..hi {
-                            let before = flat.len();
-                            this.signature_append(s, prev, &mut flat);
-                            lens.push((flat.len() - before) as u32);
-                        }
-                        (flat, lens)
-                    })
-                })
-                .collect();
-            let mut flat = Vec::new(); // lint: hot-allow(merge buffer for worker results, one per round)
-            let mut lens = Vec::with_capacity(n_states); // lint: hot-allow(merge buffer for worker results, one per round)
-            for h in handles {
-                let (wf, wl) = h.join().expect("signature worker panicked");
-                flat.extend_from_slice(&wf);
-                lens.extend_from_slice(&wl);
             }
             (flat, lens)
         })

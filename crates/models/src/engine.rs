@@ -19,8 +19,8 @@
 //! * [`ViewEngine`] (PO) wraps [`locap_lifts::ViewCache`] — incremental
 //!   class refinement computes the view classes of **all** vertices at
 //!   once (radius `r` extends radius `r − 1`), identical subtrees are
-//!   interned, and the per-state sweep fans across `std::thread::scope`
-//!   workers.
+//!   interned, and the per-state sweep fans across
+//!   [`locap_graph::par`] workers.
 //! * [`NbhdEngine`] (OI as [`OiEngine`], ID as [`IdEngine`]) extracts each
 //!   vertex's canonical form as a packed `u64` key
 //!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call

@@ -5,15 +5,16 @@
 //! process-global [`Registry`] of named metrics:
 //!
 //! * **counters** — monotone `u64` totals (`engine/po/evals`), safe to
-//!   bump from any thread, including the `std::thread::scope` workers the
-//!   engines fan out to;
-//! * **gauges** — last-write-wins `i64` levels (`view_cache/workers`);
+//!   bump from any thread, including the workers of the census fan-out
+//!   (`locap_graph::par`);
+//! * **gauges** — last-write-wins `i64` levels (`view_cache/classes`);
 //! * **spans** — RAII scoped timers ([`span`]) whose durations aggregate
 //!   into log₂-bucketed histograms. Spans nest per thread: a span opened
 //!   while another is active records under `parent/child`, so
 //!   `obs::span("oi_to_po")` + inner `obs::span("simulate")` yields
-//!   `oi_to_po/simulate`. Worker threads start a fresh path and typically
-//!   open fully-qualified spans.
+//!   `oi_to_po/simulate`. Worker threads start a fresh path; the census
+//!   fan-out's workers adopt their caller's with [`adopt_span_path`] and
+//!   record a `…/worker` row under it.
 //!
 //! Everything is exportable as machine-readable text with a stable
 //! schema shared with the checked-in `BENCH_views.json` baseline:

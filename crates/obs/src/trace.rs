@@ -27,10 +27,10 @@
 //!   per span path with its **self** time in nanoseconds, directly
 //!   consumable by inferno / `flamegraph.pl`.
 //!
-//! Worker threads spawned under `std::thread::scope` carry their own
-//! ring (and thread id); call sites adopt the parent's span path via
-//! [`crate::adopt_span_path`] so fan-out renders as parallel tracks
-//! under the same ancestry in the timeline.
+//! Worker threads carry their own ring (and thread id). The census
+//! fan-out (`locap_graph::par::map_chunks`) adopts the caller's span path
+//! in each worker via [`crate::adopt_span_path`], so a fan-out renders as
+//! parallel tracks under the same ancestry in the timeline.
 //!
 //! `OBS_TRACE_CAP` overrides the per-thread ring capacity (events;
 //! default 65536).

@@ -110,7 +110,7 @@ fn exported_json_round_trips_against_bench_schema() {
     let reg = Registry::new();
     reg.counter("engine/po/evals").add(12);
     reg.counter("engine/po/hits").add(88);
-    reg.gauge("view_cache/workers").set(4);
+    reg.gauge("view_cache/classes").set(4);
     reg.record_span_ns("e99/total", 123_456);
     reg.record_span_ns("e99/total", 234_567);
     reg.record_span_ns("e99/census", 9_999);

@@ -124,6 +124,27 @@ fn oversized_solver_inputs_are_typed_and_the_worker_survives() {
     daemon.stop();
 }
 
+/// A toroidal census whose `m^k` nodes overflow, or whose state count
+/// exceeds the longest admitted directed cycle's, is one typed
+/// `request/bad_param` line: never a wrapped empty census, a panicked
+/// worker or an aborted daemon. Each is followed by a `ping` that the
+/// same one-worker daemon still answers.
+#[test]
+fn oversized_toroidal_censuses_are_typed_and_the_daemon_survives() {
+    let daemon = TestDaemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let mut client = Client::connect(daemon.addr());
+    for (k, m) in [(4, 1 << 20), (8, 256), (1 << 20, 3), (20, 3), (2, 100_000)] {
+        let frame = format!(
+            r#"{{"id":"torus","pipeline":"census","params":{{"family":"toroidal","k":{k},"m":{m}}}}}"#
+        );
+        expect_err(&client.roundtrip(&frame), "request/bad_param");
+        let pong = client.roundtrip(r#"{"op":"ping","id":"after-torus"}"#);
+        expect_ok(&pong);
+        assert_eq!(pong.get("id").and_then(Json::as_str), Some("after-torus"), "k={k} m={m}");
+    }
+    daemon.stop();
+}
+
 /// A job's deadline runs from the job's start, not the daemon's: a
 /// daemon up longer than its default deadline still answers `ok`.
 #[test]
