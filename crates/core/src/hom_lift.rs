@@ -17,13 +17,13 @@
 use locap_graph::budget::RunBudget;
 use locap_graph::canon::ordered_lnbhd_in;
 use locap_graph::product::label_matching_product;
-use locap_graph::LDigraph;
+use locap_graph::{Graph, LDigraph};
 use locap_groups::{Group, IterGroup};
 use locap_lifts::{view, CoveringMap, Letter, Word};
 use locap_num::Ratio;
 use locap_obs as obs;
 
-use crate::homogeneous::HomogeneousGraph;
+use crate::homogeneous::{HomogeneousGraph, MAX_NODES};
 use crate::CoreError;
 
 /// The lift `G_ε = H_ε × G` of Theorem 3.3, with its order and covering
@@ -32,6 +32,9 @@ use crate::CoreError;
 pub struct HomogeneousLift {
     /// The lifted graph `G_ε`.
     pub lift: LDigraph,
+    /// The underlying simple graph of `lift`, built once for verification
+    /// and for the OI runs of the transfer.
+    pub und: Graph,
     /// The covering map ϕ : V(G_ε) → V(G).
     pub phi: CoveringMap,
     /// Rank of each lift vertex in the completed order `<_C`.
@@ -74,19 +77,19 @@ pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Vec<i64> {
 
 /// Builds the homogeneous lift `G_ε = H × G`.
 ///
-/// The verification sweep (girth spot-checks and the per-sample τ*-order
-/// audit) checks the deadline between samples. An unverified lift is
-/// useless to the transfer, so a tripped budget is
+/// A lift of more than 3,000,000 nodes (the cap [`crate::homogeneous`]
+/// puts on `|H|`) is [`CoreError::TooLarge`] before anything is
+/// allocated. The deadline is checked after the product, after its
+/// underlying graph, and between the samples of the verification sweep
+/// (girth spot-checks and the per-sample τ*-order audit). An unverified
+/// lift is useless to the transfer, so a tripped budget is
 /// [`CoreError::Truncated`], not a partial lift.
 ///
 /// # Errors
 ///
-/// Fails if the alphabets disagree or the verified properties do not
-/// hold, and with [`CoreError::Truncated`] when the budget trips.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "x < nh * ng indexes rank, and x / ng < nh indexes h.rank and good_h"
-)]
+/// Fails if the alphabets disagree, the lift is too large or the verified
+/// properties do not hold, and with [`CoreError::Truncated`] when the
+/// budget trips.
 pub fn homogeneous_lift_budgeted(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -106,32 +109,47 @@ pub fn homogeneous_lift_budgeted(
     let nh = h.node_count();
     lift_span.arg("fibre", ng as i64);
     lift_span.arg("fibres", nh as i64);
+    let n = match nh.checked_mul(ng) {
+        Some(n) if n <= MAX_NODES => n,
+        _ => {
+            return Err(CoreError::TooLarge {
+                reason: format!("lift |H| x |G| = {nh} x {ng} exceeds {MAX_NODES} nodes"),
+            })
+        }
+    };
     let lift = label_matching_product(&h.digraph, g);
+    if let Some(t) = budget.check_interrupt() {
+        return Err(CoreError::Truncated { stage: "lift product", reason: t.publish() });
+    }
 
     // ϕ_G((a, b)) = b; a covering map because H is label-complete.
-    let phi = CoveringMap::new((0..nh * ng).map(|x| x % ng).collect());
+    let phi = CoveringMap::new((0..n).map(|x| x % ng).collect());
     phi.verify(&lift, g)
         .map_err(|e| CoreError::VerificationFailed { property: format!("covering map: {e}") })?;
 
     // order: pull back H's order along ϕ_H((a, b)) = a and complete by the
     // G index (fibres of ϕ_H are incomparable in <_p; any completion works
     // because no r-ball contains two vertices of a common ϕ_H-fibre).
-    let mut perm: Vec<usize> = (0..nh * ng).collect();
-    perm.sort_by_key(|&x| (h.rank[x / ng], x % ng));
-    let mut rank = vec![0usize; nh * ng];
-    for (pos, &x) in perm.iter().enumerate() {
-        rank[x] = pos;
+    // h.rank is a permutation of 0..nh, so (a, b) sits at h.rank[a]·ng + b.
+    let mut rank = Vec::with_capacity(n);
+    for &ra in &h.rank {
+        rank.extend((0..ng).map(|b| ra * ng + b));
     }
 
     // good vertices: fibres (under ϕ_H) of τ*-typed H vertices
     let und_h = h.digraph.underlying_simple();
-    let good_h: Vec<bool> = (0..nh)
-        .map(|a| ordered_lnbhd_in(&h.digraph, &und_h, &h.rank, a, h.radius) == h.tau_star)
-        .collect();
-    let good: Vec<bool> = (0..nh * ng).map(|x| good_h[x / ng]).collect();
+    let mut good = Vec::with_capacity(n);
+    for a in 0..nh {
+        let typed = ordered_lnbhd_in(&h.digraph, &und_h, &h.rank, a, h.radius) == h.tau_star;
+        good.extend(std::iter::repeat_n(typed, ng));
+    }
 
-    let out = HomogeneousLift { lift, phi, rank, good, radius: h.radius };
-    verify_lift(&out, g, h, budget)?;
+    let und = lift.underlying_simple();
+    if let Some(t) = budget.check_interrupt() {
+        return Err(CoreError::Truncated { stage: "lift underlying graph", reason: t.publish() });
+    }
+    let out = HomogeneousLift { lift, und, phi, rank, good, radius: h.radius };
+    verify_lift(&out, h, budget)?;
     Ok(out)
 }
 
@@ -141,14 +159,13 @@ pub fn homogeneous_lift_budgeted(
 )]
 fn verify_lift(
     c: &HomogeneousLift,
-    _g: &LDigraph,
     h: &HomogeneousGraph,
     budget: &RunBudget,
 ) -> Result<(), CoreError> {
     let _span = obs::span("verify");
     // girth inherited from H (check near one good vertex and node 0; the
     // product need not be vertex-transitive, so spot-check a sample)
-    let und = c.lift.underlying_simple();
+    let und = &c.und;
     let bound = 2 * h.radius + 1;
     let n = c.lift.node_count();
     let stride = (n / 97).max(1);
@@ -275,6 +292,48 @@ mod tests {
         assert_eq!(view_census(&g, 1).len(), 1);
         let census = view_census(&c.lift, 1);
         assert_eq!(census.len(), 1, "lift views collapse to G's single view class");
+    }
+
+    /// The rank the lift used to get by sorting its vertices by
+    /// `(h.rank[a], b)`: the differential oracle of the closed form.
+    fn sorted_lift_rank(h: &HomogeneousGraph, ng: usize) -> Vec<usize> {
+        let n = h.node_count() * ng;
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by_key(|&x| (h.rank[x / ng], x % ng));
+        let mut rank = vec![0usize; n];
+        for (pos, &x) in perm.iter().enumerate() {
+            rank[x] = pos;
+        }
+        rank
+    }
+
+    #[test]
+    fn lift_rank_matches_the_sorted_rank_on_the_e08_instances() {
+        let bases = [
+            (gen::directed_cycle(3), 1),
+            (crate::eds_lower::eds_instance(2, 9).unwrap().digraph, 1),
+            (locap_graph::product::toroidal(2, 3), 2),
+        ];
+        for (g, k) in bases {
+            for m in [6, 12] {
+                let h = construct_budgeted(k, 1, m, &RunBudget::unlimited()).unwrap();
+                let c = homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
+                let ng = g.node_count();
+                assert_eq!(c.rank, sorted_lift_rank(&h, ng), "k = {k}, m = {m}, |G| = {ng}");
+                assert_eq!(c.und, c.lift.underlying_simple());
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_lift_is_too_large_before_it_is_built() {
+        let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        // 216 · 13,889 = 3,000,024 nodes: one fibre row past the cap
+        let g = gen::directed_cycle(13_889);
+        assert!(matches!(
+            homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()),
+            Err(CoreError::TooLarge { .. })
+        ));
     }
 
     #[test]

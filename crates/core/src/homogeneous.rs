@@ -9,7 +9,8 @@
 //! 2. pick `k` generators with coordinates in `{0, 1}` whose Cayley graph
 //!    `H = C(H, S)` has girth > 2r + 1;
 //! 3. order `V(H) = Z_m^d` by restricting the left-invariant positive-cone
-//!    order of the infinite group `U_j` (tuples over `Z`);
+//!    order of the infinite group `U_j` (tuples over `Z`), ranked in closed
+//!    form by `IterGroup::order_index`;
 //! 4. every vertex in the *inner box* `[r, m−1−r]^d` then has ordered
 //!    `r`-neighbourhood isomorphic to the ball of `U` around the identity —
 //!    the type τ* — so the homogeneous fraction is at least
@@ -37,8 +38,9 @@ use locap_obs as obs;
 
 use crate::CoreError;
 
-/// Hard cap on materialised group order.
-const MAX_NODES: u128 = 3_000_000;
+/// Hard cap on the nodes a construction materialises: the group order
+/// `|H|` here, and the lift's `|H| · |G|` in [`crate::hom_lift`].
+pub(crate) const MAX_NODES: usize = 3_000_000;
 
 /// Counter of generator subsets tried across all constructions.
 const GENERATOR_ATTEMPTS: &str = "homogeneous/generator_attempts";
@@ -224,7 +226,7 @@ pub fn find_generators_budgeted(
     let order = h
         .order()
         .ok_or_else(|| CoreError::BadParameters { reason: "group order unavailable".into() })?;
-    if order > MAX_NODES {
+    if order > MAX_NODES as u128 {
         return Err(CoreError::TooLarge { reason: format!("|H_{level}({m})| = {order}") });
     }
     if k > 8 {
@@ -335,10 +337,6 @@ pub fn construct_budgeted(
 ///
 /// Fails if no generator set is found or the group would be too large,
 /// and with [`CoreError::Truncated`] when the budget trips.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "tuples and rank are sized n together with the permutation of 0..n that indexes them"
-)]
 pub fn construct_at_level_budgeted(
     level: usize,
     k: usize,
@@ -350,16 +348,14 @@ pub fn construct_at_level_budgeted(
     let (h, gens, digraph) = find_generators_budgeted(level, m, k, r, budget)?;
     let n = digraph.node_count();
 
-    // order: restrict U's left-invariant order to Z_m^d
-    let u = IterGroup::infinite(level)
-        .map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
-    let tuples: Vec<Vec<i64>> = (0..n).map(|v| h.elem_of(v)).collect();
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_by(|&a, &b| u.cmp_order(&tuples[a], &tuples[b]));
-    let mut rank = vec![0usize; n];
-    for (pos, &v) in perm.iter().enumerate() {
-        rank[v] = pos;
-    }
+    // order: restrict U's left-invariant order to Z_m^d, in closed form
+    let mut tuple = vec![0i64; h.dim()];
+    let rank: Vec<usize> = (0..n)
+        .map(|v| {
+            h.elem_into(v, &mut tuple);
+            h.order_index(&tuple)
+        })
+        .collect();
 
     let tau = tau_star(level, &gens, r)?;
     if let Some(t) = budget.check_interrupt() {
@@ -466,6 +462,24 @@ mod tests {
         assert!(!und.cycle_near_root(0, 5), "girth > 5");
         assert!(h.fraction() >= h.inner_bound());
         h.verify().unwrap();
+    }
+
+    /// The closed-form rank against the sort it replaced: every vertex
+    /// tuple ordered by `cmp_order` in `U`.
+    #[test]
+    fn rank_matches_the_cmp_order_sort() {
+        for (k, m) in [(1, 6), (2, 8)] {
+            let h = construct_budgeted(k, 1, m, &RunBudget::unlimited()).unwrap();
+            let g = IterGroup::finite(h.level, m).unwrap();
+            let u = IterGroup::infinite(h.level).unwrap();
+            let mut perm: Vec<usize> = (0..h.node_count()).collect();
+            perm.sort_by(|&a, &b| u.cmp_order(&g.elem_of(a), &g.elem_of(b)));
+            let mut rank = vec![0usize; perm.len()];
+            for (pos, &v) in perm.iter().enumerate() {
+                rank[v] = pos;
+            }
+            assert_eq!(h.rank, rank, "k = {k}, m = {m}");
+        }
     }
 
     #[test]

@@ -81,10 +81,9 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
-    let lift_und = lift.lift.underlying_simple();
 
     let a_out = require_complete(
-        run::oi_vertex_budgeted(&lift_und, &lift.rank, &oi, budget)?,
+        run::oi_vertex_budgeted(&lift.und, &lift.rank, &oi, budget)?,
         "A on lift",
     )?;
     let b_out = require_complete(run::po_vertex_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
@@ -181,10 +180,9 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
-    let lift_und = lift.lift.underlying_simple();
 
     let a_set =
-        require_complete(run::oi_edge_budgeted(&lift_und, &lift.rank, &oi, budget)?, "A on lift")?;
+        require_complete(run::oi_edge_budgeted(&lift.und, &lift.rank, &oi, budget)?, "A on lift")?;
     let b_lift_set = require_complete(run::po_edge_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
     let b_g_set = require_complete(run::po_edge_budgeted(g, &b, budget)?, "B on base graph")?;
 

@@ -1,7 +1,7 @@
 //! BFS balls, distances, girth, connectivity — the metric structure used to
 //! extract radius-`r` neighbourhoods τ(G, v) (paper §2.2).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use crate::{Graph, NodeBitset, NodeId};
 
@@ -73,27 +73,26 @@ impl Graph {
     /// (detected by a single truncated BFS). For **vertex-transitive**
     /// graphs, `!cycle_near_root(root, bound)` for any one root implies
     /// `girth > bound`; this is the `O(|ball|)` girth check used on large
-    /// Cayley graphs.
+    /// Cayley graphs. Distances live in a map over the ball, so a
+    /// spot-check sweep over many roots of a large lift costs nothing per
+    /// call in `n`.
     pub fn cycle_near_root(&self, root: NodeId, bound: usize) -> bool {
         let half = bound / 2 + 1;
-        let n = self.node_count();
-        let mut dist = vec![u32::MAX; n];
-        let mut parent = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
-        dist[root] = 0;
-        q.push_back(root);
-        while let Some(v) = q.pop_front() {
-            let dv = dist[v] as usize;
+        let mut dist: HashMap<NodeId, usize> = HashMap::from([(root, 0)]);
+        // (node, its distance, its BFS parent)
+        let mut q = VecDeque::from([(root, 0, NodeId::MAX)]);
+        while let Some((v, dv, parent)) = q.pop_front() {
             if dv >= half {
                 continue;
             }
             for &u in self.neighbors(v) {
-                if dist[u] == u32::MAX {
-                    dist[u] = (dv + 1) as u32;
-                    parent[u] = v as u32;
-                    q.push_back(u);
-                } else if parent[v] != u as u32 && dv + (dist[u] as usize) < bound {
-                    return true;
+                match dist.get(&u) {
+                    None => {
+                        dist.insert(u, dv + 1);
+                        q.push_back((u, dv + 1, v));
+                    }
+                    Some(&du) if parent != u && dv + du < bound => return true,
+                    Some(_) => {}
                 }
             }
         }
@@ -239,6 +238,59 @@ impl Graph {
 mod tests {
     use crate::gen;
     use crate::Graph;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The dense-array BFS `cycle_near_root` replaced: `dist` and `parent`
+    /// arrays of length `n` per call.
+    fn cycle_near_root_dense(g: &Graph, root: usize, bound: usize) -> bool {
+        let half = bound / 2 + 1;
+        let n = g.node_count();
+        let mut dist = vec![u32::MAX; n];
+        let mut parent = vec![u32::MAX; n];
+        let mut q = VecDeque::new();
+        dist[root] = 0;
+        q.push_back(root);
+        while let Some(v) = q.pop_front() {
+            let dv = dist[v] as usize;
+            if dv >= half {
+                continue;
+            }
+            for &u in g.neighbors(v) {
+                if dist[u] == u32::MAX {
+                    dist[u] = (dv + 1) as u32;
+                    parent[u] = v as u32;
+                    q.push_back(u);
+                } else if parent[v] != u as u32 && dv + (dist[u] as usize) < bound {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    proptest! {
+        /// Sparse random graphs of mixed girth, every root and bound.
+        #[test]
+        fn prop_cycle_near_root_matches_dense_bfs(
+            n in 1usize..24,
+            pairs in prop::collection::vec((0usize..24, 0usize..24), 0usize..40),
+        ) {
+            let mut g = Graph::new(n);
+            for (u, v) in pairs {
+                let _ = g.add_edge(u, v);
+            }
+            for root in 0..n {
+                for bound in 0..10 {
+                    prop_assert_eq!(
+                        g.cycle_near_root(root, bound),
+                        cycle_near_root_dense(&g, root, bound),
+                        "root {}, bound {}", root, bound
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn distances_and_balls() {

@@ -43,22 +43,44 @@ pub struct DirEdge {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LDigraph {
+    /// Node count, stored so that an empty alphabet keeps its `n` nodes.
+    n: usize,
     labels: usize,
-    /// `out[v][l] = Some(u)` iff there is an edge `v --l--> u`.
-    out: Vec<Vec<Option<NodeId>>>,
-    /// `inn[v][l] = Some(u)` iff there is an edge `u --l--> v`.
-    inn: Vec<Vec<Option<NodeId>>>,
+    /// `out[v * labels + l] = Some(u)` iff there is an edge `v --l--> u`.
+    out: Vec<Option<NodeId>>,
+    /// `inn[v * labels + l] = Some(u)` iff there is an edge `u --l--> v`.
+    inn: Vec<Option<NodeId>>,
 }
 
 impl LDigraph {
     /// Creates an edgeless L-digraph on `n` nodes with alphabet `0..labels`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n · labels` overflows `usize`.
     pub fn new(n: usize, labels: usize) -> LDigraph {
-        LDigraph { labels, out: vec![vec![None; labels]; n], inn: vec![vec![None; labels]; n] }
+        let slots = n.checked_mul(labels).expect("LDigraph slot count overflows usize");
+        LDigraph { n, labels, out: vec![None; slots], inn: vec![None; slots] }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.n
+    }
+
+    /// The flat slot of `(v, label)`, or `None` when either is out of
+    /// range (so a too-large label never aliases into the next node's row).
+    fn slot(&self, v: NodeId, label: Label) -> Option<usize> {
+        (v < self.n && label < self.labels).then(|| v * self.labels + label)
+    }
+
+    /// The `|L|` slots of `v` in `flat` (empty when `v` is out of range).
+    fn row<'a>(&self, flat: &'a [Option<NodeId>], v: NodeId) -> &'a [Option<NodeId>] {
+        if v < self.n {
+            &flat[v * self.labels..(v + 1) * self.labels]
+        } else {
+            &[]
+        }
     }
 
     /// Size of the label alphabet `|L|`.
@@ -68,7 +90,7 @@ impl LDigraph {
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(|row| row.iter().flatten().count()).sum()
+        self.out.iter().flatten().count()
     }
 
     /// Adds the edge `from --label--> to`.
@@ -91,14 +113,15 @@ impl LDigraph {
         if from == to {
             return Err(GraphError::SelfLoop { node: from });
         }
-        if self.out[from][label].is_some() {
+        let (fs, ts) = (from * self.labels + label, to * self.labels + label);
+        if self.out[fs].is_some() {
             return Err(GraphError::ImproperLabelling { node: from, label, outgoing: true });
         }
-        if self.inn[to][label].is_some() {
+        if self.inn[ts].is_some() {
             return Err(GraphError::ImproperLabelling { node: to, label, outgoing: false });
         }
-        self.out[from][label] = Some(to);
-        self.inn[to][label] = Some(from);
+        self.out[fs] = Some(to);
+        self.inn[ts] = Some(from);
         Ok(())
     }
 
@@ -107,26 +130,28 @@ impl LDigraph {
     /// algorithm outputs naming absent letters surface as typed errors
     /// upstream instead of index panics here.
     pub fn out_neighbor(&self, v: NodeId, label: Label) -> Option<NodeId> {
-        self.out.get(v)?.get(label).copied().flatten()
+        self.out.get(self.slot(v, label)?).copied().flatten()
     }
 
     /// The tail of the incoming edge of `v` with `label`, if present.
     /// Total in the same way as [`LDigraph::out_neighbor`].
     pub fn in_neighbor(&self, v: NodeId, label: Label) -> Option<NodeId> {
-        self.inn.get(v)?.get(label).copied().flatten()
+        self.inn.get(self.slot(v, label)?).copied().flatten()
     }
 
-    /// All outgoing edges of `v` in label order.
+    /// All outgoing edges of `v` in label order (none for an out-of-range
+    /// `v`).
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = DirEdge> + '_ {
-        self.out[v]
+        self.row(&self.out, v)
             .iter()
             .enumerate()
             .filter_map(move |(l, &t)| t.map(|to| DirEdge { from: v, to, label: l }))
     }
 
-    /// All incoming edges of `v` in label order.
+    /// All incoming edges of `v` in label order (none for an out-of-range
+    /// `v`).
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = DirEdge> + '_ {
-        self.inn[v]
+        self.row(&self.inn, v)
             .iter()
             .enumerate()
             .filter_map(move |(l, &f)| f.map(|from| DirEdge { from, to: v, label: l }))
@@ -139,15 +164,15 @@ impl LDigraph {
 
     /// Total degree (in + out) of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.out[v].iter().flatten().count() + self.inn[v].iter().flatten().count()
+        self.row(&self.out, v).iter().flatten().count()
+            + self.row(&self.inn, v).iter().flatten().count()
     }
 
     /// Whether every node has an outgoing **and** an incoming edge for every
     /// label in the alphabet. Label-complete L-digraphs are `2|L|`-regular;
     /// Cayley graphs and the homogeneous graphs of Thm 3.2 have this form.
     pub fn is_label_complete(&self) -> bool {
-        self.out.iter().all(|row| row.iter().all(Option::is_some))
-            && self.inn.iter().all(|row| row.iter().all(Option::is_some))
+        self.out.iter().chain(&self.inn).all(Option::is_some)
     }
 
     /// The underlying simple undirected graph. Anti-parallel labelled edge
@@ -172,14 +197,22 @@ impl LDigraph {
     /// Like [`LDigraph::underlying`], but collapses parallel edges silently.
     /// Useful for metric queries (balls, girth bounds) on multigraph-like
     /// L-digraphs.
+    ///
+    /// One pass: each node's row is its `≤ 2|L|` out- and in-neighbours,
+    /// sorted and deduplicated, with exact capacity.
     pub fn underlying_simple(&self) -> Graph {
-        let mut g = Graph::new(self.node_count());
-        for e in self.edges() {
-            if !g.has_edge(e.from, e.to) {
-                g.add_edge(e.from, e.to).expect("checked above");
-            }
-        }
-        g
+        let mut scratch = Vec::with_capacity(2 * self.labels);
+        let rows = (0..self.n)
+            .map(|v| {
+                scratch.clear();
+                scratch
+                    .extend(self.row(&self.out, v).iter().chain(self.row(&self.inn, v)).flatten());
+                scratch.sort_unstable();
+                scratch.dedup();
+                scratch.to_vec()
+            })
+            .collect();
+        Graph::from_sorted_rows(rows)
     }
 
     /// The disjoint union; nodes of `other` are shifted by `self.node_count()`.
@@ -224,9 +257,9 @@ impl LDigraph {
     /// Removes the edge `from --label--> to` if present; returns whether an
     /// edge was removed.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId, label: Label) -> bool {
-        if self.out[from].get(label).copied().flatten() == Some(to) {
-            self.out[from][label] = None;
-            self.inn[to][label] = None;
+        if self.out_neighbor(from, label) == Some(to) {
+            self.out[from * self.labels + label] = None;
+            self.inn[to * self.labels + label] = None;
             true
         } else {
             false
@@ -242,9 +275,9 @@ impl LDigraph {
 /// Flat dense adjacency tables of an [`LDigraph`]: one `u32` word per
 /// `(node, label)` pair for each direction, with [`LCsr::NONE`] marking an
 /// absent edge. The view-refinement sweep in `locap-lifts` reads these
-/// instead of the nested `Vec<Vec<Option<NodeId>>>` rows — one contiguous
-/// load per probe, no per-node indirection. The layout is immutable
-/// (rebuild after mutating the source digraph).
+/// instead of the digraph's `Option<NodeId>` slots — the same `v·|L| + ℓ`
+/// layout at a quarter of the width, so more of each table stays in cache.
+/// The layout is immutable (rebuild after mutating the source digraph).
 ///
 /// ```
 /// use locap_graph::{gen, LCsr};
@@ -269,15 +302,10 @@ impl LCsr {
 
     /// Flattens `d` into dense per-(node, label) tables.
     pub fn from_digraph(d: &LDigraph) -> LCsr {
-        let (n, labels) = (d.node_count(), d.alphabet_size());
-        let pack = |rows: &[Vec<Option<NodeId>>]| {
-            let mut flat = Vec::with_capacity(n * labels);
-            for row in rows {
-                flat.extend(row.iter().map(|t| t.map_or(LCsr::NONE, |u| u as u32)));
-            }
-            flat
+        let pack = |flat: &[Option<NodeId>]| {
+            flat.iter().map(|t| t.map_or(LCsr::NONE, |u| u as u32)).collect()
         };
-        LCsr { labels, out: pack(&d.out), inn: pack(&d.inn) }
+        LCsr { labels: d.labels, out: pack(&d.out), inn: pack(&d.inn) }
     }
 
     /// Number of nodes.
@@ -316,6 +344,7 @@ impl LCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> LDigraph {
         let mut g = LDigraph::new(3, 1);
@@ -443,5 +472,88 @@ mod tests {
         assert_eq!(g.out_neighbor(0, 0), None);
         assert_eq!(g.in_neighbor(1, 0), None);
         assert!(!g.is_label_complete());
+        // a mismatched head, an out-of-range label or tail removes nothing
+        let mut g = triangle();
+        assert!(!g.remove_edge(0, 2, 0));
+        assert!(!g.remove_edge(0, 1, 1));
+        assert!(!g.remove_edge(7, 1, 0));
+        assert_eq!(g, triangle());
+    }
+
+    /// Flat rows: label `|L|` of node `v` would be slot `(v + 1)·|L|`, the
+    /// first slot of the next node's row; it must read as absent.
+    #[test]
+    fn out_of_range_labels_do_not_alias_the_next_row() {
+        let mut g = LDigraph::new(3, 2);
+        for v in 0..3 {
+            g.add_edge(v, (v + 1) % 3, 0).unwrap();
+            g.add_edge(v, (v + 2) % 3, 1).unwrap();
+        }
+        assert!(g.is_label_complete());
+        for v in 0..2 {
+            assert_eq!(g.out_neighbor(v, 2), None, "out({v}, |L|)");
+            assert_eq!(g.in_neighbor(v, 2), None, "in({v}, |L|)");
+            assert_eq!(g.out_neighbor(v, 3), None);
+        }
+        assert_eq!(g.out_neighbor(3, 0), None, "out-of-range node");
+        assert_eq!(g.in_neighbor(usize::MAX, 0), None);
+        assert_eq!(g.out_edges(3).count(), 0);
+        assert_eq!(g.degree(3), 0);
+    }
+
+    #[test]
+    fn empty_alphabet_keeps_its_nodes() {
+        let g = LDigraph::new(5, 0);
+        assert_eq!(g.node_count(), 5);
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.out_neighbor(4, 0), None);
+        assert!(g.is_label_complete(), "vacuously: there is no label to miss");
+        let und = g.underlying_simple();
+        assert_eq!((und.node_count(), und.edge_count()), (5, 0));
+        assert_eq!(g.disjoint_union(&LDigraph::new(2, 0)).node_count(), 7);
+        assert_eq!(g.induced_subgraph(&[1, 3]).0.node_count(), 2);
+    }
+
+    /// The per-edge builder `underlying_simple` replaced: one `has_edge`
+    /// check and one sorted insert per directed edge.
+    fn underlying_per_edge(d: &LDigraph) -> Graph {
+        let mut g = Graph::new(d.node_count());
+        for e in d.edges() {
+            if !g.has_edge(e.from, e.to) {
+                g.add_edge(e.from, e.to).unwrap();
+            }
+        }
+        g
+    }
+
+    proptest! {
+        /// Dense random L-digraphs: many attempted edges over few nodes
+        /// produce antiparallel pairs and differently-labelled parallel
+        /// edges, both of which collapse to one undirected edge.
+        #[test]
+        fn prop_underlying_simple_matches_per_edge_builder(
+            n in 1usize..12,
+            labels in 0usize..4,
+            attempts in prop::collection::vec((0usize..12, 0usize..12, 0usize..4), 0usize..80),
+        ) {
+            let mut d = LDigraph::new(n, labels);
+            for (from, to, label) in attempts {
+                let _ = d.add_edge(from, to, label);
+            }
+            let want = underlying_per_edge(&d);
+            let got = d.underlying_simple();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got.edge_count(), want.edge_count());
+            // the LCsr view and the edge list still agree with the slots
+            let c = d.to_lcsr();
+            for v in 0..n {
+                for l in 0..=labels {
+                    let raw = |x: Option<NodeId>| x.map_or(LCsr::NONE, |u| u as u32);
+                    prop_assert_eq!(c.out_raw(v, l), raw(d.out_neighbor(v, l)));
+                    prop_assert_eq!(c.in_raw(v, l), raw(d.in_neighbor(v, l)));
+                }
+            }
+            prop_assert_eq!(d.edges().count(), d.edge_count());
+        }
     }
 }

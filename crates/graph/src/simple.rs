@@ -75,6 +75,20 @@ impl Graph {
         Graph { adj: vec![Vec::new(); n], m: 0 }
     }
 
+    /// Adopts adjacency rows that are already sorted, duplicate-free,
+    /// loop-free and symmetric (`u ∈ adj[v] ⟺ v ∈ adj[u]`); the caller
+    /// guarantees the invariants [`Graph::add_edge`] would check.
+    pub(crate) fn from_sorted_rows(adj: Vec<Vec<NodeId>>) -> Graph {
+        debug_assert!(adj.iter().enumerate().all(|(v, row)| {
+            row.windows(2).all(|w| w[0] < w[1])
+                && row
+                    .iter()
+                    .all(|&u| u != v && adj.get(u).is_some_and(|r| r.binary_search(&v).is_ok()))
+        }));
+        let m = adj.iter().map(Vec::len).sum::<usize>() / 2;
+        Graph { adj, m }
+    }
+
     /// Builds a graph from an edge list.
     ///
     /// # Errors

@@ -179,6 +179,39 @@ impl IterGroup {
         }
     }
 
+    /// Position of `a ∈ Z_m^d` in `U`'s left-invariant order restricted to
+    /// `Z_m^d`: the rank that sorting every element by
+    /// [`IterGroup::cmp_order`] (on `U`) gives it, in closed form.
+    ///
+    /// Write `a = (x, y, c)`. The last coordinate of `a⁻¹b` is `c_b − c_a`;
+    /// when it is 0, the `y`-slot of `a⁻¹b` is `x_a⁻¹x_b` for odd `c` and
+    /// `y_a⁻¹y_b` for even `c`, and the `x`-slot holds the other half. The
+    /// cone therefore compares `c` first, then the half that `c`'s parity
+    /// puts first (`x` for odd `c`, `y` for even `c`), then the other half,
+    /// by the same rule down to `Z`. Read as base-`m` digits that key is the
+    /// rank, because all `m^d` tuples occur. `O(d)`, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is infinite or coordinates are out of range.
+    ///
+    /// ```
+    /// use locap_groups::IterGroup;
+    ///
+    /// let h = IterGroup::finite(2, 4).unwrap();
+    /// // c = 1 is odd: x is compared before y
+    /// assert_eq!(h.order_index(&[2, 3, 1]), (1 * 4 + 2) * 4 + 3);
+    /// // c = 2 is even: y is compared before x
+    /// assert_eq!(h.order_index(&[2, 3, 2]), (2 * 4 + 3) * 4 + 2);
+    /// ```
+    pub fn order_index(&self, a: &[i64]) -> usize {
+        let m = self.modulus.expect("order_index requires a finite group") as i64;
+        assert_eq!(a.len(), self.dim(), "element dimension mismatch");
+        let mut idx = 0;
+        order_digits(a, m, &mut idx);
+        idx
+    }
+
     /// Index of a finite-group element under the mixed-radix enumeration
     /// (`elem[0]` is the most significant digit).
     ///
@@ -201,16 +234,27 @@ impl IterGroup {
     /// # Panics
     ///
     /// Panics if the group is infinite or the index is out of range.
-    pub fn elem_of(&self, mut idx: usize) -> Vec<i64> {
+    pub fn elem_of(&self, idx: usize) -> Vec<i64> {
+        let mut out = vec![0i64; self.dim()];
+        self.elem_into(idx, &mut out);
+        out
+    }
+
+    /// [`IterGroup::elem_of`] into a caller-owned buffer, so a sweep over
+    /// all elements can decode into one reused tuple.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is infinite, `out.len()` is not `d`, or the
+    /// index is out of range.
+    pub fn elem_into(&self, mut idx: usize, out: &mut [i64]) {
         let m = self.modulus.expect("elem_of requires a finite group") as usize;
-        let d = self.dim();
-        let mut out = vec![0i64; d];
-        for i in (0..d).rev() {
-            out[i] = (idx % m) as i64;
+        assert_eq!(out.len(), self.dim(), "element dimension mismatch");
+        for x in out.iter_mut().rev() {
+            *x = (idx % m) as i64;
             idx /= m;
         }
         assert_eq!(idx, 0, "index out of range");
-        out
     }
 
     /// Iterates over all elements of a finite group in index order.
@@ -225,6 +269,20 @@ impl IterGroup {
         }
         Ok((0..order as usize).map(move |i| self.elem_of(i)))
     }
+}
+
+/// Appends the order key of `a ∈ Z_m^{|a|}` to `idx` as base-`m` digits:
+/// `c`, then the half that `c`'s parity compares first, then the other
+/// (see [`IterGroup::order_index`]).
+// lint: hot
+fn order_digits(a: &[i64], m: i64, idx: &mut usize) {
+    let Some((&c, xy)) = a.split_last() else { return };
+    assert!((0..m).contains(&c), "coordinate {c} out of range");
+    *idx = *idx * m as usize + c as usize;
+    let (x, y) = xy.split_at(xy.len() / 2);
+    let (first, second) = if c % 2 == 1 { (x, y) } else { (y, x) };
+    order_digits(first, m, idx);
+    order_digits(second, m, idx);
 }
 
 impl Group for IterGroup {
@@ -462,6 +520,36 @@ mod tests {
         assert_eq!(g.elements().unwrap().count(), n);
     }
 
+    /// The differential oracle of [`IterGroup::order_index`]: sorting every
+    /// element of `H_level(m)` by `cmp_order` in `U` yields the closed-form
+    /// rank, exhaustively.
+    #[test]
+    fn order_index_matches_the_cmp_order_sort() {
+        for (level, m) in [(1, 6), (2, 4), (2, 6), (2, 10), (3, 2), (3, 4), (4, 2)] {
+            let h = IterGroup::finite(level, m).unwrap();
+            let u = IterGroup::infinite(level).unwrap();
+            let mut sorted: Vec<Vec<i64>> = h.elements().unwrap().collect();
+            sorted.sort_by(|a, b| u.cmp_order(a, b));
+            for (pos, a) in sorted.iter().enumerate() {
+                assert_eq!(h.order_index(a), pos, "level {level}, m {m}, element {a:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a finite group")]
+    fn order_index_of_infinite_panics() {
+        let u = IterGroup::infinite(2).unwrap();
+        let _ = u.order_index(&[0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn order_index_rejects_out_of_range_coordinates() {
+        let h = IterGroup::finite(2, 4).unwrap();
+        let _ = h.order_index(&[0, 4, 1]);
+    }
+
     #[test]
     #[should_panic(expected = "requires a finite group")]
     fn index_of_infinite_panics() {
@@ -481,6 +569,28 @@ mod tests {
         fn prop_codec_roundtrip(idx in 0usize..32768) {
             let g = IterGroup::finite(4, 2).unwrap();
             prop_assert_eq!(g.index_of(&g.elem_of(idx)), idx);
+        }
+
+        /// Random pairs at level 3 for moduli up to 400; `b` keeps the
+        /// coordinates of `a` that `keep` selects, so equal `c`s (and equal
+        /// deeper halves) are common and every level of the key is reached.
+        #[test]
+        fn prop_order_index_agrees_with_cmp_order(
+            half_m in 1u64..=200,
+            sa in any::<u64>(),
+            sb in any::<u64>(),
+            keep in 0u32..128,
+        ) {
+            let h = IterGroup::finite(3, 2 * half_m).unwrap();
+            let u = IterGroup::infinite(3).unwrap();
+            let a = rand_elem(&h, sa);
+            let mut b = rand_elem(&h, sb);
+            for (i, x) in b.iter_mut().enumerate() {
+                if keep >> i & 1 == 1 {
+                    *x = a[i];
+                }
+            }
+            prop_assert_eq!(u.cmp_order(&a, &b), h.order_index(&a).cmp(&h.order_index(&b)));
         }
     }
 }

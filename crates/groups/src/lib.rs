@@ -20,12 +20,14 @@
 //!   coordinates);
 //! * the left-invariant linear order on `U` given by the positive cone
 //!   `P = {(u₁,…,u_i,0,…,0) : u_i > 0}` ([`IterGroup::cone_positive`],
-//!   [`IterGroup::cmp_order`]);
+//!   [`IterGroup::cmp_order`]), and its restriction to `Z_m^d` as a
+//!   closed-form rank ([`IterGroup::order_index`]);
 //! * Cayley graphs as properly labelled digraphs ([`cayley`],
 //!   [`cayley_indexed`]), with generator `s_ℓ` giving every vertex an
 //!   outgoing edge with label `ℓ`;
 //! * tuple/index codecs for enumerating finite `H_i`/`W_i`
-//!   ([`IterGroup::index_of`], [`IterGroup::elem_of`]).
+//!   ([`IterGroup::index_of`], [`IterGroup::elem_of`],
+//!   [`IterGroup::elem_into`]).
 //!
 //! # Example
 //!

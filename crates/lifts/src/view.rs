@@ -229,9 +229,9 @@ impl ViewCacheStats {
 /// ```
 pub struct ViewCache<'g> {
     d: &'g LDigraph,
-    /// Flat CSR-style adjacency of `d`: the refinement sweep reads
-    /// `out_raw`/`in_raw` sentinel arrays instead of chasing the nested
-    /// `Vec<Vec<Option<_>>>` lists.
+    /// `u32` copy of `d`'s flat adjacency: the refinement sweep reads
+    /// `out_raw`/`in_raw` sentinel words, a quarter of the width of the
+    /// digraph's `Option<NodeId>` slots.
     lcsr: LCsr,
     /// States per vertex: 1 (no incoming letter) + 2|L| (each letter).
     width: usize,

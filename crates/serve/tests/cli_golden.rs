@@ -151,6 +151,24 @@ fn oversized_solver_inputs_exit_1_with_bad_param() {
     }
 }
 
+/// A lift over the 3,000,000-node cap is one typed `core/too_large`
+/// line, found before the lift is allocated: 216 × 1,048,576 nodes used to
+/// abort the process on a 5.4 GB allocation, and 216 × 20,000 to report
+/// its 100 ms deadline only seconds later.
+#[test]
+fn oversized_lifts_exit_1_with_too_large() {
+    for args in [
+        &["hom-lift", "--cycle", "1048576", "--m", "6"][..],
+        &["hom-lift", "--cycle", "20000", "--m", "6", "--deadline-ms", "100"][..],
+    ] {
+        let out = locap(args, false);
+        assert_eq!(out.status.code(), Some(1), "typed rejection exits 1 for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("core/too_large"), "{args:?}: {stderr}");
+    }
+}
+
 /// `--out` writes the artifact and its provenance sidecar.
 #[test]
 fn out_flag_writes_artifact_and_sidecar() {

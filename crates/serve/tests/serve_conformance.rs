@@ -145,6 +145,26 @@ fn oversized_toroidal_censuses_are_typed_and_the_daemon_survives() {
     daemon.stop();
 }
 
+/// A homogeneous lift over the 3,000,000-node cap is one typed
+/// `core/too_large` line, rejected before the lift is allocated (the
+/// first shape used to abort the daemon, the second to overrun its
+/// deadline by seconds). The same one-worker daemon then answers `ping`.
+#[test]
+fn oversized_lifts_are_typed_and_the_daemon_survives() {
+    let daemon = TestDaemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let mut client = Client::connect(daemon.addr());
+    for frame in [
+        r#"{"id":"lift","pipeline":"hom-lift","params":{"cycle":1048576,"m":6}}"#,
+        r#"{"id":"lift","pipeline":"hom-lift","params":{"cycle":20000,"m":6},"budget":{"deadline_ms":100}}"#,
+    ] {
+        expect_err(&client.roundtrip(frame), "core/too_large");
+        let pong = client.roundtrip(r#"{"op":"ping","id":"after-lift"}"#);
+        expect_ok(&pong);
+        assert_eq!(pong.get("id").and_then(Json::as_str), Some("after-lift"), "{frame}");
+    }
+    daemon.stop();
+}
+
 /// A job's deadline runs from the job's start, not the daemon's: a
 /// daemon up longer than its default deadline still answers `ok`.
 #[test]

@@ -399,10 +399,11 @@ mod budget_truncation {
         }
         let g = gen::directed_cycle(6);
         let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
-        // the deadline reaches the lift's verification, the first stage;
-        // the cache cap, which the lift does not check, stops A's run
+        // the deadline reaches the lift, the first stage, at its first
+        // check right after the product; the cache cap, which the lift
+        // does not check, stops A's run
         for (budget, stage) in [
-            (expired_deadline(), "lift girth check"),
+            (expired_deadline(), "lift product"),
             (RunBudget::unlimited().with_cache_cap(1), "A on lift"),
         ] {
             let res = transfer_vertex_budgeted(
