@@ -11,8 +11,8 @@
 //! thread (response matching by request id). Per-request latency —
 //! send-to-response, including daemon queueing — lands in the
 //! `soak/request` span (visible in the `OBS_JSON` snapshot) and in a
-//! run-local [`FineHistogram`] for exact p50/p90/p99 within 1/16
-//! relative error. Failures are counted by kind: `transport/…` for
+//! run-local [`Histogram`] for p50/p90/p99 within 1/16 relative error.
+//! Failures are counted by kind: `transport/…` for
 //! connection-level trouble, the daemon's own `error.kind` for `ok:
 //! false` responses.
 //!
@@ -30,7 +30,7 @@ use std::time::Duration;
 use locap_graph::budget::{MonotonicClock, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
-use locap_obs::FineHistogram;
+use locap_obs::Histogram;
 
 /// Span recording every request's send-to-response latency.
 pub const LATENCY_SPAN: &str = "soak/request";
@@ -103,7 +103,7 @@ pub struct SoakReport {
     pub unanswered: u64,
     /// Total wall-clock of the run, milliseconds (schedule + drain used).
     pub elapsed_ms: u64,
-    /// Exact-rank latency quantiles from the fine histogram, ns.
+    /// Median latency from the run's histogram (within 1/16), ns.
     pub p50_ns: u64,
     /// 90th percentile latency, ns.
     pub p90_ns: u64,
@@ -124,7 +124,7 @@ impl SoakReport {
 /// Run-wide state shared by every sender/receiver thread.
 struct Shared {
     clock: StdClock,
-    hist: FineHistogram,
+    hist: Histogram,
     errors: Mutex<BTreeMap<String, u64>>, // lint: lock-rank=20
     sent: AtomicU64,
     ok: AtomicU64,
@@ -187,7 +187,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     }
     let shared = Arc::new(Shared {
         clock: StdClock::new(),
-        hist: FineHistogram::default(),
+        hist: Histogram::default(),
         errors: Mutex::new(BTreeMap::new()),
         sent: AtomicU64::new(0),
         ok: AtomicU64::new(0),
@@ -209,6 +209,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let elapsed = shared.clock.elapsed();
 
     let answered = shared.answered.load(Ordering::SeqCst);
+    let latency = shared.hist.state();
     let report = SoakReport {
         target_qps: cfg.qps,
         achieved_qps: answered as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -217,10 +218,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         errors: lock_unpoisoned(&shared.errors).clone(),
         unanswered,
         elapsed_ms: elapsed.as_millis().min(u64::MAX as u128) as u64,
-        p50_ns: shared.hist.quantile_ns(0.50),
-        p90_ns: shared.hist.quantile_ns(0.90),
-        p99_ns: shared.hist.quantile_ns(0.99),
-        max_ns: shared.hist.snapshot().max_ns,
+        p50_ns: latency.quantile(0.50),
+        p90_ns: latency.quantile(0.90),
+        p99_ns: latency.quantile(0.99),
+        max_ns: latency.max,
     };
     publish(&report);
     Ok(report)

@@ -11,11 +11,10 @@
 //!   `r`-neighbourhoods isomorphic to *ordered subtrees of τ*** — exactly
 //!   the property the OI→PO simulation (Thm 4.1) feeds on.
 //!
-//! All three properties are verified computationally by
-//! [`HomogeneousLift::verify`].
+//! [`homogeneous_lift_budgeted`] verifies all three properties
+//! computationally before it returns a lift.
 
 use locap_graph::budget::RunBudget;
-use locap_graph::canon::ordered_lnbhd_in;
 use locap_graph::product::label_matching_product;
 use locap_graph::{Graph, LDigraph};
 use locap_groups::{Group, IterGroup};
@@ -136,12 +135,11 @@ pub fn homogeneous_lift_budgeted(
         rank.extend((0..ng).map(|b| ra * ng + b));
     }
 
-    // good vertices: fibres (under ϕ_H) of τ*-typed H vertices
-    let und_h = h.digraph.underlying_simple();
+    // good vertices: fibres (under ϕ_H) of τ*-typed H vertices; a flag
+    // missing from a doctored H reads as untyped
     let mut good = Vec::with_capacity(n);
     for a in 0..nh {
-        let typed = ordered_lnbhd_in(&h.digraph, &und_h, &h.rank, a, h.radius) == h.tau_star;
-        good.extend(std::iter::repeat_n(typed, ng));
+        good.extend(std::iter::repeat_n(h.typed.get(a) == Some(&true), ng));
     }
 
     let und = lift.underlying_simple();

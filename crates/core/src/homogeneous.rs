@@ -64,6 +64,9 @@ pub struct HomogeneousGraph {
     pub tau_star: OrderedLNbhd,
     /// Exact number of vertices whose ordered `r`-neighbourhood is τ*.
     pub homogeneous_count: usize,
+    /// `typed[v]`: whether vertex `v`'s ordered `r`-neighbourhood is τ*;
+    /// `homogeneous_count` flags are set.
+    pub typed: Vec<bool>,
 }
 
 impl HomogeneousGraph {
@@ -113,10 +116,10 @@ impl HomogeneousGraph {
                 property: "homogeneous fraction below inner-box bound".into(),
             });
         }
-        // τ* must be the most frequent type when the fraction exceeds 1/2,
-        // and must occur exactly homogeneous_count times.
+        // τ* must occur exactly at the flagged vertices, homogeneous_count
+        // of them.
         let recount = census_count(&self.digraph, &und, &self.rank, self.radius, &self.tau_star);
-        if recount != self.homogeneous_count {
+        if recount != self.typed || count_set(&recount) != self.homogeneous_count {
             return Err(CoreError::VerificationFailed { property: "census recount".into() });
         }
         Ok(())
@@ -177,24 +180,28 @@ pub fn tau_star(level: usize, gens: &[Vec<i64>], r: usize) -> Result<OrderedLNbh
 /// Vertex count below which the census stays on the calling thread.
 const PARALLEL_MIN_NODES: usize = 1 << 10;
 
-/// Counts the vertices whose ordered radius-`r` neighbourhood is `tau`,
-/// summing per-chunk counts over [`par::map_chunks`].
+/// Flags the vertices whose ordered radius-`r` neighbourhood is `tau`,
+/// concatenating per-chunk flags over [`par::map_chunks`].
 fn census_count(
     d: &LDigraph,
     und: &locap_graph::Graph,
     rank: &[usize],
     r: usize,
     tau: &OrderedLNbhd,
-) -> usize {
+) -> Vec<bool> {
     let _span = obs::span("census_count");
     par::map_chunks(d.node_count(), PARALLEL_MIN_NODES, |vertices| {
         let mut scratch = NbhdScratch::new();
         vertices
-            .filter(|&v| &ordered_lnbhd_fast(d, und, rank, v, r, &mut scratch) == tau)
-            .count()
+            .map(|v| &ordered_lnbhd_fast(d, und, rank, v, r, &mut scratch) == tau)
+            .collect::<Vec<bool>>()
     })
-    .into_iter()
-    .sum()
+    .concat()
+}
+
+/// The number of set flags.
+fn count_set(flags: &[bool]) -> usize {
+    flags.iter().filter(|&&t| t).count()
 }
 
 /// Searches the `{0,1}`-coordinate `k`-subsets for a generator set whose
@@ -362,7 +369,7 @@ pub fn construct_at_level_budgeted(
         return Err(CoreError::Truncated { stage: "homogeneity census", reason: t.publish() });
     }
     let und = digraph.underlying_simple();
-    let homogeneous_count = census_count(&digraph, &und, &rank, r, &tau);
+    let typed = census_count(&digraph, &und, &rank, r, &tau);
 
     let out = HomogeneousGraph {
         digraph,
@@ -372,7 +379,8 @@ pub fn construct_at_level_budgeted(
         modulus: m,
         radius: r,
         tau_star: tau,
-        homogeneous_count,
+        homogeneous_count: count_set(&typed),
+        typed,
     };
     out.verify()?;
     Ok(out)

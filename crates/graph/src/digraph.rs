@@ -46,21 +46,34 @@ pub struct LDigraph {
     /// Node count, stored so that an empty alphabet keeps its `n` nodes.
     n: usize,
     labels: usize,
-    /// `out[v * labels + l] = Some(u)` iff there is an edge `v --l--> u`.
-    out: Vec<Option<NodeId>>,
-    /// `inn[v * labels + l] = Some(u)` iff there is an edge `u --l--> v`.
-    inn: Vec<Option<NodeId>>,
+    /// `out[v * labels + l]` = head of `v --l--> ·`, or [`LDigraph::NONE`].
+    out: Vec<u32>,
+    /// `inn[v * labels + l]` = tail of `· --l--> v`, or [`LDigraph::NONE`].
+    inn: Vec<u32>,
+}
+
+/// A stored row word as a node, `None` for [`LDigraph::NONE`].
+fn node_of(word: u32) -> Option<NodeId> {
+    (word != LDigraph::NONE).then_some(word as NodeId)
 }
 
 impl LDigraph {
+    /// The row word of an absent edge, as [`LDigraph::out_raw`] and
+    /// [`LDigraph::in_raw`] return it.
+    pub const NONE: u32 = u32::MAX;
+
     /// Creates an edgeless L-digraph on `n` nodes with alphabet `0..labels`.
     ///
     /// # Panics
     ///
-    /// Panics if `n · labels` overflows `usize`.
+    /// Panics if `n ≥ u32::MAX` (rows store nodes as `u32` words, with
+    /// [`LDigraph::NONE`] reserved) or `n · labels` overflows `usize`.
+    /// Requests never get near that: parsing caps a lift at 3,000,000
+    /// nodes and a census at 3·2^20 states.
     pub fn new(n: usize, labels: usize) -> LDigraph {
+        assert!(n < LDigraph::NONE as usize, "LDigraph node count {n} does not fit a u32 row");
         let slots = n.checked_mul(labels).expect("LDigraph slot count overflows usize");
-        LDigraph { n, labels, out: vec![None; slots], inn: vec![None; slots] }
+        LDigraph { n, labels, out: vec![LDigraph::NONE; slots], inn: vec![LDigraph::NONE; slots] }
     }
 
     /// Number of nodes.
@@ -75,7 +88,7 @@ impl LDigraph {
     }
 
     /// The `|L|` slots of `v` in `flat` (empty when `v` is out of range).
-    fn row<'a>(&self, flat: &'a [Option<NodeId>], v: NodeId) -> &'a [Option<NodeId>] {
+    fn row<'a>(&self, flat: &'a [u32], v: NodeId) -> &'a [u32] {
         if v < self.n {
             &flat[v * self.labels..(v + 1) * self.labels]
         } else {
@@ -90,7 +103,7 @@ impl LDigraph {
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().flatten().count()
+        self.out.iter().filter(|&&w| w != LDigraph::NONE).count()
     }
 
     /// Adds the edge `from --label--> to`.
@@ -114,14 +127,15 @@ impl LDigraph {
             return Err(GraphError::SelfLoop { node: from });
         }
         let (fs, ts) = (from * self.labels + label, to * self.labels + label);
-        if self.out[fs].is_some() {
+        if self.out[fs] != LDigraph::NONE {
             return Err(GraphError::ImproperLabelling { node: from, label, outgoing: true });
         }
-        if self.inn[ts].is_some() {
+        if self.inn[ts] != LDigraph::NONE {
             return Err(GraphError::ImproperLabelling { node: to, label, outgoing: false });
         }
-        self.out[fs] = Some(to);
-        self.inn[ts] = Some(from);
+        // `new` keeps every node below `NONE`, so the casts are exact
+        self.out[fs] = to as u32;
+        self.inn[ts] = from as u32;
         Ok(())
     }
 
@@ -130,13 +144,42 @@ impl LDigraph {
     /// algorithm outputs naming absent letters surface as typed errors
     /// upstream instead of index panics here.
     pub fn out_neighbor(&self, v: NodeId, label: Label) -> Option<NodeId> {
-        self.out.get(self.slot(v, label)?).copied().flatten()
+        node_of(self.out_raw(v, label))
     }
 
     /// The tail of the incoming edge of `v` with `label`, if present.
     /// Total in the same way as [`LDigraph::out_neighbor`].
     pub fn in_neighbor(&self, v: NodeId, label: Label) -> Option<NodeId> {
-        self.inn.get(self.slot(v, label)?).copied().flatten()
+        node_of(self.in_raw(v, label))
+    }
+
+    /// [`LDigraph::out_neighbor`] as the stored `u32` row word, with
+    /// [`LDigraph::NONE`] for no edge: the view-refinement sweep in
+    /// `locap-lifts` reads these words directly.
+    ///
+    /// ```
+    /// use locap_graph::{gen, LDigraph};
+    /// let d = gen::directed_cycle(5);
+    /// assert_eq!(d.out_raw(0, 0), 1);
+    /// assert_eq!(d.in_raw(0, 0), 4);
+    /// assert_eq!(d.out_raw(9, 0), LDigraph::NONE, "out of range reads as absent");
+    /// ```
+    #[inline]
+    pub fn out_raw(&self, v: NodeId, label: Label) -> u32 {
+        self.slot(v, label)
+            .and_then(|s| self.out.get(s))
+            .copied()
+            .unwrap_or(LDigraph::NONE)
+    }
+
+    /// [`LDigraph::in_neighbor`] as the stored `u32` row word, with
+    /// [`LDigraph::NONE`] for no edge.
+    #[inline]
+    pub fn in_raw(&self, v: NodeId, label: Label) -> u32 {
+        self.slot(v, label)
+            .and_then(|s| self.inn.get(s))
+            .copied()
+            .unwrap_or(LDigraph::NONE)
     }
 
     /// All outgoing edges of `v` in label order (none for an out-of-range
@@ -145,7 +188,7 @@ impl LDigraph {
         self.row(&self.out, v)
             .iter()
             .enumerate()
-            .filter_map(move |(l, &t)| t.map(|to| DirEdge { from: v, to, label: l }))
+            .filter_map(move |(l, &t)| node_of(t).map(|to| DirEdge { from: v, to, label: l }))
     }
 
     /// All incoming edges of `v` in label order (none for an out-of-range
@@ -154,7 +197,7 @@ impl LDigraph {
         self.row(&self.inn, v)
             .iter()
             .enumerate()
-            .filter_map(move |(l, &f)| f.map(|from| DirEdge { from, to: v, label: l }))
+            .filter_map(move |(l, &f)| node_of(f).map(|from| DirEdge { from, to: v, label: l }))
     }
 
     /// All directed edges, sorted by `(from, label)`.
@@ -164,15 +207,18 @@ impl LDigraph {
 
     /// Total degree (in + out) of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.row(&self.out, v).iter().flatten().count()
-            + self.row(&self.inn, v).iter().flatten().count()
+        self.row(&self.out, v)
+            .iter()
+            .chain(self.row(&self.inn, v))
+            .filter(|&&w| w != Self::NONE)
+            .count()
     }
 
     /// Whether every node has an outgoing **and** an incoming edge for every
     /// label in the alphabet. Label-complete L-digraphs are `2|L|`-regular;
     /// Cayley graphs and the homogeneous graphs of Thm 3.2 have this form.
     pub fn is_label_complete(&self) -> bool {
-        self.out.iter().chain(&self.inn).all(Option::is_some)
+        self.out.iter().chain(&self.inn).all(|&w| w != LDigraph::NONE)
     }
 
     /// The underlying simple undirected graph. Anti-parallel labelled edge
@@ -205,8 +251,12 @@ impl LDigraph {
         let rows = (0..self.n)
             .map(|v| {
                 scratch.clear();
-                scratch
-                    .extend(self.row(&self.out, v).iter().chain(self.row(&self.inn, v)).flatten());
+                scratch.extend(
+                    self.row(&self.out, v)
+                        .iter()
+                        .chain(self.row(&self.inn, v))
+                        .filter_map(|&w| node_of(w)),
+                );
                 scratch.sort_unstable();
                 scratch.dedup();
                 scratch.to_vec()
@@ -258,85 +308,11 @@ impl LDigraph {
     /// edge was removed.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId, label: Label) -> bool {
         if self.out_neighbor(from, label) == Some(to) {
-            self.out[from * self.labels + label] = None;
-            self.inn[to * self.labels + label] = None;
+            self.out[from * self.labels + label] = LDigraph::NONE;
+            self.inn[to * self.labels + label] = LDigraph::NONE;
             true
         } else {
             false
-        }
-    }
-
-    /// Flattens the adjacency into an [`LCsr`] for hot loops.
-    pub fn to_lcsr(&self) -> LCsr {
-        LCsr::from_digraph(self)
-    }
-}
-
-/// Flat dense adjacency tables of an [`LDigraph`]: one `u32` word per
-/// `(node, label)` pair for each direction, with [`LCsr::NONE`] marking an
-/// absent edge. The view-refinement sweep in `locap-lifts` reads these
-/// instead of the digraph's `Option<NodeId>` slots — the same `v·|L| + ℓ`
-/// layout at a quarter of the width, so more of each table stays in cache.
-/// The layout is immutable (rebuild after mutating the source digraph).
-///
-/// ```
-/// use locap_graph::{gen, LCsr};
-/// let d = gen::directed_cycle(5);
-/// let c = LCsr::from_digraph(&d);
-/// assert_eq!(c.out_raw(0, 0), 1);
-/// assert_eq!(c.in_raw(0, 0), 4);
-/// assert_eq!(c.out_raw(9, 0), LCsr::NONE, "out of range reads as absent");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LCsr {
-    labels: usize,
-    /// `out[v * labels + l]` = head of `v --l--> ·`, or [`LCsr::NONE`].
-    out: Vec<u32>,
-    /// `inn[v * labels + l]` = tail of `· --l--> v`, or [`LCsr::NONE`].
-    inn: Vec<u32>,
-}
-
-impl LCsr {
-    /// Sentinel meaning "no edge with this label".
-    pub const NONE: u32 = u32::MAX;
-
-    /// Flattens `d` into dense per-(node, label) tables.
-    pub fn from_digraph(d: &LDigraph) -> LCsr {
-        let pack = |flat: &[Option<NodeId>]| {
-            flat.iter().map(|t| t.map_or(LCsr::NONE, |u| u as u32)).collect()
-        };
-        LCsr { labels: d.labels, out: pack(&d.out), inn: pack(&d.inn) }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.out.len().checked_div(self.labels).unwrap_or(0)
-    }
-
-    /// Size of the label alphabet `|L|`.
-    pub fn alphabet_size(&self) -> usize {
-        self.labels
-    }
-
-    /// The head of `v --label--> ·` as a raw `u32`, or [`LCsr::NONE`].
-    /// Out-of-range `v` or `label` reads as absent, mirroring
-    /// [`LDigraph::out_neighbor`].
-    #[inline]
-    pub fn out_raw(&self, v: NodeId, label: Label) -> u32 {
-        if label < self.labels {
-            self.out.get(v * self.labels + label).copied().unwrap_or(LCsr::NONE)
-        } else {
-            LCsr::NONE
-        }
-    }
-
-    /// The tail of `· --label--> v` as a raw `u32`, or [`LCsr::NONE`].
-    #[inline]
-    pub fn in_raw(&self, v: NodeId, label: Label) -> u32 {
-        if label < self.labels {
-            self.inn.get(v * self.labels + label).copied().unwrap_or(LCsr::NONE)
-        } else {
-            LCsr::NONE
         }
     }
 }
@@ -442,25 +418,23 @@ mod tests {
     }
 
     #[test]
-    fn lcsr_matches_digraph_adjacency() {
+    fn raw_rows_match_digraph_adjacency() {
         let mut g = LDigraph::new(4, 3);
         g.add_edge(0, 1, 0).unwrap();
         g.add_edge(1, 2, 1).unwrap();
         g.add_edge(2, 3, 0).unwrap();
         g.add_edge(3, 0, 2).unwrap();
-        let c = g.to_lcsr();
-        assert_eq!(c.node_count(), 4);
-        assert_eq!(c.alphabet_size(), 3);
         for v in 0..4 {
             for l in 0..3 {
-                let want = |x: Option<NodeId>| x.map_or(LCsr::NONE, |u| u as u32);
-                assert_eq!(c.out_raw(v, l), want(g.out_neighbor(v, l)), "out {v} {l}");
-                assert_eq!(c.in_raw(v, l), want(g.in_neighbor(v, l)), "in {v} {l}");
+                let want = |x: Option<NodeId>| x.map_or(LDigraph::NONE, |u| u as u32);
+                assert_eq!(g.out_raw(v, l), want(g.out_neighbor(v, l)), "out {v} {l}");
+                assert_eq!(g.in_raw(v, l), want(g.in_neighbor(v, l)), "in {v} {l}");
             }
         }
         // out-of-range probes read as absent, like the Option-based API
-        assert_eq!(c.out_raw(99, 0), LCsr::NONE);
-        assert_eq!(c.in_raw(0, 99), LCsr::NONE);
+        assert_eq!(g.out_raw(99, 0), LDigraph::NONE);
+        assert_eq!(g.in_raw(0, 99), LDigraph::NONE);
+        assert_eq!(g.out_raw(usize::MAX, 0), LDigraph::NONE);
     }
 
     #[test]
@@ -544,13 +518,12 @@ mod tests {
             let got = d.underlying_simple();
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(got.edge_count(), want.edge_count());
-            // the LCsr view and the edge list still agree with the slots
-            let c = d.to_lcsr();
+            // the raw row words and the edge list still agree with the slots
             for v in 0..n {
                 for l in 0..=labels {
-                    let raw = |x: Option<NodeId>| x.map_or(LCsr::NONE, |u| u as u32);
-                    prop_assert_eq!(c.out_raw(v, l), raw(d.out_neighbor(v, l)));
-                    prop_assert_eq!(c.in_raw(v, l), raw(d.in_neighbor(v, l)));
+                    let raw = |x: Option<NodeId>| x.map_or(LDigraph::NONE, |u| u as u32);
+                    prop_assert_eq!(d.out_raw(v, l), raw(d.out_neighbor(v, l)));
+                    prop_assert_eq!(d.in_raw(v, l), raw(d.in_neighbor(v, l)));
                 }
             }
             prop_assert_eq!(d.edges().count(), d.edge_count());

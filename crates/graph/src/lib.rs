@@ -53,7 +53,7 @@ mod simple;
 
 pub use budget::{Budgeted, ManualClock, MonotonicClock, RunBudget, StdClock, TruncationReason};
 pub use csr::{CsrGraph, NodeBitset};
-pub use digraph::{DirEdge, LCsr, LDigraph, Label};
+pub use digraph::{DirEdge, LDigraph, Label};
 pub use dot::{digraph_to_dot, graph_to_dot};
 pub use error::GraphError;
 pub use intern::{digest_words_seeded, KeyInterner};

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use locap_graph::budget::TruncationReason;
-use locap_graph::{par, KeyInterner, LCsr, LDigraph, NodeId};
+use locap_graph::{par, KeyInterner, LDigraph, NodeId};
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_store::{Lookup, StoreHandle, StoreKey};
@@ -229,10 +229,6 @@ impl ViewCacheStats {
 /// ```
 pub struct ViewCache<'g> {
     d: &'g LDigraph,
-    /// `u32` copy of `d`'s flat adjacency: the refinement sweep reads
-    /// `out_raw`/`in_raw` sentinel words, a quarter of the width of the
-    /// digraph's `Option<NodeId>` slots.
-    lcsr: LCsr,
     /// States per vertex: 1 (no incoming letter) + 2|L| (each letter).
     width: usize,
     /// `levels[d][state]` = class of `state` at refinement depth `d`.
@@ -269,7 +265,6 @@ impl<'g> ViewCache<'g> {
         let states = d.node_count() * width;
         ViewCache {
             d,
-            lcsr: d.to_lcsr(),
             width,
             levels: Vec::new(),
             reps: Vec::new(),
@@ -462,8 +457,8 @@ impl<'g> ViewCache<'g> {
     fn signature_append(&self, state: usize, prev: &[u32], out: &mut Vec<u64>) {
         let (v, code) = (state / self.width, state % self.width);
         for label in 0..self.d.alphabet_size() {
-            let out_u = self.lcsr.out_raw(v, label);
-            if out_u != LCsr::NONE {
+            let out_u = self.d.out_raw(v, label);
+            if out_u != LDigraph::NONE {
                 let enc = 2 * label;
                 // walking `letter` backtracks iff the state's incoming
                 // letter (code − 1) is `letter`'s inverse (enc ^ 1)
@@ -473,8 +468,8 @@ impl<'g> ViewCache<'g> {
                     );
                 }
             }
-            let in_u = self.lcsr.in_raw(v, label);
-            if in_u != LCsr::NONE {
+            let in_u = self.d.in_raw(v, label);
+            if in_u != LDigraph::NONE {
                 let enc = 2 * label + 1;
                 if code == 0 || code - 1 != enc ^ 1 {
                     out.push(

@@ -76,7 +76,7 @@ fn l3_covers_latency_and_the_telemetry_families() {
 const DROPPED: &str = "telemetry/dropped";
 pub fn f(pipeline: &str, phase: &str, ns: u64) {
     obs::counter(DROPPED).inc();
-    obs::latency(&format!("serve/request/{pipeline}/{phase}")).record_ns(ns);
+    obs::latency(&format!("serve/request/{pipeline}/{phase}")).record(ns);
 }
 "#;
     assert!(lint_one("crates/serve/src/fixture.rs", clean).is_empty());
@@ -84,7 +84,7 @@ pub fn f(pipeline: &str, phase: &str, ns: u64) {
     // an inline latency name is as much a violation as an inline counter
     let bad = r#"
 pub fn f(ns: u64) {
-    obs::latency("serve/request/census/run").record_ns(ns);
+    obs::latency("serve/request/census/run").record(ns);
 }
 "#;
     let diags = lint_one("crates/serve/src/fixture.rs", bad);
@@ -92,8 +92,8 @@ pub fn f(ns: u64) {
     assert_eq!(diags.len(), 1, "{diags:#?}");
 
     // two files claiming the same format! family collide like consts do
-    let a = r#"pub fn f(p: &str) { obs::latency(&format!("serve/request/{p}")).record_ns(1); }"#;
-    let b = r#"pub fn g(p: &str) { obs::latency(&format!("serve/request/{p}")).record_ns(1); }"#;
+    let a = r#"pub fn f(p: &str) { obs::latency(&format!("serve/request/{p}")).record(1); }"#;
+    let b = r#"pub fn g(p: &str) { obs::latency(&format!("serve/request/{p}")).record(1); }"#;
     let diags = analyze_files(
         &[
             ("crates/serve/src/a.rs".to_string(), a.to_string()),

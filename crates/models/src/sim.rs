@@ -16,7 +16,7 @@
 //! halted state). Execution stops when every node has halted or when the
 //! [`RunBudget`] is exhausted, in which case the result carries the
 //! states after the last completed round plus a
-//! [`TruncationReason`](locap_graph::budget::TruncationReason).
+//! [`TruncationReason`].
 //!
 //! All input preconditions (identifiers present and covering every node,
 //! input slices of the right length, ports consistent with the graph,

@@ -3,8 +3,8 @@
 //!
 //! A [`TelemetryState`] captures *every* metric in a [`Registry`] at full
 //! resolution — counter totals, gauge levels, and the complete (sparse)
-//! bucket vectors of both the log₂ span histograms and the fine-grained
-//! latency histograms. Unlike the bench-schema [`crate::Snapshot`], which
+//! bucket vectors of the span and latency histograms, both read through
+//! [`Histogram::state`]. Unlike the bench-schema [`crate::Snapshot`], which
 //! collapses histograms into summary rows, a telemetry state is lossless:
 //! applying a stream of deltas to a base state reconstructs the later
 //! state **exactly**, field for field.
@@ -44,13 +44,13 @@
 //! any realistic counter or nanosecond total.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::{
-    bucket_upper_bound, fine_bucket_upper_bound, lock_unpoisoned, quantile_from_buckets, Registry,
-};
+use crate::{bucket_upper_bound, lock_unpoisoned, quantile_rank, Histogram, Registry};
 
-/// Lossless histogram state: exact aggregates plus sparse bucket counts.
+/// Lossless histogram state: exact aggregates plus sparse bucket counts,
+/// as [`Histogram::state`] reads them.
 ///
 /// In a delta (see [`TelemetryState::delta_since`]) `count`, `sum` and
 /// the bucket counts are increments while `min`/`max` are the new
@@ -69,21 +69,7 @@ pub struct HistogramState {
     pub buckets: Vec<(u32, u64)>,
 }
 
-fn sparse(counts: &[u64]) -> Vec<(u32, u64)> {
-    counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| (i as u32, c))
-        .collect()
-}
-
 impl HistogramState {
-    fn capture(count: u64, sum: u64, min: u64, max: u64, counts: &[u64]) -> HistogramState {
-        let (min, max) = if count == 0 { (0, 0) } else { (min, max) };
-        HistogramState { count, sum, min, max, buckets: sparse(counts) }
-    }
-
     /// The changes from `base` to `self`: count/sum/bucket increments,
     /// absolute min/max. Assumes `self` extends `base` (append-only).
     fn delta_since(&self, base: &HistogramState) -> HistogramState {
@@ -118,22 +104,29 @@ impl HistogramState {
         self.buckets = merged.into_iter().filter(|&(_, c)| c > 0).collect();
     }
 
-    /// The nearest-rank `q`-quantile of this state, given the bucket
-    /// upper-bound function of its histogram kind (use
-    /// [`bucket_upper_bound`] for spans, [`fine_bucket_upper_bound`] for
-    /// latencies). Clamped into `[min, max]`; 0 when empty.
-    pub fn quantile_with(&self, q: f64, upper: impl Fn(usize) -> u64) -> u64 {
-        if self.count == 0 {
+    /// The nearest-rank `q`-quantile (`0.0 ..= 1.0`): the upper bound of
+    /// the bucket holding the rank-`⌈q·count⌉` observation, kept within
+    /// `[min, max]` so that extremes and single observations are exact.
+    /// That is what a sorted vector of the observations yields after
+    /// mapping each value to its bucket's upper bound, so the result
+    /// overshoots the true rank value by at most 1/16 of it.
+    ///
+    /// Total on any state: 0 when empty, `max` when the buckets hold
+    /// fewer than the rank (a capture racing a record), and never a
+    /// panic on `min > max`.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let rank = quantile_rank(self.count, q);
+        if rank == 0 {
             return 0;
         }
-        let top = self.buckets.last().map_or(0, |&(i, _)| i as usize);
-        let mut counts = vec![0u64; top + 1];
+        let mut seen = 0u64;
         for &(i, c) in &self.buckets {
-            if let Some(slot) = counts.get_mut(i as usize) {
-                *slot = c;
+            seen = seen.saturating_add(c);
+            if seen >= rank {
+                return bucket_upper_bound(i as usize).max(self.min).min(self.max);
             }
         }
-        quantile_from_buckets(&counts, self.count, q, upper).clamp(self.min, self.max)
+        self.max
     }
 
     fn to_json(&self) -> Json {
@@ -160,7 +153,7 @@ impl HistogramState {
                 [i, c] => {
                     let i = i.as_u64().ok_or("bucket index not a u64")?;
                     let c = c.as_u64().ok_or("bucket count not a u64")?;
-                    if i as usize >= crate::FINE_BUCKETS {
+                    if i as usize >= crate::BUCKETS {
                         return Err(format!("bucket index {i} out of range"));
                     }
                     buckets.push((i as u32, c));
@@ -168,13 +161,11 @@ impl HistogramState {
                 _ => return Err("bucket pair is not [index, count]".into()),
             }
         }
-        Ok(HistogramState {
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
-            buckets,
-        })
+        let (count, min, max) = (field("count")?, field("min")?, field("max")?);
+        if count > 0 && min > max {
+            return Err(format!("histogram min {min} exceeds max {max}"));
+        }
+        Ok(HistogramState { count, sum: field("sum")?, min, max, buckets })
     }
 }
 
@@ -186,9 +177,9 @@ pub struct TelemetryState {
     pub counters: BTreeMap<String, u64>,
     /// Gauge levels by name (only changed ones, in a delta).
     pub gauges: BTreeMap<String, i64>,
-    /// Log₂ span histograms by name.
+    /// Span histograms by name.
     pub spans: BTreeMap<String, HistogramState>,
-    /// Fine-grained latency histograms by name.
+    /// Latency histograms by name.
     pub latencies: BTreeMap<String, HistogramState>,
 }
 
@@ -211,37 +202,12 @@ impl TelemetryState {
             .iter()
             .map(|(k, v)| (k.clone(), v.load(std::sync::atomic::Ordering::Relaxed)))
             .collect();
-        let spans = lock_unpoisoned(&reg.spans)
-            .iter()
-            .map(|(k, h)| {
-                let s = h.snapshot();
-                let state = HistogramState::capture(
-                    s.count,
-                    s.total_ns,
-                    s.min_ns,
-                    s.max_ns,
-                    &h.bucket_counts(),
-                );
-                (k.clone(), state)
-            })
-            .filter(|(_, state)| state.count > 0)
-            .collect();
-        let latencies = lock_unpoisoned(&reg.latencies)
-            .iter()
-            .map(|(k, h)| {
-                let s = h.snapshot();
-                let state = HistogramState::capture(
-                    s.count,
-                    s.total_ns,
-                    s.min_ns,
-                    s.max_ns,
-                    &h.bucket_counts(),
-                );
-                (k.clone(), state)
-            })
-            .filter(|(_, state)| state.count > 0)
-            .collect();
-        TelemetryState { counters, gauges, spans, latencies }
+        TelemetryState {
+            counters,
+            gauges,
+            spans: capture_section(&reg.spans),
+            latencies: capture_section(&reg.latencies),
+        }
     }
 
     /// Captures the process-global registry.
@@ -350,18 +316,29 @@ impl TelemetryState {
         Ok(out)
     }
 
-    /// The p50/p90/p99 of span `name` at log₂ resolution (None if absent).
+    /// The p50/p90/p99 of span `name` (None if absent).
     pub fn span_quantiles(&self, name: &str) -> Option<[u64; 3]> {
         let h = self.spans.get(name)?;
-        Some([0.5, 0.9, 0.99].map(|q| h.quantile_with(q, bucket_upper_bound)))
+        Some([0.5, 0.9, 0.99].map(|q| h.quantile(q)))
     }
 
-    /// The p50/p90/p99 of latency `name` at fine resolution (None if
-    /// absent).
+    /// The p50/p90/p99 of latency `name` (None if absent).
     pub fn latency_quantiles(&self, name: &str) -> Option<[u64; 3]> {
         let h = self.latencies.get(name)?;
-        Some([0.5, 0.9, 0.99].map(|q| h.quantile_with(q, fine_bucket_upper_bound)))
+        Some([0.5, 0.9, 0.99].map(|q| h.quantile(q)))
     }
+}
+
+/// The non-empty histograms of one registry section, read through
+/// [`Histogram::state`].
+fn capture_section(
+    section: &Mutex<BTreeMap<String, Arc<Histogram>>>,
+) -> BTreeMap<String, HistogramState> {
+    lock_unpoisoned(section)
+        .iter()
+        .map(|(k, h)| (k.clone(), h.state()))
+        .filter(|(_, state)| state.count > 0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -374,7 +351,7 @@ mod tests {
         reg.counter("c").add(3);
         reg.gauge("g").set(-2);
         reg.record_span_ns("s", 100);
-        reg.latency("l").record_ns(7);
+        reg.latency("l").record(7);
         let base = TelemetryState::capture(&reg);
 
         reg.counter("c").add(4);
@@ -382,7 +359,7 @@ mod tests {
         reg.gauge("g").set(9);
         reg.record_span_ns("s", 5);
         reg.record_span_ns("s2", 1 << 40);
-        reg.latency("l").record_ns(900);
+        reg.latency("l").record(900);
         let current = TelemetryState::capture(&reg);
 
         let delta = current.delta_since(&base);
@@ -399,7 +376,7 @@ mod tests {
     fn empty_delta_between_identical_states() {
         let reg = Registry::new();
         reg.counter("c").inc();
-        reg.latency("l").record_ns(5);
+        reg.latency("l").record(5);
         let a = TelemetryState::capture(&reg);
         let b = TelemetryState::capture(&reg);
         assert!(b.delta_since(&a).is_empty());
@@ -411,8 +388,8 @@ mod tests {
         reg.counter("c").add(41);
         reg.gauge("g").set(-17);
         reg.record_span_ns("s", 12345);
-        reg.latency("l").record_ns(77);
-        reg.latency("l").record_ns(1 << 30);
+        reg.latency("l").record(77);
+        reg.latency("l").record(1 << 30);
         let state = TelemetryState::capture(&reg);
         let text = state.to_json().to_string();
         let parsed = Json::parse(&text).expect("parse");
@@ -424,13 +401,32 @@ mod tests {
         let reg = Registry::new();
         for v in [10u64, 20, 30, 40, 5000] {
             reg.record_span_ns("s", v);
-            reg.latency("l").record_ns(v);
+            reg.latency("l").record(v);
         }
         let state = TelemetryState::capture(&reg);
         let span_q = state.span_quantiles("s").expect("span");
         let lat_q = state.latency_quantiles("l").expect("latency");
         assert_eq!(span_q[0], reg.span_histogram("s").quantile_ns(0.5));
-        assert_eq!(lat_q[0], reg.latency("l").histogram().quantile_ns(0.5));
-        assert_eq!(lat_q[2], reg.latency("l").histogram().quantile_ns(0.99));
+        assert_eq!(lat_q[0], reg.latency("l").quantile_ns(0.5));
+        assert_eq!(lat_q[2], reg.latency("l").quantile_ns(0.99));
+        assert_eq!(span_q, lat_q, "one bucket scheme for both sections");
+    }
+
+    #[test]
+    fn from_json_rejects_min_above_max() {
+        let doc = Json::parse(
+            r#"{"latencies":{"x":{"count":1,"sum":0,"min":5,"max":1,"buckets":[[0,1]]}}}"#,
+        )
+        .expect("parse");
+        let err = TelemetryState::from_json(&doc).expect_err("min > max is rejected");
+        assert!(err.contains("min 5 exceeds max 1"), "{err}");
+    }
+
+    #[test]
+    fn quantile_is_total_on_min_above_max() {
+        let h = HistogramState { count: 1, sum: 0, min: 5, max: 1, buckets: vec![(0, 1)] };
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q), 1, "q = {q}");
+        }
     }
 }

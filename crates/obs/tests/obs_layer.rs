@@ -9,7 +9,7 @@
 
 use locap_obs as obs;
 use obs::json::Json;
-use obs::{bucket_index, bucket_upper_bound, Histogram, Registry, Snapshot};
+use obs::{bucket_index, bucket_upper_bound, Histogram, Registry, Snapshot, BUCKETS};
 
 #[test]
 fn concurrent_counter_increments_from_scoped_threads() {
@@ -77,32 +77,38 @@ fn nested_spans_aggregate_under_composed_paths() {
 
 #[test]
 fn histogram_bucket_boundaries() {
-    // bucket 0 = {0}; bucket i >= 1 = [2^(i-1), 2^i)
+    // buckets 0..16 hold one value each; above that, 16 equal-width
+    // sub-buckets per power-of-two octave
     assert_eq!(bucket_index(0), 0);
-    assert_eq!(bucket_index(1), 1);
-    assert_eq!(bucket_index(2), 2);
-    assert_eq!(bucket_index(3), 2);
-    assert_eq!(bucket_index(4), 3);
-    assert_eq!(bucket_index(1023), 10);
-    assert_eq!(bucket_index(1024), 11);
-    assert_eq!(bucket_index(u64::MAX), 63);
+    assert_eq!(bucket_index(15), 15);
+    assert_eq!(bucket_index(16), 16);
+    assert_eq!(bucket_index(31), 31);
+    assert_eq!(bucket_index(32), 32);
+    assert_eq!(bucket_index(33), 32);
+    assert_eq!(bucket_index(34), 33);
+    assert_eq!(bucket_index(1023), 111);
+    assert_eq!(bucket_index(1024), 112);
+    assert_eq!(bucket_index(1087), 112);
+    assert_eq!(bucket_index(1088), 113);
+    assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
     assert_eq!(bucket_upper_bound(0), 0);
-    assert_eq!(bucket_upper_bound(2), 3);
-    assert_eq!(bucket_upper_bound(63), u64::MAX);
+    assert_eq!(bucket_upper_bound(15), 15);
+    assert_eq!(bucket_upper_bound(32), 33);
+    assert_eq!(bucket_upper_bound(111), 1023);
+    assert_eq!(bucket_upper_bound(112), 1087);
+    assert_eq!(bucket_upper_bound(BUCKETS - 1), u64::MAX);
 
     let h = Histogram::default();
-    for v in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
+    for v in [0u64, 15, 32, 33, 1023, 1024, 1087, 1088, u64::MAX] {
         h.record(v);
     }
-    let buckets = h.bucket_counts();
-    assert_eq!(buckets[0], 1, "zero");
-    assert_eq!(buckets[1], 1, "one");
-    assert_eq!(buckets[2], 2, "two and three share [2,4)");
-    assert_eq!(buckets[3], 1, "four");
-    assert_eq!(buckets[10], 1, "1023 is the top of [512, 1024)");
-    assert_eq!(buckets[11], 1, "1024 opens [1024, 2048)");
-    assert_eq!(buckets[63], 1, "open-ended last bucket");
-    assert_eq!(buckets.iter().sum::<u64>(), 8);
+    let state = h.state();
+    assert_eq!(
+        state.buckets,
+        vec![(0, 1), (15, 1), (32, 2), (111, 1), (112, 2), (113, 1), (BUCKETS as u32 - 1, 1)],
+        "32 and 33 share [32, 34); 1024 and 1087 share [1024, 1088); the last bucket is open"
+    );
+    assert_eq!((state.count, state.min, state.max), (9, 0, u64::MAX));
 }
 
 #[test]

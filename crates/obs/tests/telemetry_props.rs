@@ -6,18 +6,16 @@
 //!   `S0 + Δ(S0→S1) == S1` and `(S0 + Δ₁) + Δ₂ == S2`, field for field
 //!   including every histogram bucket.
 //! * **quantile correctness vs a sorted-vector oracle** — for arbitrary
-//!   observation sets and arbitrary `q`, both histogram kinds report
+//!   observation sets and arbitrary `q`, a live histogram, the registry's
+//!   span and latency sections and their captured states all report
 //!   exactly the bucket upper bound of the oracle's nearest-rank value
-//!   (clamped to `[min, max]`), and the fine histogram's documented
-//!   `1/16` relative error bound holds.
+//!   (clamped to `[min, max]`), and the documented `1/16` relative error
+//!   bound holds.
 //! * **wire round-trip** — `to_json → parse → from_json` is the identity
 //!   on states and deltas (values kept in the f64-exact 53-bit range).
 
 use locap_obs::telemetry::TelemetryState;
-use locap_obs::{
-    bucket_index, bucket_upper_bound, fine_bucket_index, fine_bucket_upper_bound, quantile_rank,
-    FineHistogram, Histogram, Registry, FINE_BUCKETS,
-};
+use locap_obs::{bucket_index, bucket_upper_bound, quantile_rank, Histogram, Registry, BUCKETS};
 use proptest::prelude::*;
 
 /// Metric names exercising path separators and escaping.
@@ -46,13 +44,13 @@ fn apply_mutations(reg: &Registry, muts: &[Mutation]) {
             0 => reg.counter(name).add(value),
             1 => reg.gauge(name).set(value as i64),
             2 => reg.record_span_ns(name, value),
-            _ => reg.latency(name).record_ns(value),
+            _ => reg.latency(name).record(value),
         }
     }
 }
 
 /// Observation values for the quantile oracle: a mix of zeros, tiny
-/// values (exact fine buckets), mid-range and huge.
+/// values (exact buckets), mid-range and huge.
 fn observation() -> impl Strategy<Value = u64> {
     (any::<u64>(), 0u8..8).prop_map(|(v, pick)| match pick {
         0 => 0,
@@ -115,45 +113,49 @@ proptest! {
         qs in prop::collection::vec(0u32..=100, 1usize..8),
     ) {
         let hist = Histogram::default();
-        let fine = FineHistogram::default();
+        let reg = Registry::new();
         for &v in &values {
             hist.record(v);
-            fine.record(v);
+            reg.record_span_ns("s", v);
+            reg.latency("l").record(v);
         }
+        let state = TelemetryState::capture(&reg);
         let mut sorted = values.clone();
         sorted.sort_unstable();
         let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
         let count = sorted.len() as u64;
+        let oracle = |q: f64| {
+            let rank = quantile_rank(count, q);
+            let v = sorted[(rank - 1) as usize];
+            (v, bucket_upper_bound(bucket_index(v)).clamp(min, max))
+        };
 
         for &q100 in &qs {
             let q = q100 as f64 / 100.0;
             let rank = quantile_rank(count, q);
             prop_assert!(rank >= 1 && rank <= count);
-            let v = sorted[(rank - 1) as usize];
-
-            let want_log = bucket_upper_bound(bucket_index(v)).clamp(min, max);
-            prop_assert_eq!(hist.quantile_ns(q), want_log, "log2 q={}", q);
-
-            let want_fine = fine_bucket_upper_bound(fine_bucket_index(v)).clamp(min, max);
-            let got_fine = fine.quantile_ns(q);
-            prop_assert_eq!(got_fine, want_fine, "fine q={}", q);
-
-            // documented error bounds: <2x for log2, <=1/16 relative for
-            // fine (exact below 16)
-            prop_assert!(got_fine >= v && got_fine - v <= v / 16,
-                "fine quantile {} for rank value {}", got_fine, v);
-            prop_assert!(want_log >= v && (v == 0 || want_log < 2 * v.max(1)),
-                "log2 quantile {} for rank value {}", want_log, v);
+            let (v, want) = oracle(q);
+            prop_assert_eq!(hist.quantile_ns(q), want, "live q={}", q);
+            prop_assert_eq!(reg.span_histogram("s").quantile_ns(q), want, "span q={}", q);
+            prop_assert_eq!(state.spans["s"].quantile(q), want, "span state q={}", q);
+            prop_assert_eq!(state.latencies["l"].quantile(q), want, "latency state q={}", q);
+            // documented error bound: <= 1/16 relative, exact below 16
+            prop_assert!(want >= v && want - v <= v / 16,
+                "quantile {} for rank value {}", want, v);
         }
+        let want = [0.5, 0.9, 0.99].map(|q| oracle(q).1);
+        prop_assert_eq!(state.span_quantiles("s"), Some(want));
+        prop_assert_eq!(state.latency_quantiles("l"), Some(want));
+        prop_assert_eq!(reg.span_histogram("s").snapshot().p50_ns, want[0]);
     }
 
     #[test]
     fn fine_buckets_partition_the_domain(v in observation()) {
-        let i = fine_bucket_index(v);
-        prop_assert!(i < FINE_BUCKETS);
-        prop_assert!(v <= fine_bucket_upper_bound(i));
+        let i = bucket_index(v);
+        prop_assert!(i < BUCKETS);
+        prop_assert!(v <= bucket_upper_bound(i));
         if i > 0 {
-            prop_assert!(fine_bucket_upper_bound(i - 1) < v,
+            prop_assert!(bucket_upper_bound(i - 1) < v,
                 "value {} below bucket {}'s lower edge", v, i);
         }
     }
@@ -161,20 +163,20 @@ proptest! {
 
 #[test]
 fn fine_bucket_extremes() {
-    assert_eq!(fine_bucket_index(0), 0);
-    assert_eq!(fine_bucket_index(15), 15);
-    assert_eq!(fine_bucket_index(16), 16);
-    assert_eq!(fine_bucket_index(u64::MAX), FINE_BUCKETS - 1);
-    assert_eq!(fine_bucket_upper_bound(FINE_BUCKETS - 1), u64::MAX);
+    assert_eq!(bucket_index(0), 0);
+    assert_eq!(bucket_index(15), 15);
+    assert_eq!(bucket_index(16), 16);
+    assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+    assert_eq!(bucket_upper_bound(BUCKETS - 1), u64::MAX);
     for v in [0u64, 1, 15, 16, 17, 31, 32, 1 << 20, u64::MAX - 1, u64::MAX] {
-        let h = FineHistogram::default();
+        let h = Histogram::default();
         h.record(v);
         assert_eq!(h.quantile_ns(0.5), v, "single observation is exact via clamp");
     }
 }
 
 #[test]
-fn log2_quantile_empty_and_single() {
+fn quantile_empty_and_single() {
     let h = Histogram::default();
     assert_eq!(h.quantile_ns(0.5), 0);
     h.record(1000);

@@ -278,7 +278,7 @@ pub mod prop {
             VecStrategy { elem, len }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S, L> {
             elem: S,

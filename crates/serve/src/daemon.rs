@@ -381,12 +381,12 @@ fn record_error_kind(kind: &str) {
     obs::counter(&format!("serve/errors/{kind}")).inc();
 }
 
-/// Records one request-phase latency into the fine-grained
+/// Records one request-phase latency into the
 /// `serve/request/<pipeline>/<phase>` histogram — the one construction
 /// site of this latency family. Phases are [`PHASE_QUEUE_WAIT`],
 /// [`PHASE_PARSE`], [`PHASE_RUN`] and [`PHASE_SERIALIZE`].
 fn record_phase(pipeline: &str, phase: &str, ns: u64) {
-    obs::latency(&format!("serve/request/{pipeline}/{phase}")).record_ns(ns);
+    obs::latency(&format!("serve/request/{pipeline}/{phase}")).record(ns);
 }
 
 /// A duration as saturating nanoseconds.

@@ -16,8 +16,8 @@
 //! op attaches the connection to a periodic publisher ([`telemetry`])
 //! that fans out delta-encoded registry snapshots, with per-request
 //! phase latencies (queue-wait / parse / run / serialize) recorded into
-//! fine-grained histograms per pipeline. `locap watch` ([`watch`])
-//! renders the stream as a live table.
+//! one `locap_obs::Histogram` per pipeline and phase. `locap watch`
+//! ([`watch`]) renders the stream as a live table.
 //!
 //! The wire protocol is hand-rolled on the `locap-obs` JSON machinery —
 //! no new dependencies, per the workspace's offline-shim policy.

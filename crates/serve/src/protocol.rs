@@ -646,7 +646,7 @@ mod tests {
     fn telemetry_frames_round_trip_and_responses_pass_through() {
         let reg = locap_obs::Registry::new();
         reg.counter("serve/requests").add(3);
-        reg.latency("serve/request/census/run").record_ns(1234);
+        reg.latency("serve/request/census/run").record(1234);
         let data = locap_obs::telemetry::TelemetryState::capture(&reg);
         let line = telemetry_frame("snapshot", 7, 250, 1, data.to_json()).to_string();
         let frame = TelemetryFrame::parse(&line).expect("parse").expect("is telemetry");

@@ -277,7 +277,7 @@ mod tests {
     fn rendered_frames_match_the_protocol_builder() {
         let reg = obs::Registry::new();
         reg.counter("serve/requests").add(5);
-        reg.latency("serve/request/census/run").record_ns(321);
+        reg.latency("serve/request/census/run").record(321);
         let data = TelemetryState::capture(&reg).to_json();
         let want = telemetry_frame("delta", 12, 250, 3, data.clone()).to_string();
         let got = render_frame("delta", 12, 250, 3, &data.to_string());

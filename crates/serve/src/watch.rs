@@ -5,14 +5,13 @@
 //! snapshot/delta frames to a local [`TelemetryState`] replica, and
 //! renders one block per frame: counters with per-interval rates,
 //! gauges, and span/latency histograms with p50/p90/p99 quantiles
-//! (log₂ resolution for spans, 1/16-relative for latencies). Rendering
-//! is pure ([`render_frame`]) so the formats are unit-testable.
+//! (within 1/16 of the true value). Rendering is pure
+//! ([`render_frame`]) so the formats are unit-testable.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use locap_obs::telemetry::TelemetryState;
-use locap_obs::{bucket_upper_bound, fine_bucket_upper_bound};
 
 use crate::protocol::TelemetryFrame;
 
@@ -76,16 +75,12 @@ pub fn render_frame(
                 out.push_str(&format!("{}\tgauge\t{name}\t{v}\t-\n", frame.seq));
             }
         }
-        for (section, upper) in [
-            (&state.spans, bucket_upper_bound as fn(usize) -> u64),
-            (&state.latencies, fine_bucket_upper_bound as fn(usize) -> u64),
-        ] {
-            let label = if std::ptr::eq(section, &state.spans) { "span" } else { "latency" };
-            for (name, h) in section.iter() {
+        for (label, section) in [("span", &state.spans), ("latency", &state.latencies)] {
+            for (name, h) in section {
                 if !keep(filter, name) {
                     continue;
                 }
-                let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile_with(q, upper));
+                let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile(q));
                 out.push_str(&format!(
                     "{}\t{label}\t{name}\t{}\t{p50}\t{p90}\t{p99}\n",
                     frame.seq, h.count
@@ -112,15 +107,12 @@ pub fn render_frame(
             out.push_str(&format!("  gauge    {name:<44} {v:>12}\n"));
         }
     }
-    for (label, section, upper) in [
-        ("span", &state.spans, bucket_upper_bound as fn(usize) -> u64),
-        ("latency", &state.latencies, fine_bucket_upper_bound as fn(usize) -> u64),
-    ] {
-        for (name, h) in section.iter() {
+    for (label, section) in [("span", &state.spans), ("latency", &state.latencies)] {
+        for (name, h) in section {
             if !keep(filter, name) {
                 continue;
             }
-            let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile_with(q, upper));
+            let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile(q));
             out.push_str(&format!(
                 "  {label:<8} {name:<44} {:>12}  p50 {} p90 {} p99 {}\n",
                 h.count,
@@ -210,7 +202,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("serve/requests").add(10);
         reg.gauge("serve/queue_depth").set(2);
-        reg.latency("serve/request/census/run").record_ns(2000);
+        reg.latency("serve/request/census/run").record(2000);
         let state = TelemetryState::capture(&reg);
         // a delta frame moving serve/requests by 10 over 500ms = 20/s
         let frame = frame_of("delta", &reg, 3);
@@ -238,7 +230,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("serve/requests").inc();
         reg.counter("telemetry/dropped").inc();
-        reg.latency("soak/latency_ns").record_ns(1);
+        reg.latency("soak/latency_ns").record(1);
         let state = TelemetryState::capture(&reg);
         let frame = frame_of("snapshot", &reg, 1);
         let text = render_frame(&state, &frame, true, &Some("telemetry/".into()));

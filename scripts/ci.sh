@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: format check first (cheapest), then release
-# build, tests, locap-lint, strict clippy. Run before every push; CI
-# runs exactly this. Each step reports its wall-clock time so
+# build, tests, locap-lint, strict clippy and rustdoc. Run before every
+# push; CI runs exactly this. Each step reports its wall-clock time so
 # regressions in the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,5 +60,8 @@ step "locap-lint" cargo run --release -q -p locap-lint -- check
 # sanctioned site carries #[expect(…, reason)] on its fn, and an
 # unfulfilled expect fails here too
 step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
+# rustdoc: a broken or ambiguous intra-doc link, such as one left behind
+# by a deleted type, fails here instead of rotting in the docs
+step "cargo doc -D warnings" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "CI gate passed."

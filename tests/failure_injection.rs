@@ -665,6 +665,17 @@ fn doctored_homogeneous_graphs_fail_verification() {
     fake.homogeneous_count = fake.node_count();
     assert!(matches!(fake.verify(), Err(CoreError::VerificationFailed { .. })));
 
+    // move one τ* flag onto an untyped vertex: the count still holds, the
+    // flags do not
+    let mut fake = h.clone();
+    let on = fake.typed.iter().position(|&t| t).unwrap();
+    let off = fake.typed.iter().position(|&t| !t).unwrap();
+    fake.typed.swap(on, off);
+    assert!(matches!(
+        fake.verify(),
+        Err(CoreError::VerificationFailed { property }) if property.contains("census")
+    ));
+
     // reverse the order: every inner neighbourhood becomes the mirror of
     // τ*, which is a *different* labelled type, so the recount collapses
     let mut fake = h.clone();
