@@ -37,7 +37,7 @@ use locap_num::Ratio;
 use locap_obs as obs;
 use locap_problems::edge_dominating_set;
 
-use crate::CoreError;
+use crate::{next_combination, CoreError};
 
 /// A reconstructed lower-bound instance `G₀` (possibly a connected lift of
 /// the base gadget).
@@ -87,16 +87,10 @@ pub fn gadget(k: usize) -> Graph {
     assert!(k >= 1, "k must be positive");
     let t = 2 * k; // matched side
     let u = 2 * k - 1; // independent side
-    let mut g = Graph::new(t + u);
-    for a in 0..t {
-        for b in 0..u {
-            g.add_edge(a, t + b).expect("bipartite edges are simple");
-        }
-    }
-    for i in 0..k {
-        g.add_edge(2 * i, 2 * i + 1).expect("matching edges are simple");
-    }
-    g
+    let bipartite = (0..t).flat_map(|a| (0..u).map(move |b| (a, t + b)));
+    let matching = (0..k).map(|i| (2 * i, 2 * i + 1));
+    let edges: Vec<_> = bipartite.chain(matching).collect();
+    Graph::from_edges(t + u, &edges).expect("gadget edges are simple")
 }
 
 /// Builds the lower-bound instance for `Δ′ = delta_prime` on `n` nodes
@@ -190,28 +184,38 @@ pub fn lower_bound_report_budgeted(
     }
     let und = d.underlying().map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
 
-    // symmetric solutions: unions of label classes
+    // symmetric solutions: unions of label classes. Label-completeness
+    // gives every class n edges and `underlying` has made the classes
+    // disjoint, so a union of j classes has j·n edges: the first size j
+    // with a feasible union is the minimum (j = 1 on every gadget).
     let min_symmetric = {
         let k = d.alphabet_size();
         let _span = obs::span_with("symmetric_enum", &[("labels", k as i64)]);
-        let mut best: Option<usize> = None;
-        for mask in 1u32..(1 << k) {
-            if let Some(t) = budget.check_interrupt() {
-                return Err(CoreError::Truncated {
-                    stage: "symmetric enumeration",
-                    reason: t.publish(),
-                });
-            }
-            let chosen: BTreeSet<Edge> = d
-                .edges()
-                .filter(|e| mask & (1 << e.label) != 0)
-                .map(|e| Edge::new(e.from, e.to))
-                .collect();
-            if edge_dominating_set::feasible(&und, &chosen) {
-                best = Some(best.map_or(chosen.len(), |b: usize| b.min(chosen.len())));
+        let mut found = None;
+        'sizes: for j in 1..=k {
+            let mut classes: Vec<usize> = (0..j).collect();
+            loop {
+                if let Some(t) = budget.check_interrupt() {
+                    return Err(CoreError::Truncated {
+                        stage: "symmetric enumeration",
+                        reason: t.publish(),
+                    });
+                }
+                let chosen: BTreeSet<Edge> = d
+                    .edges()
+                    .filter(|e| classes.contains(&e.label))
+                    .map(|e| Edge::new(e.from, e.to))
+                    .collect();
+                if edge_dominating_set::feasible(&und, &chosen) {
+                    found = Some(chosen.len());
+                    break 'sizes;
+                }
+                if !next_combination(&mut classes, k) {
+                    break;
+                }
             }
         }
-        best.ok_or(CoreError::VerificationFailed {
+        found.ok_or(CoreError::VerificationFailed {
             property: "no symmetric solution is feasible".into(),
         })?
     };
@@ -321,6 +325,18 @@ mod tests {
         let inst = eds_instance(2, 12).unwrap();
         let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
         assert_eq!(report.min_symmetric, 12);
+    }
+
+    /// Δ′ = 64 has k = 32 label classes, one past what a `u32` mask of
+    /// classes can shift through.
+    #[test]
+    fn thirty_two_label_classes_answer_with_one_class() {
+        let inst = eds_instance(64, 127).unwrap();
+        assert_eq!(inst.digraph.alphabet_size(), 32);
+        let report = lower_bound_report_budgeted(&inst, &RunBudget::unlimited()).unwrap();
+        assert_eq!(report.min_symmetric, 127);
+        assert_eq!(report.opt, perfect_eds_size(127, 64).unwrap());
+        assert_eq!(report.ratio, eds_bound(64));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use locap_graph::budget::TruncationReason;
+use locap_groups::GroupError;
 use locap_models::RunError;
 
 /// Errors from the constructions of the main theorems.
@@ -103,6 +104,18 @@ impl From<RunError> for CoreError {
     }
 }
 
+impl From<GroupError> for CoreError {
+    /// A group that rejects its parameters rejects the pipeline's: the
+    /// group's reason is carried as is, so the message says "bad
+    /// parameters" once.
+    fn from(e: GroupError) -> CoreError {
+        match e {
+            GroupError::BadParameters { reason } => CoreError::BadParameters { reason },
+            other => CoreError::BadParameters { reason: other.to_string() },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,5 +140,13 @@ mod tests {
             reason: TruncationReason::RoundLimit { limit: 4 },
         };
         assert!(t.to_string().contains("mask sweep"));
+    }
+
+    #[test]
+    fn group_parameter_errors_print_one_prefix() {
+        let e = locap_groups::IterGroup::finite(1, 7).map_err(CoreError::from).unwrap_err();
+        assert_eq!(e.to_string(), "bad parameters: modulus 7 must be even and >= 2");
+        let e = CoreError::from(GroupError::BadGenerators { reason: "dup".into() });
+        assert_eq!(e.to_string(), "bad parameters: bad generators: dup");
     }
 }

@@ -186,8 +186,7 @@ fn verify_lift(
     // on good vertices the ordered neighbourhood is an ordered subtree of
     // τ*: operationally, the view is a tree and the order of any two ball
     // vertices (walk endpoints) agrees with the U-order of the walks.
-    let u = IterGroup::infinite(h.level)
-        .map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
+    let u = IterGroup::infinite(h.level)?;
     let mut checked = 0usize;
     for v in (0..n).step_by(stride) {
         if let Some(t) = budget.check_interrupt() {

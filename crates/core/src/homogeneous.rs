@@ -36,7 +36,7 @@ use locap_groups::{cayley, Group, IterGroup};
 use locap_num::Ratio;
 use locap_obs as obs;
 
-use crate::CoreError;
+use crate::{next_combination, CoreError};
 
 /// Hard cap on the nodes a construction materialises: the group order
 /// `|H|` here, and the lift's `|H| · |G|` in [`crate::hom_lift`].
@@ -141,8 +141,7 @@ pub fn candidate_generators(level: usize) -> Vec<Vec<i64>> {
 /// Vertices are the distinct group elements reachable by ≤ r steps along
 /// `S ∪ S⁻¹`, ordered by the positive cone; edges are `(x, x·s_ℓ, ℓ)`.
 pub fn tau_star(level: usize, gens: &[Vec<i64>], r: usize) -> Result<OrderedLNbhd, CoreError> {
-    let u = IterGroup::infinite(level)
-        .map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
+    let u = IterGroup::infinite(level)?;
     // BFS in U
     let mut ball: Vec<Vec<i64>> = vec![u.identity()];
     let mut frontier = vec![u.identity()];
@@ -216,10 +215,6 @@ fn count_set(flags: &[bool]) -> usize {
 /// Fails when the group is too large to materialise or no subset passes
 /// the girth check, and with [`CoreError::Truncated`] when the budget
 /// trips.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "idx is a k-subset cursor that its own advance loop keeps < candidates.len()"
-)]
 pub fn find_generators_budgeted(
     level: usize,
     m: u64,
@@ -228,8 +223,7 @@ pub fn find_generators_budgeted(
     budget: &RunBudget,
 ) -> Result<(IterGroup, Vec<Vec<i64>>, LDigraph), CoreError> {
     let _span = obs::span("find_generators");
-    let h = IterGroup::finite(level, m)
-        .map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
+    let h = IterGroup::finite(level, m)?;
     let order = h
         .order()
         .ok_or_else(|| CoreError::BadParameters { reason: "group order unavailable".into() })?;
@@ -268,7 +262,7 @@ pub fn find_generators_budgeted(
             });
         }
         obs::counter(GENERATOR_ATTEMPTS).inc();
-        let gens: Vec<Vec<i64>> = idx.iter().map(|&i| candidates[i].clone()).collect();
+        let gens: Vec<Vec<i64>> = idx.iter().filter_map(|&i| candidates.get(i).cloned()).collect();
         match cayley(&h, &gens) {
             Ok(d) => {
                 let und = d.underlying_simple();
@@ -282,27 +276,15 @@ pub fn find_generators_budgeted(
                 best_err = Some(e.to_string());
             }
         }
-        // advance the k-subset
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return Err(CoreError::GeneratorSearchFailed {
-                    k,
-                    girth_bound: bound,
-                    detail: format!(
-                        "level {level}, m {m}: {}",
-                        best_err.unwrap_or_else(|| "no candidate subsets".into())
-                    ),
-                });
-            }
-            i -= 1;
-            if idx[i] < candidates.len() - (k - i) {
-                idx[i] += 1;
-                for j in i + 1..k {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
+        if !next_combination(&mut idx, candidates.len()) {
+            return Err(CoreError::GeneratorSearchFailed {
+                k,
+                girth_bound: bound,
+                detail: format!(
+                    "level {level}, m {m}: {}",
+                    best_err.unwrap_or_else(|| "no candidate subsets".into())
+                ),
+            });
         }
     }
 }

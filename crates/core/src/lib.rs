@@ -66,3 +66,18 @@ pub mod request;
 pub mod transfer;
 
 pub use error::CoreError;
+
+/// Advances `idx`, a strictly increasing selection of `idx.len()` items
+/// out of `0..n`, to the next selection in lexicographic order. Returns
+/// `false`, leaving `idx` unchanged, when `idx` was the last one.
+pub(crate) fn next_combination(idx: &mut [usize], n: usize) -> bool {
+    let k = idx.len();
+    // the rightmost position that can still move right
+    let Some((i, &x)) = idx.iter().enumerate().rev().find(|&(i, &x)| x + (k - i) < n) else {
+        return false;
+    };
+    for (step, slot) in idx.iter_mut().skip(i).enumerate() {
+        *slot = x + 1 + step;
+    }
+    true
+}

@@ -49,8 +49,7 @@ impl<A> PoFromOi<A> {
     ///
     /// Fails if the generator tuples do not match the level's dimension.
     pub fn new(oi: A, level: usize, gens: Vec<Vec<i64>>) -> Result<PoFromOi<A>, CoreError> {
-        let u = IterGroup::infinite(level)
-            .map_err(|e| CoreError::BadParameters { reason: e.to_string() })?;
+        let u = IterGroup::infinite(level)?;
         if gens.iter().any(|g| g.len() != u.dim()) {
             return Err(CoreError::BadParameters {
                 reason: "generator dimension does not match level".into(),

@@ -25,7 +25,7 @@ use locap_graph::canon::{IdNbhd, OrderedNbhd};
 use locap_models::{IdVertexAlgorithm, OiVertexAlgorithm};
 use locap_obs as obs;
 
-use crate::CoreError;
+use crate::{next_combination, CoreError};
 
 /// Searches `universe` for an `m`-subset `J` all of whose `t`-subsets have
 /// the same colour. Returns `(J, colour)` on success.
@@ -153,20 +153,8 @@ fn all_t_subsets_with_last(set: &[u64], t: usize, mut f: impl FnMut(&[u64]) -> b
         if !f(&subset) {
             return false;
         }
-        // advance combination
-        let mut i = t - 1;
-        loop {
-            if i == 0 {
-                return true;
-            }
-            i -= 1;
-            if idx[i] < rest.len() - (t - 1 - i) {
-                idx[i] += 1;
-                for j in i + 1..t - 1 {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
+        if !next_combination(&mut idx, rest.len()) {
+            return true;
         }
     }
 }

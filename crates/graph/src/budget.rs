@@ -303,7 +303,30 @@ impl RunBudget {
     pub fn check_interrupt(&self) -> Option<TruncationReason> {
         self.check_cancelled().or_else(|| self.check_deadline())
     }
+
+    /// The interrupt check of a loop that polls once per cheap step:
+    /// cancellation on every call, the clock only on step 0, on every
+    /// [`POLL_STRIDE`]-th step and whenever `costly` (the step is about
+    /// to do work that may take far longer than a cheap one). Reading
+    /// the clock costs tens of nanoseconds against about one for an
+    /// atomic load, so a deadline is noticed at most `POLL_STRIDE − 1`
+    /// cheap steps late. Returns the reason (unpublished) if either
+    /// trips.
+    pub fn poll_interrupt(&self, step: usize, costly: bool) -> Option<TruncationReason> {
+        if let Some(t) = self.check_cancelled() {
+            return Some(t);
+        }
+        if costly || step % POLL_STRIDE == 0 {
+            self.check_deadline()
+        } else {
+            None
+        }
+    }
 }
+
+/// The step stride at which [`RunBudget::poll_interrupt`] reads the
+/// clock between costly steps.
+pub const POLL_STRIDE: usize = 1 << 10;
 
 impl fmt::Debug for RunBudget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -440,6 +463,38 @@ mod tests {
             .with_deadline(Duration::from_millis(1), clock)
             .with_cancel(token);
         assert_eq!(b.check_interrupt(), Some(TruncationReason::Cancelled));
+    }
+
+    /// A clock that counts its reads.
+    #[derive(Debug, Default)]
+    struct CountingClock {
+        reads: AtomicU64,
+    }
+
+    impl MonotonicClock for CountingClock {
+        fn elapsed(&self) -> Duration {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            Duration::ZERO
+        }
+    }
+
+    #[test]
+    fn poll_reads_the_clock_per_stride_and_per_costly_step() {
+        let clock = Arc::new(CountingClock::default());
+        let token = CancelToken::new();
+        let b = RunBudget::unlimited()
+            .with_deadline(Duration::from_secs(1), Arc::clone(&clock) as _)
+            .with_cancel(token.clone());
+        let steps = 3 * POLL_STRIDE + 1;
+        for step in 0..steps {
+            assert_eq!(b.poll_interrupt(step, false), None);
+        }
+        assert_eq!(clock.reads.load(Ordering::SeqCst), 4, "steps 0, S, 2S and 3S");
+        assert_eq!(b.poll_interrupt(7, true), None);
+        assert_eq!(clock.reads.load(Ordering::SeqCst), 5, "a costly step reads the clock");
+        token.cancel();
+        assert_eq!(b.poll_interrupt(1, false), Some(TruncationReason::Cancelled));
+        assert_eq!(clock.reads.load(Ordering::SeqCst), 5, "cancellation needs no clock read");
     }
 
     #[test]

@@ -35,42 +35,8 @@
 //! * [`OrderedLNbhd`] — `(n << 32) | root`, then two words per directed
 //!   labelled edge, `(from << 32) | to` followed by `label`, ascending.
 
-use crate::{par, CsrGraph, Graph, KeyInterner, LDigraph, NodeId};
+use crate::{par, Graph, KeyInterner, LDigraph, NodeId};
 use locap_obs as obs;
-
-/// Read-only adjacency, abstracting over [`Graph`] (nested `Vec`s, cheap
-/// to build) and [`CsrGraph`] (flat arrays, cheap to scan) so the BFS and
-/// canonical-form extractors run identically on either layout.
-pub trait Adjacency {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Calls `f` on every neighbour of `v`, in sorted order.
-    fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId));
-}
-
-impl Adjacency for Graph {
-    fn node_count(&self) -> usize {
-        Graph::node_count(self)
-    }
-
-    fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for &u in self.neighbors(v) {
-            f(u);
-        }
-    }
-}
-
-impl Adjacency for CsrGraph {
-    fn node_count(&self) -> usize {
-        CsrGraph::node_count(self)
-    }
-
-    fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for &u in self.neighbors(v) {
-            f(u as NodeId);
-        }
-    }
-}
 
 /// A node→position index over a ball: pairs `(node, position)` sorted by
 /// node, answering lookups by binary search. Replaces the fresh
@@ -336,7 +302,7 @@ impl NbhdScratch {
     /// stamps in O(1)) and runs a truncated BFS from `v` in `g`. Leaves
     /// `self.ball` holding the ball sorted by node id.
     // lint: hot
-    fn fill_ball(&mut self, g: &impl Adjacency, v: NodeId, r: usize) {
+    fn fill_ball(&mut self, g: &Graph, v: NodeId, r: usize) {
         let n = g.node_count();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -361,14 +327,14 @@ impl NbhdScratch {
             if d == r {
                 continue;
             }
-            g.for_each_neighbor(x, |u| {
+            for &u in g.neighbors(x) {
                 if self.stamp[u] != epoch {
                     self.stamp[u] = epoch;
                     self.pos[u] = (d + 1) as u32;
                     self.ball.push(u);
                     self.queue.push_back(u);
                 }
-            });
+            }
         }
         self.ball.sort_unstable();
     }
@@ -387,7 +353,7 @@ impl NbhdScratch {
 /// the reused buffers. `OrderedNbhd::from_key(key)` recovers the struct.
 // lint: hot
 pub fn ordered_key_into(
-    g: &impl Adjacency,
+    g: &Graph,
     rank: &[usize],
     v: NodeId,
     r: usize,
@@ -410,7 +376,7 @@ pub fn ordered_key_into(
 /// Panics (in debug builds) if identifiers in the ball are not distinct.
 // lint: hot
 pub fn id_key_into(
-    g: &impl Adjacency,
+    g: &Graph,
     ids: &[u64],
     v: NodeId,
     r: usize,
@@ -435,21 +401,16 @@ pub fn id_key_into(
 /// `(i << 32) | j` words, sorted; `base` is where the edge section of
 /// `key` starts.
 // lint: hot
-fn push_undirected_edges(
-    g: &impl Adjacency,
-    scratch: &NbhdScratch,
-    key: &mut Vec<u64>,
-    base: usize,
-) {
+fn push_undirected_edges(g: &Graph, scratch: &NbhdScratch, key: &mut Vec<u64>, base: usize) {
     for (i, &a) in scratch.ball.iter().enumerate() {
-        g.for_each_neighbor(a, |b| {
+        for &b in g.neighbors(a) {
             if scratch.stamp[b] == scratch.epoch {
                 let j = scratch.pos[b] as usize;
                 if i < j {
                     key.push(((i as u64) << 32) | j as u64);
                 }
             }
-        });
+        }
     }
     key[base..].sort_unstable();
     // parity with the naive path's `dedup` (a no-op on simple graphs:
@@ -465,12 +426,11 @@ fn push_undirected_edges(
 }
 
 /// Writes the packed key of the ordered L-digraph neighbourhood into
-/// `key`; `und` must be (an adjacency view of) the underlying undirected
-/// graph of `d`. `OrderedLNbhd::from_key(key)` recovers the struct.
+/// `key`; `und` must be the underlying undirected graph of `d`. `OrderedLNbhd::from_key(key)` recovers the struct.
 // lint: hot
 pub fn ordered_lkey_into(
     d: &LDigraph,
-    und: &impl Adjacency,
+    und: &Graph,
     rank: &[usize],
     v: NodeId,
     r: usize,
@@ -500,10 +460,9 @@ pub fn ordered_lkey_into(
 }
 
 /// [`ordered_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
-/// `O(|ball| + |induced edges|)` per call. Runs on any [`Adjacency`]
-/// layout ([`Graph`] or [`CsrGraph`]).
+/// `O(|ball| + |induced edges|)` per call.
 pub fn ordered_nbhd_fast(
-    g: &impl Adjacency,
+    g: &Graph,
     rank: &[usize],
     v: NodeId,
     r: usize,
@@ -519,7 +478,7 @@ pub fn ordered_nbhd_fast(
 /// [`id_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
 /// `O(|ball| + |induced edges|)` per call.
 pub fn id_nbhd_fast(
-    g: &impl Adjacency,
+    g: &Graph,
     ids: &[u64],
     v: NodeId,
     r: usize,
@@ -536,7 +495,7 @@ pub fn id_nbhd_fast(
 /// output, `O(|ball| + |induced edges|)` per call.
 pub fn ordered_lnbhd_fast(
     d: &LDigraph,
-    und: &impl Adjacency,
+    und: &Graph,
     rank: &[usize],
     v: NodeId,
     r: usize,
@@ -639,15 +598,13 @@ fn sorted_census<T: Ord + std::hash::Hash>(types: Vec<T>) -> Vec<(T, usize)> {
 /// (Definition 3.1): the graph is `(α, r)`-homogeneous with
 /// `α = max_count / n`.
 ///
-/// Engine-backed: the graph is flattened to a [`CsrGraph`] once, packed
-/// keys are extracted per vertex through [`ordered_key_into`] on
-/// [`par`] workers, and counting happens on interned ids — one struct
+/// Engine-backed: packed keys are extracted per vertex through
+/// [`ordered_key_into`] on [`par`] workers, and counting happens on interned ids — one struct
 /// decode per distinct type instead of per vertex.
 /// [`ordered_type_census_naive`] is the reference implementation.
 pub fn ordered_type_census(g: &Graph, rank: &[usize], r: usize) -> Vec<(OrderedNbhd, usize)> {
-    let csr = CsrGraph::from_graph(g);
     let (interner, counts) = per_vertex_keys("ordered", g.node_count(), |scratch, v, key| {
-        ordered_key_into(&csr, rank, v, r, scratch, key)
+        ordered_key_into(g, rank, v, r, scratch, key)
     });
     census_from_keys(interner, &counts, OrderedNbhd::from_key)
 }
@@ -662,7 +619,7 @@ pub fn ordered_type_census_naive(g: &Graph, rank: &[usize], r: usize) -> Vec<(Or
 /// Engine-backed like its undirected counterpart;
 /// [`ordered_ltype_census_naive`] is the reference implementation.
 pub fn ordered_ltype_census(d: &LDigraph, rank: &[usize], r: usize) -> Vec<(OrderedLNbhd, usize)> {
-    let und = CsrGraph::from_graph(&d.underlying_simple());
+    let und = d.underlying_simple();
     let (interner, counts) = per_vertex_keys("ordered_l", d.node_count(), |scratch, v, key| {
         ordered_lkey_into(d, &und, rank, v, r, scratch, key)
     });
@@ -809,16 +766,15 @@ mod tests {
     #[test]
     fn key_roundtrip_matches_naive_extractors() {
         let g = gen::petersen();
-        let csr = CsrGraph::from_graph(&g);
         let rank = identity_rank(10);
         let ids: Vec<u64> = (0..10).map(|v| (v as u64) * 17 + 3).collect();
         let mut scratch = NbhdScratch::new();
         let mut key = Vec::new();
         for r in 0..3 {
             for v in g.nodes() {
-                ordered_key_into(&csr, &rank, v, r, &mut scratch, &mut key);
+                ordered_key_into(&g, &rank, v, r, &mut scratch, &mut key);
                 assert_eq!(OrderedNbhd::from_key(&key), ordered_nbhd(&g, &rank, v, r));
-                id_key_into(&csr, &ids, v, r, &mut scratch, &mut key);
+                id_key_into(&g, &ids, v, r, &mut scratch, &mut key);
                 assert_eq!(IdNbhd::from_key(&key), id_nbhd(&g, &ids, v, r));
             }
         }
@@ -828,30 +784,14 @@ mod tests {
     fn lkey_roundtrip_matches_naive_extractor() {
         let d = gen::directed_cycle(9);
         let und = d.underlying_simple();
-        let und_csr = CsrGraph::from_graph(&und);
         let rank = identity_rank(9);
         let mut scratch = NbhdScratch::new();
         let mut key = Vec::new();
         for r in 0..4 {
             for v in 0..9 {
-                ordered_lkey_into(&d, &und_csr, &rank, v, r, &mut scratch, &mut key);
+                ordered_lkey_into(&d, &und, &rank, v, r, &mut scratch, &mut key);
                 assert_eq!(OrderedLNbhd::from_key(&key), ordered_lnbhd_in(&d, &und, &rank, v, r));
             }
-        }
-    }
-
-    #[test]
-    fn fast_extractors_accept_both_layouts() {
-        let g = gen::hypercube(4);
-        let csr = g.to_csr();
-        let rank = identity_rank(16);
-        let mut s1 = NbhdScratch::new();
-        let mut s2 = NbhdScratch::new();
-        for v in [0usize, 5, 15] {
-            assert_eq!(
-                ordered_nbhd_fast(&g, &rank, v, 2, &mut s1),
-                ordered_nbhd_fast(&csr, &rank, v, 2, &mut s2),
-            );
         }
     }
 
@@ -871,11 +811,10 @@ mod tests {
         let n = 1 << 10;
         let g = gen::cycle(n);
         let rank = identity_rank(n);
-        let csr = CsrGraph::from_graph(&g);
         let census = |workers| {
             par::with_workers(workers, || {
                 per_vertex_keys("worker_count_test", n, |scratch, v, key| {
-                    ordered_key_into(&csr, &rank, v, 1, scratch, key)
+                    ordered_key_into(&g, &rank, v, 1, scratch, key)
                 })
             })
         };

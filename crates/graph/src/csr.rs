@@ -1,73 +1,13 @@
-//! Compressed-sparse-row adjacency and `u64`-bitset node sets — the flat
-//! hot-path representations behind the canonical-form extractors.
+//! Flat membership sets for the hot paths.
 //!
-//! [`Graph`] keeps one `Vec` per node (sorted, cheap to mutate while a
-//! graph is being built); the censuses and engines instead walk a
-//! [`CsrGraph`]: one `u32` offsets array and one `u32` targets array, so a
-//! whole neighbourhood scan is a contiguous slice read with half the
-//! memory traffic of `Vec<Vec<usize>>`. [`NodeBitset`] is the matching
-//! membership structure for Δ-bounded BFS balls: a `u64`-word bitset that
-//! remembers which words it touched, so clearing between balls is
-//! `O(|ball|)` rather than `O(n)`.
+//! [`Graph`](crate::Graph) itself stores its adjacency as compressed
+//! sparse rows (one offsets array, one flat sorted targets array), so
+//! the censuses and engines scan it directly. [`NodeBitset`] is the
+//! matching membership structure for Δ-bounded BFS balls: a `u64`-word
+//! bitset that remembers which words it touched, so clearing between
+//! balls is `O(|ball|)` rather than `O(n)`.
 
-use crate::{Graph, NodeId};
-
-/// Compressed-sparse-row view of a [`Graph`]: neighbour lists concatenated
-/// into one `u32` array, indexed by an offsets array. Construction is
-/// `O(n + m)`; the layout is immutable (rebuild after mutating the source
-/// graph).
-///
-/// ```
-/// use locap_graph::{gen, CsrGraph};
-/// let g = gen::cycle(5);
-/// let csr = CsrGraph::from_graph(&g);
-/// assert_eq!(csr.node_count(), 5);
-/// assert_eq!(csr.neighbors(0), &[1, 4]);
-/// assert_eq!(csr.degree(0), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrGraph {
-    /// `offsets[v]..offsets[v + 1]` indexes `targets`; length `n + 1`.
-    offsets: Vec<u32>,
-    /// Concatenated sorted neighbour lists; length `2m`.
-    targets: Vec<u32>,
-}
-
-impl CsrGraph {
-    /// Flattens `g` into CSR form, preserving the sorted neighbour order.
-    pub fn from_graph(g: &Graph) -> CsrGraph {
-        let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for v in 0..n {
-            for &u in g.neighbors(v) {
-                targets.push(u as u32);
-            }
-            offsets.push(targets.len() as u32);
-        }
-        CsrGraph { offsets, targets }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The sorted neighbour list of `v` as a contiguous `u32` slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn neighbors(&self, v: NodeId) -> &[u32] {
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Degree of `v`.
-    pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-}
+use crate::NodeId;
 
 /// A `u64`-word bitset over node ids with `O(touched)` clearing: the set
 /// records which words it wrote, so resetting between radius-`r` balls of
@@ -138,20 +78,6 @@ impl NodeBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
-
-    #[test]
-    fn csr_matches_graph_adjacency() {
-        for g in [gen::cycle(9), gen::petersen(), gen::complete(5), Graph::new(4), Graph::new(0)] {
-            let csr = CsrGraph::from_graph(&g);
-            assert_eq!(csr.node_count(), g.node_count());
-            for v in g.nodes() {
-                let want: Vec<u32> = g.neighbors(v).iter().map(|&u| u as u32).collect();
-                assert_eq!(csr.neighbors(v), want.as_slice(), "node {v}");
-                assert_eq!(csr.degree(v), g.degree(v));
-            }
-        }
-    }
 
     #[test]
     fn bitset_insert_contains_clear() {

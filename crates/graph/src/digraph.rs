@@ -230,14 +230,8 @@ impl LDigraph {
     /// directed edges connect the same pair of nodes (the underlying graph
     /// would be a multigraph, which [`Graph`] does not model).
     pub fn underlying(&self) -> Result<Graph, GraphError> {
-        let mut g = Graph::new(self.node_count());
-        for e in self.edges() {
-            if g.has_edge(e.from, e.to) {
-                return Err(GraphError::DuplicateEdge { u: e.from, v: e.to });
-            }
-            g.add_edge(e.from, e.to)?;
-        }
-        Ok(g)
+        let edges: Vec<(NodeId, NodeId)> = self.edges().map(|e| (e.from, e.to)).collect();
+        Graph::from_edges(self.node_count(), &edges)
     }
 
     /// Like [`LDigraph::underlying`], but collapses parallel edges silently.
@@ -245,24 +239,27 @@ impl LDigraph {
     /// L-digraphs.
     ///
     /// One pass: each node's row is its `≤ 2|L|` out- and in-neighbours,
-    /// sorted and deduplicated, with exact capacity.
+    /// sorted and deduplicated, written straight into the graph's flat
+    /// arrays.
     pub fn underlying_simple(&self) -> Graph {
-        let mut scratch = Vec::with_capacity(2 * self.labels);
-        let rows = (0..self.n)
-            .map(|v| {
-                scratch.clear();
-                scratch.extend(
-                    self.row(&self.out, v)
-                        .iter()
-                        .chain(self.row(&self.inn, v))
-                        .filter_map(|&w| node_of(w)),
-                );
-                scratch.sort_unstable();
-                scratch.dedup();
-                scratch.to_vec()
-            })
-            .collect();
-        Graph::from_sorted_rows(rows)
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut targets = Vec::with_capacity(2 * self.edge_count());
+        let mut row = Vec::with_capacity(2 * self.labels);
+        offsets.push(0);
+        for v in 0..self.n {
+            row.clear();
+            row.extend(
+                self.row(&self.out, v)
+                    .iter()
+                    .chain(self.row(&self.inn, v))
+                    .filter_map(|&w| node_of(w)),
+            );
+            row.sort_unstable();
+            row.dedup();
+            targets.extend_from_slice(&row);
+            offsets.push(targets.len());
+        }
+        Graph::from_csr_parts(offsets, targets)
     }
 
     /// The disjoint union; nodes of `other` are shifted by `self.node_count()`.

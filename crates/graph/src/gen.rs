@@ -14,42 +14,26 @@ use crate::{Graph, LDigraph};
 /// Panics if `n < 3`.
 pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "a cycle needs at least 3 nodes");
-    let mut g = Graph::new(n);
-    for v in 0..n {
-        g.add_edge(v, (v + 1) % n).expect("cycle edges are simple");
-    }
-    g
+    let edges: Vec<_> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    Graph::from_edges(n, &edges).expect("cycle edges are simple")
 }
 
 /// The path `P_n` on `n` nodes (`n - 1` edges).
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        g.add_edge(v - 1, v).expect("path edges are simple");
-    }
-    g
+    let edges: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
+    Graph::from_edges(n, &edges).expect("path edges are simple")
 }
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v).expect("complete graph edges are simple");
-        }
-    }
-    g
+    let edges: Vec<_> = (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v))).collect();
+    Graph::from_edges(n, &edges).expect("complete graph edges are simple")
 }
 
 /// The complete bipartite graph `K_{a,b}`; the first `a` nodes form one side.
 pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge(u, a + v).expect("bipartite edges are simple");
-        }
-    }
-    g
+    let edges: Vec<_> = (0..a).flat_map(|u| (0..b).map(move |v| (u, a + v))).collect();
+    Graph::from_edges(a + b, &edges).expect("bipartite edges are simple")
 }
 
 /// The star `K_{1,n}`; node 0 is the centre.
@@ -60,33 +44,28 @@ pub fn star(n: usize) -> Graph {
 /// The `d`-dimensional hypercube `Q_d` on `2^d` nodes.
 pub fn hypercube(d: usize) -> Graph {
     let n = 1usize << d;
-    let mut g = Graph::new(n);
-    for v in 0..n {
-        for b in 0..d {
-            let u = v ^ (1 << b);
-            if v < u {
-                g.add_edge(v, u).expect("hypercube edges are simple");
-            }
-        }
-    }
-    g
+    let edges: Vec<_> = (0..n)
+        .flat_map(|v| (0..d).map(move |b| (v, v ^ (1 << b))))
+        .filter(|(v, u)| v < u)
+        .collect();
+    Graph::from_edges(n, &edges).expect("hypercube edges are simple")
 }
 
 /// The `w × h` grid graph (no wraparound).
 pub fn grid(w: usize, h: usize) -> Graph {
-    let mut g = Graph::new(w * h);
     let id = |x: usize, y: usize| y * w + x;
+    let mut edges = Vec::new();
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
-                g.add_edge(id(x, y), id(x + 1, y)).expect("grid edges are simple");
+                edges.push((id(x, y), id(x + 1, y)));
             }
             if y + 1 < h {
-                g.add_edge(id(x, y), id(x, y + 1)).expect("grid edges are simple");
+                edges.push((id(x, y), id(x, y + 1)));
             }
         }
     }
-    g
+    Graph::from_edges(w * h, &edges).expect("grid edges are simple")
 }
 
 /// The circulant graph `C(Z_n, steps)`: node `v` adjacent to `v ± s` for
@@ -94,33 +73,28 @@ pub fn grid(w: usize, h: usize) -> Graph {
 ///
 /// # Panics
 ///
-/// Panics if a step is `0`, `≥ n`, or would create a duplicate edge
-/// (e.g. `s` and `n − s` both listed, or `2s = n`... the half-step is
-/// allowed and contributes a single edge).
+/// Panics if a step is `0` or `≥ n`. A step that names an edge twice (a
+/// half step `2s = n`, or both `s` and `n − s` listed) contributes it
+/// once.
 pub fn circulant(n: usize, steps: &[usize]) -> Graph {
-    let mut g = Graph::new(n);
+    let mut edges = Vec::with_capacity(n * steps.len());
     for &s in steps {
         assert!(s > 0 && s < n, "step {s} out of range");
-        for v in 0..n {
-            let u = (v + s) % n;
-            if !g.has_edge(v, u) {
-                g.add_edge(v, u).expect("circulant edges are simple");
-            }
-        }
+        edges.extend((0..n).map(|v| (v.min((v + s) % n), v.max((v + s) % n))));
     }
-    g
+    // a half step, or steps s and n − s, name an edge twice: keep one
+    edges.sort_unstable();
+    edges.dedup();
+    Graph::from_edges(n, &edges).expect("circulant edges are simple")
 }
 
 /// The prism over `C_n` (the cartesian product `C_n × K_2`): 3-regular on
 /// `2n` nodes.
 pub fn prism(n: usize) -> Graph {
-    let mut g = Graph::new(2 * n);
-    for v in 0..n {
-        g.add_edge(v, (v + 1) % n).expect("outer cycle");
-        g.add_edge(n + v, n + (v + 1) % n).expect("inner cycle");
-        g.add_edge(v, n + v).expect("rungs");
-    }
-    g
+    let edges: Vec<_> = (0..n)
+        .flat_map(|v| [(v, (v + 1) % n), (n + v, n + (v + 1) % n), (v, n + v)])
+        .collect();
+    Graph::from_edges(2 * n, &edges).expect("prism edges are simple")
 }
 
 /// Whether the graph is a forest with a single component (a tree) —
@@ -132,13 +106,10 @@ pub fn is_tree(g: &Graph) -> bool {
 
 /// The Petersen graph: 3-regular, girth 5, 10 nodes.
 pub fn petersen() -> Graph {
-    let mut g = Graph::new(10);
-    for v in 0..5 {
-        g.add_edge(v, (v + 1) % 5).expect("outer cycle");
-        g.add_edge(5 + v, 5 + (v + 2) % 5).expect("inner pentagram");
-        g.add_edge(v, 5 + v).expect("spokes");
-    }
-    g
+    let edges: Vec<_> = (0..5)
+        .flat_map(|v| [(v, (v + 1) % 5), (5 + v, 5 + (v + 2) % 5), (v, 5 + v)])
+        .collect();
+    Graph::from_edges(10, &edges).expect("Petersen edges are simple")
 }
 
 /// The directed cycle on `n` nodes as a 1-label L-digraph: edges

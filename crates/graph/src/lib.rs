@@ -52,7 +52,7 @@ pub mod random;
 mod simple;
 
 pub use budget::{Budgeted, ManualClock, MonotonicClock, RunBudget, StdClock, TruncationReason};
-pub use csr::{CsrGraph, NodeBitset};
+pub use csr::NodeBitset;
 pub use digraph::{DirEdge, LDigraph, Label};
 pub use dot::{digraph_to_dot, graph_to_dot};
 pub use error::GraphError;

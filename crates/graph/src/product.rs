@@ -18,18 +18,14 @@ use crate::{Graph, LDigraph};
 pub fn cartesian(g: &Graph, h: &Graph) -> Graph {
     let (ng, nh) = (g.node_count(), h.node_count());
     let idx = |a: usize, b: usize| a * nh + b;
-    let mut out = Graph::new(ng * nh);
+    let mut edges = Vec::with_capacity(ng * h.edge_count() + g.edge_count() * nh);
     for a in 0..ng {
-        for e in h.edges() {
-            out.add_edge(idx(a, e.u), idx(a, e.v)).expect("product edges are simple");
-        }
+        edges.extend(h.edges().map(|e| (idx(a, e.u), idx(a, e.v))));
     }
     for e in g.edges() {
-        for b in 0..nh {
-            out.add_edge(idx(e.u, b), idx(e.v, b)).expect("product edges are simple");
-        }
+        edges.extend((0..nh).map(|b| (idx(e.u, b), idx(e.v, b))));
     }
-    out
+    Graph::from_edges(ng * nh, &edges).expect("product edges are simple")
 }
 
 /// The `k`-dimensional toroidal grid over `Z_m`: an L-digraph with alphabet

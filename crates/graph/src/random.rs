@@ -31,19 +31,13 @@ pub fn random_regular<R: Rng>(
         return Err(GraphError::BadParameters { reason: format!("degree {d} >= n = {n}") });
     }
     let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
+    let mut edges = Vec::with_capacity(n * d / 2);
     for _ in 0..max_tries {
         stubs.shuffle(rng);
-        let mut g = Graph::new(n);
-        let mut ok = true;
-        for pair in stubs.chunks(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v || g.has_edge(u, v) {
-                ok = false;
-                break;
-            }
-            g.add_edge(u, v).expect("checked simple");
-        }
-        if ok {
+        edges.clear();
+        edges.extend(stubs.chunks(2).map(|pair| (pair[0], pair[1])));
+        // a self-loop or a repeated pair rejects the pairing
+        if let Ok(g) = Graph::from_edges(n, &edges) {
             return Ok(g);
         }
     }

@@ -9,7 +9,7 @@ use locap_graph::canon::{
     id_key_into, id_nbhd, ordered_key_into, ordered_nbhd, ordered_type_census, IdNbhd, NbhdScratch,
     OrderedNbhd,
 };
-use locap_graph::{gen, CsrGraph, Graph, KeyInterner};
+use locap_graph::{gen, Graph, KeyInterner};
 use locap_obs as obs;
 use proptest::prelude::*;
 
@@ -71,7 +71,6 @@ proptest! {
         let mut rng = TestRng::from_name(&format!("intern-ordered-{seed}"));
         let g = random_bounded_graph(n, dmax, 4 * n, &mut rng);
         let rank = shuffled(n, &mut rng);
-        let csr = CsrGraph::from_graph(&g);
         let mut scratch = NbhdScratch::new();
         let mut interner = KeyInterner::new();
         let mut key = Vec::new();
@@ -80,7 +79,7 @@ proptest! {
         for radius in [r, r + 1] {
             for v in 0..n {
                 types.push(ordered_nbhd(&g, &rank, v, radius));
-                ordered_key_into(&csr, &rank, v, radius, &mut scratch, &mut key);
+                ordered_key_into(&g, &rank, v, radius, &mut scratch, &mut key);
                 ids.push(interner.intern(&key));
             }
         }
@@ -108,7 +107,6 @@ proptest! {
         // distinct, non-contiguous identifiers from a shuffled base
         let node_ids: Vec<u64> =
             shuffled(n, &mut rng).into_iter().map(|p| (p as u64) * 3 + 7).collect();
-        let csr = CsrGraph::from_graph(&g);
         let mut scratch = NbhdScratch::new();
         let mut interner = KeyInterner::new();
         let mut key = Vec::new();
@@ -116,7 +114,7 @@ proptest! {
         let mut ids: Vec<u32> = Vec::new();
         for v in 0..n {
             types.push(id_nbhd(&g, &node_ids, v, r));
-            id_key_into(&csr, &node_ids, v, r, &mut scratch, &mut key);
+            id_key_into(&g, &node_ids, v, r, &mut scratch, &mut key);
             ids.push(interner.intern(&key));
         }
         for a in 0..n {

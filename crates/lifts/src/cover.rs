@@ -257,12 +257,8 @@ pub fn connect_copies(g: &LDigraph, l: usize) -> Result<(LDigraph, CoveringMap),
 /// used by the matching-based PO algorithms (`locap-algos`).
 pub fn bipartite_double_cover(g: &Graph) -> Graph {
     let n = g.node_count();
-    let mut h = Graph::new(2 * n);
-    for e in g.edges() {
-        h.add_edge(e.u, n + e.v).expect("double cover edges are simple");
-        h.add_edge(e.v, n + e.u).expect("double cover edges are simple");
-    }
-    h
+    let edges: Vec<_> = g.edges().flat_map(|e| [(e.u, n + e.v), (e.v, n + e.u)]).collect();
+    Graph::from_edges(2 * n, &edges).expect("double cover edges are simple")
 }
 
 #[cfg(test)]

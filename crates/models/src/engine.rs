@@ -24,10 +24,10 @@
 //! * [`NbhdEngine`] (OI as [`OiEngine`], ID as [`IdEngine`]) extracts each
 //!   vertex's canonical form as a packed `u64` key
 //!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call
-//!   allocation) over a flat [`CsrGraph`] and interns it into a
-//!   per-engine [`KeyInterner`] — type equality is id equality, so the
-//!   hot loop never hashes an owned struct. The two models differ only in
-//!   their [`NbhdKey`].
+//!   allocation) straight from the [`Graph`]'s flat rows and interns it
+//!   into a per-engine [`KeyInterner`] — type equality is id equality, so
+//!   the hot loop never hashes an owned struct. The two models differ
+//!   only in their [`NbhdKey`].
 //!
 //! Everything is bit-identical to the naive paths in [`crate::run`]
 //! (asserted by the `engine_differential` test suite). Every run
@@ -53,7 +53,7 @@ use locap_obs as obs;
 
 use locap_graph::budget::{Budgeted, RunBudget, TruncationReason};
 use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
-use locap_graph::{CsrGraph, Edge, Graph, KeyInterner, LDigraph, NodeId};
+use locap_graph::{Edge, Graph, KeyInterner, LDigraph, NodeId};
 use locap_lifts::{Letter, ViewCache, ViewTree};
 
 use crate::error::RunError;
@@ -134,11 +134,13 @@ trait Classes {
 /// The one memo-and-broadcast loop behind all six engine runs. It walks
 /// the `n` vertices in order, evaluates `eval` once per class, hands
 /// every vertex its class's output through `sink`, and publishes the
-/// run's counters. Interrupts (deadline, cancellation) are checked per
-/// vertex and the cache cap per new class; on truncation the run stops
-/// with the prefix answered so far. (For PO the class refinement has
-/// already checked the cap on every class, roots included, so the
-/// per-class check never trips there.)
+/// run's counters. Each classified vertex polls the interrupts
+/// ([`RunBudget::poll_interrupt`]: cancellation per vertex, the deadline
+/// clock per [`POLL_STRIDE`](locap_graph::budget::POLL_STRIDE) vertices
+/// and before every evaluation), and each new class checks the cache
+/// cap; on truncation the run stops with the prefix answered so far.
+/// (For PO the class refinement has already checked the cap on every
+/// class, roots included, so the per-class check never trips there.)
 ///
 /// # Errors
 ///
@@ -162,15 +164,15 @@ fn memo_broadcast<C: Classes, O: Clone>(
     let mut truncation = None;
     // lint: hot-setup-end
     for v in 0..n {
-        if let Some(t) = budget.check_interrupt() {
-            truncation = Some(t.publish());
-            break;
-        }
         let c = classes.class_of(v, r);
         if c >= memo.len() {
             memo.resize(c + 1, None);
         }
         let slot = &mut memo[c];
+        if let Some(t) = budget.poll_interrupt(v, slot.is_none()) {
+            truncation = Some(t.publish());
+            break;
+        }
         let out = match slot {
             Some(out) => {
                 hits += 1;
@@ -246,10 +248,10 @@ impl<'g> ViewEngine<'g> {
     /// broadcast to all vertices of the class. Bit-identical to
     /// [`crate::run::po_vertex_naive`] under an unlimited budget.
     ///
-    /// The cache cap bounds the view-cache entries and the deadline is
-    /// checked per vertex. On truncation the value is the per-vertex
-    /// prefix computed so far (empty when the cache cap stops the class
-    /// refinement itself).
+    /// The cache cap bounds the view-cache entries, and interrupts are
+    /// polled per vertex through [`RunBudget::poll_interrupt`]. On
+    /// truncation the value is the per-vertex prefix computed so far
+    /// (empty when the cache cap stops the class refinement itself).
     ///
     /// # Errors
     ///
@@ -350,7 +352,7 @@ pub trait NbhdKey {
     fn sort_key(input: Self::Input) -> u64;
     /// Writes the packed key of `v`'s radius-`r` neighbourhood to `key`.
     fn key_into(
-        csr: &CsrGraph,
+        g: &Graph,
         input: &[Self::Input],
         v: NodeId,
         r: usize,
@@ -376,14 +378,14 @@ impl NbhdKey for OrderedKey {
     }
 
     fn key_into(
-        csr: &CsrGraph,
+        g: &Graph,
         rank: &[usize],
         v: NodeId,
         r: usize,
         scratch: &mut NbhdScratch,
         key: &mut Vec<u64>,
     ) {
-        ordered_key_into(csr, rank, v, r, scratch, key);
+        ordered_key_into(g, rank, v, r, scratch, key);
     }
 
     fn decode(key: &[u64]) -> OrderedNbhd {
@@ -406,14 +408,14 @@ impl NbhdKey for IdKey {
     }
 
     fn key_into(
-        csr: &CsrGraph,
+        g: &Graph,
         ids: &[u64],
         v: NodeId,
         r: usize,
         scratch: &mut NbhdScratch,
         key: &mut Vec<u64>,
     ) {
-        id_key_into(csr, ids, v, r, scratch, key);
+        id_key_into(g, ids, v, r, scratch, key);
     }
 
     fn decode(key: &[u64]) -> IdNbhd {
@@ -425,9 +427,8 @@ impl NbhdKey for IdKey {
 /// runs (same type, same id), and the key buffer holds the key of the
 /// vertex just classified.
 struct KeyClasses<'g, K: NbhdKey> {
+    g: &'g Graph,
     input: &'g [K::Input],
-    /// Flat adjacency mirror of the graph for the extraction hot loop.
-    csr: CsrGraph,
     scratch: NbhdScratch,
     key: Vec<u64>,
     interner: KeyInterner,
@@ -437,7 +438,7 @@ impl<K: NbhdKey> Classes for KeyClasses<'_, K> {
     type Nbhd = K::Nbhd;
 
     fn class_of(&mut self, v: NodeId, r: usize) -> usize {
-        K::key_into(&self.csr, self.input, v, r, &mut self.scratch, &mut self.key);
+        K::key_into(self.g, self.input, v, r, &mut self.scratch, &mut self.key);
         self.interner.intern(&self.key) as usize
     }
 
@@ -455,41 +456,24 @@ pub type OiEngine<'g> = NbhdEngine<'g, OrderedKey>;
 /// corner cases still dedup.
 pub type IdEngine<'g> = NbhdEngine<'g, IdKey>;
 
-/// The OI/ID engine: `O(|ball|)` packed-key extraction over a flat
-/// [`CsrGraph`], with keys interned so each distinct neighbourhood type
-/// is evaluated once and memo lookups are dense-id indexing.
+/// The OI/ID engine: `O(|ball|)` packed-key extraction over the
+/// [`Graph`]'s flat rows, with keys interned so each distinct
+/// neighbourhood type is evaluated once and memo lookups are dense-id
+/// indexing.
 pub struct NbhdEngine<'g, K: NbhdKey> {
-    g: &'g Graph,
-    /// Key-sorted adjacency (`sorted_offsets[v]..[v + 1]` spans `v`'s
-    /// neighbours in [`NbhdKey::sort_key`] order); empty until the input
-    /// covers the graph — the run paths `validate()` before touching it.
-    sorted_offsets: Vec<u32>,
-    sorted_nbrs: Vec<u32>,
     keys: KeyClasses<'g, K>,
     obs: EngineObs,
 }
 
 impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
-    /// Creates an engine for `(g, input)`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "input is indexed by NodeIds < n only after its length is checked against n"
-    )]
+    /// Creates an engine for `(g, input)`. An input that does not cover
+    /// the graph still builds an engine; its runs report
+    /// [`RunError::InputLengthMismatch`].
     pub fn new(g: &'g Graph, input: &'g [K::Input]) -> NbhdEngine<'g, K> {
-        let (sorted_offsets, sorted_nbrs) = if input.len() == g.node_count() {
-            key_sorted_adj(g, |u| K::sort_key(input[u]))
-        } else {
-            // invalid input: keep the engine constructible, let the run
-            // paths report InputLengthMismatch
-            (Vec::new(), Vec::new())
-        };
         NbhdEngine {
-            g,
-            sorted_offsets,
-            sorted_nbrs,
             keys: KeyClasses {
+                g,
                 input,
-                csr: g.to_csr(),
                 scratch: NbhdScratch::new(),
                 key: Vec::new(),
                 interner: KeyInterner::new(),
@@ -503,16 +487,17 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
     /// [`locap_graph::canon::id_nbhd`] (ID).
     pub fn nbhd(&mut self, v: NodeId, r: usize) -> K::Nbhd {
         let keys = &mut self.keys;
-        K::key_into(&keys.csr, keys.input, v, r, &mut keys.scratch, &mut keys.key);
+        K::key_into(keys.g, keys.input, v, r, &mut keys.scratch, &mut keys.key);
         K::decode(&keys.key)
     }
 
     /// The input length precondition, shared by both run paths.
     fn validate(&self) -> Result<(), RunError> {
-        if self.keys.input.len() != self.g.node_count() {
+        let n = self.keys.g.node_count();
+        if self.keys.input.len() != n {
             return Err(RunError::InputLengthMismatch {
                 what: K::INPUT,
-                expected: self.g.node_count(),
+                expected: n,
                 actual: self.keys.input.len(),
             }
             .publish());
@@ -529,7 +514,7 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
     ) -> Result<Budgeted<Vec<bool>>, RunError> {
         self.validate()?;
         let _span = obs::span(&self.obs.run_vertex);
-        let n = self.g.node_count();
+        let n = self.keys.g.node_count();
         let mut out = Vec::with_capacity(n);
         let sink = |_, &bit: &bool| {
             out.push(bit);
@@ -541,10 +526,11 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
     }
 
     /// The shared body of the OI/ID edge runs: bit `i` of a node's output
-    /// selects its neighbour with the `i`-th smallest key.
+    /// selects its neighbour with the `i`-th smallest key (a stable sort
+    /// of the neighbour list, so equal keys keep node order).
     #[expect(
         clippy::indexing_slicing,
-        reason = "sorted_offsets/sorted_nbrs are CSR arrays over 0..n, and validate() runs first"
+        reason = "validate() has checked that input covers every node of g"
     )]
     fn edge_run(
         &mut self,
@@ -554,8 +540,8 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
     ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
         self.validate()?;
         let _span = obs::span(&self.obs.run_edge);
-        let g = self.g;
-        let (offsets, nbrs) = (&self.sorted_offsets, &self.sorted_nbrs);
+        let (g, input) = (self.keys.g, self.keys.input);
+        let mut by_key: Vec<NodeId> = Vec::new();
         let mut out = BTreeSet::new();
         let sink = |v: NodeId, bits: &Vec<bool>| {
             if bits.len() != g.degree(v) {
@@ -566,9 +552,11 @@ impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
                 }
                 .publish());
             }
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for (&u, _) in nbrs[lo..hi].iter().zip(bits).filter(|(_, &bit)| bit) {
-                out.insert(Edge::new(v, u as NodeId));
+            by_key.clear();
+            by_key.extend_from_slice(g.neighbors(v));
+            by_key.sort_by_key(|&u| K::sort_key(input[u]));
+            for (&u, _) in by_key.iter().zip(bits).filter(|(_, &bit)| bit) {
+                out.insert(Edge::new(v, u));
             }
             Ok(())
         };
@@ -584,8 +572,9 @@ impl OiEngine<'_> {
     /// Bit-identical to [`crate::run::oi_vertex_naive`] under an
     /// unlimited budget.
     ///
-    /// The cache cap bounds the distinct types of this run and the
-    /// deadline is checked per vertex; on truncation the value is the
+    /// The cache cap bounds the distinct types of this run, and
+    /// interrupts are polled per vertex through
+    /// [`RunBudget::poll_interrupt`]; on truncation the value is the
     /// per-vertex prefix computed so far.
     ///
     /// # Errors
@@ -655,31 +644,15 @@ impl IdEngine<'_> {
     }
 }
 
-/// Flat adjacency with every neighbour list stably re-sorted by `key`
-/// (`offsets[v]..offsets[v + 1]` spans `v`'s list in `nbrs`). Precomputed
-/// once per engine so edge runs stop cloning and sorting neighbour lists
-/// per vertex per run; the stable sort makes the order bit-identical to
-/// the historical per-call `to_vec` + `sort_by_key`.
-fn key_sorted_adj(g: &Graph, key: impl Fn(NodeId) -> u64) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(g.node_count() + 1);
-    let mut nbrs: Vec<u32> = Vec::with_capacity(2 * g.edge_count());
-    offsets.push(0u32);
-    let mut buf: Vec<NodeId> = Vec::new();
-    for v in g.nodes() {
-        buf.clear();
-        buf.extend_from_slice(g.neighbors(v));
-        buf.sort_by_key(|&u| key(u));
-        nbrs.extend(buf.iter().map(|&u| u as u32));
-        offsets.push(nbrs.len() as u32);
-    }
-    (offsets, nbrs)
-}
-
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     use super::*;
+    use locap_graph::budget::{CancelToken, ManualClock, MonotonicClock, POLL_STRIDE};
     use locap_graph::gen;
 
     fn unlimited() -> RunBudget {
@@ -781,6 +754,87 @@ mod tests {
         );
         // every ball carries distinct ids: no dedup expected
         assert_eq!(algo.evals.get(), 6);
+    }
+
+    /// A deadline clock that counts its reads and reads past the
+    /// deadline from read `trip_at` on.
+    struct CountingClock {
+        reads: AtomicUsize,
+        trip_at: usize,
+    }
+    impl MonotonicClock for CountingClock {
+        fn elapsed(&self) -> Duration {
+            let read = self.reads.fetch_add(1, Ordering::SeqCst) + 1;
+            if read >= self.trip_at {
+                Duration::from_secs(2)
+            } else {
+                Duration::ZERO
+            }
+        }
+    }
+
+    /// OI at radius 0: every vertex has the same neighbourhood.
+    struct Constant;
+    impl OiVertexAlgorithm for Constant {
+        fn radius(&self) -> usize {
+            0
+        }
+        fn evaluate(&self, _: &OrderedNbhd) -> bool {
+            true
+        }
+    }
+
+    /// Runs [`Constant`] over `n` vertices under a one-second deadline
+    /// on a [`CountingClock`]; returns the prefix length, whether the
+    /// deadline truncated the run, and the clock reads.
+    fn one_class_run(n: usize, trip_at: usize) -> (usize, bool, usize) {
+        let g = gen::cycle(n);
+        let rank: Vec<usize> = (0..n).collect();
+        let clock = Arc::new(CountingClock { reads: AtomicUsize::new(0), trip_at });
+        let budget = RunBudget::unlimited()
+            .with_deadline(Duration::from_secs(1), Arc::clone(&clock) as Arc<dyn MonotonicClock>);
+        let run = OiEngine::new(&g, &rank).run_vertex_budgeted(&Constant, &budget).unwrap();
+        let tripped = matches!(run.truncation, Some(TruncationReason::DeadlineExceeded { .. }));
+        (run.value.len(), tripped, clock.reads.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn the_clock_is_read_once_per_stride_of_vertices() {
+        let n = 5_000;
+        let (prefix, tripped, reads) = one_class_run(n, usize::MAX);
+        assert_eq!((prefix, tripped), (n, false));
+        assert_eq!(reads, n.div_ceil(POLL_STRIDE), "vertices 0, S, 2S, 3S and 4S");
+        for k in 1..=n.div_ceil(POLL_STRIDE) {
+            let (prefix, tripped, reads) = one_class_run(n, k);
+            assert!(tripped, "read {k} is past the deadline");
+            assert_eq!(prefix, (k - 1) * POLL_STRIDE, "tripped at read {k}");
+            assert_eq!(reads, k);
+        }
+    }
+
+    #[test]
+    fn cancellation_is_noticed_at_the_next_vertex() {
+        /// Cancels the run's own token in its first evaluation.
+        struct CancelFirst(CancelToken);
+        impl OiVertexAlgorithm for CancelFirst {
+            fn radius(&self) -> usize {
+                1
+            }
+            fn evaluate(&self, _: &OrderedNbhd) -> bool {
+                self.0.cancel();
+                true
+            }
+        }
+        let g = gen::cycle(100);
+        let rank: Vec<usize> = (0..100).collect();
+        let token = CancelToken::new();
+        let budget = RunBudget::unlimited()
+            .with_deadline(Duration::from_secs(60), Arc::new(ManualClock::new()))
+            .with_cancel(token.clone());
+        let algo = CancelFirst(token);
+        let run = OiEngine::new(&g, &rank).run_vertex_budgeted(&algo, &budget).unwrap();
+        assert_eq!(run.truncation, Some(TruncationReason::Cancelled));
+        assert_eq!(run.value.len(), 1);
     }
 
     #[test]

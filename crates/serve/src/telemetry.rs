@@ -10,7 +10,10 @@
 //! the delta is empty — subscribers use that as a heartbeat and to
 //! detect quiescence. All subscribers see the same `seq` numbering and
 //! the same captured states, so a snapshot frame at tick *n* plus the
-//! deltas of ticks *n+1..k* reconstructs tick *k*'s state exactly.
+//! deltas of ticks *n+1..k* reconstructs tick *k*'s state exactly. A
+//! tick with no live subscriber captures nothing (it only advances
+//! `seq` and forgets the delta baseline), since a joiner's first frame
+//! is a snapshot anyway.
 //!
 //! # Slow consumers
 //!
@@ -176,11 +179,22 @@ impl TelemetryHub {
         set_subscriber_gauge(0);
     }
 
-    /// One publisher tick: capture, delta-encode, fan out. Public so the
-    /// slow-consumer unit tests can drive ticks deterministically; the
-    /// daemon calls it from [`TelemetryHub::run`].
+    /// One publisher tick: capture, delta-encode, fan out. With no live
+    /// subscriber the tick skips the capture and drops the delta
+    /// baseline. Public so the slow-consumer unit tests can drive ticks
+    /// deterministically; the daemon calls it from [`TelemetryHub::run`].
     pub fn publish_once(&self) {
         let mut state = lock_or_recover(&self.state);
+        let mut subs = lock_or_recover(&self.subs);
+        subs.retain(|s| !s.dead.load(Ordering::SeqCst));
+        if subs.is_empty() {
+            set_subscriber_gauge(0);
+            drop(subs);
+            state.prev = None;
+            state.seq += 1;
+            return;
+        }
+        drop(subs);
         let current = TelemetryState::capture_global();
         let seq = state.seq;
         let interval_ms = self.interval_ms();
@@ -283,5 +297,15 @@ mod tests {
         let got = render_frame("delta", 12, 250, 3, &data.to_string());
         assert_eq!(got, want);
         assert!(Json::parse(&got).is_ok());
+    }
+
+    #[test]
+    fn a_tick_with_no_subscriber_captures_nothing() {
+        let hub = TelemetryHub::new(Duration::from_millis(10), 1);
+        hub.publish_once();
+        hub.publish_once();
+        let state = lock_or_recover(&hub.state);
+        assert!(state.prev.is_none(), "no delta baseline without a subscriber");
+        assert_eq!(state.seq, 2, "every tick advances seq");
     }
 }

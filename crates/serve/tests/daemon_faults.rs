@@ -20,9 +20,12 @@ use common::{expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
 use locap_obs as obs;
 use locap_serve::daemon::DaemonConfig;
 
-/// A request holding a worker for roughly half a second.
+/// A request holding a worker for a few hundred milliseconds in a
+/// release build: an 810,000-node lift (cycle 30 × |H| = 30³), whose
+/// exact OPT on C30 stays cheap. It must outlast the 50 ms after which
+/// the disconnect tests hang up.
 const SLOW_REQUEST: &str =
-    r#"{"id":"slow","pipeline":"transfer","params":{"algo":"vc-non-min","cycle":9,"m":30}}"#;
+    r#"{"id":"slow","pipeline":"transfer","params":{"algo":"vc-non-min","cycle":30,"m":30}}"#;
 
 /// Polls until `counter` has grown by at least `by` over `base`, or
 /// fails after 10 s. Returns the observed delta.
@@ -92,7 +95,7 @@ fn deadline_expiry_mid_pipeline_is_a_typed_truncation() {
     let Some(rest) = SLOW_REQUEST.strip_suffix('}') else {
         panic!("slow request literal must end with }}");
     };
-    let resp = client.roundtrip(&format!(r#"{rest},"budget":{{"deadline_ms":100}}}}"#));
+    let resp = client.roundtrip(&format!(r#"{rest},"budget":{{"deadline_ms":5}}}}"#));
     expect_err(&resp, "truncated/deadline");
     await_counter_delta(&base, "budget/truncated/deadline", 1);
     // Same connection, next request: fully served.
