@@ -54,16 +54,7 @@ fn body() {
     }
     t.print();
 
-    let stats = cache.stats();
-    hprintln!(
-        "\nview-engine counters: {} states, classes by level {:?}, \
-         tree memo {} hits / {} misses, dedup {:.2}x",
-        stats.states,
-        stats.classes,
-        stats.tree_hits,
-        stats.tree_misses,
-        stats.dedup_ratio(),
-    );
+    hprintln!("\nview-engine counters: {}", cache.stats());
 
     hprintln!("\nEvery view embeds into T* (checked): {}", {
         let t_star = locap_lifts::complete_tree(d.alphabet_size(), 2);

@@ -66,15 +66,7 @@ fn body() {
         census[0].0.size(),
         t_star_size(2, r),
     );
-    hprintln!(
-        "engine counters: {} states, classes by level {:?}, tree memo {} hits / {} misses, \
-         dedup {:.1}x",
-        stats.states,
-        stats.classes,
-        stats.tree_hits,
-        stats.tree_misses,
-        stats.dedup_ratio(),
-    );
+    hprintln!("engine counters: {stats}");
     hprintln!(
         "census time: naive {:.2?} vs engine {:.2?} ({:.1}x)",
         t_naive,

@@ -377,13 +377,14 @@ fn exact_size(
     Ok(n as usize)
 }
 
-/// The most view-refinement states a census may allocate: the
+/// The most view-refinement states a census may hold per radius, one
+/// walk level (`n · 2|L|` states) plus the `n` roots: the
 /// `3 · MAX_PARAM` states of the longest directed cycle parse admits.
 const MAX_CENSUS_STATES: u64 = 3 * MAX_PARAM;
 
 /// The `k`-dimensional torus over `Z_m`, provided its refinement state
-/// count `m^k · (1 + 2k)` is at most [`MAX_CENSUS_STATES`]: `k` and `m`
-/// are each bounded by [`MAX_PARAM`], but `m^k` is not.
+/// count per radius `m^k · (1 + 2k)` is at most [`MAX_CENSUS_STATES`]:
+/// `k` and `m` are each bounded by [`MAX_PARAM`], but `m^k` is not.
 fn toroidal_family(pipeline: &'static str, k: u64, m: u64) -> Result<CensusFamily, RequestError> {
     u32::try_from(k)
         .ok()

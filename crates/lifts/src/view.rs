@@ -9,8 +9,15 @@
 //! distinct), **`ViewTree` equality is view isomorphism**, and the
 //! fundamental lift-invariance `T(H, v) = T(G, ϕ(v))` for covering maps ϕ
 //! can be checked by `==`.
+//!
+//! [`ViewCache`] classifies the views of all vertices at once. It refines
+//! classes of *walk states* (a vertex plus the letter just walked to
+//! reach it, `n · 2|L|` of them per level) and classifies the `n` roots
+//! in one pass per radius over the walk level below; its
+//! [`ViewCacheStats`] count both.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use locap_graph::budget::TruncationReason;
 use locap_graph::{par, KeyInterner, LDigraph, NodeId};
@@ -175,12 +182,18 @@ pub fn view_census_naive(d: &LDigraph, r: usize) -> Vec<(ViewTree, usize)> {
 /// Effectiveness counters of a [`ViewCache`].
 #[derive(Debug, Clone, Default)]
 pub struct ViewCacheStats {
-    /// Deepest level built so far (= largest radius seen).
-    pub depth: usize,
-    /// Number of refinement states per level (`n · (2|L| + 1)`).
+    /// Walk states per level, `n · 2|L|`: a vertex together with the
+    /// letter just walked to reach it.
     pub states: usize,
-    /// Distinct view classes at each built level (`classes[r]` ≤ `states`).
+    /// Distinct walk classes at each built level (`classes[d]` ≤
+    /// `states`). Radius `r` reads levels `0..r`, so a radius-1 query
+    /// builds level 0 only.
     pub classes: Vec<usize>,
+    /// Root states per radius pass, `n`: one per vertex.
+    pub root_states: usize,
+    /// `root_classes[r]` = the distinct radius-`r` views, `None` for a
+    /// radius not asked for yet.
+    pub root_classes: Vec<Option<usize>>,
     /// Subtree materialisations answered from the memo.
     pub tree_hits: u64,
     /// Subtrees actually built (once per distinct class).
@@ -188,29 +201,112 @@ pub struct ViewCacheStats {
 }
 
 impl ViewCacheStats {
-    /// The interning ratio `states / classes` at the deepest level —
-    /// how many vertices share each allocation (≥ 1; higher is better).
+    /// Vertices per distinct view at the largest radius passed,
+    /// `root_states / root_classes[r]` — how many vertices share each
+    /// root tree (≥ 1; higher is better).
     pub fn dedup_ratio(&self) -> f64 {
-        match self.classes.last() {
-            Some(&c) if c > 0 => self.states as f64 / c as f64,
+        match self.root_classes.iter().flatten().last() {
+            Some(&k) if k > 0 => self.root_states as f64 / k as f64,
             _ => 1.0,
         }
     }
+}
+
+/// The counters on one line.
+///
+/// ```
+/// use locap_graph::gen;
+/// use locap_lifts::ViewCache;
+///
+/// let g = gen::directed_cycle(5);
+/// let mut cache = ViewCache::new(&g);
+/// cache.census(2);
+/// assert_eq!(
+///     cache.stats().to_string(),
+///     "10 walk states per level, classes by level [1, 2]; 5 roots, \
+///      views by radius [r2: 1]; tree memo 1 hits / 4 misses, dedup 5.0x"
+/// );
+/// ```
+impl fmt::Display for ViewCacheStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} walk states per level, classes by level {:?}; {} roots, views by radius [",
+            self.states, self.classes, self.root_states
+        )?;
+        let passed = self.root_classes.iter().enumerate().filter_map(|(r, k)| Some((r, (*k)?)));
+        for (i, (r, k)) in passed.enumerate() {
+            write!(f, "{}r{r}: {k}", if i == 0 { "" } else { ", " })?;
+        }
+        write!(
+            f,
+            "]; tree memo {} hits / {} misses, dedup {:.1}x",
+            self.tree_hits,
+            self.tree_misses,
+            self.dedup_ratio()
+        )
+    }
+}
+
+/// A partition of refinement states into classes, numbered densely in
+/// first-seen state order.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    /// `class[s]` = the class of state `s`.
+    class: Vec<u32>,
+    /// `reps[c]` = the first state of class `c` (its canonical witness).
+    reps: Vec<u32>,
+    /// Memoized tree of each class.
+    trees: Vec<Option<ViewNode>>,
+}
+
+impl Partition {
+    /// All `n` states in one class: depth 0, where every tree is a leaf.
+    fn single(n: usize) -> Partition {
+        let reps = if n == 0 { Vec::new() } else { vec![0] };
+        Partition { class: vec![0; n], trees: vec![None; reps.len()], reps }
+    }
+
+    /// Gives the next state the class of its signature `sig`: the
+    /// interned id, so equal signatures share a class.
+    fn push(&mut self, interner: &mut KeyInterner, sig: &[u64]) {
+        let id = interner.intern(sig);
+        if id as usize == self.reps.len() {
+            self.reps.push(self.class.len() as u32);
+            self.trees.push(None);
+        }
+        self.class.push(id);
+    }
+}
+
+/// Which partition a class belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Level {
+    /// Walk states at this depth.
+    Walk(usize),
+    /// Vertices at this radius.
+    Root(usize),
 }
 
 /// A per-graph view engine: computes the radius-`r` views of **all**
 /// vertices at once by incremental class refinement, interning identical
 /// subtrees so that fibre-equivalent vertices share one allocation.
 ///
-/// The refinement state space is `V × ({λ} ∪ L ∪ L⁻¹)` — a vertex together
-/// with the letter just walked (`λ` = none, for roots). Level `0` puts all
-/// states in one class; level `d` refines by the sorted list of
+/// The refinement runs over the *walk states* `V × (L ∪ L⁻¹)`: a vertex
+/// together with the letter just walked to reach it. Level `0` puts all
+/// walk states in one class; level `d` refines by the sorted list of
 /// `(letter, level-(d−1) class of the state reached)` over the
-/// non-backtracking letters available — exactly the recursion of [`view`],
-/// so two root states get the same class at level `r` **iff** their
-/// radius-`r` views are equal. Deepening to `r` reuses levels `< r`
-/// (incremental deepening), and the per-state signature sweep fans out
-/// across [`par`] workers on large graphs.
+/// non-backtracking letters available, so two walk states share a
+/// level-`d` class **iff** the depth-`d` subtrees below them in the view
+/// are equal. The per-state sweep fans out across [`par`] workers on
+/// large graphs. A radius-`r` view reads walk states only below its
+/// root, at levels `0..r`, so the *root classes* of radius `r` come from
+/// one sequential pass, memoised per radius, that interns each vertex's
+/// signature over all its letters at walk level `r − 1` — exactly the
+/// recursion of [`view`], so two vertices share a root class **iff**
+/// their radius-`r` views are equal. Any radius reuses the walk levels
+/// an earlier query built. A radius-1 query builds walk level 0 alone,
+/// one class that needs no interning, and interns the `n` roots.
 ///
 /// Trees are materialised lazily, once per distinct class, and cloned out;
 /// [`ViewCache::census`] therefore builds one tree per *class* instead of
@@ -229,14 +325,12 @@ impl ViewCacheStats {
 /// ```
 pub struct ViewCache<'g> {
     d: &'g LDigraph,
-    /// States per vertex: 1 (no incoming letter) + 2|L| (each letter).
+    /// Walk states per vertex, `2|L|`: one per letter code (`letter_of`).
     width: usize,
-    /// `levels[d][state]` = class of `state` at refinement depth `d`.
-    levels: Vec<Vec<u32>>,
-    /// `reps[d][class]` = first state of the class (its canonical witness).
-    reps: Vec<Vec<u32>>,
-    /// Memoized materialisations per (level, class).
-    trees: Vec<Vec<Option<ViewNode>>>,
+    /// `walks[d]` = the walk states' classes at depth `d`.
+    walks: Vec<Partition>,
+    /// `roots[r]` = the vertices' classes at radius `r`, once passed.
+    roots: Vec<Option<Partition>>,
     stats: ViewCacheStats,
     /// Registry handles mirroring `stats` (hoisted: one lookup per cache).
     obs_tree_hits: obs::Counter,
@@ -249,27 +343,35 @@ pub struct ViewCache<'g> {
 /// -state work is tens of nanoseconds, so small graphs lose to spawn cost.
 const PARALLEL_MIN_STATES: usize = 1 << 13;
 
+/// The `back` code of a root in [`ViewCache::signature_append`]: a root
+/// was reached by no letter, so no letter walks back.
+const ROOT: usize = usize::MAX;
+
 /// Counter of tree-materialisation memo hits.
 const VIEW_CACHE_TREE_HITS: &str = "view_cache/tree_hits";
 /// Counter of tree-materialisation memo misses.
 const VIEW_CACHE_TREE_MISSES: &str = "view_cache/tree_misses";
-/// Counter of refinement states allocated.
+/// Counter of refinement states swept: walk states per level, vertices
+/// per root pass.
 const VIEW_CACHE_STATES: &str = "view_cache/states";
-/// Gauge of distinct view classes at the deepest refined level.
+/// Gauge of distinct views at the radius last passed.
 const VIEW_CACHE_CLASSES: &str = "view_cache/classes";
 
 impl<'g> ViewCache<'g> {
     /// Creates an empty cache for `d`; levels are built on demand.
     pub fn new(d: &'g LDigraph) -> ViewCache<'g> {
-        let width = 1 + 2 * d.alphabet_size();
-        let states = d.node_count() * width;
+        let width = 2 * d.alphabet_size();
+        let stats = ViewCacheStats {
+            states: d.node_count() * width,
+            root_states: d.node_count(),
+            ..ViewCacheStats::default()
+        };
         ViewCache {
             d,
             width,
-            levels: Vec::new(),
-            reps: Vec::new(),
-            trees: Vec::new(),
-            stats: ViewCacheStats { states, ..ViewCacheStats::default() },
+            walks: Vec::new(),
+            roots: Vec::new(),
+            stats,
             obs_tree_hits: obs::counter(VIEW_CACHE_TREE_HITS),
             obs_tree_misses: obs::counter(VIEW_CACHE_TREE_MISSES),
             obs_states: obs::counter(VIEW_CACHE_STATES),
@@ -287,25 +389,18 @@ impl<'g> ViewCache<'g> {
         &self.stats
     }
 
-    /// Number of distinct radius-`r` view classes over **all** states
-    /// (root and non-root); builds levels up to `r` if needed.
-    pub fn class_count(&mut self, r: usize) -> usize {
-        self.ensure_depth(r);
-        self.reps[r].len()
-    }
-
     /// The class of the radius-`r` view of `v`: two vertices get the same
     /// class **iff** `view(d, ·, r)` returns equal trees.
     pub fn root_class(&mut self, v: NodeId, r: usize) -> u32 {
-        self.ensure_depth(r);
-        self.levels[r][v * self.width]
+        self.ensure(r);
+        self.partition(Level::Root(r)).class[v]
     }
 
-    /// Per-vertex root classes and the total class count at radius `r`.
+    /// Per-vertex root classes and the class count at radius `r`.
     pub fn root_classes(&mut self, r: usize) -> (Vec<u32>, usize) {
-        self.ensure_depth(r);
-        let classes = (0..self.d.node_count()).map(|v| self.levels[r][v * self.width]).collect();
-        (classes, self.reps[r].len())
+        self.ensure(r);
+        let roots = self.partition(Level::Root(r));
+        (roots.class.clone(), roots.reps.len())
     }
 
     /// The radius-`r` view of `v` — bit-identical to [`view`]`(d, v, r)`,
@@ -317,8 +412,12 @@ impl<'g> ViewCache<'g> {
 
     /// The tree of a class returned by [`ViewCache::root_class`].
     pub fn class_view(&mut self, r: usize, class: u32) -> ViewTree {
-        self.ensure_depth(r);
-        ViewTree { root: self.materialize(r, class), radius: r, alphabet: self.d.alphabet_size() }
+        self.ensure(r);
+        ViewTree {
+            root: self.materialize(Level::Root(r), class),
+            radius: r,
+            alphabet: self.d.alphabet_size(),
+        }
     }
 
     /// The view census, bit-identical to [`view_census_naive`] but with
@@ -330,32 +429,33 @@ impl<'g> ViewCache<'g> {
         for &c in &classes {
             counts[c as usize] += 1;
         }
-        let mut out = Vec::new();
-        for (c, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                out.push((self.class_view(r, c as u32), count));
-            }
-        }
+        let mut out: Vec<_> = counts
+            .iter()
+            .enumerate()
+            .map(|(c, &count)| (self.class_view(r, c as u32), count))
+            .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
-    /// Cache entries currently held: refinement classes summed over the
-    /// built levels. This is the quantity a budget's cache cap bounds.
+    /// Cache entries currently held: walk classes summed over the built
+    /// levels plus root classes summed over the radii passed.
     pub fn entry_count(&self) -> usize {
-        self.stats.classes.iter().sum()
+        self.stats.classes.iter().sum::<usize>()
+            + self.stats.root_classes.iter().flatten().sum::<usize>()
     }
 
     /// Cap-aware [`ViewCache::root_classes`]: fails with
     /// [`TruncationReason::CacheCapExceeded`] (unpublished — the caller
-    /// acting on the truncation publishes it) when depth `r` needs more
-    /// than `cap` entries across levels `0..=r`.
+    /// acting on the truncation publishes it) when radius `r` needs more
+    /// than `cap` entries: the walk classes of levels `0..r` plus the
+    /// root classes at `r`.
     pub fn try_root_classes(
         &mut self,
         r: usize,
         cap: Option<usize>,
     ) -> Result<(Vec<u32>, usize), TruncationReason> {
-        self.try_ensure_depth(r, cap)?;
+        self.try_ensure(r, cap)?;
         Ok(self.root_classes(r))
     }
 
@@ -366,7 +466,7 @@ impl<'g> ViewCache<'g> {
         class: u32,
         cap: Option<usize>,
     ) -> Result<ViewTree, TruncationReason> {
-        self.try_ensure_depth(r, cap)?;
+        self.try_ensure(r, cap)?;
         Ok(self.class_view(r, class))
     }
 
@@ -376,7 +476,7 @@ impl<'g> ViewCache<'g> {
         r: usize,
         cap: Option<usize>,
     ) -> Result<Vec<(ViewTree, usize)>, TruncationReason> {
-        self.try_ensure_depth(r, cap)?;
+        self.try_ensure(r, cap)?;
         Ok(self.census(r))
     }
 
@@ -406,27 +506,37 @@ impl<'g> ViewCache<'g> {
         Ok(census)
     }
 
-    /// Builds levels up to `r` unless the classes held across levels
-    /// `0..=r` would exceed `cap`. Levels are built one at a time with
-    /// the running total checked after each, so the cache never holds
-    /// more than one level past the cap; the check only counts levels
-    /// `0..=r`, making the outcome independent of what deeper levels a
-    /// previous uncapped call may have built.
-    fn try_ensure_depth(&mut self, r: usize, cap: Option<usize>) -> Result<(), TruncationReason> {
-        let Some(cap) = cap else {
-            self.ensure_depth(r);
-            return Ok(());
-        };
+    /// [`ViewCache::try_ensure`] with no cap, which cannot fail.
+    fn ensure(&mut self, r: usize) {
+        if self.try_ensure(r, None).is_err() {
+            unreachable!("only a cap truncates the refinement");
+        }
+    }
+
+    /// Builds what radius `r` reads — walk levels `0..r`, then the root
+    /// pass at `r` — unless the entries they hold would exceed `cap`:
+    /// the walk classes of levels `0..r` plus the root classes at `r`.
+    /// Steps run one at a time with the running total checked before
+    /// each and after the last, so the cache never holds more than one
+    /// step past the cap; the check counts only what radius `r` reads,
+    /// making the outcome independent of what other radii a previous
+    /// uncapped call may have built.
+    fn try_ensure(&mut self, r: usize, cap: Option<usize>) -> Result<(), TruncationReason> {
+        let roots = |stats: &ViewCacheStats| stats.root_classes.get(r).copied().flatten();
+        let _span = roots(&self.stats).is_none().then(|| obs::span("view_cache/refine"));
         loop {
-            let built = self.levels.len();
-            let needed = self.stats.classes.iter().take(r + 1).sum::<usize>();
-            if needed > cap {
+            let walks = self.stats.classes.iter().take(r).sum::<usize>();
+            let needed = walks + roots(&self.stats).unwrap_or(0);
+            if let Some(cap) = cap.filter(|&cap| needed > cap) {
                 return Err(TruncationReason::CacheCapExceeded { cap, needed });
             }
-            if built > r {
+            if self.walks.len() < r {
+                self.refine_walks();
+            } else if roots(&self.stats).is_none() {
+                self.pass_roots(r);
+            } else {
                 return Ok(());
             }
-            self.ensure_depth(built);
         }
     }
 
@@ -441,153 +551,173 @@ impl<'g> ViewCache<'g> {
         }
     }
 
-    /// The signature of a state at the level being built: the sorted
-    /// `(letter code, previous-level class of the reached state)` list over
-    /// the non-backtracking letters available — the labels loop emits codes
-    /// in increasing order, so no sort is needed.
-    fn signature(&self, state: usize, prev: &[u32], sig: &mut Vec<u64>) {
-        sig.clear();
-        self.signature_append(state, prev, sig);
-    }
-
-    /// [`ViewCache::signature`] appending to `out` without clearing, so
-    /// the refinement sweep can pack all signatures of a level into one
-    /// flat buffer with no per-state allocation.
+    /// Appends to `out`, without clearing it, the signature of vertex `v`
+    /// entered by the inverse of letter code `back` ([`ROOT`] for a
+    /// root): the sorted `(letter code, class in walk level `prev` of
+    /// the walk state reached)` list over the letters available at `v`
+    /// other than `back`. The labels loop emits codes in increasing
+    /// order, so no sort is needed, and appending lets the refinement
+    /// sweep pack all signatures of a level into one flat buffer with no
+    /// per-state allocation.
     // lint: hot
-    fn signature_append(&self, state: usize, prev: &[u32], out: &mut Vec<u64>) {
-        let (v, code) = (state / self.width, state % self.width);
+    fn signature_append(&self, v: usize, back: usize, prev: &[u32], out: &mut Vec<u64>) {
         for label in 0..self.d.alphabet_size() {
-            let out_u = self.d.out_raw(v, label);
-            if out_u != LDigraph::NONE {
-                let enc = 2 * label;
-                // walking `letter` backtracks iff the state's incoming
-                // letter (code − 1) is `letter`'s inverse (enc ^ 1)
-                if code == 0 || code - 1 != enc ^ 1 {
-                    out.push(
-                        ((enc as u64) << 32) | prev[out_u as usize * self.width + 1 + enc] as u64,
-                    );
-                }
-            }
-            let in_u = self.d.in_raw(v, label);
-            if in_u != LDigraph::NONE {
-                let enc = 2 * label + 1;
-                if code == 0 || code - 1 != enc ^ 1 {
-                    out.push(
-                        ((enc as u64) << 32) | prev[in_u as usize * self.width + 1 + enc] as u64,
-                    );
+            for (enc, u) in
+                [(2 * label, self.d.out_raw(v, label)), (2 * label + 1, self.d.in_raw(v, label))]
+            {
+                if u != LDigraph::NONE && enc != back {
+                    out.push(((enc as u64) << 32) | prev[u as usize * self.width + enc] as u64);
                 }
             }
         }
     }
 
-    /// Builds refinement levels up to depth `r` (no-op if already built).
-    fn ensure_depth(&mut self, r: usize) {
-        let n_states = self.d.node_count() * self.width;
-        let _span =
-            if self.levels.len() <= r { Some(obs::span("view_cache/refine")) } else { None };
-        while self.levels.len() <= r {
-            let depth = self.levels.len();
-            // one refinement round = one radius step of the paper's
-            // r-round view collection; the round number is the depth
-            let mut round_span = obs::span_with("round", &[("round", depth as i64)]);
-            if depth == 0 {
-                // one class: every radius-0 view is the bare root
-                self.levels.push(vec![0; n_states]);
-                self.reps.push(if n_states == 0 { Vec::new() } else { vec![0] });
-            } else {
-                // class = interned signature id: dense ids in first-seen
-                // order reproduce the historical HashMap numbering exactly;
-                // `classes.len()` is the state being interned
-                let mut interner = KeyInterner::new();
-                let mut classes = Vec::with_capacity(n_states);
-                let mut reps = Vec::new();
-                for (flat, lens) in self.signatures_for_level(depth) {
-                    let mut lo = 0usize;
-                    for len in lens {
-                        let hi = lo + len as usize;
-                        let id = interner.intern(&flat[lo..hi]);
-                        if id as usize == reps.len() {
-                            reps.push(classes.len() as u32);
-                        }
-                        classes.push(id);
-                        lo = hi;
-                    }
+    /// Builds the next walk level: level 0 is one class, level `d`
+    /// interns every walk state's signature over level `d − 1`.
+    fn refine_walks(&mut self) {
+        let depth = self.walks.len();
+        // one refinement round = one radius step of the paper's r-round
+        // view collection; the round number is the depth
+        let mut round_span = obs::span_with("round", &[("round", depth as i64)]);
+        let level = if depth == 0 {
+            Partition::single(self.stats.states)
+        } else {
+            // dense ids in first-seen state order
+            let mut interner = KeyInterner::new();
+            let mut level = Partition::default();
+            level.class.reserve(self.stats.states);
+            for (flat, lens) in self.walk_signatures(depth) {
+                let mut lo = 0usize;
+                for len in lens {
+                    let hi = lo + len as usize;
+                    level.push(&mut interner, &flat[lo..hi]);
+                    lo = hi;
                 }
-                interner.publish_obs();
-                self.levels.push(classes);
-                self.reps.push(reps);
             }
-            let k = self.reps[depth].len();
-            self.trees.push(vec![None; k]);
-            self.stats.classes.push(k);
-            self.stats.depth = depth;
-            self.obs_states.add(n_states as u64);
-            self.obs_classes.set(k as i64);
-            round_span.arg("classes", k as i64);
-            round_span.arg("states", n_states as i64);
-        }
+            interner.publish_obs();
+            level
+        };
+        let k = level.reps.len();
+        self.walks.push(level);
+        self.stats.classes.push(k);
+        self.obs_states.add(self.stats.states as u64);
+        round_span.arg("classes", k as i64);
+        round_span.arg("states", self.stats.states as i64);
     }
 
-    /// One refinement sweep: the signatures of all states at `depth`, as
-    /// one `(flat, lens)` pair per [`par::map_chunks`] chunk in state
-    /// order (`lens[i]` words of `flat` belong to the chunk's `i`-th state).
+    /// One refinement sweep: the signatures of all walk states at
+    /// `depth`, as one `(flat, lens)` pair per [`par::map_chunks`] chunk
+    /// in state order (`lens[i]` words of `flat` belong to the chunk's
+    /// `i`-th state).
     // lint: hot
-    fn signatures_for_level(&self, depth: usize) -> Vec<(Vec<u64>, Vec<u32>)> {
-        let prev = &self.levels[depth - 1];
-        par::map_chunks(self.d.node_count() * self.width, PARALLEL_MIN_STATES, |states| {
+    fn walk_signatures(&self, depth: usize) -> Vec<(Vec<u64>, Vec<u32>)> {
+        let prev = &self.walks[depth - 1].class;
+        par::map_chunks(self.stats.states, PARALLEL_MIN_STATES, |states| {
             let mut flat = Vec::new(); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
             let mut lens = Vec::with_capacity(states.len()); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
             for s in states {
                 let before = flat.len();
-                self.signature_append(s, prev, &mut flat);
+                let (v, code) = (s / self.width, s % self.width);
+                self.signature_append(v, code ^ 1, prev, &mut flat);
                 lens.push((flat.len() - before) as u32);
             }
             (flat, lens)
         })
     }
 
+    /// The root pass at radius `r`, recorded as the refinement's `round`
+    /// `r`: radius 0 is one class, radius `r ≥ 1` interns each vertex's
+    /// signature over walk level `r − 1`.
+    fn pass_roots(&mut self, r: usize) {
+        let mut round_span = obs::span_with("round", &[("round", r as i64)]);
+        let roots = match r.checked_sub(1) {
+            None => Partition::single(self.stats.root_states),
+            Some(below) => self.intern_roots(&self.walks[below].class),
+        };
+        let k = roots.reps.len();
+        if self.roots.len() <= r {
+            self.roots.resize(r + 1, None);
+            self.stats.root_classes.resize(r + 1, None);
+        }
+        self.roots[r] = Some(roots);
+        self.stats.root_classes[r] = Some(k);
+        self.obs_states.add(self.stats.root_states as u64);
+        self.obs_classes.set(k as i64);
+        round_span.arg("classes", k as i64);
+        round_span.arg("states", self.stats.root_states as i64);
+    }
+
+    /// Interns every vertex's signature over the walk classes `prev` in
+    /// vertex order, through one reused scratch buffer: a sequential
+    /// pass, since it sweeps `n` states where a walk level sweeps
+    /// `n · 2|L|`.
+    // lint: hot
+    fn intern_roots(&self, prev: &[u32]) -> Partition {
+        let mut interner = KeyInterner::new();
+        let mut roots = Partition::default();
+        roots.class.reserve(self.stats.root_states);
+        let mut sig = Vec::new();
+        // lint: hot-setup-end
+        for v in 0..self.stats.root_states {
+            sig.clear();
+            self.signature_append(v, ROOT, prev, &mut sig);
+            roots.push(&mut interner, &sig);
+        }
+        interner.publish_obs();
+        roots
+    }
+
+    /// The partition `level` names; [`ViewCache::ensure`] must have
+    /// passed a root level.
+    fn partition(&mut self, level: Level) -> &mut Partition {
+        match level {
+            Level::Walk(d) => &mut self.walks[d],
+            Level::Root(r) => self.roots[r].as_mut().expect("ensure(r) passes radius r"),
+        }
+    }
+
     /// The tree of a class, memoized: equal to the naive [`view`] recursion
-    /// applied to the class's witness state (and hence, by the refinement
+    /// applied to the class's witness (and hence, by the refinement
     /// invariant, to every state of the class).
-    fn materialize(&mut self, depth: usize, class: u32) -> ViewNode {
-        if let Some(t) = &self.trees[depth][class as usize] {
+    fn materialize(&mut self, level: Level, class: u32) -> ViewNode {
+        let (Level::Walk(depth) | Level::Root(depth)) = level;
+        let args = [("depth", depth as i64), ("class", class as i64)];
+        if let Some(t) = self.partition(level).trees[class as usize].clone() {
             self.stats.tree_hits += 1;
             self.obs_tree_hits.inc();
             if obs::trace::enabled() {
-                obs::trace::instant(
-                    "view_cache/tree_hit",
-                    &[("depth", depth as i64), ("class", class as i64)],
-                );
+                obs::trace::instant("view_cache/tree_hit", &args);
             }
-            return t.clone();
+            return t;
         }
         self.stats.tree_misses += 1;
         self.obs_tree_misses.inc();
         if obs::trace::enabled() {
-            obs::trace::instant(
-                "view_cache/tree_miss",
-                &[("depth", depth as i64), ("class", class as i64)],
-            );
+            obs::trace::instant("view_cache/tree_miss", &args);
         }
-        let node = if depth == 0 {
-            ViewNode::leaf()
-        } else {
-            let rep = self.reps[depth][class as usize] as usize;
-            // re-derive the witness's child list (letter, previous-level
-            // class), then materialise each child class recursively
-            let mut sig = Vec::new();
-            self.signature(rep, &self.levels[depth - 1], &mut sig);
-            let children = sig
-                .iter()
-                .map(|&packed| {
-                    let letter = Self::letter_of((packed >> 32) as usize);
-                    let child_class = packed as u32;
-                    (letter, self.materialize(depth - 1, child_class))
-                })
-                .collect();
-            ViewNode { children }
+        let node = match depth.checked_sub(1) {
+            None => ViewNode::leaf(),
+            Some(below) => {
+                let rep = self.partition(level).reps[class as usize] as usize;
+                let (v, back) = match level {
+                    Level::Walk(_) => (rep / self.width, (rep % self.width) ^ 1),
+                    Level::Root(_) => (rep, ROOT),
+                };
+                // re-derive the witness's child list (letter, class one
+                // walk level down), then materialise each child class
+                let mut sig = Vec::new();
+                self.signature_append(v, back, &self.walks[below].class, &mut sig);
+                let children = sig
+                    .iter()
+                    .map(|&packed| {
+                        let letter = Self::letter_of((packed >> 32) as usize);
+                        (letter, self.materialize(Level::Walk(below), packed as u32))
+                    })
+                    .collect();
+                ViewNode { children }
+            }
         };
-        self.trees[depth][class as usize] = Some(node.clone());
+        self.partition(level).trees[class as usize] = Some(node.clone());
         node
     }
 }

@@ -17,10 +17,11 @@
 //! only in how a vertex finds its class:
 //!
 //! * [`ViewEngine`] (PO) wraps [`locap_lifts::ViewCache`] — incremental
-//!   class refinement computes the view classes of **all** vertices at
-//!   once (radius `r` extends radius `r − 1`), identical subtrees are
-//!   interned, and the per-state sweep fans across
-//!   [`locap_graph::par`] workers.
+//!   class refinement over walk states computes the view classes of
+//!   **all** vertices at once (radius `r` reuses the walk levels of
+//!   earlier radii, and one pass over the vertices reads off the root
+//!   classes), identical subtrees are interned, and the per-state sweep
+//!   fans across [`locap_graph::par`] workers.
 //! * [`NbhdEngine`] (OI as [`OiEngine`], ID as [`IdEngine`]) extracts each
 //!   vertex's canonical form as a packed `u64` key
 //!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call
@@ -139,8 +140,9 @@ trait Classes {
 /// clock per [`POLL_STRIDE`](locap_graph::budget::POLL_STRIDE) vertices
 /// and before every evaluation), and each new class checks the cache
 /// cap; on truncation the run stops with the prefix answered so far.
-/// (For PO the class refinement has already checked the cap on every
-/// class, roots included, so the per-class check never trips there.)
+/// (For PO the class refinement has already checked the cap on the walk
+/// classes and the root classes it evaluates, so the per-class check
+/// never trips there.)
 ///
 /// # Errors
 ///

@@ -404,7 +404,9 @@ fn saturation_answers_with_typed_overloaded() {
     let config = DaemonConfig { workers: 1, queue_depth: 1, ..DaemonConfig::default() };
     let daemon = TestDaemon::start(config);
     let mut client = Client::connect(daemon.addr());
-    // ~0.5 s of real work to hold the single worker.
+    // Holds the single worker for 61–105 ms of real work (release
+    // `locap` CLI, 2-vCPU host), while the burst below is sent in
+    // microseconds: the queue overflows long before the worker frees.
     client.send_line(
         r#"{"id":"slow","pipeline":"transfer","params":{"algo":"vc-non-min","cycle":9,"m":30}}"#,
     );

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use locap_core::eds_lower::eds_instance;
+use locap_core::hom_lift::homogeneous_lift_budgeted;
 use locap_core::homogeneous::construct_budgeted;
 use locap_graph::budget::RunBudget;
 use locap_graph::canon::{
@@ -269,6 +270,41 @@ fn census_class_count_matches_cache() {
     let stats = cache.stats();
     assert!(stats.tree_misses > 0, "some tree must be materialised");
     assert!(stats.dedup_ratio() >= 1.0);
+
+    // deepening in any order: radius 3 first builds walk levels 0..3,
+    // then radii 1 and 2 reuse them and only add their root passes
+    let mut deepened = ViewCache::new(d);
+    for r in [3, 1, 2] {
+        let census = deepened.census(r);
+        let mut fresh = ViewCache::new(d);
+        assert_eq!(census, fresh.census(r), "census at radius {r}");
+        assert_eq!(census, view_census_naive(d, r), "naive census at radius {r}");
+        assert_eq!(deepened.root_classes(r), fresh.root_classes(r), "root partition at radius {r}");
+    }
+    assert_eq!(deepened.stats().classes.len(), 3, "radius 3 built walk levels 0, 1 and 2");
+}
+
+/// A radius-1 view reads walk states only at level 0 and root states
+/// only at level 1, so a radius-1 query on the 648-node lift of C3 by
+/// H(1, 1, 6) fills level 0 with its `n · 2|L|` walk states, passes the
+/// `n` roots once, and builds no level-1 walk state.
+#[test]
+fn radius_one_refines_walk_states_only() {
+    let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).expect("constructible parameters");
+    let lift = homogeneous_lift_budgeted(&gen::directed_cycle(3), &h, &RunBudget::unlimited())
+        .expect("C3 lifts")
+        .lift;
+    let (n, letters) = (lift.node_count(), lift.alphabet_size());
+    assert_eq!((n, letters), (648, 1));
+    let mut cache = ViewCache::new(&lift);
+    let (roots, k) = cache.root_classes(1);
+    assert_eq!(roots.len(), n);
+    let stats = cache.stats();
+    assert_eq!(stats.states, n * 2 * letters, "walk states per level");
+    assert_eq!(stats.classes, vec![1], "level 0 only: one class, and no level-1 state");
+    assert_eq!(stats.root_states, n, "one root state per vertex");
+    assert_eq!(stats.root_classes, vec![None, Some(k)], "radius 1 passed once");
+    assert_eq!(k, view_census_naive(&lift, 1).len());
 }
 
 // ---------------------------------------------- proptest generators

@@ -68,7 +68,9 @@ fn cases() -> Vec<Case> {
         pipeline("oi-to-po", r#"{"algo":"vc-non-min","cycle":9,"m":6}"#, &[]),
         pipeline("ramsey", r#"{"algo":"local-max","universe":20,"r":1,"m":5}"#, &[]),
         pipeline("transfer", r#"{"algo":"vc-non-min","cycle":9,"m":6}"#, &[]),
-        // 4,096 nodes × 3 states = 12,288 states: view refinement fans out
+        // 4,096 nodes × 2 walk states = 8,192 states per walk level, the
+        // refinement's PARALLEL_MIN_STATES: radius 2 fans level 1 out
+        // (level 0 and the root passes never fan out)
         pipeline(
             "census",
             r#"{"family":"directed-cycle","n":4096,"radius":2}"#,
