@@ -24,12 +24,13 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use locap_graph::budget::{MonotonicClock, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
+use locap_obs::sync::Mutex;
 use locap_obs::Histogram;
 
 /// Span recording every request's send-to-response latency.
@@ -125,7 +126,7 @@ impl SoakReport {
 struct Shared {
     clock: StdClock,
     hist: Histogram,
-    errors: Mutex<BTreeMap<String, u64>>, // lint: lock-rank=20
+    errors: Mutex<BTreeMap<String, u64>, 20>,
     sent: AtomicU64,
     ok: AtomicU64,
     answered: AtomicU64,
@@ -142,33 +143,13 @@ impl Shared {
             return;
         }
         obs::counter(&format!("soak/errors/{kind}")).add(n);
-        let mut errors = lock_unpoisoned(&self.errors);
+        let mut errors = self.errors.lock();
         *errors.entry(kind.to_string()).or_insert(0) += n;
     }
 }
 
 /// Requests in flight on one connection: request id → send time (ns).
-type Pending = Arc<Mutex<BTreeMap<u64, u64>>>; // lint: lock-rank=10
-
-/// The crate's one poison-recovery site. A
-/// poisoned soak-side map only means a peer thread panicked mid-update;
-/// the map is still structurally sound and the soak must keep counting
-/// (losing the error taxonomy on the first panic would defeat the run).
-/// Clearing the poison flag keeps later acquisitions on the `Ok` path.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the crate's one poison-recovery site: a poisoned soak map is still structurally \
-              sound, and the soak must keep counting"
-)]
-fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            m.clear_poison();
-            poisoned.into_inner()
-        }
-    }
-}
+type Pending = Arc<Mutex<BTreeMap<u64, u64>, 10>>;
 
 /// Runs the scenario to completion and reports.
 ///
@@ -215,7 +196,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         achieved_qps: answered as f64 / elapsed.as_secs_f64().max(1e-9),
         sent: shared.sent.load(Ordering::SeqCst),
         ok: shared.ok.load(Ordering::SeqCst),
-        errors: lock_unpoisoned(&shared.errors).clone(),
+        errors: shared.errors.lock().clone(),
         unanswered,
         elapsed_ms: elapsed.as_millis().min(u64::MAX as u128) as u64,
         p50_ns: latency.quantile(0.50),
@@ -276,7 +257,7 @@ fn connection_worker(
     send_schedule(cfg, conn, stream, shared, &pending);
     sender_done.store(true, Ordering::SeqCst);
     let _ = receiver.join();
-    let leftover = lock_unpoisoned(&pending);
+    let leftover = pending.lock();
     leftover.len() as u64
 }
 
@@ -303,9 +284,10 @@ fn send_schedule(
             "{{\"id\":{tick},\"pipeline\":\"{}\",\"params\":{}}}\n",
             cfg.pipeline, cfg.params
         );
-        lock_unpoisoned(pending).insert(tick, shared.now_ns());
+        pending.lock().insert(tick, shared.now_ns());
+        obs::sync::assert_unlocked();
         if stream.write_all(line.as_bytes()).is_err() {
-            lock_unpoisoned(pending).remove(&tick);
+            pending.lock().remove(&tick);
             shared.record_error("transport/send", 1);
             break;
         }
@@ -326,7 +308,7 @@ fn receive(
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        if sender_done.load(Ordering::SeqCst) && lock_unpoisoned(pending).is_empty() {
+        if sender_done.load(Ordering::SeqCst) && pending.lock().is_empty() {
             return;
         }
         if shared.clock.elapsed() > deadline {
@@ -334,6 +316,7 @@ fn receive(
         }
         // a timed-out read_line keeps any partial frame appended to
         // `line`, so the next pass resumes mid-frame losslessly
+        obs::sync::assert_unlocked();
         match reader.read_line(&mut line) {
             Ok(0) => {
                 shared.record_error("transport/eof", 1);
@@ -369,7 +352,7 @@ fn process_response(line: &str, pending: &Pending, shared: &Shared) {
         shared.record_error("transport/bad_frame", 1);
         return;
     };
-    let sent_ns = lock_unpoisoned(pending).remove(&id);
+    let sent_ns = pending.lock().remove(&id);
     let Some(sent_ns) = sent_ns else {
         shared.record_error("transport/unknown_id", 1);
         return;

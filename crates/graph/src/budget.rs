@@ -507,10 +507,11 @@ mod tests {
 
     #[test]
     fn publish_increments_counter() {
-        let before = obs::counter("budget/truncated/round_limit").get();
+        let count = || obs::snapshot().counters.get("budget/truncated/round_limit").copied();
+        let before = count().unwrap_or(0);
         let r = TruncationReason::RoundLimit { limit: 3 }.publish();
         assert_eq!(r, TruncationReason::RoundLimit { limit: 3 });
-        assert_eq!(obs::counter("budget/truncated/round_limit").get(), before + 1);
+        assert_eq!(count(), Some(before + 1));
     }
 
     #[test]

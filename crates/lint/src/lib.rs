@@ -1,71 +1,54 @@
-//! `locap-lint` — a dependency-free, workspace-aware static analyzer
-//! for the execution-core contracts that rustc and clippy cannot check.
+//! `locap-lint` — a dependency-free workspace analyzer for the one
+//! execution-core contract that rustc, clippy and the workspace's own
+//! types cannot check: hot-path allocation (L8).
 //!
 //! The paper's whole argument is that guarantees must hold
 //! *mechanically* — Göös, Hirvonen and Suomela eliminate the informal
-//! slack between ID and PO by construction, not by inspection — and
-//! this crate applies the same spirit to the codebase: three
-//! repo-specific lints, run in CI, that fail on any violation.
+//! slack between ID and PO by construction, not by inspection — and the
+//! workspace follows it: each contract is held by the toolchain or by a
+//! type wherever one can hold it. `unsafe_code = "forbid"` is a
+//! workspace lint; the panic-free core is eight clippy restriction lints
+//! denied at each of its scope roots; clock and poison discipline are
+//! clippy's `disallowed-methods` list in `clippy.toml`; lock order is
+//! the rank of `locap_obs::sync::Mutex`, checked at every acquisition in
+//! debug builds; and each metric name's single construction site is
+//! checked by the `locap_obs` registry in debug builds.
 //!
-//! The toolchain holds the rest. `unsafe_code = "forbid"` is a
-//! workspace lint; the panic-free core is eight clippy restriction
-//! lints denied at each of its scope roots; and clock and poison
-//! discipline are clippy's `disallowed-methods` list in `clippy.toml`.
-//! Every sanctioned site carries `#[expect(…, reason)]` on its fn (see
-//! the README "Static analysis" section).
-//!
-//! The rules (see [`diag::RULES`] for the catalogue):
-//!
-//! | id | name | contract |
-//! |----|------|----------|
-//! | L3 | counter-discipline | metric names are consts, each constructed at exactly one site |
-//! | L6 | lock-order        | every `Mutex`/`RwLock` carries `// lint: lock-rank=N`; overlapping acquisitions strictly increase; no blocking under a held guard |
-//! | L8 | hot-path-allocation | `// lint: hot` fns allocate only in their setup prefix |
-//!
-//! The engine analyzes a brace tree ([`tree`]) built over the token
-//! stream — delimiter-matched token trees with item/fn/impl scopes and
-//! `#[cfg(test)]` regions lifted into the IR — rather than flat token
-//! scans, which is what makes scope-aware rules like L6 and L8
-//! expressible. `tests/` and `benches/` trees are scanned too, by L6
-//! only.
+//! What is left is L8 (see [`diag::RULES`]): fns annotated
+//! `// lint: hot` allocate only in their setup prefix. Counting a fn's
+//! allocations at run time would need a counting global allocator, an
+//! `unsafe impl GlobalAlloc`, so the rule stays lexical: it finds each
+//! fn's body by brace depth over the lexer's significant tokens
+//! ([`source::FileInfo::fns`]). It runs in every `cargo test` as the
+//! `workspace_is_clean` test and fails on any diagnostic.
 //!
 //! Everything is hand-rolled on `std` (lexer included — see
 //! [`lexer`]), consistent with the workspace's offline-shim policy:
-//! no `syn`, no `serde`, no registry access.
+//! no `syn`, no registry access.
 
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod source;
-pub mod tree;
 
-pub use config::Config;
-pub use diag::{validate_lint_schema, Diagnostic, FixEdit, Summary};
+pub use diag::Diagnostic;
 pub use rules::analyze_files;
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Collects the analyzable source files of the workspace rooted at
-/// `root`: every `.rs` file under `crates/*/src` (bin targets
-/// included) plus `crates/*/tests` and `crates/*/benches`, as
-/// repo-relative `/`-separated paths with contents, sorted for
-/// determinism.
-///
-/// `tests/` and `benches/` files run only the lock-order rule (L6).
-/// `examples/` stays out of scope.
+/// `root`: every `.rs` file under `crates/*/src` (bin targets included),
+/// as repo-relative `/`-separated paths with contents, sorted for
+/// determinism. Tests, benches and examples are out of scope.
 pub fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let crates_dir = root.join("crates");
     let mut rs_files = Vec::new();
-    for krate in read_dir_sorted(&crates_dir)? {
-        for sub in ["src", "tests", "benches"] {
-            let dir = krate.join(sub);
-            if dir.is_dir() {
-                walk_rs(&dir, &mut rs_files)?;
-            }
+    for krate in read_dir_sorted(&root.join("crates"))? {
+        let dir = krate.join("src");
+        if dir.is_dir() {
+            walk_rs(&dir, &mut rs_files)?;
         }
     }
     let mut out = Vec::with_capacity(rs_files.len());
@@ -102,26 +85,8 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// A full analyzer run over the workspace.
-#[derive(Debug)]
-pub struct Run {
-    /// All diagnostics, sorted by `(file, line, col, rule)`.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Run counts.
-    pub summary: Summary,
-}
-
-impl Run {
-    /// Whether the gate passes: the run found no diagnostics at all.
-    pub fn passed(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-}
-
-/// Scans the workspace at `root` and runs every rule.
-pub fn run_check(root: &Path, cfg: &Config) -> io::Result<Run> {
-    let files = collect_workspace_files(root)?;
-    let diagnostics = analyze_files(&files, cfg);
-    let summary = Summary { files: files.len() as u64, diagnostics: diagnostics.len() as u64 };
-    Ok(Run { diagnostics, summary })
+/// Scans the workspace at `root` and returns every diagnostic, sorted by
+/// `(file, line, col)`; the gate passes when there are none.
+pub fn run_check(root: &Path) -> io::Result<Vec<Diagnostic>> {
+    Ok(analyze_files(&collect_workspace_files(root)?))
 }

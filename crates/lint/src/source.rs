@@ -1,21 +1,14 @@
-//! Per-file analysis context: the token stream, the brace tree built
-//! over it, the item scopes, and the derived regions the rules treat
-//! specially.
+//! Per-file analysis context: the token stream, its significant tokens,
+//! the fn items found on them by brace depth, and the `// lint: …` marker
+//! comments indexed by line.
 //!
-//! **Test regions** are computed once per file: items annotated
-//! `#[cfg(test)]` / `#[test]` / `#[should_panic]` (attribute through
-//! the end of the item's brace block or `;`), computed on the brace
-//! tree ([`crate::tree`]). All rules skip them: test code may name
-//! metrics and allocate freely.
-//!
-//! `// lint: …` marker comments (`lock-rank=N`, `hot`, `hot-setup-end`,
-//! `hot-allow(reason)` — see the README annotation grammar) are indexed
-//! by line here so the L6/L8 rules can resolve them in O(log n).
+//! Markers (`hot`, `hot-setup-end`, `hot-allow(reason)` — see the README
+//! "Static analysis" section) are plain comments only: doc comments
+//! *describing* the grammar never activate it.
 
 use std::collections::BTreeMap;
 
 use crate::lexer::{self, Doc, Token, TokenKind};
-use crate::tree::{self, Scope, ScopeKind, Tree};
 
 /// A source file prepared for rule checks.
 #[derive(Debug)]
@@ -28,20 +21,30 @@ pub struct FileInfo {
     pub tokens: Vec<Token>,
     /// Indices into `tokens` of significant (non-trivia) tokens.
     pub sig: Vec<usize>,
-    /// The brace tree over `tokens` (total; recovery diags inside).
-    pub tree: Tree,
-    /// Item scopes detected on the tree, sorted by header offset.
-    pub scopes: Vec<Scope>,
-    /// Byte ranges of test-only code, sorted and disjoint-ish.
-    pub test_regions: Vec<(usize, usize)>,
     /// `// lint: …` marker comment text by 1-based line.
     pub markers: BTreeMap<usize, String>,
     line_starts: Vec<usize>,
 }
 
+/// A `fn` item with a body, located on the significant tokens.
+#[derive(Debug)]
+pub struct FnItem {
+    /// The fn's name.
+    pub name: String,
+    /// Byte offset of the `fn` keyword.
+    pub keyword: usize,
+    /// Byte offset of the item's first token: its attributes and
+    /// qualifiers, everything after the previous `;`, `{` or `}`.
+    pub header_start: usize,
+    /// Byte offset of the body's opening `{`.
+    pub body_start: usize,
+    /// Byte offset one past the body's closing `}` (the file end when it
+    /// is never closed).
+    pub body_end: usize,
+}
+
 impl FileInfo {
-    /// Lexes `text`, builds the brace tree and derives scopes, marker
-    /// index and test regions.
+    /// Lexes `text` and indexes its significant tokens, lines and markers.
     pub fn new(path: String, text: String) -> FileInfo {
         let tokens = lexer::lex(&text);
         let sig: Vec<usize> = tokens
@@ -58,13 +61,8 @@ impl FileInfo {
         let mut line_starts = vec![0];
         line_starts
             .extend(text.bytes().enumerate().filter(|(_, b)| *b == b'\n').map(|(i, _)| i + 1));
-        let tree = tree::build(&tokens);
-        let scopes = tree::scopes(&tree, &tokens, &text);
-        let test_regions = tree::test_regions(&tree, &tokens, &text);
         let mut markers = BTreeMap::new();
         for t in &tokens {
-            // plain comments only: doc comments *describing* the
-            // annotation grammar must not activate it
             if !matches!(
                 t.kind,
                 TokenKind::LineComment(Doc::None) | TokenKind::BlockComment(Doc::None)
@@ -82,7 +80,7 @@ impl FileInfo {
             }
             slot.push_str(comment);
         }
-        FileInfo { path, text, tokens, sig, tree, scopes, test_regions, markers, line_starts }
+        FileInfo { path, text, tokens, sig, markers, line_starts }
     }
 
     /// 1-based `(line, column)` of a byte offset.
@@ -94,23 +92,7 @@ impl FileInfo {
 
     /// The source line containing `offset`, without its newline.
     pub fn line_text(&self, offset: usize) -> &str {
-        let line = self.line_starts.partition_point(|&s| s <= offset);
-        let start = self.line_starts[line - 1];
-        let end = self.line_starts.get(line).map_or(self.text.len(), |e| e - 1);
-        self.text[start..end].trim_end_matches('\r')
-    }
-
-    /// Byte offset of the first byte of the line containing `offset`.
-    pub fn line_start_of(&self, offset: usize) -> usize {
-        let line = self.line_starts.partition_point(|&s| s <= offset);
-        self.line_starts[line - 1]
-    }
-
-    /// Byte offset of the newline ending the line containing `offset`
-    /// (the file end for an unterminated last line).
-    pub fn line_end_of(&self, offset: usize) -> usize {
-        let line = self.line_starts.partition_point(|&s| s <= offset);
-        self.line_starts.get(line).map_or(self.text.len(), |e| e - 1)
+        self.nth_line(self.line_col(offset).0)
     }
 
     /// Byte offset of the first byte of 1-based line `line` (file end
@@ -141,33 +123,67 @@ impl FileInfo {
         self.tokens[self.sig[i]].start
     }
 
-    /// Whether `offset` falls in test-only code.
-    pub fn in_test(&self, offset: usize) -> bool {
-        self.test_regions.iter().any(|&(s, e)| offset >= s && offset < e)
-    }
-
     /// The marker comment (`// lint: …`) text on a 1-based line.
     pub fn marker_on(&self, line: usize) -> Option<&str> {
         self.markers.get(&line).map(String::as_str)
     }
 
-    /// Innermost scope of `kinds` whose body contains `offset`.
-    pub fn innermost_scope(&self, offset: usize, kinds: &[ScopeKind]) -> Option<&Scope> {
-        self.scopes
-            .iter()
-            .filter(|s| kinds.contains(&s.kind) && s.contains(offset))
-            .max_by_key(|s| s.body_start)
-    }
-
-    /// Innermost `fn` scope whose body contains `offset`.
-    pub fn fn_scope_at(&self, offset: usize) -> Option<&Scope> {
-        self.innermost_scope(offset, &[ScopeKind::Fn])
-    }
-
     /// Index into `sig` of the first significant token at or after byte
-    /// `offset` — for slicing a scope body out of the sig stream.
+    /// `offset` — for slicing a fn body out of the sig stream.
     pub fn sig_index_at(&self, offset: usize) -> usize {
         self.sig.partition_point(|&t| self.tokens[t].start < offset)
+    }
+
+    /// Every `fn` item with a body, in source order, nested fns included.
+    /// A `fn` keyword followed by a name starts an item; its body is the
+    /// first `{` outside parentheses and brackets, unless a `;` ends the
+    /// item first (a bodyless trait method), and the body runs to the
+    /// matching `}` by brace depth. Literals and comments are single
+    /// tokens, so braces inside them never count; `fn(u8) -> u8` pointer
+    /// types have no name and are skipped.
+    pub fn fns(&self) -> Vec<FnItem> {
+        let n = self.sig.len();
+        let punct = |i: usize, b: u8| self.sig_kind(i) == TokenKind::Punct(b);
+        let mut out = Vec::new();
+        for kw in 0..n {
+            if self.sig_text(kw) != "fn" || kw + 1 >= n || self.sig_kind(kw + 1) != TokenKind::Ident
+            {
+                continue;
+            }
+            let first = (0..kw).rev().find(|&i| punct(i, b';') || punct(i, b'{') || punct(i, b'}'));
+            let mut depth = 0usize;
+            let mut open = None;
+            for i in kw + 2..n {
+                match self.sig_kind(i) {
+                    TokenKind::Punct(b'(' | b'[') => depth += 1,
+                    TokenKind::Punct(b')' | b']') => depth = depth.saturating_sub(1),
+                    TokenKind::Punct(b'{') if depth == 0 => {
+                        open = Some(i);
+                        break;
+                    }
+                    TokenKind::Punct(b';') if depth == 0 => break,
+                    _ => {}
+                }
+            }
+            let Some(open) = open else { continue };
+            let mut braces = 0usize;
+            let close = (open..n).find(|&i| {
+                if punct(i, b'{') {
+                    braces += 1;
+                } else if punct(i, b'}') {
+                    braces -= 1;
+                }
+                braces == 0
+            });
+            out.push(FnItem {
+                name: self.sig_text(kw + 1).to_string(),
+                keyword: self.sig_start(kw),
+                header_start: self.sig_start(first.map_or(0, |i| i + 1)),
+                body_start: self.sig_start(open),
+                body_end: close.map_or(self.text.len(), |i| self.tokens[self.sig[i]].end),
+            });
+        }
+        out
     }
 }
 
@@ -176,32 +192,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cfg_test_module_is_a_test_region() {
-        let src = "pub fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        let f = FileInfo::new("crates/x/src/a.rs".into(), src.into());
-        assert_eq!(f.test_regions.len(), 1);
-        assert!(!f.in_test(src.find("live").expect("live")));
-        assert!(f.in_test(src.find("unwrap").expect("unwrap")));
-    }
-
-    #[test]
-    fn cfg_test_attribute_variants() {
-        let src = "#[cfg(all(test, feature = \"x\"))]\nmod m { }\n#[test]\nfn t() {}\n";
-        let f = FileInfo::new("a.rs".into(), src.into());
-        assert_eq!(f.test_regions.len(), 2);
-    }
-
-    #[test]
     fn markers_and_scopes_resolve() {
-        let src = "// lint: lock-rank=3\nstatic M: Mutex<()> = Mutex::new(());\n\n/// Doc.\n// lint: hot\npub fn enc(&self) { body(); }\n";
+        let src = "// lint: hot-allow(r)\nstatic M: Mutex<()> = Mutex::new(());\n\n/// Doc.\n// lint: hot\npub fn enc(&self) { body(); }\n";
         let f = FileInfo::new("a.rs".into(), src.into());
-        assert!(f.marker_on(1).is_some_and(|m| m.contains("lock-rank=3")));
+        assert!(f.marker_on(1).is_some_and(|m| m.contains("hot-allow(r)")));
         assert!(f.marker_on(2).is_none());
         assert!(f.marker_on(5).is_some_and(|m| m.contains("hot")));
+        let fns = f.fns();
+        assert_eq!(fns.len(), 1, "{fns:#?}");
+        assert_eq!(fns[0].name, "enc");
         let body = src.find("body").expect("body");
-        let scope = f.fn_scope_at(body).expect("fn scope");
-        assert_eq!(scope.name.as_deref(), Some("enc"));
-        assert!(f.fn_scope_at(0).is_none());
+        assert!(fns[0].body_start < body && body < fns[0].body_end);
+        assert_eq!(&src[fns[0].header_start..fns[0].keyword], "pub ");
+    }
+
+    #[test]
+    fn fn_bodies_nest_and_skip_pointer_types_and_literals() {
+        let src = "trait T { fn decl(&self); }\n\
+                   struct S { f: fn(u8) -> u8 }\n\
+                   impl S {\n    #[inline]\n    fn outer(&self) -> [u8; 2] { let s = \"}\"; fn inner() {} [0, 1] }\n}\n";
+        let f = FileInfo::new("a.rs".into(), src.into());
+        let fns = f.fns();
+        let names: Vec<&str> = fns.iter().map(|x| x.name.as_str()).collect();
+        assert_eq!(names, ["outer", "inner"], "{fns:#?}");
+        assert_eq!(&src[fns[0].body_end - 1..fns[0].body_end], "}");
+        assert!(src[fns[0].body_start..fns[0].body_end].ends_with("[0, 1] }"));
+        assert!(src[fns[0].header_start..].starts_with("#[inline]"));
+        assert!(fns[0].body_start < fns[1].body_start && fns[1].body_end < fns[0].body_end);
     }
 
     #[test]

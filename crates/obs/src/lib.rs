@@ -41,14 +41,16 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod sync;
 pub mod telemetry;
 pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::panic::Location;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use json::Json;
@@ -248,36 +250,30 @@ pub struct HistStats {
 
 /// The process-wide metric store. Most callers use the free functions on
 /// the [`global`] registry; a private registry is handy in tests.
+///
+/// Each metric name has one construction site: the registry keeps the
+/// call site that created an entry, and in debug builds constructing the
+/// same name again from any other site fails a `debug_assert!` (the
+/// publish-twice bug class, where two sites bump one counter). Fetching a
+/// name again from its own site is how handles are meant to be reused;
+/// tests read values through [`Registry::snapshot`] instead of
+/// constructing the metric.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>, // lint: lock-rank=10
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,   // lint: lock-rank=11
-    spans: Mutex<BTreeMap<String, Arc<Histogram>>>,    // lint: lock-rank=12
-    latencies: Mutex<BTreeMap<String, Arc<Histogram>>>, // lint: lock-rank=13
+    counters: Section<AtomicU64, 40>,
+    gauges: Section<AtomicI64, 41>,
+    spans: Section<Histogram, 42>,
+    latencies: Section<Histogram, 43>,
 }
 
-/// The crate's one poison-recovery site. A
-/// poisoned registry map only means some thread panicked mid-insert;
-/// the map itself is still structurally sound, and observability must
-/// keep working — especially *during* a panic unwind, which is exactly
-/// when the buffered data matters most. Recovery clears the poison
-/// flag so later acquisitions take the `Ok` path again. No poison
-/// counter is bumped here on purpose: the poisoned lock may be the
-/// counter registry's own, and counting through it would re-enter the
-/// lock being recovered.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the crate's one poison-recovery site: a poisoned registry map is still \
-              structurally sound, and recovery clears the poison flag"
-)]
-pub(crate) fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            m.clear_poison();
-            poisoned.into_inner()
-        }
-    }
+/// One registry section: metrics by name, each with its creating site.
+type Section<M, const RANK: u32> = sync::Mutex<BTreeMap<String, Entry<M>>, RANK>;
+
+/// A registered metric and the call site that created it.
+#[derive(Debug)]
+struct Entry<M> {
+    metric: Arc<M>,
+    site: &'static Location<'static>,
 }
 
 impl Registry {
@@ -287,41 +283,41 @@ impl Registry {
     }
 
     /// The counter named `name`, created on first use.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `name` was created from another call site.
+    #[track_caller]
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = lock_unpoisoned(&self.counters);
-        match map.get(name) {
-            Some(c) => Counter(Arc::clone(c)),
-            None => {
-                let c = Arc::new(AtomicU64::new(0));
-                map.insert(name.to_string(), Arc::clone(&c));
-                Counter(c)
-            }
-        }
+        Counter(entry(&self.counters, name))
     }
 
     /// The gauge named `name`, created on first use.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `name` was created from another call site.
+    #[track_caller]
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = lock_unpoisoned(&self.gauges);
-        match map.get(name) {
-            Some(g) => Gauge(Arc::clone(g)),
-            None => {
-                let g = Arc::new(AtomicI64::new(0));
-                map.insert(name.to_string(), Arc::clone(&g));
-                Gauge(g)
-            }
-        }
+        Gauge(entry(&self.gauges, name))
     }
 
-    /// The span histogram named `name`, created on first use.
+    /// The span histogram named `name`, created on first use. Spans are
+    /// keyed by their nested path, so every span shares this one site.
     pub fn span_histogram(&self, name: &str) -> Arc<Histogram> {
-        histogram_in(&self.spans, name)
+        entry(&self.spans, name)
     }
 
     /// The latency histogram named `name`, created on first use.
     /// Latencies live in their own section (exported by the [`telemetry`]
     /// module), separate from the span histograms.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `name` was created from another call site.
+    #[track_caller]
     pub fn latency(&self, name: &str) -> Arc<Histogram> {
-        histogram_in(&self.latencies, name)
+        entry(&self.latencies, name)
     }
 
     /// Records a duration under a span name without an RAII guard.
@@ -331,43 +327,55 @@ impl Registry {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = lock_unpoisoned(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = lock_unpoisoned(&self.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let spans = lock_unpoisoned(&self.spans)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
+        let counters = read_section(&self.counters, |c| Some(c.load(Ordering::Relaxed)));
+        let gauges = read_section(&self.gauges, |g| Some(g.load(Ordering::Relaxed)));
+        let spans = read_section(&self.spans, |h| Some(h.snapshot()));
         Snapshot { counters, gauges, spans }
     }
 
     /// Removes every metric. Handles held across a reset keep updating
     /// their detached values; re-looking up the name yields a fresh metric.
     pub fn reset(&self) {
-        lock_unpoisoned(&self.counters).clear();
-        lock_unpoisoned(&self.gauges).clear();
-        lock_unpoisoned(&self.spans).clear();
-        lock_unpoisoned(&self.latencies).clear();
+        self.counters.lock().clear();
+        self.gauges.lock().clear();
+        self.spans.lock().clear();
+        self.latencies.lock().clear();
     }
 }
 
-/// The histogram named `name` in one registry section, created on first
-/// use.
-fn histogram_in(section: &Mutex<BTreeMap<String, Arc<Histogram>>>, name: &str) -> Arc<Histogram> {
-    let mut map = lock_unpoisoned(section);
-    match map.get(name) {
-        Some(h) => Arc::clone(h),
+/// The metric named `name` in one registry section, created on first use
+/// and recorded with its caller's site.
+#[track_caller]
+fn entry<M: Default, const RANK: u32>(section: &Section<M, RANK>, name: &str) -> Arc<M> {
+    let site = Location::caller();
+    let mut map = section.lock();
+    let (metric, first) = match map.get(name) {
+        Some(e) => (Arc::clone(&e.metric), e.site),
         None => {
-            let h = Arc::new(Histogram::default());
-            map.insert(name.to_string(), Arc::clone(&h));
-            h
+            let metric = Arc::new(M::default());
+            map.insert(name.to_string(), Entry { metric: Arc::clone(&metric), site });
+            (metric, site)
         }
-    }
+    };
+    drop(map);
+    debug_assert!(
+        first == site,
+        "metric {name:?} constructed at {site}, but its one construction site is {first}"
+    );
+    metric
+}
+
+/// `read(metric)` for every metric of a section that `read` keeps, by
+/// name.
+fn read_section<M, V, const RANK: u32>(
+    section: &Section<M, RANK>,
+    read: impl Fn(&M) -> Option<V>,
+) -> BTreeMap<String, V> {
+    section
+        .lock()
+        .iter()
+        .filter_map(|(k, e)| Some((k.clone(), read(&e.metric)?)))
+        .collect()
 }
 
 fn global_registry() -> &'static Registry {
@@ -380,17 +388,20 @@ pub fn global() -> &'static Registry {
     global_registry()
 }
 
-/// The global counter named `name`.
+/// The global counter named `name` (see [`Registry::counter`]).
+#[track_caller]
 pub fn counter(name: &str) -> Counter {
     global().counter(name)
 }
 
-/// The global gauge named `name`.
+/// The global gauge named `name` (see [`Registry::gauge`]).
+#[track_caller]
 pub fn gauge(name: &str) -> Gauge {
     global().gauge(name)
 }
 
-/// The global latency histogram named `name`.
+/// The global latency histogram named `name` (see [`Registry::latency`]).
+#[track_caller]
 pub fn latency(name: &str) -> Arc<Histogram> {
     global().latency(name)
 }
@@ -808,13 +819,15 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let reg = Registry::new();
-        let c = reg.counter("t/c");
+        let counter = |name| reg.counter(name);
+        let gauge = |name| reg.gauge(name);
+        let c = counter("t/c");
         c.add(3);
-        reg.counter("t/c").inc();
+        counter("t/c").inc();
         assert_eq!(c.get(), 4);
-        let g = reg.gauge("t/g");
+        let g = gauge("t/g");
         g.set(-7);
-        assert_eq!(reg.gauge("t/g").get(), -7);
+        assert_eq!(gauge("t/g").get(), -7);
         g.set_max(2);
         assert_eq!(g.get(), 2);
         g.set_max(-100);
@@ -877,15 +890,16 @@ mod tests {
     #[test]
     fn delta_keeps_only_what_moved() {
         let reg = Registry::new();
+        let (hot, level) = (reg.counter("hot"), reg.gauge("level"));
         reg.counter("stable").add(5);
-        reg.counter("hot").add(2);
-        reg.gauge("level").set(3);
+        hot.add(2);
+        level.set(3);
         reg.record_span_ns("s", 10);
         let before = reg.snapshot();
 
-        reg.counter("hot").add(7);
+        hot.add(7);
         reg.counter("fresh").inc();
-        reg.gauge("level").set(4);
+        level.set(4);
         reg.record_span_ns("s", 30);
         reg.record_span_ns("t", 50);
         let after = reg.snapshot();
@@ -912,5 +926,55 @@ mod tests {
         assert!(d.counters.is_empty());
         assert!(d.gauges.is_empty());
         assert!(d.spans.is_empty());
+    }
+
+    /// The publish-twice shape the registry rejects: one name, two
+    /// construction sites, here a `const` and a `format!` template.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "its one construction site is")]
+    fn one_name_from_a_const_and_a_format_site_panics() {
+        const RUNS: &str = "engine/po/runs";
+        let reg = Registry::new();
+        reg.counter(RUNS).inc();
+        let model = "po";
+        reg.counter(&format!("engine/{model}/runs")).inc();
+    }
+
+    /// Two different `format!` templates that resolve to one name collide
+    /// like any two sites; gauges and latencies keep their sites too.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn every_second_site_of_a_name_panics() {
+        let clash = |second: fn(&Registry)| {
+            let reg = Registry::new();
+            reg.counter("engine/po/runs").inc();
+            reg.gauge("g").set(1);
+            reg.latency("l").record(1);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| second(&reg))).is_err()
+        };
+        assert!(clash(|reg| reg.counter(&format!("engine/po/{}", "runs")).inc()));
+        assert!(clash(|reg| reg.counter(&format!("engine/{}/runs", "po")).inc()));
+        assert!(clash(|reg| reg.gauge("g").set(2)));
+        assert!(clash(|reg| reg.latency("l").record(2)));
+        // the sections are separate namespaces, and a site may re-fetch
+        assert!(!clash(|reg| reg.gauge("engine/po/runs").set(2)));
+        assert!(!clash(|reg| {
+            for _ in 0..2 {
+                reg.counter("fresh").inc();
+            }
+        }));
+    }
+
+    #[test]
+    fn a_name_fetched_again_from_its_site_is_the_same_metric() {
+        let reg = Registry::new();
+        let runs = |model: &str| reg.counter(&format!("engine/{model}/runs"));
+        runs("po").inc();
+        runs("po").inc();
+        runs("oi").inc();
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters.get("engine/po/runs"), Some(&2));
+        assert_eq!(counters.get("engine/oi/runs"), Some(&1));
     }
 }

@@ -44,10 +44,10 @@
 //! any realistic counter or nanosecond total.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
 
 use crate::json::Json;
-use crate::{bucket_upper_bound, lock_unpoisoned, quantile_rank, Histogram, Registry};
+use crate::{bucket_upper_bound, quantile_rank, read_section, Histogram, Registry};
 
 /// Lossless histogram state: exact aggregates plus sparse bucket counts,
 /// as [`Histogram::state`] reads them.
@@ -193,20 +193,14 @@ impl TelemetryState {
     /// snapshot-plus-deltas reconciliation guarantee. Gauges at 0 are
     /// kept: their deltas carry absolute values.
     pub fn capture(reg: &Registry) -> TelemetryState {
-        let counters = lock_unpoisoned(&reg.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(std::sync::atomic::Ordering::Relaxed)))
-            .filter(|&(_, v)| v > 0)
-            .collect();
-        let gauges = lock_unpoisoned(&reg.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(std::sync::atomic::Ordering::Relaxed)))
-            .collect();
+        let histogram = |h: &Histogram| Some(h.state()).filter(|state| state.count > 0);
         TelemetryState {
-            counters,
-            gauges,
-            spans: capture_section(&reg.spans),
-            latencies: capture_section(&reg.latencies),
+            counters: read_section(&reg.counters, |c| {
+                Some(c.load(Ordering::Relaxed)).filter(|&v| v > 0)
+            }),
+            gauges: read_section(&reg.gauges, |g| Some(g.load(Ordering::Relaxed))),
+            spans: read_section(&reg.spans, histogram),
+            latencies: read_section(&reg.latencies, histogram),
         }
     }
 
@@ -329,18 +323,6 @@ impl TelemetryState {
     }
 }
 
-/// The non-empty histograms of one registry section, read through
-/// [`Histogram::state`].
-fn capture_section(
-    section: &Mutex<BTreeMap<String, Arc<Histogram>>>,
-) -> BTreeMap<String, HistogramState> {
-    lock_unpoisoned(section)
-        .iter()
-        .map(|(k, h)| (k.clone(), h.state()))
-        .filter(|(_, state)| state.count > 0)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,18 +330,19 @@ mod tests {
     #[test]
     fn capture_delta_apply_round_trip() {
         let reg = Registry::new();
-        reg.counter("c").add(3);
-        reg.gauge("g").set(-2);
+        let (c, c2, g, l) = (reg.counter("c"), reg.counter("c2"), reg.gauge("g"), reg.latency("l"));
+        c.add(3);
+        g.set(-2);
         reg.record_span_ns("s", 100);
-        reg.latency("l").record(7);
+        l.record(7);
         let base = TelemetryState::capture(&reg);
 
-        reg.counter("c").add(4);
-        reg.counter("c2").inc();
-        reg.gauge("g").set(9);
+        c.add(4);
+        c2.inc();
+        g.set(9);
         reg.record_span_ns("s", 5);
         reg.record_span_ns("s2", 1 << 40);
-        reg.latency("l").record(900);
+        l.record(900);
         let current = TelemetryState::capture(&reg);
 
         let delta = current.delta_since(&base);
@@ -388,8 +371,9 @@ mod tests {
         reg.counter("c").add(41);
         reg.gauge("g").set(-17);
         reg.record_span_ns("s", 12345);
-        reg.latency("l").record(77);
-        reg.latency("l").record(1 << 30);
+        let l = reg.latency("l");
+        l.record(77);
+        l.record(1 << 30);
         let state = TelemetryState::capture(&reg);
         let text = state.to_json().to_string();
         let parsed = Json::parse(&text).expect("parse");
@@ -399,16 +383,17 @@ mod tests {
     #[test]
     fn quantiles_from_state_match_live_histograms() {
         let reg = Registry::new();
+        let l = reg.latency("l");
         for v in [10u64, 20, 30, 40, 5000] {
             reg.record_span_ns("s", v);
-            reg.latency("l").record(v);
+            l.record(v);
         }
         let state = TelemetryState::capture(&reg);
         let span_q = state.span_quantiles("s").expect("span");
         let lat_q = state.latency_quantiles("l").expect("latency");
         assert_eq!(span_q[0], reg.span_histogram("s").quantile_ns(0.5));
-        assert_eq!(lat_q[0], reg.latency("l").quantile_ns(0.5));
-        assert_eq!(lat_q[2], reg.latency("l").quantile_ns(0.99));
+        assert_eq!(lat_q[0], l.quantile_ns(0.5));
+        assert_eq!(lat_q[2], l.quantile_ns(0.99));
         assert_eq!(span_q, lat_q, "one bucket scheme for both sections");
     }
 

@@ -38,11 +38,11 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::lock_unpoisoned;
+use crate::sync::Mutex;
 
 /// Maximum structured args carried by one event.
 pub const MAX_ARGS: usize = 4;
@@ -125,13 +125,13 @@ struct Interner {
     names: Vec<String>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new(); // lint: lock-rank=20
-    INTERNER.get_or_init(|| Mutex::new(Interner::default()))
+fn interner() -> &'static Mutex<Interner, 50> {
+    static INTERNER: OnceLock<Mutex<Interner, 50>> = OnceLock::new();
+    INTERNER.get_or_init(Mutex::default)
 }
 
 fn intern_global(name: &str) -> u32 {
-    let mut i = lock_unpoisoned(interner());
+    let mut i = interner().lock();
     if let Some(&id) = i.ids.get(name) {
         return id;
     }
@@ -149,9 +149,9 @@ struct Sink {
     thread_names: Vec<(u32, String)>,
 }
 
-fn sink() -> &'static Mutex<Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new(); // lint: lock-rank=21
-    SINK.get_or_init(|| Mutex::new(Sink::default()))
+fn sink() -> &'static Mutex<Sink, 51> {
+    static SINK: OnceLock<Mutex<Sink, 51>> = OnceLock::new();
+    SINK.get_or_init(Mutex::default)
 }
 
 /// The per-thread ring buffer. Lives in a thread-local; its destructor
@@ -173,7 +173,7 @@ impl Ring {
         let name = std::thread::current()
             .name()
             .map_or_else(|| format!("thread-{tid}"), |n| n.to_string());
-        lock_unpoisoned(sink()).thread_names.push((tid, name));
+        sink().lock().thread_names.push((tid, name));
         Ring { tid, buf: Vec::new(), head: 0, cap: ring_cap(), dropped: 0, names: HashMap::new() }
     }
 
@@ -212,7 +212,7 @@ impl Drop for Ring {
         let events = self.drain_ordered();
         DROPPED.fetch_add(self.dropped, Ordering::Relaxed);
         self.dropped = 0;
-        lock_unpoisoned(sink()).events.extend(events);
+        sink().lock().events.extend(events);
     }
 }
 
@@ -337,7 +337,7 @@ pub fn flush_thread() {
         DROPPED.fetch_add(ring.dropped, Ordering::Relaxed);
         ring.dropped = 0;
         if !events.is_empty() {
-            lock_unpoisoned(sink()).events.extend(events);
+            sink().lock().events.extend(events);
         }
     });
 }
@@ -360,11 +360,11 @@ pub fn drain() -> (Vec<ResolvedEvent>, u64) {
         ring.drain_ordered()
     });
     {
-        let mut s = lock_unpoisoned(sink());
+        let mut s = sink().lock();
         events.append(&mut s.events);
     }
     let names = {
-        let i = lock_unpoisoned(interner());
+        let i = interner().lock();
         i.names.clone()
     };
     let name_of = |id: u32| names.get(id as usize).cloned().unwrap_or_default();
@@ -386,7 +386,7 @@ pub fn drain() -> (Vec<ResolvedEvent>, u64) {
 
 /// Thread display names recorded so far, as `(tid, name)` pairs.
 fn thread_names() -> Vec<(u32, String)> {
-    lock_unpoisoned(sink()).thread_names.clone()
+    sink().lock().thread_names.clone()
 }
 
 /// Renders events as a Chrome trace-event JSON document (the
@@ -546,7 +546,7 @@ mod tests {
     fn ring_drop_delivers_into_a_poisoned_sink() {
         // a thread that panics while holding the sink poisons it
         let _ = std::thread::spawn(|| {
-            let _guard = lock_unpoisoned(sink());
+            let _guard = sink().lock();
             panic!("poison the trace sink");
         })
         .join();
@@ -565,7 +565,7 @@ mod tests {
             n_args: 0,
         });
         drop(ring);
-        assert!(lock_unpoisoned(sink()).events.iter().any(|e| e.ts_ns == MARK));
+        assert!(sink().lock().events.iter().any(|e| e.ts_ns == MARK));
     }
 
     #[test]

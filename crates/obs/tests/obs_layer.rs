@@ -26,7 +26,7 @@ fn concurrent_counter_increments_from_scoped_threads() {
             });
         }
     });
-    assert_eq!(reg.counter("scoped/incs").get(), workers * per_worker);
+    assert_eq!(reg.snapshot().counters["scoped/incs"], workers * per_worker);
 }
 
 #[test]

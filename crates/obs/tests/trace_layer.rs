@@ -10,26 +10,21 @@
 //! sink. Span-path state is thread-local, so path-only tests run on
 //! dedicated threads to stay independent of the parallel test runner.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "TRACE_LOCK serialises the tests; a poisoned serialization lock means a prior test \
-              already failed, and unwrap surfaces that loudly instead of letting later tests race \
-              a half-reset trace sink"
-)]
-
 use locap_obs as obs;
 use obs::json::Json;
+use obs::sync::Mutex;
 use obs::trace::{self, EventKind};
-use std::sync::Mutex;
 
-// Outermost test-serialization lock: taken before any trace-internal
-// lock (interner=20, sink=21), hence the lowest rank in the crate.
-static TRACE_LOCK: Mutex<()> = Mutex::new(()); // lint: lock-rank=1
+// Outermost test-serialization lock: taken before any registry or trace
+// lock, hence the lowest rank. A test that panicked while holding it
+// leaves it poisoned; the next test recovers it and drains whatever the
+// failed test left in the sink before it starts.
+static TRACE_LOCK: Mutex<(), 1> = Mutex::new(());
 
 /// Runs `f` on a fresh thread with tracing on, returning the drained
 /// events (tracing state is global; the lock serialises enablement).
 fn with_trace<T: Send>(f: impl FnOnce() -> T + Send) -> (Vec<trace::ResolvedEvent>, u64, T) {
-    let _guard = TRACE_LOCK.lock().unwrap();
+    let _guard = TRACE_LOCK.lock();
     trace::drain(); // discard anything a prior panicked test left behind
     trace::enable();
     let out = std::thread::scope(|s| {
@@ -48,7 +43,7 @@ fn with_trace<T: Send>(f: impl FnOnce() -> T + Send) -> (Vec<trace::ResolvedEven
 
 #[test]
 fn disabled_tracing_collects_nothing() {
-    let _guard = TRACE_LOCK.lock().unwrap();
+    let _guard = TRACE_LOCK.lock();
     trace::drain();
     assert!(!trace::enabled());
     {
@@ -137,7 +132,7 @@ fn out_of_order_span_drops_record_open_time_paths() {
     // Regression: guards dropped out of LIFO order (mem::drop reordering)
     // must still record under the paths they were opened with, and the
     // thread path must unwind fully afterwards.
-    let _guard = TRACE_LOCK.lock().unwrap();
+    let _guard = TRACE_LOCK.lock();
     std::thread::scope(|s| {
         s.spawn(|| {
             let a = obs::span("trace_test_lifo/a");
@@ -167,7 +162,7 @@ fn out_of_order_span_drops_record_open_time_paths() {
 
 #[test]
 fn interleaved_drops_keep_sibling_paths_exact() {
-    let _guard = TRACE_LOCK.lock().unwrap();
+    let _guard = TRACE_LOCK.lock();
     std::thread::scope(|s| {
         s.spawn(|| {
             let a = obs::span("trace_test_weave/a");
@@ -275,7 +270,7 @@ fn flush_to_writes_trace_and_folded_files() {
     let path = dir.join("out.trace.json");
     let path_str = path.to_str().expect("utf8 path");
     {
-        let _guard = TRACE_LOCK.lock().unwrap();
+        let _guard = TRACE_LOCK.lock();
         trace::drain();
         trace::enable();
         {

@@ -38,13 +38,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use locap_core::request::PipelineRequest;
 use locap_graph::budget::{CancelToken, MonotonicClock, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
+use locap_obs::sync::{Mutex, MutexGuard};
 use locap_obs::telemetry::TelemetryState;
 use locap_store::StoreHandle;
 
@@ -174,27 +175,25 @@ pub struct Daemon {
     store: Option<StoreHandle>,
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the crate's one poison-recovery site: poisoning is counted as a typed \
-              `serve/errors/poisoned` disconnect exactly once"
-)]
-pub(crate) fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // a poisoned lock means a peer thread panicked; the guarded state
-    // (a socket, a channel receiver) is still structurally sound. This
-    // is the crate's one poison-recovery site:
-    // the event is counted as a typed `serve/errors/poisoned`
-    // disconnect exactly once — clearing the poison flag means every
-    // later acquisition takes the `Ok` path instead of re-counting —
-    // and never kills a thread silently.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            m.clear_poison();
-            record_error_kind("poisoned");
-            poisoned.into_inner()
-        }
+/// A connection's response writer: its reader thread, the workers
+/// answering its jobs and its telemetry forwarder each write whole lines
+/// through it.
+pub type Writer = Mutex<TcpStream, 30>;
+
+/// Locks `m`, counting a recovered poisoning as a typed
+/// `serve/errors/poisoned` event. A poisoned lock means a peer thread
+/// panicked; the guarded state (a socket, a channel receiver) is still
+/// structurally sound, [`Mutex::lock`] recovers it and clears the flag,
+/// and [`MutexGuard::recovered`] reports that on one guard only, so each
+/// poisoning is counted exactly once and never kills a thread silently.
+pub(crate) fn lock_or_recover<T: ?Sized, const RANK: u32>(
+    m: &Mutex<T, RANK>,
+) -> MutexGuard<'_, T, RANK> {
+    let guard = m.lock();
+    if MutexGuard::recovered(&guard) {
+        record_error_kind("poisoned");
     }
+    guard
 }
 
 /// One queued pipeline job.
@@ -205,7 +204,7 @@ struct Job {
     req_id: u64,
     request: PipelineRequest,
     budget: BudgetSpec,
-    writer: Arc<Mutex<TcpStream>>, // lint: lock-rank=30
+    writer: Arc<Writer>,
     cancel: CancelToken,
     /// Shared-clock reading at enqueue, for the queue-wait phase.
     enqueued_at: Duration,
@@ -225,7 +224,7 @@ struct ConnShared {
 
 /// State shared by worker threads.
 struct WorkerShared {
-    rx: Mutex<Receiver<Job>>, // lint: lock-rank=10
+    rx: Mutex<Receiver<Job>, 10>,
     clock: Arc<dyn MonotonicClock>,
     drain: CancelToken,
     depth: Arc<AtomicI64>,
@@ -329,6 +328,7 @@ impl Daemon {
         listener.set_nonblocking(true)?;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
+            obs::sync::assert_unlocked();
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     obs::counter(CONNECTIONS).inc();
@@ -395,7 +395,7 @@ fn dur_ns(d: Duration) -> u64 {
 }
 
 /// Writes one response line; counts it as ok/err/undeliverable.
-fn write_response(writer: &Mutex<TcpStream>, doc: &Json) {
+fn write_response(writer: &Writer, doc: &Json) {
     let ok = doc.get("ok") == Some(&Json::Bool(true));
     let line = format!("{doc}\n");
     let delivered = {
@@ -411,7 +411,7 @@ fn write_response(writer: &Mutex<TcpStream>, doc: &Json) {
     }
 }
 
-fn write_error(writer: &Mutex<TcpStream>, id: &Json, kind: &str, message: &str) {
+fn write_error(writer: &Writer, id: &Json, kind: &str, message: &str) {
     record_error_kind(kind);
     write_response(writer, &err_response(id, kind, message));
 }
@@ -471,7 +471,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
     // connection; the frame reader keeps partial frames across timeouts
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+        Ok(w) => Arc::new(Writer::new(w)),
         Err(_) => {
             record_disconnect();
             return;
@@ -484,6 +484,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
+        obs::sync::assert_unlocked();
         match reader.next_frame() {
             Ok(Frame::Eof) => break,
             Ok(Frame::Line(line)) => {
@@ -519,7 +520,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
 /// shut down.
 fn handle_frame(
     line: &[u8],
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Writer>,
     cancel: &CancelToken,
     subscriptions: &mut Vec<u64>,
     shared: &ConnShared,
@@ -689,27 +690,21 @@ fn process_job(job: Job, shared: &WorkerShared) {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the poison test takes the raw lock on purpose: a panicking holder must poison it"
-)]
 mod tests {
     use super::*;
 
     #[test]
     fn lock_or_recover_counts_poisoning_exactly_once() {
-        let m = Arc::new(Mutex::new(7u8));
+        let m: Arc<Mutex<u8, 10>> = Arc::new(Mutex::new(7));
         let holder = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = holder.lock().expect("fresh lock");
+        let poisoner = std::thread::spawn(move || {
+            let _g = holder.lock();
             panic!("poison the lock");
-        })
-        .join();
-        assert!(m.is_poisoned(), "the panicking holder must poison the lock");
+        });
+        assert!(poisoner.join().is_err(), "the holder must panic with the lock held");
         let before = obs::snapshot().counters.get("serve/errors/poisoned").copied().unwrap_or(0);
         assert_eq!(*lock_or_recover(&m), 7, "guarded state survives recovery");
-        assert_eq!(*lock_or_recover(&m), 7, "the second acquisition takes the Ok path");
-        assert!(!m.is_poisoned(), "recovery clears the poison flag");
+        assert_eq!(*lock_or_recover(&m), 7, "the second acquisition takes the plain path");
         let after = obs::snapshot().counters.get("serve/errors/poisoned").copied().unwrap_or(0);
         assert_eq!(after - before, 1, "the typed disconnect is counted exactly once");
     }

@@ -39,16 +39,16 @@
 //! fixed point and streams empty deltas instead of self-exciting.
 
 use std::io::Write;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use locap_obs as obs;
+use locap_obs::sync::Mutex;
 use locap_obs::telemetry::TelemetryState;
 
-use crate::daemon::lock_or_recover;
+use crate::daemon::{lock_or_recover, Writer};
 
 /// Counter: `subscribe` ops accepted over the daemon's lifetime.
 pub const SUBSCRIBED: &str = "telemetry/subscribed";
@@ -91,8 +91,8 @@ struct PublisherState {
 pub struct TelemetryHub {
     interval: Duration,
     queue: usize,
-    subs: Mutex<Vec<Subscriber>>, // lint: lock-rank=21
-    state: Mutex<PublisherState>, // lint: lock-rank=20
+    subs: Mutex<Vec<Subscriber>, 21>,
+    state: Mutex<PublisherState, 20>,
     next_id: AtomicU64,
 }
 
@@ -138,7 +138,7 @@ impl TelemetryHub {
     /// subscriber receives — at the next tick — is a full snapshot.
     /// Frames are written through the given mutex, serialising with the
     /// connection's response writes.
-    pub fn subscribe(&self, writer: Arc<Mutex<TcpStream>>) -> u64 {
+    pub fn subscribe(&self, writer: Arc<Writer>) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = std::sync::mpsc::sync_channel::<String>(self.queue);
         let dead = Arc::new(AtomicBool::new(false));
@@ -266,8 +266,10 @@ fn render_frame(kind: &str, seq: u64, interval_ms: u64, dropped: u64, payload: &
 }
 
 /// The forwarder thread body: drains queued frames onto the connection.
-fn forward_frames(rx: &Receiver<String>, writer: &Arc<Mutex<TcpStream>>, dead: &AtomicBool) {
-    while let Ok(line) = rx.recv() {
+fn forward_frames(rx: &Receiver<String>, writer: &Writer, dead: &AtomicBool) {
+    loop {
+        obs::sync::assert_unlocked();
+        let Ok(line) = rx.recv() else { return };
         let mut guard = lock_or_recover(writer);
         let result = guard.write_all(line.as_bytes()).and_then(|()| {
             guard.write_all(b"\n")?;

@@ -20,30 +20,31 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "serialize() recovers SERIAL's poison so one panicking case does not cascade into \
-              every later case, and the stream tests poll against wall-clock deadlines"
+    reason = "the stream tests poll against wall-clock deadlines"
 )]
 
 mod common;
 
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
 use locap_obs::json::Json;
+use locap_obs::sync::{Mutex, MutexGuard};
 use locap_obs::telemetry::TelemetryState;
-use locap_serve::daemon::DaemonConfig;
+use locap_serve::daemon::{DaemonConfig, Writer};
 use locap_serve::protocol::TelemetryFrame;
 use locap_serve::telemetry::TelemetryHub;
 
-// Outermost test-serialization lock: taken before any daemon lock
-// (rx=10, state=20, subs=21, writer=30), hence the lowest rank.
-static SERIAL: Mutex<()> = Mutex::new(()); // lint: lock-rank=1
+// Outermost test-serialization lock: taken before any daemon or registry
+// lock, hence the lowest rank. It recovers from poison, so one panicking
+// case does not cascade into every later case.
+static SERIAL: Mutex<(), 1> = Mutex::new(());
 
-fn serialize() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+fn serialize() -> MutexGuard<'static, (), 1> {
+    SERIAL.lock()
 }
 
 /// A daemon config with a fast publisher for test turnaround.
@@ -174,8 +175,8 @@ fn subscriber_disconnect_leaves_the_daemon_serving() {
 fn slow_consumer_frames_are_shed_and_the_stream_reanchors() {
     let _guard = serialize();
     // Drive the hub directly (no publisher thread) so every tick is
-    // under test control: queue depth 1, the writer mutex held to wedge
-    // the forwarder, then released.
+    // under test control: queue depth 1, the writer mutex held by a
+    // wedge thread to stall the forwarder, then released.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let client = TcpStream::connect(addr).expect("connect");
@@ -184,7 +185,7 @@ fn slow_consumer_frames_are_shed_and_the_stream_reanchors() {
     let (server, _) = listener.accept().expect("accept");
 
     let hub = TelemetryHub::new(Duration::from_millis(10), 1);
-    let writer = Arc::new(Mutex::new(server));
+    let writer = Arc::new(Writer::new(server));
     hub.subscribe(Arc::clone(&writer));
 
     let read_frame = |reader: &mut BufReader<TcpStream>| -> TelemetryFrame {
@@ -200,12 +201,24 @@ fn slow_consumer_frames_are_shed_and_the_stream_reanchors() {
 
     {
         // wedge the forwarder: it blocks on the writer mutex with one
-        // frame in hand while the depth-1 queue fills behind it
-        let _wedge = writer.lock().unwrap_or_else(|p| p.into_inner());
+        // frame in hand while the depth-1 queue fills behind it. The
+        // wedge holds the writer on its own thread, because the ticks
+        // take the hub's lower-ranked locks.
+        let (wedged, wedge_taken) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let wedge_writer = Arc::clone(&writer);
+        let wedge = std::thread::spawn(move || {
+            let _wedge = wedge_writer.lock();
+            wedged.send(()).expect("the test thread waits for the wedge");
+            let _ = released.recv();
+        });
+        wedge_taken.recv().expect("wedge thread holds the writer");
         for _ in 0..5 {
             hub.publish_once();
             std::thread::sleep(Duration::from_millis(20));
         }
+        drop(release);
+        wedge.join().expect("wedge thread");
     }
     // at least one tick found the queue full and shed its frame; after
     // the shed, the subscriber is marked for resync, so the FIRST frame

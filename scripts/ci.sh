@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full local CI gate: format check first (cheapest), then release
-# build, tests, locap-lint, strict clippy and rustdoc. Run before every
-# push; CI runs exactly this. Each step reports its wall-clock time so
-# regressions in the gate itself are visible.
+# build, tests (locap-lint's L8 runs there as `workspace_is_clean`),
+# strict clippy and rustdoc. Run before every push; CI runs exactly
+# this. Each step reports its wall-clock time so regressions in the gate
+# itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +34,10 @@ step() {
 step "cargo fmt --check" cargo fmt --all -- --check
 step "cargo build --release" cargo build --release --workspace
 # debug-profile test pass: keeps debug_assert! checks and overflow
-# checks in play, which the release pass below would skip
+# checks in play, which the release pass below would skip. It is also
+# the coverage of the runtime contract checks: the lock-rank order of
+# locap_obs::sync::Mutex and the registry's one construction site per
+# metric name are checked on every path these tests run
 step "cargo test -q (debug)" cargo test -q --workspace
 # the fault-injection harness re-runs in release: the panic-free
 # guarantees must not depend on debug-only checks
@@ -48,11 +52,6 @@ step "serve conformance (release)" cargo test -q --release -p locap-serve
 # entry points directly: compile and test it so an API change that
 # breaks the benchmark fails here, not in a later benchmark run
 step "loadbench tests" cargo test -q --manifest-path loadbench/Cargo.toml
-# the repo-specific contracts clippy cannot express: const metric names
-# registered once (L3), declared lock ranks acquired in increasing order
-# with no blocking under a held guard (L6), and no allocation past a hot
-# fn's setup prefix (L8); fails on any diagnostic
-step "locap-lint" cargo run --release -q -p locap-lint -- check
 # clippy enforces the panic, unsafe, clock and poison contracts: the
 # workspace lints forbid unsafe code; the execution core's scope roots
 # deny unwrap/expect/panic/indexing; clippy.toml's disallowed-methods

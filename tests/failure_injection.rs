@@ -31,6 +31,18 @@ use locap_models::{
     PoVertexAlgorithm, RunError,
 };
 
+/// The global counter `name` as a snapshot reads it (0 before its first
+/// bump). Tests read counters this way instead of constructing them: a
+/// metric has one construction site, the code that bumps it.
+fn counter_value(name: &str) -> u64 {
+    locap_obs::snapshot().counters.get(name).copied().unwrap_or(0)
+}
+
+/// Serialises the tests that reject short inputs: each bumps the global
+/// `errors/run/input_length` counter, which
+/// `error_and_truncation_counters_reach_snapshots` counts exactly.
+static INPUT_LENGTH: locap_obs::sync::Mutex<(), 1> = locap_obs::sync::Mutex::new(());
+
 /// A budget whose manual clock is already past its deadline: every
 /// `check_deadline` trips immediately and deterministically.
 fn expired_deadline() -> RunBudget {
@@ -112,6 +124,7 @@ mod engine_faults {
 
     #[test]
     fn short_ids_rejected_by_both_id_engines() {
+        let _serial = INPUT_LENGTH.lock();
         let g = gen::cycle(8);
         let ids: Vec<u64> = (0..5).collect();
         for res in [
@@ -132,6 +145,7 @@ mod engine_faults {
 
     #[test]
     fn short_rank_rejected_by_both_oi_engines() {
+        let _serial = INPUT_LENGTH.lock();
         let g = gen::cycle(8);
         let rank: Vec<usize> = (0..3).collect();
         for res in [
@@ -232,6 +246,7 @@ mod simulator_faults {
 
     #[test]
     fn short_ids_rejected_before_round_zero() {
+        let _serial = INPUT_LENGTH.lock();
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&g);
         let ids: Vec<u64> = (0..4).collect();
@@ -249,6 +264,7 @@ mod simulator_faults {
 
     #[test]
     fn foreign_port_numbering_rejected() {
+        let _serial = INPUT_LENGTH.lock();
         let g = gen::cycle(6);
         let ports = PortNumbering::sorted(&gen::cycle(9));
         let ids: Vec<u64> = (0..6).collect();
@@ -566,13 +582,13 @@ mod cancellation_faults {
 
     #[test]
     fn cancellation_counters_reach_snapshots() {
-        let before = locap_obs::counter("budget/truncated/cancelled").get();
+        let before = counter_value("budget/truncated/cancelled");
         let (_, budget) = cancelled_budget();
         let g = gen::cycle(8);
         let ids: Vec<u64> = (0..8).collect();
         let _ = run::id_vertex_budgeted(&g, &ids, &IdMax, &budget);
         assert!(
-            locap_obs::counter("budget/truncated/cancelled").get() > before,
+            counter_value("budget/truncated/cancelled") > before,
             "cancelled truncations publish their counter"
         );
     }
@@ -585,24 +601,25 @@ mod obs_visibility {
     /// each class and check the counters moved and serialise.
     #[test]
     fn error_and_truncation_counters_reach_snapshots() {
+        let _serial = INPUT_LENGTH.lock();
         let g = gen::cycle(8);
         let short: Vec<u64> = (0..3).collect();
-        let before = locap_obs::counter("errors/run/input_length").get();
+        let before = counter_value("errors/run/input_length");
         let _ =
             run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited()).map(|b| b.value);
         let _ =
             run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited()).map(|b| b.value);
         assert_eq!(
-            locap_obs::counter("errors/run/input_length").get(),
+            counter_value("errors/run/input_length"),
             before + 2,
             "every rejected run counts once"
         );
 
-        let before = locap_obs::counter("budget/truncated/cache_cap").get();
+        let before = counter_value("budget/truncated/cache_cap");
         let ids: Vec<u64> = (0..8).collect();
         let budget = RunBudget::unlimited().with_cache_cap(1);
         let _ = run::id_vertex_budgeted(&g, &ids, &IdMax, &budget);
-        assert!(locap_obs::counter("budget/truncated/cache_cap").get() > before);
+        assert!(counter_value("budget/truncated/cache_cap") > before);
 
         let snap = locap_obs::snapshot();
         assert!(snap.counters.keys().any(|k| k.starts_with("errors/run/")));
