@@ -24,10 +24,11 @@
 //! (`locap-serve:serve_load`).
 //! * `counters` — print the deterministic counter snapshot and exit
 //!   (debug aid; also what the schema-2 baseline embeds).
-//! * `validate PATH...` — check that every non-empty line of each file
-//!   is a schema-valid `OBS_JSON` document (the shape `BENCH_views.json`
-//!   and the exporters share). Exit 0 when every line validates, 2
-//!   otherwise — this is how CI vets the soak smoke artifact.
+//! * `validate PATH...` — check that each file is one bench-schema
+//!   document (`BENCH_views.json`) or holds one `OBS_JSON` line per
+//!   non-empty line, each read by [`gate::parse_baseline`]. Exit 0 when
+//!   every document parses, 2 otherwise — this is how CI vets the soak
+//!   smoke artifact and the experiment binaries' metrics lines.
 //!
 //! Environment: `BENCH_GATE_TOLERANCE` (default 1.25) and
 //! `BENCH_GATE_BASELINE` mirror the flags; `CRITERION_SHIM_SAMPLES=n`
@@ -120,10 +121,10 @@ fn run() -> i32 {
     }
 }
 
-/// Checks that each file is schema-valid `OBS_JSON`: either one
-/// (possibly pretty-printed) JSON document, or — the exporters' and the
-/// soak artifact's shape — one JSON document per line. Every document
-/// must pass [`locap_obs::validate_bench_schema`].
+/// Checks that each file is schema-valid: either one (possibly
+/// pretty-printed) document, or — the `OBS_JSON` lines' and the soak
+/// artifact's shape — one document per line. Every document must pass
+/// [`gate::parse_baseline`].
 fn validate(paths: &[String]) -> i32 {
     let mut docs_ok = 0usize;
     let mut failures = 0usize;
@@ -137,9 +138,9 @@ fn validate(paths: &[String]) -> i32 {
             }
         };
         // a whole-file document first (BENCH_views.json is pretty-printed)
-        if let Ok(doc) = locap_obs::json::Json::parse(&text) {
-            match locap_obs::validate_bench_schema(&doc) {
-                Ok(()) => docs_ok += 1,
+        if locap_obs::json::Json::parse(&text).is_ok() {
+            match gate::parse_baseline(&text) {
+                Ok(_) => docs_ok += 1,
                 Err(e) => {
                     eprintln!("bench_gate: {path}: {e}");
                     failures += 1;
@@ -151,11 +152,8 @@ fn validate(paths: &[String]) -> i32 {
             if line.trim().is_empty() {
                 continue;
             }
-            let verdict = locap_obs::json::Json::parse(line)
-                .map_err(|e| format!("not JSON: {e:?}"))
-                .and_then(|doc| locap_obs::validate_bench_schema(&doc));
-            match verdict {
-                Ok(()) => docs_ok += 1,
+            match gate::parse_baseline(line) {
+                Ok(_) => docs_ok += 1,
                 Err(e) => {
                     eprintln!("bench_gate: {path}:{}: {e}", i + 1);
                     failures += 1;

@@ -11,6 +11,11 @@
 //!   these are compared **exactly**, catching algorithmic regressions
 //!   (lost memoization, extra evaluations) that timing noise would hide.
 //!
+//! The module also owns the bench schema that the baseline shares with
+//! every `OBS_JSON=1` line: [`render_line`] writes a line from a registry
+//! snapshot, [`render_baseline`] writes a baseline, and [`parse_baseline`]
+//! is the one reader and validator of both.
+//!
 //! Everything here is a pure function over parsed text so the policy is
 //! unit-testable; the binary only adds process plumbing (running
 //! `cargo bench` per baseline bench with `CRITERION_SHIM_TSV=1`).
@@ -20,6 +25,11 @@ use std::collections::BTreeMap;
 use locap_graph::budget::RunBudget;
 use locap_obs as obs;
 use obs::json::Json;
+use obs::telemetry::TelemetryState;
+
+/// The bench schema version that [`render_line`] and [`render_baseline`]
+/// write; [`parse_baseline`] reads versions 1 through this one.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One baseline benchmark row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,15 +44,19 @@ pub struct BaselineRow {
     pub samples: u64,
 }
 
-/// A parsed `BENCH_views.json` baseline (schema 1 or 2).
+/// A parsed bench-schema document: a `BENCH_views.json` baseline or an
+/// `OBS_JSON` line.
 #[derive(Debug, Clone, Default)]
 pub struct Baseline {
     /// Schema version of the document.
     pub schema: u64,
-    /// Rows keyed by benchmark name.
+    /// Rows keyed by benchmark name (span rows, in an `OBS_JSON` line).
     pub rows: BTreeMap<String, BaselineRow>,
-    /// Engine-counter snapshot of [`counter_workload`] (schema 2 only).
+    /// Counter values: in a baseline, the snapshot of
+    /// [`counter_workload`] (schema 2 only).
     pub counters: BTreeMap<String, u64>,
+    /// Gauge levels (an `OBS_JSON` line's; baselines carry none).
+    pub gauges: BTreeMap<String, i64>,
 }
 
 impl Baseline {
@@ -55,35 +69,101 @@ impl Baseline {
     }
 }
 
-/// Parses a baseline document, validating it against the shared schema.
+/// The one reader of the bench schema: parses and validates a baseline
+/// or an `OBS_JSON` line. A document has a `schema` number in
+/// `1..=SCHEMA_VERSION`, optional `counters` (`u64`) and `gauges` (`i64`)
+/// objects, and a `results` array whose rows each carry string `bench`
+/// and `name` plus integer `median_ns`, `min_ns` and `samples`. Other
+/// fields (`source`, `note`, a row's `total_ns`) are not read.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    obs::validate_bench_schema(&doc)?;
-    let schema = doc.get("schema").and_then(Json::as_u64).expect("validated");
+    let schema = doc.get("schema").and_then(Json::as_u64).ok_or("missing schema number")?;
+    if schema == 0 || schema > SCHEMA_VERSION {
+        return Err(format!("unsupported schema {schema} (expected 1..={SCHEMA_VERSION})"));
+    }
+    let counters = parse_section(&doc, "counters", "a u64", Json::as_u64)?;
+    let gauges = parse_section(&doc, "gauges", "an i64", Json::as_i64)?;
+    let results = doc
+        .get("results")
+        .ok_or("missing results array")?
+        .as_array()
+        .ok_or("results is not an array")?;
     let mut rows = BTreeMap::new();
-    for row in doc.get("results").and_then(Json::as_array).expect("validated") {
-        let name = row.get("name").and_then(Json::as_str).expect("validated").to_string();
-        rows.insert(
-            name,
-            BaselineRow {
-                bench: row.get("bench").and_then(Json::as_str).expect("validated").to_string(),
-                median_ns: row.get("median_ns").and_then(Json::as_u64).expect("validated"),
-                min_ns: row.get("min_ns").and_then(Json::as_u64).expect("validated"),
-                samples: row.get("samples").and_then(Json::as_u64).expect("validated"),
-            },
-        );
+    for (i, row) in results.iter().enumerate() {
+        let text = |key| {
+            row.get(key)
+                .and_then(Json::as_str)
+                .ok_or(format!("results[{i}] missing string {key}"))
+        };
+        let int = |key| {
+            row.get(key)
+                .and_then(Json::as_u64)
+                .ok_or(format!("results[{i}] missing integer {key}"))
+        };
+        let bench = text("bench")?.to_string();
+        let name = text("name")?.to_string();
+        let row = BaselineRow {
+            bench,
+            median_ns: int("median_ns")?,
+            min_ns: int("min_ns")?,
+            samples: int("samples")?,
+        };
+        rows.insert(name, row);
     }
-    let mut counters = BTreeMap::new();
-    if let Some(fields) = doc.get("counters").and_then(Json::as_object) {
-        for (k, v) in fields {
-            counters.insert(k.clone(), v.as_u64().ok_or(format!("counter {k} not a u64"))?);
-        }
-    }
-    Ok(Baseline { schema, rows, counters })
+    Ok(Baseline { schema, rows, counters, gauges })
+}
+
+/// The optional object `name` of `doc`, each value read by `value`
+/// (`kind` names the value type in errors).
+fn parse_section<V>(
+    doc: &Json,
+    name: &str,
+    kind: &str,
+    value: fn(&Json) -> Option<V>,
+) -> Result<BTreeMap<String, V>, String> {
+    let Some(section) = doc.get(name) else { return Ok(BTreeMap::new()) };
+    let fields = section.as_object().ok_or(format!("{name} is not an object"))?;
+    fields
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), value(v).ok_or(format!("{name}/{k} is not {kind}"))?)))
+        .collect()
+}
+
+/// The single-line `OBS_JSON` document of a registry snapshot: `schema`,
+/// `source`, `counters`, `gauges`, and one `results` row per span with
+/// `bench` (= `source`), `name`, `median_ns` (the histogram's p50),
+/// `min_ns`, `samples`, `total_ns` and `max_ns`.
+pub fn render_line(source: &str, state: &TelemetryState) -> String {
+    let num = |v: u64| Json::Num(v as f64);
+    let counters = state.counters.iter().map(|(k, &v)| (k.clone(), num(v))).collect();
+    let gauges = state.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v as f64))).collect();
+    let results = state
+        .spans
+        .iter()
+        .map(|(name, h)| {
+            Json::Obj(vec![
+                ("bench".into(), Json::Str(source.into())),
+                ("name".into(), Json::Str(name.clone())),
+                ("median_ns".into(), num(h.quantile(0.5))),
+                ("min_ns".into(), num(h.min)),
+                ("samples".into(), num(h.count)),
+                ("total_ns".into(), num(h.sum)),
+                ("max_ns".into(), num(h.max)),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("schema".into(), num(SCHEMA_VERSION)),
+        ("source".into(), Json::Str(source.into())),
+        ("counters".into(), Json::Obj(counters)),
+        ("gauges".into(), Json::Obj(gauges)),
+        ("results".into(), Json::Arr(results)),
+    ])
+    .to_string()
 }
 
 /// One measurement from a criterion-shim TSV run.
@@ -334,7 +414,7 @@ pub fn render_baseline(
     let esc = |s: &str| Json::Str(s.into()).to_string();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", obs::SCHEMA_VERSION));
+    out.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!("  \"date\": {},\n", esc(date)));
     out.push_str(&format!("  \"toolchain\": {},\n", esc(toolchain)));
     out.push_str(&format!("  \"note\": {},\n", esc(note)));
@@ -419,6 +499,58 @@ mod tests {
     fn rejects_bad_schema() {
         assert!(parse_baseline(r#"{"schema": 99, "results": []}"#).is_err());
         assert!(parse_baseline(r#"{"results": []}"#).is_err());
+    }
+
+    #[test]
+    fn parse_baseline_rejection_table() {
+        // (document, expected error substring)
+        let cases: &[(&str, &str)] = &[
+            (r#"{"results":[]}"#, "missing schema number"),
+            (r#"{"schema":"2","results":[]}"#, "missing schema number"),
+            (r#"{"schema":0,"results":[]}"#, "unsupported schema 0"),
+            (r#"{"schema":99,"results":[]}"#, "unsupported schema 99"),
+            (r#"{"schema":2}"#, "missing results array"),
+            (r#"{"schema":2,"results":7}"#, "results is not an array"),
+            (r#"{"schema":2,"counters":[],"results":[]}"#, "counters is not an object"),
+            (r#"{"schema":2,"gauges":3,"results":[]}"#, "gauges is not an object"),
+            (r#"{"schema":2,"counters":{"c":"x"},"results":[]}"#, "counters/c is not a u64"),
+            (r#"{"schema":2,"counters":{"c":1.5},"results":[]}"#, "counters/c is not a u64"),
+            (r#"{"schema":2,"counters":{"c":-1},"results":[]}"#, "counters/c is not a u64"),
+            (r#"{"schema":2,"gauges":{"g":0.5},"results":[]}"#, "gauges/g is not an i64"),
+            (
+                r#"{"schema":2,"results":[{"name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#,
+                "results[0] missing string bench",
+            ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","median_ns":1,"min_ns":1,"samples":1}]}"#,
+                "results[0] missing string name",
+            ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","name":"n","min_ns":1,"samples":1}]}"#,
+                "results[0] missing integer median_ns",
+            ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":-1,"min_ns":1,"samples":1}]}"#,
+                "results[0] missing integer median_ns",
+            ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1}]}"#,
+                "results[0] missing integer samples",
+            ),
+            (
+                r#"{"schema":2,"results":[{},{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#,
+                "results[0] missing string bench",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = parse_baseline(text).expect_err(&format!("{text} should be rejected"));
+            assert!(err.contains(want), "for {text}: got {err:?}, want substring {want:?}");
+        }
+        // and the happy path next to the table, for contrast
+        let ok = r#"{"schema":2,"counters":{"c":1},"gauges":{"g":-2},
+            "results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
+        let b = parse_baseline(ok).expect("valid document accepted");
+        assert_eq!((b.counters["c"], b.gauges["g"], b.rows["n"].samples), (1, -2, 1));
     }
 
     #[test]
@@ -566,7 +698,7 @@ mod tests {
         )];
         let text = render_baseline("2026-08-06", "rustc", "note \"quoted\"", &counters, &rows);
         let b = parse_baseline(&text).unwrap();
-        assert_eq!(b.schema, obs::SCHEMA_VERSION);
+        assert_eq!(b.schema, SCHEMA_VERSION);
         assert_eq!(b.counters["engine/po/evals"], 3);
         assert_eq!(b.rows["view_engine/census"].median_ns, 42);
     }

@@ -12,7 +12,8 @@
 //! The [`gate`] module implements the regression gate behind the
 //! `bench_gate` binary: it parses the checked-in `BENCH_views.json`
 //! baseline, reruns the corresponding criterion-shim benches, and fails on
-//! median regressions beyond a configurable tolerance.
+//! median regressions beyond a configurable tolerance. It also owns the
+//! bench schema that the baseline and the `OBS_JSON` line share.
 
 #![warn(missing_docs)]
 
@@ -70,8 +71,9 @@ macro_rules! hprint {
 
 /// Runs one experiment body with observability wiring: prints the banner,
 /// times the body under a `total` span, and — when `OBS_JSON` is set —
-/// emits the registry snapshot as a single JSON line on stdout (schema
-/// shared with `BENCH_views.json`; `source` tags the emitting binary).
+/// emits the registry snapshot as a single JSON line on stdout
+/// ([`gate::render_line`]: the schema of `BENCH_views.json`; `source`
+/// tags the emitting binary).
 pub fn run(source: &str, id: &str, title: &str, body: impl FnOnce()) {
     banner(id, title);
     obs::trace::init_from_env();
@@ -85,7 +87,7 @@ pub fn run(source: &str, id: &str, title: &str, body: impl FnOnce()) {
         Err(e) => eprintln!("warning: failed to write trace: {e}"),
     }
     if !human_output() {
-        println!("{}", obs::snapshot().to_json(source));
+        println!("{}", gate::render_line(source, &obs::snapshot()));
     }
 }
 

@@ -1,7 +1,9 @@
 //! Every experiment binary must, under `OBS_JSON=1`, print exactly one
 //! line of schema-valid JSON (and nothing else) on stdout — that is the
-//! contract the CI smoke job's metrics artifact depends on.
+//! contract the CI smoke job's metrics artifact depends on, and what
+//! `bench_gate validate` checks there.
 
+use locap_bench::gate;
 use locap_obs::json::Json;
 
 fn check_binary(name: &str, exe: &str) {
@@ -13,16 +15,12 @@ fn check_binary(name: &str, exe: &str) {
     let stdout = String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name}: utf8: {e}"));
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1, "{name}: expected exactly one stdout line, got {}", lines.len());
+    let line =
+        gate::parse_baseline(lines[0]).unwrap_or_else(|e| panic!("{name}: schema validation: {e}"));
     let doc = Json::parse(lines[0]).unwrap_or_else(|e| panic!("{name}: JSON parse: {e}"));
-    locap_obs::validate_bench_schema(&doc)
-        .unwrap_or_else(|e| panic!("{name}: schema validation: {e}"));
     assert_eq!(doc.get("source").and_then(Json::as_str), Some(name), "{name}: source tag mismatch");
     // each binary times its body: a `total` span row must be present
-    let results = doc.get("results").and_then(Json::as_array).expect("results array");
-    assert!(
-        results.iter().any(|r| r.get("name").and_then(Json::as_str) == Some("total")),
-        "{name}: missing the total span row"
-    );
+    assert!(line.rows.contains_key("total"), "{name}: missing the total span row");
 }
 
 macro_rules! obs_json_test {
@@ -68,8 +66,8 @@ fn obs_json_and_obs_trace_compose() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1, "expected exactly one stdout line, got {}:\n{stdout}", lines.len());
+    let line = gate::parse_baseline(lines[0]).expect("metrics schema valid");
     let doc = Json::parse(lines[0]).expect("metrics JSON parses");
-    locap_obs::validate_bench_schema(&doc).expect("metrics schema valid");
 
     // and the trace pair exists and is well-formed
     let trace = locap_bench::trace_report::load(trace_path.to_str().expect("utf8 path"))
@@ -84,12 +82,44 @@ fn obs_json_and_obs_trace_compose() {
     let agg = locap_bench::trace_report::aggregate(&trace);
     for row in doc.get("results").and_then(Json::as_array).expect("results") {
         let name = row.get("name").and_then(Json::as_str).expect("name");
-        let samples = row.get("samples").and_then(Json::as_u64).expect("samples");
         let total_ns = row.get("total_ns").and_then(Json::as_u64).expect("total_ns");
         let stats = agg.get(name).unwrap_or_else(|| panic!("{name} missing from trace"));
-        assert_eq!(stats.count, samples, "{name}: span count");
+        assert_eq!(stats.count, line.rows[name].samples, "{name}: span count");
         assert_eq!(stats.total_ns, total_ns, "{name}: span total");
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `bench_gate validate` reads the pretty-printed baseline and a file of
+/// `OBS_JSON` lines through the one schema reader, and fails on a line
+/// that the gate itself could not read back.
+#[test]
+fn bench_gate_validate_reads_the_baseline_and_metrics_lines() {
+    let dir = std::env::temp_dir().join(format!("locap_validate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_views.json");
+    let validate = |text: &str| {
+        let path = dir.join("metrics.json");
+        std::fs::write(&path, text).expect("write metrics file");
+        std::process::Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+            .args(["validate", baseline])
+            .arg(&path)
+            .output()
+            .expect("spawn bench_gate")
+    };
+    let mut state = locap_obs::telemetry::TelemetryState::default();
+    state.counters.insert("engine/po/evals".into(), 3);
+    let line = gate::render_line("e00", &state);
+
+    let out = validate(&format!("{line}\n\n{line}\n"));
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("validate OK (3 schema-valid documents)"), "{stdout}");
+
+    let out = validate(&format!("{line}\n{}\n", line.replace(":3", ":-3")));
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("metrics.json:2: counters/engine/po/evals is not a u64"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -51,7 +51,7 @@ fn cycle_census_interns_each_type_once() {
     let rank: Vec<usize> = (0..n).collect();
     let before = obs::snapshot();
     let census = ordered_type_census(&g, &rank, 1);
-    let delta = obs::snapshot().delta(&before);
+    let delta = obs::snapshot().delta_since(&before);
     assert_eq!(census.len(), 3);
     let hits = delta.counters.get("intern/hits").copied().unwrap_or(0);
     let misses = delta.counters.get("intern/misses").copied().unwrap_or(0);

@@ -18,12 +18,12 @@
 //!   caller's with [`adopt_span_path`] and record a `…/worker` row under
 //!   it.
 //!
-//! Everything is exportable as machine-readable text with a stable
-//! schema shared with the checked-in `BENCH_views.json` baseline:
-//! [`Snapshot::to_json`] emits a single line of JSON whose `results` rows
-//! carry the same `bench`/`name`/`median_ns`/`min_ns`/`samples` fields the
-//! bench gate compares, and [`Snapshot::to_tsv`] emits one tab-separated
-//! row per metric. [`validate_bench_schema`] checks either document shape.
+//! [`snapshot`] is the one read of the registry: a lossless
+//! [`TelemetryState`] of every counter, gauge and histogram, which
+//! [`TelemetryState::delta_since`] turns into the change over a window
+//! and [`TelemetryState::to_json`] puts on the wire. The bench schema
+//! that the `OBS_JSON=1` line and `BENCH_views.json` share is rendered
+//! and read in `locap-bench`, not here.
 //!
 //! The layer is dependency-free (std only) and always on; per-event cost
 //! is an atomic add once handles are held, and a mutex-guarded name lookup
@@ -53,11 +53,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use json::Json;
-use telemetry::HistogramState;
-
-/// The schema version emitted by exporters and expected in baselines.
-pub const SCHEMA_VERSION: u64 = 2;
+use telemetry::{HistogramState, TelemetryState};
 
 /// A monotone counter handle; cloning shares the same underlying value.
 #[derive(Debug, Clone)]
@@ -201,25 +197,6 @@ impl Histogram {
             .collect();
         HistogramState { count, sum: self.sum.load(Ordering::Relaxed), min, max, buckets }
     }
-
-    /// The summary row of [`Histogram::state`]: exact aggregates and
-    /// the p50.
-    pub fn snapshot(&self) -> HistStats {
-        let s = self.state();
-        HistStats {
-            count: s.count,
-            total_ns: s.sum,
-            min_ns: s.min,
-            max_ns: s.max,
-            p50_ns: s.quantile(0.5),
-        }
-    }
-
-    /// The nearest-rank `q`-quantile of [`Histogram::state`]; see
-    /// [`HistogramState::quantile`].
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        self.state().quantile(q)
-    }
 }
 
 /// The 1-based nearest rank of quantile `q` among `count` observations:
@@ -230,22 +207,6 @@ pub fn quantile_rank(count: u64, q: f64) -> u64 {
     }
     let r = (q * count as f64).ceil() as u64;
     r.clamp(1, count)
-}
-
-/// Aggregate statistics of one histogram / span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HistStats {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations, in nanoseconds.
-    pub total_ns: u64,
-    /// Smallest observation (0 when empty).
-    pub min_ns: u64,
-    /// Largest observation (0 when empty).
-    pub max_ns: u64,
-    /// Median estimate: its bucket's upper bound (within 1/16 of the
-    /// true median), clamped into `[min_ns, max_ns]`.
-    pub p50_ns: u64,
 }
 
 /// The process-wide metric store. Most callers use the free functions on
@@ -325,12 +286,24 @@ impl Registry {
         self.span_histogram(name).record(ns);
     }
 
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> Snapshot {
-        let counters = read_section(&self.counters, |c| Some(c.load(Ordering::Relaxed)));
-        let gauges = read_section(&self.gauges, |g| Some(g.load(Ordering::Relaxed)));
-        let spans = read_section(&self.spans, |h| Some(h.snapshot()));
-        Snapshot { counters, gauges, spans }
+    /// A lossless point-in-time copy of every metric.
+    ///
+    /// The copy is **canonical**: counters at 0 and histograms with no
+    /// observations are omitted, because the delta encoding (counter
+    /// increments, count-gated histograms) cannot tell "present at zero"
+    /// from "absent", and keeping them would break the exact
+    /// snapshot-plus-deltas reconciliation. Gauges at 0 are kept: their
+    /// deltas carry absolute values.
+    pub fn snapshot(&self) -> TelemetryState {
+        let histogram = |h: &Histogram| Some(h.state()).filter(|state| state.count > 0);
+        TelemetryState {
+            counters: read_section(&self.counters, |c| {
+                Some(c.load(Ordering::Relaxed)).filter(|&v| v > 0)
+            }),
+            gauges: read_section(&self.gauges, |g| Some(g.load(Ordering::Relaxed))),
+            spans: read_section(&self.spans, histogram),
+            latencies: read_section(&self.latencies, histogram),
+        }
     }
 
     /// Removes every metric. Handles held across a reset keep updating
@@ -366,16 +339,16 @@ fn entry<M: Default, const RANK: u32>(section: &Section<M, RANK>, name: &str) ->
 }
 
 /// `read(metric)` for every metric of a section that `read` keeps, by
-/// name.
+/// name. The lock is held only to clone the handles: every span drop
+/// takes the spans section's lock, so reading a histogram under it would
+/// stall each recording thread for the whole capture.
 fn read_section<M, V, const RANK: u32>(
     section: &Section<M, RANK>,
     read: impl Fn(&M) -> Option<V>,
 ) -> BTreeMap<String, V> {
-    section
-        .lock()
-        .iter()
-        .filter_map(|(k, e)| Some((k.clone(), read(&e.metric)?)))
-        .collect()
+    let metrics: Vec<(String, Arc<M>)> =
+        section.lock().iter().map(|(k, e)| (k.clone(), Arc::clone(&e.metric))).collect();
+    metrics.into_iter().filter_map(|(k, m)| Some((k, read(&m)?))).collect()
 }
 
 fn global_registry() -> &'static Registry {
@@ -411,8 +384,9 @@ pub fn record_span_ns(name: &str, ns: u64) {
     global().record_span_ns(name, ns);
 }
 
-/// A point-in-time copy of all global metrics.
-pub fn snapshot() -> Snapshot {
+/// A lossless point-in-time copy of all global metrics (see
+/// [`Registry::snapshot`]).
+pub fn snapshot() -> TelemetryState {
     global().snapshot()
 }
 
@@ -611,207 +585,6 @@ impl Drop for PathAdoption {
     }
 }
 
-/// A point-in-time copy of a registry, exportable as JSON or TSV.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Snapshot {
-    /// Counter totals by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Span statistics by name.
-    pub spans: BTreeMap<String, HistStats>,
-}
-
-impl Snapshot {
-    /// Single-line JSON export with the stable schema shared with
-    /// `BENCH_views.json`: `schema`, `source`, `counters`, `gauges`, and a
-    /// `results` array of `{bench, name, median_ns, min_ns, samples,
-    /// total_ns, max_ns}` rows (one per span).
-    pub fn to_json(&self, source: &str) -> String {
-        let counters =
-            self.counters.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect();
-        let gauges = self.gauges.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect();
-        let results = self
-            .spans
-            .iter()
-            .map(|(name, s)| {
-                Json::Obj(vec![
-                    ("bench".into(), Json::Str(source.into())),
-                    ("name".into(), Json::Str(name.clone())),
-                    ("median_ns".into(), Json::Num(s.p50_ns as f64)),
-                    ("min_ns".into(), Json::Num(s.min_ns as f64)),
-                    ("samples".into(), Json::Num(s.count as f64)),
-                    ("total_ns".into(), Json::Num(s.total_ns as f64)),
-                    ("max_ns".into(), Json::Num(s.max_ns as f64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Num(SCHEMA_VERSION as f64)),
-            ("source".into(), Json::Str(source.into())),
-            ("counters".into(), Json::Obj(counters)),
-            ("gauges".into(), Json::Obj(gauges)),
-            ("results".into(), Json::Arr(results)),
-        ])
-        .to_string()
-    }
-
-    /// TSV export: one row per metric.
-    ///
-    /// ```text
-    /// counter <name> <value>
-    /// gauge   <name> <value>
-    /// span    <name> <count> <total_ns> <min_ns> <max_ns> <p50_ns>
-    /// ```
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter\t{name}\t{v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge\t{name}\t{v}\n"));
-        }
-        for (name, s) in &self.spans {
-            out.push_str(&format!(
-                "span\t{name}\t{}\t{}\t{}\t{}\t{}\n",
-                s.count, s.total_ns, s.min_ns, s.max_ns, s.p50_ns
-            ));
-        }
-        out
-    }
-
-    /// The per-request scoping primitive: the change in every metric
-    /// since `baseline` was taken (counters and span count/total
-    /// subtract saturating; gauges keep their current level — a level
-    /// has no meaningful difference; span min/max/p50 are kept from
-    /// `self`, as a summary row cannot be subtracted exactly).
-    ///
-    /// Metrics absent from `baseline` appear with their full value;
-    /// metrics whose delta is zero are dropped, so the result holds
-    /// exactly what moved during the window. `locapd` and the `locap`
-    /// CLI bracket each pipeline run with snapshots and attach the
-    /// delta to the artifact's provenance sidecar. The registry is
-    /// process-global, so when requests run concurrently a window's
-    /// delta attributes everything that ran during it; with a single
-    /// worker (or the CLI) it is exact.
-    pub fn delta(&self, baseline: &Snapshot) -> Snapshot {
-        let mut out = Snapshot::default();
-        for (k, &v) in &self.counters {
-            let d = v.saturating_sub(baseline.counters.get(k).copied().unwrap_or(0));
-            if d > 0 {
-                out.counters.insert(k.clone(), d);
-            }
-        }
-        for (k, &v) in &self.gauges {
-            if baseline.gauges.get(k) != Some(&v) {
-                out.gauges.insert(k.clone(), v);
-            }
-        }
-        for (k, s) in &self.spans {
-            let base = baseline.spans.get(k).copied().unwrap_or_default();
-            let count = s.count.saturating_sub(base.count);
-            if count > 0 {
-                out.spans.insert(
-                    k.clone(),
-                    HistStats {
-                        count,
-                        total_ns: s.total_ns.saturating_sub(base.total_ns),
-                        min_ns: s.min_ns,
-                        max_ns: s.max_ns,
-                        p50_ns: s.p50_ns,
-                    },
-                );
-            }
-        }
-        out
-    }
-
-    /// Parses a document produced by [`Snapshot::to_json`]; returns the
-    /// source tag and the snapshot. Span `total_ns`/`max_ns` fields are
-    /// optional (absent in hand-written baselines).
-    pub fn from_json(text: &str) -> Result<(String, Snapshot), String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        validate_bench_schema(&doc)?;
-        let source = doc.get("source").and_then(Json::as_str).unwrap_or_default().to_string();
-        let mut snap = Snapshot::default();
-        if let Some(fields) = doc.get("counters").and_then(Json::as_object) {
-            for (k, v) in fields {
-                snap.counters
-                    .insert(k.clone(), v.as_u64().ok_or(format!("counter {k} not a u64"))?);
-            }
-        }
-        if let Some(fields) = doc.get("gauges").and_then(Json::as_object) {
-            for (k, v) in fields {
-                snap.gauges
-                    .insert(k.clone(), v.as_i64().ok_or(format!("gauge {k} not an i64"))?);
-            }
-        }
-        for row in doc.get("results").and_then(Json::as_array).unwrap_or(&[]) {
-            let name = row.get("name").and_then(Json::as_str).ok_or("result row missing name")?;
-            let median = row
-                .get("median_ns")
-                .and_then(Json::as_u64)
-                .ok_or("result row missing median_ns")?;
-            let min =
-                row.get("min_ns").and_then(Json::as_u64).ok_or("result row missing min_ns")?;
-            let samples =
-                row.get("samples").and_then(Json::as_u64).ok_or("result row missing samples")?;
-            let total = row.get("total_ns").and_then(Json::as_u64).unwrap_or(0);
-            let max = row.get("max_ns").and_then(Json::as_u64).unwrap_or(median);
-            snap.spans.insert(
-                name.to_string(),
-                HistStats {
-                    count: samples,
-                    total_ns: total,
-                    min_ns: min,
-                    max_ns: max,
-                    p50_ns: median,
-                },
-            );
-        }
-        Ok((source, snap))
-    }
-}
-
-/// Validates the shared `BENCH_views.json` / exporter document shape:
-/// a `schema` number, optional `counters`/`gauges` objects with integer
-/// values, and a `results` array whose rows each carry string `bench` and
-/// `name` plus integer `median_ns`, `min_ns` and `samples`.
-pub fn validate_bench_schema(doc: &Json) -> Result<(), String> {
-    let schema = doc.get("schema").and_then(Json::as_u64).ok_or("missing schema number")?;
-    if schema == 0 || schema > SCHEMA_VERSION {
-        return Err(format!("unsupported schema {schema} (expected 1..={SCHEMA_VERSION})"));
-    }
-    for section in ["counters", "gauges"] {
-        if let Some(v) = doc.get(section) {
-            let fields = v.as_object().ok_or(format!("{section} is not an object"))?;
-            for (k, v) in fields {
-                v.as_i64()
-                    .or(v.as_u64().map(|x| x as i64))
-                    .ok_or(format!("{section}/{k} is not an integer"))?;
-            }
-        }
-    }
-    let results = doc
-        .get("results")
-        .ok_or("missing results array")?
-        .as_array()
-        .ok_or("results is not an array")?;
-    for (i, row) in results.iter().enumerate() {
-        for key in ["bench", "name"] {
-            row.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("results[{i}] missing string {key}"))?;
-        }
-        for key in ["median_ns", "min_ns", "samples"] {
-            row.get(key)
-                .and_then(Json::as_u64)
-                .ok_or(format!("results[{i}] missing integer {key}"))?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,20 +626,17 @@ mod tests {
         for v in [10, 20, 30] {
             h.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.total_ns, 60);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 30);
+        let s = h.state();
+        assert_eq!((s.count, s.sum, s.min, s.max), (3, 60, 10, 30));
         // below 32 ns the buckets are at most 2 ns wide; 20 is a bound
-        assert_eq!(s.p50_ns, 20);
+        assert_eq!(s.quantile(0.5), 20);
     }
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let s = Histogram::default().snapshot();
-        assert_eq!(s, HistStats::default());
-        assert_eq!(Histogram::default().state(), HistogramState::default());
+        let s = Histogram::default().state();
+        assert_eq!(s, HistogramState::default());
+        assert_eq!(s.quantile(0.5), 0);
     }
 
     /// A reader between `record`'s `count` bump and its `min`/`max`
@@ -876,15 +646,14 @@ mod tests {
         let h = Histogram::default();
         h.count.fetch_add(1, Ordering::Relaxed);
         let state = h.state();
-        assert!(state.min <= state.max, "{state:?}");
-        let s = h.snapshot();
-        assert!(s.min_ns <= s.p50_ns && s.p50_ns <= s.max_ns, "{s:?}");
+        let p50 = state.quantile(0.5);
+        assert!(state.min <= p50 && p50 <= state.max, "{state:?}");
 
         h.record(700);
         h.count.fetch_add(1, Ordering::Relaxed);
         let state = h.state();
         assert_eq!((state.count, state.min, state.max), (3, 700, 700));
-        assert_eq!(h.quantile_ns(1.0), 700, "a rank past the buckets reads as max");
+        assert_eq!(state.quantile(1.0), 700, "a rank past the buckets reads as max");
     }
 
     #[test]
@@ -904,15 +673,15 @@ mod tests {
         reg.record_span_ns("t", 50);
         let after = reg.snapshot();
 
-        let d = after.delta(&before);
+        let d = after.delta_since(&before);
         assert_eq!(d.counters.get("hot"), Some(&7));
         assert_eq!(d.counters.get("fresh"), Some(&1));
         assert!(!d.counters.contains_key("stable"), "unchanged counter dropped");
         assert_eq!(d.gauges.get("level"), Some(&4));
         assert_eq!(d.spans["s"].count, 1);
-        assert_eq!(d.spans["s"].total_ns, 30);
+        assert_eq!(d.spans["s"].sum, 30);
         assert_eq!(d.spans["t"].count, 1);
-        assert_eq!(d.spans["t"].total_ns, 50);
+        assert_eq!(d.spans["t"].sum, 50);
     }
 
     #[test]
@@ -922,10 +691,23 @@ mod tests {
         reg.gauge("g").set(1);
         reg.record_span_ns("s", 5);
         let snap = reg.snapshot();
-        let d = snap.delta(&snap.clone());
-        assert!(d.counters.is_empty());
-        assert!(d.gauges.is_empty());
-        assert!(d.spans.is_empty());
+        assert!(snap.delta_since(&snap).is_empty());
+    }
+
+    /// A capture reads each metric after it releases the section's lock,
+    /// so a span that drops mid-capture records without waiting for it.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_capture_reads_metrics_outside_the_section_lock() {
+        let reg = Registry::new();
+        reg.record_span_ns("s", 1);
+        let counts = read_section(&reg.spans, |h| {
+            sync::assert_unlocked();
+            reg.record_span_ns("t", 2);
+            Some(h.state().count)
+        });
+        assert_eq!(counts.get("s"), Some(&1));
+        assert_eq!(reg.snapshot().spans["t"].count, 1);
     }
 
     /// The publish-twice shape the registry rejects: one name, two

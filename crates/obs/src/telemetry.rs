@@ -1,13 +1,15 @@
-//! Point-in-time registry snapshots with delta-encoding, for streaming
-//! metrics over the wire.
+//! Point-in-time registry snapshots with delta-encoding, for scoping a
+//! window and streaming metrics over the wire.
 //!
-//! A [`TelemetryState`] captures *every* metric in a [`Registry`] at full
-//! resolution — counter totals, gauge levels, and the complete (sparse)
-//! bucket vectors of the span and latency histograms, both read through
-//! [`Histogram::state`]. Unlike the bench-schema [`crate::Snapshot`], which
-//! collapses histograms into summary rows, a telemetry state is lossless:
+//! A [`TelemetryState`], as
+//! [`Registry::snapshot`](crate::Registry::snapshot) returns it, holds
+//! *every* metric of a registry at full resolution — counter totals,
+//! gauge levels, and the complete (sparse) bucket vectors of the span and
+//! latency histograms, both read through
+//! [`Histogram::state`](crate::Histogram::state). It is lossless:
 //! applying a stream of deltas to a base state reconstructs the later
-//! state **exactly**, field for field.
+//! state **exactly**, field for field, and a summary such as a p50 is
+//! computed from it on demand ([`HistogramState::quantile`]).
 //!
 //! # Delta semantics
 //!
@@ -25,15 +27,19 @@
 //!   did not change are dropped.
 //!
 //! [`TelemetryState::apply`] inverts this: add counter/histogram
-//! increments, overwrite gauges and histogram min/max. `apply ∘
+//! increments (saturating, since a delta read off the wire may carry any
+//! `u64`), overwrite gauges and histogram min/max. `apply ∘
 //! delta_since` is the identity on reachable states — this is proptested
 //! in `tests/telemetry_props.rs` and is what lets a `locapd` subscriber
 //! reconcile a stream of delta frames against a final `stats` snapshot
-//! with no lost or double-counted metrics.
+//! with no lost or double-counted metrics. The same `delta_since` scopes
+//! a run: the `locap` CLI and `locapd` bracket a pipeline with two
+//! snapshots and write the delta into the provenance sidecar.
 //!
-//! The one operation outside the model is [`Registry::reset`] (and
-//! counter handles held across one): deltas assume metrics are append-
-//! only, which holds for the daemon (it never resets its registry).
+//! The one operation outside the model is
+//! [`Registry::reset`](crate::Registry::reset) (and counter handles held
+//! across one): deltas assume metrics are append-only, which holds for
+//! the daemon (it never resets its registry).
 //!
 //! # Wire format
 //!
@@ -44,13 +50,12 @@
 //! any realistic counter or nanosecond total.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
 use crate::json::Json;
-use crate::{bucket_upper_bound, quantile_rank, read_section, Histogram, Registry};
+use crate::{bucket_upper_bound, quantile_rank};
 
 /// Lossless histogram state: exact aggregates plus sparse bucket counts,
-/// as [`Histogram::state`] reads them.
+/// as [`Histogram::state`](crate::Histogram::state) reads them.
 ///
 /// In a delta (see [`TelemetryState::delta_since`]) `count`, `sum` and
 /// the bucket counts are increments while `min`/`max` are the new
@@ -93,13 +98,14 @@ impl HistogramState {
 
     /// Applies a delta produced by [`HistogramState::delta_since`].
     fn apply(&mut self, delta: &HistogramState) {
-        self.count += delta.count;
-        self.sum += delta.sum;
+        self.count = self.count.saturating_add(delta.count);
+        self.sum = self.sum.saturating_add(delta.sum);
         self.min = delta.min;
         self.max = delta.max;
         let mut merged: BTreeMap<u32, u64> = self.buckets.iter().copied().collect();
         for &(i, c) in &delta.buckets {
-            *merged.entry(i).or_insert(0) += c;
+            let bucket = merged.entry(i).or_insert(0);
+            *bucket = bucket.saturating_add(c);
         }
         self.buckets = merged.into_iter().filter(|&(_, c)| c > 0).collect();
     }
@@ -184,31 +190,6 @@ pub struct TelemetryState {
 }
 
 impl TelemetryState {
-    /// Captures every metric in `reg` at full resolution.
-    ///
-    /// The capture is **canonical**: counters at 0 and histograms with
-    /// no observations are omitted, because the delta encoding (counter
-    /// increments, count-gated histograms) cannot distinguish "present
-    /// at zero" from "absent" — keeping them would break the exact
-    /// snapshot-plus-deltas reconciliation guarantee. Gauges at 0 are
-    /// kept: their deltas carry absolute values.
-    pub fn capture(reg: &Registry) -> TelemetryState {
-        let histogram = |h: &Histogram| Some(h.state()).filter(|state| state.count > 0);
-        TelemetryState {
-            counters: read_section(&reg.counters, |c| {
-                Some(c.load(Ordering::Relaxed)).filter(|&v| v > 0)
-            }),
-            gauges: read_section(&reg.gauges, |g| Some(g.load(Ordering::Relaxed))),
-            spans: read_section(&reg.spans, histogram),
-            latencies: read_section(&reg.latencies, histogram),
-        }
-    }
-
-    /// Captures the process-global registry.
-    pub fn capture_global() -> TelemetryState {
-        TelemetryState::capture(crate::global())
-    }
-
     /// True when a delta carries no changes at all.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -253,10 +234,12 @@ impl TelemetryState {
     }
 
     /// Applies a delta produced by [`TelemetryState::delta_since`],
-    /// advancing `self` to the later state exactly.
+    /// advancing `self` to the later state exactly. Sums that would pass
+    /// `u64::MAX` stop there.
     pub fn apply(&mut self, delta: &TelemetryState) {
         for (k, &d) in &delta.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += d;
+            let total = self.counters.entry(k.clone()).or_insert(0);
+            *total = total.saturating_add(d);
         }
         for (k, &v) in &delta.gauges {
             self.gauges.insert(k.clone(), v);
@@ -309,23 +292,12 @@ impl TelemetryState {
         }
         Ok(out)
     }
-
-    /// The p50/p90/p99 of span `name` (None if absent).
-    pub fn span_quantiles(&self, name: &str) -> Option<[u64; 3]> {
-        let h = self.spans.get(name)?;
-        Some([0.5, 0.9, 0.99].map(|q| h.quantile(q)))
-    }
-
-    /// The p50/p90/p99 of latency `name` (None if absent).
-    pub fn latency_quantiles(&self, name: &str) -> Option<[u64; 3]> {
-        let h = self.latencies.get(name)?;
-        Some([0.5, 0.9, 0.99].map(|q| h.quantile(q)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn capture_delta_apply_round_trip() {
@@ -335,7 +307,7 @@ mod tests {
         g.set(-2);
         reg.record_span_ns("s", 100);
         l.record(7);
-        let base = TelemetryState::capture(&reg);
+        let base = reg.snapshot();
 
         c.add(4);
         c2.inc();
@@ -343,7 +315,7 @@ mod tests {
         reg.record_span_ns("s", 5);
         reg.record_span_ns("s2", 1 << 40);
         l.record(900);
-        let current = TelemetryState::capture(&reg);
+        let current = reg.snapshot();
 
         let delta = current.delta_since(&base);
         assert_eq!(delta.counters.get("c"), Some(&4));
@@ -360,8 +332,8 @@ mod tests {
         let reg = Registry::new();
         reg.counter("c").inc();
         reg.latency("l").record(5);
-        let a = TelemetryState::capture(&reg);
-        let b = TelemetryState::capture(&reg);
+        let a = reg.snapshot();
+        let b = reg.snapshot();
         assert!(b.delta_since(&a).is_empty());
     }
 
@@ -374,7 +346,7 @@ mod tests {
         let l = reg.latency("l");
         l.record(77);
         l.record(1 << 30);
-        let state = TelemetryState::capture(&reg);
+        let state = reg.snapshot();
         let text = state.to_json().to_string();
         let parsed = Json::parse(&text).expect("parse");
         assert_eq!(TelemetryState::from_json(&parsed).expect("from_json"), state);
@@ -388,13 +360,11 @@ mod tests {
             reg.record_span_ns("s", v);
             l.record(v);
         }
-        let state = TelemetryState::capture(&reg);
-        let span_q = state.span_quantiles("s").expect("span");
-        let lat_q = state.latency_quantiles("l").expect("latency");
-        assert_eq!(span_q[0], reg.span_histogram("s").quantile_ns(0.5));
-        assert_eq!(lat_q[0], l.quantile_ns(0.5));
-        assert_eq!(lat_q[2], l.quantile_ns(0.99));
-        assert_eq!(span_q, lat_q, "one bucket scheme for both sections");
+        let state = reg.snapshot();
+        let quantiles = |h: &HistogramState| [0.5, 0.9, 0.99].map(|q| h.quantile(q));
+        let lat_q = quantiles(&state.latencies["l"]);
+        assert_eq!(lat_q, quantiles(&l.state()));
+        assert_eq!(quantiles(&state.spans["s"]), lat_q, "one bucket scheme for both sections");
     }
 
     #[test]
@@ -405,6 +375,28 @@ mod tests {
         .expect("parse");
         let err = TelemetryState::from_json(&doc).expect_err("min > max is rejected");
         assert!(err.contains("min 5 exceeds max 1"), "{err}");
+    }
+
+    /// `locap watch` applies delta frames read off a socket, where a
+    /// count may be anything up to `u64::MAX`: two such deltas saturate
+    /// instead of overflowing.
+    #[test]
+    fn applying_wire_deltas_saturates() {
+        let doc = Json::parse(
+            r#"{"counters":{"c":1.8e19},"latencies":{"l":
+                {"count":1.8e19,"sum":1.8e19,"min":1,"max":2,"buckets":[[1,1.8e19]]}}}"#,
+        )
+        .expect("parse");
+        let delta = TelemetryState::from_json(&doc).expect("a well-formed delta");
+        let mut state = TelemetryState::default();
+        state.apply(&delta);
+        state.apply(&delta);
+        assert_eq!(state.counters["c"], u64::MAX);
+        let l = &state.latencies["l"];
+        assert_eq!(
+            (l.count, l.sum, l.buckets.as_slice()),
+            (u64::MAX, u64::MAX, &[(1, u64::MAX)][..])
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   `S0 + Δ(S0→S1) == S1` and `(S0 + Δ₁) + Δ₂ == S2`, field for field
 //!   including every histogram bucket.
 //! * **quantile correctness vs a sorted-vector oracle** — for arbitrary
-//!   observation sets and arbitrary `q`, a live histogram, the registry's
-//!   span and latency sections and their captured states all report
+//!   observation sets and arbitrary `q`, a histogram's own state and the
+//!   registry's captured span and latency states all report
 //!   exactly the bucket upper bound of the oracle's nearest-rank value
 //!   (clamped to `[min, max]`), and the documented `1/16` relative error
 //!   bound holds.
@@ -69,11 +69,11 @@ proptest! {
     ) {
         let reg = Registry::new();
         apply_mutations(&reg, &m1);
-        let s0 = TelemetryState::capture(&reg);
+        let s0 = reg.snapshot();
         apply_mutations(&reg, &m2);
-        let s1 = TelemetryState::capture(&reg);
+        let s1 = reg.snapshot();
         apply_mutations(&reg, &m3);
-        let s2 = TelemetryState::capture(&reg);
+        let s2 = reg.snapshot();
 
         let d1 = s1.delta_since(&s0);
         let d2 = s2.delta_since(&s1);
@@ -95,9 +95,9 @@ proptest! {
     fn state_and_delta_json_round_trip(m1 in mutations(), m2 in mutations()) {
         let reg = Registry::new();
         apply_mutations(&reg, &m1);
-        let s0 = TelemetryState::capture(&reg);
+        let s0 = reg.snapshot();
         apply_mutations(&reg, &m2);
-        let s1 = TelemetryState::capture(&reg);
+        let s1 = reg.snapshot();
         for state in [&s0, &s1, &s1.delta_since(&s0)] {
             let text = state.to_json().to_string();
             let doc = locap_obs::json::Json::parse(&text)
@@ -119,7 +119,7 @@ proptest! {
             reg.record_span_ns("s", v);
             reg.latency("l").record(v);
         }
-        let state = TelemetryState::capture(&reg);
+        let state = reg.snapshot();
         let mut sorted = values.clone();
         sorted.sort_unstable();
         let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
@@ -135,18 +135,13 @@ proptest! {
             let rank = quantile_rank(count, q);
             prop_assert!(rank >= 1 && rank <= count);
             let (v, want) = oracle(q);
-            prop_assert_eq!(hist.quantile_ns(q), want, "live q={}", q);
-            prop_assert_eq!(reg.span_histogram("s").quantile_ns(q), want, "span q={}", q);
+            prop_assert_eq!(hist.state().quantile(q), want, "live q={}", q);
             prop_assert_eq!(state.spans["s"].quantile(q), want, "span state q={}", q);
             prop_assert_eq!(state.latencies["l"].quantile(q), want, "latency state q={}", q);
             // documented error bound: <= 1/16 relative, exact below 16
             prop_assert!(want >= v && want - v <= v / 16,
                 "quantile {} for rank value {}", want, v);
         }
-        let want = [0.5, 0.9, 0.99].map(|q| oracle(q).1);
-        prop_assert_eq!(state.span_quantiles("s"), Some(want));
-        prop_assert_eq!(state.latency_quantiles("l"), Some(want));
-        prop_assert_eq!(reg.span_histogram("s").snapshot().p50_ns, want[0]);
     }
 
     #[test]
@@ -171,15 +166,15 @@ fn fine_bucket_extremes() {
     for v in [0u64, 1, 15, 16, 17, 31, 32, 1 << 20, u64::MAX - 1, u64::MAX] {
         let h = Histogram::default();
         h.record(v);
-        assert_eq!(h.quantile_ns(0.5), v, "single observation is exact via clamp");
+        assert_eq!(h.state().quantile(0.5), v, "single observation is exact via clamp");
     }
 }
 
 #[test]
 fn quantile_empty_and_single() {
     let h = Histogram::default();
-    assert_eq!(h.quantile_ns(0.5), 0);
+    assert_eq!(h.state().quantile(0.5), 0);
     h.record(1000);
-    assert_eq!(h.quantile_ns(0.0), 1000);
-    assert_eq!(h.quantile_ns(1.0), 1000);
+    assert_eq!(h.state().quantile(0.0), 1000);
+    assert_eq!(h.state().quantile(1.0), 1000);
 }

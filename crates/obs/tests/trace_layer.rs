@@ -243,7 +243,7 @@ fn collapsed_export_semicolon_stacks_with_self_time() {
     assert!(b_total >= 1_000_000, "leaf keeps its full time (slept 1ms): {b_total}");
     // parent's self time excludes the child's
     let snap = obs::snapshot();
-    let a_span = snap.spans["trace_test_fold/a"].total_ns;
+    let a_span = snap.spans["trace_test_fold/a"].sum;
     assert!(a_total < a_span, "self ({a_total}) < total ({a_span})");
 }
 

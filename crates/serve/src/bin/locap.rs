@@ -132,13 +132,13 @@ fn run_pipeline(name: &str, args: &[String]) -> Result<i32, String> {
     let mut exit = 0;
     locap_bench::run("locap", "LOCAP", name, || {
         let run_budget = budget.realize(&clock, None, None);
-        let before = obs::snapshot();
+        let before = out.as_ref().map(|_| obs::snapshot());
         let (outcome, elapsed) = locap_bench::timed(|| request.run(&run_budget));
         match outcome {
             Ok(result) => {
                 print_result(&result);
-                if let Some(path) = &out {
-                    let delta = obs::snapshot().delta(&before);
+                if let (Some(path), Some(before)) = (&out, &before) {
+                    let delta = obs::snapshot().delta_since(before);
                     let sidecar = provenance::sidecar(
                         "locap",
                         name,

@@ -46,7 +46,6 @@ use locap_graph::budget::{CancelToken, MonotonicClock, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_obs::sync::{Mutex, MutexGuard};
-use locap_obs::telemetry::TelemetryState;
 use locap_store::StoreHandle;
 
 use crate::protocol::{
@@ -428,7 +427,7 @@ fn salvage_id(line: &[u8]) -> Json {
 }
 
 fn stats_json(shared: &ConnShared) -> Json {
-    let registry = TelemetryState::capture_global();
+    let registry = obs::snapshot();
     let get = |k: &str| registry.counters.get(k).copied().unwrap_or(0) as f64;
     let get_gauge = |k: &str| registry.gauges.get(k).copied().unwrap_or(0) as f64;
     let telemetry_interval_ms = shared.hub.as_ref().map_or(0, |hub| hub.interval_ms());
@@ -647,7 +646,7 @@ fn process_job(job: Job, shared: &WorkerShared) {
         Ok(result) => {
             let mut artifact_error: Option<String> = None;
             if let (Some(dir), Some(before)) = (shared.config.artifact_dir.as_ref(), before) {
-                let delta = obs::snapshot().delta(&before);
+                let delta = obs::snapshot().delta_since(&before);
                 let pipeline = job.request.pipeline();
                 let sidecar = crate::provenance::sidecar(
                     "locapd",

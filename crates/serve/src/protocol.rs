@@ -647,7 +647,7 @@ mod tests {
         let reg = locap_obs::Registry::new();
         reg.counter("serve/requests").add(3);
         reg.latency("serve/request/census/run").record(1234);
-        let data = locap_obs::telemetry::TelemetryState::capture(&reg);
+        let data = reg.snapshot();
         let line = telemetry_frame("snapshot", 7, 250, 1, data.to_json()).to_string();
         let frame = TelemetryFrame::parse(&line).expect("parse").expect("is telemetry");
         assert_eq!(frame.kind, "snapshot");

@@ -21,14 +21,15 @@
 //!   the repository's `.git` (walking up from the working directory);
 //!   `null` when neither is available.
 //! * `counters` — the obs-counter *delta* attributable to this run
-//!   ([`locap_obs::Snapshot::delta`]): exact for the CLI and
-//!   single-worker daemons, a window over concurrent work otherwise.
+//!   ([`TelemetryState::delta_since`] between two [`locap_obs::snapshot`]s
+//!   around it): exact for the CLI and single-worker daemons, a window
+//!   over concurrent work otherwise.
 //! * `spans` — span hit counts from the same delta.
 
 use std::path::{Path, PathBuf};
 
 use locap_obs::json::Json;
-use locap_obs::Snapshot;
+use locap_obs::telemetry::TelemetryState;
 
 /// The sidecar schema version this module writes.
 pub const SCHEMA: u64 = 1;
@@ -101,7 +102,7 @@ pub fn sidecar(
     pipeline: &str,
     params: Json,
     elapsed_ms: u64,
-    obs_delta: &Snapshot,
+    obs_delta: &TelemetryState,
 ) -> Json {
     let counters = obs_delta
         .counters
@@ -184,7 +185,7 @@ mod tests {
         let reg = locap_obs::Registry::new();
         reg.counter("x/hits").add(3);
         reg.record_span_ns("total", 100);
-        let delta = reg.snapshot().delta(&Snapshot::default());
+        let delta = reg.snapshot().delta_since(&TelemetryState::default());
         let doc = sidecar("locap", "census", Json::Obj(vec![]), 7, &delta);
         assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(SCHEMA));
         assert_eq!(doc.get("tool").and_then(Json::as_str), Some("locap"));

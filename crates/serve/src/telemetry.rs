@@ -4,7 +4,7 @@
 //! # Design
 //!
 //! One publisher thread ticks every `--telemetry-interval-ms`. Each tick
-//! captures the global registry ([`TelemetryState::capture_global`]),
+//! captures the global registry ([`locap_obs::snapshot`]),
 //! delta-encodes it against the previous tick's state, and offers one
 //! frame to every subscriber. A frame goes out **every** tick, even when
 //! the delta is empty — subscribers use that as a heartbeat and to
@@ -195,7 +195,7 @@ impl TelemetryHub {
             return;
         }
         drop(subs);
-        let current = TelemetryState::capture_global();
+        let current = obs::snapshot();
         let seq = state.seq;
         let interval_ms = self.interval_ms();
         let delta = state.prev.as_ref().map(|prev| current.delta_since(prev));
@@ -294,7 +294,7 @@ mod tests {
         let reg = obs::Registry::new();
         reg.counter("serve/requests").add(5);
         reg.latency("serve/request/census/run").record(321);
-        let data = TelemetryState::capture(&reg).to_json();
+        let data = reg.snapshot().to_json();
         let want = telemetry_frame("delta", 12, 250, 3, data.clone()).to_string();
         let got = render_frame("delta", 12, 250, 3, &data.to_string());
         assert_eq!(got, want);

@@ -193,7 +193,7 @@ mod tests {
             seq,
             interval_ms: 500,
             dropped: 0,
-            data: TelemetryState::capture(reg),
+            data: reg.snapshot(),
         }
     }
 
@@ -203,7 +203,7 @@ mod tests {
         reg.counter("serve/requests").add(10);
         reg.gauge("serve/queue_depth").set(2);
         reg.latency("serve/request/census/run").record(2000);
-        let state = TelemetryState::capture(&reg);
+        let state = reg.snapshot();
         // a delta frame moving serve/requests by 10 over 500ms = 20/s
         let frame = frame_of("delta", &reg, 3);
         let text = render_frame(&state, &frame, true, &None);
@@ -216,7 +216,7 @@ mod tests {
     fn snapshot_frames_render_without_rates() {
         let reg = Registry::new();
         reg.counter("serve/requests").add(4);
-        let state = TelemetryState::capture(&reg);
+        let state = reg.snapshot();
         let frame = frame_of("snapshot", &reg, 0);
         let tsv = render_frame(&state, &frame, true, &None);
         assert!(tsv.contains("0\tcounter\tserve/requests\t4\t-"), "{tsv}");
@@ -231,7 +231,7 @@ mod tests {
         reg.counter("serve/requests").inc();
         reg.counter("telemetry/dropped").inc();
         reg.latency("soak/latency_ns").record(1);
-        let state = TelemetryState::capture(&reg);
+        let state = reg.snapshot();
         let frame = frame_of("snapshot", &reg, 1);
         let text = render_frame(&state, &frame, true, &Some("telemetry/".into()));
         assert!(text.contains("telemetry/dropped"), "{text}");

@@ -5,8 +5,8 @@
 //! * **human output** — byte-for-byte against
 //!   `tests/golden/<name>.txt` (the CLI prints no timings, so the
 //!   output is fully deterministic);
-//! * **`OBS_JSON=1` output** — exactly one stdout line of schema-valid
-//!   JSON (the same `validate_bench_schema` contract as
+//! * **`OBS_JSON=1` output** — exactly one stdout line that
+//!   `locap_bench::gate::parse_baseline` reads (the same contract as
 //!   `crates/bench/tests/obs_json.rs`), with the *metric-name set*
 //!   locked against `tests/golden/<name>.metrics.txt` (values are
 //!   timings and may vary).
@@ -14,9 +14,11 @@
 //! Regenerate snapshots with `UPDATE_GOLDEN=1 cargo test -p locap-serve
 //! --test cli_golden` and review the diff like any other code change.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 
+use locap_bench::gate;
 use locap_obs::json::Json;
 
 /// The locked subcommand matrix: (snapshot name, CLI args).
@@ -99,15 +101,12 @@ fn obs_json_output_is_schema_valid_with_locked_metric_names() {
             1,
             "{name}: OBS_JSON=1 must print exactly one line, got {stdout:?}"
         );
-        let doc = Json::parse(lines[0]).unwrap_or_else(|e| panic!("{name}: JSON parse: {e}"));
-        locap_obs::validate_bench_schema(&doc)
+        let line = gate::parse_baseline(lines[0])
             .unwrap_or_else(|e| panic!("{name}: schema validation: {e}"));
+        let doc = Json::parse(lines[0]).unwrap_or_else(|e| panic!("{name}: JSON parse: {e}"));
         assert_eq!(doc.get("source").and_then(Json::as_str), Some("locap"), "{name}: source tag");
-        let results = doc.get("results").and_then(Json::as_array).expect("results array");
-        let mut metric_names: Vec<&str> =
-            results.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
+        let metric_names: Vec<&str> = line.rows.keys().map(String::as_str).collect();
         assert!(metric_names.contains(&"total"), "{name}: missing the total span row");
-        metric_names.sort_unstable();
         let mut listing: String = metric_names.join("\n");
         listing.push('\n');
         check_golden(&format!("{name}.metrics.txt"), &listing);
@@ -169,33 +168,55 @@ fn oversized_lifts_exit_1_with_too_large() {
     }
 }
 
-/// `--out` writes the artifact and its provenance sidecar.
+/// `--out` writes the artifact and its provenance sidecar, and the
+/// sidecar accounts for the same run as the `OBS_JSON=1` line: the same
+/// counters, each span's count as that row's samples, and every span but
+/// the `total` row that times the whole command.
 #[test]
 fn out_flag_writes_artifact_and_sidecar() {
     let dir = std::env::temp_dir().join(format!("locap-cli-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let artifact = dir.join("census.json");
-    let out = locap(
-        &[
-            "census",
-            "--family",
-            "directed-cycle",
-            "--n",
-            "12",
-            "--out",
-            artifact.to_str().expect("utf8 temp path"),
-        ],
-        false,
-    );
+    let args = [
+        "census",
+        "--family",
+        "directed-cycle",
+        "--n",
+        "12",
+        "--out",
+        artifact.to_str().expect("utf8 temp path"),
+    ];
+    let read_sidecar = || {
+        let text = std::fs::read_to_string(dir.join("census.json.provenance.json"));
+        Json::parse(text.expect("sidecar written").trim()).expect("sidecar is JSON")
+    };
+
+    let out = locap(&args, false);
     assert!(out.status.success(), "exit {}", out.status);
     let doc = Json::parse(std::fs::read_to_string(&artifact).expect("artifact written").trim())
         .expect("artifact is JSON");
     assert_eq!(doc.get("nodes").and_then(Json::as_u64), Some(12));
-    let sidecar_path = dir.join("census.json.provenance.json");
-    let sidecar =
-        Json::parse(std::fs::read_to_string(&sidecar_path).expect("sidecar written").trim())
-            .expect("sidecar is JSON");
+    let sidecar = read_sidecar();
     assert_eq!(sidecar.get("tool").and_then(Json::as_str), Some("locap"));
     assert_eq!(sidecar.get("pipeline").and_then(Json::as_str), Some("census"));
+
+    let out = locap(&args, true);
+    assert!(out.status.success(), "exit {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let line = gate::parse_baseline(stdout.trim()).expect("one schema-valid line");
+    let sidecar = read_sidecar();
+    let field = |key| sidecar.get(key).and_then(Json::as_object).expect("an object");
+    let counters: BTreeMap<String, u64> = field("counters")
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_u64().expect("a count")))
+        .collect();
+    assert_eq!(counters, line.counters);
+    let spans = field("spans");
+    for (name, count) in spans {
+        assert_eq!(count.as_u64(), Some(line.rows[name].samples), "span {name}");
+    }
+    let unaccounted: Vec<&String> =
+        line.rows.keys().filter(|name| !spans.iter().any(|(k, _)| k == *name)).collect();
+    assert_eq!(unaccounted, ["total"]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use common::{expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
 use locap_obs as obs;
+use locap_obs::telemetry::TelemetryState;
 use locap_serve::daemon::DaemonConfig;
 
 /// A request holding a worker for 402–512 ms with the release `locap`
@@ -31,10 +32,10 @@ const SLOW_REQUEST: &str =
 /// Polls until `counter` has grown by at least `by` over `base`, or
 /// fails after 10 s. Returns the observed delta.
 #[track_caller]
-fn await_counter_delta(base: &obs::Snapshot, counter: &str, by: u64) -> u64 {
+fn await_counter_delta(base: &TelemetryState, counter: &str, by: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let delta = obs::snapshot().delta(base).counters.get(counter).copied().unwrap_or(0);
+        let delta = obs::snapshot().delta_since(base).counters.get(counter).copied().unwrap_or(0);
         if delta >= by {
             return delta;
         }

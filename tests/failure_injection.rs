@@ -624,7 +624,7 @@ mod obs_visibility {
         let snap = locap_obs::snapshot();
         assert!(snap.counters.keys().any(|k| k.starts_with("errors/run/")));
         assert!(snap.counters.keys().any(|k| k.starts_with("budget/truncated/")));
-        let json = snap.to_json("failure_injection");
+        let json = snap.to_json().to_string();
         assert!(json.contains("errors/run/input_length"));
         assert!(json.contains("budget/truncated/cache_cap"));
     }

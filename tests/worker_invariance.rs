@@ -117,7 +117,7 @@ fn observe(case: &Case, workers: usize) -> Observed {
         std::panic::catch_unwind(AssertUnwindSafe(|| par::with_workers(workers, &case.run)))
             .unwrap_or_else(|_| "panicked".into());
     let after = obs::global().snapshot();
-    let delta = after.delta(&before);
+    let delta = after.delta_since(&before);
     let (worker_rows, spans): (Vec<_>, Vec<_>) =
         delta.spans.iter().partition(|(name, _)| name.ends_with("/worker"));
     Observed {
