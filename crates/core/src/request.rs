@@ -611,16 +611,55 @@ impl PipelineRequest {
         budget: &RunBudget,
         store: Option<&StoreHandle>,
     ) -> Result<Json, CoreError> {
-        if let Some(t) = budget.check_interrupt() {
-            return Err(CoreError::Truncated { stage: self.pipeline(), reason: t.publish() });
-        }
+        self.check_budget(budget)?;
         let keyed = store.map(|s| (s, self.store_key()));
         if let Some((s, key)) = &keyed {
             if let Some(doc) = s.get(PIPELINE_STORE_NS, key) {
                 return Ok(doc);
             }
         }
-        let result = match *self {
+        let result = self.compute(budget, store)?;
+        if let Some((s, key)) = &keyed {
+            s.put(PIPELINE_STORE_NS, key, &result).ok();
+        }
+        Ok(result)
+    }
+
+    /// [`PipelineRequest::run_with_store`] without reading or writing the
+    /// request's own store entry, for callers that resolve it themselves:
+    /// `locapd` looks the entry up on the connection thread and writes a
+    /// miss's encoded result back from the worker. The store still serves
+    /// the census pipeline's per-radius entries.
+    ///
+    /// # Errors
+    ///
+    /// As [`PipelineRequest::run`].
+    pub fn run_uncached(
+        &self,
+        budget: &RunBudget,
+        store: Option<&StoreHandle>,
+    ) -> Result<Json, CoreError> {
+        self.check_budget(budget)?;
+        self.compute(budget, store)
+    }
+
+    /// The check every run makes before any work or store lookup: an
+    /// already-tripped budget (expired deadline, cancelled token) is a
+    /// [`CoreError::Truncated`] naming this pipeline.
+    ///
+    /// # Errors
+    ///
+    /// That truncation, with its reason published to the registry.
+    pub fn check_budget(&self, budget: &RunBudget) -> Result<(), CoreError> {
+        match budget.check_interrupt() {
+            Some(t) => Err(CoreError::Truncated { stage: self.pipeline(), reason: t.publish() }),
+            None => Ok(()),
+        }
+    }
+
+    /// The pipeline dispatch itself.
+    fn compute(&self, budget: &RunBudget, store: Option<&StoreHandle>) -> Result<Json, CoreError> {
+        match *self {
             PipelineRequest::EdsLower { delta_prime, n } => run_eds_lower(delta_prime, n, budget),
             PipelineRequest::Homogeneous { k, r, m } => run_homogeneous(k, r, m, budget),
             PipelineRequest::HomLift { cycle, m } => run_hom_lift(cycle, m, budget),
@@ -630,11 +669,7 @@ impl PipelineRequest {
             }
             PipelineRequest::Transfer { algo, cycle, m } => run_transfer(algo, cycle, m, budget),
             PipelineRequest::Census { family, radius } => run_census(family, radius, budget, store),
-        }?;
-        if let Some((s, key)) = &keyed {
-            s.put(PIPELINE_STORE_NS, key, &result).ok();
         }
-        Ok(result)
     }
 
     /// The content key addressing this request's result document in a

@@ -473,6 +473,8 @@ pub struct Span {
     start: Instant,
     args: [(&'static str, i64); trace::MAX_ARGS],
     n_args: u8,
+    /// Cleared by [`Span::discard`]: the guard then only unwinds its path.
+    record: bool,
     /// Spans are tied to the thread-local stack they were opened on.
     _not_send: PhantomData<*const ()>,
 }
@@ -493,7 +495,14 @@ pub fn span_with(name: &str, args: &[(&'static str, i64)]) -> Span {
     let mut packed = [("", 0i64); trace::MAX_ARGS];
     let n = args.len().min(trace::MAX_ARGS);
     packed[..n].copy_from_slice(&args[..n]);
-    Span { token, start: Instant::now(), args: packed, n_args: n as u8, _not_send: PhantomData }
+    Span {
+        token,
+        start: Instant::now(),
+        args: packed,
+        n_args: n as u8,
+        record: true,
+        _not_send: PhantomData,
+    }
 }
 
 impl Span {
@@ -512,11 +521,18 @@ impl Span {
             self.n_args += 1;
         }
     }
+
+    /// Closes the span without recording it, for a scope that turned out
+    /// not to hold the span's work: a request span opened around a cache
+    /// lookup, say, whose miss hands the request to another thread that
+    /// opens the span again around the real work.
+    pub fn discard(mut self) {
+        self.record = false;
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let stack = &mut *stack;
@@ -527,12 +543,15 @@ impl Drop for Span {
             // Record under the path as it was when this guard was opened
             // (its entry's end), which is exact even if sibling guards
             // were dropped out of LIFO order in between.
-            let end = stack.entries[idx].end;
-            let path = &stack.path[..end];
-            global().record_span_ns(path, ns);
-            if trace::enabled() {
-                let args = &self.args[..self.n_args as usize];
-                trace::record_span(path, trace::ts_of(self.start), ns, args);
+            if self.record {
+                let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                let end = stack.entries[idx].end;
+                let path = &stack.path[..end];
+                global().record_span_ns(path, ns);
+                if trace::enabled() {
+                    let args = &self.args[..self.n_args as usize];
+                    trace::record_span(path, trace::ts_of(self.start), ns, args);
+                }
             }
             stack.entries.remove(idx);
             if idx == stack.entries.len() {

@@ -74,6 +74,24 @@ fn nested_spans_aggregate_under_composed_paths() {
 }
 
 #[test]
+fn a_discarded_span_records_nothing_and_unwinds_its_path() {
+    {
+        let outer = obs::span("obs_test_discard/outer");
+        {
+            let _inner = obs::span("inner");
+        }
+        outer.discard();
+    }
+    {
+        let _top = obs::span("obs_test_discard/top");
+    }
+    let snap = obs::snapshot();
+    assert!(!snap.spans.contains_key("obs_test_discard/outer"), "{:?}", snap.spans.keys());
+    assert_eq!(snap.spans["obs_test_discard/outer/inner"].count, 1, "spans inside still record");
+    assert_eq!(snap.spans["obs_test_discard/top"].count, 1, "the path unwound fully");
+}
+
+#[test]
 fn histogram_bucket_boundaries() {
     // buckets 0..16 hold one value each; above that, 16 equal-width
     // sub-buckets per power-of-two octave

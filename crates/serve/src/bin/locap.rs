@@ -146,7 +146,7 @@ fn run_pipeline(name: &str, args: &[String]) -> Result<i32, String> {
                         elapsed.as_millis() as u64,
                         &delta,
                     );
-                    match provenance::write_artifact(path, &result, &sidecar) {
+                    match provenance::write_artifact(path, &result.to_string(), &sidecar) {
                         Ok(sidecar_path) => hprintln!(
                             "artifact written to {} (+ {})",
                             path.display(),

@@ -13,8 +13,9 @@
 //! arrives. With `--artifact-dir` every successful pipeline result is
 //! written there as `<pipeline>-<id>.json` plus a provenance sidecar.
 //! With `--store-dir` results are served from (and written back to) the
-//! content-addressed result store rooted there, so repeat requests
-//! answer from disk (`store/warm_hit` in `stats`) without recomputing.
+//! content-addressed result store rooted there, so the connection
+//! thread answers repeat requests from disk (`store/warm_hit` in
+//! `stats`), without queueing or recomputing them.
 //! `subscribe` connections receive delta-encoded telemetry frames every
 //! `--telemetry-interval-ms` (0 disables streaming); slow subscribers
 //! buffer up to `--telemetry-queue` frames before frames are shed.

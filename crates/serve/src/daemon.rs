@@ -5,16 +5,30 @@
 //! # Lifecycle
 //!
 //! [`Daemon::bind`] → [`Daemon::run`] (blocks). Every connection gets a
-//! reader thread; well-formed pipeline requests are `try_send`-ed onto a
-//! bounded job queue (a full queue answers `protocol/overloaded`
-//! immediately — backpressure is explicit, never silent). Workers pull
-//! jobs, realise the request's [`BudgetSpec`] against a clock started
-//! when the job starts, run the pipeline, and write the response to the
-//! originating connection.
+//! reader thread, which parses each frame and answers operations itself.
+//! With a result store (`--store-dir`), the reader also resolves every
+//! pipeline request against it: it realises the request's
+//! [`BudgetSpec`], makes the budget check every pipeline run starts with,
+//! and answers a warm hit right there, splicing the stored bytes into the
+//! `ok` line. Only misses, and every pipeline request of a daemon without
+//! a store, are `try_send`-ed onto a bounded job queue (a full queue
+//! answers `protocol/overloaded` immediately — backpressure is explicit,
+//! never silent). Workers pull jobs, realise the budget against a clock
+//! started when the job starts, run the pipeline, write a miss's encoded
+//! result back to the store, and write the response to the originating
+//! connection. A hit can therefore overtake an earlier request of the
+//! same connection that is still queued; clients match responses by `id`.
+//!
+//! Both paths answer through one response function, so artifacts and
+//! sidecars, the `serve/request` span and the phase latencies do not
+//! depend on which thread answered, and each result is encoded once. The
+//! queue-wait phase samples queued jobs only.
 //!
 //! Failures never kill the daemon: every defective frame, rejected
 //! request, model-run error and budget truncation is answered with a
-//! typed error response (see [`crate::protocol`]).
+//! typed error response (see [`crate::protocol`]), and a panic inside a
+//! request's work answers `run/internal_panic` while its thread goes on
+//! serving.
 //!
 //! # Cancellation
 //!
@@ -35,22 +49,26 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use locap_core::request::PipelineRequest;
-use locap_graph::budget::{CancelToken, MonotonicClock, StdClock};
+use locap_core::request::{PipelineRequest, PIPELINES, PIPELINE_STORE_NS};
+use locap_core::CoreError;
+use locap_graph::budget::{CancelToken, MonotonicClock, RunBudget, StdClock};
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_obs::sync::{Mutex, MutexGuard};
-use locap_store::StoreHandle;
+use locap_obs::telemetry::TelemetryState;
+use locap_obs::Histogram;
+use locap_store::{Lookup, StoreHandle, StoreKey};
 
 use crate::protocol::{
-    core_error_kind, err_response, ok_response, parse_request, BudgetSpec, Frame, FrameError,
-    FrameReader, ProtocolError, Request, DEFAULT_MAX_FRAME_BYTES,
+    core_error_kind, err_response, ok_response, parse_request, splice_result, BudgetSpec, Frame,
+    FrameError, FrameReader, ProtocolError, Request, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::telemetry::TelemetryHub;
 /// Counter: frames parsed into well-formed requests.
@@ -72,16 +90,23 @@ pub const SIDECARS: &str = "serve/provenance_sidecars";
 /// in the `stats` op response).
 pub const QUEUE_DEPTH: &str = "serve/queue_depth";
 
-/// Span wrapping every pipeline run on a worker, carrying the request's
-/// monotonically-assigned id as a `req` arg in OBS_TRACE exports (so
-/// `trace_report` can attribute daemon traces per request).
+/// Span wrapping the work that answers each pipeline request — the
+/// pipeline run on a worker, or the budget check and store read of an
+/// inline hit — carrying the request's monotonically-assigned id as a
+/// `req` arg in OBS_TRACE exports (so `trace_report` can attribute daemon
+/// traces per request).
 pub const REQUEST_SPAN: &str = "serve/request";
 
-/// Phase name: enqueue → worker pickup.
+/// Error kind answering a request whose work panicked.
+pub const INTERNAL_PANIC: &str = "run/internal_panic";
+
+/// Phase name: enqueue → worker pickup (queued jobs only: an inline
+/// store hit never waits in the queue).
 pub const PHASE_QUEUE_WAIT: &str = "queue_wait";
 /// Phase name: frame bytes → parsed request.
 pub const PHASE_PARSE: &str = "parse";
-/// Phase name: pipeline execution on a worker.
+/// Phase name: the request's work — pipeline execution on a worker, or
+/// the store read of an inline hit.
 pub const PHASE_RUN: &str = "run";
 /// Phase name: response build + write (including sidecars).
 pub const PHASE_SERIALIZE: &str = "serialize";
@@ -111,8 +136,8 @@ pub struct DaemonConfig {
     /// `<pipeline>-<id>.json` plus its provenance sidecar here.
     pub artifact_dir: Option<PathBuf>,
     /// When set, results are served from (and written back to) the
-    /// content-addressed store rooted here: a repeat request answers
-    /// from disk without recomputing.
+    /// content-addressed store rooted here: the connection thread answers
+    /// a repeat request from disk, without queueing or recomputing it.
     pub store_dir: Option<PathBuf>,
     /// Whether the `shutdown` op is honoured.
     pub allow_shutdown: bool,
@@ -195,40 +220,109 @@ pub(crate) fn lock_or_recover<T: ?Sized, const RANK: u32>(
     guard
 }
 
-/// One queued pipeline job.
+/// One pipeline request on its way to an answer.
 struct Job {
     id: Json,
     /// Monotonically-assigned daemon-wide request id, threaded into the
-    /// worker's `serve/request` OBS_TRACE span as a `req` arg.
+    /// `serve/request` OBS_TRACE span as a `req` arg.
     req_id: u64,
     request: PipelineRequest,
     budget: BudgetSpec,
     writer: Arc<Writer>,
     cancel: CancelToken,
-    /// Shared-clock reading at enqueue, for the queue-wait phase.
-    enqueued_at: Duration,
+    /// Daemon-clock reading at enqueue, for the queue-wait phase; `None`
+    /// while the connection thread resolves the request inline.
+    enqueued_at: Option<Duration>,
+    /// Set when the connection thread looked the request up and missed.
+    missed: Option<Miss>,
+}
+
+/// A store miss that the connection thread hands to a worker.
+struct Miss {
+    /// The key looked up: the worker writes the result back under it
+    /// without a second lookup.
+    key: StoreKey,
+    /// Under `--artifact-dir`, the registry changes of the lookup, which
+    /// the sidecar counts together with the worker's run.
+    lookup: Option<TelemetryState>,
+}
+
+/// A request phase, in the order of a [`Metrics`] phase row.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    QueueWait,
+    Parse,
+    Run,
+    Serialize,
+}
+
+/// The serve path's registry handles, built once per [`Daemon::run`] so
+/// that serving a request builds no metric name and takes no registry
+/// lock.
+struct Metrics {
+    requests: obs::Counter,
+    resp_ok: obs::Counter,
+    resp_err: obs::Counter,
+    undeliverable: obs::Counter,
+    queue_depth: obs::Gauge,
+    /// `serve/request/<pipeline>/<phase>` for every pipeline of
+    /// [`PIPELINES`] and every [`Phase`], in their orders.
+    phases: [[Arc<Histogram>; 4]; PIPELINES.len()],
+}
+
+impl Metrics {
+    /// The one construction site of these counters, the queue-depth
+    /// gauge and the phase latency family.
+    fn new() -> Metrics {
+        let phases = [PHASE_QUEUE_WAIT, PHASE_PARSE, PHASE_RUN, PHASE_SERIALIZE];
+        Metrics {
+            requests: obs::counter(REQUESTS),
+            resp_ok: obs::counter(RESP_OK),
+            resp_err: obs::counter(RESP_ERR),
+            undeliverable: obs::counter(UNDELIVERABLE),
+            queue_depth: obs::gauge(QUEUE_DEPTH),
+            phases: PIPELINES.map(|pipeline| {
+                phases.map(|phase| obs::latency(&format!("serve/request/{pipeline}/{phase}")))
+            }),
+        }
+    }
+
+    /// Records one phase latency of a `pipeline` request.
+    fn record(&self, pipeline: &str, phase: Phase, ns: u64) {
+        let row = PIPELINES.iter().position(|&p| p == pipeline);
+        if let Some(h) = row.and_then(|r| self.phases.get(r)).and_then(|hs| hs.get(phase as usize))
+        {
+            h.record(ns);
+        }
+    }
+}
+
+/// What answering a pipeline request needs, shared by the connection
+/// threads (inline store hits) and the workers (queued jobs).
+struct Responder {
+    config: DaemonConfig,
+    /// The daemon clock: times the queue-wait, parse and serialize phases.
+    clock: Arc<dyn MonotonicClock>,
+    drain: CancelToken,
+    store: Option<StoreHandle>,
+    metrics: Metrics,
+    /// Jobs queued or executing.
+    depth: AtomicI64,
 }
 
 /// State shared by connection reader threads.
 struct ConnShared {
     tx: SyncSender<Job>,
     stop: Arc<AtomicBool>,
-    drain: CancelToken,
-    depth: Arc<AtomicI64>,
-    config: DaemonConfig,
-    clock: Arc<dyn MonotonicClock>,
     hub: Option<Arc<TelemetryHub>>,
-    next_req_id: Arc<AtomicU64>,
+    next_req_id: AtomicU64,
+    responder: Arc<Responder>,
 }
 
 /// State shared by worker threads.
 struct WorkerShared {
     rx: Mutex<Receiver<Job>, 10>,
-    clock: Arc<dyn MonotonicClock>,
-    drain: CancelToken,
-    depth: Arc<AtomicI64>,
-    config: DaemonConfig,
-    store: Option<StoreHandle>,
+    responder: Arc<Responder>,
 }
 
 impl Daemon {
@@ -277,8 +371,6 @@ impl Daemon {
     /// failures are answered in-protocol.
     pub fn run(self) -> std::io::Result<()> {
         let Daemon { listener, addr: _, config, stop, drain, store } = self;
-        let depth = Arc::new(AtomicI64::new(0));
-        let clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_depth.max(1));
 
         let hub = config
@@ -297,15 +389,18 @@ impl Daemon {
             None => None,
         };
 
-        let worker_shared = Arc::new(WorkerShared {
-            rx: Mutex::new(rx),
-            clock: Arc::clone(&clock),
-            drain: drain.clone(),
-            depth: Arc::clone(&depth),
-            config: config.clone(),
+        let workers = config.workers.max(1);
+        let responder = Arc::new(Responder {
+            config,
+            clock: Arc::new(StdClock::new()),
+            drain,
             store,
+            metrics: Metrics::new(),
+            depth: AtomicI64::new(0),
         });
-        let workers: Vec<_> = (0..config.workers.max(1))
+        let worker_shared =
+            Arc::new(WorkerShared { rx: Mutex::new(rx), responder: Arc::clone(&responder) });
+        let workers: Vec<_> = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&worker_shared);
                 std::thread::Builder::new()
@@ -317,12 +412,9 @@ impl Daemon {
         let conn_shared = Arc::new(ConnShared {
             tx,
             stop: Arc::clone(&stop),
-            drain,
-            depth,
-            config,
-            clock,
             hub,
-            next_req_id: Arc::new(AtomicU64::new(0)),
+            next_req_id: AtomicU64::new(0),
+            responder,
         });
         listener.set_nonblocking(true)?;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -380,39 +472,198 @@ fn record_error_kind(kind: &str) {
     obs::counter(&format!("serve/errors/{kind}")).inc();
 }
 
-/// Records one request-phase latency into the
-/// `serve/request/<pipeline>/<phase>` histogram — the one construction
-/// site of this latency family. Phases are [`PHASE_QUEUE_WAIT`],
-/// [`PHASE_PARSE`], [`PHASE_RUN`] and [`PHASE_SERIALIZE`].
-fn record_phase(pipeline: &str, phase: &str, ns: u64) {
-    obs::latency(&format!("serve/request/{pipeline}/{phase}")).record(ns);
-}
-
 /// A duration as saturating nanoseconds.
 fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Writes one response line; counts it as ok/err/undeliverable.
-fn write_response(writer: &Writer, doc: &Json) {
-    let ok = doc.get("ok") == Some(&Json::Bool(true));
-    let line = format!("{doc}\n");
-    let delivered = {
-        let mut guard = lock_or_recover(writer);
-        guard.write_all(line.as_bytes()).and_then(|()| guard.flush()).is_ok()
-    };
-    if !delivered {
-        obs::counter(UNDELIVERABLE).inc();
-    } else if ok {
-        obs::counter(RESP_OK).inc();
-    } else {
-        obs::counter(RESP_ERR).inc();
+/// Runs `f`, catching a panic as its message. Both request boundaries —
+/// a worker's job and a connection thread's inline hit — run inside it,
+/// so that a defect in one request answers that request with
+/// [`INTERNAL_PANIC`] while the thread goes on serving.
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string panic payload".into());
+        format!("the request panicked: {message}")
+    })
+}
+
+/// A request's resolution on its connection thread: the typed
+/// truncation of an already-tripped budget, which every run reports
+/// before any lookup, or the stored bytes of a warm hit. `None` on a
+/// miss or a damaged entry, which a worker then computes.
+fn resolve_inline(
+    request: &PipelineRequest,
+    budget: &RunBudget,
+    store: &StoreHandle,
+    key: &StoreKey,
+) -> Option<Result<String, CoreError>> {
+    if let Err(e) = request.check_budget(budget) {
+        return Some(Err(e));
+    }
+    match store.lookup_text(PIPELINE_STORE_NS, key) {
+        Lookup::Hit(result) => Some(Ok(result)),
+        Lookup::Miss | Lookup::Corrupt => None,
     }
 }
 
-fn write_error(writer: &Writer, id: &Json, kind: &str, message: &str) {
-    record_error_kind(kind);
-    write_response(writer, &err_response(id, kind, message));
+impl Responder {
+    /// Under `--artifact-dir`, the registry state at which a request's
+    /// provenance window opens.
+    fn open_window(&self) -> Option<TelemetryState> {
+        self.config.artifact_dir.as_ref().map(|_| obs::snapshot())
+    }
+
+    /// The one response path of pipeline requests. It realises `job`'s
+    /// budget against a clock started now, runs `run` under the
+    /// `serve/request` span inside [`guarded`], and writes the `ok` line,
+    /// with `run`'s encoded result spliced in (and, under
+    /// `--artifact-dir`, the artifact and its sidecar, whose counters
+    /// cover the registry changes since `window`, written first), or the
+    /// typed error line. It records the run and serialize phases, and a
+    /// queued job's queue wait. `run` returning `None` hands the request
+    /// on unanswered (an inline store miss): the span is discarded and
+    /// nothing is recorded. Returns whether the request was answered.
+    fn respond(
+        &self,
+        job: &Job,
+        window: Option<&TelemetryState>,
+        run: impl FnOnce(&RunBudget) -> Option<Result<String, CoreError>>,
+    ) -> bool {
+        let pipeline = job.request.pipeline();
+        if let Some(enqueued_at) = job.enqueued_at {
+            let waited = self.clock.elapsed().saturating_sub(enqueued_at);
+            self.metrics.record(pipeline, Phase::QueueWait, dur_ns(waited));
+        }
+        // the deadline runs from here, not from enqueue; the daemon clock
+        // only times the other phases
+        let job_clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
+        let budget = job
+            .budget
+            .realize(&job_clock, self.config.default_deadline, self.config.max_deadline)
+            .with_cancel(job.cancel.clone())
+            .with_cancel(self.drain.clone());
+        // the span records the run under `serve/request` and, when
+        // OBS_TRACE is on, emits a trace event carrying the request id
+        let span = obs::span_with(REQUEST_SPAN, &[("req", job.req_id as i64)]);
+        let (outcome, elapsed) = locap_bench::timed(|| guarded(|| run(&budget)));
+        let outcome = match outcome {
+            Ok(Some(outcome)) => outcome.map_err(|e| (core_error_kind(&e), e.to_string())),
+            Ok(None) => {
+                span.discard();
+                return false;
+            }
+            Err(panic) => Err((INTERNAL_PANIC.to_string(), panic)),
+        };
+        drop(span);
+        self.metrics.record(pipeline, Phase::Run, dur_ns(elapsed));
+        if job.enqueued_at.is_some() {
+            self.depth.fetch_sub(1, Ordering::SeqCst);
+        }
+        let serialize_started = self.clock.elapsed();
+        match outcome {
+            Ok(result) => self.answer_ok(job, &result, elapsed, window),
+            Err((kind, message)) => self.write_error(&job.writer, &job.id, &kind, &message),
+        }
+        let serialize = self.clock.elapsed().saturating_sub(serialize_started);
+        self.metrics.record(pipeline, Phase::Serialize, dur_ns(serialize));
+        true
+    }
+
+    /// A queued job's work: the pipeline run without a whole-request
+    /// store lookup, its result encoded once, for the response and, on a
+    /// store miss, for the write-back under the key the connection thread
+    /// looked up. A failed write is counted by the store and never fails
+    /// the run.
+    fn compute(&self, job: &Job, budget: &RunBudget) -> Result<String, CoreError> {
+        let result = job.request.run_uncached(budget, self.store.as_ref())?.to_string();
+        if let (Some(store), Some(miss)) = (&self.store, &job.missed) {
+            store.put_text(PIPELINE_STORE_NS, &miss.key, &result).ok();
+        }
+        Ok(result)
+    }
+
+    /// Writes the `ok` line for `result`, an encoded result document,
+    /// after writing its artifact and sidecar under `--artifact-dir`.
+    fn answer_ok(
+        &self,
+        job: &Job,
+        result: &str,
+        elapsed: Duration,
+        window: Option<&TelemetryState>,
+    ) {
+        let pipeline = job.request.pipeline();
+        let elapsed_ms = elapsed.as_millis() as u64;
+        let mut response = ok_response(&job.id, pipeline, elapsed_ms, Json::Null);
+        if let (Some(dir), Some(before)) = (self.config.artifact_dir.as_ref(), window) {
+            let run = obs::snapshot().delta_since(before);
+            // a miss's window opened on the worker, after its lookup
+            let delta = match job.missed.as_ref().and_then(|miss| miss.lookup.as_ref()) {
+                Some(lookup) => {
+                    let mut delta = lookup.clone();
+                    delta.apply(&run);
+                    delta
+                }
+                None => run,
+            };
+            let sidecar = crate::provenance::sidecar(
+                "locapd",
+                pipeline,
+                job.request.params_json(),
+                elapsed_ms,
+                &delta,
+            );
+            let stem = crate::provenance::artifact_stem(pipeline, &job.id);
+            let path = dir.join(format!("{stem}.json"));
+            match crate::provenance::write_artifact(&path, result, &sidecar) {
+                Ok(_) => obs::counter(SIDECARS).inc(),
+                Err(e) => {
+                    obs::counter(SIDECAR_FAILURES).inc();
+                    eprintln!("locapd: failed to write artifact {}: {e}", path.display());
+                    // the run succeeded, so the response stays ok — but an
+                    // unqualified ok would hide the missing artifact from
+                    // `replay --expect-ok` clients
+                    if let Json::Obj(fields) = &mut response {
+                        let msg = format!("failed to write artifact {}: {e}", path.display());
+                        fields.push(("artifact_error".into(), Json::Str(msg)));
+                    }
+                }
+            }
+        }
+        self.write_line(&job.writer, &splice_result(&response, result), true);
+    }
+
+    /// Writes one response line (newline included) and counts it as
+    /// ok, err or undeliverable.
+    fn write_line(&self, writer: &Writer, line: &str, ok: bool) {
+        let delivered = {
+            let mut guard = lock_or_recover(writer);
+            guard.write_all(line.as_bytes()).and_then(|()| guard.flush()).is_ok()
+        };
+        let m = &self.metrics;
+        let counter = if !delivered {
+            &m.undeliverable
+        } else if ok {
+            &m.resp_ok
+        } else {
+            &m.resp_err
+        };
+        counter.inc();
+    }
+
+    /// Writes one response document.
+    fn write_response(&self, writer: &Writer, doc: &Json) {
+        self.write_line(writer, &format!("{doc}\n"), doc.get("ok") == Some(&Json::Bool(true)));
+    }
+
+    fn write_error(&self, writer: &Writer, id: &Json, kind: &str, message: &str) {
+        record_error_kind(kind);
+        self.write_response(writer, &err_response(id, kind, message));
+    }
 }
 
 /// Best-effort id extraction for error responses to frames that failed
@@ -427,6 +678,7 @@ fn salvage_id(line: &[u8]) -> Json {
 }
 
 fn stats_json(shared: &ConnShared) -> Json {
+    let r = &shared.responder;
     let registry = obs::snapshot();
     let get = |k: &str| registry.counters.get(k).copied().unwrap_or(0) as f64;
     let get_gauge = |k: &str| registry.gauges.get(k).copied().unwrap_or(0) as f64;
@@ -446,9 +698,9 @@ fn stats_json(shared: &ConnShared) -> Json {
         ("undeliverable".into(), Json::Num(get(UNDELIVERABLE))),
         ("connections".into(), Json::Num(get(CONNECTIONS))),
         ("disconnects".into(), Json::Num(get(DISCONNECTS))),
-        ("queue_depth".into(), Json::Num(shared.depth.load(Ordering::SeqCst) as f64)),
-        ("queue_capacity".into(), Json::Num(shared.config.queue_depth as f64)),
-        ("workers".into(), Json::Num(shared.config.workers as f64)),
+        ("queue_depth".into(), Json::Num(r.depth.load(Ordering::SeqCst) as f64)),
+        ("queue_capacity".into(), Json::Num(r.config.queue_depth as f64)),
+        ("workers".into(), Json::Num(r.config.workers as f64)),
         ("telemetry_interval_ms".into(), Json::Num(telemetry_interval_ms as f64)),
         // the result-store counter family plus its hit-rate gauge (all
         // zero when the daemon runs without --store-dir)
@@ -478,7 +730,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
     };
     let cancel = CancelToken::new();
     let mut subscriptions: Vec<u64> = Vec::new();
-    let mut reader = FrameReader::new(stream, shared.config.max_frame_bytes);
+    let mut reader = FrameReader::new(stream, shared.responder.config.max_frame_bytes);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -496,7 +748,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
             }
             Err(FrameError::Idle) => continue,
             Err(FrameError::TooLarge { limit }) => {
-                write_error(
+                shared.responder.write_error(
                     &writer,
                     &Json::Null,
                     &ProtocolError::FrameTooLarge { limit }.kind(),
@@ -524,29 +776,30 @@ fn handle_frame(
     subscriptions: &mut Vec<u64>,
     shared: &ConnShared,
 ) -> bool {
-    let parse_started = shared.clock.elapsed();
+    let r = &*shared.responder;
+    let parse_started = r.clock.elapsed();
     let request = match parse_request(line) {
-        Ok(r) => r,
+        Ok(req) => req,
         Err(e) => {
-            write_error(writer, &salvage_id(line), &e.kind(), &e.to_string());
+            r.write_error(writer, &salvage_id(line), &e.kind(), &e.to_string());
             return false;
         }
     };
-    let parse_ns = dur_ns(shared.clock.elapsed().saturating_sub(parse_started));
-    obs::counter(REQUESTS).inc();
+    let parse_ns = dur_ns(r.clock.elapsed().saturating_sub(parse_started));
+    r.metrics.requests.inc();
     match request {
         Request::Ping { id } => {
-            write_response(writer, &ok_response(&id, "ping", 0, Json::Obj(vec![])));
+            r.write_response(writer, &ok_response(&id, "ping", 0, Json::Obj(vec![])));
             false
         }
         Request::Stats { id } => {
-            write_response(writer, &ok_response(&id, "stats", 0, stats_json(shared)));
+            r.write_response(writer, &ok_response(&id, "stats", 0, stats_json(shared)));
             false
         }
         Request::Subscribe { id } => {
             let Some(hub) = &shared.hub else {
                 let e = ProtocolError::TelemetryDisabled;
-                write_error(writer, &id, &e.kind(), &e.to_string());
+                r.write_error(writer, &id, &e.kind(), &e.to_string());
                 return false;
             };
             // ack before registering, so the ack precedes the first frame
@@ -554,143 +807,154 @@ fn handle_frame(
                 ("interval_ms".into(), Json::Num(hub.interval_ms() as f64)),
                 ("queue".into(), Json::Num(hub.queue_depth() as f64)),
             ]);
-            write_response(writer, &ok_response(&id, "subscribe", 0, result));
+            r.write_response(writer, &ok_response(&id, "subscribe", 0, result));
             subscriptions.push(hub.subscribe(Arc::clone(writer)));
             false
         }
         Request::Shutdown { id } => {
-            if !shared.config.allow_shutdown {
+            if !r.config.allow_shutdown {
                 let e = ProtocolError::ShutdownDisabled;
-                write_error(writer, &id, &e.kind(), &e.to_string());
+                r.write_error(writer, &id, &e.kind(), &e.to_string());
                 return false;
             }
-            write_response(writer, &ok_response(&id, "shutdown", 0, Json::Obj(vec![])));
+            r.write_response(writer, &ok_response(&id, "shutdown", 0, Json::Obj(vec![])));
             shared.stop.store(true, Ordering::SeqCst);
-            shared.drain.cancel();
+            r.drain.cancel();
             true
         }
         Request::Pipeline { id, request, budget } => {
             if shared.stop.load(Ordering::SeqCst) {
                 let e = ProtocolError::ShuttingDown;
-                write_error(writer, &id, &e.kind(), &e.to_string());
+                r.write_error(writer, &id, &e.kind(), &e.to_string());
                 return false;
             }
             let req_id = shared.next_req_id.fetch_add(1, Ordering::Relaxed) + 1;
-            record_phase(request.pipeline(), PHASE_PARSE, parse_ns);
-            let job = Job {
+            r.metrics.record(request.pipeline(), Phase::Parse, parse_ns);
+            let mut job = Job {
                 id,
                 req_id,
                 request,
                 budget,
                 writer: Arc::clone(writer),
                 cancel: cancel.clone(),
-                enqueued_at: shared.clock.elapsed(),
+                enqueued_at: None,
+                missed: None,
             };
-            shared.depth.fetch_add(1, Ordering::SeqCst);
-            obs::gauge(QUEUE_DEPTH).set_max(shared.depth.load(Ordering::SeqCst));
-            match shared.tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    shared.depth.fetch_sub(1, Ordering::SeqCst);
-                    let e = ProtocolError::Overloaded { queue_depth: shared.config.queue_depth };
-                    write_error(&job.writer, &job.id, &e.kind(), &e.to_string());
+            if let Some(store) = &r.store {
+                let key = job.request.store_key();
+                let window = r.open_window();
+                let answered = r.respond(&job, window.as_ref(), |budget| {
+                    resolve_inline(&job.request, budget, store, &key)
+                });
+                if answered {
+                    return false;
                 }
-                Err(TrySendError::Disconnected(job)) => {
-                    shared.depth.fetch_sub(1, Ordering::SeqCst);
-                    let e = ProtocolError::ShuttingDown;
-                    write_error(&job.writer, &job.id, &e.kind(), &e.to_string());
-                }
+                let lookup = window.map(|before| obs::snapshot().delta_since(&before));
+                job.missed = Some(Miss { key, lookup });
             }
+            shared.enqueue(job);
             false
         }
     }
 }
 
+impl ConnShared {
+    /// Queues `job` for a worker, answering `protocol/overloaded` when the
+    /// queue is full.
+    fn enqueue(&self, mut job: Job) {
+        let r = &*self.responder;
+        job.enqueued_at = Some(r.clock.elapsed());
+        let depth = r.depth.fetch_add(1, Ordering::SeqCst) + 1;
+        r.metrics.queue_depth.set_max(depth);
+        let (job, e) = match self.tx.try_send(job) {
+            Ok(()) => return,
+            Err(TrySendError::Full(job)) => {
+                (job, ProtocolError::Overloaded { queue_depth: r.config.queue_depth })
+            }
+            Err(TrySendError::Disconnected(job)) => (job, ProtocolError::ShuttingDown),
+        };
+        r.depth.fetch_sub(1, Ordering::SeqCst);
+        r.write_error(&job.writer, &job.id, &e.kind(), &e.to_string());
+    }
+}
+
 fn worker_loop(shared: &WorkerShared) {
+    let r = &*shared.responder;
     loop {
         let job = {
             let rx = lock_or_recover(&shared.rx);
             rx.recv()
         };
         let Ok(job) = job else { return }; // all senders gone: drained
-        process_job(job, shared);
+        r.respond(&job, r.open_window().as_ref(), |budget| Some(r.compute(&job, budget)));
     }
-}
-
-fn process_job(job: Job, shared: &WorkerShared) {
-    let pipeline = job.request.pipeline();
-    record_phase(
-        pipeline,
-        PHASE_QUEUE_WAIT,
-        dur_ns(shared.clock.elapsed().saturating_sub(job.enqueued_at)),
-    );
-    let before = shared.config.artifact_dir.as_ref().map(|_| obs::snapshot());
-    // the deadline runs from job start; the shared clock only times the
-    // queue-wait and serialize phases
-    let job_clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
-    let budget = job
-        .budget
-        .realize(&job_clock, shared.config.default_deadline, shared.config.max_deadline)
-        .with_cancel(job.cancel.clone())
-        .with_cancel(shared.drain.clone());
-    let (outcome, elapsed) = {
-        // the span records the run under `serve/request` and, when
-        // OBS_TRACE is on, emits a trace event carrying the request id
-        let _span = obs::span_with(REQUEST_SPAN, &[("req", job.req_id as i64)]);
-        locap_bench::timed(|| job.request.run_with_store(&budget, shared.store.as_ref()))
-    };
-    record_phase(pipeline, PHASE_RUN, dur_ns(elapsed));
-    shared.depth.fetch_sub(1, Ordering::SeqCst);
-    let serialize_started = shared.clock.elapsed();
-    match outcome {
-        Ok(result) => {
-            let mut artifact_error: Option<String> = None;
-            if let (Some(dir), Some(before)) = (shared.config.artifact_dir.as_ref(), before) {
-                let delta = obs::snapshot().delta_since(&before);
-                let pipeline = job.request.pipeline();
-                let sidecar = crate::provenance::sidecar(
-                    "locapd",
-                    pipeline,
-                    job.request.params_json(),
-                    elapsed.as_millis() as u64,
-                    &delta,
-                );
-                let stem = crate::provenance::artifact_stem(pipeline, &job.id);
-                let path = dir.join(format!("{stem}.json"));
-                match crate::provenance::write_artifact(&path, &result, &sidecar) {
-                    Ok(_) => obs::counter(SIDECARS).inc(),
-                    Err(e) => {
-                        obs::counter(SIDECAR_FAILURES).inc();
-                        eprintln!("locapd: failed to write artifact {}: {e}", path.display());
-                        // the run succeeded, so the response stays ok —
-                        // but an unqualified ok would hide the missing
-                        // artifact from `replay --expect-ok` clients
-                        artifact_error =
-                            Some(format!("failed to write artifact {}: {e}", path.display()));
-                    }
-                }
-            }
-            let mut doc =
-                ok_response(&job.id, job.request.pipeline(), elapsed.as_millis() as u64, result);
-            if let (Some(msg), Json::Obj(fields)) = (artifact_error, &mut doc) {
-                fields.push(("artifact_error".into(), Json::Str(msg)));
-            }
-            write_response(&job.writer, &doc);
-        }
-        Err(e) => {
-            write_error(&job.writer, &job.id, &core_error_kind(&e), &e.to_string());
-        }
-    }
-    record_phase(
-        pipeline,
-        PHASE_SERIALIZE,
-        dur_ns(shared.clock.elapsed().saturating_sub(serialize_started)),
-    );
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufRead;
+
     use super::*;
+
+    /// A responder as [`Daemon::run`] builds it, without a store.
+    fn responder() -> Responder {
+        Responder {
+            config: DaemonConfig::default(),
+            clock: Arc::new(StdClock::new()),
+            drain: CancelToken::new(),
+            store: None,
+            metrics: Metrics::new(),
+            depth: AtomicI64::new(0),
+        }
+    }
+
+    /// A loopback connection: the daemon's writer and the client's reader.
+    fn loopback() -> (Arc<Writer>, std::io::BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (Arc::new(Writer::new(server)), std::io::BufReader::new(client))
+    }
+
+    fn read_response(reader: &mut std::io::BufReader<TcpStream>) -> Json {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(&line).unwrap()
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_the_thread_serves_on() {
+        let responder = responder();
+        let (writer, mut reader) = loopback();
+        let params = Json::parse(r#"{"delta_prime":2,"n":9}"#).unwrap();
+        let job = Job {
+            id: Json::Num(1.0),
+            req_id: 1,
+            request: PipelineRequest::parse("eds-lower", &params).unwrap(),
+            budget: BudgetSpec::default(),
+            writer,
+            cancel: CancelToken::new(),
+            enqueued_at: None,
+            missed: None,
+        };
+        let counter = format!("serve/errors/{INTERNAL_PANIC}");
+        let before = obs::snapshot().counters.get(&counter).copied().unwrap_or(0);
+
+        let panics = |_: &RunBudget| -> Option<Result<String, CoreError>> { panic!("boom") };
+        assert!(responder.respond(&job, None, panics), "a panic is answered, not handed on");
+        assert!(responder.respond(&job, None, |budget| Some(responder.compute(&job, budget))));
+
+        let panicked = read_response(&mut reader);
+        let error = panicked.get("error").unwrap();
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some(INTERNAL_PANIC), "{panicked}");
+        assert!(error.get("message").and_then(Json::as_str).unwrap().contains("boom"));
+        let served = read_response(&mut reader);
+        assert_eq!(served.get("ok"), Some(&Json::Bool(true)), "{served}");
+        let expected = job.request.run(&RunBudget::unlimited()).unwrap();
+        assert_eq!(served.get("result"), Some(&expected));
+        let after = obs::snapshot().counters.get(&counter).copied().unwrap_or(0);
+        assert_eq!(after - before, 1, "the panic is counted once");
+    }
 
     #[test]
     fn lock_or_recover_counts_poisoning_exactly_once() {

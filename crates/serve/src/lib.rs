@@ -7,7 +7,8 @@
 //!   deterministic human output (or the standard `OBS_JSON=1` metrics
 //!   line) and optional result artifacts with provenance sidecars;
 //! * **`locapd`** — a long-running TCP daemon speaking newline-delimited
-//!   JSON ([`protocol`]), dispatching requests onto a bounded worker pool
+//!   JSON ([`protocol`]), answering warm result-store hits on the
+//!   connection thread and dispatching the rest onto a bounded worker pool
 //!   ([`daemon`]) with per-request [`locap_graph::budget::RunBudget`]s,
 //!   answering every failure with a typed error response, and writing a
 //!   `*.provenance.json` sidecar ([`provenance`]) for every artifact.

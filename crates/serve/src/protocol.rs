@@ -16,9 +16,10 @@
 //!   [`locap_core::request::PipelineRequest::parse`]).
 //! * `budget` — optional object; every field optional, unknown fields
 //!   rejected. `deadline_ms` bounds wall-clock execution (measured from
-//!   the moment a worker starts the job, not from enqueue), `max_rounds`
-//!   bounds engine rounds/search steps, `cache_cap` bounds view-cache
-//!   entries.
+//!   the moment the daemon starts answering the request — a worker
+//!   starting the job, or the reader resolving a store hit — not from
+//!   enqueue), `max_rounds` bounds engine rounds/search steps,
+//!   `cache_cap` bounds view-cache entries.
 //!
 //! An **operation request** is `{"op": "ping"}`, `{"op": "stats"}`,
 //! `{"op": "subscribe"}` or `{"op": "shutdown"}`, with an optional `id`.
@@ -26,8 +27,11 @@
 //! # Responses
 //!
 //! Exactly one line per well-formed frame, in request order per
-//! connection for operations and protocol errors; pipeline responses
-//! arrive as workers finish (match them by `id`). Success:
+//! connection for operations and protocol errors. Pipeline responses
+//! arrive as they are answered, so match them by `id`: a daemon with a
+//! result store answers a warm hit on the connection's reader thread,
+//! where it can overtake an earlier request still queued for or running
+//! on a worker, and only misses wait for a worker. Success:
 //! `{"id": …, "ok": true, "pipeline": …, "elapsed_ms": …, "result": {…}}`.
 //! Failure: `{"id": …, "ok": false, "error": {"kind": …, "message": …}}`
 //! — the daemon never closes a connection on a bad frame, it answers it.
@@ -65,6 +69,7 @@
 //! distinguish telemetry frames by the `telemetry` key, which response
 //! lines never carry.
 
+use std::fmt::Write as _;
 use std::io::Read;
 use std::sync::Arc;
 use std::time::Duration;
@@ -438,6 +443,32 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ProtocolError> {
     let params = doc.get("params").unwrap_or(&empty);
     let request = PipelineRequest::parse(pipeline, params).map_err(ProtocolError::Request)?;
     Ok(Request::Pipeline { id, request, budget })
+}
+
+/// Renders `response` as its line (newline included), with `result`, an
+/// already-encoded document, as the value of the `result` field that
+/// `response` holds as a [`Json::Null`] placeholder. When `result` is
+/// `doc.to_string()`, the line is byte-identical to `response` built with
+/// `doc` and rendered, so a stored or computed result is encoded once and
+/// never decoded to be encoded again.
+pub fn splice_result(response: &Json, result: &str) -> String {
+    let Json::Obj(fields) = response else { return format!("{response}\n") };
+    let mut line = String::with_capacity(result.len() + 128);
+    line.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        // writing to a String cannot fail
+        let _ = write!(line, "{}:", Json::Str(key.clone()));
+        if key == "result" {
+            line.push_str(result);
+        } else {
+            let _ = write!(line, "{value}");
+        }
+    }
+    line.push_str("}\n");
+    line
 }
 
 /// Builds a success response line.

@@ -127,17 +127,13 @@ pub fn sidecar(
     ])
 }
 
-/// Writes `artifact` (single JSON line) and its sidecar
-/// `<artifact>.provenance.json` next to it.
+/// Writes `artifact`, an encoded result document, as one line, and its
+/// sidecar `<artifact>.provenance.json` next to it.
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures (missing directory, permissions).
-pub fn write_artifact(
-    path: &Path,
-    artifact: &Json,
-    sidecar_doc: &Json,
-) -> std::io::Result<PathBuf> {
+pub fn write_artifact(path: &Path, artifact: &str, sidecar_doc: &Json) -> std::io::Result<PathBuf> {
     std::fs::write(path, format!("{artifact}\n"))?;
     let sidecar_path = sidecar_path_for(path);
     std::fs::write(&sidecar_path, format!("{sidecar_doc}\n"))?;

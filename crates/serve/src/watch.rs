@@ -7,6 +7,12 @@
 //! gauges, and span/latency histograms with p50/p90/p99 quantiles
 //! (within 1/16 of the true value). Rendering is pure
 //! ([`render_frame`]) so the formats are unit-testable.
+//!
+//! The `serve/request/<pipeline>/<phase>` latencies count differently
+//! per phase: `parse`, `run` and `serialize` sample every pipeline
+//! request, `queue_wait` only those queued for a worker. A warm store
+//! hit is answered on the connection thread, so its `run` is the store
+//! read and it never waits in the queue.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

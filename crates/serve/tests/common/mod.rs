@@ -140,6 +140,14 @@ pub fn expect_err(resp: &Json, kind: &str) {
     assert_eq!(err_kind(resp), Some(kind), "wrong error kind in {resp}");
 }
 
+/// A request holding a worker for 402–512 ms with the release `locap`
+/// CLI on a 2-vCPU host: a 1,399,680-node lift (cycle 30 × |H| = 36³),
+/// whose exact OPT on C30 stays cheap. It must outlast the 50 ms after
+/// which the disconnect tests hang up; m = 30 (182–354 ms) came too
+/// close to that.
+pub const SLOW_REQUEST: &str =
+    r#"{"id":"slow","pipeline":"transfer","params":{"algo":"vc-non-min","cycle":30,"m":36}}"#;
+
 /// A valid request line for every pipeline, with parameters small
 /// enough to answer in milliseconds.
 pub const VALID_REQUESTS: [(&str, &str); 7] = [

@@ -16,18 +16,10 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
+use common::{expect_err, expect_ok, Client, TestDaemon, SLOW_REQUEST, VALID_REQUESTS};
 use locap_obs as obs;
 use locap_obs::telemetry::TelemetryState;
 use locap_serve::daemon::DaemonConfig;
-
-/// A request holding a worker for 402–512 ms with the release `locap`
-/// CLI on a 2-vCPU host: a 1,399,680-node lift (cycle 30 × |H| = 36³),
-/// whose exact OPT on C30 stays cheap. It must outlast the 50 ms after
-/// which the disconnect tests hang up; m = 30 (182–354 ms) came too
-/// close to that.
-const SLOW_REQUEST: &str =
-    r#"{"id":"slow","pipeline":"transfer","params":{"algo":"vc-non-min","cycle":30,"m":36}}"#;
 
 /// Polls until `counter` has grown by at least `by` over `base`, or
 /// fails after 10 s. Returns the observed delta.

@@ -4,9 +4,11 @@
 //! parsed request or a *typed* protocol error — and the framing layer
 //! must never panic or lose data around them.
 
+use locap_core::request::PIPELINES;
 use locap_obs::json::Json;
 use locap_serve::protocol::{
-    err_response, parse_request, Frame, FrameError, FrameReader, ProtocolError, Request,
+    err_response, ok_response, parse_request, splice_result, Frame, FrameError, FrameReader,
+    ProtocolError, Request,
 };
 use proptest::prelude::*;
 
@@ -72,6 +74,75 @@ const NEAR_JSON: &[&str] = &[
     "é",
     "𝛿",
 ];
+
+/// Characters of generated ids, keys and strings: every escape the
+/// encoder writes, a control character and multi-byte code points.
+const STRING_POOL: &[char] = &['a', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '/', 'µ', '𝛿'];
+
+fn random_string(rng: &mut TestRng) -> String {
+    let n = rng.next_u64() % 8;
+    (0..n)
+        .map(|_| STRING_POOL[rng.next_u64() as usize % STRING_POOL.len()])
+        .collect()
+}
+
+/// Any finite `f64`: integers, fractions and extremes alike.
+fn random_number(rng: &mut TestRng) -> f64 {
+    match rng.next_u64() % 3 {
+        0 => (rng.next_u64() >> 11) as f64,
+        1 => (rng.next_u64() % 1000) as f64 / 7.0 - 50.0,
+        _ => Some(f64::from_bits(rng.next_u64())).filter(|x| x.is_finite()).unwrap_or(0.5),
+    }
+}
+
+fn random_scalar(rng: &mut TestRng) -> Json {
+    match rng.next_u64() % 4 {
+        0 => Json::Num(random_number(rng)),
+        1 => Json::Str(random_string(rng)),
+        2 => Json::Bool(rng.next_u64() % 2 == 0),
+        _ => Json::Null,
+    }
+}
+
+fn random_json(rng: &mut TestRng, depth: usize) -> Json {
+    match (depth, rng.next_u64() % 3) {
+        (0, _) | (_, 0) => random_scalar(rng),
+        (_, 1) => Json::Arr((0..rng.next_u64() % 4).map(|_| random_json(rng, depth - 1)).collect()),
+        _ => Json::Obj(
+            (0..rng.next_u64() % 4)
+                .map(|_| (random_string(rng), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    /// A result spliced into an `ok` line as its encoded text gives the
+    /// bytes of the line `ok_response` encodes with the document itself,
+    /// also when fields follow the result.
+    #[test]
+    fn spliced_ok_lines_match_the_encoded_response(
+        params in (any::<u64>(), 0usize..4, any::<u64>(), 0usize..PIPELINES.len()),
+    ) {
+        let (seed, depth, elapsed_ms, pipeline) = params;
+        let mut rng = TestRng::from_name(&format!("splice-{seed}-{depth}"));
+        let id = random_scalar(&mut rng);
+        let result = random_json(&mut rng, depth);
+        let pipeline = PIPELINES[pipeline];
+
+        let mut spliced = ok_response(&id, pipeline, elapsed_ms, Json::Null);
+        let mut encoded = ok_response(&id, pipeline, elapsed_ms, result.clone());
+        prop_assert_eq!(splice_result(&spliced, &result.to_string()), format!("{encoded}\n"));
+
+        let trailer = ("artifact_error".to_string(), Json::Str(random_string(&mut rng)));
+        for doc in [&mut spliced, &mut encoded] {
+            if let Json::Obj(fields) = doc {
+                fields.push(trailer.clone());
+            }
+        }
+        prop_assert_eq!(splice_result(&spliced, &result.to_string()), format!("{encoded}\n"));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]

@@ -62,6 +62,7 @@
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -172,11 +173,12 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// The outcome of a store read.
+/// The outcome of a store read: [`StoreHandle::lookup`] decodes a hit's
+/// body into a document, [`StoreHandle::lookup_text`] keeps its text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Lookup {
-    /// A valid entry was found; the decoded body document.
-    Hit(Json),
+pub enum Lookup<T = Json> {
+    /// A valid entry was found; its body.
+    Hit(T),
     /// No entry exists for the key.
     Miss,
     /// An entry exists but is damaged (truncated, bit-flipped, wrong
@@ -274,10 +276,35 @@ impl StoreHandle {
     /// schema/namespace/key, length or checksum mismatch, unparseable
     /// body) are [`Lookup::Corrupt`]. Neither panics.
     pub fn lookup(&self, ns: &str, key: &StoreKey) -> Lookup {
+        self.read(ns, key, |body| Json::parse(&body).ok())
+    }
+
+    /// [`StoreHandle::lookup`] with a hit's body kept as the entry's
+    /// verified text instead of a decoded document. Every check of
+    /// `lookup` still runs, including that the body parses as JSON; a
+    /// caller that only forwards the result (`locapd` splices it into
+    /// its response line) saves decoding it and encoding it again.
+    pub fn lookup_text(&self, ns: &str, key: &StoreKey) -> Lookup<String> {
+        self.read(ns, key, |body| Json::parse(&body).is_ok().then_some(body))
+    }
+
+    /// The one read path: loads the entry, verifies its header, length
+    /// and checksum, hands the body to `decode` (`None` means damaged)
+    /// and counts the outcome.
+    fn read<T>(
+        &self,
+        ns: &str,
+        key: &StoreKey,
+        decode: impl FnOnce(String) -> Option<T>,
+    ) -> Lookup<T> {
         let path = self.entry_path(ns, key);
         let outcome = match fs::read_to_string(&path) {
-            Ok(text) => match decode_entry(&text, ns, key) {
-                Some(doc) => Lookup::Hit(doc),
+            Ok(mut text) => match body_range(&text, ns, key) {
+                Some(body) => {
+                    text.truncate(body.end);
+                    text.drain(..body.start);
+                    decode(text).map_or(Lookup::Corrupt, Lookup::Hit)
+                }
                 None => Lookup::Corrupt,
             },
             Err(e) if e.kind() == io::ErrorKind::NotFound => Lookup::Miss,
@@ -313,8 +340,17 @@ impl StoreHandle {
     /// Persists `doc` as the entry for `key` in `ns` (overwriting any
     /// previous entry, including a corrupt one) via temp file + rename.
     pub fn put(&self, ns: &str, key: &StoreKey, doc: &Json) -> Result<(), StoreError> {
+        self.put_text(ns, key, &doc.to_string())
+    }
+
+    /// [`StoreHandle::put`] for a document already encoded as `body`
+    /// (its compact JSON text, as `doc.to_string()` renders it), so that
+    /// a caller which also sends the encoding elsewhere encodes once. The
+    /// body is stored as given: one that does not parse as JSON reads
+    /// back as [`Lookup::Corrupt`].
+    pub fn put_text(&self, ns: &str, key: &StoreKey, body: &str) -> Result<(), StoreError> {
         let path = self.entry_path(ns, key);
-        let result = write_entry(&path, ns, key, doc);
+        let result = write_entry(&path, ns, key, body);
         match result {
             Ok(()) => {
                 self.write.inc();
@@ -366,8 +402,9 @@ fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Decodes one entry file's text, returning `None` on any damage.
-fn decode_entry(text: &str, ns: &str, key: &StoreKey) -> Option<Json> {
+/// Checks one entry file's header, length and checksum, returning the
+/// byte range of its body, or `None` on any damage.
+fn body_range(text: &str, ns: &str, key: &StoreKey) -> Option<Range<usize>> {
     let (header_line, rest) = text.split_once('\n')?;
     let header = Json::parse(header_line).ok()?;
     if header.get("schema")?.as_u64()? != SCHEMA {
@@ -390,17 +427,17 @@ fn decode_entry(text: &str, ns: &str, key: &StoreKey) -> Option<Json> {
     if format!("{:016x}", fnv1a_bytes(body.as_bytes())) != sum {
         return None;
     }
-    Json::parse(body).ok()
+    let start = header_line.len() + 1;
+    Some(start..start + len)
 }
 
 /// Writes one entry file atomically (temp file in the same directory,
 /// then rename over the final path).
-fn write_entry(path: &Path, ns: &str, key: &StoreKey, doc: &Json) -> Result<(), StoreError> {
+fn write_entry(path: &Path, ns: &str, key: &StoreKey, body: &str) -> Result<(), StoreError> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)
             .map_err(|source| StoreError::Io { path: dir.to_path_buf(), source })?;
     }
-    let body = doc.to_string();
     let header = Json::Obj(vec![
         ("schema".into(), Json::Num(SCHEMA as f64)),
         ("ns".into(), Json::Str(ns.into())),

@@ -114,4 +114,40 @@ proptest! {
         prop_assert_eq!(store.lookup("props", &key), Lookup::Hit(doc));
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The text read path keeps every check of the decoding one: a hit is
+    /// the exact encoding the write stored, and a flipped byte, or a body
+    /// that passes the checksum but does not parse as JSON, is
+    /// `Lookup::Corrupt` on both paths.
+    #[test]
+    fn text_reads_return_the_stored_encoding(params in (any::<u64>(), 1usize..4)) {
+        let (seed, depth) = params;
+        let mut rng = TestRng::from_name(&format!("store-text-{seed}-{depth}"));
+        let dir = scratch(&format!("text-{seed}-{depth}"));
+        let store = StoreHandle::open(&dir).expect("open scratch store");
+        let key = StoreKey::of_bytes(&seed.to_le_bytes());
+        let doc = random_json(&mut rng, depth);
+
+        prop_assert_eq!(store.lookup_text("props", &key), Lookup::Miss);
+        store.put_text("props", &key, &doc.to_string()).expect("write entry");
+        prop_assert_eq!(store.lookup_text("props", &key), Lookup::Hit(doc.to_string()));
+        prop_assert_eq!(store.lookup("props", &key), Lookup::Hit(doc.clone()));
+
+        let path = store.entry_path("props", &key);
+        let original = std::fs::read(&path).expect("read entry back");
+        let pos = rng.next_u64() as usize % original.len();
+        let mut flipped = original.clone();
+        flipped[pos] ^= 1 + (rng.next_u64() % 255) as u8;
+        std::fs::write(&path, &flipped).expect("write flipped entry");
+        prop_assert_eq!(store.lookup_text("props", &key), Lookup::Corrupt);
+
+        // a trailing character after a complete document never parses
+        store.put_text("props", &key, &format!("{doc}]")).expect("write unparseable body");
+        prop_assert_eq!(store.lookup_text("props", &key), Lookup::Corrupt);
+        prop_assert_eq!(store.lookup("props", &key), Lookup::Corrupt);
+
+        let stats = store.stats();
+        prop_assert_eq!((stats.warm_hit, stats.cold_miss, stats.write, stats.corrupt), (2, 1, 2, 3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -2,7 +2,10 @@
 # End-to-end daemon smoke: start locapd on an ephemeral port, replay
 # the recorded request script (scripts/smoke_requests.jsonl) with
 # --expect-ok, verify every successful request produced an artifact
-# with a provenance sidecar, then shut the daemon down over the wire.
+# with a provenance sidecar, replay it again to check that the warm
+# answers (store hits, answered on the connection thread) match the
+# cold ones byte for byte apart from elapsed_ms and write the same
+# artifacts, then shut the daemon down over the wire.
 #
 # Usage: scripts/locapd_smoke.sh [artifact-dir]
 #
@@ -60,11 +63,39 @@ fi
 echo "locapd_smoke: $requests requests ok, $sidecars provenance sidecars"
 
 # Replay the same script a second time: every pipeline result is now in
-# the --store-dir, so the daemon must answer warm. The stats op exposes
-# the store counters; a zero warm-hit count means the store path is
-# broken end to end.
+# the --store-dir, so the daemon must answer warm. The cold run's
+# artifacts move to cold/ first, so that the warm run has to write its
+# own: a hit writes its artifact and sidecar like a computed result.
+mkdir -p "$ARTIFACTS/cold"
+mv "$ARTIFACTS"/*.json "$ARTIFACTS/cold/"
 target/release/locap replay scripts/smoke_requests.jsonl \
     --addr "$ADDR" --expect-ok > "$ARTIFACTS/responses-warm.jsonl"
+
+# A warm line splices the stored result into the response, and must be
+# the cold line byte for byte once elapsed_ms is masked. Responses
+# arrive in completion order, so both sides are sorted.
+masked() { sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' "$1" | sort; }
+if ! diff <(masked "$ARTIFACTS/responses.jsonl") <(masked "$ARTIFACTS/responses-warm.jsonl"); then
+    echo "locapd_smoke: warm responses differ from cold ones beyond elapsed_ms" >&2
+    exit 1
+fi
+sidecars=$(find "$ARTIFACTS" -maxdepth 1 -name '*.provenance.json' | wc -l)
+if [ "$sidecars" -ne "$requests" ]; then
+    echo "locapd_smoke: warm replay wrote $sidecars provenance sidecars, expected $requests" >&2
+    ls -l "$ARTIFACTS" >&2
+    exit 1
+fi
+for cold in "$ARTIFACTS"/cold/*.json; do
+    case "$cold" in *.provenance.json) continue ;; esac
+    if ! cmp -s "$cold" "$ARTIFACTS/$(basename "$cold")"; then
+        echo "locapd_smoke: warm artifact $(basename "$cold") differs from the cold one" >&2
+        exit 1
+    fi
+done
+echo "locapd_smoke: warm replay matches the cold one ($sidecars sidecars, same artifacts)"
+
+# The stats op exposes the store counters; a zero warm-hit count means
+# the store path is broken end to end.
 STATS_SCRIPT=$ARTIFACTS/.stats.jsonl
 printf '{"op":"stats","id":"smoke-stats"}\n' > "$STATS_SCRIPT"
 target/release/locap replay "$STATS_SCRIPT" --addr "$ADDR" --expect-ok \
