@@ -594,42 +594,14 @@ impl PipelineRequest {
     /// [`CoreError::Truncated`] before any work starts, so every
     /// pipeline truncates deterministically under a zero deadline.
     pub fn run(&self, budget: &RunBudget) -> Result<Json, CoreError> {
-        self.run_with_store(budget, None)
+        self.run_uncached(budget, None)
     }
 
-    /// [`PipelineRequest::run`] with an optional persistent result store.
-    ///
-    /// With a store, the request's result document is looked up under its
-    /// content key first — a warm hit skips the computation entirely —
-    /// and persisted on a successful cold run. The census pipeline
-    /// additionally consults the store per radius (so overlapping census
-    /// requests share sub-censuses). Store damage degrades to a
-    /// recompute and store write failures are counted but never turn a
-    /// successful run into an error.
-    pub fn run_with_store(
-        &self,
-        budget: &RunBudget,
-        store: Option<&StoreHandle>,
-    ) -> Result<Json, CoreError> {
-        self.check_budget(budget)?;
-        let keyed = store.map(|s| (s, self.store_key()));
-        if let Some((s, key)) = &keyed {
-            if let Some(doc) = s.get(PIPELINE_STORE_NS, key) {
-                return Ok(doc);
-            }
-        }
-        let result = self.compute(budget, store)?;
-        if let Some((s, key)) = &keyed {
-            s.put(PIPELINE_STORE_NS, key, &result).ok();
-        }
-        Ok(result)
-    }
-
-    /// [`PipelineRequest::run_with_store`] without reading or writing the
-    /// request's own store entry, for callers that resolve it themselves:
-    /// `locapd` looks the entry up on the connection thread and writes a
-    /// miss's encoded result back from the worker. The store still serves
-    /// the census pipeline's per-radius entries.
+    /// [`PipelineRequest::run`] with an optional persistent result store,
+    /// which serves the census pipeline's per-radius entries. It neither
+    /// reads nor writes the request's own entry: `locapd` looks that up on
+    /// the connection thread and writes a miss's encoded result back from
+    /// the worker.
     ///
     /// # Errors
     ///
@@ -882,7 +854,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use locap_graph::budget::{CancelToken, ManualClock};
+    use locap_graph::budget::{CancelToken, ManualClock, StdClock};
 
     use super::*;
 
@@ -1001,29 +973,17 @@ mod tests {
     }
 
     #[test]
-    fn stored_runs_answer_warm_and_match_the_cold_result() {
-        let dir = std::env::temp_dir().join(format!("locap-core-store-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = StoreHandle::open(&dir).expect("open scratch store");
-        for (pipeline, params) in [
-            ("eds-lower", "{\"n\": 9}"),
-            ("census", "{\"family\": \"directed-cycle\", \"n\": 12, \"radius\": 2}"),
-        ] {
-            let req = parse_req(pipeline, params).expect("valid request");
-            let before = store.stats();
-            let cold = req
-                .run_with_store(&RunBudget::unlimited(), Some(&store))
-                .expect("cold run succeeds");
-            assert_eq!(cold, req.run(&RunBudget::unlimited()).expect("storeless run"));
-            let warm = req
-                .run_with_store(&RunBudget::unlimited(), Some(&store))
-                .expect("warm run succeeds");
-            assert_eq!(warm, cold, "{pipeline}: warm result identical");
-            let after = store.stats();
-            assert!(after.warm_hit > before.warm_hit, "{pipeline}: served from store");
-            assert!(after.write > before.write, "{pipeline}: cold run wrote back");
+    fn oi_to_po_answers_long_cycles_within_a_second() {
+        for cycle in [60u64, 80, 128] {
+            for (algo, opt) in [("vc-non-min", cycle.div_ceil(2)), ("is-local-min", cycle / 2)] {
+                let budget = RunBudget::unlimited()
+                    .with_deadline(Duration::from_secs(1), Arc::new(StdClock::new()));
+                let params = format!("{{\"algo\": \"{algo}\", \"cycle\": {cycle}}}");
+                let req = parse_req("oi-to-po", &params).expect("valid request");
+                let out = req.run(&budget).expect("answers within the deadline");
+                assert_eq!(out.get("opt").and_then(Json::as_u64), Some(opt), "{algo} C{cycle}");
+            }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -287,7 +287,7 @@ pub struct NbhdScratch {
     ball: Vec<NodeId>,
     /// Reused buffer for sorted directed labelled edges.
     ledge_buf: Vec<(u32, u32, u32)>,
-    /// Reused key buffer backing the struct-returning `*_fast` wrappers.
+    /// Reused key buffer backing [`ordered_lnbhd_fast`].
     key_buf: Vec<u64>,
 }
 
@@ -457,38 +457,6 @@ pub fn ordered_lkey_into(
         key.push(label as u64);
     }
     scratch.ledge_buf = edges;
-}
-
-/// [`ordered_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
-/// `O(|ball| + |induced edges|)` per call.
-pub fn ordered_nbhd_fast(
-    g: &Graph,
-    rank: &[usize],
-    v: NodeId,
-    r: usize,
-    scratch: &mut NbhdScratch,
-) -> OrderedNbhd {
-    let mut key = std::mem::take(&mut scratch.key_buf);
-    ordered_key_into(g, rank, v, r, scratch, &mut key);
-    let t = OrderedNbhd::from_key(&key);
-    scratch.key_buf = key;
-    t
-}
-
-/// [`id_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
-/// `O(|ball| + |induced edges|)` per call.
-pub fn id_nbhd_fast(
-    g: &Graph,
-    ids: &[u64],
-    v: NodeId,
-    r: usize,
-    scratch: &mut NbhdScratch,
-) -> IdNbhd {
-    let mut key = std::mem::take(&mut scratch.key_buf);
-    id_key_into(g, ids, v, r, scratch, &mut key);
-    let t = IdNbhd::from_key(&key);
-    scratch.key_buf = key;
-    t
 }
 
 /// [`ordered_lnbhd_in`] with a reusable [`NbhdScratch`]: bit-identical

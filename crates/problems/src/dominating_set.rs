@@ -5,7 +5,7 @@
 
 use locap_graph::{Graph, NodeId};
 
-use crate::{Goal, VertexSet, MAX_EXACT_NODES};
+use crate::{search, Goal, VertexSet};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Minimize;
@@ -48,62 +48,24 @@ pub fn greedy(g: &Graph) -> VertexSet {
     x
 }
 
-/// Exact minimum dominating set by branch and bound: branch over the closed
-/// neighbourhood of the first undominated vertex.
+/// Exact minimum dominating set: the crate's branch and bound picks
+/// vertices until every closed neighbourhood holds one, starting from
+/// [`greedy`] and pruning with `⌈undominated vertices / (Δ + 1)⌉`.
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`](crate::MAX_EXACT_NODES)
+/// nodes.
 pub fn solve_exact(g: &Graph) -> VertexSet {
-    assert!(
-        g.node_count() <= MAX_EXACT_NODES,
-        "exact solver supports at most {MAX_EXACT_NODES} nodes"
+    let start = greedy(g);
+    let closed = |v: NodeId| std::iter::once(v).chain(g.neighbors(v).iter().copied());
+    let found = search::min_picks(
+        &search::masks(g, g.nodes(), |v| [v]),
+        &search::masks(g, g.nodes(), closed),
+        g.max_degree() + 1,
+        start.len(),
     );
-    let n = g.node_count();
-    let closed: Vec<u128> = (0..n)
-        .map(|v| g.neighbors(v).iter().fold(1u128 << v, |m, &u| m | (1 << u)))
-        .collect();
-    let full: u128 = if n == 128 { u128::MAX } else { (1u128 << n) - 1 };
-    let max_cover = closed.iter().map(|m| m.count_ones()).max().unwrap_or(1);
-
-    let mut best: Vec<NodeId> = greedy(g).into_iter().collect();
-    let mut current: Vec<NodeId> = Vec::new();
-
-    fn rec(
-        dominated: u128,
-        full: u128,
-        closed: &[u128],
-        max_cover: u32,
-        current: &mut Vec<NodeId>,
-        best: &mut Vec<NodeId>,
-    ) {
-        let undominated = full & !dominated;
-        if undominated == 0 {
-            if current.len() < best.len() {
-                *best = current.clone();
-            }
-            return;
-        }
-        // lower bound: each added vertex dominates at most max_cover nodes
-        let lb = undominated.count_ones().div_ceil(max_cover);
-        if current.len() + lb as usize >= best.len() {
-            return;
-        }
-        let v = undominated.trailing_zeros() as usize;
-        // some member of N[v] must be chosen
-        let mut candidates: Vec<NodeId> =
-            (0..closed.len()).filter(|&c| closed[c] & (1 << v) != 0).collect();
-        // try high-coverage candidates first
-        candidates.sort_by_key(|&c| std::cmp::Reverse((closed[c] & !dominated).count_ones()));
-        for c in candidates {
-            current.push(c);
-            rec(dominated | closed[c], full, closed, max_cover, current, best);
-            current.pop();
-        }
-    }
-
-    rec(0, full, &closed, max_cover, &mut current, &mut best);
-    best.into_iter().collect()
+    found.picks.map_or(start, |p| p.into_iter().collect())
 }
 
 /// The exact optimum value γ(G).

@@ -1,12 +1,13 @@
 //! Minimum edge cover.
 //!
 //! Locally 2-approximable, and no better, in all three models (paper §1.4).
-//! Exact optimum via Gallai's identity ρ(G) = n − ν(G), with an explicit
-//! witness built from a maximum matching.
+//! The exact solver also serves [`matching`]: by Gallai's identity
+//! ρ(G) = n − ν(G), a maximum matching takes one edge from each star of a
+//! minimum edge cover.
 
 use locap_graph::{Edge, Graph, NodeId};
 
-use crate::{matching, EdgeSet, Goal};
+use crate::{matching, search, EdgeSet, Goal};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Minimize;
@@ -30,29 +31,17 @@ pub fn local_check(g: &Graph, x: &EdgeSet, v: NodeId) -> bool {
     any
 }
 
-/// Exact minimum edge cover: extend a maximum matching by one edge per
-/// unmatched vertex (Gallai). Returns `None` if the graph has an isolated
+/// Exact minimum edge cover: the crate's branch and bound picks edges
+/// until every node is touched, starting from [`greedy`] and pruning with
+/// `⌈untouched nodes / 2⌉`. Returns `None` if the graph has an isolated
 /// node (no edge cover exists).
+///
+/// # Panics
+///
+/// Panics if `g` has more than [`MAX_EXACT_NODES`](crate::MAX_EXACT_NODES)
+/// nodes.
 pub fn solve_exact(g: &Graph) -> Option<EdgeSet> {
-    if g.nodes().any(|v| g.degree(v) == 0) {
-        return None;
-    }
-    let mut cover = matching::solve_exact(g);
-    let mut covered = vec![false; g.node_count()];
-    for e in &cover {
-        covered[e.u] = true;
-        covered[e.v] = true;
-    }
-    for v in g.nodes() {
-        if !covered[v] {
-            let u = g.neighbors(v)[0];
-            cover.insert(Edge::new(v, u));
-            covered[v] = true;
-            // u was already covered or becomes covered; either way fine
-            covered[u] = true;
-        }
-    }
-    Some(cover)
+    (!has_isolated(g)).then(|| cover_non_isolated(g))
 }
 
 /// The exact optimum value ρ(G) = n − ν(G); `None` for graphs with
@@ -65,9 +54,28 @@ pub fn opt_value(g: &Graph) -> Option<usize> {
 /// uncovered vertex (the classical 2-approximation, also how the local
 /// algorithm works).
 pub fn greedy(g: &Graph) -> Option<EdgeSet> {
-    if g.nodes().any(|v| g.degree(v) == 0) {
-        return None;
-    }
+    (!has_isolated(g)).then(|| greedy_non_isolated(g))
+}
+
+fn has_isolated(g: &Graph) -> bool {
+    g.nodes().any(|v| g.degree(v) == 0)
+}
+
+/// A minimum set of edges touching every non-isolated node of `g`.
+pub(crate) fn cover_non_isolated(g: &Graph) -> EdgeSet {
+    let start = greedy_non_isolated(g);
+    let edges = g.edge_vec();
+    let found = search::min_picks(
+        &search::masks(g, &edges, |e| [e.u, e.v]),
+        &search::masks(g, g.nodes().filter(|&v| g.degree(v) > 0), |v| [v]),
+        2,
+        start.len(),
+    );
+    found.picks.map_or(start, |p| p.into_iter().map(|i| edges[i]).collect())
+}
+
+/// [`greedy`] over the non-isolated nodes only.
+fn greedy_non_isolated(g: &Graph) -> EdgeSet {
     let mut cover = matching::greedy_maximal(g);
     let mut covered = vec![false; g.node_count()];
     for e in &cover {
@@ -75,13 +83,12 @@ pub fn greedy(g: &Graph) -> Option<EdgeSet> {
         covered[e.v] = true;
     }
     for v in g.nodes() {
-        if !covered[v] {
-            let u = g.neighbors(v)[0];
+        if let (false, Some(&u)) = (covered[v], g.neighbors(v).first()) {
             cover.insert(Edge::new(v, u));
             covered[v] = true;
         }
     }
-    Some(cover)
+    cover
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! endpoint with a member of `D`; equivalently, the endpoints of `D` form a
 //! vertex cover.
 
-use locap_graph::{Edge, Graph, NodeId};
+use locap_graph::{Graph, NodeId};
 
-use crate::{matching, touched, EdgeSet, Goal, MAX_EXACT_NODES};
+use crate::{matching, search, touched, EdgeSet, Goal};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Minimize;
@@ -36,67 +36,26 @@ pub fn greedy(g: &Graph) -> EdgeSet {
     matching::greedy_maximal(g)
 }
 
-/// Exact minimum edge dominating set by branch and bound: branch over the
-/// edges adjacent to the first undominated edge.
+/// Exact minimum edge dominating set: the crate's branch and bound picks
+/// edges until every edge shares an endpoint with one, starting from
+/// [`greedy`] and pruning with `⌈undominated edges / (2Δ − 1)⌉`.
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`](crate::MAX_EXACT_NODES)
+/// nodes.
 pub fn solve_exact(g: &Graph) -> EdgeSet {
-    assert!(
-        g.node_count() <= MAX_EXACT_NODES,
-        "exact solver supports at most {MAX_EXACT_NODES} nodes"
-    );
+    exact(g).0
+}
+
+/// [`solve_exact`] and the number of search nodes it took.
+fn exact(g: &Graph) -> (EdgeSet, u64) {
+    let start = greedy(g);
     let edges = g.edge_vec();
-    let delta = g.max_degree().max(1);
-    let dominate_cap = (2 * delta - 1) as u32; // one edge dominates ≤ 2Δ−1 edges
-
-    let mut best: Vec<Edge> = greedy(g).into_iter().collect();
-    let mut current: Vec<Edge> = Vec::new();
-
-    // touched-vertex mask of the current solution
-    fn rec(
-        g: &Graph,
-        edges: &[Edge],
-        touched_mask: u128,
-        dominate_cap: u32,
-        current: &mut Vec<Edge>,
-        best: &mut Vec<Edge>,
-    ) {
-        let undominated: Vec<&Edge> = edges
-            .iter()
-            .filter(|e| touched_mask & (1 << e.u) == 0 && touched_mask & (1 << e.v) == 0)
-            .collect();
-        if undominated.is_empty() {
-            if current.len() < best.len() {
-                *best = current.clone();
-            }
-            return;
-        }
-        let lb = (undominated.len() as u32).div_ceil(dominate_cap);
-        if current.len() + lb as usize >= best.len() {
-            return;
-        }
-        let target = *undominated[0];
-        // some edge incident to target.u or target.v must join the solution
-        let mut candidates: Vec<Edge> = Vec::new();
-        for &w in [target.u, target.v].iter() {
-            for &nb in g.neighbors(w) {
-                let e = Edge::new(w, nb);
-                if !candidates.contains(&e) {
-                    candidates.push(e);
-                }
-            }
-        }
-        for e in candidates {
-            current.push(e);
-            rec(g, edges, touched_mask | (1 << e.u) | (1 << e.v), dominate_cap, current, best);
-            current.pop();
-        }
-    }
-
-    rec(g, &edges, 0, dominate_cap, &mut current, &mut best);
-    best.into_iter().collect()
+    let ends = search::masks(g, &edges, |e| [e.u, e.v]);
+    let found =
+        search::min_picks(&ends, &ends, (2 * g.max_degree()).saturating_sub(1), start.len());
+    (found.picks.map_or(start, |p| p.into_iter().map(|i| edges[i]).collect()), found.nodes)
 }
 
 /// The exact optimum value γ_e(G).
@@ -108,7 +67,9 @@ pub fn opt_value(g: &Graph) -> usize {
 mod tests {
     use super::*;
     use crate::testing::suite;
+    use locap_graph::factor::two_factor_labeling;
     use locap_graph::gen;
+    use locap_lifts::connect_copies;
 
     #[test]
     fn known_optima() {
@@ -158,6 +119,45 @@ mod tests {
                 let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
                 assert_eq!(all_accept, feasible(&g, &x), "{name}");
             }
+        }
+    }
+
+    /// A connected `n / (4k − 1)`-lift of the gadget `K_{2k, 2k−1}` plus a
+    /// perfect matching on its `2k` side, for `Δ′ = 2k`: the `eds-lower`
+    /// instance, built as `locap-core`'s `eds_instance` builds it.
+    fn gadget_lift(delta_prime: usize, n: usize) -> Graph {
+        let k = delta_prime / 2;
+        let (t, u) = (2 * k, 2 * k - 1);
+        let bipartite = (0..t).flat_map(|a| (0..u).map(move |b| (a, t + b)));
+        let edges: Vec<_> = bipartite.chain((0..k).map(|i| (2 * i, 2 * i + 1))).collect();
+        let base = Graph::from_edges(t + u, &edges).unwrap();
+        let labeled = two_factor_labeling(&base).unwrap();
+        let lift = match n / (t + u) {
+            1 => labeled,
+            l => connect_copies(&labeled, l).unwrap().0,
+        };
+        lift.underlying().unwrap()
+    }
+
+    #[test]
+    fn paper_sweep_gadgets_take_pinned_node_counts() {
+        // (Δ′, n, perfect EDS size n·Δ′ / (2(2Δ′ − 1)), search nodes)
+        for (dp, n, opt, nodes) in [
+            (2, 3, 1, 1),
+            (2, 9, 3, 6),
+            (2, 21, 7, 10),
+            (2, 30, 10, 13),
+            (4, 7, 2, 1),
+            (4, 14, 4, 9),
+            (4, 28, 8, 13),
+            (6, 11, 3, 1),
+            (6, 22, 6, 13),
+        ] {
+            let g = gadget_lift(dp, n);
+            assert_eq!(g.node_count(), n);
+            let (eds, found) = exact(&g);
+            assert!(feasible(&g, &eds), "Δ′ = {dp}, n = {n}");
+            assert_eq!((eds.len(), found), (opt, nodes), "Δ′ = {dp}, n = {n}");
         }
     }
 

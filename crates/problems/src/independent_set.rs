@@ -6,7 +6,7 @@
 
 use locap_graph::{Graph, NodeId};
 
-use crate::{Goal, VertexSet, MAX_EXACT_NODES};
+use crate::{vertex_cover, Goal, VertexSet};
 
 /// Optimisation direction.
 pub const GOAL: Goal = Goal::Maximize;
@@ -53,55 +53,24 @@ pub fn greedy(g: &Graph) -> VertexSet {
     x
 }
 
-/// Exact maximum independent set by branch and bound over `u128` masks.
+/// Exact maximum independent set: the complement of a minimum vertex
+/// cover (α + τ = n, Gallai), which the crate's branch and bound finds
+/// from the complement of [`greedy`].
 ///
 /// # Panics
 ///
-/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
+/// Panics if `g` has more than [`MAX_EXACT_NODES`](crate::MAX_EXACT_NODES)
+/// nodes.
 pub fn solve_exact(g: &Graph) -> VertexSet {
-    assert!(
-        g.node_count() <= MAX_EXACT_NODES,
-        "exact solver supports at most {MAX_EXACT_NODES} nodes"
-    );
-    let n = g.node_count();
-    let nbr: Vec<u128> = (0..n)
-        .map(|v| g.neighbors(v).iter().fold(0u128, |m, &u| m | (1 << u)))
-        .collect();
-    let full: u128 = if n == 128 { u128::MAX } else { (1u128 << n) - 1 };
+    exact(g).0
+}
 
-    let mut best: u128 = greedy(g).iter().fold(0u128, |m, &v| m | (1 << v));
-
-    fn rec(remaining: u128, chosen: u128, nbr: &[u128], best: &mut u128) {
-        if remaining == 0 {
-            if chosen.count_ones() > best.count_ones() {
-                *best = chosen;
-            }
-            return;
-        }
-        if chosen.count_ones() + remaining.count_ones() <= best.count_ones() {
-            return; // cannot beat the incumbent
-        }
-        // branch on the highest-degree remaining vertex
-        let mut pick = remaining.trailing_zeros() as usize;
-        let mut pick_deg = 0;
-        let mut m = remaining;
-        while m != 0 {
-            let v = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let d = (nbr[v] & remaining).count_ones();
-            if d > pick_deg {
-                pick_deg = d;
-                pick = v;
-            }
-        }
-        // include pick
-        rec(remaining & !nbr[pick] & !(1u128 << pick), chosen | (1u128 << pick), nbr, best);
-        // exclude pick
-        rec(remaining & !(1u128 << pick), chosen, nbr, best);
-    }
-
-    rec(full, 0, &nbr, &mut best);
-    (0..n).filter(|&v| best & (1 << v) != 0).collect()
+/// [`solve_exact`] and the number of search nodes it took.
+fn exact(g: &Graph) -> (VertexSet, u64) {
+    let complement =
+        |x: &VertexSet| -> VertexSet { g.nodes().filter(|v| !x.contains(v)).collect() };
+    let (cover, nodes) = vertex_cover::cover_from(g, complement(&greedy(g)));
+    (complement(&cover), nodes)
 }
 
 /// The exact optimum value α(G).
@@ -157,6 +126,14 @@ mod tests {
                 let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
                 assert_eq!(all_accept, feasible(&g, &x), "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn every_cycle_is_answered_at_the_root() {
+        for n in 3..=128 {
+            let (set, nodes) = exact(&gen::cycle(n));
+            assert_eq!((set.len(), nodes), (n / 2, 1), "C{n}");
         }
     }
 

@@ -11,19 +11,24 @@
 //!    all nodes equals feasibility — witnessing PO-checkability (the
 //!    verifier consumes only the ball of `v` and the solution bits stored
 //!    on it, never identifiers or orders),
-//! 3. **an exact solver** (branch and bound over `u128` vertex masks,
+//! 3. **an exact solver** (one branch and bound over `u128` vertex masks,
 //!    instances up to [`MAX_EXACT_NODES`] nodes) providing ground-truth
 //!    OPT for measured approximation ratios, and
 //! 4. **a greedy centralised baseline**.
 //!
+//! Every exact solver is an instance of the same search: pick the fewest
+//! vertices or edges so that every vertex or edge the problem *needs* is
+//! met, pruned by the most needs one pick can meet. The two maximisation
+//! problems are complements of minimum ones.
+//!
 //! | problem | goal | kind | exact solver |
 //! |---|---|---|---|
-//! | [`vertex_cover`] | min | vertices | B&B on uncovered edges |
-//! | [`independent_set`] | max | vertices | B&B with remaining-count bound |
-//! | [`dominating_set`] | min | vertices | B&B on undominated vertices |
-//! | [`matching`] | max | edges | B&B over edges |
-//! | [`edge_cover`] | min | edges | Gallai: `n − ν(G)` with witness |
-//! | [`edge_dominating_set`] | min | edges | B&B on undominated edges |
+//! | [`vertex_cover`] | min | vertices | vertices meeting every edge; bound Δ per pick |
+//! | [`independent_set`] | max | vertices | `V ∖` a minimum vertex cover (α + τ = n) |
+//! | [`dominating_set`] | min | vertices | vertices meeting every closed neighbourhood; bound Δ + 1 |
+//! | [`matching`] | max | edges | one edge per star of a minimum edge cover (ν + ρ = n′) |
+//! | [`edge_cover`] | min | edges | edges meeting every vertex; bound 2 |
+//! | [`edge_dominating_set`] | min | edges | edges meeting every edge; bound 2Δ − 1 |
 //!
 //! # Example
 //!
@@ -44,7 +49,10 @@ pub mod edge_cover;
 pub mod edge_dominating_set;
 pub mod independent_set;
 pub mod matching;
+#[cfg(test)]
+mod oracle;
 mod ratio;
+mod search;
 pub mod vertex_cover;
 
 pub use ratio::{approx_ratio, Goal};

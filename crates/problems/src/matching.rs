@@ -4,7 +4,7 @@
 
 use locap_graph::{Edge, Graph, NodeId};
 
-use crate::{EdgeSet, Goal, MAX_EXACT_NODES};
+use crate::{edge_cover, EdgeSet, Goal};
 
 /// Optimisation direction (maximum matching).
 pub const GOAL: Goal = Goal::Maximize;
@@ -39,9 +39,29 @@ pub fn is_maximal(g: &Graph, x: &EdgeSet) -> bool {
 
 /// Greedy maximal matching (scan edges in sorted order).
 pub fn greedy_maximal(g: &Graph) -> EdgeSet {
+    first_fit(g, g.edges())
+}
+
+/// Exact maximum matching: one edge from each star of a minimum edge
+/// cover of the non-isolated nodes. A minimum edge cover is a star forest
+/// (an edge whose two ends other edges of it touch could be dropped), so
+/// on the `n′` non-isolated nodes it has `n′ − ρ` stars, which is ν by
+/// Gallai's identity ν + ρ = n′.
+///
+/// # Panics
+///
+/// Panics if `g` has more than [`MAX_EXACT_NODES`](crate::MAX_EXACT_NODES)
+/// nodes.
+pub fn solve_exact(g: &Graph) -> EdgeSet {
+    first_fit(g, edge_cover::cover_non_isolated(g))
+}
+
+/// The edges of `edges`, in order, that share no endpoint with an earlier
+/// choice. Within a star forest that is one edge per star.
+fn first_fit(g: &Graph, edges: impl IntoIterator<Item = Edge>) -> EdgeSet {
     let mut used = vec![false; g.node_count()];
     let mut m = EdgeSet::new();
-    for e in g.edges() {
+    for e in edges {
         if !used[e.u] && !used[e.v] {
             used[e.u] = true;
             used[e.v] = true;
@@ -49,47 +69,6 @@ pub fn greedy_maximal(g: &Graph) -> EdgeSet {
         }
     }
     m
-}
-
-/// Exact maximum matching by branch and bound over the edge list.
-///
-/// # Panics
-///
-/// Panics if `g` has more than [`MAX_EXACT_NODES`] nodes.
-pub fn solve_exact(g: &Graph) -> EdgeSet {
-    assert!(
-        g.node_count() <= MAX_EXACT_NODES,
-        "exact solver supports at most {MAX_EXACT_NODES} nodes"
-    );
-    let edges = g.edge_vec();
-    let mut best: Vec<Edge> = greedy_maximal(g).into_iter().collect();
-    let mut current: Vec<Edge> = Vec::new();
-
-    fn rec(edges: &[Edge], i: usize, used: u128, current: &mut Vec<Edge>, best: &mut Vec<Edge>) {
-        // upper bound: everything that remains could be added
-        if current.len() + (edges.len() - i) <= best.len() {
-            return;
-        }
-        if i == edges.len() {
-            if current.len() > best.len() {
-                *best = current.clone();
-            }
-            return;
-        }
-        let e = edges[i];
-        if used & (1 << e.u) == 0 && used & (1 << e.v) == 0 {
-            current.push(e);
-            rec(edges, i + 1, used | (1 << e.u) | (1 << e.v), current, best);
-            current.pop();
-        }
-        rec(edges, i + 1, used, current, best);
-    }
-
-    rec(&edges, 0, 0, &mut current, &mut best);
-    if current.len() > best.len() {
-        best = current;
-    }
-    best.into_iter().collect()
 }
 
 /// The exact maximum matching size ν(G).
