@@ -372,8 +372,9 @@ const STABLE_PREFIXES: &[&str] =
 /// process (the global registry accumulates): `bench_gate` is.
 ///
 /// The workload exercises the EDS lower-bound pipeline (ViewCache census)
-/// and the OI engine, so the counters cover memoization behaviour across
-/// both the PO-view and the ordered-neighbourhood paths.
+/// and the OI engine (through `run::oi_vertex_budgeted`), so the counters
+/// cover memoization behaviour across both the PO-view and the
+/// ordered-neighbourhood paths.
 pub fn counter_workload() -> BTreeMap<String, u64> {
     let inst = locap_core::eds_lower::eds_instance(2, 9).expect("Δ'=2, n=9 is a valid instance");
     locap_core::eds_lower::lower_bound_report_budgeted(&inst, &RunBudget::unlimited())
@@ -390,8 +391,8 @@ pub fn counter_workload() -> BTreeMap<String, u64> {
     }
     let g = locap_graph::gen::cycle(32);
     let rank: Vec<usize> = (0..32).collect();
-    let mut eng = locap_models::engine::OiEngine::new(&g, &rank);
-    let _ = eng.run_vertex_budgeted(&RootIsSmallest, &RunBudget::unlimited());
+    let _ =
+        locap_models::run::oi_vertex_budgeted(&g, &rank, &RootIsSmallest, &RunBudget::unlimited());
     let _ = locap_graph::canon::ordered_type_census(&g, &rank, 1);
 
     obs::snapshot()

@@ -30,7 +30,7 @@
 //! census winner with the ε-independent τ* computed in `U`.
 
 use locap_graph::budget::RunBudget;
-use locap_graph::canon::{ordered_lnbhd_fast, NbhdScratch, OrderedLNbhd};
+use locap_graph::canon::{ordered_lkey_into, NbhdScratch, OrderedLNbhd};
 use locap_graph::{par, LDigraph};
 use locap_groups::{cayley, Group, IterGroup};
 use locap_num::Ratio;
@@ -180,7 +180,9 @@ pub fn tau_star(level: usize, gens: &[Vec<i64>], r: usize) -> Result<OrderedLNbh
 const PARALLEL_MIN_NODES: usize = 1 << 10;
 
 /// Flags the vertices whose ordered radius-`r` neighbourhood is `tau`,
-/// concatenating per-chunk flags over [`par::map_chunks`].
+/// concatenating per-chunk flags over [`par::map_chunks`]. `tau` is
+/// encoded once, and each vertex's packed key is compared against it
+/// without being decoded.
 fn census_count(
     d: &LDigraph,
     und: &locap_graph::Graph,
@@ -189,10 +191,14 @@ fn census_count(
     tau: &OrderedLNbhd,
 ) -> Vec<bool> {
     let _span = obs::span("census_count");
+    let tau = tau.to_key();
     par::map_chunks(d.node_count(), PARALLEL_MIN_NODES, |vertices| {
-        let mut scratch = NbhdScratch::new();
+        let (mut scratch, mut key) = (NbhdScratch::new(), Vec::new());
         vertices
-            .map(|v| &ordered_lnbhd_fast(d, und, rank, v, r, &mut scratch) == tau)
+            .map(|v| {
+                ordered_lkey_into(d, und, rank, v, r, &mut scratch, &mut key);
+                key == tau
+            })
             .collect::<Vec<bool>>()
     })
     .concat()

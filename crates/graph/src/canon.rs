@@ -24,7 +24,8 @@
 //! structs are equal — the layouts below are injective), so hot paths
 //! intern keys into a [`KeyInterner`] and compare dense integer ids
 //! instead of hashing owned structs; [`OrderedNbhd::from_key`] and
-//! friends decode a key back when the algorithm needs the struct.
+//! friends decode a key back when the algorithm needs the struct, and
+//! [`OrderedLNbhd::to_key`] encodes a struct to compare against keys.
 //!
 //! Layouts (`n` = ball size, `root` = centre position):
 //!
@@ -158,6 +159,20 @@ impl OrderedLNbhd {
                 .collect(),
         }
     }
+
+    /// Encodes the struct as the packed key [`ordered_lkey_into`] writes
+    /// for it — the inverse of [`OrderedLNbhd::from_key`], so comparing a
+    /// vertex's key against this one compares the neighbourhoods without
+    /// decoding.
+    pub fn to_key(&self) -> Vec<u64> {
+        let mut key = Vec::with_capacity(1 + 2 * self.edges.len());
+        key.push(((self.n as u64) << 32) | self.root as u64);
+        for &(from, to, label) in &self.edges {
+            key.push(((from as u64) << 32) | to as u64);
+            key.push(label as u64);
+        }
+        key
+    }
 }
 
 /// Computes the canonical ordered neighbourhood of `v` in an L-digraph,
@@ -268,9 +283,9 @@ pub fn id_nbhd(g: &Graph, ids: &[u64], v: NodeId, r: usize) -> IdNbhd {
     IdNbhd { ids: ball.iter().map(|&u| ids[u]).collect(), root, edges }
 }
 
-/// Reusable workspace for the `*_fast` / `*_key_into` canonical-form
-/// extractors: an epoch-stamped membership/position map plus a BFS queue,
-/// giving `O(|ball| + |induced edges|)` per call with **no** per-call
+/// Reusable workspace for the `*_key_into` canonical-form extractors:
+/// an epoch-stamped membership/position map plus a BFS queue, giving
+/// `O(|ball| + |induced edges|)` per call with **no** per-call
 /// allocation beyond the output (the naive paths pay sorting and a fresh
 /// position index per call).
 ///
@@ -287,8 +302,6 @@ pub struct NbhdScratch {
     ball: Vec<NodeId>,
     /// Reused buffer for sorted directed labelled edges.
     ledge_buf: Vec<(u32, u32, u32)>,
-    /// Reused key buffer backing [`ordered_lnbhd_fast`].
-    key_buf: Vec<u64>,
 }
 
 impl NbhdScratch {
@@ -457,23 +470,6 @@ pub fn ordered_lkey_into(
         key.push(label as u64);
     }
     scratch.ledge_buf = edges;
-}
-
-/// [`ordered_lnbhd_in`] with a reusable [`NbhdScratch`]: bit-identical
-/// output, `O(|ball| + |induced edges|)` per call.
-pub fn ordered_lnbhd_fast(
-    d: &LDigraph,
-    und: &Graph,
-    rank: &[usize],
-    v: NodeId,
-    r: usize,
-    scratch: &mut NbhdScratch,
-) -> OrderedLNbhd {
-    let mut key = std::mem::take(&mut scratch.key_buf);
-    ordered_lkey_into(d, und, rank, v, r, scratch, &mut key);
-    let t = OrderedLNbhd::from_key(&key);
-    scratch.key_buf = key;
-    t
 }
 
 /// Fans per-vertex key extraction over [`par::map_chunks`], each chunk
@@ -758,7 +754,9 @@ mod tests {
         for r in 0..4 {
             for v in 0..9 {
                 ordered_lkey_into(&d, &und, &rank, v, r, &mut scratch, &mut key);
-                assert_eq!(OrderedLNbhd::from_key(&key), ordered_lnbhd_in(&d, &und, &rank, v, r));
+                let t = ordered_lnbhd_in(&d, &und, &rank, v, r);
+                assert_eq!(OrderedLNbhd::from_key(&key), t);
+                assert_eq!(t.to_key(), key, "the encoder writes the extractor's key");
             }
         }
     }

@@ -391,7 +391,7 @@ impl<'g> ViewCache<'g> {
 
     /// The class of the radius-`r` view of `v`: two vertices get the same
     /// class **iff** `view(d, ·, r)` returns equal trees.
-    pub fn root_class(&mut self, v: NodeId, r: usize) -> u32 {
+    fn root_class(&mut self, v: NodeId, r: usize) -> u32 {
         self.ensure(r);
         self.partition(Level::Root(r)).class[v]
     }
@@ -410,7 +410,7 @@ impl<'g> ViewCache<'g> {
         self.class_view(r, class)
     }
 
-    /// The tree of a class returned by [`ViewCache::root_class`].
+    /// The tree of a class returned by [`ViewCache::root_classes`].
     pub fn class_view(&mut self, r: usize, class: u32) -> ViewTree {
         self.ensure(r);
         ViewTree {
@@ -457,17 +457,6 @@ impl<'g> ViewCache<'g> {
     ) -> Result<(Vec<u32>, usize), TruncationReason> {
         self.try_ensure(r, cap)?;
         Ok(self.root_classes(r))
-    }
-
-    /// Cap-aware [`ViewCache::class_view`].
-    pub fn try_class_view(
-        &mut self,
-        r: usize,
-        class: u32,
-        cap: Option<usize>,
-    ) -> Result<ViewTree, TruncationReason> {
-        self.try_ensure(r, cap)?;
-        Ok(self.class_view(r, class))
     }
 
     /// Cap-aware [`ViewCache::census`].
@@ -850,7 +839,7 @@ mod tests {
         // tight cap still fails deterministically (build-order independent)
         assert!(cache.try_root_classes(2, Some(cache.entry_count())).is_ok());
         assert!(cache.try_root_classes(2, Some(1)).is_err());
-        assert!(cache.try_class_view(1, 0, Some(1)).is_err());
+        assert!(cache.try_root_classes(1, Some(1)).is_err());
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! for edge problems). [`VertexVerifier`]/[`EdgeVerifier`] are verifier
 //! traits over it, and [`verify_vertex`]/[`verify_edge`] run them over an
 //! instance. The six verifiers for the paper's Example 1.1 problems live
-//! in [`verifiers`]; integration tests check `all accept ⟺ feasible`
-//! against `locap-problems` ground truth.
+//! in [`verifiers`], the workspace's one PO-checkability witness per
+//! problem: the property test `prop_verifiers_accept_iff_feasible` in
+//! `tests/properties.rs` checks `all accept ⟺ feasible` against
+//! `locap-problems` ground truth on random graphs and subsets, and each
+//! `locap-problems` module's unit tests check it on that crate's suite.
 
 use std::collections::BTreeSet;
 

@@ -1,4 +1,5 @@
-//! The shared memoized view/neighbourhood engine.
+//! The memoized engine behind the six `run::*_budgeted` runs, which are
+//! its only callers.
 //!
 //! Every experiment in the workspace bottoms out in the same inner loop:
 //! extract the radius-`r` neighbourhood of every vertex (a [`ViewTree`]
@@ -16,26 +17,24 @@
 //! algorithms, an edge assembly for edge algorithms). The models differ
 //! only in how a vertex finds its class:
 //!
-//! * [`ViewEngine`] (PO) wraps [`locap_lifts::ViewCache`] — incremental
-//!   class refinement over walk states computes the view classes of
-//!   **all** vertices at once (radius `r` reuses the walk levels of
-//!   earlier radii, and one pass over the vertices reads off the root
-//!   classes), identical subtrees are interned, and the per-state sweep
-//!   fans across [`locap_graph::par`] workers.
-//! * [`NbhdEngine`] (OI as [`OiEngine`], ID as [`IdEngine`]) extracts each
+//! * PO ([`run_po`]) reads the root classes of a [`ViewCache`] —
+//!   incremental class refinement over walk states computes the view
+//!   classes of **all** vertices at once, identical subtrees are
+//!   interned, and the per-state sweep fans across
+//!   [`locap_graph::par`] workers.
+//! * OI and ID ([`run_keyed`], generic over an [`NbhdKey`]) extract each
 //!   vertex's canonical form as a packed `u64` key
 //!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call
-//!   allocation) straight from the [`Graph`]'s flat rows and interns it
-//!   into a per-engine [`KeyInterner`] — type equality is id equality, so
-//!   the hot loop never hashes an owned struct. The two models differ
-//!   only in their [`NbhdKey`].
+//!   allocation) straight from the [`Graph`]'s flat rows and intern it
+//!   into the run's [`KeyInterner`] — type equality is id equality, so
+//!   the hot loop never hashes an owned struct.
 //!
 //! Everything is bit-identical to the naive paths in [`crate::run`]
 //! (asserted by the `engine_differential` test suite). Every run
 //! publishes its cache effectiveness into the global [`locap_obs`]
-//! registry (`engine/{po,oi,id}/…` counters, one
-//! `engine/<model>/run_vertex|run_edge` span per call), so binaries and
-//! the bench gate export unified metrics without threading state.
+//! registry (`engine/{po,oi,id}/…` counters), so binaries and the bench
+//! gate export unified metrics without threading state; its time is the
+//! caller's `run/<model>_<kind>` span.
 
 #![deny(
     clippy::unwrap_used,
@@ -48,24 +47,19 @@
     clippy::string_slice
 )]
 
-use std::collections::BTreeSet;
-
 use locap_obs as obs;
 
-use locap_graph::budget::{Budgeted, RunBudget, TruncationReason};
+use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
-use locap_graph::{Edge, Graph, KeyInterner, LDigraph, NodeId};
-use locap_lifts::{Letter, ViewCache, ViewTree};
+use locap_graph::{Graph, KeyInterner, LDigraph, NodeId};
+use locap_lifts::{ViewCache, ViewTree};
 
 use crate::error::RunError;
-use crate::{
-    IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
-    PoVertexAlgorithm,
-};
+use crate::run::check_input;
 
-/// Registry handles and trace names of one model's engine: one counter
-/// family per model under `engine/<model>/…`, hoisted at engine
-/// construction so run loops pay only atomic adds.
+/// Registry handles and trace names of one model's runs: one counter
+/// family per model under `engine/<model>/…`, hoisted before the run
+/// loop so it pays only atomic adds.
 #[derive(Debug, Clone)]
 struct EngineObs {
     runs: obs::Counter,
@@ -73,8 +67,6 @@ struct EngineObs {
     evals: obs::Counter,
     hits: obs::Counter,
     classes: obs::Gauge,
-    run_vertex: String,
-    run_edge: String,
     miss: String,
     dedup: String,
 }
@@ -87,8 +79,6 @@ impl EngineObs {
             evals: obs::counter(&format!("engine/{model}/evals")),
             hits: obs::counter(&format!("engine/{model}/hits")),
             classes: obs::gauge(&format!("engine/{model}/classes")),
-            run_vertex: format!("engine/{model}/run_vertex"),
-            run_edge: format!("engine/{model}/run_edge"),
             miss: format!("engine/{model}/miss"),
             dedup: format!("engine/{model}/dedup"),
         }
@@ -119,23 +109,25 @@ impl EngineObs {
     }
 }
 
-/// How a model maps vertices to classes for [`memo_broadcast`]: vertices
-/// of one class have equal radius-`r` neighbourhoods, so one evaluation
-/// answers them all.
+/// How a model maps the vertices of one radius-`r` run to classes for
+/// [`memo_broadcast`]: vertices of one class have equal radius-`r`
+/// neighbourhoods, so one evaluation answers them all. Class ids are
+/// dense in first-seen vertex order: a vertex's class is either one an
+/// earlier vertex had, or the number of classes seen before it.
 trait Classes {
     /// The neighbourhood an algorithm evaluates.
     type Nbhd;
-    /// The radius-`r` class of `v`.
-    fn class_of(&mut self, v: NodeId, r: usize) -> usize;
-    /// The radius-`r` neighbourhood of `class`, the class
-    /// [`Classes::class_of`] just returned.
-    fn nbhd(&mut self, class: usize, r: usize) -> Self::Nbhd;
+    /// The class of `v`.
+    fn class_of(&mut self, v: NodeId) -> usize;
+    /// The neighbourhood of `class`, the class [`Classes::class_of`]
+    /// just returned.
+    fn nbhd(&mut self, class: usize) -> Self::Nbhd;
 }
 
-/// The one memo-and-broadcast loop behind all six engine runs. It walks
-/// the `n` vertices in order, evaluates `eval` once per class, hands
-/// every vertex its class's output through `sink`, and publishes the
-/// run's counters. Each classified vertex polls the interrupts
+/// The one memo-and-broadcast loop behind all six runs. It walks the `n`
+/// vertices in order, evaluates `eval` once per class, hands every
+/// vertex its class's output through `sink` into `value`, and publishes
+/// the run's counters. Each classified vertex polls the interrupts
 /// ([`RunBudget::poll_interrupt`]: cancellation per vertex, the deadline
 /// clock per [`POLL_STRIDE`](locap_graph::budget::POLL_STRIDE) vertices
 /// and before every evaluation), and each new class checks the cache
@@ -147,211 +139,109 @@ trait Classes {
 /// # Errors
 ///
 /// The first error `sink` reports; nothing is published then.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the memo is resized to cover the class id just returned before it is indexed"
-)]
 // lint: hot
-fn memo_broadcast<C: Classes, O: Clone>(
+fn memo_broadcast<C: Classes, O, T>(
     classes: &mut C,
     n: usize,
-    r: usize,
     budget: &RunBudget,
     engine: &EngineObs,
     eval: impl Fn(&C::Nbhd) -> O,
-    mut sink: impl FnMut(NodeId, &O) -> Result<(), RunError>,
-) -> Result<Option<TruncationReason>, RunError> {
-    let mut memo: Vec<Option<O>> = Vec::new();
-    let (mut vertices, mut evals, mut hits) = (0usize, 0u64, 0u64);
+    mut value: T,
+    mut sink: impl FnMut(&mut T, NodeId, &O) -> Result<(), RunError>,
+) -> Result<Budgeted<T>, RunError> {
+    // memo[c] is the output of class c: classes are dense, so a new
+    // class is pushed at its own index
+    let mut memo: Vec<O> = Vec::new();
+    let mut hits = 0u64;
     let mut truncation = None;
     // lint: hot-setup-end
     for v in 0..n {
-        let c = classes.class_of(v, r);
-        if c >= memo.len() {
-            memo.resize(c + 1, None);
-        }
-        let slot = &mut memo[c];
-        if let Some(t) = budget.poll_interrupt(v, slot.is_none()) {
+        let c = classes.class_of(v);
+        let hit = memo.get(c);
+        if let Some(t) = budget.poll_interrupt(v, hit.is_none()) {
             truncation = Some(t.publish());
             break;
         }
-        let out = match slot {
-            Some(out) => {
-                hits += 1;
-                out
-            }
-            None => {
-                if let Some(t) = budget.check_cache(evals as usize + 1) {
-                    truncation = Some(t.publish());
-                    break;
-                }
-                evals += 1;
-                if obs::trace::enabled() {
-                    obs::trace::instant(&engine.miss, &[("node", v as i64), ("class", c as i64)]);
-                }
-                slot.insert(eval(&classes.nbhd(c, r)))
-            }
-        };
-        vertices += 1;
-        sink(v, out)?;
+        if let Some(out) = hit {
+            hits += 1;
+            sink(&mut value, v, out)?;
+            continue;
+        }
+        if let Some(t) = budget.check_cache(memo.len() + 1) {
+            truncation = Some(t.publish());
+            break;
+        }
+        if obs::trace::enabled() {
+            obs::trace::instant(&engine.miss, &[("node", v as i64), ("class", c as i64)]);
+        }
+        debug_assert_eq!(c, memo.len(), "class ids are dense in first-seen order");
+        let out = eval(&classes.nbhd(c));
+        sink(&mut value, v, &out)?;
+        memo.push(out);
     }
-    engine.publish(vertices, evals, hits);
-    Ok(truncation)
+    engine.publish(hits as usize + memo.len(), memo.len() as u64, hits);
+    Ok(Budgeted { value, truncation })
 }
 
-/// PO classes: the view classes of one class-refinement pass.
-struct ViewClasses<'a, 'g> {
+/// PO classes: the radius-`r` view classes of one class-refinement pass.
+struct ViewClasses<'g> {
     roots: Vec<u32>,
-    cache: &'a mut ViewCache<'g>,
+    cache: ViewCache<'g>,
+    r: usize,
 }
 
-impl Classes for ViewClasses<'_, '_> {
+impl Classes for ViewClasses<'_> {
     type Nbhd = ViewTree;
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "roots holds one class per vertex and the loop passes v < n"
-    )]
-    fn class_of(&mut self, v: NodeId, _r: usize) -> usize {
-        self.roots[v] as usize
+    fn class_of(&mut self, v: NodeId) -> usize {
+        // memo_broadcast passes v < n = roots.len()
+        self.roots.get(v).map_or(0, |&c| c as usize)
     }
 
-    fn nbhd(&mut self, class: usize, r: usize) -> ViewTree {
-        self.cache.class_view(r, class as u32)
+    fn nbhd(&mut self, class: usize) -> ViewTree {
+        self.cache.class_view(self.r, class as u32)
     }
 }
 
-/// The PO-model engine: a per-graph cache of view classes with
-/// evaluate-once-per-class algorithm runs. See the module docs.
-pub struct ViewEngine<'g> {
-    cache: ViewCache<'g>,
-    obs: EngineObs,
-}
-
-impl<'g> ViewEngine<'g> {
-    /// Creates an engine for `d`; all state is built lazily.
-    pub fn new(d: &'g LDigraph) -> ViewEngine<'g> {
-        ViewEngine { cache: ViewCache::new(d), obs: EngineObs::new("po") }
-    }
-
-    /// The radius-`r` view of `v` — bit-identical to
-    /// [`locap_lifts::view`]`(d, v, r)`.
-    pub fn view(&mut self, v: NodeId, r: usize) -> ViewTree {
-        self.cache.view(v, r)
-    }
-
-    /// The view census — bit-identical to
-    /// [`locap_lifts::view_census_naive`], one tree per class.
-    pub fn census(&mut self, r: usize) -> Vec<(ViewTree, usize)> {
-        self.cache.census(r)
-    }
-
-    /// Runs a PO vertex algorithm: one evaluation per view class,
-    /// broadcast to all vertices of the class. Bit-identical to
-    /// [`crate::run::po_vertex_naive`] under an unlimited budget.
-    ///
-    /// The cache cap bounds the view-cache entries, and interrupts are
-    /// polled per vertex through [`RunBudget::poll_interrupt`]. On
-    /// truncation the value is the per-vertex prefix computed so far
-    /// (empty when the cache cap stops the class refinement itself).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible (PO vertex runs have no input
-    /// preconditions); `Result` for uniformity with the other engines.
-    pub fn run_vertex_budgeted<A: PoVertexAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        let _span = obs::span(&self.obs.run_vertex);
-        let mut out = Vec::with_capacity(self.cache.digraph().node_count());
-        let truncation = self.run(
-            algo.radius(),
-            budget,
-            |t| algo.evaluate(t),
-            |_, &bit| {
-                out.push(bit);
-                Ok(())
-            },
-        )?;
-        Ok(Budgeted { value: out, truncation })
-    }
-
-    /// Runs a PO edge algorithm: one evaluation per view class, then the
-    /// same per-vertex letter-to-edge assembly as
-    /// [`crate::run::po_edge_naive`]. On truncation the value holds the
-    /// edges selected by the vertices processed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::AbsentLetter`] when the algorithm selects a letter
-    /// the node does not have.
-    pub fn run_edge_budgeted<A: PoEdgeAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        let _span = obs::span(&self.obs.run_edge);
-        let d = self.cache.digraph();
-        let mut out = BTreeSet::new();
-        let sink = |v: NodeId, letters: &Vec<(Letter, bool)>| {
-            for &(letter, selected) in letters {
-                if !selected {
-                    continue;
-                }
-                let target = if letter.inverse {
-                    d.in_neighbor(v, letter.label)
-                } else {
-                    d.out_neighbor(v, letter.label)
-                };
-                let Some(u) = target else {
-                    return Err(
-                        RunError::AbsentLetter { node: v, letter: letter.to_string() }.publish()
-                    );
-                };
-                out.insert(Edge::new(v, u));
-            }
-            Ok(())
-        };
-        let truncation = self.run(algo.radius(), budget, |t| algo.evaluate(t), sink)?;
-        Ok(Budgeted { value: out, truncation })
-    }
-
-    /// Refines the radius-`r` view classes under the budget's cache cap
-    /// (a tripped cap ends the run before any vertex, unpublished), then
-    /// runs [`memo_broadcast`] over them.
-    fn run<O: Clone>(
-        &mut self,
-        r: usize,
-        budget: &RunBudget,
-        eval: impl Fn(&ViewTree) -> O,
-        sink: impl FnMut(NodeId, &O) -> Result<(), RunError>,
-    ) -> Result<Option<TruncationReason>, RunError> {
-        let roots = match self.cache.try_root_classes(r, budget.cache_cap()) {
-            Ok((roots, _)) => roots,
-            Err(t) => return Ok(Some(t.publish())),
-        };
-        let n = roots.len();
-        let mut classes = ViewClasses { roots, cache: &mut self.cache };
-        memo_broadcast(&mut classes, n, r, budget, &self.obs, eval, sink)
+/// Runs a radius-`r` PO algorithm over `d`: refines the view classes
+/// under the budget's cache cap (a tripped cap ends the run before any
+/// vertex, with `value` as given and nothing published but the
+/// truncation), then runs [`memo_broadcast`] over them.
+///
+/// # Errors
+///
+/// The first error `sink` reports.
+pub(crate) fn run_po<O, T>(
+    d: &LDigraph,
+    r: usize,
+    budget: &RunBudget,
+    eval: impl Fn(&ViewTree) -> O,
+    value: T,
+    sink: impl FnMut(&mut T, NodeId, &O) -> Result<(), RunError>,
+) -> Result<Budgeted<T>, RunError> {
+    let mut cache = ViewCache::new(d);
+    let engine = EngineObs::new("po");
+    match cache.try_root_classes(r, budget.cache_cap()) {
+        Ok((roots, _)) => {
+            let n = roots.len();
+            let mut classes = ViewClasses { roots, cache, r };
+            memo_broadcast(&mut classes, n, budget, &engine, eval, value, sink)
+        }
+        Err(t) => Ok(Budgeted { value, truncation: Some(t.publish()) }),
     }
 }
 
 /// What an OI or ID neighbourhood carries besides the graph, and how it
-/// is keyed: the only differences between the two models' engines.
-pub trait NbhdKey {
+/// is keyed: the only differences between the two models' runs.
+pub(crate) trait NbhdKey {
     /// The per-node input: a rank (OI) or an identifier (ID).
-    type Input: Copy;
+    type Input;
     /// The decoded neighbourhood an algorithm evaluates.
     type Nbhd;
     /// The model's name in obs metrics (`engine/<MODEL>/…`).
     const MODEL: &'static str;
     /// The input's name in [`RunError::InputLengthMismatch`].
     const INPUT: &'static str;
-    /// The neighbour order of edge outputs: bit `i` of a node's output
-    /// selects its neighbour with the `i`-th smallest key.
-    fn sort_key(input: Self::Input) -> u64;
     /// Writes the packed key of `v`'s radius-`r` neighbourhood to `key`.
     fn key_into(
         g: &Graph,
@@ -366,18 +256,13 @@ pub trait NbhdKey {
 }
 
 /// OI keys: neighbourhoods up to order-isomorphism under a rank.
-#[derive(Debug)]
-pub enum OrderedKey {}
+pub(crate) enum OrderedKey {}
 
 impl NbhdKey for OrderedKey {
     type Input = usize;
     type Nbhd = OrderedNbhd;
     const MODEL: &'static str = "oi";
     const INPUT: &'static str = "rank";
-
-    fn sort_key(rank: usize) -> u64 {
-        rank as u64
-    }
 
     fn key_into(
         g: &Graph,
@@ -395,19 +280,17 @@ impl NbhdKey for OrderedKey {
     }
 }
 
-/// ID keys: neighbourhoods carrying unique identifiers.
-#[derive(Debug)]
-pub enum IdKey {}
+/// ID keys: neighbourhoods carrying unique identifiers. Identifiers being
+/// globally unique, a run usually evaluates every vertex on connected
+/// graphs with `r ≥ 1` — the win is the extraction fast path, and
+/// radius-0 / disconnected corner cases still dedup.
+pub(crate) enum IdKey {}
 
 impl NbhdKey for IdKey {
     type Input = u64;
     type Nbhd = IdNbhd;
     const MODEL: &'static str = "id";
     const INPUT: &'static str = "ids";
-
-    fn sort_key(id: u64) -> u64 {
-        id
-    }
 
     fn key_into(
         g: &Graph,
@@ -425,12 +308,12 @@ impl NbhdKey for IdKey {
     }
 }
 
-/// OI/ID classes: interned packed keys. The interner persists across
-/// runs (same type, same id), and the key buffer holds the key of the
-/// vertex just classified.
+/// OI/ID classes: interned packed keys; the key buffer holds the key of
+/// the vertex just classified.
 struct KeyClasses<'g, K: NbhdKey> {
     g: &'g Graph,
     input: &'g [K::Input],
+    r: usize,
     scratch: NbhdScratch,
     key: Vec<u64>,
     interner: KeyInterner,
@@ -439,211 +322,46 @@ struct KeyClasses<'g, K: NbhdKey> {
 impl<K: NbhdKey> Classes for KeyClasses<'_, K> {
     type Nbhd = K::Nbhd;
 
-    fn class_of(&mut self, v: NodeId, r: usize) -> usize {
-        K::key_into(self.g, self.input, v, r, &mut self.scratch, &mut self.key);
+    fn class_of(&mut self, v: NodeId) -> usize {
+        K::key_into(self.g, self.input, v, self.r, &mut self.scratch, &mut self.key);
         self.interner.intern(&self.key) as usize
     }
 
-    fn nbhd(&mut self, _class: usize, _r: usize) -> K::Nbhd {
+    fn nbhd(&mut self, _class: usize) -> K::Nbhd {
         K::decode(&self.key)
     }
 }
 
-/// The OI-model engine (ranks).
-pub type OiEngine<'g> = NbhdEngine<'g, OrderedKey>;
-
-/// The ID-model engine (identifiers). Identifiers being globally unique,
-/// the dedup ratio is usually 1 on connected graphs with `r ≥ 1` — the
-/// win here is the extraction fast path, and radius-0 / disconnected
-/// corner cases still dedup.
-pub type IdEngine<'g> = NbhdEngine<'g, IdKey>;
-
-/// The OI/ID engine: `O(|ball|)` packed-key extraction over the
-/// [`Graph`]'s flat rows, with keys interned so each distinct
-/// neighbourhood type is evaluated once and memo lookups are dense-id
-/// indexing.
-pub struct NbhdEngine<'g, K: NbhdKey> {
-    keys: KeyClasses<'g, K>,
-    obs: EngineObs,
-}
-
-impl<'g, K: NbhdKey> NbhdEngine<'g, K> {
-    /// Creates an engine for `(g, input)`. An input that does not cover
-    /// the graph still builds an engine; its runs report
-    /// [`RunError::InputLengthMismatch`].
-    pub fn new(g: &'g Graph, input: &'g [K::Input]) -> NbhdEngine<'g, K> {
-        NbhdEngine {
-            keys: KeyClasses {
-                g,
-                input,
-                scratch: NbhdScratch::new(),
-                key: Vec::new(),
-                interner: KeyInterner::new(),
-            },
-            obs: EngineObs::new(K::MODEL),
-        }
-    }
-
-    /// The neighbourhood of `v` — bit-identical to
-    /// [`locap_graph::canon::ordered_nbhd`] (OI) or
-    /// [`locap_graph::canon::id_nbhd`] (ID).
-    pub fn nbhd(&mut self, v: NodeId, r: usize) -> K::Nbhd {
-        let keys = &mut self.keys;
-        K::key_into(keys.g, keys.input, v, r, &mut keys.scratch, &mut keys.key);
-        K::decode(&keys.key)
-    }
-
-    /// The input length precondition, shared by both run paths.
-    fn validate(&self) -> Result<(), RunError> {
-        let n = self.keys.g.node_count();
-        if self.keys.input.len() != n {
-            return Err(RunError::InputLengthMismatch {
-                what: K::INPUT,
-                expected: n,
-                actual: self.keys.input.len(),
-            }
-            .publish());
-        }
-        Ok(())
-    }
-
-    /// The shared body of the OI/ID vertex runs.
-    fn vertex_run(
-        &mut self,
-        r: usize,
-        budget: &RunBudget,
-        eval: impl Fn(&K::Nbhd) -> bool,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.validate()?;
-        let _span = obs::span(&self.obs.run_vertex);
-        let n = self.keys.g.node_count();
-        let mut out = Vec::with_capacity(n);
-        let sink = |_, &bit: &bool| {
-            out.push(bit);
-            Ok(())
-        };
-        let truncation = memo_broadcast(&mut self.keys, n, r, budget, &self.obs, eval, sink)?;
-        self.keys.interner.publish_obs();
-        Ok(Budgeted { value: out, truncation })
-    }
-
-    /// The shared body of the OI/ID edge runs: bit `i` of a node's output
-    /// selects its neighbour with the `i`-th smallest key (a stable sort
-    /// of the neighbour list, so equal keys keep node order).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "validate() has checked that input covers every node of g"
-    )]
-    fn edge_run(
-        &mut self,
-        r: usize,
-        budget: &RunBudget,
-        eval: impl Fn(&K::Nbhd) -> Vec<bool>,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.validate()?;
-        let _span = obs::span(&self.obs.run_edge);
-        let (g, input) = (self.keys.g, self.keys.input);
-        let mut by_key: Vec<NodeId> = Vec::new();
-        let mut out = BTreeSet::new();
-        let sink = |v: NodeId, bits: &Vec<bool>| {
-            if bits.len() != g.degree(v) {
-                return Err(RunError::OutputLengthMismatch {
-                    node: v,
-                    expected: g.degree(v),
-                    actual: bits.len(),
-                }
-                .publish());
-            }
-            by_key.clear();
-            by_key.extend_from_slice(g.neighbors(v));
-            by_key.sort_by_key(|&u| K::sort_key(input[u]));
-            for (&u, _) in by_key.iter().zip(bits).filter(|(_, &bit)| bit) {
-                out.insert(Edge::new(v, u));
-            }
-            Ok(())
-        };
-        let n = g.node_count();
-        let truncation = memo_broadcast(&mut self.keys, n, r, budget, &self.obs, eval, sink)?;
-        self.keys.interner.publish_obs();
-        Ok(Budgeted { value: out, truncation })
-    }
-}
-
-impl OiEngine<'_> {
-    /// Runs an OI vertex algorithm, evaluating once per distinct type.
-    /// Bit-identical to [`crate::run::oi_vertex_naive`] under an
-    /// unlimited budget.
-    ///
-    /// The cache cap bounds the distinct types of this run, and
-    /// interrupts are polled per vertex through
-    /// [`RunBudget::poll_interrupt`]; on truncation the value is the
-    /// per-vertex prefix computed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] when `rank` does not cover
-    /// every node.
-    pub fn run_vertex_budgeted<A: OiVertexAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.vertex_run(algo.radius(), budget, |t| algo.evaluate(t))
-    }
-
-    /// Runs an OI edge algorithm, evaluating once per distinct type; the
-    /// per-vertex assembly (degree check included) matches
-    /// [`crate::run::oi_edge_naive`]. On truncation the value holds the
-    /// edges selected by the vertices processed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] for a short `rank`,
-    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
-    /// does not match a node's degree.
-    pub fn run_edge_budgeted<A: OiEdgeAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.edge_run(algo.radius(), budget, |t| algo.evaluate(t))
-    }
-}
-
-impl IdEngine<'_> {
-    /// Runs an ID vertex algorithm, evaluating once per distinct
-    /// neighbourhood. Bit-identical to [`crate::run::id_vertex_naive`]
-    /// under an unlimited budget; on truncation the value is the
-    /// per-vertex prefix computed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] when `ids` does not cover
-    /// every node.
-    pub fn run_vertex_budgeted<A: IdVertexAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.vertex_run(algo.radius(), budget, |t| algo.evaluate(t))
-    }
-
-    /// Runs an ID edge algorithm; assembly matches
-    /// [`crate::run::id_edge_naive`]. On truncation the value holds the
-    /// edges selected by the vertices processed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InputLengthMismatch`] for short `ids`,
-    /// [`RunError::OutputLengthMismatch`] when the algorithm's output
-    /// does not match a node's degree.
-    pub fn run_edge_budgeted<A: IdEdgeAlgorithm>(
-        &mut self,
-        algo: &A,
-        budget: &RunBudget,
-    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.edge_run(algo.radius(), budget, |t| algo.evaluate(t))
-    }
+/// Runs a radius-`r` OI or ID algorithm over `(g, input)`: each vertex's
+/// packed key is interned, so each distinct neighbourhood type is
+/// evaluated once and memo lookups are dense-id indexing.
+///
+/// # Errors
+///
+/// [`RunError::InputLengthMismatch`] when `input` does not cover every
+/// node, and the first error `sink` reports.
+pub(crate) fn run_keyed<K: NbhdKey, O, T>(
+    g: &Graph,
+    input: &[K::Input],
+    r: usize,
+    budget: &RunBudget,
+    eval: impl Fn(&K::Nbhd) -> O,
+    value: T,
+    sink: impl FnMut(&mut T, NodeId, &O) -> Result<(), RunError>,
+) -> Result<Budgeted<T>, RunError> {
+    let engine = EngineObs::new(K::MODEL);
+    check_input(g, input, K::INPUT)?;
+    let mut classes = KeyClasses::<K> {
+        g,
+        input,
+        r,
+        scratch: NbhdScratch::new(),
+        key: Vec::new(),
+        interner: KeyInterner::new(),
+    };
+    let run = memo_broadcast(&mut classes, g.node_count(), budget, &engine, eval, value, sink)?;
+    classes.interner.publish_obs();
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -654,8 +372,13 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use locap_graph::budget::{CancelToken, ManualClock, MonotonicClock, POLL_STRIDE};
+    use crate::run;
+    use crate::{IdVertexAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm, PoVertexAlgorithm};
+    use locap_graph::budget::{
+        CancelToken, ManualClock, MonotonicClock, TruncationReason, POLL_STRIDE,
+    };
     use locap_graph::gen;
+    use locap_lifts::Letter;
 
     fn unlimited() -> RunBudget {
         RunBudget::unlimited()
@@ -703,7 +426,7 @@ mod tests {
         }
         let d = gen::directed_cycle(50);
         let algo = JoinAll::default();
-        let bits = ViewEngine::new(&d).run_vertex_budgeted(&algo, &unlimited()).unwrap().value;
+        let bits = run::po_vertex_budgeted(&d, &algo, &unlimited()).unwrap().value;
         assert_eq!(bits.len(), 50);
         assert!(bits.iter().all(|&b| b));
         assert_eq!(algo.evals.get(), 1, "one view class: a single evaluation broadcast to all 50");
@@ -712,8 +435,8 @@ mod tests {
     #[test]
     fn po_edge_engine_matches_naive() {
         let d = gen::directed_cycle(5);
-        let set = ViewEngine::new(&d).run_edge_budgeted(&OutZero, &unlimited()).unwrap().value;
-        assert_eq!(set, crate::run::po_edge_naive(&d, &OutZero).unwrap());
+        let set = run::po_edge_budgeted(&d, &OutZero, &unlimited()).unwrap().value;
+        assert_eq!(set, run::po_edge_naive(&d, &OutZero).unwrap());
         assert_eq!(set.len(), 5);
     }
 
@@ -722,13 +445,10 @@ mod tests {
         let g = gen::cycle(100);
         let rank: Vec<usize> = (0..100).collect();
         let algo = LocalMin::default();
-        let bits = OiEngine::new(&g, &rank).run_vertex_budgeted(&algo, &unlimited()).unwrap();
+        let bits = run::oi_vertex_budgeted(&g, &rank, &algo, &unlimited()).unwrap();
         assert!(bits.is_complete());
         assert_eq!(algo.evals.get(), 3, "interior + two seam types");
-        assert_eq!(
-            bits.value,
-            crate::run::oi_vertex_naive(&g, &rank, &LocalMin::default()).unwrap()
-        );
+        assert_eq!(bits.value, run::oi_vertex_naive(&g, &rank, &LocalMin::default()).unwrap());
     }
 
     #[test]
@@ -749,11 +469,8 @@ mod tests {
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20, 50, 30, 40];
         let algo = LocalMaxId::default();
-        let bits = IdEngine::new(&g, &ids).run_vertex_budgeted(&algo, &unlimited()).unwrap();
-        assert_eq!(
-            bits.value,
-            crate::run::id_vertex_naive(&g, &ids, &LocalMaxId::default()).unwrap()
-        );
+        let bits = run::id_vertex_budgeted(&g, &ids, &algo, &unlimited()).unwrap();
+        assert_eq!(bits.value, run::id_vertex_naive(&g, &ids, &LocalMaxId::default()).unwrap());
         // every ball carries distinct ids: no dedup expected
         assert_eq!(algo.evals.get(), 6);
     }
@@ -795,7 +512,7 @@ mod tests {
         let clock = Arc::new(CountingClock { reads: AtomicUsize::new(0), trip_at });
         let budget = RunBudget::unlimited()
             .with_deadline(Duration::from_secs(1), Arc::clone(&clock) as Arc<dyn MonotonicClock>);
-        let run = OiEngine::new(&g, &rank).run_vertex_budgeted(&Constant, &budget).unwrap();
+        let run = run::oi_vertex_budgeted(&g, &rank, &Constant, &budget).unwrap();
         let tripped = matches!(run.truncation, Some(TruncationReason::DeadlineExceeded { .. }));
         (run.value.len(), tripped, clock.reads.load(Ordering::SeqCst))
     }
@@ -834,21 +551,20 @@ mod tests {
             .with_deadline(Duration::from_secs(60), Arc::new(ManualClock::new()))
             .with_cancel(token.clone());
         let algo = CancelFirst(token);
-        let run = OiEngine::new(&g, &rank).run_vertex_budgeted(&algo, &budget).unwrap();
+        let run = run::oi_vertex_budgeted(&g, &rank, &algo, &budget).unwrap();
         assert_eq!(run.truncation, Some(TruncationReason::Cancelled));
         assert_eq!(run.value.len(), 1);
     }
 
     #[test]
-    fn memo_is_per_run_on_a_reused_engine() {
+    fn memo_is_per_run() {
         let g = gen::cycle(100);
         let rank: Vec<usize> = (0..100).collect();
-        let mut engine = OiEngine::new(&g, &rank);
         let (first, second) = (LocalMin::default(), LocalMin::default());
-        let a = engine.run_vertex_budgeted(&first, &unlimited()).unwrap().value;
-        let b = engine.run_vertex_budgeted(&second, &unlimited()).unwrap().value;
+        let a = run::oi_vertex_budgeted(&g, &rank, &first, &unlimited()).unwrap().value;
+        let b = run::oi_vertex_budgeted(&g, &rank, &second, &unlimited()).unwrap().value;
         assert_eq!(a, b);
-        // the memo is per run: each run evaluates each type once
+        // each run of the same instance evaluates each type once
         assert_eq!((first.evals.get(), second.evals.get()), (3, 3));
     }
 }

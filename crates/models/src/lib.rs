@@ -13,7 +13,9 @@
 //!
 //! [`run`] executes an algorithm over a whole instance and assembles the
 //! global solution (a vertex set or an edge set); an edge belongs to the
-//! solution when *either* endpoint selects it.
+//! solution when *either* endpoint selects it. Its six `*_budgeted`
+//! functions are the only way into the crate's private memoized engine,
+//! which evaluates an algorithm once per class of equal neighbourhoods.
 //!
 //! The crate also provides:
 //!
@@ -22,12 +24,14 @@
 //!   packing), with measured round counts;
 //! * order-invariance testing ([`invariance`]): checks whether an
 //!   ID algorithm's output survives order-preserving relabelling — the
-//!   property that the Ramsey step of §4.2 forces.
+//!   property that the Ramsey step of §4.2 forces;
+//! * PO-checkability ([`checkable`]): one anonymous radius-1 verifier
+//!   per Example 1.1 problem, over solution-decorated views.
 
 #![warn(missing_docs)]
 
 pub mod checkable;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod invariance;
 pub mod run;

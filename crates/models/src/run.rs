@@ -7,13 +7,17 @@
 //! `Ω = {0,1}^Δ` encoding where the solution is the set of selected
 //! edges).
 //!
-//! Each operation has one engine-backed entry point, `*_budgeted`, which
-//! takes a [`RunBudget`] ([`RunBudget::unlimited`] never truncates) and
-//! returns a [`Budgeted`] value whose `truncation` field records why a
-//! run stopped early. Its `*_naive` twin is the per-vertex reference
-//! implementation the differential tests compare against. Both return a
-//! typed [`RunError`] instead of panicking on malformed input (short
-//! `ids`/`rank`, wrong-length edge outputs, absent letters).
+//! Each operation has one entry point, `*_budgeted`, which takes a
+//! [`RunBudget`] ([`RunBudget::unlimited`] never truncates) and returns
+//! a [`Budgeted`] value whose `truncation` field records why a run
+//! stopped early. It is the only way into the crate's memoized engine,
+//! which evaluates the algorithm once per class of equal neighbourhoods
+//! and broadcasts the output to the class, and it records one
+//! `run/<model>_<kind>` span. Its `*_naive` twin is the per-vertex
+//! reference implementation the differential tests compare against.
+//! Both return a typed [`RunError`] instead of panicking on malformed
+//! input (short `ids`/`rank`, wrong-length edge outputs, absent
+//! letters).
 
 #![deny(
     clippy::unwrap_used,
@@ -30,49 +34,109 @@ use std::collections::BTreeSet;
 
 use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{id_nbhd, ordered_nbhd};
-use locap_graph::{Edge, Graph, LDigraph};
+use locap_graph::{Edge, Graph, LDigraph, NodeId};
 use locap_lifts::{view, Letter};
 use locap_obs as obs;
 
-use crate::engine::{IdEngine, OiEngine, ViewEngine};
+use crate::engine::{self, IdKey, OrderedKey};
 use crate::error::RunError;
 use crate::{
     IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
     PoVertexAlgorithm,
 };
 
-/// Shared precondition of the ID paths: `ids` must cover every node.
-fn validate_ids(g: &Graph, ids: &[u64]) -> Result<(), RunError> {
-    if ids.len() != g.node_count() {
+/// Shared precondition of the ID and OI paths: `input` (the slice named
+/// `what`) must cover every node.
+pub(crate) fn check_input<T>(g: &Graph, input: &[T], what: &'static str) -> Result<(), RunError> {
+    if input.len() != g.node_count() {
         return Err(RunError::InputLengthMismatch {
-            what: "ids",
+            what,
             expected: g.node_count(),
-            actual: ids.len(),
+            actual: input.len(),
         }
         .publish());
     }
     Ok(())
 }
 
-/// Shared precondition of the OI paths: `rank` must cover every node.
-fn validate_rank(g: &Graph, rank: &[usize]) -> Result<(), RunError> {
-    if rank.len() != g.node_count() {
-        return Err(RunError::InputLengthMismatch {
-            what: "rank",
-            expected: g.node_count(),
-            actual: rank.len(),
+/// The sink of the engine's vertex runs: one bit per vertex, in vertex
+/// order.
+fn push_bit(bits: &mut Vec<bool>, _: NodeId, &bit: &bool) -> Result<(), RunError> {
+    bits.push(bit);
+    Ok(())
+}
+
+/// Adds to `out` the edges that `bits` selects at `v`: bit `i` selects
+/// `v`'s neighbour with the `i`-th smallest `input` value (a stable sort,
+/// so equal values keep node order). `by_input` is reused scratch.
+///
+/// # Errors
+///
+/// [`RunError::OutputLengthMismatch`] when `bits` does not hold one
+/// entry per neighbour.
+fn select_neighbours<T: Copy + Ord>(
+    g: &Graph,
+    v: NodeId,
+    bits: &[bool],
+    input: &[T],
+    by_input: &mut Vec<NodeId>,
+    out: &mut BTreeSet<Edge>,
+) -> Result<(), RunError> {
+    if bits.len() != g.degree(v) {
+        return Err(RunError::OutputLengthMismatch {
+            node: v,
+            expected: g.degree(v),
+            actual: bits.len(),
         }
         .publish());
+    }
+    by_input.clear();
+    by_input.extend_from_slice(g.neighbors(v));
+    // `input` covers every node, so every key is `Some`
+    by_input.sort_by_key(|&u| input.get(u).copied());
+    for (&u, _) in by_input.iter().zip(bits).filter(|(_, &bit)| bit) {
+        out.insert(Edge::new(v, u));
+    }
+    Ok(())
+}
+
+/// Adds to `out` the edge along each letter that `letters` selects at
+/// `v`: a positive letter `ℓ` is the outgoing edge labelled `ℓ`, an
+/// inverse letter the incoming one.
+///
+/// # Errors
+///
+/// [`RunError::AbsentLetter`] when `v` has no edge along a selected
+/// letter.
+fn select_letters(
+    d: &LDigraph,
+    v: NodeId,
+    letters: &[(Letter, bool)],
+    out: &mut BTreeSet<Edge>,
+) -> Result<(), RunError> {
+    for &(letter, selected) in letters {
+        if !selected {
+            continue;
+        }
+        let target = if letter.inverse {
+            d.in_neighbor(v, letter.label)
+        } else {
+            d.out_neighbor(v, letter.label)
+        };
+        let Some(u) = target else {
+            return Err(RunError::AbsentLetter { node: v, letter: letter.to_string() }.publish());
+        };
+        out.insert(Edge::new(v, u));
     }
     Ok(())
 }
 
 /// Runs an ID vertex algorithm on `(g, ids)`; returns one bit per node.
 ///
-/// Engine-backed ([`crate::engine::IdEngine`]): neighbourhood extraction
-/// is `O(|ball|)` and each distinct neighbourhood is evaluated once. On
-/// truncation the value is the per-vertex prefix computed before the
-/// budget tripped. The reference path survives as [`id_vertex_naive`].
+/// Neighbourhood extraction is `O(|ball|)` and each distinct
+/// neighbourhood is evaluated once. On truncation the value is the
+/// per-vertex prefix computed before the budget tripped. The reference
+/// path survives as [`id_vertex_naive`].
 ///
 /// # Errors
 ///
@@ -84,7 +148,16 @@ pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span_with("run/id_vertex", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_vertex_budgeted(algo, budget)
+    let bits = Vec::with_capacity(g.node_count());
+    engine::run_keyed::<IdKey, _, _>(
+        g,
+        ids,
+        algo.radius(),
+        budget,
+        |t| algo.evaluate(t),
+        bits,
+        push_bit,
+    )
 }
 
 /// The reference (per-vertex, no sharing) implementation of
@@ -98,16 +171,15 @@ pub fn id_vertex_naive<A: IdVertexAlgorithm>(
     ids: &[u64],
     algo: &A,
 ) -> Result<Vec<bool>, RunError> {
-    validate_ids(g, ids)?;
+    check_input(g, ids, "ids")?;
     Ok(g.nodes().map(|v| algo.evaluate(&id_nbhd(g, ids, v, algo.radius()))).collect())
 }
 
 /// Runs an OI vertex algorithm on `(g, rank)`; returns one bit per node.
 ///
-/// Engine-backed ([`crate::engine::OiEngine`]): each distinct ordered
-/// type is evaluated once and broadcast. On truncation the value is the
-/// per-vertex prefix computed before the budget tripped. The reference
-/// path survives as [`oi_vertex_naive`].
+/// Each distinct ordered type is evaluated once and broadcast. On
+/// truncation the value is the per-vertex prefix computed before the
+/// budget tripped. The reference path survives as [`oi_vertex_naive`].
 ///
 /// # Errors
 ///
@@ -120,7 +192,16 @@ pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span_with("run/oi_vertex", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_vertex_budgeted(algo, budget)
+    let bits = Vec::with_capacity(g.node_count());
+    engine::run_keyed::<OrderedKey, _, _>(
+        g,
+        rank,
+        algo.radius(),
+        budget,
+        |t| algo.evaluate(t),
+        bits,
+        push_bit,
+    )
 }
 
 /// The reference (per-vertex, no sharing) implementation of
@@ -135,7 +216,7 @@ pub fn oi_vertex_naive<A: OiVertexAlgorithm>(
     rank: &[usize],
     algo: &A,
 ) -> Result<Vec<bool>, RunError> {
-    validate_rank(g, rank)?;
+    check_input(g, rank, "rank")?;
     Ok(g.nodes()
         .map(|v| algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius())))
         .collect())
@@ -143,12 +224,12 @@ pub fn oi_vertex_naive<A: OiVertexAlgorithm>(
 
 /// Runs a PO vertex algorithm on an L-digraph; returns one bit per node.
 ///
-/// Engine-backed ([`crate::engine::ViewEngine`]): view classes are
-/// computed for all vertices at once by incremental class refinement and
-/// the algorithm is evaluated once per class. On truncation the value is
-/// the per-vertex prefix computed before the budget tripped (empty when
-/// the view-cache cap stopped the class refinement itself). The
-/// reference path survives as [`po_vertex_naive`].
+/// View classes are computed for all vertices at once by incremental
+/// class refinement and the algorithm is evaluated once per class. On
+/// truncation the value is the per-vertex prefix computed before the
+/// budget tripped (empty when the view-cache cap stopped the class
+/// refinement itself). The reference path survives as
+/// [`po_vertex_naive`].
 ///
 /// # Errors
 ///
@@ -160,7 +241,8 @@ pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span_with("run/po_vertex", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_vertex_budgeted(algo, budget)
+    let bits = Vec::with_capacity(d.node_count());
+    engine::run_po(d, algo.radius(), budget, |t| algo.evaluate(t), bits, push_bit)
 }
 
 /// The reference (per-vertex, no sharing) implementation of
@@ -195,11 +277,10 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
 /// Runs an ID edge algorithm; assembles the union edge set.
 ///
 /// The algorithm's output for node `v` must have length `deg(v)` and is
-/// indexed by `v`'s neighbours in increasing identifier order. On
-/// truncation the value holds the edges selected by the vertices
-/// processed before the budget tripped.
-///
-/// Engine-backed; [`id_edge_naive`] is the reference path.
+/// indexed by `v`'s neighbours in increasing identifier order. Each
+/// distinct neighbourhood is evaluated once. On truncation the value
+/// holds the edges selected by the vertices processed before the budget
+/// tripped. [`id_edge_naive`] is the reference path.
 ///
 /// # Errors
 ///
@@ -213,7 +294,18 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
     let _s = obs::span_with("run/id_edge", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_edge_budgeted(algo, budget)
+    let mut by_id = Vec::new();
+    let sink =
+        |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, ids, &mut by_id, out);
+    engine::run_keyed::<IdKey, _, _>(
+        g,
+        ids,
+        algo.radius(),
+        budget,
+        |t| algo.evaluate(t),
+        BTreeSet::new(),
+        sink,
+    )
 }
 
 /// The reference implementation of [`id_edge_budgeted`]; kept as the
@@ -222,44 +314,25 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
 /// # Errors
 ///
 /// Same conditions as [`id_edge_budgeted`].
-#[expect(
-    clippy::indexing_slicing,
-    reason = "ids is validated to length n before the loop, and bits to one entry per neighbour"
-)]
 pub fn id_edge_naive<A: IdEdgeAlgorithm>(
     g: &Graph,
     ids: &[u64],
     algo: &A,
 ) -> Result<BTreeSet<Edge>, RunError> {
-    validate_ids(g, ids)?;
-    let mut out = BTreeSet::new();
+    check_input(g, ids, "ids")?;
+    let (mut by_id, mut out) = (Vec::new(), BTreeSet::new());
     for v in g.nodes() {
         let bits = algo.evaluate(&id_nbhd(g, ids, v, algo.radius()));
-        if bits.len() != g.degree(v) {
-            return Err(RunError::OutputLengthMismatch {
-                node: v,
-                expected: g.degree(v),
-                actual: bits.len(),
-            }
-            .publish());
-        }
-        let mut nbrs = g.neighbors(v).to_vec();
-        nbrs.sort_by_key(|&u| ids[u]);
-        for (i, &u) in nbrs.iter().enumerate() {
-            if bits[i] {
-                out.insert(Edge::new(v, u));
-            }
-        }
+        select_neighbours(g, v, &bits, ids, &mut by_id, &mut out)?;
     }
     Ok(out)
 }
 
 /// Runs an OI edge algorithm; assembles the union edge set. Output bits are
-/// indexed by neighbours in increasing rank order. On truncation the
-/// value holds the edges selected by the vertices processed before the
-/// budget tripped.
-///
-/// Engine-backed; [`oi_edge_naive`] is the reference path.
+/// indexed by neighbours in increasing rank order. Each distinct ordered
+/// type is evaluated once. On truncation the value holds the edges
+/// selected by the vertices processed before the budget tripped.
+/// [`oi_edge_naive`] is the reference path.
 ///
 /// # Errors
 ///
@@ -273,7 +346,18 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
     let _s = obs::span_with("run/oi_edge", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_edge_budgeted(algo, budget)
+    let mut by_rank = Vec::new();
+    let sink =
+        |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, rank, &mut by_rank, out);
+    engine::run_keyed::<OrderedKey, _, _>(
+        g,
+        rank,
+        algo.radius(),
+        budget,
+        |t| algo.evaluate(t),
+        BTreeSet::new(),
+        sink,
+    )
 }
 
 /// The reference implementation of [`oi_edge_budgeted`]; kept as the
@@ -282,34 +366,16 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
 /// # Errors
 ///
 /// Same conditions as [`oi_edge_budgeted`].
-#[expect(
-    clippy::indexing_slicing,
-    reason = "rank is validated to length n before the loop, and bits to one entry per neighbour"
-)]
 pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
     g: &Graph,
     rank: &[usize],
     algo: &A,
 ) -> Result<BTreeSet<Edge>, RunError> {
-    validate_rank(g, rank)?;
-    let mut out = BTreeSet::new();
+    check_input(g, rank, "rank")?;
+    let (mut by_rank, mut out) = (Vec::new(), BTreeSet::new());
     for v in g.nodes() {
         let bits = algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius()));
-        if bits.len() != g.degree(v) {
-            return Err(RunError::OutputLengthMismatch {
-                node: v,
-                expected: g.degree(v),
-                actual: bits.len(),
-            }
-            .publish());
-        }
-        let mut nbrs = g.neighbors(v).to_vec();
-        nbrs.sort_by_key(|&u| rank[u]);
-        for (i, &u) in nbrs.iter().enumerate() {
-            if bits[i] {
-                out.insert(Edge::new(v, u));
-            }
-        }
+        select_neighbours(g, v, &bits, rank, &mut by_rank, &mut out)?;
     }
     Ok(out)
 }
@@ -317,10 +383,9 @@ pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
 /// Runs a PO edge algorithm on an L-digraph; assembles the union edge set
 /// over the underlying simple graph. A positive letter `ℓ` selects the
 /// outgoing edge labelled `ℓ`; an inverse letter selects the incoming one.
-/// On truncation the value holds the edges selected by the vertices
-/// processed before the budget tripped.
-///
-/// Engine-backed; [`po_edge_naive`] is the reference path.
+/// Each view class is evaluated once. On truncation the value holds the
+/// edges selected by the vertices processed before the budget tripped.
+/// [`po_edge_naive`] is the reference path.
 ///
 /// # Errors
 ///
@@ -332,7 +397,8 @@ pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
     let _s = obs::span_with("run/po_edge", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_edge_budgeted(algo, budget)
+    let sink = |out: &mut _, v, letters: &Vec<_>| select_letters(d, v, letters, out);
+    engine::run_po(d, algo.radius(), budget, |t| algo.evaluate(t), BTreeSet::new(), sink)
 }
 
 /// The reference implementation of [`po_edge_budgeted`]; kept as the
@@ -347,40 +413,9 @@ pub fn po_edge_naive<A: PoEdgeAlgorithm>(
 ) -> Result<BTreeSet<Edge>, RunError> {
     let mut out = BTreeSet::new();
     for v in 0..d.node_count() {
-        for (letter, selected) in algo.evaluate(&view(d, v, algo.radius())) {
-            if !selected {
-                continue;
-            }
-            let target = if letter.inverse {
-                d.in_neighbor(v, letter.label)
-            } else {
-                d.out_neighbor(v, letter.label)
-            };
-            let Some(u) = target else {
-                return Err(
-                    RunError::AbsentLetter { node: v, letter: letter.to_string() }.publish()
-                );
-            };
-            out.insert(Edge::new(v, u));
-        }
+        select_letters(d, v, &algo.evaluate(&view(d, v, algo.radius())), &mut out)?;
     }
     Ok(out)
-}
-
-/// The root letters (incident edges) available at node `v` of `d`,
-/// in canonical order: useful for writing PO edge algorithms.
-pub fn root_letters(d: &LDigraph, v: usize) -> Vec<Letter> {
-    let mut letters = Vec::new();
-    for label in 0..d.alphabet_size() {
-        if d.out_neighbor(v, label).is_some() {
-            letters.push(Letter::pos(label));
-        }
-        if d.in_neighbor(v, label).is_some() {
-            letters.push(Letter::neg(label));
-        }
-    }
-    letters.sort();
-    letters
 }
 
 #[cfg(test)]
@@ -576,13 +611,6 @@ mod tests {
         assert!((agreement(&a, &b) - 0.5).abs() < 1e-12);
         assert!((agreement(&a, &a) - 1.0).abs() < 1e-12);
         assert!((agreement(&[], &[]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn root_letters_of_directed_cycle() {
-        let d = gen::directed_cycle(4);
-        let ls = root_letters(&d, 0);
-        assert_eq!(ls, vec![Letter::pos(0), Letter::neg(0)]);
     }
 
     #[test]

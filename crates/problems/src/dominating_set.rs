@@ -16,11 +16,6 @@ pub fn feasible(g: &Graph, x: &VertexSet) -> bool {
         .all(|v| x.contains(&v) || g.neighbors(v).iter().any(|u| x.contains(u)))
 }
 
-/// Radius-1 local verifier: `v` accepts iff `v` itself is dominated.
-pub fn local_check(g: &Graph, x: &VertexSet, v: NodeId) -> bool {
-    x.contains(&v) || g.neighbors(v).iter().any(|u| x.contains(u))
-}
-
 /// Greedy baseline: repeatedly add the vertex dominating the most
 /// yet-undominated vertices (the classical ln-n greedy).
 pub fn greedy(g: &Graph) -> VertexSet {
@@ -76,8 +71,9 @@ pub fn opt_value(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{suite, vertex_verifier_matches_feasible};
     use locap_graph::gen;
+    use locap_models::checkable::verifiers::DominatingSetVerifier;
 
     #[test]
     fn known_optima() {
@@ -104,15 +100,7 @@ mod tests {
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(29);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: VertexSet = g.nodes().filter(|_| rng.gen_bool(0.3)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
-        }
+        vertex_verifier_matches_feasible(29, 0.3, &DominatingSetVerifier, feasible);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ρ(G) = n − ν(G), a maximum matching takes one edge from each star of a
 //! minimum edge cover.
 
-use locap_graph::{Edge, Graph, NodeId};
+use locap_graph::{Edge, Graph};
 
 use crate::{matching, search, EdgeSet, Goal};
 
@@ -16,19 +16,6 @@ pub const GOAL: Goal = Goal::Minimize;
 /// real edges). Graphs with isolated nodes have no edge cover.
 pub fn feasible(g: &Graph, x: &EdgeSet) -> bool {
     x.iter().all(|e| g.has_edge(e.u, e.v)) && g.nodes().all(|v| x.iter().any(|e| e.touches(v)))
-}
-
-/// Radius-1 local verifier: `v` accepts iff some incident edge is in `x`
-/// (and its incident members are real edges).
-pub fn local_check(g: &Graph, x: &EdgeSet, v: NodeId) -> bool {
-    let mut any = false;
-    for e in x.iter().filter(|e| e.touches(v)) {
-        if !g.has_edge(e.u, e.v) {
-            return false;
-        }
-        any = true;
-    }
-    any
 }
 
 /// Exact minimum edge cover: the crate's branch and bound picks edges
@@ -94,8 +81,9 @@ fn greedy_non_isolated(g: &Graph) -> EdgeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{edge_verifier_matches_feasible, suite};
     use locap_graph::gen;
+    use locap_models::checkable::verifiers::EdgeCoverVerifier;
 
     #[test]
     fn known_optima_gallai() {
@@ -133,14 +121,6 @@ mod tests {
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(37);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: EdgeSet = g.edges().filter(|_| rng.gen_bool(0.5)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
-        }
+        edge_verifier_matches_feasible(37, 0.5, &EdgeCoverVerifier, feasible);
     }
 }

@@ -6,7 +6,7 @@
 //! endpoint with a member of `D`; equivalently, the endpoints of `D` form a
 //! vertex cover.
 
-use locap_graph::{Graph, NodeId};
+use locap_graph::Graph;
 
 use crate::{matching, search, touched, EdgeSet, Goal};
 
@@ -16,18 +16,6 @@ pub const GOAL: Goal = Goal::Minimize;
 /// Whether every edge is dominated by `x` (and members are real edges).
 pub fn feasible(g: &Graph, x: &EdgeSet) -> bool {
     x.iter().all(|e| g.has_edge(e.u, e.v)) && g.edges().all(|e| touched(x, e.u) || touched(x, e.v))
-}
-
-/// Radius-1 local verifier: `v` accepts iff every incident edge `{v, u}`
-/// is dominated, i.e. `v` or `u` is incident to a solution edge. The
-/// solution bits of `u` are part of `u`'s local input, which `v` sees at
-/// radius 1.
-pub fn local_check(g: &Graph, x: &EdgeSet, v: NodeId) -> bool {
-    if x.iter().any(|e| e.touches(v) && !g.has_edge(e.u, e.v)) {
-        return false;
-    }
-    let v_touched = touched(x, v);
-    g.neighbors(v).iter().all(|&u| v_touched || touched(x, u))
 }
 
 /// Greedy baseline: any maximal matching is an EDS within factor 2 of
@@ -66,10 +54,11 @@ pub fn opt_value(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{edge_verifier_matches_feasible, suite};
     use locap_graph::factor::two_factor_labeling;
     use locap_graph::gen;
     use locap_lifts::connect_copies;
+    use locap_models::checkable::verifiers::EdsVerifier;
 
     #[test]
     fn known_optima() {
@@ -111,15 +100,7 @@ mod tests {
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: EdgeSet = g.edges().filter(|_| rng.gen_bool(0.25)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
-        }
+        edge_verifier_matches_feasible(41, 0.25, &EdsVerifier, feasible);
     }
 
     /// A connected `n / (4k − 1)`-lift of the gadget `K_{2k, 2k−1}` plus a

@@ -16,12 +16,6 @@ pub fn feasible(g: &Graph, x: &VertexSet) -> bool {
     x.iter().all(|&v| g.neighbors(v).iter().all(|u| !x.contains(u)))
 }
 
-/// Radius-1 local verifier: `v` accepts unless it is in `x` together with
-/// one of its neighbours.
-pub fn local_check(g: &Graph, x: &VertexSet, v: NodeId) -> bool {
-    !x.contains(&v) || g.neighbors(v).iter().all(|u| !x.contains(u))
-}
-
 /// Greedy baseline: repeatedly add a minimum-degree vertex of the
 /// remaining graph and delete its closed neighbourhood.
 pub fn greedy(g: &Graph) -> VertexSet {
@@ -81,8 +75,9 @@ pub fn opt_value(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{suite, vertex_verifier_matches_feasible};
     use locap_graph::gen;
+    use locap_models::checkable::verifiers::IndependentSetVerifier;
 
     #[test]
     fn known_optima() {
@@ -118,15 +113,7 @@ mod tests {
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(23);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: VertexSet = g.nodes().filter(|_| rng.gen_bool(0.4)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
-        }
+        vertex_verifier_matches_feasible(23, 0.4, &IndependentSetVerifier, feasible);
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! or maximising its size; it is *PO-checkable* when a constant-radius
 //! anonymous local verifier accepts exactly the feasible solutions (all
 //! nodes accept ⟺ feasible). This crate implements the six problems the
-//! paper names, each with four faces:
+//! paper names, each with three faces:
 //!
-//! 1. **global feasibility** (`feasible`),
-//! 2. **a radius-1 local verifier** (`local_check`) whose conjunction over
-//!    all nodes equals feasibility — witnessing PO-checkability (the
-//!    verifier consumes only the ball of `v` and the solution bits stored
-//!    on it, never identifiers or orders),
-//! 3. **an exact solver** (one branch and bound over `u128` vertex masks,
+//! 1. **global feasibility** (`feasible`), the ground truth for the
+//!    radius-1 PO verifiers in `locap_models::checkable::verifiers`,
+//!    which witness PO-checkability on decorated views (each module's
+//!    unit tests, on this crate's instance suite, and the workspace's
+//!    property tests, on random graphs, check that each accepts
+//!    everywhere exactly when `feasible` holds),
+//! 2. **an exact solver** (one branch and bound over `u128` vertex masks,
 //!    instances up to [`MAX_EXACT_NODES`] nodes) providing ground-truth
 //!    OPT for measured approximation ratios, and
-//! 4. **a greedy centralised baseline**.
+//! 3. **a greedy centralised baseline**.
 //!
 //! Every exact solver is an instance of the same search: pick the fewest
 //! vertices or edges so that every vertex or edge the problem *needs* is
@@ -79,6 +80,45 @@ pub fn touched(x: &EdgeSet, v: NodeId) -> bool {
 #[cfg(test)]
 pub(crate) mod testing {
     use locap_graph::{gen, Graph};
+    use locap_models::checkable::{verify_edge, verify_vertex, EdgeVerifier, VertexVerifier};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    use crate::{EdgeSet, VertexSet};
+
+    /// PO-checkability on the [`suite`]: on 30 random subsets per instance,
+    /// each node drawn with probability `p`, the radius-1 PO verifier
+    /// accepts at every node exactly when `feasible` holds.
+    pub fn vertex_verifier_matches_feasible(
+        seed: u64,
+        p: f64,
+        verifier: &impl VertexVerifier,
+        feasible: fn(&Graph, &VertexSet) -> bool,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (name, g) in suite() {
+            for _ in 0..30 {
+                let x: VertexSet = g.nodes().filter(|_| rng.gen_bool(p)).collect();
+                assert_eq!(verify_vertex(&g, &x, verifier), feasible(&g, &x), "{name} {x:?}");
+            }
+        }
+    }
+
+    /// [`vertex_verifier_matches_feasible`] for an edge problem: each edge
+    /// of the instance is drawn with probability `p`.
+    pub fn edge_verifier_matches_feasible(
+        seed: u64,
+        p: f64,
+        verifier: &impl EdgeVerifier,
+        feasible: fn(&Graph, &EdgeSet) -> bool,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (name, g) in suite() {
+            for _ in 0..30 {
+                let x: EdgeSet = g.edges().filter(|_| rng.gen_bool(p)).collect();
+                assert_eq!(verify_edge(&g, &x, verifier), feasible(&g, &x), "{name} {x:?}");
+            }
+        }
+    }
 
     /// A small suite of named instances exercised by every problem module.
     pub fn suite() -> Vec<(&'static str, Graph)> {

@@ -2,7 +2,7 @@
 //! constant-factor approximable locally) and maximal matching (the
 //! classical Ω(log* n) barrier, Fig. 2 discussion).
 
-use locap_graph::{Edge, Graph, NodeId};
+use locap_graph::{Edge, Graph};
 
 use crate::{edge_cover, EdgeSet, Goal};
 
@@ -23,13 +23,6 @@ pub fn feasible(g: &Graph, x: &EdgeSet) -> bool {
         used[e.v] = true;
     }
     true
-}
-
-/// Radius-1 local verifier: `v` accepts iff at most one incident edge is in
-/// `x` (and all members incident to `v` are real edges).
-pub fn local_check(g: &Graph, x: &EdgeSet, v: NodeId) -> bool {
-    let incident: Vec<&Edge> = x.iter().filter(|e| e.touches(v)).collect();
-    incident.len() <= 1 && incident.iter().all(|e| g.has_edge(e.u, e.v))
 }
 
 /// Whether a matching is *maximal* (no edge can be added).
@@ -79,8 +72,9 @@ pub fn opt_value(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{edge_verifier_matches_feasible, suite};
     use locap_graph::gen;
+    use locap_models::checkable::verifiers::MatchingVerifier;
 
     #[test]
     fn known_optima() {
@@ -117,15 +111,7 @@ mod tests {
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: EdgeSet = g.edges().filter(|_| rng.gen_bool(0.3)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
-        }
+        edge_verifier_matches_feasible(31, 0.3, &MatchingVerifier, feasible);
     }
 
     #[test]
@@ -133,7 +119,6 @@ mod tests {
         let g = gen::path(3);
         let x: EdgeSet = [Edge::new(0, 2)].into_iter().collect();
         assert!(!feasible(&g, &x));
-        assert!(!local_check(&g, &x, 0));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Locally 2-approximable in all three models (paper §1.4); the PO
 //! algorithm lives in `locap-algos`. This module provides the problem
-//! definition, a radius-1 local verifier, an exact branch-and-bound solver
-//! and a greedy baseline.
+//! definition, an exact branch-and-bound solver and a greedy baseline.
 
-use locap_graph::{Graph, NodeId};
+use locap_graph::Graph;
 
 use crate::{search, Goal, VertexSet};
 
@@ -17,41 +16,28 @@ pub fn feasible(g: &Graph, x: &VertexSet) -> bool {
     g.edges().all(|e| x.contains(&e.u) || x.contains(&e.v))
 }
 
-/// Radius-1 local verifier: node `v` accepts iff all its incident edges are
-/// covered. All nodes accept ⟺ [`feasible`] (PO-checkability witness:
-/// the check uses only the ball `B(v, 1)` and the solution bits on it).
-pub fn local_check(g: &Graph, x: &VertexSet, v: NodeId) -> bool {
-    x.contains(&v) || g.neighbors(v).iter().all(|u| x.contains(u))
-}
-
-/// Greedy baseline: repeatedly add a vertex covering the most uncovered
-/// edges.
+/// Greedy baseline: repeatedly add the vertex covering the most
+/// uncovered edges, the lowest id on ties. Each vertex keeps its count of
+/// uncovered edges, so a step costs `O(n + deg)` and the whole run
+/// `O(n²)`.
 pub fn greedy(g: &Graph) -> VertexSet {
-    let mut covered = vec![false; g.edge_count()];
-    let edges = g.edge_vec();
+    // uncovered[v]: v's edges to non-members; 0 once v is a member
+    let mut uncovered: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
     let mut x = VertexSet::new();
     loop {
-        let mut best: Option<(usize, NodeId)> = None;
-        for v in g.nodes() {
-            if x.contains(&v) {
-                continue;
-            }
-            let gain =
-                edges.iter().enumerate().filter(|(i, e)| !covered[*i] && e.touches(v)).count();
+        let mut best: Option<(usize, usize)> = None;
+        for (v, &gain) in uncovered.iter().enumerate() {
             if gain > 0 && best.is_none_or(|(b, _)| gain > b) {
                 best = Some((gain, v));
             }
         }
-        match best {
-            None => break,
-            Some((_, v)) => {
-                x.insert(v);
-                for (i, e) in edges.iter().enumerate() {
-                    if e.touches(v) {
-                        covered[i] = true;
-                    }
-                }
-            }
+        let Some((_, v)) = best else { break };
+        x.insert(v);
+        uncovered[v] = 0;
+        // each edge {v, u} to a non-member u is covered now; a member u
+        // already reads 0
+        for &u in g.neighbors(v) {
+            uncovered[u] = uncovered[u].saturating_sub(1);
         }
     }
     x
@@ -90,8 +76,10 @@ pub fn opt_value(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::suite;
+    use crate::testing::{suite, vertex_verifier_matches_feasible};
     use locap_graph::gen;
+    use locap_models::checkable::verifiers::VertexCoverVerifier;
+    use locap_models::checkable::verify_vertex;
 
     #[test]
     fn known_optima() {
@@ -120,26 +108,37 @@ mod tests {
         for (name, g) in suite() {
             // exact solution: all accept
             let opt = solve_exact(&g);
-            assert!(g.nodes().all(|v| local_check(&g, &opt, v)), "{name}");
+            assert!(verify_vertex(&g, &opt, &VertexCoverVerifier), "{name}");
             // empty solution on a graph with edges: some node rejects
             if g.edge_count() > 0 {
                 let empty = VertexSet::new();
                 assert!(!feasible(&g, &empty));
-                assert!(g.nodes().any(|v| !local_check(&g, &empty, v)), "{name}");
+                assert!(!verify_vertex(&g, &empty, &VertexCoverVerifier), "{name}");
             }
         }
     }
 
     #[test]
     fn local_check_matches_feasible_on_random_subsets() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        for (name, g) in suite() {
-            for _ in 0..30 {
-                let x: VertexSet = g.nodes().filter(|_| rng.gen_bool(0.4)).collect();
-                let all_accept = g.nodes().all(|v| local_check(&g, &x, v));
-                assert_eq!(all_accept, feasible(&g, &x), "{name}");
-            }
+        vertex_verifier_matches_feasible(17, 0.4, &VertexCoverVerifier, feasible);
+    }
+
+    #[test]
+    fn greedy_picks_are_pinned_on_the_suite() {
+        // the most uncovered edges first, the lowest id on ties
+        let want: [(&str, &[usize]); 8] = [
+            ("C5", &[0, 2, 3]),
+            ("C6", &[0, 2, 4]),
+            ("P4", &[1, 2]),
+            ("K4", &[0, 1, 2]),
+            ("K23", &[0, 1]),
+            ("petersen", &[0, 2, 3, 5, 6, 9]),
+            ("star6", &[0]),
+            ("Q3", &[0, 3, 5, 6]),
+        ];
+        for ((name, g), (want_name, picks)) in suite().into_iter().zip(want) {
+            assert_eq!(name, want_name);
+            assert_eq!(greedy(&g), picks.iter().copied().collect(), "{name}");
         }
     }
 
@@ -169,6 +168,6 @@ mod tests {
         let g = gen::cycle(4);
         let x: VertexSet = [0].into_iter().collect();
         assert!(!feasible(&g, &x));
-        assert!(!local_check(&g, &x, 2));
+        assert!(!verify_vertex(&g, &x, &VertexCoverVerifier));
     }
 }

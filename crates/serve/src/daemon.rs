@@ -438,7 +438,7 @@ impl Daemon {
                     stop.store(true, Ordering::SeqCst);
                     join_all(connections);
                     drop(conn_shared);
-                    join_workers(workers);
+                    join_all(workers);
                     join_all(publisher.into_iter().collect());
                     return Err(e);
                 }
@@ -447,7 +447,7 @@ impl Daemon {
         join_all(connections);
         // dropping the last sender ends the worker recv loops
         drop(conn_shared);
-        join_workers(workers);
+        join_all(workers);
         // the publisher sees the stop flag within its poll interval
         join_all(publisher.into_iter().collect());
         Ok(())
@@ -460,10 +460,6 @@ fn join_all(handles: Vec<std::thread::JoinHandle<()>>) {
             std::panic::resume_unwind(panic);
         }
     }
-}
-
-fn join_workers(handles: Vec<std::thread::JoinHandle<()>>) {
-    join_all(handles)
 }
 
 /// Records an error response kind (`serve/errors/<kind>`) — the one

@@ -8,9 +8,14 @@ use locap_algos::edge_packing::{is_maximal_packing, maximal_edge_packing};
 use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, Graph, PoGraph, PortNumbering};
 use locap_lifts::{bipartite_double_cover, random_lift, view};
-use locap_problems::{edge_dominating_set, matching, vertex_cover};
+use locap_models::checkable::verifiers::*;
+use locap_models::checkable::{verify_edge, verify_vertex};
+use locap_problems::{
+    dominating_set, edge_cover, edge_dominating_set, independent_set, matching, vertex_cover,
+    EdgeSet, VertexSet,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     // random graphs on 4..12 nodes with edge probability ~1/2, no isolated
@@ -102,6 +107,52 @@ proptest! {
         let mm = matching::greedy_maximal(&g);
         prop_assert!(edge_dominating_set::feasible(&g, &mm));
         prop_assert!(mm.len() <= 2 * edge_dominating_set::opt_value(&g));
+    }
+
+    /// PO-checkability (Example 1.1): each radius-1 verifier, which sees
+    /// only decorated PO views, accepts at every node exactly when its
+    /// problem's global `feasible` holds. Checked on random subsets of
+    /// three densities, the empty and full sets, and each problem's
+    /// exact optimum, so both answers occur for every problem.
+    #[test]
+    fn prop_verifiers_accept_iff_feasible(g in arb_graph(), seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut vertex_sets: Vec<VertexSet> = vec![
+            VertexSet::new(),
+            g.nodes().collect(),
+            vertex_cover::solve_exact(&g),
+            independent_set::solve_exact(&g),
+            dominating_set::solve_exact(&g),
+        ];
+        let mut edge_sets: Vec<EdgeSet> = vec![
+            EdgeSet::new(),
+            g.edges().collect(),
+            matching::solve_exact(&g),
+            edge_dominating_set::solve_exact(&g),
+        ];
+        edge_sets.extend(edge_cover::solve_exact(&g));
+        for p in [0.2, 0.4, 0.6] {
+            for _ in 0..4 {
+                vertex_sets.push(g.nodes().filter(|_| rng.gen_bool(p)).collect());
+                edge_sets.push(g.edges().filter(|_| rng.gen_bool(p)).collect());
+            }
+        }
+        for x in &vertex_sets {
+            let vc = verify_vertex(&g, x, &VertexCoverVerifier);
+            prop_assert_eq!(vc, vertex_cover::feasible(&g, x), "vertex cover {:?}", x);
+            let is = verify_vertex(&g, x, &IndependentSetVerifier);
+            prop_assert_eq!(is, independent_set::feasible(&g, x), "independent set {:?}", x);
+            let ds = verify_vertex(&g, x, &DominatingSetVerifier);
+            prop_assert_eq!(ds, dominating_set::feasible(&g, x), "dominating set {:?}", x);
+        }
+        for x in &edge_sets {
+            let m = verify_edge(&g, x, &MatchingVerifier);
+            prop_assert_eq!(m, matching::feasible(&g, x), "matching {:?}", x);
+            let ec = verify_edge(&g, x, &EdgeCoverVerifier);
+            prop_assert_eq!(ec, edge_cover::feasible(&g, x), "edge cover {:?}", x);
+            let eds = verify_edge(&g, x, &EdsVerifier);
+            prop_assert_eq!(eds, edge_dominating_set::feasible(&g, x), "EDS {:?}", x);
+        }
     }
 }
 
