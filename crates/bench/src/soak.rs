@@ -345,9 +345,6 @@ fn process_response(line: &str, pending: &Pending, shared: &Shared) {
         shared.record_error("transport/bad_frame", 1);
         return;
     };
-    if doc.get("telemetry").is_some() {
-        return; // a stray telemetry frame is not a response
-    }
     let Some(id) = doc.get("id").and_then(Json::as_u64) else {
         shared.record_error("transport/bad_frame", 1);
         return;

@@ -350,7 +350,7 @@ pub(crate) fn run_keyed<K: NbhdKey, O, T>(
     sink: impl FnMut(&mut T, NodeId, &O) -> Result<(), RunError>,
 ) -> Result<Budgeted<T>, RunError> {
     let engine = EngineObs::new(K::MODEL);
-    check_input(g, input, K::INPUT)?;
+    check_input(g, input.len(), K::INPUT)?;
     let mut classes = KeyClasses::<K> {
         g,
         input,

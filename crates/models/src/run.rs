@@ -45,16 +45,13 @@ use crate::{
     PoVertexAlgorithm,
 };
 
-/// Shared precondition of the ID and OI paths: `input` (the slice named
-/// `what`) must cover every node.
-pub(crate) fn check_input<T>(g: &Graph, input: &[T], what: &'static str) -> Result<(), RunError> {
-    if input.len() != g.node_count() {
-        return Err(RunError::InputLengthMismatch {
-            what,
-            expected: g.node_count(),
-            actual: input.len(),
-        }
-        .publish());
+/// Shared precondition of the runs: `what`, a per-node input of `len`
+/// entries, must cover every node.
+pub(crate) fn check_input(g: &Graph, len: usize, what: &'static str) -> Result<(), RunError> {
+    if len != g.node_count() {
+        return Err(
+            RunError::InputLengthMismatch { what, expected: g.node_count(), actual: len }.publish()
+        );
     }
     Ok(())
 }
@@ -171,7 +168,7 @@ pub fn id_vertex_naive<A: IdVertexAlgorithm>(
     ids: &[u64],
     algo: &A,
 ) -> Result<Vec<bool>, RunError> {
-    check_input(g, ids, "ids")?;
+    check_input(g, ids.len(), "ids")?;
     Ok(g.nodes().map(|v| algo.evaluate(&id_nbhd(g, ids, v, algo.radius()))).collect())
 }
 
@@ -216,7 +213,7 @@ pub fn oi_vertex_naive<A: OiVertexAlgorithm>(
     rank: &[usize],
     algo: &A,
 ) -> Result<Vec<bool>, RunError> {
-    check_input(g, rank, "rank")?;
+    check_input(g, rank.len(), "rank")?;
     Ok(g.nodes()
         .map(|v| algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius())))
         .collect())
@@ -319,7 +316,7 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
     ids: &[u64],
     algo: &A,
 ) -> Result<BTreeSet<Edge>, RunError> {
-    check_input(g, ids, "ids")?;
+    check_input(g, ids.len(), "ids")?;
     let (mut by_id, mut out) = (Vec::new(), BTreeSet::new());
     for v in g.nodes() {
         let bits = algo.evaluate(&id_nbhd(g, ids, v, algo.radius()));
@@ -371,7 +368,7 @@ pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
     rank: &[usize],
     algo: &A,
 ) -> Result<BTreeSet<Edge>, RunError> {
-    check_input(g, rank, "rank")?;
+    check_input(g, rank.len(), "rank")?;
     let (mut by_rank, mut out) = (Vec::new(), BTreeSet::new());
     for v in g.nodes() {
         let bits = algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius()));

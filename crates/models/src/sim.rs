@@ -39,6 +39,7 @@ use locap_graph::{Graph, GraphError, Orientation, PortNumbering};
 use locap_obs as obs;
 
 use crate::error::RunError;
+use crate::run::check_input;
 
 /// Per-node static context available at initialisation.
 #[derive(Debug, Clone)]
@@ -138,11 +139,6 @@ pub struct SimResult<S> {
 /// Returns a [`RunError`] when the algorithm needs model data the run
 /// does not supply, when `ids` or `inputs` do not cover every node, or
 /// when `ports`/`orientation` are inconsistent with `g`.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "ids/inputs are length-checked against n, states/inboxes are sized per vertex \
-              and port at init, and bad ports return PortOutOfRange before indexing"
-)]
 pub fn run_sync_budgeted<A: SyncAlgorithm>(
     g: &Graph,
     ports: &PortNumbering,
@@ -153,33 +149,12 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
     budget: &RunBudget,
 ) -> Result<SimResult<A::State>, RunError> {
     let n = g.node_count();
-    if ports.node_count() != n {
-        return Err(RunError::InputLengthMismatch {
-            what: "ports",
-            expected: n,
-            actual: ports.node_count(),
-        }
-        .publish());
-    }
+    check_input(g, ports.node_count(), "ports")?;
     if let Some(ids) = ids {
-        if ids.len() != n {
-            return Err(RunError::InputLengthMismatch {
-                what: "ids",
-                expected: n,
-                actual: ids.len(),
-            }
-            .publish());
-        }
+        check_input(g, ids.len(), "ids")?;
     }
     if let Some(inputs) = inputs {
-        if inputs.len() != n {
-            return Err(RunError::InputLengthMismatch {
-                what: "inputs",
-                expected: n,
-                actual: inputs.len(),
-            }
-            .publish());
-        }
+        check_input(g, inputs.len(), "inputs")?;
     }
 
     let mut states: Vec<A::State> = Vec::with_capacity(n);
@@ -200,9 +175,9 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
         };
         states.push(algo.init(&NodeCtx {
             degree: g.degree(v),
-            id: ids.map(|ids| ids[v]),
+            id: ids.and_then(|ids| ids.get(v).copied()),
             port_out,
-            input: inputs.map(|inp| inp[v]),
+            input: inputs.and_then(|inp| inp.get(v).copied()),
         })?);
     }
 
@@ -227,30 +202,29 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
         let mut messages = 0u64;
         let mut next_inboxes: Vec<Vec<Option<A::Msg>>> =
             (0..n).map(|v| vec![None; g.degree(v)]).collect();
-        for v in 0..n {
+        for (v, (state, inbox)) in states.iter_mut().zip(&inboxes).enumerate() {
             // frozen: a halted node's round function is not called and
             // its (empty) outbox sends nothing
-            if algo.halted(&states[v]) {
+            if algo.halted(state) {
                 continue;
             }
             let mut outbox: Vec<Option<A::Msg>> = vec![None; g.degree(v)];
-            let state = states[v].clone();
-            states[v] = algo.round(state, round, &inboxes[v], &mut outbox);
+            *state = algo.round(state.clone(), round, inbox, &mut outbox);
             for (i, msg) in outbox.into_iter().enumerate() {
                 if let Some(m) = msg {
                     let u = port_neighbor(ports, v, i)?;
                     let back = ports
                         .port_to(u, v)
                         .ok_or_else(|| RunError::MissingReversePort { from: v, to: u }.publish())?;
-                    if u >= n || back >= next_inboxes[u].len() {
-                        return Err(RunError::PortOutOfRange {
-                            node: u,
-                            port: back,
-                            degree: next_inboxes.get(u).map_or(0, Vec::len),
+                    match next_inboxes.get_mut(u).and_then(|inbox| inbox.get_mut(back)) {
+                        Some(slot) => *slot = Some(m),
+                        None => {
+                            let degree = next_inboxes.get(u).map_or(0, Vec::len);
+                            return Err(
+                                RunError::PortOutOfRange { node: u, port: back, degree }.publish()
+                            );
                         }
-                        .publish());
                     }
-                    next_inboxes[u][back] = Some(m);
                     messages += 1;
                 }
             }

@@ -11,17 +11,15 @@
 //! |-----:|------|
 //! | 1 | test serialisation locks (obs `TRACE_LOCK`, serve `SERIAL`) |
 //! | 10 | serve's worker job receiver; a soak connection's pending map |
-//! | 20 | serve's telemetry publisher state; the soak error map |
-//! | 21 | serve's telemetry subscriber list |
+//! | 20 | the soak error map |
 //! | 30 | a serve connection's response writer |
 //! | 40–43 | the [`crate::Registry`] sections: counters, gauges, spans, latencies |
 //! | 50, 51 | the trace name interner and event sink |
 //!
 //! The registry and trace locks rank above every serve and bench lock
 //! because code holding a serve lock counts into the registry: a
-//! connection counts its response while it holds the writer, the
-//! telemetry publisher captures the registry while it holds its state,
-//! and [`MutexGuard::recovered`] is counted while the recovered guard is
+//! connection counts its response while it holds the writer, and
+//! [`MutexGuard::recovered`] is counted while the recovered guard is
 //! live.
 //!
 //! Under `debug_assertions` each thread keeps the set of ranks it holds,

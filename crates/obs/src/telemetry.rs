@@ -1,5 +1,5 @@
 //! Point-in-time registry snapshots with delta-encoding, for scoping a
-//! window and streaming metrics over the wire.
+//! window and sending metrics over the wire.
 //!
 //! A [`TelemetryState`], as
 //! [`Registry::snapshot`](crate::Registry::snapshot) returns it, holds
@@ -30,11 +30,12 @@
 //! increments (saturating, since a delta read off the wire may carry any
 //! `u64`), overwrite gauges and histogram min/max. `apply ∘
 //! delta_since` is the identity on reachable states — this is proptested
-//! in `tests/telemetry_props.rs` and is what lets a `locapd` subscriber
-//! reconcile a stream of delta frames against a final `stats` snapshot
-//! with no lost or double-counted metrics. The same `delta_since` scopes
-//! a run: the `locap` CLI and `locapd` bracket a pipeline with two
-//! snapshots and write the delta into the provenance sidecar.
+//! in `tests/telemetry_props.rs` — so a delta between two snapshots
+//! loses and double-counts no metric. `delta_since` scopes a window: the
+//! `locap` CLI and `locapd` bracket a pipeline with two snapshots and
+//! write the delta into the provenance sidecar, and `locap watch` takes
+//! its counter rates from the delta between two polls of `locapd`'s
+//! `stats` op.
 //!
 //! The one operation outside the model is
 //! [`Registry::reset`](crate::Registry::reset) (and counter handles held
@@ -377,9 +378,8 @@ mod tests {
         assert!(err.contains("min 5 exceeds max 1"), "{err}");
     }
 
-    /// `locap watch` applies delta frames read off a socket, where a
-    /// count may be anything up to `u64::MAX`: two such deltas saturate
-    /// instead of overflowing.
+    /// A delta parsed off the wire may carry any count up to
+    /// `u64::MAX`: two such deltas saturate instead of overflowing.
     #[test]
     fn applying_wire_deltas_saturates() {
         let doc = Json::parse(

@@ -14,8 +14,8 @@
 //! a JSON artifact plus its `*.provenance.json` sidecar. `replay` is a
 //! thin client for a running `locapd`: it sends a recorded
 //! newline-delimited request script and prints one response line per
-//! request. `watch` subscribes to a daemon's live telemetry stream and
-//! renders each frame as a human table (or TSV rows with `--tsv`).
+//! request. `watch` polls a daemon's `stats` op once a second and
+//! renders each poll as a human table (or TSV rows with `--tsv`).
 
 #![deny(
     clippy::unwrap_used,

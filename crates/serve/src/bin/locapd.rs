@@ -4,7 +4,6 @@
 //! locapd [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!        [--max-frame-bytes N] [--artifact-dir DIR] [--store-dir DIR]
 //!        [--default-deadline-ms N] [--max-deadline-ms N] [--no-shutdown]
-//!        [--telemetry-interval-ms N] [--telemetry-queue N]
 //! ```
 //!
 //! Binds a TCP listener (default `127.0.0.1:7878`; `:0` picks an
@@ -15,10 +14,8 @@
 //! With `--store-dir` results are served from (and written back to) the
 //! content-addressed result store rooted there, so the connection
 //! thread answers repeat requests from disk (`store/warm_hit` in
-//! `stats`), without queueing or recomputing them.
-//! `subscribe` connections receive delta-encoded telemetry frames every
-//! `--telemetry-interval-ms` (0 disables streaming); slow subscribers
-//! buffer up to `--telemetry-queue` frames before frames are shed.
+//! `stats`), without queueing or recomputing them. The `stats` op answers
+//! with the whole metrics registry; `locap watch` polls it.
 
 #![deny(
     clippy::unwrap_used,
@@ -45,8 +42,7 @@ fn main() {
             eprintln!(
                 "usage: locapd [--addr HOST:PORT] [--workers N] [--queue-depth N] \
                  [--max-frame-bytes N] [--artifact-dir DIR] [--store-dir DIR] \
-                 [--default-deadline-ms N] [--max-deadline-ms N] [--no-shutdown] \
-                 [--telemetry-interval-ms N] [--telemetry-queue N]"
+                 [--default-deadline-ms N] [--max-deadline-ms N] [--no-shutdown]"
             );
             std::process::exit(2);
         }
@@ -87,13 +83,6 @@ fn cli(args: &[String]) -> Result<i32, String> {
             "--max-deadline-ms" => {
                 let ms = parse_usize("max-deadline-ms", value()?)? as u64;
                 config.max_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--telemetry-interval-ms" => {
-                let ms = parse_usize("telemetry-interval-ms", value()?)? as u64;
-                config.telemetry_interval = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--telemetry-queue" => {
-                config.telemetry_queue = parse_usize("telemetry-queue", value()?)?.max(1);
             }
             other => return Err(format!("unknown flag {other:?}")),
         }

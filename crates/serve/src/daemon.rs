@@ -70,7 +70,7 @@ use crate::protocol::{
     core_error_kind, err_response, ok_response, parse_request, splice_result, BudgetSpec, Frame,
     FrameError, FrameReader, ProtocolError, Request, DEFAULT_MAX_FRAME_BYTES,
 };
-use crate::telemetry::TelemetryHub;
+
 /// Counter: frames parsed into well-formed requests.
 pub const REQUESTS: &str = "serve/requests";
 /// Counter: successful (`"ok": true`) responses written.
@@ -141,12 +141,6 @@ pub struct DaemonConfig {
     pub store_dir: Option<PathBuf>,
     /// Whether the `shutdown` op is honoured.
     pub allow_shutdown: bool,
-    /// Telemetry publisher interval; `None` disables the `subscribe` op
-    /// (answered with `protocol/telemetry_disabled`).
-    pub telemetry_interval: Option<Duration>,
-    /// Per-subscriber telemetry frame-queue depth (slow consumers shed
-    /// frames beyond it and resync via a snapshot).
-    pub telemetry_queue: usize,
 }
 
 impl Default for DaemonConfig {
@@ -160,8 +154,6 @@ impl Default for DaemonConfig {
             artifact_dir: None,
             store_dir: None,
             allow_shutdown: true,
-            telemetry_interval: Some(crate::telemetry::DEFAULT_INTERVAL),
-            telemetry_queue: crate::telemetry::DEFAULT_QUEUE,
         }
     }
 }
@@ -199,9 +191,8 @@ pub struct Daemon {
     store: Option<StoreHandle>,
 }
 
-/// A connection's response writer: its reader thread, the workers
-/// answering its jobs and its telemetry forwarder each write whole lines
-/// through it.
+/// A connection's response writer: its reader thread and the workers
+/// answering its jobs each write whole lines through it.
 pub type Writer = Mutex<TcpStream, 30>;
 
 /// Locks `m`, counting a recovered poisoning as a typed
@@ -210,9 +201,7 @@ pub type Writer = Mutex<TcpStream, 30>;
 /// structurally sound, [`Mutex::lock`] recovers it and clears the flag,
 /// and [`MutexGuard::recovered`] reports that on one guard only, so each
 /// poisoning is counted exactly once and never kills a thread silently.
-pub(crate) fn lock_or_recover<T: ?Sized, const RANK: u32>(
-    m: &Mutex<T, RANK>,
-) -> MutexGuard<'_, T, RANK> {
+fn lock_or_recover<T: ?Sized, const RANK: u32>(m: &Mutex<T, RANK>) -> MutexGuard<'_, T, RANK> {
     let guard = m.lock();
     if MutexGuard::recovered(&guard) {
         record_error_kind("poisoned");
@@ -314,7 +303,6 @@ struct Responder {
 struct ConnShared {
     tx: SyncSender<Job>,
     stop: Arc<AtomicBool>,
-    hub: Option<Arc<TelemetryHub>>,
     next_req_id: AtomicU64,
     responder: Arc<Responder>,
 }
@@ -372,23 +360,6 @@ impl Daemon {
     pub fn run(self) -> std::io::Result<()> {
         let Daemon { listener, addr: _, config, stop, drain, store } = self;
         let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-
-        let hub = config
-            .telemetry_interval
-            .map(|iv| Arc::new(TelemetryHub::new(iv, config.telemetry_queue)));
-        let publisher = match &hub {
-            Some(hub) => {
-                let hub = Arc::clone(hub);
-                let stop = Arc::clone(&stop);
-                Some(
-                    std::thread::Builder::new()
-                        .name("locapd-telemetry".into())
-                        .spawn(move || hub.run(&stop))?,
-                )
-            }
-            None => None,
-        };
-
         let workers = config.workers.max(1);
         let responder = Arc::new(Responder {
             config,
@@ -412,7 +383,6 @@ impl Daemon {
         let conn_shared = Arc::new(ConnShared {
             tx,
             stop: Arc::clone(&stop),
-            hub,
             next_req_id: AtomicU64::new(0),
             responder,
         });
@@ -439,7 +409,6 @@ impl Daemon {
                     join_all(connections);
                     drop(conn_shared);
                     join_all(workers);
-                    join_all(publisher.into_iter().collect());
                     return Err(e);
                 }
             }
@@ -448,8 +417,6 @@ impl Daemon {
         // dropping the last sender ends the worker recv loops
         drop(conn_shared);
         join_all(workers);
-        // the publisher sees the stop flag within its poll interval
-        join_all(publisher.into_iter().collect());
         Ok(())
     }
 }
@@ -673,38 +640,16 @@ fn salvage_id(line: &[u8]) -> Json {
         .unwrap_or(Json::Null)
 }
 
-fn stats_json(shared: &ConnShared) -> Json {
-    let r = &shared.responder;
-    let registry = obs::snapshot();
-    let get = |k: &str| registry.counters.get(k).copied().unwrap_or(0) as f64;
-    let get_gauge = |k: &str| registry.gauges.get(k).copied().unwrap_or(0) as f64;
-    let telemetry_interval_ms = shared.hub.as_ref().map_or(0, |hub| hub.interval_ms());
-    let store = Json::Obj(vec![
-        ("warm_hit".into(), Json::Num(get(locap_store::STORE_WARM_HIT))),
-        ("cold_miss".into(), Json::Num(get(locap_store::STORE_COLD_MISS))),
-        ("write".into(), Json::Num(get(locap_store::STORE_WRITE))),
-        ("write_failed".into(), Json::Num(get(locap_store::STORE_WRITE_FAILED))),
-        ("corrupt".into(), Json::Num(get(locap_store::STORE_CORRUPT))),
-        ("hit_rate_pct".into(), Json::Num(get_gauge(locap_store::STORE_HIT_RATE))),
-    ]);
+/// The `stats` result: the whole registry, plus the three values it does
+/// not hold — the current queue depth (the registry's
+/// [`QUEUE_DEPTH`] gauge is a high-water mark), the queue capacity and
+/// the worker count.
+fn stats_json(r: &Responder) -> Json {
     Json::Obj(vec![
-        ("requests".into(), Json::Num(get(REQUESTS))),
-        ("responses_ok".into(), Json::Num(get(RESP_OK))),
-        ("responses_err".into(), Json::Num(get(RESP_ERR))),
-        ("undeliverable".into(), Json::Num(get(UNDELIVERABLE))),
-        ("connections".into(), Json::Num(get(CONNECTIONS))),
-        ("disconnects".into(), Json::Num(get(DISCONNECTS))),
         ("queue_depth".into(), Json::Num(r.depth.load(Ordering::SeqCst) as f64)),
         ("queue_capacity".into(), Json::Num(r.config.queue_depth as f64)),
         ("workers".into(), Json::Num(r.config.workers as f64)),
-        ("telemetry_interval_ms".into(), Json::Num(telemetry_interval_ms as f64)),
-        // the result-store counter family plus its hit-rate gauge (all
-        // zero when the daemon runs without --store-dir)
-        ("store".into(), store),
-        // the full registry at telemetry resolution: every counter,
-        // gauge, span histogram and latency histogram (same encoding as
-        // subscribe frames' data)
-        ("registry".into(), registry.to_json()),
+        ("registry".into(), obs::snapshot().to_json()),
     ])
 }
 
@@ -725,7 +670,6 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
         }
     };
     let cancel = CancelToken::new();
-    let mut subscriptions: Vec<u64> = Vec::new();
     let mut reader = FrameReader::new(stream, shared.responder.config.max_frame_bytes);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -738,7 +682,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
                 if line.iter().all(u8::is_ascii_whitespace) {
                     continue; // keep-alive
                 }
-                if handle_frame(&line, &writer, &cancel, &mut subscriptions, shared) {
+                if handle_frame(&line, &writer, &cancel, shared) {
                     break; // shutdown requested on this connection
                 }
             }
@@ -754,12 +698,8 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
             Err(FrameError::Unterminated) | Err(FrameError::Io(_)) => break,
         }
     }
-    // disconnect: cancel this connection's in-flight jobs and detach its
-    // telemetry subscriptions
+    // disconnect: cancel this connection's in-flight jobs
     cancel.cancel();
-    if let Some(hub) = &shared.hub {
-        hub.unsubscribe(&subscriptions);
-    }
     record_disconnect();
 }
 
@@ -769,7 +709,6 @@ fn handle_frame(
     line: &[u8],
     writer: &Arc<Writer>,
     cancel: &CancelToken,
-    subscriptions: &mut Vec<u64>,
     shared: &ConnShared,
 ) -> bool {
     let r = &*shared.responder;
@@ -789,22 +728,7 @@ fn handle_frame(
             false
         }
         Request::Stats { id } => {
-            r.write_response(writer, &ok_response(&id, "stats", 0, stats_json(shared)));
-            false
-        }
-        Request::Subscribe { id } => {
-            let Some(hub) = &shared.hub else {
-                let e = ProtocolError::TelemetryDisabled;
-                r.write_error(writer, &id, &e.kind(), &e.to_string());
-                return false;
-            };
-            // ack before registering, so the ack precedes the first frame
-            let result = Json::Obj(vec![
-                ("interval_ms".into(), Json::Num(hub.interval_ms() as f64)),
-                ("queue".into(), Json::Num(hub.queue_depth() as f64)),
-            ]);
-            r.write_response(writer, &ok_response(&id, "subscribe", 0, result));
-            subscriptions.push(hub.subscribe(Arc::clone(writer)));
+            r.write_response(writer, &ok_response(&id, "stats", 0, stats_json(r)));
             false
         }
         Request::Shutdown { id } => {

@@ -13,12 +13,11 @@
 //!   answering every failure with a typed error response, and writing a
 //!   `*.provenance.json` sidecar ([`provenance`]) for every artifact.
 //!
-//! The daemon additionally streams **live telemetry**: the `subscribe`
-//! op attaches the connection to a periodic publisher ([`telemetry`])
-//! that fans out delta-encoded registry snapshots, with per-request
-//! phase latencies (queue-wait / parse / run / serialize) recorded into
-//! one `locap_obs::Histogram` per pipeline and phase. `locap watch`
-//! ([`watch`]) renders the stream as a live table.
+//! The daemon's one telemetry read is the `stats` op: it answers with
+//! the whole metrics registry, including the per-request phase
+//! latencies (queue-wait / parse / run / serialize) recorded into one
+//! `locap_obs::Histogram` per pipeline and phase. `locap watch`
+//! ([`watch`]) polls it and renders each poll as a live table.
 //!
 //! The wire protocol is hand-rolled on the `locap-obs` JSON machinery —
 //! no new dependencies, per the workspace's offline-shim policy.
@@ -38,7 +37,6 @@
 pub mod daemon;
 pub mod protocol;
 pub mod provenance;
-pub mod telemetry;
 pub mod watch;
 
 pub use daemon::{

@@ -21,17 +21,20 @@
 //!   enqueue), `max_rounds` bounds engine rounds/search steps,
 //!   `cache_cap` bounds view-cache entries.
 //!
-//! An **operation request** is `{"op": "ping"}`, `{"op": "stats"}`,
-//! `{"op": "subscribe"}` or `{"op": "shutdown"}`, with an optional `id`.
+//! An **operation request** is `{"op": "ping"}`, `{"op": "stats"}` or
+//! `{"op": "shutdown"}`, with an optional `id`. `stats` answers with the
+//! daemon's whole metrics registry under `result.registry`, in
+//! `locap_obs::telemetry` encoding.
 //!
 //! # Responses
 //!
-//! Exactly one line per well-formed frame, in request order per
-//! connection for operations and protocol errors. Pipeline responses
-//! arrive as they are answered, so match them by `id`: a daemon with a
-//! result store answers a warm hit on the connection's reader thread,
-//! where it can overtake an earlier request still queued for or running
-//! on a worker, and only misses wait for a worker. Success:
+//! Exactly one line per well-formed frame and nothing unsolicited, in
+//! request order per connection for operations and protocol errors.
+//! Pipeline responses arrive as they are answered, so match them by
+//! `id`: a daemon with a result store answers a warm hit on the
+//! connection's reader thread, where it can overtake an earlier request
+//! still queued for or running on a worker, and only misses wait for a
+//! worker. Success:
 //! `{"id": …, "ok": true, "pipeline": …, "elapsed_ms": …, "result": {…}}`.
 //! Failure: `{"id": …, "ok": false, "error": {"kind": …, "message": …}}`
 //! — the daemon never closes a connection on a bad frame, it answers it.
@@ -47,27 +50,6 @@
 //! closing the read half cancels the connection's in-flight jobs and
 //! undeliverable responses are dropped (counted under
 //! `serve/responses/undeliverable`).
-//!
-//! # Telemetry frames
-//!
-//! After an acknowledged `{"op": "subscribe"}`, the daemon interleaves
-//! unsolicited **telemetry frames** onto the connection (one per
-//! configured interval, whole lines — they never split a response):
-//!
-//! ```json
-//! {"telemetry": "delta", "seq": 3, "interval_ms": 1000, "dropped": 0,
-//!  "data": {"counters": {…}, "gauges": {…}, "spans": {…}, "latencies": {…}}}
-//! ```
-//!
-//! `telemetry` is `"snapshot"` (full registry state — the first frame,
-//! and the resync frame after any drop) or `"delta"` (only what changed
-//! since the previous frame, in `locap_obs::telemetry` delta encoding).
-//! `seq` increments per publisher tick (shared by all subscribers);
-//! `dropped` counts frames this subscriber lost to slow-consumer
-//! shedding. A frame is sent every tick even when nothing changed
-//! (`"data"` all-empty), so subscribers can detect quiescence. Clients
-//! distinguish telemetry frames by the `telemetry` key, which response
-//! lines never carry.
 
 use std::fmt::Write as _;
 use std::io::Read;
@@ -227,8 +209,6 @@ pub enum ProtocolError {
     ShuttingDown,
     /// The `shutdown` op is disabled in this daemon's configuration.
     ShutdownDisabled,
-    /// The `subscribe` op is disabled (`--telemetry-interval-ms 0`).
-    TelemetryDisabled,
     /// The request parsed but its pipeline/params were rejected.
     Request(RequestError),
 }
@@ -249,7 +229,6 @@ impl ProtocolError {
             ProtocolError::Overloaded { .. } => "overloaded",
             ProtocolError::ShuttingDown => "shutting_down",
             ProtocolError::ShutdownDisabled => "shutdown_disabled",
-            ProtocolError::TelemetryDisabled => "telemetry_disabled",
             ProtocolError::Request(e) => return format!("request/{}", e.kind()),
         };
         format!("protocol/{k}")
@@ -267,11 +246,7 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "a request needs a string \"pipeline\" or \"op\" field")
             }
             ProtocolError::UnknownOp { op } => {
-                write!(
-                    f,
-                    "unknown op {op:?}; expected \"ping\", \"stats\", \"subscribe\" or \
-                     \"shutdown\""
-                )
+                write!(f, "unknown op {op:?}; expected \"ping\", \"stats\" or \"shutdown\"")
             }
             ProtocolError::BadBudget { reason } => write!(f, "bad budget: {reason}"),
             ProtocolError::FrameTooLarge { limit } => {
@@ -283,9 +258,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::ShuttingDown => write!(f, "daemon is shutting down"),
             ProtocolError::ShutdownDisabled => {
                 write!(f, "the shutdown op is disabled for this daemon")
-            }
-            ProtocolError::TelemetryDisabled => {
-                write!(f, "telemetry streaming is disabled for this daemon")
             }
             ProtocolError::Request(e) => write!(f, "{e}"),
         }
@@ -352,13 +324,8 @@ pub enum Request {
         /// Correlation id (JSON `null` when absent).
         id: Json,
     },
-    /// Serving-counter snapshot.
+    /// The daemon's metrics registry.
     Stats {
-        /// Correlation id (JSON `null` when absent).
-        id: Json,
-    },
-    /// Attach this connection to the live telemetry stream.
-    Subscribe {
         /// Correlation id (JSON `null` when absent).
         id: Json,
     },
@@ -423,7 +390,6 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ProtocolError> {
         return match op {
             "ping" => Ok(Request::Ping { id }),
             "stats" => Ok(Request::Stats { id }),
-            "subscribe" => Ok(Request::Subscribe { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
             other => Err(ProtocolError::UnknownOp { op: other.into() }),
         };
@@ -480,62 +446,6 @@ pub fn ok_response(id: &Json, pipeline: &str, elapsed_ms: u64, result: Json) -> 
         ("elapsed_ms".into(), Json::Num(elapsed_ms as f64)),
         ("result".into(), result),
     ])
-}
-
-/// Builds one telemetry frame (see the module docs). `kind` is
-/// `"snapshot"` or `"delta"`, `dropped` the subscriber's cumulative
-/// shed-frame count, `data` a `locap_obs::telemetry` state object.
-pub fn telemetry_frame(kind: &str, seq: u64, interval_ms: u64, dropped: u64, data: Json) -> Json {
-    Json::Obj(vec![
-        ("telemetry".into(), Json::Str(kind.into())),
-        ("seq".into(), Json::Num(seq as f64)),
-        ("interval_ms".into(), Json::Num(interval_ms as f64)),
-        ("dropped".into(), Json::Num(dropped as f64)),
-        ("data".into(), data),
-    ])
-}
-
-/// A parsed telemetry frame, as seen by subscribers (`locap watch`, the
-/// conformance suite).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryFrame {
-    /// `"snapshot"` or `"delta"`.
-    pub kind: String,
-    /// Publisher tick number.
-    pub seq: u64,
-    /// Publisher interval in milliseconds.
-    pub interval_ms: u64,
-    /// Frames this subscriber lost to slow-consumer shedding so far.
-    pub dropped: u64,
-    /// The state or delta payload.
-    pub data: locap_obs::telemetry::TelemetryState,
-}
-
-impl TelemetryFrame {
-    /// Parses a frame line; `Ok(None)` when the line is not a telemetry
-    /// frame (no `telemetry` key — e.g. an interleaved response).
-    ///
-    /// # Errors
-    ///
-    /// A diagnostic when the line is not JSON or carries a malformed
-    /// telemetry payload.
-    pub fn parse(line: &str) -> Result<Option<TelemetryFrame>, String> {
-        let doc = Json::parse(line).map_err(|e| e.to_string())?;
-        let Some(kind) = doc.get("telemetry") else { return Ok(None) };
-        let kind = kind.as_str().ok_or("telemetry kind is not a string")?.to_string();
-        if kind != "snapshot" && kind != "delta" {
-            return Err(format!("unknown telemetry kind {kind:?}"));
-        }
-        let field = |k: &str| doc.get(k).and_then(Json::as_u64).ok_or(format!("missing {k}"));
-        let data = doc.get("data").ok_or("missing data")?;
-        Ok(Some(TelemetryFrame {
-            kind,
-            seq: field("seq")?,
-            interval_ms: field("interval_ms")?,
-            dropped: field("dropped")?,
-            data: locap_obs::telemetry::TelemetryState::from_json(data)?,
-        }))
-    }
 }
 
 /// Builds an error response line.
@@ -631,6 +541,8 @@ mod tests {
             (b"{\"id\": 1}", "protocol/missing_pipeline"),
             (b"{\"id\": 1, \"pipeline\": 3}", "protocol/missing_pipeline"),
             (b"{\"op\": \"reboot\"}", "protocol/unknown_op"),
+            (b"{\"op\":\"subscribe\"}", "protocol/unknown_op"),
+            (b"{\"op\":\"ping\",\"id\":[1,2]}", "protocol/bad_id"),
             (
                 b"{\"id\": 1, \"pipeline\": \"census\", \"params\": {\"family\": \"directed-cycle\", \"n\": 12}, \"budget\": 5}",
                 "protocol/bad_budget",
@@ -656,10 +568,6 @@ mod tests {
             Ok(Request::Stats { .. })
         ));
         assert!(matches!(parse_request(b"{\"op\": \"shutdown\"}"), Ok(Request::Shutdown { .. })));
-        assert!(matches!(
-            parse_request(b"{\"op\": \"subscribe\", \"id\": 9}"),
-            Ok(Request::Subscribe { .. })
-        ));
         let req = parse_request(
             b"{\"id\": 42, \"pipeline\": \"eds-lower\", \"params\": {\"n\": 9}, \"budget\": {\"deadline_ms\": 100}}",
         )
@@ -671,24 +579,6 @@ mod tests {
         assert_eq!(request.pipeline(), "eds-lower");
         assert_eq!(budget.deadline_ms, Some(100));
         assert_eq!(budget.max_rounds, None);
-    }
-
-    #[test]
-    fn telemetry_frames_round_trip_and_responses_pass_through() {
-        let reg = locap_obs::Registry::new();
-        reg.counter("serve/requests").add(3);
-        reg.latency("serve/request/census/run").record(1234);
-        let data = reg.snapshot();
-        let line = telemetry_frame("snapshot", 7, 250, 1, data.to_json()).to_string();
-        let frame = TelemetryFrame::parse(&line).expect("parse").expect("is telemetry");
-        assert_eq!(frame.kind, "snapshot");
-        assert_eq!((frame.seq, frame.interval_ms, frame.dropped), (7, 250, 1));
-        assert_eq!(frame.data, data);
-
-        let response = ok_response(&Json::Num(1.0), "census", 3, Json::Obj(vec![])).to_string();
-        assert_eq!(TelemetryFrame::parse(&response).expect("parse"), None);
-        assert!(TelemetryFrame::parse("{\"telemetry\": \"weird\", \"seq\": 0}").is_err());
-        assert!(TelemetryFrame::parse("{\"telemetry\": \"delta\"}").is_err());
     }
 
     #[test]

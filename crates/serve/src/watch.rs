@@ -1,12 +1,15 @@
-//! `locap watch` — subscribe to a running `locapd` and render its live
-//! telemetry stream as a human table or TSV rows.
+//! `locap watch` — poll a running `locapd`'s `stats` op and render its
+//! metrics registry as a human table or TSV rows.
 //!
-//! The client sends `{"op": "subscribe"}`, applies the resulting
-//! snapshot/delta frames to a local [`TelemetryState`] replica, and
-//! renders one block per frame: counters with per-interval rates,
-//! gauges, and span/latency histograms with p50/p90/p99 quantiles
-//! (within 1/16 of the true value). Rendering is pure
-//! ([`render_frame`]) so the formats are unit-testable.
+//! The client sends `{"op": "stats"}` once every [`POLL_INTERVAL`] and
+//! takes the response's `result.registry` as the daemon's state. It
+//! renders one block per poll: counters, gauges, and span/latency
+//! histograms with p50/p90/p99 quantiles (within 1/16 of the true
+//! value). The first poll shows absolute values only; every later poll
+//! adds per-second counter rates over the interval, from
+//! [`TelemetryState::delta_since`] of the previous poll. The counters
+//! include the watcher's own `stats` requests, one per poll. Rendering
+//! is pure ([`render_poll`]) so the formats are unit-testable.
 //!
 //! The `serve/request/<pipeline>/<phase>` latencies count differently
 //! per phase: `parse`, `run` and `serialize` sample every pipeline
@@ -16,17 +19,20 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
+use locap_obs::json::Json;
 use locap_obs::telemetry::TelemetryState;
 
-use crate::protocol::TelemetryFrame;
+/// Time between two polls; counter rates are per second over it.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(1000);
 
 /// Options for a watch session.
 #[derive(Debug, Clone)]
 pub struct WatchOptions {
     /// `host:port` of the daemon.
     pub addr: String,
-    /// Stop after this many telemetry frames (`None`: until disconnect).
+    /// Stop after this many polls (`None`: until disconnect).
     pub frames: Option<u64>,
     /// Emit TSV rows instead of the human table.
     pub tsv: bool,
@@ -51,19 +57,18 @@ fn keep(filter: &Option<String>, name: &str) -> bool {
     }
 }
 
-/// Renders one received frame against the reconstructed `state` (the
-/// frame's delta already applied). `delta` is the frame's own payload
-/// for `"delta"` frames (drives the rate column); snapshot frames show
-/// absolute values only.
-pub fn render_frame(
+/// Renders poll number `seq` of `state`. `delta` is the change since the
+/// previous poll and gives each counter that moved its rate; the first
+/// poll has none and shows absolute values only.
+pub fn render_poll(
+    seq: u64,
     state: &TelemetryState,
-    frame: &TelemetryFrame,
+    delta: Option<&TelemetryState>,
     tsv: bool,
     filter: &Option<String>,
 ) -> String {
     let mut out = String::new();
-    let delta = (frame.kind == "delta").then_some(&frame.data);
-    let interval_s = (frame.interval_ms.max(1) as f64) / 1000.0;
+    let interval_s = POLL_INTERVAL.as_secs_f64();
     let rate = |name: &str| -> Option<f64> {
         let moved = delta?.counters.get(name).copied()?;
         Some(moved as f64 / interval_s)
@@ -74,11 +79,11 @@ pub fn render_frame(
                 continue;
             }
             let rate = rate(name).map_or("-".into(), |r| format!("{r:.1}"));
-            out.push_str(&format!("{}\tcounter\t{name}\t{v}\t{rate}\n", frame.seq));
+            out.push_str(&format!("{seq}\tcounter\t{name}\t{v}\t{rate}\n"));
         }
         for (name, v) in &state.gauges {
             if keep(filter, name) {
-                out.push_str(&format!("{}\tgauge\t{name}\t{v}\t-\n", frame.seq));
+                out.push_str(&format!("{seq}\tgauge\t{name}\t{v}\t-\n"));
             }
         }
         for (label, section) in [("span", &state.spans), ("latency", &state.latencies)] {
@@ -88,17 +93,15 @@ pub fn render_frame(
                 }
                 let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile(q));
                 out.push_str(&format!(
-                    "{}\t{label}\t{name}\t{}\t{p50}\t{p90}\t{p99}\n",
-                    frame.seq, h.count
+                    "{seq}\t{label}\t{name}\t{}\t{p50}\t{p90}\t{p99}\n",
+                    h.count
                 ));
             }
         }
         return out;
     }
-    out.push_str(&format!(
-        "== seq {} ({}, interval {}ms, dropped {}) ==\n",
-        frame.seq, frame.kind, frame.interval_ms, frame.dropped
-    ));
+    let kind = if delta.is_some() { "delta" } else { "snapshot" };
+    out.push_str(&format!("== seq {seq} ({kind}, interval {}ms) ==\n", POLL_INTERVAL.as_millis()));
     for (name, v) in &state.counters {
         if !keep(filter, name) {
             continue;
@@ -131,59 +134,53 @@ pub fn render_frame(
     out
 }
 
-/// Connects, subscribes, and streams rendered frames into `out` until
-/// `opts.frames` frames arrived (or the daemon disconnects).
+/// Sends one `stats` request on `stream` and returns the registry it
+/// answers with, or `None` when the daemon closed the connection.
+fn poll(
+    stream: &mut TcpStream,
+    reader: &mut impl BufRead,
+) -> Result<Option<TelemetryState>, String> {
+    stream
+        .write_all(b"{\"op\": \"stats\", \"id\": \"watch\"}\n")
+        .and_then(|()| stream.flush())
+        .map_err(|e| format!("send stats: {e}"))?;
+    let mut line = String::new();
+    if reader.read_line(&mut line).map_err(|e| format!("read: {e}"))? == 0 {
+        return Ok(None);
+    }
+    let doc = Json::parse(&line).map_err(|e| e.to_string())?;
+    let registry = doc
+        .get("result")
+        .and_then(|r| r.get("registry"))
+        .ok_or_else(|| format!("stats rejected: {}", line.trim_end()))?;
+    TelemetryState::from_json(registry).map(Some)
+}
+
+/// Connects and renders one poll into `out` every [`POLL_INTERVAL`]
+/// until `opts.frames` polls were rendered (or the daemon disconnects).
 ///
 /// # Errors
 ///
-/// Connection/read/write failures, a rejected subscribe, or a malformed
-/// telemetry frame, as a displayable message.
+/// Connection/read/write failures, or a `stats` response without a
+/// well-formed registry, as a displayable message.
 pub fn run(opts: &WatchOptions, out: &mut impl Write) -> Result<(), String> {
-    let stream =
+    let mut stream =
         TcpStream::connect(&opts.addr).map_err(|e| format!("connect to {}: {e}", opts.addr))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-    writer
-        .write_all(b"{\"op\": \"subscribe\", \"id\": \"watch\"}\n")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send subscribe: {e}"))?;
-    let reader = BufReader::new(stream);
-    let mut state = TelemetryState::default();
-    let mut anchored = false;
-    let mut seen = 0u64;
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(frame) = TelemetryFrame::parse(&line)? else {
-            // the subscribe ack (or an interleaved response): reject a
-            // refused subscription, pass anything else through
-            let doc = locap_obs::json::Json::parse(&line).map_err(|e| e.to_string())?;
-            if doc.get("ok") == Some(&locap_obs::json::Json::Bool(false)) {
-                return Err(format!("subscribe rejected: {line}"));
-            }
-            continue;
-        };
-        match frame.kind.as_str() {
-            "snapshot" => {
-                state = frame.data.clone();
-                anchored = true;
-            }
-            _ => {
-                if !anchored {
-                    // never apply a delta before the first snapshot
-                    continue;
-                }
-                state.apply(&frame.data);
-            }
-        }
-        out.write_all(render_frame(&state, &frame, opts.tsv, &opts.filter).as_bytes())
-            .and_then(|()| out.flush())
-            .map_err(|e| format!("write: {e}"))?;
-        seen += 1;
-        if opts.frames.is_some_and(|n| seen >= n) {
+    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone stream: {e}"))?);
+    let mut prev: Option<TelemetryState> = None;
+    for seq in 0u64.. {
+        if opts.frames.is_some_and(|n| seq >= n) {
             break;
         }
+        if seq > 0 {
+            std::thread::sleep(POLL_INTERVAL);
+        }
+        let Some(state) = poll(&mut stream, &mut reader)? else { break };
+        let delta = prev.as_ref().map(|prev| state.delta_since(prev));
+        out.write_all(render_poll(seq, &state, delta.as_ref(), opts.tsv, &opts.filter).as_bytes())
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("write: {e}"))?;
+        prev = Some(state);
     }
     Ok(())
 }
@@ -193,27 +190,18 @@ mod tests {
     use super::*;
     use locap_obs::Registry;
 
-    fn frame_of(kind: &str, reg: &Registry, seq: u64) -> TelemetryFrame {
-        TelemetryFrame {
-            kind: kind.into(),
-            seq,
-            interval_ms: 500,
-            dropped: 0,
-            data: reg.snapshot(),
-        }
-    }
-
     #[test]
     fn tsv_rows_carry_rates_and_quantiles() {
         let reg = Registry::new();
+        let before = reg.snapshot();
         reg.counter("serve/requests").add(10);
         reg.gauge("serve/queue_depth").set(2);
         reg.latency("serve/request/census/run").record(2000);
         let state = reg.snapshot();
-        // a delta frame moving serve/requests by 10 over 500ms = 20/s
-        let frame = frame_of("delta", &reg, 3);
-        let text = render_frame(&state, &frame, true, &None);
-        assert!(text.contains("3\tcounter\tserve/requests\t10\t20.0"), "{text}");
+        // serve/requests moved by 10 over the 1 s interval = 10/s
+        let delta = state.delta_since(&before);
+        let text = render_poll(3, &state, Some(&delta), true, &None);
+        assert!(text.contains("3\tcounter\tserve/requests\t10\t10.0"), "{text}");
         assert!(text.contains("3\tgauge\tserve/queue_depth\t2\t-"), "{text}");
         assert!(text.contains("3\tlatency\tserve/request/census/run\t1\t"), "{text}");
     }
@@ -223,24 +211,23 @@ mod tests {
         let reg = Registry::new();
         reg.counter("serve/requests").add(4);
         let state = reg.snapshot();
-        let frame = frame_of("snapshot", &reg, 0);
-        let tsv = render_frame(&state, &frame, true, &None);
+        let tsv = render_poll(0, &state, None, true, &None);
         assert!(tsv.contains("0\tcounter\tserve/requests\t4\t-"), "{tsv}");
-        let human = render_frame(&state, &frame, false, &None);
-        assert!(human.starts_with("== seq 0 (snapshot, interval 500ms, dropped 0) =="), "{human}");
+        let human = render_poll(0, &state, None, false, &None);
+        assert!(human.starts_with("== seq 0 (snapshot, interval 1000ms) =="), "{human}");
         assert!(human.contains("serve/requests"), "{human}");
+        assert!(!human.contains("/s\n"), "{human}");
     }
 
     #[test]
     fn filter_restricts_all_sections() {
         let reg = Registry::new();
         reg.counter("serve/requests").inc();
-        reg.counter("telemetry/dropped").inc();
+        reg.counter("store/warm_hit").inc();
         reg.latency("soak/latency_ns").record(1);
         let state = reg.snapshot();
-        let frame = frame_of("snapshot", &reg, 1);
-        let text = render_frame(&state, &frame, true, &Some("telemetry/".into()));
-        assert!(text.contains("telemetry/dropped"), "{text}");
+        let text = render_poll(1, &state, None, true, &Some("store/".into()));
+        assert!(text.contains("store/warm_hit"), "{text}");
         assert!(!text.contains("serve/requests"), "{text}");
         assert!(!text.contains("soak/"), "{text}");
     }

@@ -11,6 +11,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use locap_obs::json::Json;
+use locap_obs::telemetry::TelemetryState;
 use locap_serve::daemon::{Daemon, DaemonConfig, DaemonHandle};
 
 /// How long a test client waits for one response before failing the
@@ -138,6 +139,24 @@ pub fn expect_ok(resp: &Json) -> &Json {
 pub fn expect_err(resp: &Json, kind: &str) {
     assert_eq!(resp.get("ok").cloned(), Some(Json::Bool(false)), "expected error response: {resp}");
     assert_eq!(err_kind(resp), Some(kind), "wrong error kind in {resp}");
+}
+
+/// The `result.registry` of a `stats` roundtrip: the daemon's whole
+/// metrics registry.
+#[track_caller]
+pub fn stats_registry(client: &mut Client) -> TelemetryState {
+    let resp = client.roundtrip(r#"{"op":"stats","id":"stats"}"#);
+    let registry = expect_ok(&resp)
+        .get("registry")
+        .unwrap_or_else(|| panic!("stats carries registry: {resp}"));
+    TelemetryState::from_json(registry)
+        .unwrap_or_else(|e| panic!("stats registry parses as a telemetry state ({e}): {resp}"))
+}
+
+/// Counter `name` of `state`. Snapshots omit zero counters, so an absent
+/// counter reads 0.
+pub fn counter(state: &TelemetryState, name: &str) -> u64 {
+    state.counters.get(name).copied().unwrap_or(0)
 }
 
 /// A request holding a worker for 402–512 ms with the release `locap`

@@ -13,7 +13,7 @@ mod common;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use common::{expect_err, expect_ok, Client, TestDaemon, SLOW_REQUEST};
+use common::{counter, expect_err, expect_ok, stats_registry, Client, TestDaemon, SLOW_REQUEST};
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_obs::sync::{Mutex, MutexGuard};
@@ -69,13 +69,12 @@ fn await_pickup(base: &TelemetryState, pipeline: &str) {
     panic!("no worker picked up the {pipeline} job within 10 s");
 }
 
-/// The `store` object of a `stats` roundtrip, as
+/// The store counters of a `stats` roundtrip's registry, as
 /// `(warm_hit, cold_miss, write, corrupt)`.
 fn store_counts(client: &mut Client) -> (u64, u64, u64, u64) {
-    let resp = client.roundtrip(r#"{"op":"stats","id":"stats"}"#);
-    let store = expect_ok(&resp).get("store").expect("stats carries store");
-    let get = |k: &str| store.get(k).and_then(Json::as_u64).unwrap_or(0);
-    (get("warm_hit"), get("cold_miss"), get("write"), get("corrupt"))
+    let registry = stats_registry(client);
+    let get = |name: &str| counter(&registry, name);
+    (get("store/warm_hit"), get("store/cold_miss"), get("store/write"), get("store/corrupt"))
 }
 
 /// With its one worker busy and its one queue slot taken, a daemon

@@ -14,7 +14,9 @@
 
 mod common;
 
-use common::{err_kind, expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
+use common::{
+    counter, err_kind, expect_err, expect_ok, stats_registry, Client, TestDaemon, VALID_REQUESTS,
+};
 use std::time::Duration;
 
 use locap_obs::json::Json;
@@ -74,6 +76,8 @@ fn malformed_requests_get_typed_errors_and_daemon_survives() {
         (r#"{"id":1}"#, "protocol/missing_pipeline"),
         (r#"{"id":1,"pipeline":7}"#, "protocol/missing_pipeline"),
         (r#"{"op":"reboot"}"#, "protocol/unknown_op"),
+        (r#"{"op":"subscribe"}"#, "protocol/unknown_op"),
+        (r#"{"op":"ping","id":[1,2]}"#, "protocol/bad_id"),
         (r#"{"id":1,"pipeline":"census","budget":7}"#, "protocol/bad_budget"),
         (r#"{"id":1,"pipeline":"census","budget":{"deadline_ms":"soon"}}"#, "protocol/bad_budget"),
         (r#"{"id":1,"pipeline":"census","budget":{"fuel":9}}"#, "protocol/bad_budget"),
@@ -251,41 +255,27 @@ fn ping_and_stats_ops_answer_inline() {
     let _ = client.roundtrip(VALID_REQUESTS[0].1);
     let stats = client.roundtrip(r#"{"op":"stats"}"#);
     let result = expect_ok(&stats);
-    for field in [
-        "requests",
-        "responses_ok",
-        "responses_err",
-        "undeliverable",
-        "connections",
-        "queue_depth",
-        "queue_capacity",
-        "workers",
-    ] {
+    // the registry plus the three values it does not hold
+    let Json::Obj(fields) = result else { panic!("stats result is an object: {stats}") };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["queue_depth", "queue_capacity", "workers", "registry"], "{stats}");
+    for field in ["queue_depth", "queue_capacity", "workers"] {
         assert!(
             result.get(field).and_then(Json::as_u64).is_some(),
             "stats carries {field}: {stats}"
         );
     }
-    assert!(
-        result.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 2,
-        "stats counted this connection's requests: {stats}"
-    );
-    assert!(
-        result.get("telemetry_interval_ms").and_then(Json::as_u64).is_some(),
-        "stats carries telemetry_interval_ms: {stats}"
-    );
-    // stats now embeds the full registry snapshot (counters, gauges,
-    // spans, latencies), reusing the telemetry capture machinery
-    let registry = result.get("registry").expect("stats carries the registry snapshot");
-    let state = locap_obs::telemetry::TelemetryState::from_json(registry)
-        .unwrap_or_else(|e| panic!("stats registry parses as a telemetry state ({e}): {stats}"));
-    assert!(
-        state.counters.get("serve/requests").copied().unwrap_or(0) >= 2,
-        "registry snapshot carries serve/requests: {stats}"
-    );
+    // the registry snapshot: counters, gauges, spans and latencies
+    // (a worker counts the pipeline's response after writing it, so
+    // only the ping's and the first stats' are certain to be counted)
+    let state = stats_registry(&mut client);
+    assert!(counter(&state, "serve/requests") >= 4, "stats counted this connection's requests");
+    assert!(counter(&state, "serve/responses/ok") >= 2, "stats counted the ok responses");
+    assert!(counter(&state, "serve/connections") >= 1, "stats counted the connection");
     assert!(
         state.latencies.keys().any(|k| k.starts_with("serve/request/")),
-        "registry snapshot carries per-phase request latencies: {stats}"
+        "registry snapshot carries per-phase request latencies: {}",
+        state.to_json()
     );
     daemon.stop();
 }
@@ -466,15 +456,6 @@ fn store_entries(root: &std::path::Path) -> Vec<std::path::PathBuf> {
     files
 }
 
-/// The `result.store` object of a `stats` roundtrip.
-fn store_stats(client: &mut Client) -> Json {
-    let resp = client.roundtrip(r#"{"op":"stats","id":"store-stats"}"#);
-    expect_ok(&resp)
-        .get("store")
-        .unwrap_or_else(|| panic!("stats carries store: {resp}"))
-        .clone()
-}
-
 /// The tentpole acceptance path: a repeat request answers from the
 /// store (`store/warm_hit` moves), and corrupting every store entry on
 /// disk degrades to a recompute — same result, `store/corrupt` moves,
@@ -491,20 +472,18 @@ fn store_dir_serves_repeats_warm_and_degrades_on_corruption() {
 
     let cold = client.roundtrip(request);
     let cold_result = expect_ok(&cold).clone();
-    let after_cold = store_stats(&mut client);
-    assert!(
-        after_cold.get("write").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "cold run wrote store entries: {after_cold}"
-    );
+    let after_cold = stats_registry(&mut client);
+    assert!(counter(&after_cold, "store/write") >= 1, "cold run wrote store entries");
 
     let warm = client.roundtrip(request);
     assert_eq!(expect_ok(&warm), &cold_result, "warm result identical to cold");
-    let after_warm = store_stats(&mut client);
-    let warm_hits = after_warm.get("warm_hit").and_then(Json::as_u64).unwrap_or(0);
-    assert!(warm_hits >= 1, "repeat request served from the store: {after_warm}");
+    let after_warm = stats_registry(&mut client);
+    let warm_hits = counter(&after_warm, "store/warm_hit");
+    assert!(warm_hits >= 1, "repeat request served from the store");
     assert!(
-        after_warm.get("hit_rate_pct").and_then(Json::as_u64).is_some(),
-        "stats exposes the hit-rate gauge: {after_warm}"
+        after_warm.gauges.contains_key("store/hit_rate_pct"),
+        "stats exposes the hit-rate gauge: {}",
+        after_warm.to_json()
     );
 
     // Flip one byte in the middle of every entry on disk.
@@ -518,19 +497,16 @@ fn store_dir_serves_repeats_warm_and_degrades_on_corruption() {
     }
     let recomputed = client.roundtrip(request);
     assert_eq!(expect_ok(&recomputed), &cold_result, "corruption degrades to a recompute");
-    let after_corrupt = store_stats(&mut client);
-    assert!(
-        after_corrupt.get("corrupt").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "damaged entries counted as typed misses: {after_corrupt}"
-    );
+    let after_corrupt = stats_registry(&mut client);
+    assert!(counter(&after_corrupt, "store/corrupt") >= 1, "damaged entries counted as misses");
 
     // The recompute repaired the entries: warm again.
     let repaired = client.roundtrip(request);
     assert_eq!(expect_ok(&repaired), &cold_result);
-    let after_repair = store_stats(&mut client);
+    let after_repair = stats_registry(&mut client);
     assert!(
-        after_repair.get("warm_hit").and_then(Json::as_u64).unwrap_or(0) > warm_hits,
-        "repaired store serves warm again: {after_repair}"
+        counter(&after_repair, "store/warm_hit") > warm_hits,
+        "repaired store serves warm again"
     );
     daemon.stop();
     std::fs::remove_dir_all(&dir).ok();

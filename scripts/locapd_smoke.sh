@@ -94,14 +94,14 @@ for cold in "$ARTIFACTS"/cold/*.json; do
 done
 echo "locapd_smoke: warm replay matches the cold one ($sidecars sidecars, same artifacts)"
 
-# The stats op exposes the store counters; a zero warm-hit count means
-# the store path is broken end to end.
+# The stats op's registry carries the store counters; a zero (absent)
+# warm-hit count means the store path is broken end to end.
 STATS_SCRIPT=$ARTIFACTS/.stats.jsonl
 printf '{"op":"stats","id":"smoke-stats"}\n' > "$STATS_SCRIPT"
 target/release/locap replay "$STATS_SCRIPT" --addr "$ADDR" --expect-ok \
     > "$ARTIFACTS/stats.jsonl"
 rm -f "$STATS_SCRIPT"
-warm_hits=$(sed -n 's|.*"warm_hit":\([0-9]*\).*|\1|p' "$ARTIFACTS/stats.jsonl" | head -n 1)
+warm_hits=$(sed -n 's|.*"store/warm_hit":\([0-9]*\).*|\1|p' "$ARTIFACTS/stats.jsonl" | head -n 1)
 if [ -z "$warm_hits" ] || [ "$warm_hits" -eq 0 ]; then
     echo "locapd_smoke: second replay never hit the result store (warm_hit=${warm_hits:-missing})" >&2
     cat "$ARTIFACTS/stats.jsonl" >&2

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Live-telemetry smoke: start locapd on an ephemeral port with a fast
-# telemetry publisher, watch two streamed frames over the wire, run a
-# ~10s sustained-QPS soak with --expect-ok, and validate the soak's
-# OBS_JSON artifact against the shared bench schema.
+# Telemetry smoke: start locapd on an ephemeral port, watch two polls of
+# its stats op over the wire, run a ~10s sustained-QPS soak with
+# --expect-ok, and validate the soak's OBS_JSON artifact against the
+# shared bench schema.
 #
 # Usage: scripts/soak_smoke.sh [artifact-dir] [qps] [duration-ms]
 #
 # CI uploads the artifact dir: the daemon log, the watched telemetry
-# frames, and the schema-valid soak metrics line.
+# rows, and the schema-valid soak metrics line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,8 +22,7 @@ cargo build --release -q -p locap-bench --bin soak --bin bench_gate
 
 DAEMON_LOG=$ARTIFACTS/locapd.stderr.log
 target/release/locapd \
-    --addr 127.0.0.1:0 --workers 2 --queue-depth 64 \
-    --telemetry-interval-ms 500 --max-deadline-ms 60000 \
+    --addr 127.0.0.1:0 --workers 2 --queue-depth 64 --max-deadline-ms 60000 \
     2> "$DAEMON_LOG" &
 DAEMON_PID=$!
 trap 'kill "$DAEMON_PID" 2>/dev/null || true' EXIT
@@ -44,8 +43,8 @@ if [ -z "$ADDR" ]; then
 fi
 echo "soak_smoke: daemon up on $ADDR"
 
-# Subscribe through the CLI and render two live frames (the first is
-# always a full snapshot) — proof the streamed path works end to end.
+# Poll stats through the CLI and render two polls, one interval (1 s)
+# apart: the first without rates, the second with them.
 target/release/locap watch --addr "$ADDR" --frames 2 --tsv \
     > "$ARTIFACTS/watch.tsv"
 if ! grep -q "	counter	serve/requests	" "$ARTIFACTS/watch.tsv"; then

@@ -1,8 +1,8 @@
 //! Differential lock-down of the memoized view/neighbourhood engine.
 //!
-//! Every engine-backed path (`ViewCache`, `ViewEngine`, the `*_fast`
-//! neighbourhood extractors, the parallel censuses, and the `run::*`
-//! wrappers) must be **bit-identical** to its naive reference
+//! Every engine-backed path (`ViewCache`, the `*_key_into` neighbourhood
+//! extractors, the parallel censuses, and the `run::*_budgeted` runs)
+//! must be **bit-identical** to its naive reference
 //! (`view`, `view_census_naive`, `ordered_*_census_naive`, `run::*_naive`)
 //! — same trees, same censuses including sort order, same output bits,
 //! same edge sets. This file drives both paths over five graph families
