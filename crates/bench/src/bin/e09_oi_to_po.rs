@@ -1,42 +1,18 @@
 //! E09 — Theorem 4.1: simulating an OI algorithm by a PO algorithm.
 //!
 //! For OI algorithms A (order-greedy vertex cover, local-minimum
-//! independent set), builds B(W) = A((T*, <*, λ)↾W) and measures
-//! Fact 4.2's agreement fraction on homogeneous lifts, plus B's
-//! feasibility and approximation ratio on the base graph.
+//! independent set: the `oi-to-po` pipeline's `vc-non-min` and
+//! `is-local-min`), builds B(W) = A((T*, <*, λ)↾W) and measures Fact
+//! 4.2's agreement fraction on homogeneous lifts, plus B's feasibility
+//! and approximation ratio on the base graph.
 
 use locap_bench::{cells, hprintln, Table};
 use locap_core::homogeneous::construct_budgeted;
+use locap_core::request::OiAlgo;
 use locap_core::transfer::transfer_vertex_budgeted;
 use locap_graph::budget::RunBudget;
-use locap_graph::canon::OrderedNbhd;
 use locap_graph::gen;
-use locap_models::OiVertexAlgorithm;
 use locap_problems::{independent_set, vertex_cover, Goal};
-
-/// OI vertex cover: join unless the centre is its ball's order-minimum.
-#[derive(Clone)]
-struct NonMinCover;
-impl OiVertexAlgorithm for NonMinCover {
-    fn radius(&self) -> usize {
-        1
-    }
-    fn evaluate(&self, t: &OrderedNbhd) -> bool {
-        t.root != 0
-    }
-}
-
-/// OI independent set: join iff the centre is its ball's order-minimum.
-#[derive(Clone)]
-struct LocalMinIs;
-impl OiVertexAlgorithm for LocalMinIs {
-    fn radius(&self) -> usize {
-        1
-    }
-    fn evaluate(&self, t: &OrderedNbhd) -> bool {
-        t.root == 0
-    }
-}
 
 fn main() {
     locap_bench::run(
@@ -69,7 +45,7 @@ fn body() {
             let (rep, _) = transfer_vertex_budgeted(
                 &g,
                 &h,
-                NonMinCover,
+                OiAlgo::VcNonMin,
                 Goal::Minimize,
                 vertex_cover::feasible,
                 vertex_cover::opt_value,
@@ -91,7 +67,7 @@ fn body() {
             let (rep, _) = transfer_vertex_budgeted(
                 &g,
                 &h,
-                LocalMinIs,
+                OiAlgo::IsLocalMin,
                 Goal::Maximize,
                 independent_set::feasible,
                 independent_set::opt_value,

@@ -1,56 +1,20 @@
 //! E10 — §4.2: the Ramsey ID → OI step, run exactly on cycles.
 //!
 //! Colours t-subsets of a concrete identifier universe by the behaviour of
-//! an ID algorithm on the order-homogeneous path ball, finds a
-//! monochromatic set J, derives the OI algorithm B, and verifies that the
-//! ID algorithm agrees with B on every identifier window drawn from J.
+//! an ID algorithm (the `ramsey` pipeline's `local-max`, `even-id` and
+//! `sum-mod3`) on the order-homogeneous path ball, finds a monochromatic
+//! set J, derives the OI algorithm B, and verifies that the ID algorithm
+//! agrees with B on every identifier window drawn from J.
 
 use locap_bench::{cells, hprintln, Table};
 use locap_core::ramsey::{ramsey_cycle_transfer_budgeted, verify_monochromatic};
+use locap_core::request::IdAlgo;
 use locap_graph::budget::RunBudget;
-use locap_graph::canon::IdNbhd;
-use locap_models::{run, IdVertexAlgorithm};
+use locap_models::run;
 
-/// Order-invariant by construction: join iff centre is the ball maximum.
-#[derive(Clone)]
-struct LocalMax;
-impl IdVertexAlgorithm for LocalMax {
-    fn radius(&self) -> usize {
-        1
-    }
-    fn evaluate(&self, t: &IdNbhd) -> bool {
-        t.root as usize == t.ids.len() - 1
-    }
-}
-
-/// Value-sensitive: join iff the centre's identifier is even.
-#[derive(Clone)]
-struct EvenId;
-impl IdVertexAlgorithm for EvenId {
-    fn radius(&self) -> usize {
-        1
-    }
-    fn evaluate(&self, t: &IdNbhd) -> bool {
-        t.ids[t.root as usize] % 2 == 0
-    }
-}
-
-/// Value-sensitive: join iff the *sum* of ball identifiers is divisible
-/// by 3.
-#[derive(Clone)]
-struct SumMod3;
-impl IdVertexAlgorithm for SumMod3 {
-    fn radius(&self) -> usize {
-        1
-    }
-    fn evaluate(&self, t: &IdNbhd) -> bool {
-        t.ids.iter().sum::<u64>() % 3 == 0
-    }
-}
-
-fn report<A: IdVertexAlgorithm + Clone>(name: &str, algo: A, t: &mut locap_bench::Table) {
+fn report(name: &str, algo: IdAlgo, t: &mut Table) {
     let universe: Vec<u64> = (1..=60).collect();
-    match ramsey_cycle_transfer_budgeted(algo.clone(), &universe, 1, 9, &RunBudget::unlimited())
+    match ramsey_cycle_transfer_budgeted(algo, &universe, 1, 9, &RunBudget::unlimited())
         .expect("an unlimited budget never truncates")
     {
         Some((oi, j, bit)) => {
@@ -101,9 +65,9 @@ fn body() {
         "all t-subsets verified",
         "A vs B agreement on C|J| with ids from J",
     ]);
-    report("LocalMax (already OI)", LocalMax, &mut t);
-    report("EvenId (value-sensitive)", EvenId, &mut t);
-    report("SumMod3 (value-sensitive)", SumMod3, &mut t);
+    report("LocalMax (already OI)", IdAlgo::LocalMax, &mut t);
+    report("EvenId (value-sensitive)", IdAlgo::EvenId, &mut t);
+    report("SumMod3 (value-sensitive)", IdAlgo::SumMod3, &mut t);
     t.print();
 
     hprintln!("\nInside J every ID algorithm is order-invariant: its outputs on");

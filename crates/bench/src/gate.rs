@@ -31,7 +31,7 @@ use obs::telemetry::TelemetryState;
 /// write; [`parse_baseline`] reads versions 1 through this one.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// One baseline benchmark row.
+/// One baseline benchmark row, or one span row of an `OBS_JSON` line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineRow {
     /// Bench target the row came from (e.g. `view_engine`).
@@ -42,6 +42,10 @@ pub struct BaselineRow {
     pub min_ns: u64,
     /// Samples recorded.
     pub samples: u64,
+    /// Sum of all samples, nanoseconds (span rows only).
+    pub total_ns: Option<u64>,
+    /// Largest sample, nanoseconds (span rows only).
+    pub max_ns: Option<u64>,
 }
 
 /// A parsed bench-schema document: a `BENCH_views.json` baseline or an
@@ -73,8 +77,9 @@ impl Baseline {
 /// or an `OBS_JSON` line. A document has a `schema` number in
 /// `1..=SCHEMA_VERSION`, optional `counters` (`u64`) and `gauges` (`i64`)
 /// objects, and a `results` array whose rows each carry string `bench`
-/// and `name` plus integer `median_ns`, `min_ns` and `samples`. Other
-/// fields (`source`, `note`, a row's `total_ns`) are not read.
+/// and `name` plus integer `median_ns`, `min_ns` and `samples`, and may
+/// carry integer `total_ns` and `max_ns` (every `OBS_JSON` span row
+/// does). Other fields (`source`, `note`) are not read.
 ///
 /// # Errors
 ///
@@ -104,6 +109,10 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
                 .and_then(Json::as_u64)
                 .ok_or(format!("results[{i}] missing integer {key}"))
         };
+        let optional_int = |key| match row.get(key) {
+            None => Ok(None),
+            Some(v) => v.as_u64().map(Some).ok_or(format!("results[{i}] {key} is not a u64")),
+        };
         let bench = text("bench")?.to_string();
         let name = text("name")?.to_string();
         let row = BaselineRow {
@@ -111,6 +120,8 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             median_ns: int("median_ns")?,
             min_ns: int("min_ns")?,
             samples: int("samples")?,
+            total_ns: optional_int("total_ns")?,
+            max_ns: optional_int("max_ns")?,
         };
         rows.insert(name, row);
     }
@@ -542,6 +553,14 @@ mod tests {
                 r#"{"schema":2,"results":[{},{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#,
                 "results[0] missing string bench",
             ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1,"total_ns":-5}]}"#,
+                "results[0] total_ns is not a u64",
+            ),
+            (
+                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1,"max_ns":"9"}]}"#,
+                "results[0] max_ns is not a u64",
+            ),
         ];
         for (text, want) in cases {
             let err = parse_baseline(text).expect_err(&format!("{text} should be rejected"));
@@ -552,6 +571,7 @@ mod tests {
             "results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
         let b = parse_baseline(ok).expect("valid document accepted");
         assert_eq!((b.counters["c"], b.gauges["g"], b.rows["n"].samples), (1, -2, 1));
+        assert_eq!((b.rows["n"].total_ns, b.rows["n"].max_ns), (None, None));
     }
 
     #[test]

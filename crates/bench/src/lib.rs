@@ -14,6 +14,10 @@
 //! baseline, reruns the corresponding criterion-shim benches, and fails on
 //! median regressions beyond a configurable tolerance. It also owns the
 //! bench schema that the baseline and the `OBS_JSON` line share.
+//!
+//! The [`trace_report`] module, behind the binary of the same name, turns
+//! `OBS_JSON` lines into a run's attribution: the span tree with count,
+//! total, self and max time per path, and per-path deltas between runs.
 
 #![warn(missing_docs)]
 
@@ -73,18 +77,13 @@ macro_rules! hprint {
 /// times the body under a `total` span, and — when `OBS_JSON` is set —
 /// emits the registry snapshot as a single JSON line on stdout
 /// ([`gate::render_line`]: the schema of `BENCH_views.json`; `source`
-/// tags the emitting binary).
+/// tags the emitting binary). [`trace_report`] reads such lines back as a
+/// span tree.
 pub fn run(source: &str, id: &str, title: &str, body: impl FnOnce()) {
     banner(id, title);
-    obs::trace::init_from_env();
     {
         let _total = obs::span("total");
         body();
-    }
-    match obs::trace::flush_from_env() {
-        Ok(Some(path)) => hprintln!("trace written to {path} (+ {path}.folded)"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: failed to write trace: {e}"),
     }
     if !human_output() {
         println!("{}", gate::render_line(source, &obs::snapshot()));

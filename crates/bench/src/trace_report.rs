@@ -1,59 +1,29 @@
-//! Post-hoc analysis of Chrome trace files written by the `locap-obs`
-//! trace layer (`OBS_TRACE=<path>`).
+//! A run's span attribution, read from its `OBS_JSON=1` lines.
 //!
-//! The `trace_report` binary is a thin CLI over this module. Three views:
+//! Under `OBS_JSON=1` every experiment binary and the `locap` CLI print
+//! one line whose span rows carry each span path's sample count, total
+//! and largest time ([`crate::gate::render_line`]). The `trace_report`
+//! binary is a thin CLI over this module, with two views:
 //!
 //! * an **attribution tree** — per span path: count, total, self and max
 //!   duration, where self time subtracts the totals of the path's nearest
-//!   *observed* descendants (the same convention as the `.folded` export);
-//! * a **per-round table** — spans carrying a `round` argument (the
-//!   simulator rounds and the view-refinement levels) grouped by round
-//!   number with their other numeric arguments summed;
-//! * a **per-request table** — spans carrying a `req` argument (the
-//!   monotonic request ids `locapd` threads into its `serve/request`
-//!   spans) grouped by request id, attributing daemon time to
-//!   individual requests;
-//! * a **diff** of two traces — per-path total deltas, for before/after
+//!   *observed* descendants;
+//! * a **diff** of two files — per-path total deltas, for before/after
 //!   comparisons of the same workload.
+//!
+//! A file may hold several lines (one per binary of a sweep, say): their
+//! rows add up per path.
 
 use std::collections::BTreeMap;
 
-use locap_obs::json::Json;
-
-/// One complete ("X") span event read back from a trace file.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Full `/`-separated span path (the event name).
-    pub path: String,
-    /// Trace-local thread id.
-    pub tid: u32,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Structured arguments attached to the span.
-    pub args: Vec<(String, i64)>,
-}
-
-/// A parsed trace file: spans plus summary counts of everything else.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    /// All span events, in file order.
-    pub spans: Vec<SpanRecord>,
-    /// Number of instant events.
-    pub instants: u64,
-    /// Number of counter samples.
-    pub counters: u64,
-    /// Ring-buffer overflow count reported by the writer.
-    pub dropped: u64,
-    /// `(tid, name)` pairs from thread-name metadata.
-    pub threads: Vec<(u32, String)>,
-}
+use crate::gate;
 
 /// Aggregated statistics for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathStats {
-    /// Number of span events with this path.
+    /// Number of spans recorded under this path.
     pub count: u64,
-    /// Sum of durations.
+    /// Sum of their durations.
     pub total_ns: u64,
     /// Total minus the totals of nearest-observed descendants (clamped at
     /// zero: parallel workers can exceed their parent's wall clock).
@@ -62,151 +32,74 @@ pub struct PathStats {
     pub max_ns: u64,
 }
 
-/// Reads and parses a trace file.
+/// Reads a file of `OBS_JSON` lines and aggregates its span rows.
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O or parse failure.
-pub fn load(path: &str) -> Result<Trace, String> {
+pub fn load(path: &str) -> Result<BTreeMap<String, PathStats>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses Chrome trace-event JSON (the object form with `traceEvents`).
+/// Aggregates the span rows of `OBS_JSON` lines (blank lines skipped) per
+/// path: counts and totals add up, maxima take the largest, and self
+/// times follow from the merged totals.
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON or a missing/ill-typed `traceEvents` array.
-pub fn parse(text: &str) -> Result<Trace, String> {
-    let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("missing traceEvents array".to_string())?;
-    let mut trace = Trace {
-        dropped: doc.get("droppedEvents").and_then(Json::as_u64).unwrap_or(0),
-        ..Trace::default()
-    };
-    for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(Json::as_str).ok_or(format!("event {i}: missing ph"))?;
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("event {i}: missing name"))?
-            .to_string();
-        let tid =
-            ev.get("tid").and_then(Json::as_u64).ok_or(format!("event {i}: missing tid"))? as u32;
-        match ph {
-            "X" => {
-                let dur_us = ev
-                    .get("dur")
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("event {i}: X without dur"))?;
-                let args = match ev.get("args").and_then(Json::as_object) {
-                    Some(pairs) => pairs
-                        .iter()
-                        .filter_map(|(k, v)| v.as_i64().map(|n| (k.clone(), n)))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                trace.spans.push(SpanRecord {
-                    path: name,
-                    tid,
-                    dur_ns: (dur_us * 1000.0).round() as u64,
-                    args,
-                });
-            }
-            "i" => trace.instants += 1,
-            "C" => trace.counters += 1,
-            "M" => {
-                if name == "thread_name" {
-                    if let Some(n) =
-                        ev.get("args").and_then(|a| a.get("name")).and_then(Json::as_str)
-                    {
-                        trace.threads.push((tid, n.to_string()));
-                    }
-                }
-            }
-            other => return Err(format!("event {i}: unknown phase {other:?}")),
+/// Fails on a line that [`gate::parse_baseline`] rejects, on a span row
+/// without `total_ns` and `max_ns` (a baseline row, not an `OBS_JSON`
+/// one), and on text with no line at all.
+pub fn parse(text: &str) -> Result<BTreeMap<String, PathStats>, String> {
+    let mut stats: BTreeMap<String, PathStats> = BTreeMap::new();
+    let mut lines = 0;
+    for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        let doc = gate::parse_baseline(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        lines += 1;
+        for (name, row) in doc.rows {
+            let (Some(total_ns), Some(max_ns)) = (row.total_ns, row.max_ns) else {
+                return Err(format!("line {}: row {name:?} has no total_ns and max_ns", i + 1));
+            };
+            let s = stats.entry(name).or_default();
+            s.count = s.count.saturating_add(row.samples);
+            s.total_ns = s.total_ns.saturating_add(total_ns);
+            s.max_ns = s.max_ns.max(max_ns);
         }
     }
-    Ok(trace)
+    if lines == 0 {
+        return Err("no OBS_JSON line".into());
+    }
+    set_self_times(&mut stats);
+    Ok(stats)
 }
 
-/// Aggregates spans per path, computing count/total/self/max. Self time
-/// uses the nearest *observed* ancestor convention: each path's total is
-/// charged to the closest prefix that itself appears in the trace.
-pub fn aggregate(trace: &Trace) -> BTreeMap<String, PathStats> {
-    let mut stats: BTreeMap<String, PathStats> = BTreeMap::new();
-    for s in &trace.spans {
-        let e = stats.entry(s.path.clone()).or_default();
-        e.count += 1;
-        e.total_ns += s.dur_ns;
-        e.max_ns = e.max_ns.max(s.dur_ns);
+/// The nearest proper prefix of `path`, cut at a `/`, that has a row in
+/// `stats`: the path's parent in the attribution tree.
+fn observed_parent<'p>(stats: &BTreeMap<String, PathStats>, path: &'p str) -> Option<&'p str> {
+    let mut anc = path;
+    while let Some((up, _)) = anc.rsplit_once('/') {
+        if stats.contains_key(up) {
+            return Some(up);
+        }
+        anc = up;
     }
+    None
+}
+
+/// Sets every path's self time: its total minus the totals of the paths
+/// whose [`observed_parent`] it is, clamped at zero.
+fn set_self_times(stats: &mut BTreeMap<String, PathStats>) {
     let mut child_sum: BTreeMap<String, u64> = BTreeMap::new();
-    let paths: Vec<String> = stats.keys().cloned().collect();
-    for path in &paths {
-        let total = stats[path].total_ns;
-        let mut anc = path.as_str();
-        while let Some((up, _)) = anc.rsplit_once('/') {
-            anc = up;
-            if stats.contains_key(anc) {
-                *child_sum.entry(anc.to_string()).or_insert(0) += total;
-                break;
-            }
+    for (path, s) in stats.iter() {
+        if let Some(parent) = observed_parent(stats, path) {
+            let sum = child_sum.entry(parent.to_string()).or_default();
+            *sum = sum.saturating_add(s.total_ns);
         }
     }
-    for (path, s) in &mut stats {
+    for (path, s) in stats.iter_mut() {
         s.self_ns = s.total_ns.saturating_sub(child_sum.get(path).copied().unwrap_or(0));
     }
-    stats
-}
-
-/// One row of a grouped-by-argument cost table (`round`, `req`, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundRow {
-    /// The grouping argument's value (a round number, a request id, …).
-    pub round: i64,
-    /// Number of tagged spans.
-    pub count: u64,
-    /// Summed duration of those spans.
-    pub total_ns: u64,
-    /// Other numeric arguments, summed per key (e.g. `messages`).
-    pub args: BTreeMap<String, i64>,
-}
-
-/// Groups spans carrying the named argument by its value.
-pub fn per_arg(trace: &Trace, key: &str) -> Vec<RoundRow> {
-    let mut rows: BTreeMap<i64, RoundRow> = BTreeMap::new();
-    for s in &trace.spans {
-        let Some(&(_, value)) = s.args.iter().find(|(k, _)| k == key) else { continue };
-        let row = rows.entry(value).or_insert(RoundRow {
-            round: value,
-            count: 0,
-            total_ns: 0,
-            args: BTreeMap::new(),
-        });
-        row.count += 1;
-        row.total_ns += s.dur_ns;
-        for (k, v) in &s.args {
-            if k != key {
-                *row.args.entry(k.clone()).or_insert(0) += v;
-            }
-        }
-    }
-    rows.into_values().collect()
-}
-
-/// Groups spans carrying a `round` argument by round number.
-pub fn per_round(trace: &Trace) -> Vec<RoundRow> {
-    per_arg(trace, "round")
-}
-
-/// Groups spans carrying a `req` argument (the request ids `locapd`
-/// attaches to its `serve/request` spans) by request id.
-pub fn per_request(trace: &Trace) -> Vec<RoundRow> {
-    per_arg(trace, "req")
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -242,69 +135,37 @@ fn render_columns(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders the attribution tree: one line per path, indented by depth,
-/// with count / total / self / max columns (milliseconds).
+/// Renders the attribution tree: a header, then one line per path in
+/// path order, with count / total / self / max columns (milliseconds).
+/// A path shows as its part below its nearest observed ancestor (the
+/// parent its self time is charged to), one step deeper than that
+/// ancestor.
 pub fn render_tree(stats: &BTreeMap<String, PathStats>) -> String {
     let header: Vec<String> =
         ["count", "total_ms", "self_ms", "max_ms", "path"].map(str::to_string).into();
+    // a parent sorts before its descendants, so its depth is known first
+    let mut depths: BTreeMap<&str, usize> = BTreeMap::new();
     let rows: Vec<Vec<String>> = stats
         .iter()
         .map(|(path, s)| {
-            let depth = path.matches('/').count();
-            let leaf = path.rsplit('/').next().unwrap_or(path);
+            let (depth, label) = match observed_parent(stats, path) {
+                Some(parent) => (depths[parent] + 1, &path[parent.len() + 1..]),
+                None => (0, path.as_str()),
+            };
+            depths.insert(path, depth);
             vec![
                 s.count.to_string(),
                 fmt_ms(s.total_ns),
                 fmt_ms(s.self_ns),
                 fmt_ms(s.max_ns),
-                format!("{}{leaf}", "  ".repeat(depth)),
+                format!("{}{label}", "  ".repeat(depth)),
             ]
         })
         .collect();
     render_columns(&header, &rows)
 }
 
-/// Renders the per-round cost table.
-pub fn render_rounds(rows: &[RoundRow]) -> String {
-    render_arg_table(rows, "round")
-}
-
-/// Renders the per-request cost table.
-pub fn render_requests(rows: &[RoundRow]) -> String {
-    render_arg_table(rows, "req")
-}
-
-fn render_arg_table(rows: &[RoundRow], key: &str) -> String {
-    if rows.is_empty() {
-        return format!("(no {key}-tagged spans)\n");
-    }
-    let mut arg_keys: Vec<String> = Vec::new();
-    for r in rows {
-        for k in r.args.keys() {
-            if !arg_keys.contains(k) {
-                arg_keys.push(k.clone());
-            }
-        }
-    }
-    arg_keys.sort();
-    let mut header: Vec<String> =
-        [key, "spans", "total_ms"].iter().map(|s| s.to_string()).collect();
-    header.extend(arg_keys.iter().cloned());
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.round.to_string(), r.count.to_string(), fmt_ms(r.total_ns)];
-            for k in &arg_keys {
-                row.push(r.args.get(k).map_or_else(|| "-".to_string(), |v| v.to_string()));
-            }
-            row
-        })
-        .collect();
-    // per-round tables read better with the numeric columns only
-    render_columns(&header, &table)
-}
-
-/// Renders per-path deltas between two aggregated traces: total in A,
+/// Renders per-path deltas between two aggregated runs: total in A,
 /// total in B, signed delta, and percentage change relative to A.
 pub fn render_diff(a: &BTreeMap<String, PathStats>, b: &BTreeMap<String, PathStats>) -> String {
     let mut paths: Vec<&String> = a.keys().chain(b.keys()).collect();
@@ -336,44 +197,25 @@ pub fn render_diff(a: &BTreeMap<String, PathStats>, b: &BTreeMap<String, PathSta
     render_columns(&header, &rows)
 }
 
-/// Renders the full single-trace report (summary, tree, rounds).
-pub fn render_report(trace: &Trace) -> String {
-    let stats = aggregate(trace);
-    let span_total: u64 = trace.spans.len() as u64;
-    let mut out = format!(
-        "events: {span_total} spans, {} instants, {} counter samples ({} dropped), {} threads\n\n",
-        trace.instants,
-        trace.counters,
-        trace.dropped,
-        trace.threads.len()
-    );
-    out.push_str("== span attribution (total/self in ms) ==\n");
-    out.push_str(&render_tree(&stats));
-    out.push_str("\n== per-round costs ==\n");
-    out.push_str(&render_rounds(&per_round(trace)));
-    out.push_str("\n== per-request costs ==\n");
-    out.push_str(&render_requests(&per_request(trace)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(path: &str, tid: u32, ts: f64, dur: f64, args: &[(&str, i64)]) -> String {
-        let args: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        format!(
-            "{{\"name\": \"{path}\", \"pid\": 1, \"tid\": {tid}, \"ts\": {ts}, \
-             \"ph\": \"X\", \"dur\": {dur}, \"cat\": \"span\", \"args\": {{{}}}}}",
-            args.join(", ")
-        )
-    }
-
-    fn doc(events: &[String]) -> String {
-        format!(
-            "{{\"traceEvents\": [{}], \"displayTimeUnit\": \"ns\", \"droppedEvents\": 0}}",
-            events.join(", ")
-        )
+    /// An `OBS_JSON` line with one span row per `(path, samples, total,
+    /// max)`, in microseconds.
+    fn line(rows: &[(&str, u64, u64, u64)]) -> String {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(path, samples, total_us, max_us)| {
+                format!(
+                    "{{\"bench\":\"t\",\"name\":\"{path}\",\"median_ns\":0,\"min_ns\":0,\
+                     \"samples\":{samples},\"total_ns\":{},\"max_ns\":{}}}",
+                    total_us * 1000,
+                    max_us * 1000
+                )
+            })
+            .collect();
+        format!("{{\"schema\":2,\"source\":\"t\",\"results\":[{}]}}", rows.join(","))
     }
 
     #[test]
@@ -381,15 +223,13 @@ mod tests {
         // parent 10ms with two children of 3ms: self = 4ms. The
         // grandchild's total is charged to its nearest observed ancestor
         // (the child), not the parent.
-        let text = doc(&[
-            ev("p", 1, 0.0, 10_000.0, &[]),
-            ev("p/c", 1, 100.0, 3_000.0, &[]),
-            ev("p/c", 1, 4000.0, 3_000.0, &[]),
-            ev("p/c/skip/g", 1, 200.0, 1_000.0, &[]),
+        let text = line(&[
+            ("p", 1, 10_000, 10_000),
+            ("p/c", 2, 6_000, 3_000),
+            ("p/c/skip/g", 1, 1_000, 1_000),
         ]);
-        let trace = parse(&text).unwrap();
-        assert_eq!(trace.spans.len(), 4);
-        let stats = aggregate(&trace);
+        let stats = parse(&text).unwrap();
+        assert_eq!(stats.len(), 3);
         assert_eq!(stats["p"].total_ns, 10_000_000);
         assert_eq!(stats["p"].self_ns, 4_000_000);
         assert_eq!(stats["p/c"].count, 2);
@@ -401,97 +241,97 @@ mod tests {
     #[test]
     fn self_time_clamps_for_parallel_children() {
         // two parallel workers sum past the parent's wall clock
-        let text = doc(&[
-            ev("p", 1, 0.0, 5_000.0, &[]),
-            ev("p/w", 2, 0.0, 4_000.0, &[]),
-            ev("p/w", 3, 0.0, 4_000.0, &[]),
-        ]);
-        let stats = aggregate(&parse(&text).unwrap());
+        let stats = parse(&line(&[("p", 1, 5_000, 5_000), ("p/w", 2, 8_000, 4_000)])).unwrap();
         assert_eq!(stats["p"].self_ns, 0);
         assert_eq!(stats["p/w"].total_ns, 8_000_000);
     }
 
     #[test]
-    fn per_round_groups_and_sums_args() {
-        let text = doc(&[
-            ev("sim/round", 1, 0.0, 100.0, &[("round", 0), ("messages", 12)]),
-            ev("sim/round", 1, 200.0, 150.0, &[("round", 1), ("messages", 8)]),
-            ev("refine/round", 1, 400.0, 50.0, &[("round", 1), ("classes", 3)]),
-            ev("untagged", 1, 600.0, 9.0, &[]),
-        ]);
-        let rows = per_round(&parse(&text).unwrap());
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].round, 0);
-        assert_eq!(rows[0].count, 1);
-        assert_eq!(rows[1].round, 1);
-        assert_eq!(rows[1].count, 2);
-        assert_eq!(rows[1].total_ns, 200_000);
-        assert_eq!(rows[1].args["messages"], 8);
-        assert_eq!(rows[1].args["classes"], 3);
-        let rendered = render_rounds(&rows);
-        assert!(rendered.contains("messages"), "{rendered}");
-        assert!(rendered.contains("0.200"), "{rendered}");
+    fn lines_of_one_file_add_up_per_path() {
+        let text = format!(
+            "{}\n\n{}\n",
+            line(&[("total", 1, 9_000, 9_000), ("total/a", 1, 2_000, 2_000)]),
+            line(&[("total", 1, 5_000, 5_000)])
+        );
+        let stats = parse(&text).unwrap();
+        assert_eq!((stats["total"].count, stats["total"].total_ns), (2, 14_000_000));
+        assert_eq!((stats["total"].max_ns, stats["total"].self_ns), (9_000_000, 12_000_000));
+        let tree = render_tree(&stats);
+        assert_eq!(tree.lines().count(), 3, "a header and one row per path: {tree}");
+        assert!(tree.lines().any(|l| l.ends_with("    a") && l.starts_with("    1")), "{tree}");
     }
 
     #[test]
-    fn per_request_groups_by_req_id() {
-        let text = doc(&[
-            ev("serve/request", 1, 0.0, 300.0, &[("req", 1)]),
-            ev("serve/request", 2, 100.0, 500.0, &[("req", 2)]),
-            ev("serve/request", 1, 700.0, 200.0, &[("req", 1)]),
-            ev("sim/round", 1, 900.0, 50.0, &[("round", 0)]),
-        ]);
-        let rows = per_request(&parse(&text).unwrap());
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].round, 1);
-        assert_eq!(rows[0].count, 2);
-        assert_eq!(rows[0].total_ns, 500_000);
-        assert_eq!(rows[1].round, 2);
-        let rendered = render_requests(&rows);
-        assert!(rendered.starts_with("req"), "{rendered}");
-        // round-tagged spans stay out of the request table and the
-        // report renders both sections
-        let report = render_report(&parse(&text).unwrap());
-        assert!(report.contains("== per-request costs =="), "{report}");
-        assert!(report.contains("== per-round costs =="), "{report}");
+    fn the_tree_labels_paths_below_their_observed_parent() {
+        let stats = parse(&line(&[
+            ("total", 1, 9_000, 9_000),
+            ("total/transfer/vertex", 2, 6_000, 4_000),
+            ("total/transfer/vertex/lift", 2, 1_000, 600),
+            ("z/orphan", 1, 5, 5),
+        ]))
+        .unwrap();
+        assert_eq!(stats["total"].self_ns, 3_000_000, "the lift is charged to its parent");
+        let tree = render_tree(&stats);
+        // the path column starts where its header does
+        let offset = tree.find("path").unwrap();
+        let labels: Vec<&str> = tree.lines().skip(1).map(|l| &l[offset..]).collect();
+        assert_eq!(labels, ["total", "  transfer/vertex", "    lift", "z/orphan"], "{tree}");
+    }
+
+    /// `render_tree`'s rows as `"<label> <self_ms>"`.
+    fn tree_self_ms(stats: &BTreeMap<String, PathStats>) -> Vec<String> {
+        let tree = render_tree(stats);
+        let offset = tree.find("path").unwrap();
+        tree.lines()
+            .skip(1)
+            .map(|l| {
+                let self_ms = l[..offset].split_whitespace().nth(2).unwrap();
+                format!("{} {self_ms}", l[offset..].trim_start())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_tree_shows_self_time_net_of_observed_children() {
+        // a's self = 100 - (30 [a/b] + 20 [a/d/e: nearest observed ancestor a])
+        let stats = parse(&line(&[
+            ("a", 1, 100, 100),
+            ("a/b", 1, 30, 30),
+            ("a/b/c", 1, 10, 10),
+            ("a/d/e", 1, 20, 20),
+        ]))
+        .unwrap();
+        assert_eq!(tree_self_ms(&stats), ["a 0.050", "b 0.020", "c 0.010", "d/e 0.020"]);
+    }
+
+    #[test]
+    fn the_tree_shows_a_parallel_overrun_as_zero_self_time() {
+        // two parallel workers each took 80 of wall-clock 100
+        let stats = parse(&line(&[("p", 1, 100, 100), ("p/worker", 2, 160, 80)])).unwrap();
+        assert_eq!(tree_self_ms(&stats), ["p 0.000", "worker 0.160"]);
     }
 
     #[test]
     fn diff_reports_deltas_and_new_paths() {
-        let a = aggregate(&parse(&doc(&[ev("x", 1, 0.0, 1_000.0, &[])])).unwrap());
-        let b = aggregate(
-            &parse(&doc(&[ev("x", 1, 0.0, 1_500.0, &[]), ev("y", 1, 0.0, 2_000.0, &[])])).unwrap(),
-        );
+        let a = parse(&line(&[("x", 1, 1_000, 1_000)])).unwrap();
+        let b = parse(&line(&[("x", 1, 1_500, 1_500), ("y", 1, 2_000, 2_000)])).unwrap();
         let out = render_diff(&a, &b);
         assert!(out.contains("+50.0%"), "{out}");
         assert!(out.lines().any(|l| l.ends_with('y') && l.contains('-')), "{out}");
     }
 
     #[test]
-    fn parse_counts_non_span_events_and_threads() {
-        let text = "{\"traceEvents\": [\
-            {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": 7, \
-             \"args\": {\"name\": \"worker-7\"}},\
-            {\"name\": \"hit\", \"pid\": 1, \"tid\": 7, \"ts\": 1.5, \"ph\": \"i\", \
-             \"s\": \"t\", \"cat\": \"instant\", \"args\": {}},\
-            {\"name\": \"msgs\", \"pid\": 1, \"tid\": 7, \"ts\": 2.0, \"ph\": \"C\", \
-             \"cat\": \"counter\", \"args\": {\"value\": 4}}\
-        ], \"droppedEvents\": 3}";
-        let trace = parse(text).unwrap();
-        assert_eq!(trace.instants, 1);
-        assert_eq!(trace.counters, 1);
-        assert_eq!(trace.dropped, 3);
-        assert_eq!(trace.threads, vec![(7, "worker-7".to_string())]);
-        assert!(trace.spans.is_empty());
-        // report renders without panicking even with no spans
-        let report = render_report(&trace);
-        assert!(report.contains("no round-tagged spans"), "{report}");
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
-        assert!(parse("not json").is_err());
+        assert!(parse("not json").unwrap_err().starts_with("line 1: "));
         assert!(parse("{\"foo\": 1}").is_err());
-        assert!(parse("{\"traceEvents\": [{\"ph\": \"Z\", \"name\": \"x\", \"tid\": 0}]}").is_err());
+        assert_eq!(parse("\n  \n").unwrap_err(), "no OBS_JSON line");
+        // a malformed second line fails the whole file
+        let good = line(&[("x", 1, 1, 1)]);
+        let err = parse(&format!("{good}\n{}\n", good.replace("\"samples\":1", "\"samples\":-1")))
+            .unwrap_err();
+        assert!(err.starts_with("line 2: results[0] missing integer samples"), "{err}");
+        // a baseline row carries no total or max
+        let baseline = r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
+        assert!(parse(baseline).unwrap_err().contains("has no total_ns and max_ns"));
     }
 }

@@ -86,6 +86,7 @@ fn assert_round_trip(source: &str, state: &TelemetryState) -> Result<(), TestCas
         prop_assert_eq!(row.bench.as_str(), source);
         prop_assert_eq!((row.samples, row.min_ns), (h.count, h.min), "{:?}", name);
         prop_assert_eq!(row.median_ns, h.quantile(0.5), "{:?}", name);
+        prop_assert_eq!((row.total_ns, row.max_ns), (Some(h.sum), Some(h.max)), "{:?}", name);
     }
     Ok(())
 }

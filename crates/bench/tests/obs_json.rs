@@ -47,47 +47,56 @@ obs_json_test!(e12, "e12_claims_table", env!("CARGO_BIN_EXE_e12_claims_table"));
 obs_json_test!(e13, "e13_growth", env!("CARGO_BIN_EXE_e13_growth"));
 obs_json_test!(e14, "e14_po_vs_pn", env!("CARGO_BIN_EXE_e14_po_vs_pn"));
 
-/// `OBS_JSON=1` and `OBS_TRACE` compose: the run still prints exactly one
-/// schema-valid metrics line on stdout *and* writes a well-formed trace
-/// pair (Chrome JSON + collapsed stacks) to the requested path.
+/// `trace_report` over the `OBS_JSON=1` line of e09 prints its span tree:
+/// one row per span row, whose count and total are that row's `samples`
+/// and `total_ns`; a malformed line makes it exit non-zero.
 #[test]
-fn obs_json_and_obs_trace_compose() {
-    let dir = std::env::temp_dir().join(format!("locap_compose_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace_path = dir.join("e04.trace.json");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_e04_views"))
+fn trace_report_prints_one_tree_row_per_span_row() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_e09_oi_to_po"))
         .env("OBS_JSON", "1")
-        .env("OBS_TRACE", &trace_path)
         .output()
-        .expect("spawn e04_views");
+        .expect("spawn e09_oi_to_po");
     assert!(out.status.success(), "exit {}", out.status);
-
-    // the metrics contract is unchanged: one schema-valid stdout line
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 1, "expected exactly one stdout line, got {}:\n{stdout}", lines.len());
-    let line = gate::parse_baseline(lines[0]).expect("metrics schema valid");
-    let doc = Json::parse(lines[0]).expect("metrics JSON parses");
+    let line = gate::parse_baseline(stdout.trim()).expect("one schema-valid line");
+    assert!(line.rows.len() > 1, "e09 records nested spans: {:?}", line.rows.keys());
 
-    // and the trace pair exists and is well-formed
-    let trace = locap_bench::trace_report::load(trace_path.to_str().expect("utf8 path"))
-        .expect("trace file parses as Chrome trace JSON");
-    assert!(!trace.spans.is_empty(), "trace records spans");
-    assert!(trace.spans.iter().any(|s| s.path == "total"), "total span traced");
-    let folded = std::fs::read_to_string(format!("{}.folded", trace_path.display()))
-        .expect("collapsed-stack file written");
-    assert!(folded.lines().any(|l| l.starts_with("total")), "folded stacks non-empty: {folded}");
-
-    // trace span totals agree with the snapshot's span rows (same run)
-    let agg = locap_bench::trace_report::aggregate(&trace);
-    for row in doc.get("results").and_then(Json::as_array).expect("results") {
-        let name = row.get("name").and_then(Json::as_str).expect("name");
-        let total_ns = row.get("total_ns").and_then(Json::as_u64).expect("total_ns");
-        let stats = agg.get(name).unwrap_or_else(|| panic!("{name} missing from trace"));
-        assert_eq!(stats.count, line.rows[name].samples, "{name}: span count");
-        assert_eq!(stats.total_ns, total_ns, "{name}: span total");
+    // the library view: one path per span row, with its count and total
+    let stats = locap_bench::trace_report::parse(&stdout).expect("the line parses");
+    assert!(stats.keys().eq(line.rows.keys()), "one tree row per span row");
+    for (name, row) in &line.rows {
+        assert_eq!(stats[name].count, row.samples, "{name}: span count");
+        assert_eq!(Some(stats[name].total_ns), row.total_ns, "{name}: span total");
     }
 
+    // the binary prints a header and then those rows, in path order
+    let dir = std::env::temp_dir().join(format!("locap_trace_report_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let report = |text: &str| {
+        let path = dir.join("metrics.json");
+        std::fs::write(&path, text).expect("write metrics file");
+        std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .arg(&path)
+            .output()
+            .expect("spawn trace_report")
+    };
+    let out = report(&stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let tree = String::from_utf8(out.stdout).expect("utf8");
+    let rows: Vec<&str> = tree.lines().skip(1).collect();
+    assert_eq!(rows.len(), line.rows.len(), "one tree row per span row:\n{tree}");
+    for (text, (name, row)) in rows.iter().zip(&line.rows) {
+        let cells: Vec<&str> = text.split_whitespace().collect();
+        let total_ms = format!("{:.3}", row.total_ns.expect("a total") as f64 / 1e6);
+        assert_eq!(cells[0], row.samples.to_string(), "{name}: {text}");
+        assert_eq!(cells[1], total_ms, "{name}: {text}");
+        assert!(name.ends_with(cells[4]), "{name}: {text}");
+    }
+
+    let out = report(&format!("{}\n{{\"schema\": 2}}\n", stdout.trim()));
+    assert_eq!(out.status.code(), Some(1), "a malformed line fails the report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2: missing results array"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

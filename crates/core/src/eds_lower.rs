@@ -156,7 +156,7 @@ pub fn lower_bound_report_budgeted(
 ) -> Result<LowerBoundReport, CoreError> {
     let d = &inst.digraph;
     let n = d.node_count();
-    let _span = obs::span_with("eds_lower/report", &[("nodes", n as i64)]);
+    let _span = obs::span("eds_lower/report");
     if !d.is_label_complete() {
         return Err(CoreError::VerificationFailed {
             property: "instance is not label-complete".into(),
@@ -190,7 +190,7 @@ pub fn lower_bound_report_budgeted(
     // with a feasible union is the minimum (j = 1 on every gadget).
     let min_symmetric = {
         let k = d.alphabet_size();
-        let _span = obs::span_with("symmetric_enum", &[("labels", k as i64)]);
+        let _span = obs::span("symmetric_enum");
         let mut found = None;
         'sizes: for j in 1..=k {
             let mut classes: Vec<usize> = (0..j).collect();

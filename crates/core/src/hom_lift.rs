@@ -94,7 +94,7 @@ pub fn homogeneous_lift_budgeted(
     h: &HomogeneousGraph,
     budget: &RunBudget,
 ) -> Result<HomogeneousLift, CoreError> {
-    let mut lift_span = obs::span("hom_lift/lift");
+    let _lift_span = obs::span("hom_lift/lift");
     if g.alphabet_size() != h.digraph.alphabet_size() {
         return Err(CoreError::BadParameters {
             reason: format!(
@@ -106,8 +106,6 @@ pub fn homogeneous_lift_budgeted(
     }
     let ng = g.node_count();
     let nh = h.node_count();
-    lift_span.arg("fibre", ng as i64);
-    lift_span.arg("fibres", nh as i64);
     let n = match nh.checked_mul(ng) {
         Some(n) if n <= MAX_NODES => n,
         _ => {

@@ -72,10 +72,9 @@ impl<A> PoFromOi<A> {
     /// Orders the walks of a view by `<*` and returns
     /// `(sorted words, the ordered neighbourhood (T*, <*, λ) ↾ W)`.
     pub fn ordered_restriction(&self, view: &ViewTree) -> (Vec<Word>, OrderedNbhd) {
-        let mut span = obs::span("oi_to_po/simulate");
+        let _span = obs::span("oi_to_po/simulate");
         obs::counter(RESTRICTIONS).inc();
         let mut words = view.words();
-        span.arg("words", words.len() as i64);
         // order by (U element under the cone order, then the word itself)
         words.sort_by(|a, b| {
             let ua = eval_word(&self.u, &self.gens, a);

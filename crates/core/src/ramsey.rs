@@ -40,10 +40,6 @@ use crate::{next_combination, CoreError};
 /// # Errors
 ///
 /// [`CoreError::Truncated`] when the budget trips mid-search.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "a successful search has filled partial with m >= t elements"
-)]
 pub fn monochromatic_subset_budgeted<C, F>(
     color: &mut F,
     universe: &[u64],
@@ -55,10 +51,7 @@ where
     C: Eq + Clone,
     F: FnMut(&[u64]) -> C,
 {
-    let _span = obs::span_with(
-        "ramsey/monochromatic_subset",
-        &[("universe", universe.len() as i64), ("t", t as i64), ("m", m as i64)],
-    );
+    let _span = obs::span("ramsey/monochromatic_subset");
     if m < t || universe.len() < m {
         return Ok(None);
     }
@@ -124,7 +117,8 @@ where
         Search { sorted: &sorted, t, m, budget, color, partial: Vec::new(), expected: None };
     if search.extend(0)? {
         let Search { partial, expected, color, .. } = search;
-        let c = expected.unwrap_or_else(|| color(&partial[..t]));
+        // a successful search has filled partial with m >= t elements
+        let c = expected.unwrap_or_else(|| color(partial.get(..t).unwrap_or_default()));
         Ok(Some((partial, c)))
     } else {
         Ok(None)
@@ -256,7 +250,7 @@ pub fn ramsey_cycle_transfer_budgeted<A>(
 where
     A: IdVertexAlgorithm + Clone,
 {
-    let _span = obs::span_with("ramsey/cycle_transfer", &[("r", r as i64), ("m", m as i64)]);
+    let _span = obs::span("ramsey/cycle_transfer");
     let t = 2 * r + 1;
     let algo_ref = algo.clone();
     let mut color = move |s: &[u64]| cycle_tstar_color(&algo_ref, s);

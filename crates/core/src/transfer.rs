@@ -61,10 +61,6 @@ pub struct TransferReport {
 /// [`CoreError::Truncated`] naming the interrupted stage when the budget
 /// trips — the report is only meaningful when every stage completed, so
 /// a truncated transfer is an error rather than a partial report.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "b_out has one output per lift node and b_g one per base node, which phi maps onto"
-)]
 pub fn transfer_vertex_budgeted<A>(
     g: &LDigraph,
     h: &HomogeneousGraph,
@@ -77,9 +73,8 @@ pub fn transfer_vertex_budgeted<A>(
 where
     A: OiVertexAlgorithm + Clone + Send + Sync,
 {
-    let mut span = obs::span("transfer/vertex");
+    let _span = obs::span("transfer/vertex");
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
-    span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
 
     let a_out = require_complete(
@@ -94,8 +89,8 @@ where
     };
 
     let b_g = require_complete(run::po_vertex_budgeted(g, &b, budget)?, "B on base graph")?;
-    for v in 0..lift.lift.node_count() {
-        if b_out[v] != b_g[lift.phi.image(v)] {
+    for (v, out) in b_out.iter().enumerate() {
+        if b_g.get(lift.phi.image(v)) != Some(out) {
             return Err(CoreError::VerificationFailed {
                 property: format!("lift invariance of B at lift node {v}"),
             });
@@ -176,9 +171,8 @@ where
 {
     use crate::oi_to_po::PoFromOiEdge;
 
-    let mut span = obs::span("transfer/edge");
+    let _span = obs::span("transfer/edge");
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
-    span.arg("lift_nodes", lift.node_count() as i64);
     let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
 
     let a_set =

@@ -184,36 +184,6 @@ impl Graph {
         best
     }
 
-    /// Whether the girth is strictly greater than `g` (vacuously true for
-    /// forests). Faster than [`Graph::girth`] when only a bound is needed:
-    /// BFS is truncated at depth `g / 2 + 1`.
-    pub fn girth_exceeds(&self, g: usize) -> bool {
-        let n = self.node_count();
-        let half = g / 2 + 1;
-        for s in 0..n {
-            let mut dist = vec![usize::MAX; n];
-            let mut parent = vec![usize::MAX; n];
-            let mut q = VecDeque::new();
-            dist[s] = 0;
-            q.push_back(s);
-            while let Some(v) = q.pop_front() {
-                if dist[v] >= half {
-                    continue;
-                }
-                for &u in self.neighbors(v) {
-                    if dist[u] == usize::MAX {
-                        dist[u] = dist[v] + 1;
-                        parent[u] = v;
-                        q.push_back(u);
-                    } else if parent[v] != u && dist[v] + dist[u] < g {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// The diameter of a connected graph; `None` if disconnected or empty.
     pub fn diameter(&self) -> Option<usize> {
         let n = self.node_count();
@@ -329,16 +299,16 @@ mod tests {
         assert_eq!(gen::hypercube(3).girth(), Some(4));
     }
 
+    /// `cycle_near_root` is false at every root exactly when the girth
+    /// exceeds the bound, on vertex-transitive graphs and on a path.
     #[test]
     fn girth_exceeds_matches_girth() {
         let cases = [gen::cycle(7), gen::complete(5), gen::petersen(), gen::path(5)];
         for g in &cases {
             for bound in 0..12 {
-                let expect = match g.girth() {
-                    None => true,
-                    Some(gi) => gi > bound,
-                };
-                assert_eq!(g.girth_exceeds(bound), expect, "bound {bound}");
+                let girth_exceeds = g.girth().is_none_or(|gi| gi > bound);
+                let no_short_cycle = (0..g.node_count()).all(|v| !g.cycle_near_root(v, bound));
+                assert_eq!(no_short_cycle, girth_exceeds, "bound {bound}");
             }
         }
     }

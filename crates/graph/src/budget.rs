@@ -10,7 +10,7 @@
 //!
 //! Every truncation publishes a `budget/truncated/<kind>` counter into
 //! `locap-obs`, so truncated runs are visible in `OBS_JSON` snapshots
-//! and traces.
+//! and the daemon's `stats`.
 
 #![deny(
     clippy::unwrap_used,

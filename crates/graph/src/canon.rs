@@ -488,7 +488,7 @@ where
     const PARALLEL_MIN_NODES: usize = 1 << 10;
     /// Counter of vertices canonicalised across all census runs.
     const CENSUS_VERTICES: &str = "census/vertices";
-    let _span = obs::span_with(&format!("census/{name}"), &[("nodes", n as i64)]);
+    let _span = obs::span(&format!("census/{name}"));
     obs::counter(CENSUS_VERTICES).add(n as u64);
     let mut parts = par::map_chunks(n, PARALLEL_MIN_NODES, |vertices| {
         let mut scratch = NbhdScratch::new();

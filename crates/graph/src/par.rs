@@ -75,15 +75,11 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .step_by(chunk)
-            .enumerate()
-            .map(|(w, lo)| {
+            .map(|lo| {
                 let hi = (lo + chunk).min(n);
                 scope.spawn(move || {
                     let _adopt = obs::adopt_span_path(parent_path);
-                    let _span = obs::span_with(
-                        "worker",
-                        &[("worker", w as i64), ("lo", lo as i64), ("hi", hi as i64)],
-                    );
+                    let _span = obs::span("worker");
                     f(lo..hi)
                 })
             })

@@ -336,7 +336,6 @@ pub struct ViewCache<'g> {
     obs_tree_hits: obs::Counter,
     obs_tree_misses: obs::Counter,
     obs_states: obs::Counter,
-    obs_classes: obs::Gauge,
 }
 
 /// Threshold below which the refinement sweep stays sequential: the per
@@ -354,8 +353,6 @@ const VIEW_CACHE_TREE_MISSES: &str = "view_cache/tree_misses";
 /// Counter of refinement states swept: walk states per level, vertices
 /// per root pass.
 const VIEW_CACHE_STATES: &str = "view_cache/states";
-/// Gauge of distinct views at the radius last passed.
-const VIEW_CACHE_CLASSES: &str = "view_cache/classes";
 
 impl<'g> ViewCache<'g> {
     /// Creates an empty cache for `d`; levels are built on demand.
@@ -375,7 +372,6 @@ impl<'g> ViewCache<'g> {
             obs_tree_hits: obs::counter(VIEW_CACHE_TREE_HITS),
             obs_tree_misses: obs::counter(VIEW_CACHE_TREE_MISSES),
             obs_states: obs::counter(VIEW_CACHE_STATES),
-            obs_classes: obs::gauge(VIEW_CACHE_CLASSES),
         }
     }
 
@@ -566,8 +562,8 @@ impl<'g> ViewCache<'g> {
     fn refine_walks(&mut self) {
         let depth = self.walks.len();
         // one refinement round = one radius step of the paper's r-round
-        // view collection; the round number is the depth
-        let mut round_span = obs::span_with("round", &[("round", depth as i64)]);
+        // view collection
+        let _round_span = obs::span("round");
         let level = if depth == 0 {
             Partition::single(self.stats.states)
         } else {
@@ -590,8 +586,6 @@ impl<'g> ViewCache<'g> {
         self.walks.push(level);
         self.stats.classes.push(k);
         self.obs_states.add(self.stats.states as u64);
-        round_span.arg("classes", k as i64);
-        round_span.arg("states", self.stats.states as i64);
     }
 
     /// One refinement sweep: the signatures of all walk states at
@@ -614,11 +608,11 @@ impl<'g> ViewCache<'g> {
         })
     }
 
-    /// The root pass at radius `r`, recorded as the refinement's `round`
-    /// `r`: radius 0 is one class, radius `r ≥ 1` interns each vertex's
+    /// The root pass at radius `r`, recorded as a refinement `round`:
+    /// radius 0 is one class, radius `r ≥ 1` interns each vertex's
     /// signature over walk level `r − 1`.
     fn pass_roots(&mut self, r: usize) {
-        let mut round_span = obs::span_with("round", &[("round", r as i64)]);
+        let _round_span = obs::span("round");
         let roots = match r.checked_sub(1) {
             None => Partition::single(self.stats.root_states),
             Some(below) => self.intern_roots(&self.walks[below].class),
@@ -631,9 +625,6 @@ impl<'g> ViewCache<'g> {
         self.roots[r] = Some(roots);
         self.stats.root_classes[r] = Some(k);
         self.obs_states.add(self.stats.root_states as u64);
-        self.obs_classes.set(k as i64);
-        round_span.arg("classes", k as i64);
-        round_span.arg("states", self.stats.root_states as i64);
     }
 
     /// Interns every vertex's signature over the walk classes `prev` in
@@ -670,20 +661,13 @@ impl<'g> ViewCache<'g> {
     /// invariant, to every state of the class).
     fn materialize(&mut self, level: Level, class: u32) -> ViewNode {
         let (Level::Walk(depth) | Level::Root(depth)) = level;
-        let args = [("depth", depth as i64), ("class", class as i64)];
         if let Some(t) = self.partition(level).trees[class as usize].clone() {
             self.stats.tree_hits += 1;
             self.obs_tree_hits.inc();
-            if obs::trace::enabled() {
-                obs::trace::instant("view_cache/tree_hit", &args);
-            }
             return t;
         }
         self.stats.tree_misses += 1;
         self.obs_tree_misses.inc();
-        if obs::trace::enabled() {
-            obs::trace::instant("view_cache/tree_miss", &args);
-        }
         let node = match depth.checked_sub(1) {
             None => ViewNode::leaf(),
             Some(below) => {

@@ -57,18 +57,15 @@ use locap_lifts::{ViewCache, ViewTree};
 use crate::error::RunError;
 use crate::run::check_input;
 
-/// Registry handles and trace names of one model's runs: one counter
-/// family per model under `engine/<model>/…`, hoisted before the run
-/// loop so it pays only atomic adds.
+/// Registry handles of one model's runs: one counter family per model
+/// under `engine/<model>/…`, hoisted before the run loop so it pays only
+/// atomic adds.
 #[derive(Debug, Clone)]
 struct EngineObs {
     runs: obs::Counter,
     vertices: obs::Counter,
     evals: obs::Counter,
     hits: obs::Counter,
-    classes: obs::Gauge,
-    miss: String,
-    dedup: String,
 }
 
 impl EngineObs {
@@ -78,34 +75,15 @@ impl EngineObs {
             vertices: obs::counter(&format!("engine/{model}/vertices")),
             evals: obs::counter(&format!("engine/{model}/evals")),
             hits: obs::counter(&format!("engine/{model}/hits")),
-            classes: obs::gauge(&format!("engine/{model}/classes")),
-            miss: format!("engine/{model}/miss"),
-            dedup: format!("engine/{model}/dedup"),
         }
     }
 
-    /// Publishes the deltas of one run (classes is a level, not a total:
-    /// the distinct classes this run evaluated) and one trace instant
-    /// summarising it — individual misses are traced inline by
-    /// [`memo_broadcast`]; hits are too frequent to trace per vertex and
-    /// appear here in aggregate.
+    /// Publishes the deltas of one run.
     fn publish(&self, vertices: usize, evals: u64, hits: u64) {
         self.runs.inc();
         self.vertices.add(vertices as u64);
         self.evals.add(evals);
         self.hits.add(hits);
-        self.classes.set(evals as i64);
-        if obs::trace::enabled() {
-            obs::trace::instant(
-                &self.dedup,
-                &[
-                    ("vertices", vertices as i64),
-                    ("classes", evals as i64),
-                    ("evals", evals as i64),
-                    ("hits", hits as i64),
-                ],
-            );
-        }
     }
 }
 
@@ -170,9 +148,6 @@ fn memo_broadcast<C: Classes, O, T>(
         if let Some(t) = budget.check_cache(memo.len() + 1) {
             truncation = Some(t.publish());
             break;
-        }
-        if obs::trace::enabled() {
-            obs::trace::instant(&engine.miss, &[("node", v as i64), ("class", c as i64)]);
         }
         debug_assert_eq!(c, memo.len(), "class ids are dense in first-seen order");
         let out = eval(&classes.nbhd(c));

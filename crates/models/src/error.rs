@@ -7,7 +7,7 @@
 //! shape — surfaces as a [`RunError`] instead of a panic. Construction
 //! goes through [`RunError::publish`], which bumps an
 //! `errors/run/<kind>` counter in `locap-obs` so failing requests are
-//! visible in `OBS_JSON` snapshots and traces.
+//! visible in `OBS_JSON` snapshots and the daemon's `stats`.
 
 use std::fmt;
 

@@ -144,7 +144,7 @@ pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
-    let _s = obs::span_with("run/id_vertex", &[("nodes", g.node_count() as i64)]);
+    let _s = obs::span("run/id_vertex");
     let bits = Vec::with_capacity(g.node_count());
     engine::run_keyed::<IdKey, _, _>(
         g,
@@ -188,7 +188,7 @@ pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
-    let _s = obs::span_with("run/oi_vertex", &[("nodes", g.node_count() as i64)]);
+    let _s = obs::span("run/oi_vertex");
     let bits = Vec::with_capacity(g.node_count());
     engine::run_keyed::<OrderedKey, _, _>(
         g,
@@ -237,7 +237,7 @@ pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
-    let _s = obs::span_with("run/po_vertex", &[("nodes", d.node_count() as i64)]);
+    let _s = obs::span("run/po_vertex");
     let bits = Vec::with_capacity(d.node_count());
     engine::run_po(d, algo.radius(), budget, |t| algo.evaluate(t), bits, push_bit)
 }
@@ -290,7 +290,7 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-    let _s = obs::span_with("run/id_edge", &[("nodes", g.node_count() as i64)]);
+    let _s = obs::span("run/id_edge");
     let mut by_id = Vec::new();
     let sink =
         |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, ids, &mut by_id, out);
@@ -342,7 +342,7 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-    let _s = obs::span_with("run/oi_edge", &[("nodes", g.node_count() as i64)]);
+    let _s = obs::span("run/oi_edge");
     let mut by_rank = Vec::new();
     let sink =
         |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, rank, &mut by_rank, out);
@@ -393,7 +393,7 @@ pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-    let _s = obs::span_with("run/po_edge", &[("nodes", d.node_count() as i64)]);
+    let _s = obs::span("run/po_edge");
     let sink = |out: &mut _, v, letters: &Vec<_>| select_letters(d, v, letters, out);
     engine::run_po(d, algo.radius(), budget, |t| algo.evaluate(t), BTreeSet::new(), sink)
 }

@@ -187,7 +187,7 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
     let mut truncation = None;
     /// Counter of messages delivered across all simulator runs.
     const SIM_MESSAGES: &str = "sim/messages";
-    let mut run_span = obs::span_with("sim/run", &[("nodes", n as i64)]);
+    let _run_span = obs::span("sim/run");
     let msgs_total = obs::counter(SIM_MESSAGES);
     for round in 0.. {
         if states.iter().all(|s| algo.halted(s)) {
@@ -198,7 +198,7 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
             break;
         }
         rounds = round + 1;
-        let mut round_span = obs::span_with("sim/round", &[("round", round as i64)]);
+        let _round_span = obs::span("sim/round");
         let mut messages = 0u64;
         let mut next_inboxes: Vec<Vec<Option<A::Msg>>> =
             (0..n).map(|v| vec![None; g.degree(v)]).collect();
@@ -231,10 +231,8 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
         }
         inboxes = next_inboxes;
         msgs_total.add(messages);
-        round_span.arg("messages", messages as i64);
     }
     let all_halted = states.iter().all(|s| algo.halted(s));
-    run_span.arg("rounds", rounds as i64);
     Ok(SimResult { states, rounds, all_halted, truncation })
 }
 

@@ -7,7 +7,7 @@
 //! * **counters** — monotone `u64` totals (`engine/po/evals`), safe to
 //!   bump from any thread, including the workers of the census fan-out
 //!   (`locap_graph::par`);
-//! * **gauges** — last-write-wins `i64` levels (`view_cache/classes`);
+//! * **gauges** — last-write-wins `i64` levels (`serve/queue_depth`);
 //! * **spans** — RAII scoped timers ([`span`]) whose durations aggregate
 //!   into [`Histogram`]s: the one histogram type, 16 sub-buckets per
 //!   power-of-two octave, which `locapd`'s request-phase latencies use
@@ -31,19 +31,16 @@
 //! a cheap clone) — the workspace's instrumentation points all sit at run
 //! boundaries, not inner loops.
 //!
-//! On top of the aggregates, the [`trace`] module records *individual*
-//! events — every span, instant marker and counter sample, timestamped
-//! and thread-tagged — into bounded per-thread ring buffers, exported as
-//! Chrome trace-event JSON and collapsed flamegraph stacks. It is off
-//! unless `OBS_TRACE` is set and costs one relaxed atomic load per probe
-//! when off.
+//! The registry is the one span recorder: a span's count, total, min, max
+//! and quantiles per path are all a run's attribution needs, and
+//! `locap-bench`'s `trace_report` computes the self/total span tree from
+//! them.
 
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod sync;
 pub mod telemetry;
-pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -457,9 +454,7 @@ thread_local! {
 }
 
 /// An RAII scoped timer: the elapsed time between construction and drop is
-/// recorded in the global registry under the thread's nested span path,
-/// and — when [`trace`] collection is on — emitted as a timeline event
-/// with the span's structured args.
+/// recorded in the global registry under the thread's nested span path.
 ///
 /// A span opened inside another records under `outer/inner`. Guards
 /// normally drop in LIFO order (natural scoping), but out-of-order drops
@@ -471,8 +466,6 @@ thread_local! {
 pub struct Span {
     token: u64,
     start: Instant,
-    args: [(&'static str, i64); trace::MAX_ARGS],
-    n_args: u8,
     /// Cleared by [`Span::discard`]: the guard then only unwinds its path.
     record: bool,
     /// Spans are tied to the thread-local stack they were opened on.
@@ -480,48 +473,16 @@ pub struct Span {
 }
 
 /// Opens a scoped timer on the global registry. See [`Span`].
-pub fn span(name: &str) -> Span {
-    span_with(name, &[])
-}
-
-/// Opens a scoped timer carrying structured args (visible in trace
-/// exports; at most [`trace::MAX_ARGS`] are kept). See [`Span`].
 #[expect(
     clippy::disallowed_methods,
     reason = "span timing source of the observability layer itself"
 )]
-pub fn span_with(name: &str, args: &[(&'static str, i64)]) -> Span {
+pub fn span(name: &str) -> Span {
     let token = SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    let mut packed = [("", 0i64); trace::MAX_ARGS];
-    let n = args.len().min(trace::MAX_ARGS);
-    packed[..n].copy_from_slice(&args[..n]);
-    Span {
-        token,
-        start: Instant::now(),
-        args: packed,
-        n_args: n as u8,
-        record: true,
-        _not_send: PhantomData,
-    }
+    Span { token, start: Instant::now(), record: true, _not_send: PhantomData }
 }
 
 impl Span {
-    /// Sets a structured arg on the span (for values only known at scope
-    /// end, e.g. a per-round message count). Updates an existing key or
-    /// appends; silently dropped beyond [`trace::MAX_ARGS`] keys.
-    pub fn arg(&mut self, key: &'static str, value: i64) {
-        for slot in self.args[..self.n_args as usize].iter_mut() {
-            if slot.0 == key {
-                slot.1 = value;
-                return;
-            }
-        }
-        if (self.n_args as usize) < trace::MAX_ARGS {
-            self.args[self.n_args as usize] = (key, value);
-            self.n_args += 1;
-        }
-    }
-
     /// Closes the span without recording it, for a scope that turned out
     /// not to hold the span's work: a request span opened around a cache
     /// lookup, say, whose miss hands the request to another thread that
@@ -546,12 +507,7 @@ impl Drop for Span {
             if self.record {
                 let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 let end = stack.entries[idx].end;
-                let path = &stack.path[..end];
-                global().record_span_ns(path, ns);
-                if trace::enabled() {
-                    let args = &self.args[..self.n_args as usize];
-                    trace::record_span(path, trace::ts_of(self.start), ns, args);
-                }
+                global().record_span_ns(&stack.path[..end], ns);
             }
             stack.entries.remove(idx);
             if idx == stack.entries.len() {
@@ -575,8 +531,7 @@ pub struct PathAdoption {
 
 /// The calling thread's current composed span path ("" at top level).
 /// Capture in a parent thread and pass to [`adopt_span_path`] in scoped
-/// workers so their spans nest under the parent's path (and show as
-/// parallel tracks under the same ancestry in traces).
+/// workers so their spans nest under the parent's path.
 pub fn current_span_path() -> String {
     SPAN_STACK.with(|s| s.borrow().path.clone())
 }
@@ -596,11 +551,6 @@ impl Drop for PathAdoption {
             let popped = s.borrow_mut().pop(self.token);
             debug_assert!(popped.is_some(), "path adoption dropped off its thread's stack");
         });
-        if trace::enabled() {
-            // deliver this worker's events before the parent's scope join
-            // observes completion (thread-local destructors run later)
-            trace::flush_thread();
-        }
     }
 }
 

@@ -9,14 +9,13 @@
 //!
 //! | rank | lock |
 //! |-----:|------|
-//! | 1 | test serialisation locks (obs `TRACE_LOCK`, serve `SERIAL`) |
+//! | 1 | test serialisation locks (serve `SERIAL`, failure injection's `INPUT_LENGTH`) |
 //! | 10 | serve's worker job receiver; a soak connection's pending map |
 //! | 20 | the soak error map |
 //! | 30 | a serve connection's response writer |
 //! | 40–43 | the [`crate::Registry`] sections: counters, gauges, spans, latencies |
-//! | 50, 51 | the trace name interner and event sink |
 //!
-//! The registry and trace locks rank above every serve and bench lock
+//! The registry locks rank above every serve and bench lock
 //! because code holding a serve lock counts into the registry: a
 //! connection counts its response while it holds the writer, and
 //! [`MutexGuard::recovered`] is counted while the recovered guard is
@@ -32,8 +31,7 @@
 //!
 //! The held set lives in a `const`-initialised thread-local of a `Copy`
 //! type, which registers no destructor: thread-local destructors that run
-//! at thread exit (the trace ring delivers its events into the sink from
-//! one) can still lock.
+//! at thread exit can still lock.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -1,10 +1,12 @@
 //! Integration tests for the observability layer: concurrent counter
-//! increments from scoped threads, nested span aggregation and histogram
-//! bucket boundaries.
+//! increments from scoped threads, nested span aggregation, worker-path
+//! adoption, out-of-LIFO-order span drops and histogram bucket
+//! boundaries.
 //!
 //! All tests use uniquely-prefixed metric names on the global registry (or
 //! private registries) so they stay independent under the parallel test
-//! runner.
+//! runner. Span-path state is thread-local, so the path tests run on
+//! dedicated threads.
 
 use locap_obs as obs;
 use obs::{bucket_index, bucket_upper_bound, Histogram, Registry, BUCKETS};
@@ -89,6 +91,85 @@ fn a_discarded_span_records_nothing_and_unwinds_its_path() {
     assert!(!snap.spans.contains_key("obs_test_discard/outer"), "{:?}", snap.spans.keys());
     assert_eq!(snap.spans["obs_test_discard/outer/inner"].count, 1, "spans inside still record");
     assert_eq!(snap.spans["obs_test_discard/top"].count, 1, "the path unwound fully");
+}
+
+#[test]
+fn adopted_paths_show_workers_under_parent_ancestry() {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _root = obs::span("obs_test_adopt/parent");
+            let base = obs::current_span_path();
+            assert_eq!(base, "obs_test_adopt/parent");
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    let base = base.clone();
+                    s.spawn(move || {
+                        let _adopt = obs::adopt_span_path(&base);
+                        let _s = obs::span("worker");
+                        assert_eq!(obs::current_span_path(), "obs_test_adopt/parent/worker");
+                    });
+                }
+            });
+        });
+    });
+    // adoption records worker spans under the composed path, and nothing
+    // under a bare "worker"
+    let snap = obs::snapshot();
+    assert_eq!(snap.spans["obs_test_adopt/parent/worker"].count, 2);
+    assert_eq!(snap.spans["obs_test_adopt/parent"].count, 1);
+    assert!(!snap.spans.contains_key("worker"));
+}
+
+#[test]
+fn out_of_order_span_drops_record_open_time_paths() {
+    // Regression: guards dropped out of LIFO order (mem::drop reordering)
+    // must still record under the paths they were opened with, and the
+    // thread path must unwind fully afterwards.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let a = obs::span("obs_test_lifo/a");
+            let b = obs::span("b");
+            let c = obs::span("c");
+            drop(a); // out of order: a dropped under c
+            drop(c);
+            drop(b);
+            assert_eq!(obs::current_span_path(), "", "path fully unwound");
+            // a fresh span is top-level again, not nested under leftovers
+            let _t = obs::span("obs_test_lifo/after");
+        });
+    });
+    let snap = obs::snapshot();
+    assert_eq!(snap.spans["obs_test_lifo/a"].count, 1, "a under its open-time path");
+    assert_eq!(snap.spans["obs_test_lifo/a/b"].count, 1);
+    assert_eq!(snap.spans["obs_test_lifo/a/b/c"].count, 1);
+    assert_eq!(snap.spans["obs_test_lifo/after"].count, 1);
+    assert!(
+        !snap.spans.keys().any(|k| k.contains("obs_test_lifo/a/b/c/")),
+        "nothing recorded under a stale nested path: {:?}",
+        snap.spans.keys().filter(|k| k.contains("obs_test_lifo")).collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn interleaved_drops_keep_sibling_paths_exact() {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let a = obs::span("obs_test_weave/a");
+            let b = obs::span("b");
+            // b now dangles over a's segment; a sibling opened after the
+            // out-of-order drop nests under b's open-time path (b is still
+            // the deepest open guard)
+            drop(a);
+            let c = obs::span("c");
+            drop(c);
+            drop(b);
+            assert_eq!(obs::current_span_path(), "");
+        });
+    });
+    let snap = obs::snapshot();
+    assert_eq!(snap.spans["obs_test_weave/a"].count, 1);
+    assert_eq!(snap.spans["obs_test_weave/a/b"].count, 1);
+    assert_eq!(snap.spans["obs_test_weave/a/b/c"].count, 1);
 }
 
 #[test]

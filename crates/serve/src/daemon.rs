@@ -51,7 +51,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,52 +71,11 @@ use crate::protocol::{
     FrameError, FrameReader, ProtocolError, Request, DEFAULT_MAX_FRAME_BYTES,
 };
 
-/// Counter: frames parsed into well-formed requests.
-pub const REQUESTS: &str = "serve/requests";
-/// Counter: successful (`"ok": true`) responses written.
-pub const RESP_OK: &str = "serve/responses/ok";
-/// Counter: error (`"ok": false`) responses written.
-pub const RESP_ERR: &str = "serve/responses/err";
-/// Counter: responses that could not be delivered (client gone).
-pub const UNDELIVERABLE: &str = "serve/responses/undeliverable";
-/// Counter: client connections accepted.
-pub const CONNECTIONS: &str = "serve/connections";
-/// Counter: client connections that ended (EOF, error, or truncated
-/// frame) — in-flight work for the connection is cancelled.
-pub const DISCONNECTS: &str = "serve/disconnects";
-/// Counter: provenance sidecars written.
-pub const SIDECARS: &str = "serve/provenance_sidecars";
-/// Gauge: high-water mark of jobs queued or executing (current depth is
-/// in the `stats` op response).
-pub const QUEUE_DEPTH: &str = "serve/queue_depth";
-
-/// Span wrapping the work that answers each pipeline request — the
-/// pipeline run on a worker, or the budget check and store read of an
-/// inline hit — carrying the request's monotonically-assigned id as a
-/// `req` arg in OBS_TRACE exports (so `trace_report` can attribute daemon
-/// traces per request).
-pub const REQUEST_SPAN: &str = "serve/request";
-
 /// Error kind answering a request whose work panicked.
-pub const INTERNAL_PANIC: &str = "run/internal_panic";
-
-/// Phase name: enqueue → worker pickup (queued jobs only: an inline
-/// store hit never waits in the queue).
-pub const PHASE_QUEUE_WAIT: &str = "queue_wait";
-/// Phase name: frame bytes → parsed request.
-pub const PHASE_PARSE: &str = "parse";
-/// Phase name: the request's work — pipeline execution on a worker, or
-/// the store read of an inline hit.
-pub const PHASE_RUN: &str = "run";
-/// Phase name: response build + write (including sidecars).
-pub const PHASE_SERIALIZE: &str = "serialize";
+const INTERNAL_PANIC: &str = "run/internal_panic";
 
 /// How often blocked reads and the accept loop re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Counter: sidecar writes that failed on I/O (artifact dir missing,
-/// permissions); the response is still delivered.
-pub const SIDECAR_FAILURES: &str = "serve/sidecar_failures";
 
 /// Tuning knobs for a [`Daemon`].
 #[derive(Debug, Clone)]
@@ -212,9 +171,6 @@ fn lock_or_recover<T: ?Sized, const RANK: u32>(m: &Mutex<T, RANK>) -> MutexGuard
 /// One pipeline request on its way to an answer.
 struct Job {
     id: Json,
-    /// Monotonically-assigned daemon-wide request id, threaded into the
-    /// `serve/request` OBS_TRACE span as a `req` arg.
-    req_id: u64,
     request: PipelineRequest,
     budget: BudgetSpec,
     writer: Arc<Writer>,
@@ -239,9 +195,15 @@ struct Miss {
 /// A request phase, in the order of a [`Metrics`] phase row.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
+    /// Enqueue → worker pickup (queued jobs only: an inline store hit
+    /// never waits in the queue).
     QueueWait,
+    /// Frame bytes → parsed request.
     Parse,
+    /// The request's work: pipeline execution on a worker, or the store
+    /// read of an inline hit.
     Run,
+    /// Response build + write (including sidecars).
     Serialize,
 }
 
@@ -249,10 +211,16 @@ enum Phase {
 /// that serving a request builds no metric name and takes no registry
 /// lock.
 struct Metrics {
+    /// `serve/requests`: frames parsed into well-formed requests.
     requests: obs::Counter,
+    /// `serve/responses/ok`: successful (`"ok": true`) responses written.
     resp_ok: obs::Counter,
+    /// `serve/responses/err`: error (`"ok": false`) responses written.
     resp_err: obs::Counter,
+    /// `serve/responses/undeliverable`: responses whose client was gone.
     undeliverable: obs::Counter,
+    /// `serve/queue_depth`: high-water mark of jobs queued or executing
+    /// (the current depth is in the `stats` op response).
     queue_depth: obs::Gauge,
     /// `serve/request/<pipeline>/<phase>` for every pipeline of
     /// [`PIPELINES`] and every [`Phase`], in their orders.
@@ -263,13 +231,14 @@ impl Metrics {
     /// The one construction site of these counters, the queue-depth
     /// gauge and the phase latency family.
     fn new() -> Metrics {
-        let phases = [PHASE_QUEUE_WAIT, PHASE_PARSE, PHASE_RUN, PHASE_SERIALIZE];
+        // the phase names, in `Phase` order
+        let phases = ["queue_wait", "parse", "run", "serialize"];
         Metrics {
-            requests: obs::counter(REQUESTS),
-            resp_ok: obs::counter(RESP_OK),
-            resp_err: obs::counter(RESP_ERR),
-            undeliverable: obs::counter(UNDELIVERABLE),
-            queue_depth: obs::gauge(QUEUE_DEPTH),
+            requests: obs::counter("serve/requests"),
+            resp_ok: obs::counter("serve/responses/ok"),
+            resp_err: obs::counter("serve/responses/err"),
+            undeliverable: obs::counter("serve/responses/undeliverable"),
+            queue_depth: obs::gauge("serve/queue_depth"),
             phases: PIPELINES.map(|pipeline| {
                 phases.map(|phase| obs::latency(&format!("serve/request/{pipeline}/{phase}")))
             }),
@@ -303,7 +272,6 @@ struct Responder {
 struct ConnShared {
     tx: SyncSender<Job>,
     stop: Arc<AtomicBool>,
-    next_req_id: AtomicU64,
     responder: Arc<Responder>,
 }
 
@@ -380,19 +348,14 @@ impl Daemon {
             })
             .collect::<std::io::Result<_>>()?;
 
-        let conn_shared = Arc::new(ConnShared {
-            tx,
-            stop: Arc::clone(&stop),
-            next_req_id: AtomicU64::new(0),
-            responder,
-        });
+        let conn_shared = Arc::new(ConnShared { tx, stop: Arc::clone(&stop), responder });
         listener.set_nonblocking(true)?;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
             obs::sync::assert_unlocked();
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    obs::counter(CONNECTIONS).inc();
+                    obs::counter("serve/connections").inc();
                     let shared = Arc::clone(&conn_shared);
                     let handle = std::thread::Builder::new()
                         .name("locapd-conn".into())
@@ -510,9 +473,7 @@ impl Responder {
             .realize(&job_clock, self.config.default_deadline, self.config.max_deadline)
             .with_cancel(job.cancel.clone())
             .with_cancel(self.drain.clone());
-        // the span records the run under `serve/request` and, when
-        // OBS_TRACE is on, emits a trace event carrying the request id
-        let span = obs::span_with(REQUEST_SPAN, &[("req", job.req_id as i64)]);
+        let span = obs::span("serve/request");
         let (outcome, elapsed) = locap_bench::timed(|| guarded(|| run(&budget)));
         let outcome = match outcome {
             Ok(Some(outcome)) => outcome.map_err(|e| (core_error_kind(&e), e.to_string())),
@@ -583,9 +544,10 @@ impl Responder {
             let stem = crate::provenance::artifact_stem(pipeline, &job.id);
             let path = dir.join(format!("{stem}.json"));
             match crate::provenance::write_artifact(&path, result, &sidecar) {
-                Ok(_) => obs::counter(SIDECARS).inc(),
+                Ok(_) => obs::counter("serve/provenance_sidecars").inc(),
                 Err(e) => {
-                    obs::counter(SIDECAR_FAILURES).inc();
+                    // the artifact dir is missing or unwritable
+                    obs::counter("serve/sidecar_failures").inc();
                     eprintln!("locapd: failed to write artifact {}: {e}", path.display());
                     // the run succeeded, so the response stays ok — but an
                     // unqualified ok would hide the missing artifact from
@@ -642,8 +604,8 @@ fn salvage_id(line: &[u8]) -> Json {
 
 /// The `stats` result: the whole registry, plus the three values it does
 /// not hold — the current queue depth (the registry's
-/// [`QUEUE_DEPTH`] gauge is a high-water mark), the queue capacity and
-/// the worker count.
+/// `serve/queue_depth` gauge is a high-water mark), the queue capacity
+/// and the worker count.
 fn stats_json(r: &Responder) -> Json {
     Json::Obj(vec![
         ("queue_depth".into(), Json::Num(r.depth.load(Ordering::SeqCst) as f64)),
@@ -653,9 +615,11 @@ fn stats_json(r: &Responder) -> Json {
     ])
 }
 
-/// The one construction site of the disconnect counter.
+/// The one construction site of the disconnect counter: a connection
+/// ended (EOF, error, or truncated frame), and its in-flight work is
+/// cancelled.
 fn record_disconnect() {
-    obs::counter(DISCONNECTS).inc();
+    obs::counter("serve/disconnects").inc();
 }
 
 fn connection_loop(stream: TcpStream, shared: &ConnShared) {
@@ -748,11 +712,9 @@ fn handle_frame(
                 r.write_error(writer, &id, &e.kind(), &e.to_string());
                 return false;
             }
-            let req_id = shared.next_req_id.fetch_add(1, Ordering::Relaxed) + 1;
             r.metrics.record(request.pipeline(), Phase::Parse, parse_ns);
             let mut job = Job {
                 id,
-                req_id,
                 request,
                 budget,
                 writer: Arc::clone(writer),
@@ -849,7 +811,6 @@ mod tests {
         let params = Json::parse(r#"{"delta_prime":2,"n":9}"#).unwrap();
         let job = Job {
             id: Json::Num(1.0),
-            req_id: 1,
             request: PipelineRequest::parse("eds-lower", &params).unwrap(),
             budget: BudgetSpec::default(),
             writer,

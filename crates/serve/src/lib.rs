@@ -38,7 +38,3 @@ pub mod daemon;
 pub mod protocol;
 pub mod provenance;
 pub mod watch;
-
-pub use daemon::{
-    CONNECTIONS, DISCONNECTS, QUEUE_DEPTH, REQUESTS, RESP_ERR, RESP_OK, SIDECARS, UNDELIVERABLE,
-};

@@ -39,7 +39,7 @@ fn golden_dir() -> PathBuf {
 
 fn locap(args: &[&str], obs_json: bool) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_locap"));
-    cmd.args(args).env_remove("OBS_JSON").env_remove("OBS_TRACE");
+    cmd.args(args).env_remove("OBS_JSON");
     if obs_json {
         cmd.env("OBS_JSON", "1");
     }

@@ -480,11 +480,6 @@ fn store_dir_serves_repeats_warm_and_degrades_on_corruption() {
     let after_warm = stats_registry(&mut client);
     let warm_hits = counter(&after_warm, "store/warm_hit");
     assert!(warm_hits >= 1, "repeat request served from the store");
-    assert!(
-        after_warm.gauges.contains_key("store/hit_rate_pct"),
-        "stats exposes the hit-rate gauge: {}",
-        after_warm.to_json()
-    );
 
     // Flip one byte in the middle of every entry on disk.
     let entries = store_entries(&dir);

@@ -29,10 +29,10 @@
 //! # Observability
 //!
 //! A [`StoreHandle`] publishes `store/warm_hit`, `store/cold_miss`,
-//! `store/write`, `store/write_failed` and `store/corrupt` counters plus
-//! a `store/hit_rate_pct` gauge into the global `locap-obs` registry,
-//! and mirrors the same numbers into handle-local [`StoreStats`] for
-//! deterministic assertions in tests that share a registry.
+//! `store/write`, `store/write_failed` and `store/corrupt` counters into
+//! the global `locap-obs` registry, and mirrors the same numbers into
+//! handle-local [`StoreStats`] for deterministic assertions in tests that
+//! share a registry.
 //!
 //! ```
 //! use locap_obs::json::Json;
@@ -84,8 +84,6 @@ pub const STORE_WRITE: &str = "store/write";
 pub const STORE_WRITE_FAILED: &str = "store/write_failed";
 /// Counter of entries rejected as damaged (bad header, checksum, length).
 pub const STORE_CORRUPT: &str = "store/corrupt";
-/// Gauge: percentage of reads served warm, over this process's reads.
-pub const STORE_HIT_RATE: &str = "store/hit_rate_pct";
 
 /// Seed for the high digest half (the splitmix64 golden-ratio constant).
 const SEED_HI: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -203,14 +201,6 @@ pub struct StoreStats {
     pub corrupt: u64,
 }
 
-impl StoreStats {
-    /// Percentage of reads served warm (0 when nothing has been read).
-    pub fn hit_rate_pct(&self) -> u64 {
-        let reads = self.warm_hit + self.cold_miss + self.corrupt;
-        (self.warm_hit * 100).checked_div(reads).unwrap_or(0)
-    }
-}
-
 /// Atomic mirror of [`StoreStats`] shared by handle clones.
 #[derive(Debug, Default)]
 struct LocalStats {
@@ -234,7 +224,6 @@ pub struct StoreHandle {
     write: obs::Counter,
     write_failed: obs::Counter,
     corrupt: obs::Counter,
-    hit_rate: obs::Gauge,
     local: Arc<LocalStats>,
 }
 
@@ -254,7 +243,6 @@ impl StoreHandle {
             write: obs::counter(STORE_WRITE),
             write_failed: obs::counter(STORE_WRITE_FAILED),
             corrupt: obs::counter(STORE_CORRUPT),
-            hit_rate: obs::gauge(STORE_HIT_RATE),
             local: Arc::new(LocalStats::default()),
         })
     }
@@ -324,7 +312,6 @@ impl StoreHandle {
                 self.local.corrupt.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.hit_rate.set(self.stats().hit_rate_pct() as i64);
         outcome
     }
 
@@ -369,7 +356,6 @@ impl StoreHandle {
     pub fn note_corrupt(&self) {
         self.corrupt.inc();
         self.local.corrupt.fetch_add(1, Ordering::Relaxed);
-        self.hit_rate.set(self.stats().hit_rate_pct() as i64);
     }
 
     /// Handle-local operation totals since [`StoreHandle::open`].
@@ -477,7 +463,6 @@ mod tests {
         assert_eq!(store.lookup("unit", &key), Lookup::Hit(sample_doc()));
         let stats = store.stats();
         assert_eq!((stats.warm_hit, stats.cold_miss, stats.write), (1, 1, 1));
-        assert_eq!(stats.hit_rate_pct(), 50);
         std::fs::remove_dir_all(&dir).ok();
     }
 
