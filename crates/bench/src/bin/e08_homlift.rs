@@ -46,7 +46,7 @@ fn body() {
                 Ok(c) => {
                     let views_ok = (0..c.node_count())
                         .step_by(7)
-                        .all(|v| view(&c.lift, v, h.radius) == view(&g, c.phi.image(v), h.radius));
+                        .all(|v| view(&c.lift, v, h.radius) == view(&g, c.base_node(v), h.radius));
                     t.row(&cells([
                         &name,
                         &g.node_count(),

@@ -16,73 +16,80 @@
 
 use locap_graph::budget::RunBudget;
 use locap_graph::product::label_matching_product;
-use locap_graph::{Graph, LDigraph};
+use locap_graph::{LDigraph, NodeId};
 use locap_groups::{Group, IterGroup};
-use locap_lifts::{view, CoveringMap, Letter, Word};
+use locap_lifts::{verify_covering, view, Word};
 use locap_num::Ratio;
 use locap_obs as obs;
 
 use crate::homogeneous::{HomogeneousGraph, MAX_NODES};
 use crate::CoreError;
 
-/// The lift `G_ε = H_ε × G` of Theorem 3.3, with its order and covering
-/// map.
+/// The lift `G_ε = H_ε × G` of Theorem 3.3, with its order.
+///
+/// Lift vertex `x` is the pair `(a, b) = (x / |G|, x mod |G|)`, so the
+/// covering map ϕ and the good vertices are closed forms and are not
+/// stored: ϕ(x) is [`HomogeneousLift::base_node`], and `x` is good when
+/// `H`'s vertex `a` has type τ*. Per lift vertex the lift keeps its rows
+/// and its rank; its underlying simple graph is built by the transfer
+/// that runs an OI algorithm on it, not here.
 #[derive(Debug, Clone)]
 pub struct HomogeneousLift {
     /// The lifted graph `G_ε`.
     pub lift: LDigraph,
-    /// The underlying simple graph of `lift`, built once for verification
-    /// and for the OI runs of the transfer.
-    pub und: Graph,
-    /// The covering map ϕ : V(G_ε) → V(G).
-    pub phi: CoveringMap,
     /// Rank of each lift vertex in the completed order `<_C`.
     pub rank: Vec<usize>,
-    /// Vertices in fibres of τ*-typed `H` vertices (the `U_C` of the
-    /// proof) — on these the ordered neighbourhood embeds in τ*.
-    pub good: Vec<bool>,
     /// The radius the construction targets.
     pub radius: usize,
+    /// `|G|`, the modulus of ϕ.
+    base_nodes: usize,
+    /// How many vertices lie in fibres of τ*-typed `H` vertices (the
+    /// `U_C` of the proof): on these the ordered neighbourhood embeds in
+    /// τ*.
+    good: usize,
 }
 
 impl HomogeneousLift {
     /// The fraction of good vertices (≥ 1 − ε by construction). Total:
     /// an empty lift reports fraction `0`.
     pub fn good_fraction(&self) -> Ratio {
-        let good = self.good.iter().filter(|&&b| b).count();
-        Ratio::new(good as i128, self.good.len() as i128).unwrap_or(Ratio::ZERO)
+        Ratio::new(self.good as i128, self.node_count() as i128).unwrap_or(Ratio::ZERO)
     }
 
     /// Number of lift vertices.
     pub fn node_count(&self) -> usize {
         self.lift.node_count()
     }
+
+    /// The covering map ϕ : V(G_ε) → V(G), `ϕ((a, b)) = b`, that is
+    /// `v mod |G|`. A built lift has `|G| ≥ 1`: an empty one fails its
+    /// good-fraction check.
+    pub fn base_node(&self, v: NodeId) -> NodeId {
+        v % self.base_nodes
+    }
 }
 
 /// Evaluates a walk (reduced word) in the group `U`, mapping letter `ℓ` to
-/// `gens[ℓ]` and `ℓ⁻¹` to its inverse.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "gens holds one generator per letter of the alphabet the word is spelled in"
-)]
-pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Vec<i64> {
+/// `gens[ℓ]` and `ℓ⁻¹` to its inverse; `None` when the word spells a
+/// letter that has no generator.
+pub fn eval_word(u: &IterGroup, gens: &[Vec<i64>], w: &Word) -> Option<Vec<i64>> {
     let mut acc = u.identity();
     for l in w.letters() {
-        let g = if l.inverse { u.inv(&gens[l.label]) } else { gens[l.label].clone() };
-        acc = u.op(&acc, &g);
+        let g = gens.get(l.label)?;
+        acc = if l.inverse { u.op(&acc, &u.inv(g)) } else { u.op(&acc, g) };
     }
-    acc
+    Some(acc)
 }
 
 /// Builds the homogeneous lift `G_ε = H × G`.
 ///
 /// A lift of more than 3,000,000 nodes (the cap [`crate::homogeneous`]
 /// puts on `|H|`) is [`CoreError::TooLarge`] before anything is
-/// allocated. The deadline is checked after the product, after its
-/// underlying graph, and between the samples of the verification sweep
-/// (girth spot-checks and the per-sample τ*-order audit). An unverified
-/// lift is useless to the transfer, so a tripped budget is
-/// [`CoreError::Truncated`], not a partial lift.
+/// allocated. The deadline is checked after the product and between the
+/// samples of the verification sweep (girth spot-checks and the
+/// per-sample τ*-order audit). An unverified lift is useless to the
+/// transfer, so a tripped budget is [`CoreError::Truncated`], not a
+/// partial lift.
 ///
 /// # Errors
 ///
@@ -120,8 +127,7 @@ pub fn homogeneous_lift_budgeted(
     }
 
     // ϕ_G((a, b)) = b; a covering map because H is label-complete.
-    let phi = CoveringMap::new((0..n).map(|x| x % ng).collect());
-    phi.verify(&lift, g)
+    verify_covering(&lift, g, |x| x % ng)
         .map_err(|e| CoreError::VerificationFailed { property: format!("covering map: {e}") })?;
 
     // order: pull back H's order along ϕ_H((a, b)) = a and complete by the
@@ -133,26 +139,14 @@ pub fn homogeneous_lift_budgeted(
         rank.extend((0..ng).map(|b| ra * ng + b));
     }
 
-    // good vertices: fibres (under ϕ_H) of τ*-typed H vertices; a flag
-    // missing from a doctored H reads as untyped
-    let mut good = Vec::with_capacity(n);
-    for a in 0..nh {
-        good.extend(std::iter::repeat_n(h.typed.get(a) == Some(&true), ng));
-    }
-
-    let und = lift.underlying_simple();
-    if let Some(t) = budget.check_interrupt() {
-        return Err(CoreError::Truncated { stage: "lift underlying graph", reason: t.publish() });
-    }
-    let out = HomogeneousLift { lift, und, phi, rank, good, radius: h.radius };
+    // good vertices: fibres (under ϕ_H) of τ*-typed H vertices, counted; a
+    // flag missing from a doctored H reads as untyped
+    let good = h.typed.iter().take(nh).filter(|&&t| t).count() * ng;
+    let out = HomogeneousLift { lift, rank, radius: h.radius, base_nodes: ng, good };
     verify_lift(&out, h, budget)?;
     Ok(out)
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "good/rank are dense over the lift's nodes; endpoints has one entry per walk in words"
-)]
 fn verify_lift(
     c: &HomogeneousLift,
     h: &HomogeneousGraph,
@@ -161,7 +155,6 @@ fn verify_lift(
     let _span = obs::span("verify");
     // girth inherited from H (check near one good vertex and node 0; the
     // product need not be vertex-transitive, so spot-check a sample)
-    let und = &c.und;
     let bound = 2 * h.radius + 1;
     let n = c.lift.node_count();
     let stride = (n / 97).max(1);
@@ -169,7 +162,7 @@ fn verify_lift(
         if let Some(t) = budget.check_interrupt() {
             return Err(CoreError::Truncated { stage: "lift girth check", reason: t.publish() });
         }
-        if und.cycle_near_root(v, bound) {
+        if c.lift.cycle_near_root(v, bound) {
             return Err(CoreError::VerificationFailed {
                 property: format!("lift girth > {bound} (cycle near {v})"),
             });
@@ -185,63 +178,56 @@ fn verify_lift(
     // τ*: operationally, the view is a tree and the order of any two ball
     // vertices (walk endpoints) agrees with the U-order of the walks.
     let u = IterGroup::infinite(h.level)?;
+    let failed = |property: String| CoreError::VerificationFailed { property };
     let mut checked = 0usize;
     for v in (0..n).step_by(stride) {
         if let Some(t) = budget.check_interrupt() {
             return Err(CoreError::Truncated { stage: "lift order audit", reason: t.publish() });
         }
-        if !c.good[v] {
+        if h.typed.get(v / c.base_nodes) != Some(&true) {
             continue;
         }
-        let tree = view(&c.lift, v, h.radius);
-        let words = tree.words();
-        // endpoints of the walks in the lift
-        let mut endpoints = Vec::with_capacity(words.len());
-        for w in &words {
-            let mut x = v;
-            for l in w.letters() {
-                x = follow(&c.lift, x, *l).ok_or_else(|| CoreError::VerificationFailed {
-                    property: "walk leaves the lift".into(),
-                })?;
-            }
-            endpoints.push(x);
+        // each walk with its endpoint in the lift, that endpoint's rank and
+        // the walk's value in U, each computed once
+        let mut walks = Vec::new();
+        for w in view(&c.lift, v, h.radius).words() {
+            let x =
+                walk_end(&c.lift, v, &w).ok_or_else(|| failed("walk leaves the lift".into()))?;
+            let rank =
+                c.rank.get(x).ok_or_else(|| failed(format!("lift vertex {x} has no rank")))?;
+            let elem = eval_word(&u, &h.gens, &w)
+                .ok_or_else(|| failed(format!("walk {w} spells a letter with no generator")))?;
+            walks.push((w, x, rank, elem));
         }
         // distinct endpoints (tree-ness) and order agreement
-        for i in 0..words.len() {
-            for j in (i + 1)..words.len() {
-                if endpoints[i] == endpoints[j] {
-                    return Err(CoreError::VerificationFailed {
-                        property: format!("walks {} and {} collide", words[i], words[j]),
-                    });
+        for (i, (wi, xi, ri, ui)) in walks.iter().enumerate() {
+            for (wj, xj, rj, uj) in walks.iter().skip(i + 1) {
+                if xi == xj {
+                    return Err(failed(format!("walks {wi} and {wj} collide")));
                 }
-                let lift_order = c.rank[endpoints[i]] < c.rank[endpoints[j]];
-                let u_i = eval_word(&u, &h.gens, &words[i]);
-                let u_j = eval_word(&u, &h.gens, &words[j]);
-                let u_order = u.cmp_order(&u_i, &u_j) == std::cmp::Ordering::Less;
-                if lift_order != u_order {
-                    return Err(CoreError::VerificationFailed {
-                        property: format!(
-                            "order of walks {} and {} disagrees with τ*",
-                            words[i], words[j]
-                        ),
-                    });
+                let u_order = u.cmp_order(ui, uj) == std::cmp::Ordering::Less;
+                if (ri < rj) != u_order {
+                    return Err(failed(format!("order of walks {wi} and {wj} disagrees with τ*")));
                 }
             }
         }
         checked += 1;
     }
     if checked == 0 {
-        return Err(CoreError::VerificationFailed { property: "no good vertex sampled".into() });
+        return Err(failed("no good vertex sampled".into()));
     }
     Ok(())
 }
 
-fn follow(d: &LDigraph, v: usize, l: Letter) -> Option<usize> {
-    if l.inverse {
-        d.in_neighbor(v, l.label)
-    } else {
-        d.out_neighbor(v, l.label)
-    }
+/// The endpoint of walk `w` from `v` in `d`, if every letter has an edge.
+fn walk_end(d: &LDigraph, v: NodeId, w: &Word) -> Option<NodeId> {
+    w.letters().iter().try_fold(v, |x, l| {
+        if l.inverse {
+            d.in_neighbor(x, l.label)
+        } else {
+            d.out_neighbor(x, l.label)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -249,7 +235,7 @@ mod tests {
     use super::*;
     use crate::homogeneous::construct_budgeted;
     use locap_graph::gen;
-    use locap_lifts::view_census;
+    use locap_lifts::{view_census, CoveringMap, Letter};
 
     #[test]
     fn lift_of_directed_triangle() {
@@ -261,7 +247,7 @@ mod tests {
         assert!(c.good_fraction() >= h.fraction());
         // every lift vertex has the same view as its ϕ-image
         for v in (0..c.node_count()).step_by(37) {
-            assert_eq!(view(&c.lift, v, 1), view(&g, c.phi.image(v), 1));
+            assert_eq!(view(&c.lift, v, 1), view(&g, c.base_node(v), 1));
         }
     }
 
@@ -283,6 +269,8 @@ mod tests {
         // the lift has girth > 3 even though G has girth 3
         let und = c.lift.underlying_simple();
         assert!(!und.cycle_near_root(0, 3));
+        assert!(!c.lift.cycle_near_root(0, 3));
+        assert!(g.cycle_near_root(0, 3));
         // PO-invariance: the view census of the lift matches G's (one class)
         assert_eq!(view_census(&g, 1).len(), 1);
         let census = view_census(&c.lift, 1);
@@ -315,7 +303,15 @@ mod tests {
                 let c = homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
                 let ng = g.node_count();
                 assert_eq!(c.rank, sorted_lift_rank(&h, ng), "k = {k}, m = {m}, |G| = {ng}");
-                assert_eq!(c.und, c.lift.underlying_simple());
+                // the closed-form ϕ and good count against an explicit map
+                // and explicit flags ((a, b) is good when H's a has type τ*)
+                let phi = CoveringMap::new((0..c.node_count()).map(|x| x % ng).collect());
+                phi.verify(&c.lift, &g).unwrap();
+                assert!((0..c.node_count()).all(|v| c.base_node(v) == phi.image(v)));
+                let flags: Vec<bool> = (0..c.node_count()).map(|x| h.typed[x / ng]).collect();
+                let good = flags.iter().filter(|&&b| b).count();
+                let want = Ratio::new(good as i128, flags.len() as i128).unwrap();
+                assert_eq!(c.good_fraction(), want, "k = {k}, m = {m}, |G| = {ng}");
             }
         }
     }
@@ -336,9 +332,11 @@ mod tests {
         let u = IterGroup::infinite(2).unwrap();
         let gens = vec![vec![1i64, 0, 0]];
         let w = Word::from_letters([Letter::pos(0), Letter::pos(0)]);
-        assert_eq!(eval_word(&u, &gens, &w), vec![2, 0, 0]);
+        assert_eq!(eval_word(&u, &gens, &w), Some(vec![2, 0, 0]));
         let w_inv = Word::from_letters([Letter::neg(0)]);
-        assert_eq!(eval_word(&u, &gens, &w_inv), vec![-1, 0, 0]);
-        assert_eq!(eval_word(&u, &gens, &Word::empty()), vec![0, 0, 0]);
+        assert_eq!(eval_word(&u, &gens, &w_inv), Some(vec![-1, 0, 0]));
+        assert_eq!(eval_word(&u, &gens, &Word::empty()), Some(vec![0, 0, 0]));
+        let w_wide = Word::from_letters([Letter::pos(0), Letter::pos(1)]);
+        assert_eq!(eval_word(&u, &gens, &w_wide), None, "letter 1 has no generator");
     }
 }

@@ -74,13 +74,22 @@ impl<A> PoFromOi<A> {
     pub fn ordered_restriction(&self, view: &ViewTree) -> (Vec<Word>, OrderedNbhd) {
         let _span = obs::span("oi_to_po/simulate");
         obs::counter(RESTRICTIONS).inc();
-        let mut words = view.words();
-        // order by (U element under the cone order, then the word itself)
-        words.sort_by(|a, b| {
-            let ua = eval_word(&self.u, &self.gens, a);
-            let ub = eval_word(&self.u, &self.gens, b);
-            self.u.cmp_order(&ua, &ub).then_with(|| a.cmp(b))
+        // order by (U element under the cone order, then the word itself),
+        // evaluating each walk once; a walk spelling a letter with no
+        // generator (B run on a wider alphabet than its H) sorts last
+        let mut keyed: Vec<(Option<Vec<i64>>, Word)> = view
+            .words()
+            .into_iter()
+            .map(|w| (eval_word(&self.u, &self.gens, &w), w))
+            .collect();
+        keyed.sort_by(|(ua, a), (ub, b)| {
+            let order = match (ua, ub) {
+                (Some(ua), Some(ub)) => self.u.cmp_order(ua, ub),
+                _ => ua.is_none().cmp(&ub.is_none()),
+            };
+            order.then_with(|| a.cmp(b))
         });
+        let words: Vec<Word> = keyed.into_iter().map(|(_, w)| w).collect();
         let pos: std::collections::HashMap<&Word, u32> =
             words.iter().enumerate().map(|(i, w)| (w, i as u32)).collect();
         // a view always contains the empty walk at its root; position 0

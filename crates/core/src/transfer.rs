@@ -51,8 +51,9 @@ pub struct TransferReport {
 /// maximisation problem given by its `feasible` and `opt` oracles.
 ///
 /// The budget is threaded into every stage in order: the lift's
-/// verification, then the three engine runs (A on the lift, B on the
-/// lift, B on the base graph).
+/// verification, the lift's underlying graph, then the three engine runs
+/// (A on the lift, B on the lift, B on the base graph). The underlying
+/// graph is built for A's run alone and dropped before B's runs.
 ///
 /// # Errors
 ///
@@ -77,10 +78,9 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
 
-    let a_out = require_complete(
-        run::oi_vertex_budgeted(&lift.und, &lift.rank, &oi, budget)?,
-        "A on lift",
-    )?;
+    let a_out = on_underlying(&lift, budget, |und| {
+        require_complete(run::oi_vertex_budgeted(und, &lift.rank, &oi, budget)?, "A on lift")
+    })?;
     let b_out = require_complete(run::po_vertex_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
     let agreement = {
         let same = a_out.iter().zip(&b_out).filter(|(x, y)| x == y).count();
@@ -90,7 +90,7 @@ where
 
     let b_g = require_complete(run::po_vertex_budgeted(g, &b, budget)?, "B on base graph")?;
     for (v, out) in b_out.iter().enumerate() {
-        if b_g.get(lift.phi.image(v)) != Some(out) {
+        if b_g.get(lift.base_node(v)) != Some(out) {
             return Err(CoreError::VerificationFailed {
                 property: format!("lift invariance of B at lift node {v}"),
             });
@@ -116,6 +116,21 @@ where
         },
         lift,
     ))
+}
+
+/// Runs `a` (A's OI run) on the lift's underlying simple graph, which
+/// lives only for that run: it is the largest structure of a transfer,
+/// and B's runs read the lift's rows instead.
+fn on_underlying<T>(
+    lift: &HomogeneousLift,
+    budget: &RunBudget,
+    a: impl FnOnce(&Graph) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let und = lift.lift.underlying_simple();
+    if let Some(t) = budget.check_interrupt() {
+        return Err(CoreError::Truncated { stage: "lift underlying graph", reason: t.publish() });
+    }
+    a(&und)
 }
 
 /// Unwraps a [`Budgeted`](locap_graph::budget::Budgeted) run inside a
@@ -175,8 +190,9 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
 
-    let a_set =
-        require_complete(run::oi_edge_budgeted(&lift.und, &lift.rank, &oi, budget)?, "A on lift")?;
+    let a_set = on_underlying(&lift, budget, |und| {
+        require_complete(run::oi_edge_budgeted(und, &lift.rank, &oi, budget)?, "A on lift")
+    })?;
     let b_lift_set = require_complete(run::po_edge_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
     let b_g_set = require_complete(run::po_edge_budgeted(g, &b, budget)?, "B on base graph")?;
 

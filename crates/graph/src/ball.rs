@@ -77,26 +77,10 @@ impl Graph {
     /// spot-check sweep over many roots of a large lift costs nothing per
     /// call in `n`.
     pub fn cycle_near_root(&self, root: NodeId, bound: usize) -> bool {
-        let half = bound / 2 + 1;
-        let mut dist: HashMap<NodeId, usize> = HashMap::from([(root, 0)]);
-        // (node, its distance, its BFS parent)
-        let mut q = VecDeque::from([(root, 0, NodeId::MAX)]);
-        while let Some((v, dv, parent)) = q.pop_front() {
-            if dv >= half {
-                continue;
-            }
-            for &u in self.neighbors(v) {
-                match dist.get(&u) {
-                    None => {
-                        dist.insert(u, dv + 1);
-                        q.push_back((u, dv + 1, v));
-                    }
-                    Some(&du) if parent != u && dv + du < bound => return true,
-                    Some(_) => {}
-                }
-            }
-        }
-        false
+        cycle_near(root, bound, |v, row| {
+            row.clear();
+            row.extend_from_slice(self.neighbors(v));
+        })
     }
 
     /// Whether the graph is connected (the empty graph counts as connected).
@@ -202,6 +186,38 @@ impl Graph {
         }
         Some(best)
     }
+}
+
+/// The truncated BFS behind [`Graph::cycle_near_root`] and
+/// [`crate::LDigraph::cycle_near_root`]: `row(v, buf)` overwrites `buf`
+/// with `v`'s neighbours.
+pub(crate) fn cycle_near(
+    root: NodeId,
+    bound: usize,
+    mut row: impl FnMut(NodeId, &mut Vec<NodeId>),
+) -> bool {
+    let half = bound / 2 + 1;
+    let mut dist: HashMap<NodeId, usize> = HashMap::from([(root, 0)]);
+    // (node, its distance, its BFS parent)
+    let mut q = VecDeque::from([(root, 0, NodeId::MAX)]);
+    let mut neighbors = Vec::new();
+    while let Some((v, dv, parent)) = q.pop_front() {
+        if dv >= half {
+            continue;
+        }
+        row(v, &mut neighbors);
+        for &u in &neighbors {
+            match dist.get(&u) {
+                None => {
+                    dist.insert(u, dv + 1);
+                    q.push_back((u, dv + 1, v));
+                }
+                Some(&du) if parent != u && dv + du < bound => return true,
+                Some(_) => {}
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -509,11 +509,11 @@ mod tests {
 
     #[test]
     fn publish_increments_counter() {
-        let count = || obs::snapshot().counters.get("budget/truncated/round_limit").copied();
-        let before = count().unwrap_or(0);
+        let count = || obs::counter_value("budget/truncated/round_limit");
+        let before = count();
         let r = TruncationReason::RoundLimit { limit: 3 }.publish();
         assert_eq!(r, TruncationReason::RoundLimit { limit: 3 });
-        assert_eq!(count(), Some(before + 1));
+        assert_eq!(count(), before + 1);
     }
 
     #[test]

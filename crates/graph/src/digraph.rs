@@ -247,19 +247,35 @@ impl LDigraph {
         let mut row = Vec::with_capacity(2 * self.labels);
         offsets.push(0);
         for v in 0..self.n {
-            row.clear();
-            row.extend(
-                self.row(&self.out, v)
-                    .iter()
-                    .chain(self.row(&self.inn, v))
-                    .filter_map(|&w| node_of(w)),
-            );
-            row.sort_unstable();
-            row.dedup();
+            self.underlying_row(v, &mut row);
             targets.extend_from_slice(&row);
             offsets.push(targets.len());
         }
         Graph::from_csr_parts(offsets, targets)
+    }
+
+    /// Overwrites `row` with `v`'s row of [`LDigraph::underlying_simple`]:
+    /// its `≤ 2|L|` out- and in-neighbours, sorted and deduplicated.
+    #[inline]
+    fn underlying_row(&self, v: NodeId, row: &mut Vec<NodeId>) {
+        row.clear();
+        row.extend(
+            self.row(&self.out, v)
+                .iter()
+                .chain(self.row(&self.inn, v))
+                .filter_map(|&w| node_of(w)),
+        );
+        row.sort_unstable();
+        row.dedup();
+    }
+
+    /// [`Graph::cycle_near_root`] on the underlying simple graph, read
+    /// from this digraph's own rows: equal to
+    /// `self.underlying_simple().cycle_near_root(root, bound)` without
+    /// building that graph, so a spot-check of a large lift costs its ball,
+    /// not `n`.
+    pub fn cycle_near_root(&self, root: NodeId, bound: usize) -> bool {
+        crate::ball::cycle_near(root, bound, |v, row| self.underlying_row(v, row))
     }
 
     /// The disjoint union; nodes of `other` are shifted by `self.node_count()`.
@@ -524,6 +540,31 @@ mod tests {
                 }
             }
             prop_assert_eq!(d.edges().count(), d.edge_count());
+        }
+
+        /// Sparse random L-digraphs of mixed girth, with antiparallel
+        /// pairs and parallel edges (2-cycles of the digraph that the
+        /// underlying graph collapses), every root and bound.
+        #[test]
+        fn prop_cycle_near_root_matches_underlying_graph(
+            n in 1usize..24,
+            labels in 0usize..3,
+            attempts in prop::collection::vec((0usize..24, 0usize..24, 0usize..3), 0usize..40),
+        ) {
+            let mut d = LDigraph::new(n, labels);
+            for (from, to, label) in attempts {
+                let _ = d.add_edge(from, to, label);
+            }
+            let und = d.underlying_simple();
+            for root in 0..n {
+                for bound in 0..10 {
+                    prop_assert_eq!(
+                        d.cycle_near_root(root, bound),
+                        und.cycle_near_root(root, bound),
+                        "root {}, bound {}", root, bound
+                    );
+                }
+            }
         }
     }
 }

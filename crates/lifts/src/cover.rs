@@ -53,7 +53,8 @@ impl CoveringMap {
         (0..self.map.len()).filter(|&v| self.map[v] == u).collect()
     }
 
-    /// Checks that this map is a covering map from `h` onto `g`.
+    /// Checks that this map is a covering map from `h` onto `g`: its
+    /// domain is `V(h)`, then [`verify_covering`].
     ///
     /// # Errors
     ///
@@ -66,89 +67,7 @@ impl CoveringMap {
                 actual: self.map.len(),
             });
         }
-        let mut covered = vec![false; g.node_count()];
-        for (v, &img) in self.map.iter().enumerate() {
-            if img >= g.node_count() {
-                return Err(LiftError::ImageOutOfRange { node: v });
-            }
-            covered[img] = true;
-        }
-        if let Some(u) = covered.iter().position(|&c| !c) {
-            return Err(LiftError::NotOnto { uncovered: u });
-        }
-        if h.alphabet_size() != g.alphabet_size() {
-            return Err(LiftError::BadParameters {
-                reason: format!(
-                    "alphabet mismatch: {} vs {}",
-                    h.alphabet_size(),
-                    g.alphabet_size()
-                ),
-            });
-        }
-        for v in 0..h.node_count() {
-            let img = self.map[v];
-            for label in 0..h.alphabet_size() {
-                match (h.out_neighbor(v, label), g.out_neighbor(img, label)) {
-                    (None, None) => {}
-                    (Some(hv), Some(gu)) => {
-                        if self.map[hv] != gu {
-                            return Err(LiftError::NotLocalBijection {
-                                node: v,
-                                label,
-                                detail: format!(
-                                    "out-edge maps to {} but ϕ(target) = {}",
-                                    gu, self.map[hv]
-                                ),
-                            });
-                        }
-                    }
-                    (Some(_), None) => {
-                        return Err(LiftError::NotLocalBijection {
-                            node: v,
-                            label,
-                            detail: "extra outgoing edge in H".into(),
-                        })
-                    }
-                    (None, Some(_)) => {
-                        return Err(LiftError::NotLocalBijection {
-                            node: v,
-                            label,
-                            detail: "missing outgoing edge in H".into(),
-                        })
-                    }
-                }
-                match (h.in_neighbor(v, label), g.in_neighbor(img, label)) {
-                    (None, None) => {}
-                    (Some(hv), Some(gu)) => {
-                        if self.map[hv] != gu {
-                            return Err(LiftError::NotLocalBijection {
-                                node: v,
-                                label,
-                                detail: format!(
-                                    "in-edge maps to {} but ϕ(source) = {}",
-                                    gu, self.map[hv]
-                                ),
-                            });
-                        }
-                    }
-                    (Some(_), None) => {
-                        return Err(LiftError::NotLocalBijection {
-                            node: v,
-                            label,
-                            detail: "extra incoming edge in H".into(),
-                        })
-                    }
-                    (None, Some(_)) => {
-                        return Err(LiftError::NotLocalBijection {
-                            node: v,
-                            label,
-                            detail: "missing incoming edge in H".into(),
-                        })
-                    }
-                }
-            }
-        }
-        Ok(())
+        verify_covering(h, g, |v| self.map[v])
     }
 
     /// If every fibre has the same size `l`, returns `Some(l)` — the map is
@@ -161,6 +80,77 @@ impl CoveringMap {
         let l = *sizes.first()?;
         sizes.iter().all(|&s| s == l).then_some(l)
     }
+}
+
+/// Checks that `phi`, given as a function on `V(h)`, is a covering map
+/// from `h` onto `g`. A lift whose map has a closed form (the homogeneous
+/// lift's ϕ(x) = x mod |G|) is checked without storing its image vector.
+///
+/// # Errors
+///
+/// Returns the first defect found: an out-of-range image, a node of `g`
+/// with an empty fibre, differing alphabets, or a node/label at which
+/// `phi` is not a local bijection.
+pub fn verify_covering(
+    h: &LDigraph,
+    g: &LDigraph,
+    phi: impl Fn(NodeId) -> NodeId,
+) -> Result<(), LiftError> {
+    let mut covered = vec![false; g.node_count()];
+    for v in 0..h.node_count() {
+        match covered.get_mut(phi(v)) {
+            Some(c) => *c = true,
+            None => return Err(LiftError::ImageOutOfRange { node: v }),
+        }
+    }
+    if let Some(u) = covered.iter().position(|&c| !c) {
+        return Err(LiftError::NotOnto { uncovered: u });
+    }
+    if h.alphabet_size() != g.alphabet_size() {
+        return Err(LiftError::BadParameters {
+            reason: format!("alphabet mismatch: {} vs {}", h.alphabet_size(), g.alphabet_size()),
+        });
+    }
+    for v in 0..h.node_count() {
+        let img = phi(v);
+        for label in 0..h.alphabet_size() {
+            let out = (h.out_neighbor(v, label), g.out_neighbor(img, label));
+            let inn = (h.in_neighbor(v, label), g.in_neighbor(img, label));
+            for (ends, outgoing) in [(out, true), (inn, false)] {
+                match ends {
+                    (None, None) => {}
+                    (Some(hv), Some(gu)) if phi(hv) == gu => {}
+                    _ => return Err(not_local_bijection(v, label, ends, &phi, outgoing)),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The error for the direction of the local-bijection check that failed
+/// at `node`: `ends` holds the `label` neighbours of `node` in `h` and of
+/// ϕ(`node`) in `g`. Kept out of line, so that the check's loop stays
+/// small.
+#[cold]
+fn not_local_bijection(
+    node: NodeId,
+    label: usize,
+    ends: (Option<NodeId>, Option<NodeId>),
+    phi: impl Fn(NodeId) -> NodeId,
+    outgoing: bool,
+) -> LiftError {
+    let (edge, end, side) = if outgoing {
+        ("out-edge", "target", "outgoing")
+    } else {
+        ("in-edge", "source", "incoming")
+    };
+    let detail = match ends {
+        (Some(hv), Some(gu)) => format!("{edge} maps to {gu} but ϕ({end}) = {}", phi(hv)),
+        (Some(_), None) => format!("extra {side} edge in H"),
+        _ => format!("missing {side} edge in H"),
+    };
+    LiftError::NotLocalBijection { node, label, detail }
 }
 
 /// The `l`-fold disjoint-copy lift: `H = l · G`, with copy `c` of node `v`
@@ -329,6 +319,40 @@ mod tests {
         let mut bad: Vec<usize> = (0..8).map(|x| x % 4).collect();
         bad.swap(0, 1);
         assert!(CoveringMap::new(bad).verify(&h, &g).is_err());
+    }
+
+    /// `verify_covering` has no domain to get wrong; on every other
+    /// doctored map above, and on the true map, it answers exactly what
+    /// `CoveringMap::verify` answers.
+    #[test]
+    fn verify_covering_matches_covering_map_verify() {
+        let g = fig3_base();
+        let (h, phi) = trivial_lift(&g, 2);
+        let mut scrambled: Vec<usize> = (0..8).map(|x| x % 4).collect();
+        scrambled.swap(0, 1);
+        for map in [phi.as_slice().to_vec(), vec![99; 8], vec![0; 8], scrambled] {
+            let want = CoveringMap::new(map.clone()).verify(&h, &g);
+            assert_eq!(verify_covering(&h, &g, |v| map[v]), want, "{map:?}");
+        }
+        assert_eq!(verify_covering(&h, &g, |v| v % 4), Ok(()), "the closed form x mod |G|");
+        let wider = LDigraph::new(4, g.alphabet_size() + 1);
+        assert_eq!(verify_covering(&h, &wider, |v| v % 4), phi.verify(&h, &wider));
+        // a lift missing an edge of its base, and a base missing an edge
+        // of its lift
+        let e = h.edges().next().unwrap();
+        let mut h_less = h.clone();
+        assert!(h_less.remove_edge(e.from, e.to, e.label));
+        let mut g_less = g.clone();
+        assert!(g_less.remove_edge(phi.image(e.from), phi.image(e.to), e.label));
+        for (hh, gg, side) in [(&h_less, &g, "missing"), (&h, &g_less, "extra")] {
+            let want = phi.verify(hh, gg);
+            let detail = format!("{side} outgoing edge in H");
+            assert!(
+                matches!(&want, Err(LiftError::NotLocalBijection { detail: d, .. }) if *d == detail),
+                "{want:?}"
+            );
+            assert_eq!(verify_covering(hh, gg, |v| phi.image(v)), want);
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod word;
 pub use complete::{complete_tree, reduced_words, t_star_size};
 pub use cover::{
     bipartite_double_cover, connect_copies, find_redundant_edge, random_lift, trivial_lift,
-    CoveringMap,
+    verify_covering, CoveringMap,
 };
 pub use error::LiftError;
 pub use view::{

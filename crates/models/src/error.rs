@@ -176,26 +176,21 @@ mod tests {
         assert!(e.to_string().contains("0'"));
     }
 
-    /// The global counter `name` as a snapshot reads it.
-    fn count(name: &str) -> u64 {
-        obs::snapshot().counters.get(name).copied().unwrap_or(0)
-    }
-
     #[test]
     fn publish_counts_by_kind() {
-        let before = count("errors/run/missing_ids");
+        let before = obs::counter_value("errors/run/missing_ids");
         let e = RunError::MissingIds.publish();
         assert_eq!(e, RunError::MissingIds);
-        assert_eq!(count("errors/run/missing_ids"), before + 1);
+        assert_eq!(obs::counter_value("errors/run/missing_ids"), before + 1);
     }
 
     #[test]
     fn graph_error_converts_and_counts() {
-        let before = count("errors/run/graph");
+        let before = obs::counter_value("errors/run/graph");
         let ge = locap_graph::Graph::new(2).add_edge(0, 5).unwrap_err();
         let e: RunError = ge.clone().into();
         assert_eq!(e, RunError::Graph(ge));
-        assert_eq!(count("errors/run/graph"), before + 1);
+        assert_eq!(obs::counter_value("errors/run/graph"), before + 1);
         assert_eq!(e.kind(), "graph");
     }
 }

@@ -18,10 +18,11 @@
 //!   caller's with [`adopt_span_path`] and record a `…/worker` row under
 //!   it.
 //!
-//! [`snapshot`] is the one read of the registry: a lossless
+//! [`snapshot`] is the one read of the whole registry: a lossless
 //! [`TelemetryState`] of every counter, gauge and histogram, which
 //! [`TelemetryState::delta_since`] turns into the change over a window
-//! and [`TelemetryState::to_json`] puts on the wire. The bench schema
+//! and [`TelemetryState::to_json`] puts on the wire. [`counter_value`]
+//! reads one counter without walking the rest. The bench schema
 //! that the `OBS_JSON=1` line and `BENCH_views.json` share is rendered
 //! and read in `locap-bench`, not here.
 //!
@@ -214,8 +215,8 @@ pub fn quantile_rank(count: u64, q: f64) -> u64 {
 /// same name again from any other site fails a `debug_assert!` (the
 /// publish-twice bug class, where two sites bump one counter). Fetching a
 /// name again from its own site is how handles are meant to be reused;
-/// tests read values through [`Registry::snapshot`] instead of
-/// constructing the metric.
+/// tests read a counter through [`Registry::counter_value`], and the rest
+/// through [`Registry::snapshot`], instead of constructing the metric.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Section<AtomicU64, 40>,
@@ -281,6 +282,13 @@ impl Registry {
     /// Records a duration under a span name without an RAII guard.
     pub fn record_span_ns(&self, name: &str, ns: u64) {
         self.span_histogram(name).record(ns);
+    }
+
+    /// The value of the counter named `name`, 0 when it does not exist.
+    /// A read, not a construction: it neither creates the counter nor
+    /// records a call site, and it reads no other metric.
+    pub fn counter_value(&self, name: &str) -> u64 {
+        self.counters.lock().get(name).map_or(0, |e| e.metric.load(Ordering::Relaxed))
     }
 
     /// A lossless point-in-time copy of every metric.
@@ -379,6 +387,12 @@ pub fn latency(name: &str) -> Arc<Histogram> {
 /// Records `ns` under the global span `name` without a guard.
 pub fn record_span_ns(name: &str, ns: u64) {
     global().record_span_ns(name, ns);
+}
+
+/// The value of the global counter `name` (see
+/// [`Registry::counter_value`]).
+pub fn counter_value(name: &str) -> u64 {
+    global().counter_value(name)
 }
 
 /// A lossless point-in-time copy of all global metrics (see
@@ -574,6 +588,18 @@ mod tests {
         assert_eq!(g.get(), 2);
         g.set_max(-100);
         assert_eq!(g.get(), 2);
+    }
+
+    #[test]
+    fn counter_value_reads_one_counter_without_creating_it() {
+        let reg = Registry::new();
+        assert_eq!(reg.counter_value("t/v"), 0);
+        assert!(reg.counters.lock().is_empty(), "a read creates no entry");
+        // the read recorded no site, so this is the one construction site
+        reg.counter("t/v").add(5);
+        assert_eq!(reg.counter_value("t/v"), 5);
+        assert_eq!(reg.counter_value("t/other"), 0);
+        assert_eq!(reg.snapshot().counters.len(), 1);
     }
 
     #[test]

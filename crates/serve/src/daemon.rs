@@ -819,7 +819,7 @@ mod tests {
             missed: None,
         };
         let counter = format!("serve/errors/{INTERNAL_PANIC}");
-        let before = obs::snapshot().counters.get(&counter).copied().unwrap_or(0);
+        let before = obs::counter_value(&counter);
 
         let panics = |_: &RunBudget| -> Option<Result<String, CoreError>> { panic!("boom") };
         assert!(responder.respond(&job, None, panics), "a panic is answered, not handed on");
@@ -833,7 +833,7 @@ mod tests {
         assert_eq!(served.get("ok"), Some(&Json::Bool(true)), "{served}");
         let expected = job.request.run(&RunBudget::unlimited()).unwrap();
         assert_eq!(served.get("result"), Some(&expected));
-        let after = obs::snapshot().counters.get(&counter).copied().unwrap_or(0);
+        let after = obs::counter_value(&counter);
         assert_eq!(after - before, 1, "the panic is counted once");
     }
 
@@ -846,10 +846,10 @@ mod tests {
             panic!("poison the lock");
         });
         assert!(poisoner.join().is_err(), "the holder must panic with the lock held");
-        let before = obs::snapshot().counters.get("serve/errors/poisoned").copied().unwrap_or(0);
+        let before = obs::counter_value("serve/errors/poisoned");
         assert_eq!(*lock_or_recover(&m), 7, "guarded state survives recovery");
         assert_eq!(*lock_or_recover(&m), 7, "the second acquisition takes the plain path");
-        let after = obs::snapshot().counters.get("serve/errors/poisoned").copied().unwrap_or(0);
+        let after = obs::counter_value("serve/errors/poisoned");
         assert_eq!(after - before, 1, "the typed disconnect is counted exactly once");
     }
 }

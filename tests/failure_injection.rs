@@ -14,13 +14,14 @@
 //! * the original doctored-structure tests (verifiers must reject).
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use locap_core::eds_lower::{eds_instance, lower_bound_report_budgeted, EdsInstance};
 use locap_core::homogeneous::construct_budgeted;
 use locap_core::CoreError;
-use locap_graph::budget::{ManualClock, RunBudget, TruncationReason};
+use locap_graph::budget::{ManualClock, MonotonicClock, RunBudget, TruncationReason};
 use locap_graph::canon::{IdNbhd, OrderedNbhd};
 use locap_graph::{gen, Edge, PoGraph};
 use locap_lifts::{trivial_lift, CoveringMap, Letter, ViewTree};
@@ -30,13 +31,7 @@ use locap_models::{
     run, IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
     PoVertexAlgorithm, RunError,
 };
-
-/// The global counter `name` as a snapshot reads it (0 before its first
-/// bump). Tests read counters this way instead of constructing them: a
-/// metric has one construction site, the code that bumps it.
-fn counter_value(name: &str) -> u64 {
-    locap_obs::snapshot().counters.get(name).copied().unwrap_or(0)
-}
+use locap_obs::counter_value;
 
 /// Serialises the tests that reject short inputs: each bumps the global
 /// `errors/run/input_length` counter, which
@@ -49,6 +44,23 @@ fn expired_deadline() -> RunBudget {
     let clock = Arc::new(ManualClock::new());
     clock.set(Duration::from_secs(60));
     RunBudget::unlimited().with_deadline(Duration::from_millis(1), clock)
+}
+
+/// A clock that advances one nanosecond per read, so a deadline of `t`
+/// ns lets exactly `t + 1` budget checks pass.
+#[derive(Debug, Default)]
+struct TickClock(AtomicU64);
+
+impl TickClock {
+    fn reads(&self) -> u64 {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+impl MonotonicClock for TickClock {
+    fn elapsed(&self) -> Duration {
+        Duration::from_nanos(self.0.fetch_add(1, Ordering::SeqCst))
+    }
 }
 
 #[derive(Clone)]
@@ -415,13 +427,29 @@ mod budget_truncation {
         }
         let g = gen::directed_cycle(6);
         let h = construct_budgeted(1, 1, 6, &RunBudget::unlimited()).unwrap();
+        // the number of clock reads the lift takes
+        let clock = Arc::new(TickClock::default());
+        let lift_reads = {
+            let budget =
+                RunBudget::unlimited().with_deadline(Duration::from_secs(1), clock.clone());
+            homogeneous_lift_budgeted(&g, &h, &budget).unwrap();
+            clock.reads()
+        };
         // the deadline reaches the lift, the first stage, at its first
-        // check right after the product; the cache cap, which the lift
-        // does not check, stops A's run
-        for (budget, stage) in [
-            (expired_deadline(), "lift product"),
-            (RunBudget::unlimited().with_cache_cap(1), "A on lift"),
-        ] {
+        // check right after the product; a deadline that the lift's last
+        // read meets trips at the next stage, the underlying graph that
+        // A's run is given; the cache cap, which neither checks, stops A's
+        // run
+        let after_the_lift = || {
+            let limit = Duration::from_nanos(lift_reads - 1);
+            RunBudget::unlimited().with_deadline(limit, Arc::new(TickClock::default()))
+        };
+        let budgets: [(&dyn Fn() -> RunBudget, &str); 3] = [
+            (&expired_deadline, "lift product"),
+            (&after_the_lift, "lift underlying graph"),
+            (&|| RunBudget::unlimited().with_cache_cap(1), "A on lift"),
+        ];
+        for (budget, stage) in budgets {
             let res = transfer_vertex_budgeted(
                 &g,
                 &h,
@@ -429,7 +457,7 @@ mod budget_truncation {
                 Goal::Minimize,
                 vertex_cover::feasible,
                 vertex_cover::opt_value,
-                &budget,
+                &budget(),
             );
             assert!(
                 matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
@@ -442,7 +470,7 @@ mod budget_truncation {
                 Goal::Minimize,
                 edge_dominating_set::feasible,
                 edge_dominating_set::opt_value,
-                &budget,
+                &budget(),
             );
             assert!(
                 matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
@@ -710,6 +738,24 @@ fn doctored_homogeneous_graphs_fail_verification() {
         fake.verify(),
         Err(CoreError::VerificationFailed { property }) if property.contains("regular")
     ));
+}
+
+/// A hand-assembled H whose `gens` is shorter than its alphabet: the
+/// lift's order audit meets a walk letter with no generator and answers
+/// a typed `verification_failed` instead of indexing past `gens`.
+#[test]
+fn doctored_generators_fail_lift_verification() {
+    use locap_core::hom_lift::homogeneous_lift_budgeted;
+
+    for (k, g) in [(1, gen::directed_cycle(3)), (2, locap_graph::product::toroidal(2, 3))] {
+        let h = construct_budgeted(k, 1, 6, &RunBudget::unlimited()).unwrap();
+        homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
+        let mut fake = h.clone();
+        fake.gens.pop();
+        let err = homogeneous_lift_budgeted(&g, &fake, &RunBudget::unlimited()).unwrap_err();
+        assert_eq!(err.kind(), "verification_failed", "k = {k}: {err}");
+        assert!(err.to_string().contains("no generator"), "k = {k}: {err}");
+    }
 }
 
 #[test]
