@@ -31,8 +31,8 @@ use crate::CoreError;
 /// covering map ϕ and the good vertices are closed forms and are not
 /// stored: ϕ(x) is [`HomogeneousLift::base_node`], and `x` is good when
 /// `H`'s vertex `a` has type τ*. Per lift vertex the lift keeps its rows
-/// and its rank; its underlying simple graph is built by the transfer
-/// that runs an OI algorithm on it, not here.
+/// and its rank, and nothing builds its underlying simple graph: every
+/// run on the lift, A's OI run included, reads the rows in place.
 #[derive(Debug, Clone)]
 pub struct HomogeneousLift {
     /// The lifted graph `G_ε`.

@@ -105,8 +105,7 @@ impl HomogeneousGraph {
         if !self.digraph.is_label_complete() {
             return Err(CoreError::VerificationFailed { property: "2k-regularity".into() });
         }
-        let und = self.digraph.underlying_simple();
-        if und.cycle_near_root(0, 2 * self.radius + 1) {
+        if self.digraph.cycle_near_root(0, 2 * self.radius + 1) {
             return Err(CoreError::VerificationFailed {
                 property: format!("girth > {}", 2 * self.radius + 1),
             });
@@ -118,7 +117,7 @@ impl HomogeneousGraph {
         }
         // τ* must occur exactly at the flagged vertices, homogeneous_count
         // of them.
-        let recount = census_count(&self.digraph, &und, &self.rank, self.radius, &self.tau_star);
+        let recount = census_count(&self.digraph, &self.rank, self.radius, &self.tau_star);
         if recount != self.typed || count_set(&recount) != self.homogeneous_count {
             return Err(CoreError::VerificationFailed { property: "census recount".into() });
         }
@@ -183,20 +182,14 @@ const PARALLEL_MIN_NODES: usize = 1 << 10;
 /// concatenating per-chunk flags over [`par::map_chunks`]. `tau` is
 /// encoded once, and each vertex's packed key is compared against it
 /// without being decoded.
-fn census_count(
-    d: &LDigraph,
-    und: &locap_graph::Graph,
-    rank: &[usize],
-    r: usize,
-    tau: &OrderedLNbhd,
-) -> Vec<bool> {
+fn census_count(d: &LDigraph, rank: &[usize], r: usize, tau: &OrderedLNbhd) -> Vec<bool> {
     let _span = obs::span("census_count");
     let tau = tau.to_key();
     par::map_chunks(d.node_count(), PARALLEL_MIN_NODES, |vertices| {
         let (mut scratch, mut key) = (NbhdScratch::new(), Vec::new());
         vertices
             .map(|v| {
-                ordered_lkey_into(d, und, rank, v, r, &mut scratch, &mut key);
+                ordered_lkey_into(d, rank, v, r, &mut scratch, &mut key);
                 key == tau
             })
             .collect::<Vec<bool>>()
@@ -271,9 +264,8 @@ pub fn find_generators_budgeted(
         let gens: Vec<Vec<i64>> = idx.iter().filter_map(|&i| candidates.get(i).cloned()).collect();
         match cayley(&h, &gens) {
             Ok(d) => {
-                let und = d.underlying_simple();
                 // Cayley graphs are vertex-transitive: one root suffices.
-                if !und.cycle_near_root(0, bound) {
+                if !d.cycle_near_root(0, bound) {
                     return Ok((h, gens, d));
                 }
                 best_err = Some(format!("all girth checks failed (bound {bound})"));
@@ -356,8 +348,7 @@ pub fn construct_at_level_budgeted(
     if let Some(t) = budget.check_interrupt() {
         return Err(CoreError::Truncated { stage: "homogeneity census", reason: t.publish() });
     }
-    let und = digraph.underlying_simple();
-    let typed = census_count(&digraph, &und, &rank, r, &tau);
+    let typed = census_count(&digraph, &rank, r, &tau);
 
     let out = HomogeneousGraph {
         digraph,

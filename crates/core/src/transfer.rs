@@ -51,9 +51,11 @@ pub struct TransferReport {
 /// maximisation problem given by its `feasible` and `opt` oracles.
 ///
 /// The budget is threaded into every stage in order: the lift's
-/// verification, the lift's underlying graph, then the three engine runs
-/// (A on the lift, B on the lift, B on the base graph). The underlying
-/// graph is built for A's run alone and dropped before B's runs.
+/// construction and verification (stages `lift product`, `lift girth
+/// check` and `lift order audit`), then the three engine runs (`A on
+/// lift`, `B on lift`, `B on base graph`). A's OI run reads the lift's
+/// own rows, as B's runs do, so no stage builds a graph of the lift's
+/// size.
 ///
 /// # Errors
 ///
@@ -78,9 +80,10 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     let b = PoFromOi::from_homogeneous(oi.clone(), h)?;
 
-    let a_out = on_underlying(&lift, budget, |und| {
-        require_complete(run::oi_vertex_budgeted(und, &lift.rank, &oi, budget)?, "A on lift")
-    })?;
+    let a_out = require_complete(
+        run::oi_vertex_budgeted(&lift.lift, &lift.rank, &oi, budget)?,
+        "A on lift",
+    )?;
     let b_out = require_complete(run::po_vertex_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
     let agreement = {
         let same = a_out.iter().zip(&b_out).filter(|(x, y)| x == y).count();
@@ -116,21 +119,6 @@ where
         },
         lift,
     ))
-}
-
-/// Runs `a` (A's OI run) on the lift's underlying simple graph, which
-/// lives only for that run: it is the largest structure of a transfer,
-/// and B's runs read the lift's rows instead.
-fn on_underlying<T>(
-    lift: &HomogeneousLift,
-    budget: &RunBudget,
-    a: impl FnOnce(&Graph) -> Result<T, CoreError>,
-) -> Result<T, CoreError> {
-    let und = lift.lift.underlying_simple();
-    if let Some(t) = budget.check_interrupt() {
-        return Err(CoreError::Truncated { stage: "lift underlying graph", reason: t.publish() });
-    }
-    a(&und)
 }
 
 /// Unwraps a [`Budgeted`](locap_graph::budget::Budgeted) run inside a
@@ -190,9 +178,8 @@ where
     let lift = homogeneous_lift_budgeted(g, h, budget)?;
     let b = PoFromOiEdge::from_homogeneous(oi.clone(), h)?;
 
-    let a_set = on_underlying(&lift, budget, |und| {
-        require_complete(run::oi_edge_budgeted(und, &lift.rank, &oi, budget)?, "A on lift")
-    })?;
+    let a_set =
+        require_complete(run::oi_edge_budgeted(&lift.lift, &lift.rank, &oi, budget)?, "A on lift")?;
     let b_lift_set = require_complete(run::po_edge_budgeted(&lift.lift, &b, budget)?, "B on lift")?;
     let b_g_set = require_complete(run::po_edge_budgeted(g, &b, budget)?, "B on base graph")?;
 

@@ -36,7 +36,7 @@
 //! * [`OrderedLNbhd`] — `(n << 32) | root`, then two words per directed
 //!   labelled edge, `(from << 32) | to` followed by `label`, ascending.
 
-use crate::{par, Graph, KeyInterner, LDigraph, NodeId};
+use crate::{par, Adjacency, Graph, KeyInterner, LDigraph, NodeId};
 use locap_obs as obs;
 
 /// A node→position index over a ball: pairs `(node, position)` sorted by
@@ -312,10 +312,11 @@ impl NbhdScratch {
     }
 
     /// Starts a fresh ball computation: bumps the epoch (resetting all
-    /// stamps in O(1)) and runs a truncated BFS from `v` in `g`. Leaves
-    /// `self.ball` holding the ball sorted by node id.
+    /// stamps in O(1)) and runs a truncated BFS from `v` in `g`, whose
+    /// repeated neighbours the stamps absorb. Leaves `self.ball` holding
+    /// the ball sorted by node id.
     // lint: hot
-    fn fill_ball(&mut self, g: &Graph, v: NodeId, r: usize) {
+    fn fill_ball(&mut self, g: &impl Adjacency, v: NodeId, r: usize) {
         let n = g.node_count();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -340,14 +341,14 @@ impl NbhdScratch {
             if d == r {
                 continue;
             }
-            for &u in g.neighbors(x) {
+            g.for_each_neighbor(x, |u| {
                 if self.stamp[u] != epoch {
                     self.stamp[u] = epoch;
                     self.pos[u] = (d + 1) as u32;
                     self.ball.push(u);
                     self.queue.push_back(u);
                 }
-            }
+            });
         }
         self.ball.sort_unstable();
     }
@@ -364,9 +365,12 @@ impl NbhdScratch {
 /// Writes the packed key of τ(G, <, v) into `key` (clearing it first):
 /// the canonical content of [`ordered_nbhd`] with no allocation beyond
 /// the reused buffers. `OrderedNbhd::from_key(key)` recovers the struct.
+///
+/// `g` is a [`Graph`] or an [`LDigraph`], read in place: on an
+/// L-digraph the key is that of its underlying simple graph.
 // lint: hot
 pub fn ordered_key_into(
-    g: &Graph,
+    g: &impl Adjacency,
     rank: &[usize],
     v: NodeId,
     r: usize,
@@ -382,14 +386,15 @@ pub fn ordered_key_into(
 }
 
 /// Writes the packed key of the ID neighbourhood τ(G, v) into `key`;
-/// `IdNbhd::from_key(key)` recovers the struct.
+/// `IdNbhd::from_key(key)` recovers the struct. `g` is read in place as
+/// in [`ordered_key_into`].
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if identifiers in the ball are not distinct.
 // lint: hot
 pub fn id_key_into(
-    g: &Graph,
+    g: &impl Adjacency,
     ids: &[u64],
     v: NodeId,
     r: usize,
@@ -411,23 +416,30 @@ pub fn id_key_into(
 }
 
 /// Appends the induced undirected edges of the current ball as packed
-/// `(i << 32) | j` words, sorted; `base` is where the edge section of
-/// `key` starts.
+/// `(i << 32) | j` words, sorted and distinct; `base` is where the edge
+/// section of `key` starts.
 // lint: hot
-fn push_undirected_edges(g: &Graph, scratch: &NbhdScratch, key: &mut Vec<u64>, base: usize) {
+fn push_undirected_edges(
+    g: &impl Adjacency,
+    scratch: &NbhdScratch,
+    key: &mut Vec<u64>,
+    base: usize,
+) {
     for (i, &a) in scratch.ball.iter().enumerate() {
-        for &b in g.neighbors(a) {
+        g.for_each_neighbor(a, |b| {
             if scratch.stamp[b] == scratch.epoch {
                 let j = scratch.pos[b] as usize;
                 if i < j {
                     key.push(((i as u64) << 32) | j as u64);
                 }
             }
-        }
+        });
     }
     key[base..].sort_unstable();
-    // parity with the naive path's `dedup` (a no-op on simple graphs:
-    // each induced edge is recorded exactly once, from its lower end)
+    // an L-digraph yields a neighbour once per edge, so an antiparallel
+    // pair or parallel edges of distinct labels record one induced edge
+    // more than once (on a `Graph` each is recorded once, from its lower
+    // end): keep one of each
     let mut w = base;
     for i in base..key.len() {
         if i == base || key[i] != key[w - 1] {
@@ -439,18 +451,19 @@ fn push_undirected_edges(g: &Graph, scratch: &NbhdScratch, key: &mut Vec<u64>, b
 }
 
 /// Writes the packed key of the ordered L-digraph neighbourhood into
-/// `key`; `und` must be the underlying undirected graph of `d`. `OrderedLNbhd::from_key(key)` recovers the struct.
+/// `key`, with the ball taken in `d`'s underlying undirected graph read
+/// from `d`'s own rows. `OrderedLNbhd::from_key(key)` recovers the
+/// struct.
 // lint: hot
 pub fn ordered_lkey_into(
     d: &LDigraph,
-    und: &Graph,
     rank: &[usize],
     v: NodeId,
     r: usize,
     scratch: &mut NbhdScratch,
     key: &mut Vec<u64>,
 ) {
-    scratch.fill_ball(und, v, r);
+    scratch.fill_ball(d, v, r);
     scratch.ball.sort_by_key(|&u| rank[u]);
     scratch.index_ball();
     key.clear();
@@ -583,9 +596,8 @@ pub fn ordered_type_census_naive(g: &Graph, rank: &[usize], r: usize) -> Vec<(Or
 /// Engine-backed like its undirected counterpart;
 /// [`ordered_ltype_census_naive`] is the reference implementation.
 pub fn ordered_ltype_census(d: &LDigraph, rank: &[usize], r: usize) -> Vec<(OrderedLNbhd, usize)> {
-    let und = d.underlying_simple();
     let (interner, counts) = per_vertex_keys("ordered_l", d.node_count(), |scratch, v, key| {
-        ordered_lkey_into(d, &und, rank, v, r, scratch, key)
+        ordered_lkey_into(d, rank, v, r, scratch, key)
     });
     census_from_keys(interner, &counts, OrderedLNbhd::from_key)
 }
@@ -604,7 +616,9 @@ pub fn ordered_ltype_census_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::tests::random_ldigraph;
     use crate::gen;
+    use proptest::prelude::*;
 
     fn identity_rank(n: usize) -> Vec<usize> {
         (0..n).collect()
@@ -753,10 +767,48 @@ mod tests {
         let mut key = Vec::new();
         for r in 0..4 {
             for v in 0..9 {
-                ordered_lkey_into(&d, &und, &rank, v, r, &mut scratch, &mut key);
+                ordered_lkey_into(&d, &rank, v, r, &mut scratch, &mut key);
                 let t = ordered_lnbhd_in(&d, &und, &rank, v, r);
                 assert_eq!(OrderedLNbhd::from_key(&key), t);
                 assert_eq!(t.to_key(), key, "the encoder writes the extractor's key");
+            }
+        }
+    }
+
+    proptest! {
+        /// The extractors read an L-digraph's rows in place: random
+        /// L-digraphs with antiparallel pairs and parallel edges of
+        /// distinct labels give the keys of their underlying simple graph,
+        /// at every root and radius.
+        #[test]
+        fn prop_extractors_read_ldigraph_rows_as_the_underlying_graph(
+            n in 2usize..9,
+            labels in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let d = random_ldigraph(n, labels, seed);
+            let und = d.underlying_simple();
+            // a seeded order and distinct identifiers
+            let mut order: Vec<NodeId> = (0..n).collect();
+            order.sort_by_key(|&v| (v as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rank = vec![0; n];
+            for (p, &v) in order.iter().enumerate() {
+                rank[v] = p;
+            }
+            let ids: Vec<u64> = rank.iter().map(|&p| 3 * p as u64 + (seed >> 60)).collect();
+            let (mut scratch, mut rows, mut want) = (NbhdScratch::new(), Vec::new(), Vec::new());
+            for r in 0..=3 {
+                for v in 0..n {
+                    ordered_key_into(&d, &rank, v, r, &mut scratch, &mut rows);
+                    ordered_key_into(&und, &rank, v, r, &mut scratch, &mut want);
+                    prop_assert_eq!(&rows, &want, "ordered key of {} at radius {}", v, r);
+                    id_key_into(&d, &ids, v, r, &mut scratch, &mut rows);
+                    id_key_into(&und, &ids, v, r, &mut scratch, &mut want);
+                    prop_assert_eq!(&rows, &want, "id key of {} at radius {}", v, r);
+                    ordered_lkey_into(&d, &rank, v, r, &mut scratch, &mut rows);
+                    let naive = ordered_lnbhd_in(&d, &und, &rank, v, r).to_key();
+                    prop_assert_eq!(&rows, &naive, "labelled key of {} at radius {}", v, r);
+                }
             }
         }
     }

@@ -8,6 +8,8 @@
 //!   **PO** model (anonymous networks with port numbers and an orientation);
 //! * [`LDigraph`] — properly edge-labelled digraphs (*L-digraphs*, §2.5),
 //!   the formal carrier of PO structure;
+//! * [`Adjacency`] — what the neighbourhood extractors read of a graph,
+//!   implemented by [`Graph`] and [`LDigraph`] on their own rows;
 //! * [`OrderedGraph`] — graphs with a linear order on the vertices, the
 //!   structure available in the **OI** (order-invariant) model;
 //! * canonical encodings of radius-`r` neighbourhoods ([`canon`]) used to
@@ -34,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+mod adjacency;
 mod ball;
 pub mod budget;
 pub mod canon;
@@ -51,6 +54,7 @@ pub mod product;
 pub mod random;
 mod simple;
 
+pub use adjacency::Adjacency;
 pub use budget::{Budgeted, ManualClock, MonotonicClock, RunBudget, StdClock, TruncationReason};
 pub use csr::NodeBitset;
 pub use digraph::{DirEdge, LDigraph, Label};

@@ -252,7 +252,8 @@ impl fmt::Display for ViewCacheStats {
 /// first-seen state order.
 #[derive(Debug, Clone, Default)]
 struct Partition {
-    /// `class[s]` = the class of state `s`.
+    /// `class[s]` = the class of state `s`; empty for walk level 0,
+    /// whose one class is implicit.
     class: Vec<u32>,
     /// `reps[c]` = the first state of class `c` (its canonical witness).
     reps: Vec<u32>,
@@ -261,10 +262,12 @@ struct Partition {
 }
 
 impl Partition {
-    /// All `n` states in one class: depth 0, where every tree is a leaf.
-    fn single(n: usize) -> Partition {
+    /// All `n` states in one class (none when `n` is 0), with no
+    /// per-state entry: walk level 0 as it is stored, where every tree is
+    /// a leaf.
+    fn one_class(n: usize) -> Partition {
         let reps = if n == 0 { Vec::new() } else { vec![0] };
-        Partition { class: vec![0; n], trees: vec![None; reps.len()], reps }
+        Partition { class: Vec::new(), trees: vec![None; reps.len()], reps }
     }
 
     /// Gives the next state the class of its signature `sig`: the
@@ -306,7 +309,8 @@ enum Level {
 /// recursion of [`view`], so two vertices share a root class **iff**
 /// their radius-`r` views are equal. Any radius reuses the walk levels
 /// an earlier query built. A radius-1 query builds walk level 0 alone,
-/// one class that needs no interning, and interns the `n` roots.
+/// one implicit class that stores and interns nothing per state, and
+/// interns the `n` roots.
 ///
 /// Trees are materialised lazily, once per distinct class, and cloned out;
 /// [`ViewCache::census`] therefore builds one tree per *class* instead of
@@ -327,7 +331,8 @@ pub struct ViewCache<'g> {
     d: &'g LDigraph,
     /// Walk states per vertex, `2|L|`: one per letter code (`letter_of`).
     width: usize,
-    /// `walks[d]` = the walk states' classes at depth `d`.
+    /// `walks[d]` = the walk states' classes at depth `d`; depth 0 is
+    /// one implicit class ([`Partition::one_class`]).
     walks: Vec<Partition>,
     /// `roots[r]` = the vertices' classes at radius `r`, once passed.
     roots: Vec<Option<Partition>>,
@@ -385,24 +390,30 @@ impl<'g> ViewCache<'g> {
         &self.stats
     }
 
-    /// The class of the radius-`r` view of `v`: two vertices get the same
-    /// class **iff** `view(d, ·, r)` returns equal trees.
-    fn root_class(&mut self, v: NodeId, r: usize) -> u32 {
-        self.ensure(r);
-        self.partition(Level::Root(r)).class[v]
+    /// The class of the radius-`r` view of `v`, read in place: two
+    /// vertices get the same class **iff** `view(d, ·, r)` returns equal
+    /// trees. `None` until a call has passed radius `r`, and for `v` out
+    /// of range.
+    pub fn root_class(&self, v: NodeId, r: usize) -> Option<u32> {
+        self.roots.get(r)?.as_ref()?.class.get(v).copied()
     }
 
-    /// Per-vertex root classes and the class count at radius `r`.
-    pub fn root_classes(&mut self, r: usize) -> (Vec<u32>, usize) {
+    /// Per-vertex root classes, read in place, and the class count at
+    /// radius `r`.
+    pub fn root_classes(&mut self, r: usize) -> (&[u32], usize) {
         self.ensure(r);
         let roots = self.partition(Level::Root(r));
-        (roots.class.clone(), roots.reps.len())
+        (&roots.class, roots.reps.len())
     }
 
     /// The radius-`r` view of `v` — bit-identical to [`view`]`(d, v, r)`,
     /// but the subtree for each class is built at most once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn view(&mut self, v: NodeId, r: usize) -> ViewTree {
-        let class = self.root_class(v, r);
+        let class = self.root_classes(r).0[v];
         self.class_view(r, class)
     }
 
@@ -422,7 +433,7 @@ impl<'g> ViewCache<'g> {
         let _span = obs::span("view_cache/census");
         let (classes, k) = self.root_classes(r);
         let mut counts = vec![0usize; k];
-        for &c in &classes {
+        for &c in classes {
             counts[c as usize] += 1;
         }
         let mut out: Vec<_> = counts
@@ -450,7 +461,7 @@ impl<'g> ViewCache<'g> {
         &mut self,
         r: usize,
         cap: Option<usize>,
-    ) -> Result<(Vec<u32>, usize), TruncationReason> {
+    ) -> Result<(&[u32], usize), TruncationReason> {
         self.try_ensure(r, cap)?;
         Ok(self.root_classes(r))
     }
@@ -540,32 +551,45 @@ impl<'g> ViewCache<'g> {
     /// entered by the inverse of letter code `back` ([`ROOT`] for a
     /// root): the sorted `(letter code, class in walk level `prev` of
     /// the walk state reached)` list over the letters available at `v`
-    /// other than `back`. The labels loop emits codes in increasing
-    /// order, so no sort is needed, and appending lets the refinement
-    /// sweep pack all signatures of a level into one flat buffer with no
-    /// per-state allocation.
+    /// other than `back`, where `prev` is [`ViewCache::walk_classes`] of
+    /// that level (`None`, class 0 throughout, for level 0). The labels
+    /// loop emits codes in increasing order, so no sort is needed, and
+    /// appending lets the refinement sweep pack all signatures of a level
+    /// into one flat buffer with no per-state allocation.
     // lint: hot
-    fn signature_append(&self, v: usize, back: usize, prev: &[u32], out: &mut Vec<u64>) {
+    fn signature_append(&self, v: usize, back: usize, prev: Option<&[u32]>, out: &mut Vec<u64>) {
         for label in 0..self.d.alphabet_size() {
             for (enc, u) in
                 [(2 * label, self.d.out_raw(v, label)), (2 * label + 1, self.d.in_raw(v, label))]
             {
                 if u != LDigraph::NONE && enc != back {
-                    out.push(((enc as u64) << 32) | prev[u as usize * self.width + enc] as u64);
+                    let class = match prev {
+                        Some(prev) => prev[u as usize * self.width + enc],
+                        None => 0,
+                    };
+                    out.push(((enc as u64) << 32) | class as u64);
                 }
             }
         }
     }
 
-    /// Builds the next walk level: level 0 is one class, level `d`
-    /// interns every walk state's signature over level `d − 1`.
+    /// The per-state classes of walk level `depth`, which must be built:
+    /// `None` for level 0, whose one class is implicit.
+    fn walk_classes(&self, depth: usize) -> Option<&[u32]> {
+        (depth > 0).then(|| self.walks[depth].class.as_slice())
+    }
+
+    /// Builds the next walk level: level 0 is one implicit class that
+    /// stores nothing per state, level `d` interns every walk state's
+    /// signature over level `d − 1`. Either way the level counts its
+    /// `n · 2|L|` states.
     fn refine_walks(&mut self) {
         let depth = self.walks.len();
         // one refinement round = one radius step of the paper's r-round
         // view collection
         let _round_span = obs::span("round");
         let level = if depth == 0 {
-            Partition::single(self.stats.states)
+            Partition::one_class(self.stats.states)
         } else {
             // dense ids in first-seen state order
             let mut interner = KeyInterner::new();
@@ -594,7 +618,7 @@ impl<'g> ViewCache<'g> {
     /// `i`-th state).
     // lint: hot
     fn walk_signatures(&self, depth: usize) -> Vec<(Vec<u64>, Vec<u32>)> {
-        let prev = &self.walks[depth - 1].class;
+        let prev = self.walk_classes(depth - 1);
         par::map_chunks(self.stats.states, PARALLEL_MIN_STATES, |states| {
             let mut flat = Vec::new(); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
             let mut lens = Vec::with_capacity(states.len()); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
@@ -614,8 +638,11 @@ impl<'g> ViewCache<'g> {
     fn pass_roots(&mut self, r: usize) {
         let _round_span = obs::span("round");
         let roots = match r.checked_sub(1) {
-            None => Partition::single(self.stats.root_states),
-            Some(below) => self.intern_roots(&self.walks[below].class),
+            None => {
+                let n = self.stats.root_states;
+                Partition { class: vec![0; n], ..Partition::one_class(n) }
+            }
+            Some(below) => self.intern_roots(self.walk_classes(below)),
         };
         let k = roots.reps.len();
         if self.roots.len() <= r {
@@ -627,12 +654,12 @@ impl<'g> ViewCache<'g> {
         self.obs_states.add(self.stats.root_states as u64);
     }
 
-    /// Interns every vertex's signature over the walk classes `prev` in
-    /// vertex order, through one reused scratch buffer: a sequential
-    /// pass, since it sweeps `n` states where a walk level sweeps
-    /// `n · 2|L|`.
+    /// Interns every vertex's signature over the walk classes `prev` (as
+    /// [`ViewCache::signature_append`] takes them) in vertex order,
+    /// through one reused scratch buffer: a sequential pass, since it
+    /// sweeps `n` states where a walk level sweeps `n · 2|L|`.
     // lint: hot
-    fn intern_roots(&self, prev: &[u32]) -> Partition {
+    fn intern_roots(&self, prev: Option<&[u32]>) -> Partition {
         let mut interner = KeyInterner::new();
         let mut roots = Partition::default();
         roots.class.reserve(self.stats.root_states);
@@ -679,7 +706,7 @@ impl<'g> ViewCache<'g> {
                 // re-derive the witness's child list (letter, class one
                 // walk level down), then materialise each child class
                 let mut sig = Vec::new();
-                self.signature_append(v, back, &self.walks[below].class, &mut sig);
+                self.signature_append(v, back, self.walk_classes(below), &mut sig);
                 let children = sig
                     .iter()
                     .map(|&packed| {
@@ -824,6 +851,86 @@ mod tests {
         assert!(cache.try_root_classes(2, Some(cache.entry_count())).is_ok());
         assert!(cache.try_root_classes(2, Some(1)).is_err());
         assert!(cache.try_root_classes(1, Some(1)).is_err());
+    }
+
+    /// Walk level 0 is one implicit class that stores nothing per state,
+    /// and what callers read stays what the explicit level gave. Pinned
+    /// for radii 1–3, asked in turn of one cache, on directed cycles, a
+    /// torus and a lift of the Petersen graph: the census as (tree size,
+    /// count) pairs, the entry count, the entries a cap of 1 reports as
+    /// needed, the counters, and the root classes.
+    #[test]
+    fn implicit_level_zero_keeps_what_callers_read() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let petersen = locap_graph::PoGraph::canonical(&gen::petersen()).digraph().clone();
+        let (petersen_lift, _) =
+            crate::random_lift(&petersen, 2, &mut StdRng::seed_from_u64(0x9E7E));
+        /// Per radius: census, entry count, entries needed, counters.
+        type Pinned = (Vec<(usize, usize)>, usize, usize, &'static str);
+        /// A graph, the root class of each vertex, and radii 1–3.
+        type Case = (LDigraph, fn(NodeId) -> u32, [Pinned; 3]);
+        let cases: [Case; 4] = [
+            (
+                gen::directed_cycle(5),
+                |_| 0,
+                [
+                    (vec![(3, 5)], 2, 2, "10 walk states per level, classes by level [1]; 5 roots, views by radius [r1: 1]; tree memo 1 hits / 2 misses, dedup 5.0x"),
+                    (vec![(5, 5)], 5, 4, "10 walk states per level, classes by level [1, 2]; 5 roots, views by radius [r1: 1, r2: 1]; tree memo 3 hits / 5 misses, dedup 5.0x"),
+                    (vec![(7, 5)], 8, 6, "10 walk states per level, classes by level [1, 2, 2]; 5 roots, views by radius [r1: 1, r2: 1, r3: 1]; tree memo 5 hits / 8 misses, dedup 5.0x"),
+                ],
+            ),
+            (
+                gen::directed_cycle(8),
+                |_| 0,
+                [
+                    (vec![(3, 8)], 2, 2, "16 walk states per level, classes by level [1]; 8 roots, views by radius [r1: 1]; tree memo 1 hits / 2 misses, dedup 8.0x"),
+                    (vec![(5, 8)], 5, 4, "16 walk states per level, classes by level [1, 2]; 8 roots, views by radius [r1: 1, r2: 1]; tree memo 3 hits / 5 misses, dedup 8.0x"),
+                    (vec![(7, 8)], 8, 6, "16 walk states per level, classes by level [1, 2, 2]; 8 roots, views by radius [r1: 1, r2: 1, r3: 1]; tree memo 5 hits / 8 misses, dedup 8.0x"),
+                ],
+            ),
+            (
+                toroidal(2, 4),
+                |_| 0,
+                [
+                    (vec![(5, 16)], 2, 2, "64 walk states per level, classes by level [1]; 16 roots, views by radius [r1: 1]; tree memo 3 hits / 2 misses, dedup 16.0x"),
+                    (vec![(17, 16)], 7, 6, "64 walk states per level, classes by level [1, 4]; 16 roots, views by radius [r1: 1, r2: 1]; tree memo 15 hits / 7 misses, dedup 16.0x"),
+                    (vec![(53, 16)], 12, 10, "64 walk states per level, classes by level [1, 4, 4]; 16 roots, views by radius [r1: 1, r2: 1, r3: 1]; tree memo 27 hits / 12 misses, dedup 16.0x"),
+                ],
+            ),
+            (
+                petersen_lift,
+                // views are lift-invariant: both copies of base vertex b
+                // (lift vertices b and b + 10) share its class
+                |v| (v % 10) as u32,
+                [
+                    (vec![(4, 2); 10], 11, 11, "360 walk states per level, classes by level [1]; 20 roots, views by radius [r1: 10]; tree memo 29 hits / 11 misses, dedup 2.0x"),
+                    (vec![(10, 2); 10], 55, 45, "360 walk states per level, classes by level [1, 34]; 20 roots, views by radius [r1: 10, r2: 10]; tree memo 83 hits / 45 misses, dedup 2.0x"),
+                    (vec![(22, 2); 10], 105, 85, "360 walk states per level, classes by level [1, 34, 40]; 20 roots, views by radius [r1: 10, r2: 10, r3: 10]; tree memo 143 hits / 85 misses, dedup 2.0x"),
+                ],
+            ),
+        ];
+        for (d, root_class, radii) in &cases {
+            let mut cache = ViewCache::new(d);
+            let roots: Vec<u32> = (0..d.node_count()).map(root_class).collect();
+            for (r, (census, entries, needed, stats)) in (1..).zip(radii) {
+                let got = cache.census(r);
+                assert_eq!(got, view_census_naive(d, r), "census at radius {r}");
+                let sizes: Vec<(usize, usize)> = got.iter().map(|(t, c)| (t.size(), *c)).collect();
+                assert_eq!(&sizes, census, "census at radius {r}");
+                assert_eq!(cache.root_classes(r), (&roots[..], census.len()), "radius {r}");
+                assert_eq!(cache.entry_count(), *entries, "entries at radius {r}");
+                assert_eq!(cache.stats().to_string(), *stats, "radius {r}");
+                assert_eq!(
+                    cache.try_root_classes(r, Some(1)).unwrap_err(),
+                    TruncationReason::CacheCapExceeded { cap: 1, needed: *needed },
+                    "radius {r}"
+                );
+                let fits = cache.try_root_classes(r, Some(*needed)).map(|(_, k)| k);
+                assert_eq!(fits, Ok(census.len()), "radius {r}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * OI and ID ([`run_keyed`], generic over an [`NbhdKey`]) extract each
 //!   vertex's canonical form as a packed `u64` key
 //!   ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no per-call
-//!   allocation) straight from the [`Graph`]'s flat rows and intern it
+//!   allocation) straight from the rows of any [`Adjacency`], a
+//!   [`Graph`](locap_graph::Graph)'s or an [`LDigraph`]'s, and intern it
 //!   into the run's [`KeyInterner`] — type equality is id equality, so
 //!   the hot loop never hashes an owned struct.
 //!
@@ -51,7 +52,7 @@ use locap_obs as obs;
 
 use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
-use locap_graph::{Graph, KeyInterner, LDigraph, NodeId};
+use locap_graph::{Adjacency, KeyInterner, LDigraph, NodeId};
 use locap_lifts::{ViewCache, ViewTree};
 
 use crate::error::RunError;
@@ -158,9 +159,9 @@ fn memo_broadcast<C: Classes, O, T>(
     Ok(Budgeted { value, truncation })
 }
 
-/// PO classes: the radius-`r` view classes of one class-refinement pass.
+/// PO classes: the radius-`r` view classes of one class-refinement pass,
+/// read in place from the cache that passed radius `r`.
 struct ViewClasses<'g> {
-    roots: Vec<u32>,
     cache: ViewCache<'g>,
     r: usize,
 }
@@ -169,8 +170,8 @@ impl Classes for ViewClasses<'_> {
     type Nbhd = ViewTree;
 
     fn class_of(&mut self, v: NodeId) -> usize {
-        // memo_broadcast passes v < n = roots.len()
-        self.roots.get(v).map_or(0, |&c| c as usize)
+        // radius r is passed and memo_broadcast passes v < n
+        self.cache.root_class(v, self.r).map_or(0, |c| c as usize)
     }
 
     fn nbhd(&mut self, class: usize) -> ViewTree {
@@ -197,10 +198,9 @@ pub(crate) fn run_po<O, T>(
     let mut cache = ViewCache::new(d);
     let engine = EngineObs::new("po");
     match cache.try_root_classes(r, budget.cache_cap()) {
-        Ok((roots, _)) => {
-            let n = roots.len();
-            let mut classes = ViewClasses { roots, cache, r };
-            memo_broadcast(&mut classes, n, budget, &engine, eval, value, sink)
+        Ok(_) => {
+            let mut classes = ViewClasses { cache, r };
+            memo_broadcast(&mut classes, d.node_count(), budget, &engine, eval, value, sink)
         }
         Err(t) => Ok(Budgeted { value, truncation: Some(t.publish()) }),
     }
@@ -219,7 +219,7 @@ pub(crate) trait NbhdKey {
     const INPUT: &'static str;
     /// Writes the packed key of `v`'s radius-`r` neighbourhood to `key`.
     fn key_into(
-        g: &Graph,
+        g: &impl Adjacency,
         input: &[Self::Input],
         v: NodeId,
         r: usize,
@@ -240,7 +240,7 @@ impl NbhdKey for OrderedKey {
     const INPUT: &'static str = "rank";
 
     fn key_into(
-        g: &Graph,
+        g: &impl Adjacency,
         rank: &[usize],
         v: NodeId,
         r: usize,
@@ -268,7 +268,7 @@ impl NbhdKey for IdKey {
     const INPUT: &'static str = "ids";
 
     fn key_into(
-        g: &Graph,
+        g: &impl Adjacency,
         ids: &[u64],
         v: NodeId,
         r: usize,
@@ -285,8 +285,8 @@ impl NbhdKey for IdKey {
 
 /// OI/ID classes: interned packed keys; the key buffer holds the key of
 /// the vertex just classified.
-struct KeyClasses<'g, K: NbhdKey> {
-    g: &'g Graph,
+struct KeyClasses<'g, K: NbhdKey, G> {
+    g: &'g G,
     input: &'g [K::Input],
     r: usize,
     scratch: NbhdScratch,
@@ -294,7 +294,7 @@ struct KeyClasses<'g, K: NbhdKey> {
     interner: KeyInterner,
 }
 
-impl<K: NbhdKey> Classes for KeyClasses<'_, K> {
+impl<K: NbhdKey, G: Adjacency> Classes for KeyClasses<'_, K, G> {
     type Nbhd = K::Nbhd;
 
     fn class_of(&mut self, v: NodeId) -> usize {
@@ -307,16 +307,17 @@ impl<K: NbhdKey> Classes for KeyClasses<'_, K> {
     }
 }
 
-/// Runs a radius-`r` OI or ID algorithm over `(g, input)`: each vertex's
-/// packed key is interned, so each distinct neighbourhood type is
-/// evaluated once and memo lookups are dense-id indexing.
+/// Runs a radius-`r` OI or ID algorithm over `(g, input)`, reading `g`'s
+/// rows in place: each vertex's packed key is interned, so each distinct
+/// neighbourhood type is evaluated once and memo lookups are dense-id
+/// indexing.
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] when `input` does not cover every
 /// node, and the first error `sink` reports.
-pub(crate) fn run_keyed<K: NbhdKey, O, T>(
-    g: &Graph,
+pub(crate) fn run_keyed<K: NbhdKey, G: Adjacency, O, T>(
+    g: &G,
     input: &[K::Input],
     r: usize,
     budget: &RunBudget,
@@ -326,7 +327,7 @@ pub(crate) fn run_keyed<K: NbhdKey, O, T>(
 ) -> Result<Budgeted<T>, RunError> {
     let engine = EngineObs::new(K::MODEL);
     check_input(g, input.len(), K::INPUT)?;
-    let mut classes = KeyClasses::<K> {
+    let mut classes = KeyClasses::<K, G> {
         g,
         input,
         r,

@@ -18,6 +18,10 @@
 //! Both return a typed [`RunError`] instead of panicking on malformed
 //! input (short `ids`/`rank`, wrong-length edge outputs, absent
 //! letters).
+//!
+//! The OI and ID runs take any [`Adjacency`]: a [`Graph`], or an
+//! [`LDigraph`] whose rows they read in place as its underlying simple
+//! graph, with no copy built. Their `*_naive` twins take a [`Graph`].
 
 #![deny(
     clippy::unwrap_used,
@@ -34,7 +38,7 @@ use std::collections::BTreeSet;
 
 use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{id_nbhd, ordered_nbhd};
-use locap_graph::{Edge, Graph, LDigraph, NodeId};
+use locap_graph::{Adjacency, Edge, Graph, LDigraph, NodeId};
 use locap_lifts::{view, Letter};
 use locap_obs as obs;
 
@@ -47,7 +51,11 @@ use crate::{
 
 /// Shared precondition of the runs: `what`, a per-node input of `len`
 /// entries, must cover every node.
-pub(crate) fn check_input(g: &Graph, len: usize, what: &'static str) -> Result<(), RunError> {
+pub(crate) fn check_input(
+    g: &impl Adjacency,
+    len: usize,
+    what: &'static str,
+) -> Result<(), RunError> {
     if len != g.node_count() {
         return Err(
             RunError::InputLengthMismatch { what, expected: g.node_count(), actual: len }.publish()
@@ -64,31 +72,34 @@ fn push_bit(bits: &mut Vec<bool>, _: NodeId, &bit: &bool) -> Result<(), RunError
 }
 
 /// Adds to `out` the edges that `bits` selects at `v`: bit `i` selects
-/// `v`'s neighbour with the `i`-th smallest `input` value (a stable sort,
-/// so equal values keep node order). `by_input` is reused scratch.
+/// `v`'s distinct neighbour with the `i`-th smallest `input` value (node
+/// order first, then a stable sort, so equal values keep node order).
+/// `by_input` is reused scratch.
 ///
 /// # Errors
 ///
 /// [`RunError::OutputLengthMismatch`] when `bits` does not hold one
-/// entry per neighbour.
+/// entry per distinct neighbour.
 fn select_neighbours<T: Copy + Ord>(
-    g: &Graph,
+    g: &impl Adjacency,
     v: NodeId,
     bits: &[bool],
     input: &[T],
     by_input: &mut Vec<NodeId>,
     out: &mut BTreeSet<Edge>,
 ) -> Result<(), RunError> {
-    if bits.len() != g.degree(v) {
+    by_input.clear();
+    g.for_each_neighbor(v, |u| by_input.push(u));
+    by_input.sort_unstable();
+    by_input.dedup();
+    if bits.len() != by_input.len() {
         return Err(RunError::OutputLengthMismatch {
             node: v,
-            expected: g.degree(v),
+            expected: by_input.len(),
             actual: bits.len(),
         }
         .publish());
     }
-    by_input.clear();
-    by_input.extend_from_slice(g.neighbors(v));
     // `input` covers every node, so every key is `Some`
     by_input.sort_by_key(|&u| input.get(u).copied());
     for (&u, _) in by_input.iter().zip(bits).filter(|(_, &bit)| bit) {
@@ -139,14 +150,14 @@ fn select_letters(
 ///
 /// [`RunError::InputLengthMismatch`] when `ids` does not cover every node.
 pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
-    g: &Graph,
+    g: &impl Adjacency,
     ids: &[u64],
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span("run/id_vertex");
     let bits = Vec::with_capacity(g.node_count());
-    engine::run_keyed::<IdKey, _, _>(
+    engine::run_keyed::<IdKey, _, _, _>(
         g,
         ids,
         algo.radius(),
@@ -183,14 +194,14 @@ pub fn id_vertex_naive<A: IdVertexAlgorithm>(
 /// [`RunError::InputLengthMismatch`] when `rank` does not cover every
 /// node.
 pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
-    g: &Graph,
+    g: &impl Adjacency,
     rank: &[usize],
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span("run/oi_vertex");
     let bits = Vec::with_capacity(g.node_count());
-    engine::run_keyed::<OrderedKey, _, _>(
+    engine::run_keyed::<OrderedKey, _, _, _>(
         g,
         rank,
         algo.radius(),
@@ -273,8 +284,8 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
 
 /// Runs an ID edge algorithm; assembles the union edge set.
 ///
-/// The algorithm's output for node `v` must have length `deg(v)` and is
-/// indexed by `v`'s neighbours in increasing identifier order. Each
+/// The algorithm's output for node `v` must have one entry per distinct
+/// neighbour of `v`, in increasing identifier order. Each
 /// distinct neighbourhood is evaluated once. On truncation the value
 /// holds the edges selected by the vertices processed before the budget
 /// tripped. [`id_edge_naive`] is the reference path.
@@ -285,7 +296,7 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
 pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
-    g: &Graph,
+    g: &impl Adjacency,
     ids: &[u64],
     algo: &A,
     budget: &RunBudget,
@@ -294,7 +305,7 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     let mut by_id = Vec::new();
     let sink =
         |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, ids, &mut by_id, out);
-    engine::run_keyed::<IdKey, _, _>(
+    engine::run_keyed::<IdKey, _, _, _>(
         g,
         ids,
         algo.radius(),
@@ -326,7 +337,7 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
 }
 
 /// Runs an OI edge algorithm; assembles the union edge set. Output bits are
-/// indexed by neighbours in increasing rank order. Each distinct ordered
+/// indexed by distinct neighbours in increasing rank order. Each distinct ordered
 /// type is evaluated once. On truncation the value holds the edges
 /// selected by the vertices processed before the budget tripped.
 /// [`oi_edge_naive`] is the reference path.
@@ -337,7 +348,7 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
 pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
-    g: &Graph,
+    g: &impl Adjacency,
     rank: &[usize],
     algo: &A,
     budget: &RunBudget,
@@ -346,7 +357,7 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     let mut by_rank = Vec::new();
     let sink =
         |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, rank, &mut by_rank, out);
-    engine::run_keyed::<OrderedKey, _, _>(
+    engine::run_keyed::<OrderedKey, _, _, _>(
         g,
         rank,
         algo.radius(),

@@ -43,6 +43,11 @@ step "cargo test -q (debug)" cargo test -q --workspace
 # guarantees must not depend on debug-only checks
 step "failure injection (release)" \
     cargo test -q --release -p locap-core --test failure_injection
+# the engine differential suite re-runs in release, where its
+# homogeneous-lift case reads the rows of a 51,840-node lift (C9 at
+# m = 6, 1,944 nodes, in the debug pass above)
+step "engine differential (release)" \
+    cargo test -q --release -p locap-core --test engine_differential
 # serving-layer suites re-run in release: the protocol conformance,
 # wire fuzzing, CLI goldens, daemon fault injection, and the
 # concurrent load test (lost/duplicated responses would be a

@@ -7,22 +7,26 @@
 //! — same trees, same censuses including sort order, same output bits,
 //! same edge sets. This file drives both paths over five graph families
 //! (cycles, Petersen, random regular graphs, random lifts, homogeneous
-//! constructions — plus the label-complete EDS instances for good
+//! constructions and a homogeneous lift whose rows the OI and ID runs
+//! read in place — plus the label-complete EDS instances for good
 //! measure) with fixed seeds, and adds proptest generators on top.
+
+use std::collections::{BTreeSet, HashSet};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use locap_core::eds_lower::eds_instance;
 use locap_core::hom_lift::homogeneous_lift_budgeted;
 use locap_core::homogeneous::construct_budgeted;
-use locap_graph::budget::RunBudget;
+use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{
-    ordered_ltype_census, ordered_ltype_census_naive, ordered_type_census,
+    self, ordered_ltype_census, ordered_ltype_census_naive, ordered_type_census,
     ordered_type_census_naive, IdNbhd, OrderedNbhd,
 };
-use locap_graph::{gen, random, Graph, LDigraph, PoGraph};
+use locap_graph::{gen, random, Edge, Graph, LDigraph, NodeId, PoGraph};
 use locap_lifts::{random_lift, view, view_census, view_census_naive, Letter, ViewCache, ViewTree};
 use locap_models::run;
 use locap_models::{
@@ -240,6 +244,114 @@ fn family_homogeneous() {
     }
 }
 
+// ------------------------------ family 5b: homogeneous lifts, read in place
+
+/// The index of the first vertex whose neighbourhood class is the
+/// `cap + 1`-th distinct one, where a run under cache cap `cap` stops
+/// (`n` when there are at most `cap` classes).
+fn capped_prefix<T: Eq + std::hash::Hash>(
+    n: usize,
+    cap: usize,
+    class: impl Fn(NodeId) -> T,
+) -> usize {
+    let mut seen = HashSet::new();
+    (0..n).find(|&v| seen.insert(class(v)) && seen.len() > cap).unwrap_or(n)
+}
+
+/// The edges the first `prefix` vertices of `g` select, as the naive
+/// edge runs assemble them: bit `i` of `bits(v)` selects `v`'s neighbour
+/// with the `i`-th smallest `key`.
+fn selected_edges<K: Ord + Copy>(
+    g: &Graph,
+    key: &[K],
+    prefix: usize,
+    bits: impl Fn(NodeId) -> Vec<bool>,
+) -> BTreeSet<Edge> {
+    let mut out = BTreeSet::new();
+    for v in 0..prefix {
+        let mut by_key = g.neighbors(v).to_vec();
+        by_key.sort_by_key(|&u| key[u]);
+        out.extend(
+            by_key
+                .iter()
+                .zip(bits(v))
+                .filter(|(_, bit)| *bit)
+                .map(|(&u, _)| Edge::new(v, u)),
+        );
+    }
+    out
+}
+
+/// Asserts that a capped run stopped on its cache cap when `prefix` is
+/// short of `n`, and completed otherwise.
+fn assert_stops_at<T>(run: &Budgeted<T>, n: usize, prefix: usize, what: &str) {
+    match &run.truncation {
+        None => assert_eq!(prefix, n, "{what}: the run completed"),
+        Some(reason) => {
+            assert!(prefix < n, "{what}: the run stopped");
+            assert_eq!(reason.kind(), "cache_cap", "{what}");
+        }
+    }
+}
+
+/// The OI and ID runs read a homogeneous lift's rows in place, with no
+/// graph of the lift built: on `&lift.lift` they equal the naive runs on
+/// its underlying simple graph, complete and as the prefixes that cache
+/// caps 1 and 2 leave. C9 at m = 6 (1,944 nodes) in debug builds, C30 at
+/// m = 12 (51,840 nodes) in release.
+#[test]
+fn family_homogeneous_lift_rows() {
+    let (cycle, m) = if cfg!(debug_assertions) { (9, 6) } else { (30, 12) };
+    let unlimited = RunBudget::unlimited();
+    let h = construct_budgeted(1, 1, m, &unlimited).expect("constructible parameters");
+    let lift = homogeneous_lift_budgeted(&gen::directed_cycle(cycle), &h, &unlimited)
+        .expect("cycles lift");
+    let (d, rank) = (&lift.lift, &lift.rank[..]);
+    let n = d.node_count();
+    assert_eq!(n, cycle * (m * m * m) as usize);
+    let und = d.underlying_simple();
+    let ids = random::random_ids(n, 1 << 40, &mut StdRng::seed_from_u64(0x11F7));
+    for r in 1..=2 {
+        let (a, e, ia, ie) = (LocalMin(r), FirstEdge(r), LocalMaxId(r), ParityEdges(r));
+        let oi_bits = run::oi_vertex_naive(&und, rank, &a).expect("rank covers the lift");
+        let id_bits = run::id_vertex_naive(&und, &ids, &ia).expect("ids cover the lift");
+        let ordered = |v| canon::ordered_nbhd(&und, rank, v, r);
+        let identified = |v| canon::id_nbhd(&und, &ids, v, r);
+        assert_eq!(run::oi_vertex_budgeted(d, rank, &a, &unlimited).unwrap().value, oi_bits);
+        assert_eq!(
+            run::oi_edge_budgeted(d, rank, &e, &unlimited).map(|b| b.value),
+            run::oi_edge_naive(&und, rank, &e),
+            "oi_edge at radius {r}"
+        );
+        assert_eq!(run::id_vertex_budgeted(d, &ids, &ia, &unlimited).unwrap().value, id_bits);
+        assert_eq!(
+            run::id_edge_budgeted(d, &ids, &ie, &unlimited).map(|b| b.value),
+            run::id_edge_naive(&und, &ids, &ie),
+            "id_edge at radius {r}"
+        );
+        for cap in [1, 2] {
+            let budget = RunBudget::unlimited().with_cache_cap(cap);
+            let what = |run: &str| format!("{run} at radius {r}, cap {cap}");
+            let p = capped_prefix(n, cap, ordered);
+            let run = run::oi_vertex_budgeted(d, rank, &a, &budget).unwrap();
+            assert_stops_at(&run, n, p, &what("oi_vertex"));
+            assert_eq!(run.value, oi_bits[..p], "{}", what("oi_vertex"));
+            let run = run::oi_edge_budgeted(d, rank, &e, &budget).unwrap();
+            assert_stops_at(&run, n, p, &what("oi_edge"));
+            let want = selected_edges(&und, rank, p, |v| e.evaluate(&ordered(v)));
+            assert_eq!(run.value, want, "{}", what("oi_edge"));
+            let p = capped_prefix(n, cap, identified);
+            let run = run::id_vertex_budgeted(d, &ids, &ia, &budget).unwrap();
+            assert_stops_at(&run, n, p, &what("id_vertex"));
+            assert_eq!(run.value, id_bits[..p], "{}", what("id_vertex"));
+            let run = run::id_edge_budgeted(d, &ids, &ie, &budget).unwrap();
+            assert_stops_at(&run, n, p, &what("id_edge"));
+            let want = selected_edges(&und, &ids, p, |v| ie.evaluate(&identified(v)));
+            assert_eq!(run.value, want, "{}", what("id_edge"));
+        }
+    }
+}
+
 // ------------------------- family 6 (bonus): label-complete instances
 
 #[test]
@@ -260,7 +372,7 @@ fn census_class_count_matches_cache() {
     let mut cache = ViewCache::new(d);
     for r in 0..=3 {
         let (classes, _) = cache.root_classes(r);
-        let mut distinct: Vec<u32> = classes.clone();
+        let mut distinct: Vec<u32> = classes.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), view_census_naive(d, r).len(), "radius {r}");
@@ -335,8 +447,59 @@ fn arb_lift() -> impl Strategy<Value = LDigraph> {
     })
 }
 
+/// Random L-digraphs: each label a random permutation of the nodes, with
+/// its fixed points and about a quarter of its edges left out. At small
+/// `n`, antiparallel pairs and parallel edges of distinct labels, which
+/// name a neighbour twice in a node's rows, are common.
+fn arb_ldigraph() -> impl Strategy<Value = LDigraph> {
+    (3usize..9, 1usize..4, any::<u64>()).prop_map(|(n, labels, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut d = LDigraph::new(n, labels);
+        let mut perm: Vec<NodeId> = (0..n).collect();
+        for label in 0..labels {
+            perm.shuffle(&mut rng);
+            for (v, &u) in perm.iter().enumerate() {
+                if v != u && rand::Rng::gen_range(&mut rng, 0..4) != 0 {
+                    d.add_edge(v, u, label).expect("a permutation labels properly");
+                }
+            }
+        }
+        d
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The OI and ID runs on an L-digraph's rows, repeats included,
+    /// match the naive runs on its underlying simple graph: the edge runs
+    /// give each distinct neighbour one output bit.
+    #[test]
+    fn prop_oi_id_runs_read_ldigraph_rows(d in arb_ldigraph(), seed in any::<u64>()) {
+        let und = d.underlying_simple();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rank = random::random_rank(d.node_count(), &mut rng);
+        let ids = random::random_ids(d.node_count(), 1 << 16, &mut rng);
+        let unlimited = RunBudget::unlimited();
+        for r in 1..=2 {
+            prop_assert_eq!(
+                run::oi_vertex_budgeted(&d, &rank, &LocalMin(r), &unlimited).map(|b| b.value),
+                run::oi_vertex_naive(&und, &rank, &LocalMin(r))
+            );
+            prop_assert_eq!(
+                run::oi_edge_budgeted(&d, &rank, &FirstEdge(r), &unlimited).map(|b| b.value),
+                run::oi_edge_naive(&und, &rank, &FirstEdge(r))
+            );
+            prop_assert_eq!(
+                run::id_vertex_budgeted(&d, &ids, &LocalMaxId(r), &unlimited).map(|b| b.value),
+                run::id_vertex_naive(&und, &ids, &LocalMaxId(r))
+            );
+            prop_assert_eq!(
+                run::id_edge_budgeted(&d, &ids, &ParityEdges(r), &unlimited).map(|b| b.value),
+                run::id_edge_naive(&und, &ids, &ParityEdges(r))
+            );
+        }
+    }
 
     /// Arbitrary graphs: all three model engines match their oracles.
     #[test]

@@ -436,20 +436,20 @@ mod budget_truncation {
             clock.reads()
         };
         // the deadline reaches the lift, the first stage, at its first
-        // check right after the product; a deadline that the lift's last
-        // read meets trips at the next stage, the underlying graph that
-        // A's run is given; the cache cap, which neither checks, stops A's
-        // run
+        // check right after the product; nothing is built between the lift
+        // and A's run, so a deadline that the lift's last read meets trips
+        // at A's first read; the cache cap, which the lift does not check,
+        // stops A's run too, for a different reason
         let after_the_lift = || {
             let limit = Duration::from_nanos(lift_reads - 1);
             RunBudget::unlimited().with_deadline(limit, Arc::new(TickClock::default()))
         };
-        let budgets: [(&dyn Fn() -> RunBudget, &str); 3] = [
-            (&expired_deadline, "lift product"),
-            (&after_the_lift, "lift underlying graph"),
-            (&|| RunBudget::unlimited().with_cache_cap(1), "A on lift"),
+        let budgets: [(&dyn Fn() -> RunBudget, &str, &str); 3] = [
+            (&expired_deadline, "lift product", "deadline"),
+            (&after_the_lift, "A on lift", "deadline"),
+            (&|| RunBudget::unlimited().with_cache_cap(1), "A on lift", "cache_cap"),
         ];
-        for (budget, stage) in budgets {
+        for (budget, stage, kind) in budgets {
             let res = transfer_vertex_budgeted(
                 &g,
                 &h,
@@ -460,8 +460,9 @@ mod budget_truncation {
                 &budget(),
             );
             assert!(
-                matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
-                "vertex transfer: expected {stage}"
+                matches!(&res, Err(CoreError::Truncated { stage: s, reason })
+                    if *s == stage && reason.kind() == kind),
+                "vertex transfer: expected {stage} ({kind})"
             );
             let res = transfer_edge_budgeted(
                 &g,
@@ -473,8 +474,9 @@ mod budget_truncation {
                 &budget(),
             );
             assert!(
-                matches!(res, Err(CoreError::Truncated { stage: s, .. }) if s == stage),
-                "edge transfer: expected {stage}"
+                matches!(&res, Err(CoreError::Truncated { stage: s, reason })
+                    if *s == stage && reason.kind() == kind),
+                "edge transfer: expected {stage} ({kind})"
             );
         }
     }
