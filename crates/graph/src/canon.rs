@@ -37,6 +37,7 @@
 //!   labelled edge, `(from << 32) | to` followed by `label`, ascending.
 
 use crate::{par, Adjacency, Graph, KeyInterner, LDigraph, NodeId};
+use locap_lint::hot;
 use locap_obs as obs;
 
 /// A node→position index over a ball: pairs `(node, position)` sorted by
@@ -315,7 +316,7 @@ impl NbhdScratch {
     /// stamps in O(1)) and runs a truncated BFS from `v` in `g`, whose
     /// repeated neighbours the stamps absorb. Leaves `self.ball` holding
     /// the ball sorted by node id.
-    // lint: hot
+    #[hot]
     fn fill_ball(&mut self, g: &impl Adjacency, v: NodeId, r: usize) {
         let n = g.node_count();
         if self.stamp.len() < n {
@@ -354,7 +355,7 @@ impl NbhdScratch {
     }
 
     /// Records the final sorted order into the position map.
-    // lint: hot
+    #[hot]
     fn index_ball(&mut self) {
         for (i, &u) in self.ball.iter().enumerate() {
             self.pos[u] = i as u32;
@@ -368,7 +369,7 @@ impl NbhdScratch {
 ///
 /// `g` is a [`Graph`] or an [`LDigraph`], read in place: on an
 /// L-digraph the key is that of its underlying simple graph.
-// lint: hot
+#[hot]
 pub fn ordered_key_into(
     g: &impl Adjacency,
     rank: &[usize],
@@ -392,7 +393,7 @@ pub fn ordered_key_into(
 /// # Panics
 ///
 /// Panics (in debug builds) if identifiers in the ball are not distinct.
-// lint: hot
+#[hot]
 pub fn id_key_into(
     g: &impl Adjacency,
     ids: &[u64],
@@ -418,7 +419,7 @@ pub fn id_key_into(
 /// Appends the induced undirected edges of the current ball as packed
 /// `(i << 32) | j` words, sorted and distinct; `base` is where the edge
 /// section of `key` starts.
-// lint: hot
+#[hot]
 fn push_undirected_edges(
     g: &impl Adjacency,
     scratch: &NbhdScratch,
@@ -454,7 +455,7 @@ fn push_undirected_edges(
 /// `key`, with the ball taken in `d`'s underlying undirected graph read
 /// from `d`'s own rows. `OrderedLNbhd::from_key(key)` recovers the
 /// struct.
-// lint: hot
+#[hot]
 pub fn ordered_lkey_into(
     d: &LDigraph,
     rank: &[usize],

@@ -1,3 +1,5 @@
+use locap_lint::hot;
+
 use crate::{Group, GroupError};
 
 /// The iterated semidirect-product families of paper §5:
@@ -274,7 +276,7 @@ impl IterGroup {
 /// Appends the order key of `a ∈ Z_m^{|a|}` to `idx` as base-`m` digits:
 /// `c`, then the half that `c`'s parity compares first, then the other
 /// (see [`IterGroup::order_index`]).
-// lint: hot
+#[hot]
 fn order_digits(a: &[i64], m: i64, idx: &mut usize) {
     let Some((&c, xy)) = a.split_last() else { return };
     assert!((0..m).contains(&c), "coordinate {c} out of range");

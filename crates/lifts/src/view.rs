@@ -21,6 +21,7 @@ use std::fmt;
 
 use locap_graph::budget::TruncationReason;
 use locap_graph::{par, KeyInterner, LDigraph, NodeId};
+use locap_lint::hot;
 use locap_obs as obs;
 use locap_obs::json::Json;
 use locap_store::{Lookup, StoreHandle, StoreKey};
@@ -336,8 +337,12 @@ pub struct ViewCache<'g> {
     walks: Vec<Partition>,
     /// `roots[r]` = the vertices' classes at radius `r`, once passed.
     roots: Vec<Option<Partition>>,
-    stats: ViewCacheStats,
-    /// Registry handles mirroring `stats` (hoisted: one lookup per cache).
+    /// Subtree materialisations answered from the memo.
+    tree_hits: u64,
+    /// Subtrees built, once per distinct class.
+    tree_misses: u64,
+    /// Registry handles for the two tallies and the states swept
+    /// (hoisted: one lookup per cache).
     obs_tree_hits: obs::Counter,
     obs_tree_misses: obs::Counter,
     obs_states: obs::Counter,
@@ -362,18 +367,13 @@ const VIEW_CACHE_STATES: &str = "view_cache/states";
 impl<'g> ViewCache<'g> {
     /// Creates an empty cache for `d`; levels are built on demand.
     pub fn new(d: &'g LDigraph) -> ViewCache<'g> {
-        let width = 2 * d.alphabet_size();
-        let stats = ViewCacheStats {
-            states: d.node_count() * width,
-            root_states: d.node_count(),
-            ..ViewCacheStats::default()
-        };
         ViewCache {
             d,
-            width,
+            width: 2 * d.alphabet_size(),
             walks: Vec::new(),
             roots: Vec::new(),
-            stats,
+            tree_hits: 0,
+            tree_misses: 0,
             obs_tree_hits: obs::counter(VIEW_CACHE_TREE_HITS),
             obs_tree_misses: obs::counter(VIEW_CACHE_TREE_MISSES),
             obs_states: obs::counter(VIEW_CACHE_STATES),
@@ -385,9 +385,26 @@ impl<'g> ViewCache<'g> {
         self.d
     }
 
-    /// Effectiveness counters.
-    pub fn stats(&self) -> &ViewCacheStats {
-        &self.stats
+    /// Effectiveness counters, read off the partitions built so far.
+    pub fn stats(&self) -> ViewCacheStats {
+        ViewCacheStats {
+            states: self.states(),
+            classes: self.walks.iter().map(|level| level.reps.len()).collect(),
+            root_states: self.d.node_count(),
+            root_classes: self.roots.iter().map(|r| Some(r.as_ref()?.reps.len())).collect(),
+            tree_hits: self.tree_hits,
+            tree_misses: self.tree_misses,
+        }
+    }
+
+    /// Walk states per level, `n · 2|L|`.
+    fn states(&self) -> usize {
+        self.d.node_count() * self.width
+    }
+
+    /// The number of root classes at radius `r`, once passed.
+    fn root_count(&self, r: usize) -> Option<usize> {
+        Some(self.roots.get(r)?.as_ref()?.reps.len())
     }
 
     /// The class of the radius-`r` view of `v`, read in place: two
@@ -448,8 +465,7 @@ impl<'g> ViewCache<'g> {
     /// Cache entries currently held: walk classes summed over the built
     /// levels plus root classes summed over the radii passed.
     pub fn entry_count(&self) -> usize {
-        self.stats.classes.iter().sum::<usize>()
-            + self.stats.root_classes.iter().flatten().sum::<usize>()
+        self.walks.iter().chain(self.roots.iter().flatten()).map(|p| p.reps.len()).sum()
     }
 
     /// Cap-aware [`ViewCache::root_classes`]: fails with
@@ -518,17 +534,17 @@ impl<'g> ViewCache<'g> {
     /// making the outcome independent of what other radii a previous
     /// uncapped call may have built.
     fn try_ensure(&mut self, r: usize, cap: Option<usize>) -> Result<(), TruncationReason> {
-        let roots = |stats: &ViewCacheStats| stats.root_classes.get(r).copied().flatten();
-        let _span = roots(&self.stats).is_none().then(|| obs::span("view_cache/refine"));
+        let _span = self.root_count(r).is_none().then(|| obs::span("view_cache/refine"));
         loop {
-            let walks = self.stats.classes.iter().take(r).sum::<usize>();
-            let needed = walks + roots(&self.stats).unwrap_or(0);
+            let walks = self.walks.iter().take(r).map(|level| level.reps.len()).sum::<usize>();
+            let roots = self.root_count(r);
+            let needed = walks + roots.unwrap_or(0);
             if let Some(cap) = cap.filter(|&cap| needed > cap) {
                 return Err(TruncationReason::CacheCapExceeded { cap, needed });
             }
             if self.walks.len() < r {
                 self.refine_walks();
-            } else if roots(&self.stats).is_none() {
+            } else if roots.is_none() {
                 self.pass_roots(r);
             } else {
                 return Ok(());
@@ -556,7 +572,7 @@ impl<'g> ViewCache<'g> {
     /// loop emits codes in increasing order, so no sort is needed, and
     /// appending lets the refinement sweep pack all signatures of a level
     /// into one flat buffer with no per-state allocation.
-    // lint: hot
+    #[hot]
     fn signature_append(&self, v: usize, back: usize, prev: Option<&[u32]>, out: &mut Vec<u64>) {
         for label in 0..self.d.alphabet_size() {
             for (enc, u) in
@@ -589,12 +605,12 @@ impl<'g> ViewCache<'g> {
         // view collection
         let _round_span = obs::span("round");
         let level = if depth == 0 {
-            Partition::one_class(self.stats.states)
+            Partition::one_class(self.states())
         } else {
             // dense ids in first-seen state order
             let mut interner = KeyInterner::new();
             let mut level = Partition::default();
-            level.class.reserve(self.stats.states);
+            level.class.reserve(self.states());
             for (flat, lens) in self.walk_signatures(depth) {
                 let mut lo = 0usize;
                 for len in lens {
@@ -606,22 +622,22 @@ impl<'g> ViewCache<'g> {
             interner.publish_obs();
             level
         };
-        let k = level.reps.len();
         self.walks.push(level);
-        self.stats.classes.push(k);
-        self.obs_states.add(self.stats.states as u64);
+        self.obs_states.add(self.states() as u64);
     }
 
     /// One refinement sweep: the signatures of all walk states at
     /// `depth`, as one `(flat, lens)` pair per [`par::map_chunks`] chunk
     /// in state order (`lens[i]` words of `flat` belong to the chunk's
     /// `i`-th state).
-    // lint: hot
+    #[hot]
     fn walk_signatures(&self, depth: usize) -> Vec<(Vec<u64>, Vec<u32>)> {
         let prev = self.walk_classes(depth - 1);
-        par::map_chunks(self.stats.states, PARALLEL_MIN_STATES, |states| {
-            let mut flat = Vec::new(); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
-            let mut lens = Vec::with_capacity(states.len()); // lint: hot-allow(per-chunk output buffer, one per chunk per refinement round)
+        par::map_chunks(self.states(), PARALLEL_MIN_STATES, |states| {
+            #[hot_allow("per-chunk output buffer, one per chunk per refinement round")]
+            let mut flat = Vec::new();
+            #[hot_allow("per-chunk output buffer, one per chunk per refinement round")]
+            let mut lens = Vec::with_capacity(states.len());
             for s in states {
                 let before = flat.len();
                 let (v, code) = (s / self.width, s % self.width);
@@ -637,35 +653,31 @@ impl<'g> ViewCache<'g> {
     /// signature over walk level `r − 1`.
     fn pass_roots(&mut self, r: usize) {
         let _round_span = obs::span("round");
+        let n = self.d.node_count();
         let roots = match r.checked_sub(1) {
-            None => {
-                let n = self.stats.root_states;
-                Partition { class: vec![0; n], ..Partition::one_class(n) }
-            }
+            None => Partition { class: vec![0; n], ..Partition::one_class(n) },
             Some(below) => self.intern_roots(self.walk_classes(below)),
         };
-        let k = roots.reps.len();
         if self.roots.len() <= r {
             self.roots.resize(r + 1, None);
-            self.stats.root_classes.resize(r + 1, None);
         }
         self.roots[r] = Some(roots);
-        self.stats.root_classes[r] = Some(k);
-        self.obs_states.add(self.stats.root_states as u64);
+        self.obs_states.add(n as u64);
     }
 
     /// Interns every vertex's signature over the walk classes `prev` (as
     /// [`ViewCache::signature_append`] takes them) in vertex order,
     /// through one reused scratch buffer: a sequential pass, since it
     /// sweeps `n` states where a walk level sweeps `n · 2|L|`.
-    // lint: hot
+    #[hot]
     fn intern_roots(&self, prev: Option<&[u32]>) -> Partition {
+        let n = self.d.node_count();
         let mut interner = KeyInterner::new();
         let mut roots = Partition::default();
-        roots.class.reserve(self.stats.root_states);
+        roots.class.reserve(n);
         let mut sig = Vec::new();
-        // lint: hot-setup-end
-        for v in 0..self.stats.root_states {
+        hot_setup_end!();
+        for v in 0..n {
             sig.clear();
             self.signature_append(v, ROOT, prev, &mut sig);
             roots.push(&mut interner, &sig);
@@ -689,11 +701,11 @@ impl<'g> ViewCache<'g> {
     fn materialize(&mut self, level: Level, class: u32) -> ViewNode {
         let (Level::Walk(depth) | Level::Root(depth)) = level;
         if let Some(t) = self.partition(level).trees[class as usize].clone() {
-            self.stats.tree_hits += 1;
+            self.tree_hits += 1;
             self.obs_tree_hits.inc();
             return t;
         }
-        self.stats.tree_misses += 1;
+        self.tree_misses += 1;
         self.obs_tree_misses.inc();
         let node = match depth.checked_sub(1) {
             None => ViewNode::leaf(),

@@ -1,121 +1,53 @@
-//! Fixture tests for the rule engine: known-bad snippets that must
-//! trigger L8, clean counterparts for its setup prefix and escape hatch,
-//! and the lock-down assertions on the real workspace — it must lint
-//! clean, `clippy.toml` must keep its clock and poison
-//! `disallowed-methods` list, and every panic-scope root must deny the
+//! Lock-down assertions on the real workspace: every fn of the hot set
+//! carries `#[hot]`, `clippy.toml` keeps its clock and poison
+//! `disallowed-methods` list, and every panic-scope root denies the
 //! clippy restriction lints.
 
 use std::path::Path;
 
-use locap_lint::analyze_files;
+/// The hot set, by file: the fns whose loops must not allocate.
+const HOT_FNS: [(&str, &[&str]); 4] = [
+    (
+        "crates/graph/src/canon.rs",
+        &[
+            "fill_ball",
+            "index_ball",
+            "ordered_key_into",
+            "id_key_into",
+            "push_undirected_edges",
+            "ordered_lkey_into",
+        ],
+    ),
+    ("crates/models/src/engine.rs", &["memo_broadcast"]),
+    ("crates/lifts/src/view.rs", &["signature_append", "walk_signatures", "intern_roots"]),
+    ("crates/groups/src/iter.rs", &["order_digits"]),
+];
 
-/// Runs the analyzer over one in-memory file.
-fn lint_one(path: &str, src: &str) -> Vec<locap_lint::Diagnostic> {
-    analyze_files(&[(path.to_string(), src.to_string())])
-}
-
-/// Asserts every diagnostic of `diags` is from `rule` and there is at
-/// least one — the fixture must trigger exactly the rule it targets.
-fn assert_only(rule: &str, diags: &[locap_lint::Diagnostic]) {
-    assert!(!diags.is_empty(), "fixture for {rule} triggered nothing");
-    for d in diags {
-        assert_eq!(d.rule, rule, "fixture for {rule} also triggered: {}", d.render());
-    }
-}
-
+/// Every fn of the hot set carries `#[hot]` among the attribute and
+/// comment lines directly above it. The attribute fails the build at an
+/// allocation, but nothing else would notice the attribute itself going.
 #[test]
-fn l8_fires_past_the_setup_prefix_and_honors_hot_allow() {
-    let bad = r#"
-// lint: hot
-fn step(n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    // lint: hot-setup-end
-    let label = format!("n={n}");
-    out.push(label.len() as u8);
-    out
-}
-"#;
-    let diags = lint_one("crates/graph/src/fixture.rs", bad);
-    assert_only("L8", &diags);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert!(diags[0].message.contains("format!"), "{}", diags[0].message);
-
-    // allocations in the setup prefix are the sanctioned shape, the
-    // justified escape hatch silences one line, and un-annotated fns
-    // are out of scope entirely
-    let clean = r#"
-// lint: hot
-fn step(n: usize, scratch: &mut Vec<u8>) {
-    let mut tmp = Vec::with_capacity(n);
-    // lint: hot-setup-end
-    scratch.extend_from_slice(&tmp);
-    let label = format!("n={n}"); // lint: hot-allow(cold error path, taken once per run)
-    scratch.push(label.len() as u8);
-}
-fn cold(n: usize) -> String {
-    format!("n={n}")
-}
-"#;
-    assert!(lint_one("crates/graph/src/fixture.rs", clean).is_empty());
-
-    // an empty hot-allow reason is its own violation
-    let empty = r#"
-// lint: hot
-fn step(n: usize) -> u8 {
-    // lint: hot-setup-end
-    let label = format!("n={n}"); // lint: hot-allow()
-    label.len() as u8
-}
-"#;
-    let diags = lint_one("crates/graph/src/fixture.rs", empty);
-    assert_only("L8", &diags);
-    assert!(diags[0].message.contains("without a reason"), "{}", diags[0].message);
-
-    // an attribute next to the marker, above or below it, keeps the fn hot
-    let attr = "#[expect(clippy::indexing_slicing, reason = \"r\")]\n";
-    for (above, below) in [("", attr), (attr, "")] {
-        let src = format!(
-            r#"/// Doc.
-{above}// lint: hot
-{below}fn step(xs: &[u8], n: usize) -> u8 {{
-    let x = xs[0];
-    // lint: hot-setup-end
-    let label = format!("n={{n}}");
-    x + label.len() as u8
-}}
-"#
-        );
-        let diags = lint_one("crates/graph/src/fixture.rs", &src);
-        assert_only("L8", &diags);
-        assert_eq!(diags.len(), 1, "{src}\n{diags:#?}");
-        assert!(diags[0].message.contains("format!"), "{}", diags[0].message);
-    }
-
-    // a marker that annotates no fn is reported, not silently dropped
-    let stray = "// lint: hot\n\nfn step(n: usize) -> String {\n    format!(\"n={n}\")\n}\n";
-    let diags = lint_one("crates/graph/src/fixture.rs", stray);
-    assert_only("L8", &diags);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert!(diags[0].message.contains("annotates no fn"), "{}", diags[0].message);
-}
-
-/// The engine loop every run goes through is under L8: an allocation
-/// added past its setup prefix fails the check.
-#[test]
-fn l8_covers_the_engine_memo_broadcast_loop() {
+fn every_hot_fn_carries_the_attribute() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = "crates/models/src/engine.rs";
-    let text = std::fs::read_to_string(root.join(path)).expect("engine source exists");
-    let l8 = |src: &str| -> Vec<locap_lint::Diagnostic> {
-        lint_one(path, src).into_iter().filter(|d| d.rule == "L8").collect()
-    };
-    assert!(l8(&text).is_empty(), "{:#?}", l8(&text));
-    let marker = "    // lint: hot-setup-end\n";
-    let at = text.find(marker).expect("memo_broadcast has a setup prefix") + marker.len();
-    let probed = format!("{}    let _probe: Vec<u8> = Vec::new();\n{}", &text[..at], &text[at..]);
-    let diags = l8(&probed);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert!(diags[0].message.contains("`memo_broadcast`"), "{}", diags[0].message);
+    for (file, fns) in HOT_FNS {
+        let text = std::fs::read_to_string(root.join(file)).expect("hot fn source exists");
+        let lines: Vec<&str> = text.lines().collect();
+        for name in fns {
+            let declares =
+                |l: &&str| l.contains(&format!("fn {name}(")) || l.contains(&format!("fn {name}<"));
+            let at = lines
+                .iter()
+                .position(declares)
+                .unwrap_or_else(|| panic!("{file} has no fn {name}"));
+            let hot = lines[..at]
+                .iter()
+                .rev()
+                .map(|l| l.trim())
+                .take_while(|l| l.starts_with("#[") || l.starts_with("//"))
+                .any(|l| l == "#[hot]");
+            assert!(hot, "{file}: fn {name} is not #[hot]");
+        }
+    }
 }
 
 /// The clock and poison contracts: every path clippy must refuse
@@ -128,16 +60,11 @@ const DISALLOWED_METHODS: [&str; 5] = [
     "std::sync::RwLock::write",
 ];
 
-/// The real workspace passes L8, and `clippy.toml` still lists every
-/// disallowed method with a reason — without this, only the clippy step
-/// would notice a dropped entry.
+/// `clippy.toml` still lists every disallowed method with a reason —
+/// without this, only the clippy step would notice a dropped entry.
 #[test]
-fn workspace_is_clean() {
+fn clippy_toml_disallows_the_clock_and_poison_methods() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let diagnostics = locap_lint::run_check(&root).expect("scan");
-    let rendered: Vec<String> = diagnostics.iter().map(|d| d.render()).collect();
-    assert!(diagnostics.is_empty(), "diagnostics: {rendered:#?}");
-
     let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml exists");
     let (_, list) = toml.split_once("disallowed-methods = [").expect("disallowed-methods list");
     let list = &list[..list.find("\n]").expect("closed list")];

@@ -54,6 +54,7 @@ use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
 use locap_graph::{Adjacency, KeyInterner, LDigraph, NodeId};
 use locap_lifts::{ViewCache, ViewTree};
+use locap_lint::hot;
 
 use crate::error::RunError;
 use crate::run::check_input;
@@ -118,7 +119,7 @@ trait Classes {
 /// # Errors
 ///
 /// The first error `sink` reports; nothing is published then.
-// lint: hot
+#[hot]
 fn memo_broadcast<C: Classes, O, T>(
     classes: &mut C,
     n: usize,
@@ -133,7 +134,7 @@ fn memo_broadcast<C: Classes, O, T>(
     let mut memo: Vec<O> = Vec::new();
     let mut hits = 0u64;
     let mut truncation = None;
-    // lint: hot-setup-end
+    hot_setup_end!();
     for v in 0..n {
         let c = classes.class_of(v);
         let hit = memo.get(c);

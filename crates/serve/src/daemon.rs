@@ -259,7 +259,8 @@ impl Metrics {
 /// threads (inline store hits) and the workers (queued jobs).
 struct Responder {
     config: DaemonConfig,
-    /// The daemon clock: times the queue-wait, parse and serialize phases.
+    /// The daemon clock: times the queue-wait, parse, run and serialize
+    /// phases.
     clock: Arc<dyn MonotonicClock>,
     drain: CancelToken,
     store: Option<StoreHandle>,
@@ -465,8 +466,8 @@ impl Responder {
             let waited = self.clock.elapsed().saturating_sub(enqueued_at);
             self.metrics.record(pipeline, Phase::QueueWait, dur_ns(waited));
         }
-        // the deadline runs from here, not from enqueue; the daemon clock
-        // only times the other phases
+        // the deadline runs from here, not from enqueue, on a clock of its
+        // own; the daemon clock only times the phases
         let job_clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
         let budget = job
             .budget
@@ -474,7 +475,9 @@ impl Responder {
             .with_cancel(job.cancel.clone())
             .with_cancel(self.drain.clone());
         let span = obs::span("serve/request");
-        let (outcome, elapsed) = locap_bench::timed(|| guarded(|| run(&budget)));
+        let run_started = self.clock.elapsed();
+        let outcome = guarded(|| run(&budget));
+        let elapsed = self.clock.elapsed().saturating_sub(run_started);
         let outcome = match outcome {
             Ok(Some(outcome)) => outcome.map_err(|e| (core_error_kind(&e), e.to_string())),
             Ok(None) => {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The full local CI gate: format check first (cheapest), then release
-# build, tests (locap-lint's L8 runs there as `workspace_is_clean`),
-# strict clippy and rustdoc. Run before every push; CI runs exactly
-# this. Each step reports its wall-clock time so regressions in the gate
-# itself are visible.
+# build (locap-lint's `#[hot]` attribute checks L8 in every build),
+# tests, strict clippy and rustdoc. Run before every push; CI runs
+# exactly this. Each step reports its wall-clock time so regressions in
+# the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
