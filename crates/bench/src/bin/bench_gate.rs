@@ -3,7 +3,6 @@
 //! ```text
 //! bench_gate [check|record|counters] [--baseline PATH] [--tolerance X] [--out PATH]
 //!            [--with-bench SPEC]...
-//! bench_gate validate PATH...
 //! ```
 //!
 //! * `check` (default) — rerun every bench named in the baseline with
@@ -17,18 +16,13 @@
 //!   schema-2 baseline to `--out` (default: the baseline path). Each
 //!   `--with-bench SPEC` adds a bench target not yet in the baseline,
 //!   which is how a new scenario first enters `BENCH_views.json`.
+//! * `counters` — print the deterministic counter snapshot and exit
+//!   (debug aid; also what the schema-2 baseline embeds).
 //!
 //! A bench spec (in a baseline row's `bench` field or `--with-bench`) is
 //! either a bare target in `locap-bench` (`view_engine`) or
 //! `package:target` for a bench in another workspace crate
 //! (`locap-serve:serve_load`).
-//! * `counters` — print the deterministic counter snapshot and exit
-//!   (debug aid; also what the schema-2 baseline embeds).
-//! * `validate PATH...` — check that each file is one bench-schema
-//!   document (`BENCH_views.json`) or holds one `OBS_JSON` line per
-//!   non-empty line, each read by [`gate::parse_baseline`]. Exit 0 when
-//!   every document parses, 2 otherwise — this is how CI vets the soak
-//!   smoke artifact and the experiment binaries' metrics lines.
 //!
 //! Environment: `BENCH_GATE_TOLERANCE` (default 1.25) and
 //! `BENCH_GATE_BASELINE` mirror the flags; `CRITERION_SHIM_SAMPLES=n`
@@ -54,7 +48,6 @@ struct Config {
     out_path: Option<String>,
     tolerance: f64,
     with_benches: Vec<String>,
-    validate_paths: Vec<String>,
 }
 
 fn parse_args() -> Result<Config, String> {
@@ -67,15 +60,10 @@ fn parse_args() -> Result<Config, String> {
         Err(_) => 1.25,
     };
     let mut with_benches = Vec::new();
-    let mut validate_paths = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if mode == "validate" {
-            validate_paths.push(a);
-            continue;
-        }
         match a.as_str() {
-            "check" | "record" | "counters" | "validate" => mode = a,
+            "check" | "record" | "counters" => mode = a,
             "--baseline" => baseline_path = args.next().ok_or("--baseline needs a path")?,
             "--out" => out_path = Some(args.next().ok_or("--out needs a path")?),
             "--tolerance" => {
@@ -94,10 +82,7 @@ fn parse_args() -> Result<Config, String> {
     if !with_benches.is_empty() && mode != "record" {
         return Err("--with-bench only applies to record mode".to_string());
     }
-    if mode == "validate" && validate_paths.is_empty() {
-        return Err("validate needs at least one file path".to_string());
-    }
-    Ok(Config { mode, baseline_path, out_path, tolerance, with_benches, validate_paths })
+    Ok(Config { mode, baseline_path, out_path, tolerance, with_benches })
 }
 
 fn run() -> i32 {
@@ -116,57 +101,7 @@ fn run() -> i32 {
             0
         }
         "record" => record(&cfg),
-        "validate" => validate(&cfg.validate_paths),
         _ => check(&cfg),
-    }
-}
-
-/// Checks that each file is schema-valid: either one (possibly
-/// pretty-printed) document, or — the `OBS_JSON` lines' and the soak
-/// artifact's shape — one document per line. Every document must pass
-/// [`gate::parse_baseline`].
-fn validate(paths: &[String]) -> i32 {
-    let mut docs_ok = 0usize;
-    let mut failures = 0usize;
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench_gate: reading {path}: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        // a whole-file document first (BENCH_views.json is pretty-printed)
-        if locap_obs::json::Json::parse(&text).is_ok() {
-            match gate::parse_baseline(&text) {
-                Ok(_) => docs_ok += 1,
-                Err(e) => {
-                    eprintln!("bench_gate: {path}: {e}");
-                    failures += 1;
-                }
-            }
-            continue;
-        }
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match gate::parse_baseline(line) {
-                Ok(_) => docs_ok += 1,
-                Err(e) => {
-                    eprintln!("bench_gate: {path}:{}: {e}", i + 1);
-                    failures += 1;
-                }
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("bench_gate: validate FAILED ({failures} bad documents/files, {docs_ok} ok)");
-        2
-    } else {
-        println!("bench gate: validate OK ({docs_ok} schema-valid documents)");
-        0
     }
 }
 

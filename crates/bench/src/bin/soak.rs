@@ -8,10 +8,10 @@
 //! Drives an open-loop constant-rate request schedule (see
 //! `locap_bench::soak`) and reports achieved QPS, the error taxonomy,
 //! and exact latency quantiles. With `OBS_JSON=1` the human table is
-//! suppressed and the standard schema-valid snapshot line is emitted
-//! instead — the soak numbers travel as `soak/*` counters, gauges, and
-//! the `soak/request` span, so `bench_gate validate` can check the
-//! artifact in CI.
+//! suppressed and the standard registry line is emitted instead — the
+//! soak numbers travel as `soak/*` counters, the two rate gauges, and
+//! the `soak/request` span with its buckets, and CI reads the artifact
+//! with `trace_report`.
 //!
 //! `--expect-ok` turns a dirty run (any error or unanswered request)
 //! into exit code 1, for use as a smoke gate.

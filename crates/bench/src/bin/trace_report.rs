@@ -1,14 +1,15 @@
-//! CLI over the span attribution of `OBS_JSON=1` lines.
+//! CLI over the span attribution of registry documents.
 //!
 //! ```text
 //! trace_report <metrics.json>           span tree: count, total, self and max per path
 //! trace_report diff <a.json> <b.json>   per-path total deltas (B vs A)
 //! ```
 //!
-//! A file holds one or more `OBS_JSON=1` lines, e.g. the stdout of
-//! `OBS_JSON=1 e09_oi_to_po > m.json`. Exits non-zero if a file is
-//! unreadable or holds a malformed line, so it doubles as a validity
-//! check in CI.
+//! A file holds one or more documents with a `registry` object, one per
+//! line: `OBS_JSON=1` lines, e.g. the stdout of
+//! `OBS_JSON=1 e09_oi_to_po > m.json`, or a provenance sidecar. Exits
+//! non-zero if a file is unreadable or holds a malformed line, so it
+//! doubles as a validity check in CI.
 
 use locap_bench::trace_report::{load, render_diff, render_tree};
 

@@ -11,10 +11,8 @@
 //!   these are compared **exactly**, catching algorithmic regressions
 //!   (lost memoization, extra evaluations) that timing noise would hide.
 //!
-//! The module also owns the bench schema that the baseline shares with
-//! every `OBS_JSON=1` line: [`render_line`] writes a line from a registry
-//! snapshot, [`render_baseline`] writes a baseline, and [`parse_baseline`]
-//! is the one reader and validator of both.
+//! The module also owns the baseline's schema: [`render_baseline`]
+//! writes a baseline and [`parse_baseline`] reads and validates one.
 //!
 //! Everything here is a pure function over parsed text so the policy is
 //! unit-testable; the binary only adds process plumbing (running
@@ -25,13 +23,12 @@ use std::collections::BTreeMap;
 use locap_graph::budget::RunBudget;
 use locap_obs as obs;
 use obs::json::Json;
-use obs::telemetry::TelemetryState;
 
-/// The bench schema version that [`render_line`] and [`render_baseline`]
-/// write; [`parse_baseline`] reads versions 1 through this one.
+/// The baseline schema version that [`render_baseline`] writes;
+/// [`parse_baseline`] reads versions 1 through this one.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// One baseline benchmark row, or one span row of an `OBS_JSON` line.
+/// One baseline benchmark row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineRow {
     /// Bench target the row came from (e.g. `view_engine`).
@@ -42,25 +39,17 @@ pub struct BaselineRow {
     pub min_ns: u64,
     /// Samples recorded.
     pub samples: u64,
-    /// Sum of all samples, nanoseconds (span rows only).
-    pub total_ns: Option<u64>,
-    /// Largest sample, nanoseconds (span rows only).
-    pub max_ns: Option<u64>,
 }
 
-/// A parsed bench-schema document: a `BENCH_views.json` baseline or an
-/// `OBS_JSON` line.
+/// A parsed `BENCH_views.json` baseline.
 #[derive(Debug, Clone, Default)]
 pub struct Baseline {
     /// Schema version of the document.
     pub schema: u64,
-    /// Rows keyed by benchmark name (span rows, in an `OBS_JSON` line).
+    /// Rows keyed by benchmark name.
     pub rows: BTreeMap<String, BaselineRow>,
-    /// Counter values: in a baseline, the snapshot of
-    /// [`counter_workload`] (schema 2 only).
+    /// The counter snapshot of [`counter_workload`] (schema 2 only).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge levels (an `OBS_JSON` line's; baselines carry none).
-    pub gauges: BTreeMap<String, i64>,
 }
 
 impl Baseline {
@@ -73,13 +62,11 @@ impl Baseline {
     }
 }
 
-/// The one reader of the bench schema: parses and validates a baseline
-/// or an `OBS_JSON` line. A document has a `schema` number in
-/// `1..=SCHEMA_VERSION`, optional `counters` (`u64`) and `gauges` (`i64`)
-/// objects, and a `results` array whose rows each carry string `bench`
-/// and `name` plus integer `median_ns`, `min_ns` and `samples`, and may
-/// carry integer `total_ns` and `max_ns` (every `OBS_JSON` span row
-/// does). Other fields (`source`, `note`) are not read.
+/// Parses and validates a baseline. A baseline has a `schema` number in
+/// `1..=SCHEMA_VERSION`, an optional `counters` object of `u64`s, and a
+/// `results` array whose rows each carry string `bench` and `name` plus
+/// integer `median_ns`, `min_ns` and `samples`. Other fields (`date`,
+/// `note`) are not read.
 ///
 /// # Errors
 ///
@@ -90,8 +77,15 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     if schema == 0 || schema > SCHEMA_VERSION {
         return Err(format!("unsupported schema {schema} (expected 1..={SCHEMA_VERSION})"));
     }
-    let counters = parse_section(&doc, "counters", "a u64", Json::as_u64)?;
-    let gauges = parse_section(&doc, "gauges", "an i64", Json::as_i64)?;
+    let counters = match doc.get("counters") {
+        None => BTreeMap::new(),
+        Some(section) => section
+            .as_object()
+            .ok_or("counters is not an object")?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or(format!("counters/{k} is not a u64"))?)))
+            .collect::<Result<_, String>>()?,
+    };
     let results = doc
         .get("results")
         .ok_or("missing results array")?
@@ -109,10 +103,6 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
                 .and_then(Json::as_u64)
                 .ok_or(format!("results[{i}] missing integer {key}"))
         };
-        let optional_int = |key| match row.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or(format!("results[{i}] {key} is not a u64")),
-        };
         let bench = text("bench")?.to_string();
         let name = text("name")?.to_string();
         let row = BaselineRow {
@@ -120,61 +110,10 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             median_ns: int("median_ns")?,
             min_ns: int("min_ns")?,
             samples: int("samples")?,
-            total_ns: optional_int("total_ns")?,
-            max_ns: optional_int("max_ns")?,
         };
         rows.insert(name, row);
     }
-    Ok(Baseline { schema, rows, counters, gauges })
-}
-
-/// The optional object `name` of `doc`, each value read by `value`
-/// (`kind` names the value type in errors).
-fn parse_section<V>(
-    doc: &Json,
-    name: &str,
-    kind: &str,
-    value: fn(&Json) -> Option<V>,
-) -> Result<BTreeMap<String, V>, String> {
-    let Some(section) = doc.get(name) else { return Ok(BTreeMap::new()) };
-    let fields = section.as_object().ok_or(format!("{name} is not an object"))?;
-    fields
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), value(v).ok_or(format!("{name}/{k} is not {kind}"))?)))
-        .collect()
-}
-
-/// The single-line `OBS_JSON` document of a registry snapshot: `schema`,
-/// `source`, `counters`, `gauges`, and one `results` row per span with
-/// `bench` (= `source`), `name`, `median_ns` (the histogram's p50),
-/// `min_ns`, `samples`, `total_ns` and `max_ns`.
-pub fn render_line(source: &str, state: &TelemetryState) -> String {
-    let num = |v: u64| Json::Num(v as f64);
-    let counters = state.counters.iter().map(|(k, &v)| (k.clone(), num(v))).collect();
-    let gauges = state.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v as f64))).collect();
-    let results = state
-        .spans
-        .iter()
-        .map(|(name, h)| {
-            Json::Obj(vec![
-                ("bench".into(), Json::Str(source.into())),
-                ("name".into(), Json::Str(name.clone())),
-                ("median_ns".into(), num(h.quantile(0.5))),
-                ("min_ns".into(), num(h.min)),
-                ("samples".into(), num(h.count)),
-                ("total_ns".into(), num(h.sum)),
-                ("max_ns".into(), num(h.max)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), num(SCHEMA_VERSION)),
-        ("source".into(), Json::Str(source.into())),
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("results".into(), Json::Arr(results)),
-    ])
-    .to_string()
+    Ok(Baseline { schema, rows, counters })
 }
 
 /// One measurement from a criterion-shim TSV run.
@@ -524,11 +463,9 @@ mod tests {
             (r#"{"schema":2}"#, "missing results array"),
             (r#"{"schema":2,"results":7}"#, "results is not an array"),
             (r#"{"schema":2,"counters":[],"results":[]}"#, "counters is not an object"),
-            (r#"{"schema":2,"gauges":3,"results":[]}"#, "gauges is not an object"),
             (r#"{"schema":2,"counters":{"c":"x"},"results":[]}"#, "counters/c is not a u64"),
             (r#"{"schema":2,"counters":{"c":1.5},"results":[]}"#, "counters/c is not a u64"),
             (r#"{"schema":2,"counters":{"c":-1},"results":[]}"#, "counters/c is not a u64"),
-            (r#"{"schema":2,"gauges":{"g":0.5},"results":[]}"#, "gauges/g is not an i64"),
             (
                 r#"{"schema":2,"results":[{"name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#,
                 "results[0] missing string bench",
@@ -553,25 +490,16 @@ mod tests {
                 r#"{"schema":2,"results":[{},{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#,
                 "results[0] missing string bench",
             ),
-            (
-                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1,"total_ns":-5}]}"#,
-                "results[0] total_ns is not a u64",
-            ),
-            (
-                r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1,"max_ns":"9"}]}"#,
-                "results[0] max_ns is not a u64",
-            ),
         ];
         for (text, want) in cases {
             let err = parse_baseline(text).expect_err(&format!("{text} should be rejected"));
             assert!(err.contains(want), "for {text}: got {err:?}, want substring {want:?}");
         }
         // and the happy path next to the table, for contrast
-        let ok = r#"{"schema":2,"counters":{"c":1},"gauges":{"g":-2},
+        let ok = r#"{"schema":2,"counters":{"c":1},
             "results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
         let b = parse_baseline(ok).expect("valid document accepted");
-        assert_eq!((b.counters["c"], b.gauges["g"], b.rows["n"].samples), (1, -2, 1));
-        assert_eq!((b.rows["n"].total_ns, b.rows["n"].max_ns), (None, None));
+        assert_eq!((b.counters["c"], b.rows["n"].samples), (1, 1));
     }
 
     #[test]

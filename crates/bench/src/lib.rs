@@ -12,12 +12,12 @@
 //! The [`gate`] module implements the regression gate behind the
 //! `bench_gate` binary: it parses the checked-in `BENCH_views.json`
 //! baseline, reruns the corresponding criterion-shim benches, and fails on
-//! median regressions beyond a configurable tolerance. It also owns the
-//! bench schema that the baseline and the `OBS_JSON` line share.
+//! median regressions beyond a configurable tolerance.
 //!
 //! The [`trace_report`] module, behind the binary of the same name, turns
-//! `OBS_JSON` lines into a run's attribution: the span tree with count,
-//! total, self and max time per path, and per-path deltas between runs.
+//! registry documents (`OBS_JSON` lines and provenance sidecars) into a
+//! run's attribution: the span tree with count, total, self and max time
+//! per path, and per-path deltas between runs.
 
 #![warn(missing_docs)]
 
@@ -26,6 +26,7 @@ pub mod soak;
 pub mod trace_report;
 
 use locap_obs as obs;
+use obs::json::Json;
 
 /// Whether human-readable output is enabled: true unless the `OBS_JSON`
 /// environment variable is set to a non-empty value other than `0`.
@@ -75,10 +76,11 @@ macro_rules! hprint {
 
 /// Runs one experiment body with observability wiring: prints the banner,
 /// times the body under a `total` span, and — when `OBS_JSON` is set —
-/// emits the registry snapshot as a single JSON line on stdout
-/// ([`gate::render_line`]: the schema of `BENCH_views.json`; `source`
-/// tags the emitting binary). [`trace_report`] reads such lines back as a
-/// span tree.
+/// prints the registry snapshot as a single JSON line on stdout,
+/// `{"source": <source>, "registry": …}`. The `registry` object is
+/// [`TelemetryState::to_json`](obs::telemetry::TelemetryState::to_json),
+/// as in `locapd`'s `stats` result; `source` tags the emitting binary.
+/// [`trace_report`] reads such lines back as a span tree.
 pub fn run(source: &str, id: &str, title: &str, body: impl FnOnce()) {
     banner(id, title);
     {
@@ -86,7 +88,11 @@ pub fn run(source: &str, id: &str, title: &str, body: impl FnOnce()) {
         body();
     }
     if !human_output() {
-        println!("{}", gate::render_line(source, &obs::snapshot()));
+        let line = Json::Obj(vec![
+            ("source".into(), Json::Str(source.into())),
+            ("registry".into(), obs::snapshot().to_json()),
+        ]);
+        println!("{line}");
     }
 }
 

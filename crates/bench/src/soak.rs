@@ -43,12 +43,6 @@ pub const OK: &str = "soak/ok";
 pub const TARGET_QPS: &str = "soak/target_qps_x1000";
 /// Gauge holding the most recent run's response rate, milli-QPS.
 pub const ACHIEVED_QPS: &str = "soak/achieved_qps_x1000";
-/// Gauge holding the most recent run's median latency, ns.
-pub const P50: &str = "soak/latency/p50_ns";
-/// Gauge holding the most recent run's p90 latency, ns.
-pub const P90: &str = "soak/latency/p90_ns";
-/// Gauge holding the most recent run's p99 latency, ns.
-pub const P99: &str = "soak/latency/p99_ns";
 
 /// How long receivers poll before re-checking stop conditions.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
@@ -210,14 +204,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
 /// Publishes the headline numbers into the global registry so the
 /// standard `OBS_JSON` snapshot line carries them (gauges hold the
-/// most-recent run; the span and counters accumulate).
+/// most-recent run's rates; the counters accumulate, like the
+/// [`LATENCY_SPAN`] histogram that the quantiles come from).
 fn publish(report: &SoakReport) {
-    let clamp = |ns: u64| ns.min(i64::MAX as u64) as i64;
     obs::gauge(TARGET_QPS).set((report.target_qps * 1000.0) as i64);
     obs::gauge(ACHIEVED_QPS).set((report.achieved_qps * 1000.0) as i64);
-    obs::gauge(P50).set(clamp(report.p50_ns));
-    obs::gauge(P90).set(clamp(report.p90_ns));
-    obs::gauge(P99).set(clamp(report.p99_ns));
     obs::counter(SENT).add(report.sent);
     obs::counter(OK).add(report.ok);
 }

@@ -1,9 +1,12 @@
-//! A run's span attribution, read from its `OBS_JSON=1` lines.
+//! A run's span attribution, read from its registry documents.
 //!
 //! Under `OBS_JSON=1` every experiment binary and the `locap` CLI print
-//! one line whose span rows carry each span path's sample count, total
-//! and largest time ([`crate::gate::render_line`]). The `trace_report`
-//! binary is a thin CLI over this module, with two views:
+//! one line whose `registry` object is the run's registry snapshot
+//! ([`crate::run`]), and every provenance sidecar carries the registry
+//! delta of its request under the same key. Both are
+//! [`TelemetryState::to_json`], which keeps each span path's count, sum
+//! and largest time exactly. The `trace_report` binary is a thin CLI over
+//! this module, with two views:
 //!
 //! * an **attribution tree** — per span path: count, total, self and max
 //!   duration, where self time subtracts the totals of the path's nearest
@@ -12,11 +15,12 @@
 //!   comparisons of the same workload.
 //!
 //! A file may hold several lines (one per binary of a sweep, say): their
-//! rows add up per path.
+//! spans add up per path.
 
 use std::collections::BTreeMap;
 
-use crate::gate;
+use locap_obs::json::Json;
+use locap_obs::telemetry::TelemetryState;
 
 /// Aggregated statistics for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,7 +36,7 @@ pub struct PathStats {
     pub max_ns: u64,
 }
 
-/// Reads a file of `OBS_JSON` lines and aggregates its span rows.
+/// Reads a file of registry documents and aggregates their spans.
 ///
 /// # Errors
 ///
@@ -42,33 +46,36 @@ pub fn load(path: &str) -> Result<BTreeMap<String, PathStats>, String> {
     parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Aggregates the span rows of `OBS_JSON` lines (blank lines skipped) per
-/// path: counts and totals add up, maxima take the largest, and self
+/// Aggregates the spans of one JSON document per non-empty line, each
+/// read from its `registry` object through [`TelemetryState::from_json`]:
+/// per path, counts and totals add up, maxima take the largest, and self
 /// times follow from the merged totals.
 ///
 /// # Errors
 ///
-/// Fails on a line that [`gate::parse_baseline`] rejects, on a span row
-/// without `total_ns` and `max_ns` (a baseline row, not an `OBS_JSON`
-/// one), and on text with no line at all.
+/// Fails on a line that is not JSON, has no `registry` object, or holds
+/// one that [`TelemetryState::from_json`] rejects, and on text with no
+/// line at all.
 pub fn parse(text: &str) -> Result<BTreeMap<String, PathStats>, String> {
     let mut stats: BTreeMap<String, PathStats> = BTreeMap::new();
     let mut lines = 0;
     for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-        let doc = gate::parse_baseline(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let registry = Json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| {
+                TelemetryState::from_json(doc.get("registry").ok_or("no registry object")?)
+            })
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
         lines += 1;
-        for (name, row) in doc.rows {
-            let (Some(total_ns), Some(max_ns)) = (row.total_ns, row.max_ns) else {
-                return Err(format!("line {}: row {name:?} has no total_ns and max_ns", i + 1));
-            };
+        for (name, h) in registry.spans {
             let s = stats.entry(name).or_default();
-            s.count = s.count.saturating_add(row.samples);
-            s.total_ns = s.total_ns.saturating_add(total_ns);
-            s.max_ns = s.max_ns.max(max_ns);
+            s.count = s.count.saturating_add(h.count);
+            s.total_ns = s.total_ns.saturating_add(h.sum);
+            s.max_ns = s.max_ns.max(h.max);
         }
     }
     if lines == 0 {
-        return Err("no OBS_JSON line".into());
+        return Err("no registry document".into());
     }
     set_self_times(&mut stats);
     Ok(stats)
@@ -200,22 +207,18 @@ pub fn render_diff(a: &BTreeMap<String, PathStats>, b: &BTreeMap<String, PathSta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locap_obs::telemetry::HistogramState;
 
-    /// An `OBS_JSON` line with one span row per `(path, samples, total,
-    /// max)`, in microseconds.
+    /// A registry document with one span per `(path, count, total, max)`,
+    /// in microseconds.
     fn line(rows: &[(&str, u64, u64, u64)]) -> String {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(path, samples, total_us, max_us)| {
-                format!(
-                    "{{\"bench\":\"t\",\"name\":\"{path}\",\"median_ns\":0,\"min_ns\":0,\
-                     \"samples\":{samples},\"total_ns\":{},\"max_ns\":{}}}",
-                    total_us * 1000,
-                    max_us * 1000
-                )
-            })
-            .collect();
-        format!("{{\"schema\":2,\"source\":\"t\",\"results\":[{}]}}", rows.join(","))
+        let mut state = TelemetryState::default();
+        for &(path, count, total_us, max_us) in rows {
+            let (sum, max) = (total_us * 1000, max_us * 1000);
+            let h = HistogramState { count, sum, min: 0, max, buckets: vec![] };
+            state.spans.insert(path.into(), h);
+        }
+        Json::Obj(vec![("registry".into(), state.to_json())]).to_string()
     }
 
     #[test]
@@ -323,15 +326,16 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(parse("not json").unwrap_err().starts_with("line 1: "));
-        assert!(parse("{\"foo\": 1}").is_err());
-        assert_eq!(parse("\n  \n").unwrap_err(), "no OBS_JSON line");
+        assert_eq!(parse("{\"foo\": 1}").unwrap_err(), "line 1: no registry object");
+        assert!(parse("{\"registry\": 5}").unwrap_err().contains("not an object"));
+        assert_eq!(parse("\n  \n").unwrap_err(), "no registry document");
         // a malformed second line fails the whole file
         let good = line(&[("x", 1, 1, 1)]);
-        let err = parse(&format!("{good}\n{}\n", good.replace("\"samples\":1", "\"samples\":-1")))
+        let err = parse(&format!("{good}\n{}\n", good.replace("\"count\":1", "\"count\":-1")))
             .unwrap_err();
-        assert!(err.starts_with("line 2: results[0] missing integer samples"), "{err}");
-        // a baseline row carries no total or max
+        assert!(err.starts_with("line 2: histogram count"), "{err}");
+        // a baseline carries rows, not a registry
         let baseline = r#"{"schema":2,"results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
-        assert!(parse(baseline).unwrap_err().contains("has no total_ns and max_ns"));
+        assert_eq!(parse(baseline).unwrap_err(), "line 1: no registry object");
     }
 }

@@ -1,26 +1,43 @@
 //! Every experiment binary must, under `OBS_JSON=1`, print exactly one
-//! line of schema-valid JSON (and nothing else) on stdout — that is the
-//! contract the CI smoke job's metrics artifact depends on, and what
-//! `bench_gate validate` checks there.
+//! line on stdout (and nothing else): `{"source": <binary>, "registry":
+//! …}`, whose `registry` [`TelemetryState::from_json`] reads. That is the
+//! contract the CI smoke job's metrics artifact depends on, and
+//! `trace_report` reads every such line there.
 
-use locap_bench::gate;
+use locap_bench::trace_report;
 use locap_obs::json::Json;
+use locap_obs::telemetry::TelemetryState;
 
-fn check_binary(name: &str, exe: &str) {
+/// The `OBS_JSON=1` stdout of `exe`.
+fn obs_json_stdout(name: &str, exe: &str) -> String {
     let out = std::process::Command::new(exe)
         .env("OBS_JSON", "1")
         .output()
         .unwrap_or_else(|e| panic!("{name}: spawn failed: {e}"));
     assert!(out.status.success(), "{name}: exit {}", out.status);
-    let stdout = String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name}: utf8: {e}"));
+    String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name}: utf8: {e}"))
+}
+
+/// The source tag and the registry of one `OBS_JSON=1` line.
+fn read_line(line: &str) -> (String, TelemetryState) {
+    let doc = Json::parse(line).unwrap_or_else(|e| panic!("JSON parse: {e}: {line}"));
+    let source = doc.get("source").and_then(Json::as_str).expect("a source tag");
+    let registry = doc.get("registry").expect("a registry object");
+    let state = TelemetryState::from_json(registry).unwrap_or_else(|e| panic!("registry: {e}"));
+    (source.to_string(), state)
+}
+
+fn check_binary(name: &str, exe: &str) {
+    let stdout = obs_json_stdout(name, exe);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1, "{name}: expected exactly one stdout line, got {}", lines.len());
-    let line =
-        gate::parse_baseline(lines[0]).unwrap_or_else(|e| panic!("{name}: schema validation: {e}"));
-    let doc = Json::parse(lines[0]).unwrap_or_else(|e| panic!("{name}: JSON parse: {e}"));
-    assert_eq!(doc.get("source").and_then(Json::as_str), Some(name), "{name}: source tag mismatch");
-    // each binary times its body: a `total` span row must be present
-    assert!(line.rows.contains_key("total"), "{name}: missing the total span row");
+    let (source, registry) = read_line(lines[0]);
+    assert_eq!(source, name, "{name}: source tag mismatch");
+    // each binary times its body: a `total` span must be present, and
+    // `trace_report` reads the line into one tree row per span
+    assert!(registry.spans.contains_key("total"), "{name}: missing the total span");
+    let stats = trace_report::parse(&stdout).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(stats.keys().eq(registry.spans.keys()), "{name}: one tree row per span");
 }
 
 macro_rules! obs_json_test {
@@ -48,87 +65,80 @@ obs_json_test!(e13, "e13_growth", env!("CARGO_BIN_EXE_e13_growth"));
 obs_json_test!(e14, "e14_po_vs_pn", env!("CARGO_BIN_EXE_e14_po_vs_pn"));
 
 /// `trace_report` over the `OBS_JSON=1` line of e09 prints its span tree:
-/// one row per span row, whose count and total are that row's `samples`
-/// and `total_ns`; a malformed line makes it exit non-zero.
+/// one row per span, whose count and total are that span's `count` and
+/// `sum`; a line without a `registry` object makes it exit 1.
 #[test]
 fn trace_report_prints_one_tree_row_per_span_row() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_e09_oi_to_po"))
-        .env("OBS_JSON", "1")
-        .output()
-        .expect("spawn e09_oi_to_po");
-    assert!(out.status.success(), "exit {}", out.status);
-    let stdout = String::from_utf8(out.stdout).expect("utf8");
-    let line = gate::parse_baseline(stdout.trim()).expect("one schema-valid line");
-    assert!(line.rows.len() > 1, "e09 records nested spans: {:?}", line.rows.keys());
+    let stdout = obs_json_stdout("e09_oi_to_po", env!("CARGO_BIN_EXE_e09_oi_to_po"));
+    let (_, registry) = read_line(stdout.trim());
+    assert!(registry.spans.len() > 1, "e09 records nested spans: {:?}", registry.spans.keys());
 
-    // the library view: one path per span row, with its count and total
-    let stats = locap_bench::trace_report::parse(&stdout).expect("the line parses");
-    assert!(stats.keys().eq(line.rows.keys()), "one tree row per span row");
-    for (name, row) in &line.rows {
-        assert_eq!(stats[name].count, row.samples, "{name}: span count");
-        assert_eq!(Some(stats[name].total_ns), row.total_ns, "{name}: span total");
+    // the library view: one path per span, with its count and total
+    let stats = trace_report::parse(&stdout).expect("the line parses");
+    assert!(stats.keys().eq(registry.spans.keys()), "one tree row per span");
+    for (name, h) in &registry.spans {
+        assert_eq!((stats[name].count, stats[name].total_ns), (h.count, h.sum), "{name}");
+        assert_eq!(stats[name].max_ns, h.max, "{name}: span max");
     }
 
     // the binary prints a header and then those rows, in path order
     let dir = std::env::temp_dir().join(format!("locap_trace_report_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let report = |text: &str| {
-        let path = dir.join("metrics.json");
-        std::fs::write(&path, text).expect("write metrics file");
-        std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
-            .arg(&path)
-            .output()
-            .expect("spawn trace_report")
-    };
-    let out = report(&stdout);
+    let out = trace_report_on(&dir, &stdout);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let tree = String::from_utf8(out.stdout).expect("utf8");
     let rows: Vec<&str> = tree.lines().skip(1).collect();
-    assert_eq!(rows.len(), line.rows.len(), "one tree row per span row:\n{tree}");
-    for (text, (name, row)) in rows.iter().zip(&line.rows) {
+    assert_eq!(rows.len(), registry.spans.len(), "one tree row per span:\n{tree}");
+    for (text, (name, h)) in rows.iter().zip(&registry.spans) {
         let cells: Vec<&str> = text.split_whitespace().collect();
-        let total_ms = format!("{:.3}", row.total_ns.expect("a total") as f64 / 1e6);
-        assert_eq!(cells[0], row.samples.to_string(), "{name}: {text}");
-        assert_eq!(cells[1], total_ms, "{name}: {text}");
+        assert_eq!(cells[0], h.count.to_string(), "{name}: {text}");
+        assert_eq!(cells[1], format!("{:.3}", h.sum as f64 / 1e6), "{name}: {text}");
         assert!(name.ends_with(cells[4]), "{name}: {text}");
     }
 
-    let out = report(&format!("{}\n{{\"schema\": 2}}\n", stdout.trim()));
-    assert_eq!(out.status.code(), Some(1), "a malformed line fails the report");
+    let out = trace_report_on(&dir, &format!("{}\n{{\"source\": \"e09\"}}\n", stdout.trim()));
+    assert_eq!(out.status.code(), Some(1), "a line without a registry fails the report");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("line 2: missing results array"), "{stderr}");
+    assert!(stderr.contains("line 2: no registry object"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `bench_gate validate` reads the pretty-printed baseline and a file of
-/// `OBS_JSON` lines through the one schema reader, and fails on a line
-/// that the gate itself could not read back.
+/// `trace_report` skips a blank line between two lines and adds their
+/// spans up, so a file of lines from several binaries reads as one run;
+/// a negative counter in the second line fails the file.
 #[test]
-fn bench_gate_validate_reads_the_baseline_and_metrics_lines() {
-    let dir = std::env::temp_dir().join(format!("locap_validate_{}", std::process::id()));
+fn trace_report_reads_lines_around_a_blank_one() {
+    let dir = std::env::temp_dir().join(format!("locap_trace_blank_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_views.json");
-    let validate = |text: &str| {
-        let path = dir.join("metrics.json");
-        std::fs::write(&path, text).expect("write metrics file");
-        std::process::Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-            .args(["validate", baseline])
-            .arg(&path)
-            .output()
-            .expect("spawn bench_gate")
-    };
-    let mut state = locap_obs::telemetry::TelemetryState::default();
-    state.counters.insert("engine/po/evals".into(), 3);
-    let line = gate::render_line("e00", &state);
+    let reg = locap_obs::Registry::new();
+    reg.record_span_ns("total", 2_000_000);
+    reg.counter("engine/po/evals").add(3);
+    let line = Json::Obj(vec![
+        ("source".into(), Json::Str("e00".into())),
+        ("registry".into(), reg.snapshot().to_json()),
+    ]);
 
-    let out = validate(&format!("{line}\n\n{line}\n"));
+    let out = trace_report_on(&dir, &format!("{line}\n\n{line}\n"));
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("validate OK (3 schema-valid documents)"), "{stdout}");
+    let tree = String::from_utf8(out.stdout).expect("utf8");
+    let rows: Vec<Vec<&str>> =
+        tree.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+    assert_eq!(rows, [["2", "4.000", "4.000", "2.000", "total"]], "{tree}");
 
-    let out = validate(&format!("{line}\n{}\n", line.replace(":3", ":-3")));
-    assert_eq!(out.status.code(), Some(2));
+    let out =
+        trace_report_on(&dir, &format!("{line}\n{}\n", line.to_string().replace(":3", ":-3")));
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("metrics.json:2: counters/engine/po/evals is not a u64"), "{stderr}");
+    assert!(stderr.contains("line 2: counter engine/po/evals"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the `trace_report` binary on `text`, written to a file in `dir`.
+fn trace_report_on(dir: &std::path::Path, text: &str) -> std::process::Output {
+    let path = dir.join("metrics.json");
+    std::fs::write(&path, text).expect("write metrics file");
+    std::process::Command::new(env!("CARGO_BIN_EXE_trace_report"))
+        .arg(&path)
+        .output()
+        .expect("spawn trace_report")
 }

@@ -37,7 +37,7 @@ const ALLOC_TYPES: [&str; 7] =
 /// inside closures, nested blocks and macro arguments too: `format!`,
 /// `vec!`, `.clone()`, `.to_string()`, `.to_owned()`, and `new` or
 /// `with_capacity` on `Vec`, `String`, `HashMap`, `HashSet`, `BTreeMap`,
-/// `BTreeSet` or `VecDeque`. A statement that must allocate carries
+/// `BTreeSet` or `VecDeque`, with or without a turbofish. A statement that must allocate carries
 /// `#[hot_allow("reason")]`, which exempts its tokens up to the next `;`
 /// at its own level; the reason may not be empty. The attribute strips
 /// both markers and re-emits every other token with its own span, so
@@ -132,6 +132,36 @@ const ALLOC_TYPES: [&str; 7] =
 /// fn sized(n: usize) -> std::collections::HashMap<u8, u8> {
 ///     hot_setup_end!();
 ///     std::collections::HashMap::with_capacity(n)
+/// }
+/// ```
+///
+/// So does a constructor behind a turbofish, whose `>` of a `->`
+/// closes nothing:
+///
+/// ```compile_fail
+/// # use locap_lint::hot;
+/// #[hot]
+/// fn fresh() -> std::collections::BTreeMap<u8, u8> {
+///     hot_setup_end!();
+///     std::collections::BTreeMap::<u8, u8>::new()
+/// }
+/// ```
+///
+/// ```compile_fail
+/// # use locap_lint::hot;
+/// #[hot]
+/// fn sized(n: usize) -> Vec<u8> {
+///     hot_setup_end!();
+///     Vec::<u8>::with_capacity(n)
+/// }
+/// ```
+///
+/// ```compile_fail
+/// # use locap_lint::hot;
+/// #[hot]
+/// fn hooks() -> Vec<fn() -> u8> {
+///     hot_setup_end!();
+///     Vec::<fn() -> u8>::new()
 /// }
 /// ```
 ///
@@ -356,7 +386,30 @@ fn forbidden(prev: Option<&TokenTree>, rest: &[TokenTree]) -> Option<(Span, Stri
         (ty, _)
             if ALLOC_TYPES.contains(&ty) && punct(Some(next), ':') && punct(rest.get(2), ':') =>
         {
-            let ctor = rest.get(3)?.to_string();
+            let mut at = 3;
+            // a turbofish, `Ty::<…>::ctor`: skip its balanced `<…>` and `::`
+            if punct(rest.get(at), '<') {
+                let mut depth = 0usize;
+                loop {
+                    match rest.get(at)? {
+                        TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
+                        // the `>` of a `->` closes nothing
+                        TokenTree::Punct(p) if p.as_char() == '>' && !arrow(&rest[at - 1]) => {
+                            depth -= 1;
+                        }
+                        _ => {}
+                    }
+                    at += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                if !(punct(rest.get(at), ':') && punct(rest.get(at + 1), ':')) {
+                    return None;
+                }
+                at += 2;
+            }
+            let ctor = rest.get(at)?.to_string();
             if !matches!(ctor.as_str(), "new" | "with_capacity") {
                 return None;
             }
@@ -365,6 +418,11 @@ fn forbidden(prev: Option<&TokenTree>, rest: &[TokenTree]) -> Option<(Span, Stri
         _ => return None,
     };
     Some((id.span(), what))
+}
+
+/// Whether `t` is the `-` of a `->`.
+fn arrow(t: &TokenTree) -> bool {
+    matches!(t, TokenTree::Punct(p) if p.as_char() == '-' && p.spacing() == Spacing::Joint)
 }
 
 /// `compile_error!("msg");`, every token spanned at `span`.

@@ -21,10 +21,9 @@
 //! [`snapshot`] is the one read of the whole registry: a lossless
 //! [`TelemetryState`] of every counter, gauge and histogram, which
 //! [`TelemetryState::delta_since`] turns into the change over a window
-//! and [`TelemetryState::to_json`] puts on the wire. [`counter_value`]
-//! reads one counter without walking the rest. The bench schema
-//! that the `OBS_JSON=1` line and `BENCH_views.json` share is rendered
-//! and read in `locap-bench`, not here.
+//! and [`TelemetryState::to_json`] puts on the wire, as the `stats`
+//! result, the `OBS_JSON=1` line and the provenance sidecar all carry
+//! it. [`counter_value`] reads one counter without walking the rest.
 //!
 //! The layer is dependency-free (std only) and always on; per-event cost
 //! is an atomic add once handles are held, and a mutex-guarded name lookup

@@ -48,7 +48,10 @@
 //! writer as an object `{counters, gauges, spans, latencies}`; histogram
 //! buckets are sparse `[index, count]` pairs. Values are exact up to
 //! 2^53 (the `f64` integer range of the JSON number type), far beyond
-//! any realistic counter or nanosecond total.
+//! any realistic counter or nanosecond total. It is the one registry
+//! document: the `registry` of `locapd`'s `stats` result, of every
+//! `OBS_JSON=1` line and of every provenance sidecar, and
+//! [`TelemetryState::from_json`] is its one reader.
 
 use std::collections::BTreeMap;
 
@@ -268,28 +271,28 @@ impl TelemetryState {
         ])
     }
 
-    /// Parses an object produced by [`TelemetryState::to_json`].
+    /// Parses an object produced by [`TelemetryState::to_json`]; an
+    /// absent section reads as empty.
     pub fn from_json(doc: &Json) -> Result<TelemetryState, String> {
+        if doc.as_object().is_none() {
+            return Err("registry is not an object".into());
+        }
+        let section = |key: &str| match doc.get(key) {
+            None => Ok(&[][..]),
+            Some(v) => v.as_object().ok_or(format!("{key} is not an object")),
+        };
         let mut out = TelemetryState::default();
-        if let Some(fields) = doc.get("counters").and_then(Json::as_object) {
-            for (k, v) in fields {
-                out.counters.insert(k.clone(), v.as_u64().ok_or(format!("counter {k}"))?);
-            }
+        for (k, v) in section("counters")? {
+            out.counters.insert(k.clone(), v.as_u64().ok_or(format!("counter {k}"))?);
         }
-        if let Some(fields) = doc.get("gauges").and_then(Json::as_object) {
-            for (k, v) in fields {
-                out.gauges.insert(k.clone(), v.as_i64().ok_or(format!("gauge {k}"))?);
-            }
+        for (k, v) in section("gauges")? {
+            out.gauges.insert(k.clone(), v.as_i64().ok_or(format!("gauge {k}"))?);
         }
-        if let Some(fields) = doc.get("spans").and_then(Json::as_object) {
-            for (k, v) in fields {
-                out.spans.insert(k.clone(), HistogramState::from_json(v)?);
-            }
+        for (k, v) in section("spans")? {
+            out.spans.insert(k.clone(), HistogramState::from_json(v)?);
         }
-        if let Some(fields) = doc.get("latencies").and_then(Json::as_object) {
-            for (k, v) in fields {
-                out.latencies.insert(k.clone(), HistogramState::from_json(v)?);
-            }
+        for (k, v) in section("latencies")? {
+            out.latencies.insert(k.clone(), HistogramState::from_json(v)?);
         }
         Ok(out)
     }
@@ -366,6 +369,22 @@ mod tests {
         let lat_q = quantiles(&state.latencies["l"]);
         assert_eq!(lat_q, quantiles(&l.state()));
         assert_eq!(quantiles(&state.spans["s"]), lat_q, "one bucket scheme for both sections");
+    }
+
+    #[test]
+    fn from_json_rejects_what_is_not_an_object() {
+        let cases = [
+            ("[]", "registry is not an object"),
+            (r#"{"counters":[]}"#, "counters is not an object"),
+            (r#"{"gauges":3}"#, "gauges is not an object"),
+            (r#"{"spans":"s"}"#, "spans is not an object"),
+            (r#"{"latencies":null}"#, "latencies is not an object"),
+        ];
+        for (text, want) in cases {
+            let doc = Json::parse(text).expect("parse");
+            let err = TelemetryState::from_json(&doc).expect_err(text);
+            assert_eq!(err, want, "{text}");
+        }
     }
 
     #[test]

@@ -11,15 +11,43 @@
 //!   exactly the bucket upper bound of the oracle's nearest-rank value
 //!   (clamped to `[min, max]`), and the documented `1/16` relative error
 //!   bound holds.
-//! * **wire round-trip** — `to_json → parse → from_json` is the identity
-//!   on states and deltas (values kept in the f64-exact 53-bit range).
+//! * **wire round-trip** — `to_json → to_string → parse → from_json` is
+//!   the identity on one line, for states and deltas (values kept in the
+//!   f64-exact 53-bit range), names that need escaping, the extremes
+//!   `u64::MAX`, `i64::MIN` and `i64::MAX` (they land exactly on a power
+//!   of two, and the narrowing cast saturates back), and the empty state.
+//!   That object is the one registry document: the `stats` result's
+//!   `registry`, and the `registry` of every `OBS_JSON=1` line and
+//!   provenance sidecar.
 
-use locap_obs::telemetry::TelemetryState;
+use locap_obs::json::Json;
+use locap_obs::telemetry::{HistogramState, TelemetryState};
 use locap_obs::{bucket_index, bucket_upper_bound, quantile_rank, Histogram, Registry, BUCKETS};
 use proptest::prelude::*;
 
 /// Metric names exercising path separators and escaping.
 const NAMES: &[&str] = &["alpha", "beta/gamma", "telemetry/dropped", "é∆"];
+
+/// Characters escaped names are built from: ASCII plus everything the
+/// escaper must handle, quotes, backslashes, control characters,
+/// non-ASCII and emoji.
+const NAME_PALETTE: &[char] =
+    &['a', 'Z', '9', '_', '/', ' ', '"', '\\', '\n', '\t', '\u{7f}', 'é', '∆', '🔥'];
+
+fn palette_name() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..NAME_PALETTE.len(), 1usize..12)
+        .prop_map(|ix| ix.into_iter().map(|i| NAME_PALETTE[i]).collect())
+}
+
+/// Checks that `state` crosses the wire as one line and comes back equal.
+fn assert_wire_round_trip(state: &TelemetryState) -> Result<(), TestCaseError> {
+    let text = state.to_json().to_string();
+    prop_assert_eq!(text.lines().count(), 1, "single-line export");
+    let doc = Json::parse(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let back = TelemetryState::from_json(&doc).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(&back, state);
+    Ok(())
+}
 
 /// One registry mutation: `kind` picks the metric family, `name` the
 /// metric, `value` the operand (pre-masked to a sum-overflow-safe range).
@@ -99,12 +127,20 @@ proptest! {
         apply_mutations(&reg, &m2);
         let s1 = reg.snapshot();
         for state in [&s0, &s1, &s1.delta_since(&s0)] {
-            let text = state.to_json().to_string();
-            let doc = locap_obs::json::Json::parse(&text)
-                .map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let back = TelemetryState::from_json(&doc).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(&back, state);
+            assert_wire_round_trip(state)?;
         }
+    }
+
+    #[test]
+    fn escaped_names_survive_reparse(name in palette_name(), v in 0u64..1 << 53) {
+        let h = HistogramState { count: 1, sum: 5, min: 5, max: 5, buckets: vec![(5, 1)] };
+        let state = TelemetryState {
+            counters: [(name.clone(), v)].into(),
+            gauges: [(name.clone(), -(v as i64))].into(),
+            spans: [(name.clone(), h.clone())].into(),
+            latencies: [(name, h)].into(),
+        };
+        assert_wire_round_trip(&state)?;
     }
 
     #[test]
@@ -177,4 +213,27 @@ fn quantile_empty_and_single() {
     h.record(1000);
     assert_eq!(h.state().quantile(0.0), 1000);
     assert_eq!(h.state().quantile(1.0), 1000);
+}
+
+#[test]
+fn u64_max_counter_round_trips() {
+    let saturated = HistogramState {
+        count: u64::MAX,
+        sum: u64::MAX,
+        min: u64::MAX,
+        max: u64::MAX,
+        buckets: vec![(BUCKETS as u32 - 1, u64::MAX)],
+    };
+    let state = TelemetryState {
+        counters: [("max".to_string(), u64::MAX)].into(),
+        gauges: [("min".to_string(), i64::MIN), ("max".to_string(), i64::MAX)].into(),
+        spans: [("saturated".to_string(), saturated.clone())].into(),
+        latencies: [("saturated".to_string(), saturated)].into(),
+    };
+    assert_wire_round_trip(&state).expect("extremes round-trip");
+}
+
+#[test]
+fn empty_snapshot_round_trips() {
+    assert_wire_round_trip(&TelemetryState::default()).expect("empty round-trip");
 }

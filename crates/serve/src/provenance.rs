@@ -2,29 +2,32 @@
 //! accompanied by `<artifact>.provenance.json` recording how it was
 //! produced.
 //!
-//! # Sidecar schema (version 1)
+//! # Sidecar schema (version 2)
 //!
 //! ```json
-//! {"schema": 1,
+//! {"schema": 2,
 //!  "tool": "locapd",
 //!  "git_rev": "abc123… or null",
 //!  "pipeline": "eds-lower",
 //!  "params": {"n": 9, "delta_prime": 2},
 //!  "elapsed_ms": 41,
 //!  "created_unix_ms": 1765432100000,
-//!  "counters": {"census/classes": 1, "…": 0},
-//!  "spans": {"total": 1, "…": 0}}
+//!  "registry": {"counters": {"census/classes": 1, "…": 7},
+//!               "gauges": {},
+//!               "spans": {"run/po_vertex": {"count": 1, "sum": 40873,
+//!                 "min": 40873, "max": 40873, "buckets": [[195, 1]]}},
+//!               "latencies": {}}}
 //! ```
 //!
 //! * `git_rev` — the commit the serving binary ran from: the
 //!   `LOCAP_GIT_REV` environment variable when set, else resolved from
 //!   the repository's `.git` (walking up from the working directory);
 //!   `null` when neither is available.
-//! * `counters` — the obs-counter *delta* attributable to this run
+//! * `registry` — the registry *delta* attributable to this run
 //!   ([`TelemetryState::delta_since`] between two [`locap_obs::snapshot`]s
-//!   around it): exact for the CLI and single-worker daemons, a window
-//!   over concurrent work otherwise.
-//! * `spans` — span hit counts from the same delta.
+//!   around it) in its one wire form, [`TelemetryState::to_json`], which
+//!   `trace_report` reads like an `OBS_JSON=1` line: exact for the CLI
+//!   and single-worker daemons, a window over concurrent work otherwise.
 
 use std::path::{Path, PathBuf};
 
@@ -32,7 +35,7 @@ use locap_obs::json::Json;
 use locap_obs::telemetry::TelemetryState;
 
 /// The sidecar schema version this module writes.
-pub const SCHEMA: u64 = 1;
+pub const SCHEMA: u64 = 2;
 
 /// The commit the running binary was built from, best-effort:
 /// `LOCAP_GIT_REV` when set, else the repository HEAD found by walking
@@ -96,7 +99,7 @@ fn created_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Assembles a version-1 sidecar document.
+/// Assembles a version-2 sidecar document.
 pub fn sidecar(
     tool: &str,
     pipeline: &str,
@@ -104,16 +107,6 @@ pub fn sidecar(
     elapsed_ms: u64,
     obs_delta: &TelemetryState,
 ) -> Json {
-    let counters = obs_delta
-        .counters
-        .iter()
-        .map(|(k, &v)| (k.clone(), Json::Num(v as f64)))
-        .collect();
-    let spans = obs_delta
-        .spans
-        .iter()
-        .map(|(k, s)| (k.clone(), Json::Num(s.count as f64)))
-        .collect();
     Json::Obj(vec![
         ("schema".into(), Json::Num(SCHEMA as f64)),
         ("tool".into(), Json::Str(tool.into())),
@@ -122,8 +115,7 @@ pub fn sidecar(
         ("params".into(), params),
         ("elapsed_ms".into(), Json::Num(elapsed_ms as f64)),
         ("created_unix_ms".into(), Json::Num(created_unix_ms() as f64)),
-        ("counters".into(), Json::Obj(counters)),
-        ("spans".into(), Json::Obj(spans)),
+        ("registry".into(), obs_delta.to_json()),
     ])
 }
 
@@ -186,10 +178,8 @@ mod tests {
         assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(SCHEMA));
         assert_eq!(doc.get("tool").and_then(Json::as_str), Some("locap"));
         assert_eq!(doc.get("elapsed_ms").and_then(Json::as_u64), Some(7));
-        let counters = doc.get("counters").expect("counters present");
-        assert_eq!(counters.get("x/hits").and_then(Json::as_u64), Some(3));
-        let spans = doc.get("spans").expect("spans present");
-        assert_eq!(spans.get("total").and_then(Json::as_u64), Some(1));
+        let registry = doc.get("registry").expect("registry present");
+        assert_eq!(TelemetryState::from_json(registry), Ok(delta));
         assert!(doc.get("created_unix_ms").and_then(Json::as_u64).is_some());
     }
 

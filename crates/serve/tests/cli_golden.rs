@@ -5,21 +5,20 @@
 //! * **human output** — byte-for-byte against
 //!   `tests/golden/<name>.txt` (the CLI prints no timings, so the
 //!   output is fully deterministic);
-//! * **`OBS_JSON=1` output** — exactly one stdout line that
-//!   `locap_bench::gate::parse_baseline` reads (the same contract as
-//!   `crates/bench/tests/obs_json.rs`), with the *metric-name set*
-//!   locked against `tests/golden/<name>.metrics.txt` (values are
-//!   timings and may vary).
+//! * **`OBS_JSON=1` output** — exactly one stdout line whose `registry`
+//!   `TelemetryState::from_json` reads (the same contract as
+//!   `crates/bench/tests/obs_json.rs`), with the *span-name set* locked
+//!   against `tests/golden/<name>.metrics.txt` (values are timings and
+//!   may vary).
 //!
 //! Regenerate snapshots with `UPDATE_GOLDEN=1 cargo test -p locap-serve
 //! --test cli_golden` and review the diff like any other code change.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 
-use locap_bench::gate;
 use locap_obs::json::Json;
+use locap_obs::telemetry::TelemetryState;
 
 /// The locked subcommand matrix: (snapshot name, CLI args).
 const CASES: &[(&str, &[&str])] = &[
@@ -66,6 +65,13 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+/// The `registry` object of `doc`, an `OBS_JSON=1` line or a sidecar.
+#[track_caller]
+fn registry(doc: &Json) -> TelemetryState {
+    let registry = doc.get("registry").unwrap_or_else(|| panic!("no registry object: {doc}"));
+    TelemetryState::from_json(registry).unwrap_or_else(|e| panic!("registry: {e}: {doc}"))
+}
+
 #[test]
 fn human_output_matches_golden_snapshots() {
     for (name, args) in CASES {
@@ -101,12 +107,11 @@ fn obs_json_output_is_schema_valid_with_locked_metric_names() {
             1,
             "{name}: OBS_JSON=1 must print exactly one line, got {stdout:?}"
         );
-        let line = gate::parse_baseline(lines[0])
-            .unwrap_or_else(|e| panic!("{name}: schema validation: {e}"));
         let doc = Json::parse(lines[0]).unwrap_or_else(|e| panic!("{name}: JSON parse: {e}"));
         assert_eq!(doc.get("source").and_then(Json::as_str), Some("locap"), "{name}: source tag");
-        let metric_names: Vec<&str> = line.rows.keys().map(String::as_str).collect();
-        assert!(metric_names.contains(&"total"), "{name}: missing the total span row");
+        let spans = registry(&doc).spans;
+        let metric_names: Vec<&str> = spans.keys().map(String::as_str).collect();
+        assert!(metric_names.contains(&"total"), "{name}: missing the total span");
         let mut listing: String = metric_names.join("\n");
         listing.push('\n');
         check_golden(&format!("{name}.metrics.txt"), &listing);
@@ -169,9 +174,9 @@ fn oversized_lifts_exit_1_with_too_large() {
 }
 
 /// `--out` writes the artifact and its provenance sidecar, and the
-/// sidecar accounts for the same run as the `OBS_JSON=1` line: the same
-/// counters, each span's count as that row's samples, and every span but
-/// the `total` row that times the whole command.
+/// sidecar accounts for the same run as the `OBS_JSON=1` line: its
+/// `registry` equals the line's, counter for counter and histogram for
+/// histogram, but for the `total` span that times the whole command.
 #[test]
 fn out_flag_writes_artifact_and_sidecar() {
     let dir = std::env::temp_dir().join(format!("locap-cli-golden-{}", std::process::id()));
@@ -203,20 +208,8 @@ fn out_flag_writes_artifact_and_sidecar() {
     let out = locap(&args, true);
     assert!(out.status.success(), "exit {}", out.status);
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    let line = gate::parse_baseline(stdout.trim()).expect("one schema-valid line");
-    let sidecar = read_sidecar();
-    let field = |key| sidecar.get(key).and_then(Json::as_object).expect("an object");
-    let counters: BTreeMap<String, u64> = field("counters")
-        .iter()
-        .map(|(k, v)| (k.clone(), v.as_u64().expect("a count")))
-        .collect();
-    assert_eq!(counters, line.counters);
-    let spans = field("spans");
-    for (name, count) in spans {
-        assert_eq!(count.as_u64(), Some(line.rows[name].samples), "span {name}");
-    }
-    let unaccounted: Vec<&String> =
-        line.rows.keys().filter(|name| !spans.iter().any(|(k, _)| k == *name)).collect();
-    assert_eq!(unaccounted, ["total"]);
+    let mut line = registry(&Json::parse(stdout.trim()).expect("one JSON line"));
+    assert!(line.spans.remove("total").is_some(), "the line times the command");
+    assert_eq!(registry(&read_sidecar()), line);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -204,8 +204,9 @@ fn a_hit_writes_its_artifact_and_sidecar() {
             .expect("sidecar is JSON");
         assert_eq!(sidecar.get("tool").and_then(Json::as_str), Some("locapd"));
         assert_eq!(sidecar.get("pipeline").and_then(Json::as_str), Some("eds-lower"));
-        let counters = sidecar.get("counters").expect("sidecar carries counters");
-        let get = |k: &str| counters.get(k).and_then(Json::as_u64).unwrap_or(0);
+        let registry = sidecar.get("registry").expect("sidecar carries its registry");
+        let state = TelemetryState::from_json(registry).expect("a registry document");
+        let get = |k| counter(&state, k);
         (get("store/warm_hit"), get("store/cold_miss"), get("store/write"))
     };
     assert_eq!(store_counts("cold"), (0, 1, 1), "the miss's window holds its lookup and write");

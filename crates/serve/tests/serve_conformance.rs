@@ -20,6 +20,7 @@ use common::{
 use std::time::Duration;
 
 use locap_obs::json::Json;
+use locap_obs::telemetry::TelemetryState;
 use locap_serve::daemon::DaemonConfig;
 
 #[test]
@@ -333,10 +334,9 @@ fn artifact_requests_write_provenance_sidecars() {
         "sidecar records the effective params: {doc}"
     );
     assert!(doc.get("created_unix_ms").and_then(Json::as_u64).is_some());
-    assert!(
-        matches!(doc.get("counters"), Some(Json::Obj(_))),
-        "sidecar carries an obs-counter delta: {doc}"
-    );
+    let registry = doc.get("registry").expect("sidecar carries its registry");
+    let delta = TelemetryState::from_json(registry).expect("a registry document");
+    assert!(!delta.counters.is_empty(), "sidecar carries an obs-counter delta: {doc}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

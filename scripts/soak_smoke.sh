@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Telemetry smoke: start locapd on an ephemeral port, watch two polls of
 # its stats op over the wire, run a ~10s sustained-QPS soak with
-# --expect-ok, and validate the soak's OBS_JSON artifact against the
-# shared bench schema.
+# --expect-ok, and read the soak's OBS_JSON artifact with trace_report.
 #
 # Usage: scripts/soak_smoke.sh [artifact-dir] [qps] [duration-ms]
 #
 # CI uploads the artifact dir: the daemon log, the watched telemetry
-# rows, and the schema-valid soak metrics line.
+# rows, and the soak's metrics line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +17,7 @@ rm -rf "$ARTIFACTS"
 mkdir -p "$ARTIFACTS"
 
 cargo build --release -q -p locap-serve --bin locap --bin locapd
-cargo build --release -q -p locap-bench --bin soak --bin bench_gate
+cargo build --release -q -p locap-bench --bin soak --bin trace_report
 
 DAEMON_LOG=$ARTIFACTS/locapd.stderr.log
 target/release/locapd \
@@ -55,16 +54,16 @@ fi
 echo "soak_smoke: watched $(wc -l < "$ARTIFACTS/watch.tsv") telemetry rows"
 
 # The sustained-QPS soak: open-loop schedule, every response must be
-# ok (--expect-ok), metrics emitted as one schema-valid OBS_JSON line.
+# ok (--expect-ok), metrics emitted as one OBS_JSON registry line.
 OBS_JSON=1 target/release/soak \
     --addr "$ADDR" --qps "$QPS" --duration-ms "$DURATION_MS" \
     --connections 4 --expect-ok \
     > "$ARTIFACTS/soak.json"
 echo "soak_smoke: soak completed at target $QPS QPS for ${DURATION_MS}ms"
 
-# The artifact must satisfy the shared bench/exporter schema — the same
-# check BENCH_views.json gets.
-target/release/bench_gate validate "$ARTIFACTS/soak.json"
+# trace_report prints the line's span tree (the soak/request span among
+# it) and exits non-zero on a malformed line.
+target/release/trace_report "$ARTIFACTS/soak.json"
 
 # Clean shutdown over the wire.
 SHUTDOWN_SCRIPT=$ARTIFACTS/.shutdown.jsonl
