@@ -1,18 +1,26 @@
 //! Bench: the memoized view/neighbourhood engine vs the naive per-vertex
 //! reference paths — the perf trajectory of the `ViewCache` layer.
 //!
-//! Three shapes, engine and naive side by side:
+//! Four shapes, engine and naive side by side:
 //! * `view_census` on a label-complete lift (every view = T*, maximal
 //!   interning win);
+//! * `view_census` on a homogeneous graph of Thm 3.2;
 //! * `view_census` on a random lift of Petersen (mixed classes);
 //! * `ordered_type_census` on a random regular graph (scratch-reuse win).
+//!
+//! `bench_gate` divides each `…/engine/…` median by its `…/naive/…`
+//! sibling's, so every row needs its partner under the mirrored name.
+//! Every closure runs on one worker (`par::with_workers`): the engine's
+//! census fans out over `available_parallelism()` threads on the
+//! homogeneous graph while the naive oracle runs on one, so an unpinned
+//! ratio would move with the host's core count.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use locap_core::eds_lower::eds_instance;
 use locap_core::homogeneous::construct_budgeted;
 use locap_graph::budget::RunBudget;
 use locap_graph::canon::{ordered_type_census, ordered_type_census_naive};
-use locap_graph::{gen, random, PoGraph};
+use locap_graph::{gen, par, random, PoGraph};
 use locap_lifts::{random_lift, view_census, view_census_naive};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,4 +82,7 @@ fn bench_type_census(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_view_census, bench_type_census);
-criterion_main!(benches);
+
+fn main() {
+    par::with_workers(1, benches);
+}

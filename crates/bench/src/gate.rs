@@ -1,18 +1,23 @@
 //! The perf-regression gate behind the `bench_gate` binary.
 //!
-//! The gate compares a fresh criterion-shim run against the checked-in
-//! `BENCH_views.json` baseline:
+//! Every gated row is a **ratio of two medians measured in one `cargo
+//! bench` process**: a fast path over its reference path, paired by
+//! [`PAIRS`]. A slower host moves both medians of a pair together, so
+//! the host's speed cancels out of the ratio, and the gate compares
+//! each current ratio with the baseline's at the fixed [`TOLERANCE`]: a
+//! row fails when `current > baseline × TOLERANCE`. Both sides are
+//! measured the same way: every bench runs [`RUNS`] times and each row
+//! keeps its fastest run ([`fastest_of_runs`]).
 //!
-//! * **timings** — each baseline row's `median_ns` is compared with the
-//!   rerun median; the gate fails when `current > baseline × tolerance`
-//!   (default ×1.25, i.e. +25%; override with `BENCH_GATE_TOLERANCE`).
-//! * **engine counters** (schema 2) — the baseline embeds the counter
-//!   snapshot of a fixed deterministic workload ([`counter_workload`]);
-//!   these are compared **exactly**, catching algorithmic regressions
-//!   (lost memoization, extra evaluations) that timing noise would hide.
+//! The baseline also embeds the counter snapshot of a fixed
+//! deterministic workload ([`counter_workload`]). Tier-1's
+//! `counter_snapshot.rs` test compares it exactly on every run, catching
+//! algorithmic regressions (lost memoization, extra evaluations) that
+//! carry no timing noise.
 //!
-//! The module also owns the baseline's schema: [`render_baseline`]
-//! writes a baseline and [`parse_baseline`] reads and validates one.
+//! The module owns the baseline's schema: [`render_baseline`] writes a
+//! baseline and [`parse_baseline`] reads and validates one, refusing a
+//! row without its partner.
 //!
 //! Everything here is a pure function over parsed text so the policy is
 //! unit-testable; the binary only adds process plumbing (running
@@ -28,6 +33,21 @@ use obs::json::Json;
 /// [`parse_baseline`] reads versions 1 through this one.
 pub const SCHEMA_VERSION: u64 = 2;
 
+/// The pairing rule, as `(numerator, denominator, ratio)` name parts: a
+/// row whose name contains `numerator` is divided by the row named with
+/// `numerator` replaced by `denominator`, and the ratio row is named with
+/// `ratio` in its place. Each `view_engine` engine row goes over its
+/// naive sibling.
+pub const PAIRS: &[(&str, &str, &str)] = &[("/engine/", "/naive/", "/engine÷naive/")];
+
+/// How far a ratio may grow over its baseline value before the gate
+/// fails: ×1.25, i.e. +25%.
+pub const TOLERANCE: f64 = 1.25;
+
+/// How many times `bench_gate` runs every bench, in `check` and `record`
+/// alike, before [`fastest_of_runs`] merges the runs.
+pub const RUNS: usize = 3;
+
 /// One baseline benchmark row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineRow {
@@ -41,6 +61,17 @@ pub struct BaselineRow {
     pub samples: u64,
 }
 
+/// A gated ratio: the median of row `num` over the median of row `den`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RatioRow {
+    /// The ratio's name, e.g. `view_census/engine÷naive/homogeneous_n4096/2`.
+    pub name: String,
+    /// Numerator row name.
+    pub num: String,
+    /// Denominator row name.
+    pub den: String,
+}
+
 /// A parsed `BENCH_views.json` baseline.
 #[derive(Debug, Clone, Default)]
 pub struct Baseline {
@@ -48,6 +79,8 @@ pub struct Baseline {
     pub schema: u64,
     /// Rows keyed by benchmark name.
     pub rows: BTreeMap<String, BaselineRow>,
+    /// Every row paired with its partner.
+    pub ratios: Vec<RatioRow>,
     /// The counter snapshot of [`counter_workload`] (schema 2 only).
     pub counters: BTreeMap<String, u64>,
 }
@@ -62,15 +95,45 @@ impl Baseline {
     }
 }
 
-/// Parses and validates a baseline. A baseline has a `schema` number in
-/// `1..=SCHEMA_VERSION`, an optional `counters` object of `u64`s, and a
-/// `results` array whose rows each carry string `bench` and `name` plus
-/// integer `median_ns`, `min_ns` and `samples`. Other fields (`date`,
-/// `note`) are not read.
+/// Pairs every row by [`PAIRS`] and returns the ratio rows, in the
+/// order of their numerator rows' names.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed field.
+/// Names the first row that matches no pair, or whose partner is absent:
+/// a row nothing divides would go ungated.
+fn ratio_rows(rows: &BTreeMap<String, BaselineRow>) -> Result<Vec<RatioRow>, String> {
+    let mut out = Vec::new();
+    for name in rows.keys() {
+        let (partner, ratio) = PAIRS
+            .iter()
+            .find_map(|&(num, den, ratio)| {
+                if name.contains(num) {
+                    Some((name.replacen(num, den, 1), Some(name.replacen(num, ratio, 1))))
+                } else {
+                    name.contains(den).then(|| (name.replacen(den, num, 1), None))
+                }
+            })
+            .ok_or(format!("row {name} matches no ratio pair"))?;
+        if !rows.contains_key(&partner) {
+            return Err(format!("row {name} has no partner {partner}"));
+        }
+        if let Some(ratio) = ratio {
+            out.push(RatioRow { name: ratio, num: name.clone(), den: partner });
+        }
+    }
+    Ok(out)
+}
+
+/// Parses and validates a baseline. A baseline has a `schema` number in
+/// `1..=SCHEMA_VERSION`, an optional `counters` object of `u64`s, and a
+/// `results` array whose rows each carry string `bench` and `name` plus
+/// integer `median_ns`, `min_ns` and `samples`, and whose rows pair up
+/// by [`PAIRS`]. Other fields (`date`, `note`) are not read.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed field or unpaired row.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     let schema = doc.get("schema").and_then(Json::as_u64).ok_or("missing schema number")?;
@@ -113,7 +176,8 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
         };
         rows.insert(name, row);
     }
-    Ok(Baseline { schema, rows, counters })
+    let ratios = ratio_rows(&rows)?;
+    Ok(Baseline { schema, rows, ratios, counters })
 }
 
 /// One measurement from a criterion-shim TSV run.
@@ -145,152 +209,103 @@ pub fn parse_shim_tsv(text: &str) -> Vec<Measurement> {
         .collect()
 }
 
-/// One timing regression found by [`compare`].
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline median, nanoseconds.
-    pub baseline_ns: u64,
-    /// Rerun median, nanoseconds.
-    pub current_ns: u64,
-    /// `current / baseline`.
-    pub ratio: f64,
-}
-
-/// The outcome of a gate comparison.
-#[derive(Debug, Clone, Default)]
-pub struct GateOutcome {
-    /// Rows compared (present in both baseline and rerun).
-    pub checked: usize,
-    /// Rows beyond tolerance.
-    pub regressions: Vec<Regression>,
-    /// Baseline rows (restricted to the benches rerun) with no
-    /// measurement — a renamed or deleted benchmark.
-    pub missing: Vec<String>,
-    /// Counter mismatches (schema 2), as `name: expected != actual`.
-    pub counter_mismatches: Vec<String>,
-}
-
-impl GateOutcome {
-    /// Whether the gate passes.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty() && self.counter_mismatches.is_empty()
-    }
-}
-
-/// Compares a rerun against the baseline. Only baseline rows whose bench
-/// is in `benches_run` are considered (the smoke job may rerun a subset);
-/// `tolerance` is the allowed `current / baseline` median ratio.
-pub fn compare(
-    baseline: &Baseline,
-    benches_run: &[String],
-    current: &[Measurement],
-    tolerance: f64,
-) -> GateOutcome {
-    let by_name: BTreeMap<&str, &Measurement> =
-        current.iter().map(|m| (m.name.as_str(), m)).collect();
-    let mut out = GateOutcome::default();
-    for (name, row) in &baseline.rows {
-        if !benches_run.contains(&row.bench) {
-            continue;
-        }
-        match by_name.get(name.as_str()) {
-            None => out.missing.push(name.clone()),
-            Some(m) => {
-                out.checked += 1;
-                let ratio = m.median_ns as f64 / (row.median_ns.max(1)) as f64;
-                if ratio > tolerance {
-                    out.regressions.push(Regression {
-                        name: name.clone(),
-                        baseline_ns: row.median_ns,
-                        current_ns: m.median_ns,
-                        ratio,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Merges a rerun measurement into an accumulated best-of map: per name,
-/// the elementwise minimum of `median_ns` and `min_ns` across reruns.
-/// The gate retries regressed benches with this merge because scheduler
-/// noise inflates some reruns but a real regression is slow on all of
-/// them — the best-of median stays high only when the slowdown is real.
-pub fn merge_min(best: &mut BTreeMap<String, Measurement>, m: Measurement) {
-    best.entry(m.name.clone())
-        .and_modify(|b| {
-            b.median_ns = b.median_ns.min(m.median_ns);
-            b.min_ns = b.min_ns.min(m.min_ns);
-            b.samples = b.samples.max(m.samples);
-        })
-        .or_insert(m);
-}
-
-/// The distinct bench targets containing the regressed rows, sorted —
-/// what a retry pass needs to rerun.
-pub fn benches_of(regressions: &[Regression], baseline: &Baseline) -> Vec<String> {
-    let mut out: Vec<String> = regressions
+/// Merges runs of the same benches into one row per name, in the first
+/// run's order, keeping the row's smallest median and smallest min. Load
+/// from other processes only ever slows a run down, so a row's fastest
+/// run is the closest to its code's own speed: a burst of load during
+/// one run moves neither the baseline nor a check, while a row whose
+/// code got slower is slow in every run.
+pub fn fastest_of_runs(runs: &[Vec<(String, Measurement)>]) -> Vec<(String, Measurement)> {
+    let first = runs.first().map_or(&[][..], Vec::as_slice);
+    first
         .iter()
-        .filter_map(|r| baseline.rows.get(&r.name).map(|row| row.bench.clone()))
-        .collect();
-    out.sort();
-    out.dedup();
-    out
+        .map(|(bench, m)| {
+            let same = || runs.iter().flatten().map(|(_, o)| o).filter(|o| o.name == m.name);
+            let median_ns = same().map(|o| o.median_ns).min().unwrap_or(m.median_ns);
+            let min_ns = same().map(|o| o.min_ns).min().unwrap_or(m.min_ns);
+            (bench.clone(), Measurement { median_ns, min_ns, ..m.clone() })
+        })
+        .collect()
 }
 
-/// Renders the full baseline-vs-current comparison as a TSV table, one
-/// row per baseline entry (restricted to `benches_run`), with the ratio
-/// and the verdict under `tolerance`. Printed in full when the gate
-/// fails, so a failure log shows every measurement — not just the
-/// offending rows — alongside the tolerance that was actually applied.
-pub fn render_comparison_tsv(
-    baseline: &Baseline,
-    benches_run: &[String],
-    current: &[Measurement],
-    tolerance: f64,
-) -> String {
-    let by_name: BTreeMap<&str, &Measurement> =
-        current.iter().map(|m| (m.name.as_str(), m)).collect();
-    let mut out =
-        format!("name\tbaseline_ns\tcurrent_ns\tratio\tstatus (tolerance x{tolerance})\n");
-    for (name, row) in &baseline.rows {
-        if !benches_run.contains(&row.bench) {
-            continue;
-        }
-        match by_name.get(name.as_str()) {
-            None => {
-                out.push_str(&format!("{name}\t{}\t-\t-\tMISSING\n", row.median_ns));
-            }
-            Some(m) => {
-                let ratio = m.median_ns as f64 / (row.median_ns.max(1)) as f64;
-                let status = if ratio > tolerance { "REGRESSION" } else { "ok" };
-                out.push_str(&format!(
-                    "{name}\t{}\t{}\t{ratio:.3}\t{status}\n",
-                    row.median_ns, m.median_ns
-                ));
-            }
+/// One ratio row of a gate run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatioCheck {
+    /// The ratio row's name.
+    pub name: String,
+    /// The ratio in the baseline.
+    pub baseline: f64,
+    /// The ratio now, if both of its rows were measured.
+    pub current: Option<f64>,
+}
+
+impl RatioCheck {
+    /// Whether the current ratio is there and within [`TOLERANCE`] of
+    /// the baseline's.
+    pub fn ok(&self) -> bool {
+        self.current.is_some_and(|c| c <= self.baseline * TOLERANCE)
+    }
+
+    /// `ok`, `REGRESSION` or `MISSING`.
+    pub fn verdict(&self) -> &'static str {
+        match self.current {
+            None => "MISSING",
+            Some(_) if self.ok() => "ok",
+            Some(_) => "REGRESSION",
         }
     }
-    out
 }
 
-/// Compares the expected counter snapshot against an actual one, exactly;
-/// keys absent from `expected` are ignored (new instrumentation is not a
-/// regression), keys absent from `actual` are mismatches.
-pub fn compare_counters(
-    expected: &BTreeMap<String, u64>,
-    actual: &BTreeMap<String, u64>,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for (k, &want) in expected {
-        match actual.get(k) {
-            Some(&got) if got == want => {}
-            Some(&got) => out.push(format!("{k}: baseline {want} != current {got}")),
-            None => out.push(format!("{k}: baseline {want} != current <absent>")),
-        }
+/// Compares every ratio row of `baseline` with the same ratio in
+/// `current`.
+///
+/// # Errors
+///
+/// Names the first current row that the baseline lacks: a new bench row
+/// is gated only once `bench_gate record` has recorded it with its
+/// partner.
+pub fn compare(baseline: &Baseline, current: &[Measurement]) -> Result<Vec<RatioCheck>, String> {
+    if let Some(m) = current.iter().find(|m| !baseline.rows.contains_key(&m.name)) {
+        return Err(format!("bench row {} is not in the baseline; record it first", m.name));
+    }
+    let recorded = baseline.rows.iter().map(|(name, row)| (name.as_str(), row.median_ns)).collect();
+    let current = current.iter().map(|m| (m.name.as_str(), m.median_ns)).collect();
+    Ok(baseline
+        .ratios
+        .iter()
+        .filter_map(|r| {
+            Some(RatioCheck {
+                name: r.name.clone(),
+                baseline: ratio_of(&recorded, r)?,
+                current: ratio_of(&current, r),
+            })
+        })
+        .collect())
+}
+
+/// The median of `r.num` over the median of `r.den`, if both are there.
+fn ratio_of(medians: &BTreeMap<&str, u64>, r: &RatioRow) -> Option<f64> {
+    let (num, den) = (medians.get(r.num.as_str())?, medians.get(r.den.as_str())?);
+    Some(*num as f64 / (*den).max(1) as f64)
+}
+
+/// Renders a gate run as a TSV table: every ratio row with its baseline
+/// ratio, its current ratio, the one over the other and the verdict
+/// under [`TOLERANCE`]. `bench_gate check` prints it on every run, so a
+/// log shows every ratio, not just the failing ones.
+pub fn render_table(checks: &[RatioCheck]) -> String {
+    let mut out = format!("ratio\tbaseline\tcurrent\tchange\tverdict (limit x{TOLERANCE})\n");
+    for c in checks {
+        let (current, change) = match c.current {
+            Some(v) => (format!("{v:.4}"), format!("{:.3}", v / c.baseline)),
+            None => ("-".into(), "-".into()),
+        };
+        out.push_str(&format!(
+            "{}\t{:.4}\t{current}\t{change}\t{}\n",
+            c.name,
+            c.baseline,
+            c.verdict()
+        ));
     }
     out
 }
@@ -300,8 +315,8 @@ pub fn compare_counters(
 ///
 /// ```
 /// use locap_bench::gate::split_spec;
-/// assert_eq!(split_spec("locap-graph:canon"), ("locap-graph", "canon"));
-/// assert_eq!(split_spec("views"), ("locap-bench", "views"));
+/// assert_eq!(split_spec("locap-serve:store_warm"), ("locap-serve", "store_warm"));
+/// assert_eq!(split_spec("view_engine"), ("locap-bench", "view_engine"));
 /// ```
 pub fn split_spec(spec: &str) -> (&str, &str) {
     match spec.split_once(':') {
@@ -422,25 +437,65 @@ mod tests {
     const SCHEMA1: &str = r#"{
       "schema": 1, "note": "x",
       "results": [
-        {"bench": "b1", "name": "b1/f/1", "median_ns": 1000, "min_ns": 900, "samples": 20},
-        {"bench": "b2", "name": "b2/g/2", "median_ns": 5000, "min_ns": 4500, "samples": 20}
+        {"bench": "b", "name": "g/engine/1", "median_ns": 500, "min_ns": 450, "samples": 20},
+        {"bench": "b", "name": "g/naive/1", "median_ns": 1000, "min_ns": 900, "samples": 20},
+        {"bench": "b", "name": "g/engine/2", "median_ns": 3000, "min_ns": 2900, "samples": 20},
+        {"bench": "b", "name": "g/naive/2", "median_ns": 1000, "min_ns": 900, "samples": 20},
+        {"bench": "p:s", "name": "s/engine/x", "median_ns": 30, "min_ns": 25, "samples": 5},
+        {"bench": "p:s", "name": "s/naive/x", "median_ns": 3000, "min_ns": 2500, "samples": 5}
       ]
     }"#;
+
+    /// The checked-in baseline, whose ratio rows the gate checks.
+    fn checked_in() -> Baseline {
+        parse_baseline(include_str!("../../../BENCH_views.json")).expect("BENCH_views.json parses")
+    }
+
+    /// A rerun of `b` whose every median is the baseline's times `scale(name)`.
+    fn rerun_of(b: &Baseline, scale: impl Fn(&str) -> f64) -> Vec<Measurement> {
+        b.rows
+            .iter()
+            .map(|(name, row)| Measurement {
+                name: name.clone(),
+                median_ns: (row.median_ns as f64 * scale(name)) as u64,
+                min_ns: row.min_ns,
+                samples: row.samples,
+            })
+            .collect()
+    }
+
+    /// A baseline document with one row per name, every median 1.
+    fn doc_of(names: &[&str]) -> String {
+        let rows: Vec<String> = names
+            .iter()
+            .map(|n| {
+                format!(r#"{{"bench":"b","name":"{n}","median_ns":1,"min_ns":1,"samples":1}}"#)
+            })
+            .collect();
+        format!(r#"{{"schema":2,"results":[{}]}}"#, rows.join(","))
+    }
 
     #[test]
     fn parses_schema_1_baseline() {
         let b = parse_baseline(SCHEMA1).unwrap();
         assert_eq!(b.schema, 1);
-        assert_eq!(b.rows.len(), 2);
-        assert_eq!(b.rows["b1/f/1"].median_ns, 1000);
+        assert_eq!(b.rows.len(), 6);
+        assert_eq!(b.rows["g/engine/1"].median_ns, 500);
         assert!(b.counters.is_empty());
-        assert_eq!(b.benches(), vec!["b1".to_string(), "b2".to_string()]);
+        assert_eq!(b.benches(), vec!["b".to_string(), "p:s".to_string()]);
+        let names: Vec<&str> = b.ratios.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["g/engine÷naive/1", "g/engine÷naive/2", "s/engine÷naive/x"]);
+        assert_eq!(
+            (b.ratios[2].num.as_str(), b.ratios[2].den.as_str()),
+            ("s/engine/x", "s/naive/x")
+        );
     }
 
     #[test]
     fn parses_schema_2_baseline_with_counters() {
         let text = r#"{"schema": 2, "counters": {"engine/oi/evals": 7},
-            "results": [{"bench": "b", "name": "b/f", "median_ns": 10, "min_ns": 9, "samples": 3}]}"#;
+            "results": [{"bench": "b", "name": "b/engine/f", "median_ns": 10, "min_ns": 9, "samples": 3},
+                        {"bench": "b", "name": "b/naive/f", "median_ns": 20, "min_ns": 19, "samples": 3}]}"#;
         let b = parse_baseline(text).unwrap();
         assert_eq!(b.schema, 2);
         assert_eq!(b.counters["engine/oi/evals"], 7);
@@ -497,9 +552,136 @@ mod tests {
         }
         // and the happy path next to the table, for contrast
         let ok = r#"{"schema":2,"counters":{"c":1},
-            "results":[{"bench":"b","name":"n","median_ns":1,"min_ns":1,"samples":1}]}"#;
+            "results":[{"bench":"b","name":"n/engine/1","median_ns":1,"min_ns":1,"samples":1},
+                       {"bench":"b","name":"n/naive/1","median_ns":1,"min_ns":1,"samples":1}]}"#;
         let b = parse_baseline(ok).expect("valid document accepted");
-        assert_eq!((b.counters["c"], b.rows["n"].samples), (1, 1));
+        assert_eq!((b.counters["c"], b.rows["n/engine/1"].samples), (1, 1));
+    }
+
+    #[test]
+    fn an_unpaired_baseline_row_is_an_error() {
+        let err = |names: &[&str]| parse_baseline(&doc_of(names)).expect_err("unpaired");
+        assert_eq!(err(&["g/engine/1"]), "row g/engine/1 has no partner g/naive/1");
+        assert_eq!(err(&["g/naive/1"]), "row g/naive/1 has no partner g/engine/1");
+        assert_eq!(
+            err(&["store/warm_census", "g/engine/1", "g/naive/1"]),
+            "row store/warm_census matches no ratio pair"
+        );
+        assert_eq!(err(&["tree/build/L1_r4"]), "row tree/build/L1_r4 matches no ratio pair");
+        let b = parse_baseline(&doc_of(&["g/naive/1", "g/engine/1"])).expect("a pair");
+        let ratio = RatioRow {
+            name: "g/engine÷naive/1".into(),
+            num: "g/engine/1".into(),
+            den: "g/naive/1".into(),
+        };
+        assert_eq!(b.ratios, [ratio]);
+    }
+
+    #[test]
+    fn the_checked_in_baseline_gates_eight_ratios() {
+        let b = checked_in();
+        assert_eq!(b.ratios.len(), 8, "the view_engine pairs");
+        assert_eq!(b.rows.len(), 2 * b.ratios.len(), "every row is in one ratio");
+        assert_eq!(b.benches(), ["view_engine"]);
+    }
+
+    #[test]
+    fn a_bench_row_the_baseline_lacks_is_an_error() {
+        let b = checked_in();
+        let mut run = rerun_of(&b, |_| 1.0);
+        run.push(Measurement { name: "g/engine/new".into(), median_ns: 1, min_ns: 1, samples: 5 });
+        let err = compare(&b, &run).expect_err("an unrecorded row");
+        assert_eq!(err, "bench row g/engine/new is not in the baseline; record it first");
+    }
+
+    #[test]
+    fn a_uniformly_slower_host_passes() {
+        let b = checked_in();
+        let checks = compare(&b, &rerun_of(&b, |_| 3.0)).unwrap();
+        assert_eq!(checks.len(), b.ratios.len());
+        assert!(checks.iter().all(RatioCheck::ok), "{}", render_table(&checks));
+    }
+
+    #[test]
+    fn one_slower_engine_row_fails_naming_its_ratio() {
+        let b = checked_in();
+        let slow = "view_census/engine/homogeneous_n4096/2";
+        let checks =
+            compare(&b, &rerun_of(&b, |name| if name == slow { 1.3 } else { 1.0 })).unwrap();
+        let failed: Vec<&str> =
+            checks.iter().filter(|c| !c.ok()).map(|c| c.name.as_str()).collect();
+        assert_eq!(failed, ["view_census/engine÷naive/homogeneous_n4096/2"]);
+        assert!(
+            render_table(&checks).contains("view_census/engine÷naive/homogeneous_n4096/2\t"),
+            "the table names it"
+        );
+    }
+
+    #[test]
+    fn the_table_lists_every_ratio_row_with_both_ratios_and_its_verdict() {
+        let b = parse_baseline(SCHEMA1).unwrap();
+        let m = |name: &str, median_ns| Measurement {
+            name: name.into(),
+            median_ns,
+            min_ns: 0,
+            samples: 5,
+        };
+        // pair 1 grows from 0.5 to 0.75, pair 2 holds at 3.0, pair 3 lost
+        // its engine row
+        let current = vec![
+            m("g/engine/1", 1500),
+            m("g/naive/1", 2000),
+            m("g/engine/2", 6000),
+            m("g/naive/2", 2000),
+            m("s/naive/x", 3000),
+        ];
+        let checks = compare(&b, &current).unwrap();
+        assert_eq!(
+            render_table(&checks),
+            "ratio\tbaseline\tcurrent\tchange\tverdict (limit x1.25)\n\
+             g/engine÷naive/1\t0.5000\t0.7500\t1.500\tREGRESSION\n\
+             g/engine÷naive/2\t3.0000\t3.0000\t1.000\tok\n\
+             s/engine÷naive/x\t0.0100\t-\t-\tMISSING\n"
+        );
+        let verdicts: Vec<bool> = checks.iter().map(RatioCheck::ok).collect();
+        assert_eq!(verdicts, [false, true, false], "a missing row fails too");
+    }
+
+    #[test]
+    fn a_slower_engine_fails_whatever_load_slows_its_naive_row() {
+        let b = checked_in();
+        let (engine, naive) =
+            ("view_census/engine/homogeneous_n4096/2", "view_census/naive/homogeneous_n4096/2");
+        // runs that slow the engine and the naive row by the given
+        // factors, merged as `bench_gate` merges them
+        let check = |runs: &[(f64, f64)]| {
+            let runs: Vec<Vec<(String, Measurement)>> = runs
+                .iter()
+                .map(|&(e, n)| {
+                    let scale = |name: &str| match name {
+                        _ if name == engine => e,
+                        _ if name == naive => n,
+                        _ => 1.0,
+                    };
+                    rerun_of(&b, scale).into_iter().map(|m| (String::new(), m)).collect()
+                })
+                .collect();
+            let rows: Vec<Measurement> =
+                fastest_of_runs(&runs).into_iter().map(|(_, m)| m).collect();
+            compare(&b, &rows).unwrap()
+        };
+        // a burst slows one run's naive row (that run's ratio reads 0.5)
+        // and another run's engine row: neither moves the fastest runs
+        assert!(check(&[(1.0, 2.0), (1.6, 1.0), (1.0, 1.0)]).iter().all(RatioCheck::ok));
+        // an engine twice as slow stays twice as slow, also in the run
+        // whose naive row a burst slowed
+        let failed: Vec<(String, Option<f64>)> = check(&[(2.0, 2.0), (2.0, 1.0)])
+            .into_iter()
+            .filter(|c| !c.ok())
+            .map(|c| (c.name, c.current.map(|v| (v / c.baseline * 100.0).round())))
+            .collect();
+        let want = "view_census/engine÷naive/homogeneous_n4096/2".to_string();
+        assert_eq!(failed, [(want, Some(200.0))]);
     }
 
     #[test]
@@ -511,112 +693,26 @@ mod tests {
         assert_eq!(ms[0].median_ns, 1100);
     }
 
-    fn all_benches() -> Vec<String> {
-        vec!["b1".into(), "b2".into()]
-    }
-
     #[test]
-    fn within_tolerance_passes() {
-        let b = parse_baseline(SCHEMA1).unwrap();
-        let current = vec![
-            Measurement { name: "b1/f/1".into(), median_ns: 1200, min_ns: 1000, samples: 20 },
-            Measurement { name: "b2/g/2".into(), median_ns: 5100, min_ns: 4600, samples: 20 },
-        ];
-        let out = compare(&b, &all_benches(), &current, 1.25);
-        assert!(out.ok(), "{out:?}");
-        assert_eq!(out.checked, 2);
-    }
-
-    #[test]
-    fn synthetic_regression_fails() {
-        // A deliberately slowed benchmark (3× the baseline median) must
-        // trip the gate at the default +25% tolerance.
-        let b = parse_baseline(SCHEMA1).unwrap();
-        let current = vec![
-            Measurement { name: "b1/f/1".into(), median_ns: 3000, min_ns: 2900, samples: 20 },
-            Measurement { name: "b2/g/2".into(), median_ns: 5000, min_ns: 4500, samples: 20 },
-        ];
-        let out = compare(&b, &all_benches(), &current, 1.25);
-        assert!(!out.ok());
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(out.regressions[0].name, "b1/f/1");
-        assert!((out.regressions[0].ratio - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn missing_row_fails_but_subset_runs_skip_other_benches() {
-        let b = parse_baseline(SCHEMA1).unwrap();
-        // rerun only b1, and without its row -> missing
-        let out = compare(&b, &["b1".to_string()], &[], 1.25);
-        assert_eq!(out.missing, vec!["b1/f/1".to_string()]);
-        assert_eq!(out.checked, 0);
-        // b2's rows are not reported missing (not rerun)
-        assert!(!out.missing.contains(&"b2/g/2".to_string()));
-    }
-
-    #[test]
-    fn merge_min_keeps_best_of_reruns() {
-        let mut best = BTreeMap::new();
-        merge_min(
-            &mut best,
-            Measurement { name: "b/f".into(), median_ns: 900, min_ns: 800, samples: 20 },
-        );
-        merge_min(
-            &mut best,
-            Measurement { name: "b/f".into(), median_ns: 700, min_ns: 850, samples: 5 },
-        );
-        assert_eq!(best["b/f"].median_ns, 700);
-        assert_eq!(best["b/f"].min_ns, 800);
-        assert_eq!(best["b/f"].samples, 20);
-    }
-
-    #[test]
-    fn benches_of_maps_regressed_rows_to_their_targets() {
-        let b = parse_baseline(SCHEMA1).unwrap();
-        let regs = vec![
-            Regression { name: "b2/g/2".into(), baseline_ns: 1, current_ns: 2, ratio: 2.0 },
-            Regression { name: "b1/f/1".into(), baseline_ns: 1, current_ns: 2, ratio: 2.0 },
-            Regression { name: "gone/row".into(), baseline_ns: 1, current_ns: 2, ratio: 2.0 },
-        ];
-        assert_eq!(benches_of(&regs, &b), vec!["b1".to_string(), "b2".to_string()]);
-    }
-
-    #[test]
-    fn comparison_tsv_lists_every_row_and_the_tolerance() {
-        let b = parse_baseline(SCHEMA1).unwrap();
-        // b1 regressed, b2 fine and present -> both rows still printed
-        let current = vec![
-            Measurement { name: "b1/f/1".into(), median_ns: 3000, min_ns: 2900, samples: 20 },
-            Measurement { name: "b2/g/2".into(), median_ns: 5000, min_ns: 4500, samples: 20 },
-        ];
-        let tsv = render_comparison_tsv(&b, &all_benches(), &current, 1.25);
-        assert!(tsv.contains("tolerance x1.25"), "{tsv}");
-        assert!(tsv.contains("b1/f/1\t1000\t3000\t3.000\tREGRESSION"), "{tsv}");
-        assert!(tsv.contains("b2/g/2\t5000\t5000\t1.000\tok"), "{tsv}");
-        // a missing row renders too
-        let tsv = render_comparison_tsv(&b, &all_benches(), &current[..1], 1.25);
-        assert!(tsv.contains("b2/g/2\t5000\t-\t-\tMISSING"), "{tsv}");
-        // rows of benches not rerun are excluded
-        let tsv = render_comparison_tsv(&b, &["b1".to_string()], &current, 1.25);
-        assert!(!tsv.contains("b2/g/2"), "{tsv}");
-    }
-
-    #[test]
-    fn counter_comparison_is_exact() {
-        let expected: BTreeMap<String, u64> =
-            [("engine/oi/evals".to_string(), 5), ("view_cache/tree_misses".to_string(), 2)]
-                .into_iter()
-                .collect();
-        let mut actual = expected.clone();
-        assert!(compare_counters(&expected, &actual).is_empty());
-        actual.insert("engine/oi/evals".into(), 6);
-        let bad = compare_counters(&expected, &actual);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("5 != current 6"));
-        // extra actual counters are fine
-        actual.insert("engine/oi/evals".into(), 5);
-        actual.insert("new/counter".into(), 1);
-        assert!(compare_counters(&expected, &actual).is_empty());
+    fn fastest_of_runs_keeps_each_rows_fastest_run() {
+        let run = |engine, naive| {
+            let m = |name: &str, median_ns| Measurement {
+                name: name.into(),
+                median_ns,
+                min_ns: median_ns / 2,
+                samples: 10,
+            };
+            vec![
+                ("b".to_string(), m("g/engine/1", engine)),
+                ("b".to_string(), m("g/naive/1", naive)),
+            ]
+        };
+        // bursts of load slow the naive row in two runs of three
+        let rows = fastest_of_runs(&[run(100, 900), run(110, 400), run(90, 700)]);
+        let got: Vec<(&str, u64, u64)> =
+            rows.iter().map(|(_, m)| (m.name.as_str(), m.median_ns, m.min_ns)).collect();
+        assert_eq!(got, [("g/engine/1", 90, 45), ("g/naive/1", 400, 200)]);
+        assert!(fastest_of_runs(&[]).is_empty());
     }
 
     #[test]
@@ -636,20 +732,17 @@ mod tests {
     #[test]
     fn rendered_baseline_reparses() {
         let counters: BTreeMap<String, u64> = [("engine/po/evals".to_string(), 3)].into();
-        let rows = vec![(
-            "view_engine".to_string(),
-            Measurement {
-                name: "view_engine/census".into(),
-                median_ns: 42,
-                min_ns: 40,
-                samples: 5,
-            },
-        )];
+        let row = |name: &str, median_ns| {
+            let m = Measurement { name: name.into(), median_ns, min_ns: 40, samples: 5 };
+            ("view_engine".to_string(), m)
+        };
+        let rows = vec![row("g/engine/1", 42), row("g/naive/1", 4200)];
         let text = render_baseline("2026-08-06", "rustc", "note \"quoted\"", &counters, &rows);
         let b = parse_baseline(&text).unwrap();
         assert_eq!(b.schema, SCHEMA_VERSION);
         assert_eq!(b.counters["engine/po/evals"], 3);
-        assert_eq!(b.rows["view_engine/census"].median_ns, 42);
+        assert_eq!(b.rows["g/engine/1"].median_ns, 42);
+        assert_eq!(b.ratios.len(), 1);
     }
 
     #[test]
@@ -657,7 +750,7 @@ mod tests {
         assert_eq!(split_spec("locap-graph:canon"), ("locap-graph", "canon"));
         assert_eq!(split_spec("views"), ("locap-bench", "views"));
         // a qualified spec re-joined from its parts parses back identically
-        let (pkg, target) = split_spec("locap-serve:serve_load");
+        let (pkg, target) = split_spec("locap-serve:store_warm");
         assert_eq!(split_spec(&format!("{pkg}:{target}")), (pkg, target));
         // only the first ':' splits, so targets may not contain one —
         // the remainder stays with the target verbatim

@@ -11,8 +11,9 @@
 //!
 //! The [`gate`] module implements the regression gate behind the
 //! `bench_gate` binary: it parses the checked-in `BENCH_views.json`
-//! baseline, reruns the corresponding criterion-shim benches, and fails on
-//! median regressions beyond a configurable tolerance.
+//! baseline, runs the corresponding criterion-shim benches, and fails
+//! when a ratio of two medians from one bench process (an engine over
+//! its naive oracle) grows past ×1.25 of the baseline's ratio.
 //!
 //! The [`trace_report`] module, behind the binary of the same name, turns
 //! registry documents (`OBS_JSON` lines and provenance sidecars) into a

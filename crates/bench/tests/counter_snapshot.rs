@@ -1,7 +1,8 @@
 //! The gate's counter workload must reproduce the `counters` object of
 //! `BENCH_views.json` exactly: the work counters carry no timing noise,
-//! so any drift is a change in what the engines do, and it fails here
-//! before it reaches `bench_gate check`.
+//! so any drift is a change in what the engines do. This test is the one
+//! check of that snapshot; `bench_gate record` writes it and `bench_gate
+//! counters` prints it.
 //!
 //! The registry is process-global and `counter_workload` reads it whole,
 //! so this file holds a single `#[test]` in its own binary.

@@ -105,7 +105,8 @@ fn trace_report_prints_one_tree_row_per_span_row() {
 
 /// `trace_report` skips a blank line between two lines and adds their
 /// spans up, so a file of lines from several binaries reads as one run;
-/// a negative counter in the second line fails the file.
+/// a negative counter, or a span without its `buckets` array, in the
+/// second line fails the file.
 #[test]
 fn trace_report_reads_lines_around_a_blank_one() {
     let dir = std::env::temp_dir().join(format!("locap_trace_blank_{}", std::process::id()));
@@ -130,6 +131,14 @@ fn trace_report_reads_lines_around_a_blank_one() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2: counter engine/po/evals"), "{stderr}");
+
+    let text = line.to_string();
+    let (head, tail) = text.split_once(",\"buckets\":").expect("the span carries buckets");
+    let tail = tail.split_once("]]").map(|(_, rest)| rest).expect("one bucket pair");
+    let out = trace_report_on(&dir, &format!("{line}\n{head}{tail}\n"));
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2: histogram buckets"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,9 +9,9 @@
 //! `CRITERION_SHIM_TSV` is set — enough to seed `BENCH_*.json` trend files.
 //! `CRITERION_SHIM_SAMPLES=n` caps samples per benchmark (smoke runs).
 //!
-//! Scope: [`black_box`], [`Criterion`] with `benchmark_group` /
-//! `bench_function`, [`BenchmarkGroup`] with `sample_size`,
-//! `bench_function`, `bench_with_input`, `finish`, [`BenchmarkId`],
+//! Scope: [`black_box`], [`Criterion`] with `benchmark_group`,
+//! [`BenchmarkGroup`] with `sample_size`, `bench_function`,
+//! `bench_with_input`, `finish`, [`BenchmarkId::new`],
 //! [`Bencher::iter`], and the [`criterion_group!`] / [`criterion_main!`]
 //! macros. No statistics beyond median/min, no HTML reports, no saved
 //! baselines.
@@ -52,12 +52,6 @@ impl Criterion {
         eprintln!("\n== {name} ==");
         let sample_size = self.sample_size;
         BenchmarkGroup { _parent: self, name, sample_size }
-    }
-
-    /// Runs a single ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Criterion {
-        run_one(id, self.sample_size, f);
-        self
     }
 }
 
@@ -108,11 +102,6 @@ impl BenchmarkId {
     /// Combines a function name and a parameter display value.
     pub fn new(function_name: impl Into<String>, parameter: impl std::fmt::Display) -> BenchmarkId {
         BenchmarkId(format!("{}/{}", function_name.into(), parameter))
-    }
-
-    /// An identifier from a parameter alone.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> BenchmarkId {
-        BenchmarkId(parameter.to_string())
     }
 }
 
@@ -247,6 +236,5 @@ mod tests {
     #[test]
     fn benchmark_id_formats() {
         assert_eq!(BenchmarkId::new("build", "L2_r3").0, "build/L2_r3");
-        assert_eq!(BenchmarkId::from_parameter(7).0, "7");
     }
 }

@@ -156,8 +156,14 @@ impl HistogramState {
 
     fn from_json(v: &Json) -> Result<HistogramState, String> {
         let field = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("histogram {k}"));
+        // The bucket counts are not checked against `count`:
+        // `Histogram::state` reads `count` before the buckets while
+        // recorders run, so a live `stats` snapshot (which loadbench
+        // reads through this fn too) may legitimately disagree, and
+        // `quantile` is total on that.
+        let pairs = v.get("buckets").and_then(Json::as_array).ok_or("histogram buckets")?;
         let mut buckets = Vec::new();
-        for pair in v.get("buckets").and_then(Json::as_array).unwrap_or(&[]) {
+        for pair in pairs {
             let arr = pair.as_array().ok_or("bucket pair not an array")?;
             match arr {
                 [i, c] => {
@@ -379,6 +385,11 @@ mod tests {
             (r#"{"gauges":3}"#, "gauges is not an object"),
             (r#"{"spans":"s"}"#, "spans is not an object"),
             (r#"{"latencies":null}"#, "latencies is not an object"),
+            (
+                r#"{"spans":{"s":{"count":3,"sum":9,"min":1,"max":5,"buckets":5}}}"#,
+                "histogram buckets",
+            ),
+            (r#"{"latencies":{"l":{"count":3,"sum":9,"min":1,"max":5}}}"#, "histogram buckets"),
         ];
         for (text, want) in cases {
             let doc = Json::parse(text).expect("parse");

@@ -7,9 +7,10 @@
 //! network-bound). The `cold_census` daemon has no store and recomputes
 //! every iteration; the `warm_census` daemon runs with `store_dir`
 //! primed by one initial request, so every measured iteration answers
-//! from disk. The bench_gate `locap-serve:store_warm` rows keep the
-//! warm < cold margin honest, and the final stats probe asserts the
-//! warm daemon really served from the store.
+//! from disk. The final stats probe asserts the warm daemon really
+//! served from the store. `bench_gate` does not gate these rows: warm is
+//! a loopback round trip whose thread wake-ups slow down more under
+//! load than cold's compute, so their ratio moves with the host's load.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -342,8 +342,7 @@ fn artifact_requests_write_provenance_sidecars() {
 
 /// The deterministic load test: 8 concurrent clients, 25 pipelined
 /// requests each, every response matched to its request id exactly
-/// once — nothing lost, nothing duplicated. Doubles as the correctness
-/// face of the `serve/load_8x25` bench_gate scenario.
+/// once — nothing lost, nothing duplicated.
 #[test]
 fn concurrent_load_loses_and_duplicates_nothing() {
     const CLIENTS: usize = 8;
