@@ -37,8 +37,9 @@ use crate::CoreError;
 pub struct HomogeneousLift {
     /// The lifted graph `G_ε`.
     pub lift: LDigraph,
-    /// Rank of each lift vertex in the completed order `<_C`.
-    pub rank: Vec<usize>,
+    /// Rank of each lift vertex in the completed order `<_C`, a `u32`
+    /// because a lift has fewer than `u32::MAX` vertices.
+    pub rank: Vec<u32>,
     /// The radius the construction targets.
     pub radius: usize,
     /// `|G|`, the modulus of ϕ.
@@ -133,10 +134,11 @@ pub fn homogeneous_lift_budgeted(
     // order: pull back H's order along ϕ_H((a, b)) = a and complete by the
     // G index (fibres of ϕ_H are incomparable in <_p; any completion works
     // because no r-ball contains two vertices of a common ϕ_H-fibre).
-    // h.rank is a permutation of 0..nh, so (a, b) sits at h.rank[a]·ng + b.
+    // h.rank is a permutation of 0..nh, so (a, b) sits at h.rank[a]·ng + b,
+    // below n ≤ MAX_NODES: every rank fits a u32
     let mut rank = Vec::with_capacity(n);
     for &ra in &h.rank {
-        rank.extend((0..ng).map(|b| ra * ng + b));
+        rank.extend((0..ng).map(|b| (ra * ng + b) as u32));
     }
 
     // good vertices: fibres (under ϕ_H) of τ*-typed H vertices, counted; a
@@ -302,7 +304,8 @@ mod tests {
                 let h = construct_budgeted(k, 1, m, &RunBudget::unlimited()).unwrap();
                 let c = homogeneous_lift_budgeted(&g, &h, &RunBudget::unlimited()).unwrap();
                 let ng = g.node_count();
-                assert_eq!(c.rank, sorted_lift_rank(&h, ng), "k = {k}, m = {m}, |G| = {ng}");
+                let wide: Vec<usize> = c.rank.iter().map(|&p| p as usize).collect();
+                assert_eq!(wide, sorted_lift_rank(&h, ng), "k = {k}, m = {m}, |G| = {ng}");
                 // the closed-form ϕ and good count against an explicit map
                 // and explicit flags ((a, b) is good when H's a has type τ*)
                 let phi = CoveringMap::new((0..c.node_count()).map(|x| x % ng).collect());

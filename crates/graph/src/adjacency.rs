@@ -1,17 +1,19 @@
 //! The one read interface the neighbourhood extractors and the OI/ID
 //! runs take, so that they read a [`Graph`]'s CSR rows or an
-//! [`LDigraph`]'s label rows in place, without building a copy.
+//! [`LDigraph`](crate::LDigraph)'s label rows in place, without building
+//! a copy; `LDigraph`'s impl sits beside its rows, in `digraph.rs`.
 
-use crate::{Graph, LDigraph, NodeId};
+use crate::{Graph, NodeId};
 
 /// A graph's undirected adjacency: its node count, and each node's
 /// neighbours, repeats allowed.
 ///
-/// [`Graph`] yields its CSR row, sorted and without repeats. [`LDigraph`]
-/// yields its out-row, then its in-row, skipping [`LDigraph::NONE`]: the
+/// [`Graph`] yields its CSR row, sorted and without repeats.
+/// [`LDigraph`](crate::LDigraph) yields its out-row, then its in-row,
+/// skipping [`LDigraph::NONE`](crate::LDigraph::NONE): the
 /// neighbours of its underlying simple graph, where a neighbour joined
 /// by an antiparallel pair or by parallel edges of distinct labels comes
-/// once per edge. Readers that need each neighbour once stamp it (a BFS)
+/// once per edge. Readers that need each neighbour once mark it (a BFS)
 /// or sort and dedup.
 pub trait Adjacency {
     /// Number of nodes.
@@ -30,16 +32,5 @@ impl Adjacency for Graph {
     #[inline]
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId)) {
         self.neighbors(v).iter().copied().for_each(f);
-    }
-}
-
-impl Adjacency for LDigraph {
-    fn node_count(&self) -> usize {
-        LDigraph::node_count(self)
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId)) {
-        self.row_neighbors(v).for_each(f);
     }
 }

@@ -285,24 +285,39 @@ pub fn id_nbhd(g: &Graph, ids: &[u64], v: NodeId, r: usize) -> IdNbhd {
 }
 
 /// Reusable workspace for the `*_key_into` canonical-form extractors:
-/// an epoch-stamped membership/position map plus a BFS queue, giving
-/// `O(|ball| + |induced edges|)` per call with **no** per-call
-/// allocation beyond the output (the naive paths pay sorting and a fresh
-/// position index per call).
+/// one `u32` mark per node, which says both whether a node is in the
+/// current ball and where it sits in the sorted ball, plus the ball
+/// itself. Each call costs `O(|ball| log |ball| + |induced edges|)` and
+/// allocates nothing beyond the output once the buffers have grown to
+/// the graph (the naive paths pay a fresh position index per call).
+///
+/// `u` is in the current ball iff `mark[u] >= base`, at position
+/// `mark[u] - base`. Each ball moves `base` past the previous one, so
+/// every older mark falls below it and nothing is cleared per call; the
+/// marks are cleared once, and `base` restarts at 1, before `base + n`
+/// could pass `u32::MAX`. Per node of the largest graph it has served,
+/// the scratch holds 4 B.
 ///
 /// One scratch serves one thread; parallel censuses give each worker its
 /// own (see [`ordered_type_census`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NbhdScratch {
-    /// `stamp[u] == epoch` iff `u` is in the current ball.
-    stamp: Vec<u32>,
-    /// Position of `u` in the current sorted ball (valid when stamped).
-    pos: Vec<u32>,
-    epoch: u32,
-    queue: std::collections::VecDeque<NodeId>,
+    /// Ball membership and sorted position, relative to `base`.
+    mark: Vec<u32>,
+    /// The mark of position 0 in the current ball; never 0, the mark of
+    /// a node no ball has reached.
+    base: u32,
+    /// The current ball: its BFS queue while it is collected, then the
+    /// nodes in key order.
     ball: Vec<NodeId>,
     /// Reused buffer for sorted directed labelled edges.
     ledge_buf: Vec<(u32, u32, u32)>,
+}
+
+impl Default for NbhdScratch {
+    fn default() -> NbhdScratch {
+        NbhdScratch { mark: Vec::new(), base: 1, ball: Vec::new(), ledge_buf: Vec::new() }
+    }
 }
 
 impl NbhdScratch {
@@ -312,54 +327,61 @@ impl NbhdScratch {
         NbhdScratch::default()
     }
 
-    /// Starts a fresh ball computation: bumps the epoch (resetting all
-    /// stamps in O(1)) and runs a truncated BFS from `v` in `g`, whose
-    /// repeated neighbours the stamps absorb. Leaves `self.ball` holding
-    /// the ball sorted by node id.
+    /// Starts the key of `v`'s radius-`r` neighbourhood in `g`: collects
+    /// the ball by a BFS, level by level over `ball` itself, whose
+    /// repeated neighbours the marks absorb; sorts it by `(order(u), u)`;
+    /// marks each node with its position; and leaves the header word
+    /// `(|ball| << 32) | root` as `key`'s one word.
     #[hot]
-    fn fill_ball(&mut self, g: &impl Adjacency, v: NodeId, r: usize) {
+    fn start_key<K: Ord>(
+        &mut self,
+        g: &impl Adjacency,
+        v: NodeId,
+        r: usize,
+        order: impl Fn(NodeId) -> K,
+        key: &mut Vec<u64>,
+    ) {
         let n = g.node_count();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.pos.resize(n, 0);
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
         }
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
+        // a ball of at most n nodes takes the marks base..base + n
+        let next = u64::from(self.base) + self.ball.len() as u64;
+        if next + n as u64 > u64::from(u32::MAX) {
+            self.mark.fill(0);
+            self.base = 1;
+        } else {
+            self.base = next as u32;
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        let base = self.base;
         self.ball.clear();
-        self.queue.clear();
-        // `pos` doubles as the BFS distance during the fill phase; it is
-        // overwritten with sorted positions afterwards.
-        self.stamp[v] = epoch;
-        self.pos[v] = 0;
         self.ball.push(v);
-        self.queue.push_back(v);
-        while let Some(x) = self.queue.pop_front() {
-            let d = self.pos[x] as usize;
-            if d == r {
-                continue;
+        self.mark[v] = base;
+        // ball[start..end] is the current BFS level
+        let (mut start, mut end) = (0, 1);
+        for _ in 0..r {
+            for i in start..end {
+                let x = self.ball[i];
+                g.for_each_neighbor(x, |u| {
+                    if self.mark[u] < base {
+                        self.mark[u] = base;
+                        self.ball.push(u);
+                    }
+                });
             }
-            g.for_each_neighbor(x, |u| {
-                if self.stamp[u] != epoch {
-                    self.stamp[u] = epoch;
-                    self.pos[u] = (d + 1) as u32;
-                    self.ball.push(u);
-                    self.queue.push_back(u);
-                }
-            });
+            (start, end) = (end, self.ball.len());
         }
+        // by node, then stably by order, so ties in `order` keep node
+        // order; where node order already is `order` (an identity rank)
+        // the second sort is one pass, and one `(order, node)` sort was
+        // slower there
         self.ball.sort_unstable();
-    }
-
-    /// Records the final sorted order into the position map.
-    #[hot]
-    fn index_ball(&mut self) {
+        self.ball.sort_by_key(|&u| order(u));
         for (i, &u) in self.ball.iter().enumerate() {
-            self.pos[u] = i as u32;
+            self.mark[u] = base + i as u32;
         }
+        key.clear();
+        key.push(((self.ball.len() as u64) << 32) | u64::from(self.mark[v] - base));
     }
 }
 
@@ -368,21 +390,19 @@ impl NbhdScratch {
 /// the reused buffers. `OrderedNbhd::from_key(key)` recovers the struct.
 ///
 /// `g` is a [`Graph`] or an [`LDigraph`], read in place: on an
-/// L-digraph the key is that of its underlying simple graph.
+/// L-digraph the key is that of its underlying simple graph. `rank` is
+/// any totally ordered type (a lift's `u32` rank, a `usize` one): only
+/// its order matters.
 #[hot]
-pub fn ordered_key_into(
+pub fn ordered_key_into<R: Copy + Ord>(
     g: &impl Adjacency,
-    rank: &[usize],
+    rank: &[R],
     v: NodeId,
     r: usize,
     scratch: &mut NbhdScratch,
     key: &mut Vec<u64>,
 ) {
-    scratch.fill_ball(g, v, r);
-    scratch.ball.sort_by_key(|&u| rank[u]);
-    scratch.index_ball();
-    key.clear();
-    key.push(((scratch.ball.len() as u64) << 32) | scratch.pos[v] as u64);
+    scratch.start_key(g, v, r, |u| rank[u], key);
     push_undirected_edges(g, scratch, key, 1);
 }
 
@@ -402,48 +422,43 @@ pub fn id_key_into(
     scratch: &mut NbhdScratch,
     key: &mut Vec<u64>,
 ) {
-    scratch.fill_ball(g, v, r);
-    scratch.ball.sort_by_key(|&u| ids[u]);
+    scratch.start_key(g, v, r, |u| ids[u], key);
     debug_assert!(
         scratch.ball.windows(2).all(|w| ids[w[0]] != ids[w[1]]),
         "identifiers must be unique"
     );
-    scratch.index_ball();
-    key.clear();
-    key.push(((scratch.ball.len() as u64) << 32) | scratch.pos[v] as u64);
     key.extend(scratch.ball.iter().map(|&u| ids[u]));
-    let base = key.len();
-    push_undirected_edges(g, scratch, key, base);
+    let start = key.len();
+    push_undirected_edges(g, scratch, key, start);
 }
 
 /// Appends the induced undirected edges of the current ball as packed
-/// `(i << 32) | j` words, sorted and distinct; `base` is where the edge
+/// `(i << 32) | j` words, sorted and distinct; `start` is where the edge
 /// section of `key` starts.
 #[hot]
 fn push_undirected_edges(
     g: &impl Adjacency,
     scratch: &NbhdScratch,
     key: &mut Vec<u64>,
-    base: usize,
+    start: usize,
 ) {
+    let base = scratch.base;
     for (i, &a) in scratch.ball.iter().enumerate() {
         g.for_each_neighbor(a, |b| {
-            if scratch.stamp[b] == scratch.epoch {
-                let j = scratch.pos[b] as usize;
-                if i < j {
-                    key.push(((i as u64) << 32) | j as u64);
-                }
+            let m = scratch.mark[b];
+            if m >= base && i < (m - base) as usize {
+                key.push(((i as u64) << 32) | u64::from(m - base));
             }
         });
     }
-    key[base..].sort_unstable();
+    key[start..].sort_unstable();
     // an L-digraph yields a neighbour once per edge, so an antiparallel
     // pair or parallel edges of distinct labels record one induced edge
     // more than once (on a `Graph` each is recorded once, from its lower
     // end): keep one of each
-    let mut w = base;
-    for i in base..key.len() {
-        if i == base || key[i] != key[w - 1] {
+    let mut w = start;
+    for i in start..key.len() {
+        if i == start || key[i] != key[w - 1] {
             key[w] = key[i];
             w += 1;
         }
@@ -464,17 +479,15 @@ pub fn ordered_lkey_into(
     scratch: &mut NbhdScratch,
     key: &mut Vec<u64>,
 ) {
-    scratch.fill_ball(d, v, r);
-    scratch.ball.sort_by_key(|&u| rank[u]);
-    scratch.index_ball();
-    key.clear();
-    key.push(((scratch.ball.len() as u64) << 32) | scratch.pos[v] as u64);
+    scratch.start_key(d, v, r, |u| rank[u], key);
+    let base = scratch.base;
     let mut edges = std::mem::take(&mut scratch.ledge_buf);
     edges.clear();
-    for &a in &scratch.ball {
+    for (i, &a) in scratch.ball.iter().enumerate() {
         for e in d.out_edges(a) {
-            if scratch.stamp[e.to] == scratch.epoch {
-                edges.push((scratch.pos[a], scratch.pos[e.to], e.label as u32));
+            let m = scratch.mark[e.to];
+            if m >= base {
+                edges.push((i as u32, m - base, e.label as u32));
             }
         }
     }
@@ -797,18 +810,74 @@ mod tests {
                 rank[v] = p;
             }
             let ids: Vec<u64> = rank.iter().map(|&p| 3 * p as u64 + (seed >> 60)).collect();
+            let narrow: Vec<u32> = rank.iter().map(|&p| p as u32).collect();
             let (mut scratch, mut rows, mut want) = (NbhdScratch::new(), Vec::new(), Vec::new());
             for r in 0..=3 {
                 for v in 0..n {
                     ordered_key_into(&d, &rank, v, r, &mut scratch, &mut rows);
                     ordered_key_into(&und, &rank, v, r, &mut scratch, &mut want);
                     prop_assert_eq!(&rows, &want, "ordered key of {} at radius {}", v, r);
+                    ordered_key_into(&d, &narrow, v, r, &mut scratch, &mut want);
+                    prop_assert_eq!(&rows, &want, "u32-ranked key of {} at radius {}", v, r);
                     id_key_into(&d, &ids, v, r, &mut scratch, &mut rows);
                     id_key_into(&und, &ids, v, r, &mut scratch, &mut want);
                     prop_assert_eq!(&rows, &want, "id key of {} at radius {}", v, r);
                     ordered_lkey_into(&d, &rank, v, r, &mut scratch, &mut rows);
                     let naive = ordered_lnbhd_in(&d, &und, &rank, v, r).to_key();
                     prop_assert_eq!(&rows, &naive, "labelled key of {} at radius {}", v, r);
+                }
+            }
+        }
+    }
+
+    /// The three extractors' keys of `v` at radius `r`, in turn on one
+    /// scratch, under the identity rank and the ids `5x + 1`.
+    fn three_keys(d: &LDigraph, v: NodeId, r: usize, scratch: &mut NbhdScratch) -> [Vec<u64>; 3] {
+        let rank = identity_rank(d.node_count());
+        let ids: Vec<u64> = (0..d.node_count() as u64).map(|x| 5 * x + 1).collect();
+        let mut keys = [Vec::new(), Vec::new(), Vec::new()];
+        ordered_key_into(d, &rank, v, r, scratch, &mut keys[0]);
+        id_key_into(d, &ids, v, r, scratch, &mut keys[1]);
+        ordered_lkey_into(d, &rank, v, r, scratch, &mut keys[2]);
+        keys
+    }
+
+    /// A scratch whose base sits a few balls below the marks' reset
+    /// clears its marks once, restarts, and gives a fresh scratch's keys
+    /// from all three extractors on both sides of the reset.
+    #[test]
+    fn a_scratch_through_its_mark_reset_gives_fresh_keys() {
+        let d = random_ldigraph(9, 2, 7);
+        let n = d.node_count() as u32;
+        let mut scratch = NbhdScratch::new();
+        three_keys(&d, 0, 2, &mut scratch);
+        // the marks written so far all lie below the forced base
+        scratch.base = u32::MAX - 3 * n;
+        let mut resets = 0;
+        for r in 0..=3 {
+            for v in 0..d.node_count() {
+                let before = scratch.base;
+                let keys = three_keys(&d, v, r, &mut scratch);
+                assert_eq!(keys, three_keys(&d, v, r, &mut NbhdScratch::new()), "{v} at {r}");
+                resets += usize::from(scratch.base < before);
+            }
+        }
+        assert_eq!(resets, 1, "one reset, and the restarted base never comes near another");
+    }
+
+    /// One scratch reused across graphs whose node count grows and then
+    /// shrinks keeps the marks of the larger graph below every later base
+    /// and gives a fresh scratch's keys throughout.
+    #[test]
+    fn a_scratch_reused_across_graph_sizes_gives_fresh_keys() {
+        let mut scratch = NbhdScratch::new();
+        for (n, seed) in [(6, 1), (40, 2), (8, 3), (40, 4), (3, 5)] {
+            let d = random_ldigraph(n, 2, seed);
+            for r in 0..=3 {
+                for v in 0..n {
+                    let keys = three_keys(&d, v, r, &mut scratch);
+                    let want = three_keys(&d, v, r, &mut NbhdScratch::new());
+                    assert_eq!(keys, want, "n = {n}: {v} at radius {r}");
                 }
             }
         }

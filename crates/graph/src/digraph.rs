@@ -1,4 +1,4 @@
-use crate::{Graph, GraphError, NodeId};
+use crate::{Adjacency, Graph, GraphError, NodeId};
 
 /// An edge label `ℓ ∈ L`; the alphabet is `0..alphabet_size`.
 pub type Label = usize;
@@ -207,18 +207,9 @@ impl LDigraph {
 
     /// Total degree (in + out) of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.row_neighbors(v).count()
-    }
-
-    /// `v`'s out-row, then its in-row, as nodes with [`LDigraph::NONE`]
-    /// skipped (none for an out-of-range `v`): its neighbours in the
-    /// underlying simple graph, once per edge.
-    #[inline]
-    pub(crate) fn row_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.row(&self.out, v)
-            .iter()
-            .chain(self.row(&self.inn, v))
-            .filter_map(|&w| node_of(w))
+        let mut degree = 0;
+        self.for_each_neighbor(v, |_| degree += 1);
+        degree
     }
 
     /// Whether every node has an outgoing **and** an incoming edge for every
@@ -266,7 +257,7 @@ impl LDigraph {
     #[inline]
     fn underlying_row(&self, v: NodeId, row: &mut Vec<NodeId>) {
         row.clear();
-        row.extend(self.row_neighbors(v));
+        self.for_each_neighbor(v, |u| row.push(u));
         row.sort_unstable();
         row.dedup();
     }
@@ -328,6 +319,29 @@ impl LDigraph {
             true
         } else {
             false
+        }
+    }
+}
+
+impl Adjacency for LDigraph {
+    fn node_count(&self) -> usize {
+        LDigraph::node_count(self)
+    }
+
+    /// `v`'s out-row, then its in-row, [`LDigraph::NONE`] skipped (none
+    /// for an out-of-range `v`): its neighbours in the underlying simple
+    /// graph, once per edge.
+    #[inline]
+    fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        for &w in self.row(&self.out, v) {
+            if w != LDigraph::NONE {
+                f(w as NodeId);
+            }
+        }
+        for &w in self.row(&self.inn, v) {
+            if w != LDigraph::NONE {
+                f(w as NodeId);
+            }
         }
     }
 }

@@ -10,8 +10,7 @@ const HOT_FNS: [(&str, &[&str]); 4] = [
     (
         "crates/graph/src/canon.rs",
         &[
-            "fill_ball",
-            "index_ball",
+            "start_key",
             "ordered_key_into",
             "id_key_into",
             "push_undirected_edges",

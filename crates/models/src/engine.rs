@@ -48,6 +48,8 @@
     clippy::string_slice
 )]
 
+use std::marker::PhantomData;
+
 use locap_obs as obs;
 
 use locap_graph::budget::{Budgeted, RunBudget};
@@ -231,18 +233,19 @@ pub(crate) trait NbhdKey {
     fn decode(key: &[u64]) -> Self::Nbhd;
 }
 
-/// OI keys: neighbourhoods up to order-isomorphism under a rank.
-pub(crate) enum OrderedKey {}
+/// OI keys: neighbourhoods up to order-isomorphism under a rank of any
+/// totally ordered type `R`.
+pub(crate) struct OrderedKey<R>(PhantomData<R>);
 
-impl NbhdKey for OrderedKey {
-    type Input = usize;
+impl<R: Copy + Ord> NbhdKey for OrderedKey<R> {
+    type Input = R;
     type Nbhd = OrderedNbhd;
     const MODEL: &'static str = "oi";
     const INPUT: &'static str = "rank";
 
     fn key_into(
         g: &impl Adjacency,
-        rank: &[usize],
+        rank: &[R],
         v: NodeId,
         r: usize,
         scratch: &mut NbhdScratch,

@@ -21,7 +21,9 @@
 //!
 //! The OI and ID runs take any [`Adjacency`]: a [`Graph`], or an
 //! [`LDigraph`] whose rows they read in place as its underlying simple
-//! graph, with no copy built. Their `*_naive` twins take a [`Graph`].
+//! graph, with no copy built. The OI runs take a rank of any `Copy +
+//! Ord` type, such as a homogeneous lift's `u32` rank. Their `*_naive`
+//! twins take a [`Graph`] and a `usize` rank.
 
 #![deny(
     clippy::unwrap_used,
@@ -193,15 +195,15 @@ pub fn id_vertex_naive<A: IdVertexAlgorithm>(
 ///
 /// [`RunError::InputLengthMismatch`] when `rank` does not cover every
 /// node.
-pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
+pub fn oi_vertex_budgeted<A: OiVertexAlgorithm, R: Copy + Ord>(
     g: &impl Adjacency,
-    rank: &[usize],
+    rank: &[R],
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span("run/oi_vertex");
     let bits = Vec::with_capacity(g.node_count());
-    engine::run_keyed::<OrderedKey, _, _, _>(
+    engine::run_keyed::<OrderedKey<R>, _, _, _>(
         g,
         rank,
         algo.radius(),
@@ -347,9 +349,9 @@ pub fn id_edge_naive<A: IdEdgeAlgorithm>(
 /// [`RunError::InputLengthMismatch`] for a short `rank`,
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
-pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
+pub fn oi_edge_budgeted<A: OiEdgeAlgorithm, R: Copy + Ord>(
     g: &impl Adjacency,
-    rank: &[usize],
+    rank: &[R],
     algo: &A,
     budget: &RunBudget,
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
@@ -357,7 +359,7 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     let mut by_rank = Vec::new();
     let sink =
         |out: &mut _, v, bits: &Vec<bool>| select_neighbours(g, v, bits, rank, &mut by_rank, out);
-    engine::run_keyed::<OrderedKey, _, _, _>(
+    engine::run_keyed::<OrderedKey<R>, _, _, _>(
         g,
         rank,
         algo.radius(),
